@@ -13,7 +13,7 @@ import sys
 import tempfile
 from collections import Counter
 
-from repro.core import SelectiveRestorer, analyze_record, composition_report, verify_chain
+from repro.core import analyze_record, composition_report, restore_indexed, verify_chain
 from repro.core.store import load_record, save_record
 from repro.oranges import OrangesApp
 from repro.utils.units import format_bytes
@@ -48,8 +48,8 @@ print(f"  shift  {format_bytes(last.shift_bytes):>12s} — references only, "
 targets = Counter(last.shift_targets)
 print(f"  shifted duplicates point at checkpoints: {dict(targets)}")
 
-buffer, plan = SelectiveRestorer().restore(diffs)
-print(f"\nselective restore of the final checkpoint read "
-      f"{format_bytes(plan.total_bytes_read)} from {plan.diffs_touched} "
-      f"diffs in {plan.segments} segments (max reference depth "
-      f"{plan.max_depth})")
+buffer, report = restore_indexed(diffs)
+print(f"\nprovenance gather of the final checkpoint read "
+      f"{format_bytes(report.total_payload_bytes_read)} from "
+      f"{report.frames_referenced} of {report.chain_len} diffs: "
+      f"{dict(sorted(report.payload_bytes_read.items()))}")

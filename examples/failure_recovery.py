@@ -14,7 +14,7 @@ import tempfile
 
 import numpy as np
 
-from repro.core import SelectiveRestorer
+from repro.core import restore_indexed
 from repro.core.store import load_record, save_record
 from repro.oranges import GdvEngine, OrangesApp
 from repro.utils.units import format_bytes
@@ -50,10 +50,10 @@ with tempfile.TemporaryDirectory() as tmp:
 
     # ----- recovery ---------------------------------------------------
     diffs = load_record(record_dir)
-    state, plan = SelectiveRestorer().restore(diffs)
-    print(f"restored checkpoint {len(diffs) - 1} reading "
-          f"{format_bytes(plan.total_bytes_read)} from "
-          f"{plan.diffs_touched} diffs")
+    state, report = restore_indexed(diffs)
+    print(f"restored checkpoint {report.target_ckpt} reading "
+          f"{format_bytes(report.total_payload_bytes_read)} from "
+          f"{report.frames_referenced} of {report.chain_len} diffs")
 
 resumed = GdvEngine(graph, app.max_graphlet_size,
                     layout=app.layout, counting=app.counting)

@@ -60,7 +60,7 @@ import numpy as np
 
 from .core import (
     IncrementalCheckpointer,
-    SelectiveRestorer,
+    Restorer,
     composition_report,
     verify_chain,
 )
@@ -228,12 +228,11 @@ def _cmd_restore(args: argparse.Namespace) -> int:
     if args.replay:
         diffs = load_record(args.record)
         upto = args.checkpoint if args.checkpoint is not None else len(diffs) - 1
-        buffer, plan = SelectiveRestorer().restore(diffs, upto)
+        buffer = Restorer().restore(diffs, upto)
         Path(args.output).write_bytes(buffer.tobytes())
         print(
-            f"checkpoint {upto} → {args.output} ({format_bytes(buffer.nbytes)}); "
-            f"read {format_bytes(plan.total_bytes_read)} from "
-            f"{plan.diffs_touched} diffs in {plan.segments} segments"
+            f"checkpoint {upto} → {args.output} ({format_bytes(buffer.nbytes)}) "
+            f"via chain replay; chain of {len(diffs)}, {upto + 1} diffs applied"
         )
         return 0
 
@@ -241,7 +240,7 @@ def _cmd_restore(args: argparse.Namespace) -> int:
 
     buffer, report = restore_record_indexed(args.record, upto=args.checkpoint)
     Path(args.output).write_bytes(buffer.tobytes())
-    path_name = "indexed" if report.used_index else "replay fallback (no index)"
+    path_name = "indexed" if report.used_index else "full-record gather (no index)"
     print(
         f"checkpoint {report.target_ckpt} → {args.output} "
         f"({format_bytes(buffer.nbytes)}) via {path_name}"
@@ -668,7 +667,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--replay",
         dest="replay",
         action="store_true",
-        help="selective chain replay (works on records without an index)",
+        help="chain replay, the reference every gather is tested against",
     )
     restore.add_argument(
         "--ranks", type=int, default=1,

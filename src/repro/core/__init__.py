@@ -23,7 +23,6 @@ from .diff import (
     METHODS,
     SHIFT_ENTRY_BYTES,
     CheckpointDiff,
-    encode_legacy_v1,
 )
 from .labels import (
     FIRST_OCUR,
@@ -36,14 +35,14 @@ from .labels import (
 )
 from .merkle import MerkleTree, TreeLayout
 from .provenance import (
-    IndexedRestorer,
     IndexedRestoreReport,
     ProvenanceBuilder,
     ProvenanceIndex,
     ProvenanceTable,
     RecordRestoreReport,
-    indexed_restore_latest,
     materialize_index,
+    resolve_source,
+    restore_indexed,
     restore_record_indexed,
 )
 from .record import CheckpointRecord, CheckpointStats, merge_records
@@ -54,7 +53,7 @@ from .retention import (
     rebase_stored_record,
     required_payloads,
 )
-from .selective import RestorePlan, SelectiveRestorer, selective_restore
+from .selective import selective_restore
 from .sharded_restore import (
     ShardedRestorePlan,
     ShardReport,
@@ -97,7 +96,6 @@ __all__ = [
     "SHIFT_ENTRY_BYTES",
     "DIGEST_BYTES",
     "CheckpointDiff",
-    "encode_legacy_v1",
     "AppendReceipt",
     "CheckpointStatus",
     "RecordVerification",
@@ -125,21 +123,19 @@ __all__ = [
     "Restorer",
     "restore_latest",
     "scrub_chain",
-    "IndexedRestorer",
     "IndexedRestoreReport",
     "ProvenanceBuilder",
     "ProvenanceIndex",
     "ProvenanceTable",
     "RecordRestoreReport",
-    "indexed_restore_latest",
     "materialize_index",
+    "resolve_source",
+    "restore_indexed",
     "restore_record_indexed",
     "payload_dependencies",
     "rebase_record",
     "rebase_stored_record",
     "required_payloads",
-    "RestorePlan",
-    "SelectiveRestorer",
     "selective_restore",
     "ShardedRestorePlan",
     "ShardReport",

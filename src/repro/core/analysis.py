@@ -163,7 +163,10 @@ def verify_chain(diffs: Sequence[CheckpointDiff]) -> List[str]:
 
     Returns a list of problem descriptions (empty = chain is sound):
     ordering, stable geometry, region bounds, non-overlap, payload
-    lengths, and reference validity.  Used by tests and the CLI.
+    lengths, reference validity, and the §2.2 serialization invariant
+    (a shifted duplicate referencing its own checkpoint reads bytes a
+    first occurrence — or no region — of that diff wrote, never another
+    shift destination).  Used by tests, scrubbing restores and the CLI.
 
     Payload-length checks assume raw payloads; records produced with a
     ``payload_codec`` (the hybrid mode) should be verified after
@@ -218,6 +221,8 @@ def verify_chain(diffs: Sequence[CheckpointDiff]) -> List[str]:
             return spec.chunk_bounds(node)
 
         covered = np.zeros(data_len, dtype=bool)
+        shifted = np.zeros(data_len, dtype=bool)
+        same_ckpt_sources = []
         payload_expect = 0
         ok = True
         for node in diff.first_ids:
@@ -242,11 +247,21 @@ def verify_chain(diffs: Sequence[CheckpointDiff]) -> List[str]:
                 problems.append(f"{where}: overlapping regions at {span}")
                 ok = False
             covered[span[0] : span[1]] = True
+            shifted[span[0] : span[1]] = True
+            if int(diff.shift_ref_ckpts[i]) == position:
+                same_ckpt_sources.append((i, src))
             if src[1] - src[0] != span[1] - span[0]:
                 problems.append(f"{where}: shift entry {i} length mismatch")
                 ok = False
             if int(diff.shift_ref_ckpts[i]) > position:
                 problems.append(f"{where}: shift entry {i} references the future")
+                ok = False
+        for i, src in same_ckpt_sources:
+            if shifted[src[0] : src[1]].any():
+                problems.append(
+                    f"{where}: shift entry {i} reads bytes another shifted "
+                    f"duplicate of this checkpoint writes"
+                )
                 ok = False
         if ok and diff.payload_bytes != payload_expect:
             problems.append(

@@ -25,10 +25,10 @@ Format v2 adds integrity to the frame: a 32-byte SHA-256 content digest
 sits directly after the fixed header and covers every other byte of the
 frame (header + metadata + payload).  ``from_bytes`` recomputes it and
 raises :class:`~repro.errors.IntegrityError` on mismatch, so a bit flip
-anywhere in a stored ``.rdif`` file is detected at parse time.  v1 frames
-(no digest) still parse; they come back flagged ``verified=False`` so
-callers can report them as *unverified* rather than silently trusting
-them.  See ``docs/FAULT_MODEL.md`` for the full frame layout.
+anywhere in a stored ``.rdif`` file is detected at parse time.  The
+digestless v1 frame is rejected by name ("unsupported diff version 1"),
+never loaded unverified.  See ``docs/FAULT_MODEL.md`` for the full frame
+layout.
 """
 
 from __future__ import annotations
@@ -45,7 +45,6 @@ from ..utils.validation import non_negative_int, one_of, positive_int
 
 _MAGIC = b"RDIF"
 _VERSION = 2
-_V1 = 1
 _HEADER = struct.Struct("<4sHBBIQIIIIQ")
 # magic, version, method, flags, ckpt_id, data_len, chunk_size,
 # n_first, n_shift, bitmap_bytes, payload_len
@@ -95,9 +94,9 @@ class CheckpointDiff:
     shift_ref_ckpts: np.ndarray = field(default_factory=lambda: np.empty(0, np.uint32))
     bitmap: Optional[np.ndarray] = None  # packed uint8, basic method only
     payload: bytes = b""
-    #: Integrity provenance: ``None`` for locally built diffs, ``True``
-    #: when parsed from a v2 frame whose digest matched, ``False`` when
-    #: parsed from a digestless v1 frame (*unverified*).
+    #: Integrity provenance: ``None`` for locally built diffs (or a parse
+    #: with ``verify=False``), ``True`` when parsed from a frame whose
+    #: digest matched.
     verified: Optional[bool] = field(default=None, compare=False)
     #: Lazily cached SHA-256 hex of :meth:`to_bytes` — the on-disk frame
     #: digest the record manifest stores.  Engines never mutate a diff
@@ -240,10 +239,8 @@ class CheckpointDiff:
     def from_bytes(cls, blob: bytes, verify: bool = True) -> "CheckpointDiff":
         """Parse a diff previously produced by :meth:`to_bytes`.
 
-        Both format versions are accepted: v2 frames carry a content
-        digest that is recomputed here (mismatch raises
-        :class:`~repro.errors.IntegrityError` unless *verify* is false);
-        v1 frames have none and come back with ``verified=False``.
+        The frame's content digest is recomputed here (mismatch raises
+        :class:`~repro.errors.IntegrityError` unless *verify* is false).
         """
         if len(blob) < _HEADER.size:
             raise SerializationError(f"diff blob too short ({len(blob)} bytes)")
@@ -262,27 +259,25 @@ class CheckpointDiff:
         ) = _HEADER.unpack_from(blob, 0)
         if magic != _MAGIC:
             raise SerializationError(f"bad magic {magic!r}")
-        if version not in (_V1, _VERSION):
+        if version != _VERSION:
             raise SerializationError(f"unsupported diff version {version}")
         if method_code >= len(METHODS):
             raise SerializationError(f"unknown method code {method_code}")
         method = METHODS[method_code]
 
         off = _HEADER.size
-        stored_digest = None
-        if version == _VERSION:
-            if len(blob) < off + DIGEST_BYTES:
-                raise SerializationError(
-                    f"diff blob too short for v2 digest ({len(blob)} bytes)"
-                )
-            stored_digest = blob[off : off + DIGEST_BYTES]
-            off += DIGEST_BYTES
+        if len(blob) < off + DIGEST_BYTES:
+            raise SerializationError(
+                f"diff blob too short for v2 digest ({len(blob)} bytes)"
+            )
+        stored_digest = blob[off : off + DIGEST_BYTES]
+        off += DIGEST_BYTES
         need = off + 4 * n_first + 12 * n_shift + bitmap_bytes + payload_len
         if len(blob) != need:
             raise SerializationError(
                 f"diff blob length {len(blob)} != expected {need}"
             )
-        if stored_digest is not None and verify:
+        if verify:
             actual = hashlib.sha256()
             actual.update(blob[: _HEADER.size])
             actual.update(blob[_HEADER.size + DIGEST_BYTES :])
@@ -308,10 +303,6 @@ class CheckpointDiff:
             ).copy()
         off += bitmap_bytes
         payload = blob[off : off + payload_len]
-        if version == _V1:
-            verified: Optional[bool] = False
-        else:
-            verified = True if verify else None
         return cls(
             method=method,
             ckpt_id=ckpt_id,
@@ -323,7 +314,7 @@ class CheckpointDiff:
             shift_ref_ckpts=shift[:, 2],
             bitmap=bitmap,
             payload=payload,
-            verified=verified,
+            verified=True if verify else None,
         )
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
@@ -332,27 +323,3 @@ class CheckpointDiff:
             f"first={self.num_first} shift={self.num_shift} "
             f"payload={self.payload_bytes}B total={self.serialized_size}B>"
         )
-
-
-def encode_legacy_v1(diff: CheckpointDiff) -> bytes:
-    """Encode *diff* in the pre-integrity v1 frame (no content digest).
-
-    New code always writes v2; this exists so compatibility tests and
-    migration tooling can produce records identical to ones written
-    before the format bump.
-    """
-    bitmap_bytes = diff.bitmap.nbytes if diff.bitmap is not None else 0
-    header = _HEADER.pack(
-        _MAGIC,
-        _V1,
-        _METHOD_CODE[diff.method],
-        0,
-        diff.ckpt_id,
-        diff.data_len,
-        diff.chunk_size,
-        diff.num_first,
-        diff.num_shift,
-        bitmap_bytes,
-        len(diff.payload),
-    )
-    return header + diff._body_bytes()

@@ -16,11 +16,15 @@ per *unique* referenced checkpoint — yielding a
 (int64 byte offset into the *decompressed* payload of diff ``src_ckpt``).
 
 Materializing checkpoint *k* is then one batched gather per referenced
-source payload — typically a handful of diffs out of an arbitrarily long
-chain — and a cold restart from disk only has to *parse the frames the
-index names* (:func:`restore_record_indexed`), because
-:func:`~repro.core.store.save_record` persists the stacked index
-(:class:`ProvenanceTable`) next to the record manifest with the same
+source payload (:func:`materialize_index`) — typically a handful of
+diffs out of an arbitrarily long chain.  That gather is the only
+production reconstruction: an in-memory chain, a stored record, an
+N-rank sharded restart and a node's crash restart all first
+:func:`resolve_source` to one index row plus a ``payload_of(t)``
+callable, then gather a chunk range.  A cold restart from disk only has
+to *parse the frames the index names* (:func:`restore_record_indexed`),
+because :class:`~repro.core.store.RecordWriter` persists one RPIX
+row-group per checkpoint next to the record manifest with the same
 digest discipline as the ``.rdif`` frames.
 
 The composition relies on the engines' serialization invariant (§2.2):
@@ -33,6 +37,7 @@ chain replay.
 from __future__ import annotations
 
 import hashlib
+import os
 import struct
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
@@ -57,32 +62,27 @@ from .serialize import (
 ZERO_SOURCE = -1
 
 _TABLE_MAGIC = b"RPIX"
-#: v1: raw little-endian ``i4`` + ``i8`` arrays.  v2: the same arrays
-#: delta+RLE+bitpacked per plane (``src_ckpt``, and ``src_off`` split
-#: into low/high u32 words) with the cascaded codec — the rows are runny
-#: (long runs of identical sources, arithmetic offset progressions), so
-#: the 12 B/chunk raw encoding shrinks toward 1–2 B/chunk.
-#: v3: the append-optimized layout — a fixed prologue (header + header
-#: digest) followed by self-contained *row-group* records, one per
-#: appended checkpoint, each carrying its own digest and the same three
-#: compressed planes over just its rows.  Appending a checkpoint writes
-#: one group record and rewrites the 60-byte prologue in place; nothing
-#: else on disk is touched.
-_TABLE_VERSION_V1 = 1
-_TABLE_VERSION = 2
-_TABLE_VERSION_V3 = 3
+#: The one on-disk layout: a fixed prologue (header + header digest)
+#: followed by self-contained *row-group* records, one per appended
+#: checkpoint, each carrying its own digest and three cascaded-compressed
+#: planes (``src_ckpt``, and ``src_off`` split into low/high u32 words —
+#: the rows are runny, so 12 B/chunk raw shrinks toward 1–2 B/chunk).
+#: Appending a checkpoint writes one group record and rewrites the
+#: 60-byte prologue in place; nothing else on disk is touched.  The
+#: pre-row-group versions 1 and 2 are rejected by name, never loaded.
+_TABLE_VERSION = 3
 _TABLE_HEADER = struct.Struct("<4sHHIIQI")
 # magic, version, reserved, num_checkpoints, num_chunks, data_len, chunk_size
 _TABLE_DIGEST_BYTES = 32
 _PLANE_LEN = struct.Struct("<Q")
-#: v3 row-group record header: body length, first checkpoint row, row
+#: Row-group record header: body length, first checkpoint row, row
 #: count, SHA-256 over ``pack("<II", first_ckpt, num_rows) + body``.
 _GROUP_HEADER = struct.Struct("<QII32s")
-#: Fixed v3 prologue: table header + SHA-256 of the header bytes.  An
+#: Fixed prologue: table header + SHA-256 of the header bytes.  An
 #: append rewrites exactly this region (the row count lives here) and
 #: appends one group record after the last — O(rows in this checkpoint).
 V3_PROLOGUE_BYTES = _TABLE_HEADER.size + _TABLE_DIGEST_BYTES
-#: Raw (v1) index bytes per chunk per checkpoint: i4 src_ckpt + i8 src_off.
+#: Uncompressed index bytes per chunk per checkpoint: i4 src_ckpt + i8 src_off.
 RAW_INDEX_BYTES_PER_CHUNK = 12
 
 
@@ -105,17 +105,18 @@ def _pack_planes(src_ckpt: np.ndarray, src_off: np.ndarray) -> bytes:
 
 
 def _unpack_planes(
-    buf: bytes, n_rows: int, n_chunks: int, off: int = 0
+    buf: bytes, n_rows: int, n_chunks: int
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Decode the three planes back into ``(src_ckpt, src_off)`` arrays.
 
-    Consumes *buf* from *off* to its end — trailing bytes are damage.
+    Consumes all of *buf* — trailing bytes are damage.
     """
     from ..compress.cascaded import CascadedCodec  # local: core ↔ compress
     from ..errors import CompressionError
 
     codec = CascadedCodec()
     count = n_rows * n_chunks
+    off = 0
     planes = []
     for name in ("src_ckpt", "src_off_lo", "src_off_hi"):
         if off + _PLANE_LEN.size > len(buf):
@@ -368,10 +369,7 @@ class ProvenanceTable:
     """All checkpoints' provenance rows, stacked — the persisted form.
 
     Row *k* (``row(k)``) is checkpoint *k*'s :class:`ProvenanceIndex`.
-    The wire encoding mirrors the ``.rdif`` discipline: fixed header, a
-    SHA-256 content digest over header+body, then the two little-endian
-    arrays — so a bit flip anywhere in a stored index is detected at
-    parse time.
+    On disk it is the RPIX v3 row-group file below (one group per row).
     """
 
     data_len: int
@@ -434,87 +432,8 @@ class ProvenanceTable:
     # ------------------------------------------------------------------
     @property
     def raw_index_bytes(self) -> int:
-        """Uncompressed (v1-equivalent) array bytes: 12 B/chunk/checkpoint."""
+        """Uncompressed array bytes: 12 B/chunk/checkpoint."""
         return self.num_checkpoints * self.num_chunks * RAW_INDEX_BYTES_PER_CHUNK
-
-    def to_bytes(self) -> bytes:
-        header = _TABLE_HEADER.pack(
-            _TABLE_MAGIC,
-            _TABLE_VERSION,
-            0,
-            self.num_checkpoints,
-            self.num_chunks,
-            self.data_len,
-            self.chunk_size,
-        )
-        body = self._encode_planes()
-        digest = hashlib.sha256(header + body).digest()
-        return header + digest + body
-
-    def _encode_planes(self) -> bytes:
-        """v2 body: three length-prefixed cascaded-compressed planes."""
-        return _pack_planes(self.src_ckpt, self.src_off)
-
-    @classmethod
-    def from_bytes(cls, blob: bytes, verify: bool = True) -> "ProvenanceTable":
-        if len(blob) < _TABLE_HEADER.size + _TABLE_DIGEST_BYTES:
-            raise IntegrityError(
-                f"provenance index too short ({len(blob)} bytes)"
-            )
-        magic, version, _reserved, n_ckpts, n_chunks, data_len, chunk_size = (
-            _TABLE_HEADER.unpack_from(blob, 0)
-        )
-        if magic != _TABLE_MAGIC:
-            raise IntegrityError(f"bad provenance index magic {magic!r}")
-        if version == _TABLE_VERSION_V3:
-            return read_v3(blob, verify=verify)
-        if version not in (_TABLE_VERSION_V1, _TABLE_VERSION):
-            raise IntegrityError(f"unsupported provenance index version {version}")
-        off = _TABLE_HEADER.size
-        stored_digest = blob[off : off + _TABLE_DIGEST_BYTES]
-        off += _TABLE_DIGEST_BYTES
-        count = n_ckpts * n_chunks
-        if version == _TABLE_VERSION_V1:
-            need = off + count * RAW_INDEX_BYTES_PER_CHUNK
-            if len(blob) != need:
-                raise IntegrityError(
-                    f"provenance index length {len(blob)} != expected {need}"
-                )
-        if verify:
-            actual = hashlib.sha256()
-            actual.update(blob[: _TABLE_HEADER.size])
-            actual.update(blob[off:])
-            if actual.digest() != stored_digest:
-                raise IntegrityError(
-                    f"provenance index digest mismatch "
-                    f"(stored {stored_digest.hex()[:16]}…, "
-                    f"computed {actual.hexdigest()[:16]}…)"
-                )
-        if version == _TABLE_VERSION_V1:
-            src_ckpt = (
-                np.frombuffer(blob, dtype="<i4", count=count, offset=off)
-                .reshape(n_ckpts, n_chunks)
-                .copy()
-            )
-            src_off = (
-                np.frombuffer(blob, dtype="<i8", count=count, offset=off + 4 * count)
-                .reshape(n_ckpts, n_chunks)
-                .copy()
-            )
-        else:
-            src_ckpt, src_off = cls._decode_planes(blob, off, n_ckpts, n_chunks)
-        return cls(
-            data_len=data_len,
-            chunk_size=chunk_size,
-            src_ckpt=src_ckpt,
-            src_off=src_off,
-        )
-
-    @staticmethod
-    def _decode_planes(
-        blob: bytes, off: int, n_ckpts: int, n_chunks: int
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        return _unpack_planes(blob, n_ckpts, n_chunks, off=off)
 
 
 # ----------------------------------------------------------------------
@@ -537,7 +456,7 @@ def encode_v3_prologue(
     """The fixed-size v3 file prologue: header + SHA-256 of the header."""
     header = _TABLE_HEADER.pack(
         _TABLE_MAGIC,
-        _TABLE_VERSION_V3,
+        _TABLE_VERSION,
         0,
         num_checkpoints,
         num_chunks,
@@ -583,7 +502,7 @@ def scan_v3(
     )
     if magic != _TABLE_MAGIC:
         raise IntegrityError(f"bad provenance index magic {magic!r}")
-    if version != _TABLE_VERSION_V3:
+    if version != _TABLE_VERSION:
         raise IntegrityError(
             f"unsupported provenance index version {version} (expected v3)"
         )
@@ -640,16 +559,15 @@ def decode_v3_groups(
     blob: bytes,
     groups: Sequence[RowGroup],
     n_chunks: int,
-    verify: bool = True,
 ) -> Tuple[np.ndarray, np.ndarray]:
-    """Decode (a contiguous prefix of) row-groups into stacked planes."""
+    """Verify and decode (a contiguous prefix of) row-groups into stacked planes."""
     if not groups:
         raise IntegrityError("provenance index holds no row-groups")
     parts_ckpt = []
     parts_off = []
     for g in groups:
         body = blob[g.body_off : g.body_off + g.body_len]
-        if verify and not verify_v3_group(blob, g):
+        if not verify_v3_group(blob, g):
             raise IntegrityError(
                 f"provenance index row-group {g.first_ckpt} digest mismatch "
                 f"(stored {g.digest.hex()[:16]}…)"
@@ -665,40 +583,6 @@ def decode_v3_groups(
     return (
         np.concatenate(parts_ckpt, axis=0),
         np.concatenate(parts_off, axis=0),
-    )
-
-
-def read_v3(
-    blob: bytes,
-    rows: Optional[int] = None,
-    upto: Optional[int] = None,
-    verify: bool = True,
-) -> ProvenanceTable:
-    """Load a v3 blob, optionally decoding only the groups a restore needs.
-
-    *rows* is the authoritative row count (the manifest's, which lags the
-    header across a crashed append); *upto* restricts decoding — and
-    digest verification — to the groups covering checkpoints ``0..upto``,
-    so a restore of checkpoint K never touches groups past K and damage
-    in later groups cannot block earlier restores.
-    """
-    header, groups = scan_v3(blob, max_rows=rows)
-    total = rows if rows is not None else header["num_checkpoints"]
-    if upto is not None:
-        if upto >= total:
-            raise RestoreError(
-                f"checkpoint {upto} outside indexed chain of {total}"
-            )
-        groups = [g for g in groups if g.first_ckpt <= upto]
-    src_ckpt, src_off = decode_v3_groups(
-        blob, groups, header["num_chunks"], verify=verify
-    )
-    return ProvenanceTable(
-        data_len=header["data_len"],
-        chunk_size=header["chunk_size"],
-        src_ckpt=src_ckpt,
-        src_off=src_off,
-        index_rows=total,
     )
 
 
@@ -773,7 +657,7 @@ def materialize_index(
     payload_of: Callable[[int], np.ndarray],
     out: Optional[np.ndarray] = None,
     space=None,
-    report: Optional[IndexedRestoreReport] = None,
+    report=None,
     chunk_lo: int = 0,
     chunk_hi: Optional[int] = None,
     zero: bool = True,
@@ -783,6 +667,8 @@ def materialize_index(
 
     ``payload_of(t)`` must return diff *t*'s (decompressed) payload as a
     uint8 array; it is called once per checkpoint the index references.
+    *report* is any of the restore reports: the bytes gathered from each
+    source accumulate in its ``payload_bytes_read``.
 
     ``[chunk_lo, chunk_hi)`` restricts the gather to a chunk range — the
     sharding primitive: each simulated GPU of a fleet restore
@@ -861,109 +747,8 @@ def materialize_index(
     return out
 
 
-class IndexedRestorer:
-    """Provenance-indexed restore: the fast path of the restore overhaul.
-
-    Drop-in for :class:`~repro.core.restore.Restorer.restore` on intact
-    chains — bit-identical output, but materialized as one batched gather
-    per referenced source payload instead of replaying the chain.  A
-    long-lived caller (e.g. :class:`~repro.runtime.node.NodeRuntime`)
-    passes its incrementally maintained :class:`ProvenanceBuilder`;
-    otherwise the builder is composed on the fly (still vectorized, and
-    metadata-sized rather than payload-sized work per diff).
-    """
-
-    def __init__(self, payload_codec=None, scrub: bool = False, space=None) -> None:
-        self.payload_codec = payload_codec
-        self.scrub = scrub
-        self.space = space
-
-    def restore(
-        self,
-        diffs: Sequence[CheckpointDiff],
-        upto: Optional[int] = None,
-        builder: Optional[ProvenanceBuilder] = None,
-    ) -> np.ndarray:
-        out, _ = self.restore_with_report(diffs, upto, builder)
-        return out
-
-    def restore_with_report(
-        self,
-        diffs: Sequence[CheckpointDiff],
-        upto: Optional[int] = None,
-        builder: Optional[ProvenanceBuilder] = None,
-    ) -> Tuple[np.ndarray, IndexedRestoreReport]:
-        if len(diffs) == 0:
-            raise RestoreError("cannot restore from an empty diff chain")
-        if upto is None:
-            upto = len(diffs) - 1
-        if not 0 <= upto < len(diffs):
-            raise RestoreError(f"checkpoint {upto} outside chain of {len(diffs)}")
-        if self.scrub:
-            scrub_chain(diffs[: upto + 1], self.payload_codec)
-        with telemetry.span(
-            "restore.indexed",
-            space=self.space,
-            upto=upto,
-            chain_len=len(diffs),
-        ) as span:
-            if builder is None:
-                builder = ProvenanceBuilder()
-            if len(builder) <= upto:
-                builder.extend(diffs[len(builder) : upto + 1])
-            index = builder.index_for(upto)
-            if index.data_len != diffs[0].data_len:
-                raise RestoreError(
-                    "provenance builder does not match the supplied chain"
-                )
-
-            payloads: Dict[int, np.ndarray] = {}
-
-            def payload_of(t: int) -> np.ndarray:
-                cached = payloads.get(t)
-                if cached is None:
-                    cached = np.frombuffer(
-                        self._payload(diffs[t]), dtype=np.uint8
-                    )
-                    payloads[t] = cached
-                return cached
-
-            report = IndexedRestoreReport(
-                target_ckpt=upto, data_len=index.data_len, chain_len=len(diffs)
-            )
-            out = materialize_index(
-                index, payload_of, space=self.space, report=report
-            )
-            span.set(
-                sources=len(report.payload_bytes_read),
-                payload_bytes=sum(report.payload_bytes_read.values()),
-            )
-        events.emit(
-            events.RESTORE,
-            path="indexed",
-            target_ckpt=upto,
-            chain_len=len(diffs),
-            state_bytes=int(out.nbytes),
-            payload_bytes=sum(report.payload_bytes_read.values()),
-            sources=len(report.payload_bytes_read),
-        )
-        return out, report
-
-    def _payload(self, diff: CheckpointDiff) -> bytes:
-        if self.payload_codec is not None and diff.method == "tree":
-            return self.payload_codec.decompress(diff.payload)
-        return diff.payload
-
-
-def indexed_restore_latest(
-    diffs: Sequence[CheckpointDiff], payload_codec=None, scrub: bool = False
-) -> np.ndarray:
-    """Convenience wrapper: indexed reconstruction of the final checkpoint."""
-    return IndexedRestorer(payload_codec=payload_codec, scrub=scrub).restore(diffs)
-
-
 # ----------------------------------------------------------------------
-# Cold restart from disk
+# Resolve a source, then gather: the one reconstruction path
 # ----------------------------------------------------------------------
 @dataclass
 class RecordRestoreReport:
@@ -983,6 +768,161 @@ class RecordRestoreReport:
     payload_bytes_read: Dict[int, int] = field(default_factory=dict)
 
 
+def diff_payload(diff: CheckpointDiff, payload_codec=None) -> np.ndarray:
+    """*diff*'s payload as the uint8 array provenance offsets index into
+    (a hybrid tree diff's payload is decompressed first)."""
+    raw = diff.payload
+    if payload_codec is not None and diff.method == "tree":
+        raw = payload_codec.decompress(raw)
+    return np.frombuffer(raw, dtype=np.uint8)
+
+
+def resolve_source(
+    source,
+    upto: Optional[int] = None,
+    payload_codec=None,
+    scrub: bool = False,
+    builder: Optional[ProvenanceBuilder] = None,
+):
+    """Resolve ``(diff chain | record directory, upto)`` for a gather.
+
+    Returns ``(index, payload_of, report)``: checkpoint *upto*'s
+    :class:`ProvenanceIndex` row, the ``payload_of(t)`` callable
+    :func:`materialize_index` pulls source payloads through, and the
+    report the gather fills — an :class:`IndexedRestoreReport` for a
+    chain, a :class:`RecordRestoreReport` for a record.  Every
+    reconstruction except the :class:`~repro.core.restore.Restorer`
+    replay oracle starts here.
+
+    A chain's row comes from *builder* (a caller's incrementally
+    maintained :class:`ProvenanceBuilder`, extended as needed) or is
+    composed on the fly.  A record's row is decoded from its persisted
+    index and only the frames that row names are read and parsed; a
+    record without an index, or ``scrub=True`` (which validates the whole
+    chain and so needs every frame), loads the full record and resolves
+    it as a chain.
+    """
+    from . import store  # local: store imports this module at its top
+
+    is_record = isinstance(source, (str, os.PathLike))
+    if is_record:
+        manifest = store.record_manifest(source)
+        count = manifest["num_checkpoints"]
+    else:
+        count = len(source)
+        if count == 0:
+            raise RestoreError("cannot restore from an empty diff chain")
+    if upto is None:
+        upto = count - 1
+    if not 0 <= upto < count:
+        raise RestoreError(
+            f"checkpoint {upto} outside "
+            f"{'record' if is_record else 'chain'} of {count}"
+        )
+
+    table = None
+    if is_record:
+        frame_sizes = store.record_frame_sizes(source)
+        if not scrub:
+            table = store.load_provenance(source, upto=upto)
+    if table is not None:
+        if (
+            table.total_checkpoints < count
+            or table.num_checkpoints <= upto
+            or table.data_len != manifest.get("data_len", table.data_len)
+        ):
+            raise IntegrityError(
+                f"provenance index covers {table.total_checkpoints} "
+                f"checkpoints, record holds {count}"
+            )
+        index = table.row(upto)
+        parsed = [int(t) for t in index.referenced()]
+        frames = store.load_record_frames(source, parsed)
+        index_bytes = store.record_index_bytes(source)
+    else:
+        frames = store.load_record(source) if is_record else source
+        if scrub:
+            scrub_chain(frames[: upto + 1], payload_codec)
+        if builder is None:
+            builder = ProvenanceBuilder()
+        if len(builder) <= upto:
+            builder.extend(frames[len(builder) : upto + 1])
+        index = builder.index_for(upto)
+        if index.data_len != frames[0].data_len:
+            raise RestoreError(
+                "provenance builder does not match the supplied chain"
+            )
+        parsed, index_bytes = range(count), 0
+
+    payloads: Dict[int, np.ndarray] = {}
+
+    def payload_of(t: int) -> np.ndarray:
+        cached = payloads.get(t)
+        if cached is None:
+            cached = payloads[t] = diff_payload(frames[t], payload_codec)
+        return cached
+
+    if is_record:
+        report = RecordRestoreReport(
+            target_ckpt=upto,
+            frames_total=count,
+            frames_parsed=len(parsed),
+            record_bytes=int(sum(frame_sizes)),
+            record_bytes_read=int(sum(frame_sizes[t] for t in parsed))
+            + index_bytes,
+            index_bytes=index_bytes,
+            used_index=table is not None,
+        )
+    else:
+        report = IndexedRestoreReport(
+            target_ckpt=upto, data_len=index.data_len, chain_len=count
+        )
+    return index, payload_of, report
+
+
+def restore_indexed(
+    source,
+    upto: Optional[int] = None,
+    payload_codec=None,
+    scrub: bool = False,
+    space=None,
+    builder: Optional[ProvenanceBuilder] = None,
+):
+    """Reconstruct checkpoint *upto* of a chain or record: resolve, gather.
+
+    Bit-identical to :meth:`~repro.core.restore.Restorer.restore` on
+    intact chains, but materialized as one batched gather per referenced
+    source payload instead of replaying the chain.  Returns
+    ``(buffer, report)`` with the report :func:`resolve_source` built.
+    """
+    index, payload_of, report = resolve_source(
+        source, upto, payload_codec, scrub, builder
+    )
+    on_disk = isinstance(report, RecordRestoreReport)
+    path = "indexed_record" if on_disk and report.used_index else "indexed"
+    chain_len = report.frames_total if on_disk else report.chain_len
+    with telemetry.span(
+        f"restore.{path}", space=space, upto=index.ckpt_id, chain_len=chain_len
+    ) as span:
+        out = materialize_index(index, payload_of, space=space, report=report)
+        fields = {
+            "sources": len(report.payload_bytes_read),
+            "payload_bytes": sum(report.payload_bytes_read.values()),
+        }
+        if on_disk:
+            fields["record_bytes_read"] = report.record_bytes_read
+        span.set(**fields)
+    events.emit(
+        events.RESTORE,
+        path=path,
+        target_ckpt=index.ckpt_id,
+        chain_len=chain_len,
+        state_bytes=int(out.nbytes),
+        **fields,
+    )
+    return out, report
+
+
 def restore_record_indexed(
     directory,
     upto: Optional[int] = None,
@@ -990,98 +930,8 @@ def restore_record_indexed(
     scrub: bool = False,
     space=None,
 ) -> Tuple[np.ndarray, RecordRestoreReport]:
-    """Reconstruct a checkpoint from a stored record, parsing only the
-    frames its provenance index names.
-
-    Falls back to loading (and indexing) the full record when the record
-    predates the index or ``scrub=True`` (scrubbing validates the whole
-    chain, which needs every frame).  Frame and index integrity checks
-    (PR 2's v2 digests) apply on both paths.
+    """Cold restart: :func:`restore_indexed` on a stored record directory,
+    parsing only the frames its provenance index names.  Frame and index
+    integrity checks apply whether or not the index is used.
     """
-    from .store import (  # local import: store ↔ provenance layering
-        load_provenance,
-        load_record,
-        load_record_frames,
-        record_frame_sizes,
-        record_index_bytes,
-        record_manifest,
-    )
-
-    manifest = record_manifest(directory)
-    count = manifest["num_checkpoints"]
-    if upto is None:
-        upto = count - 1
-    if not 0 <= upto < count:
-        raise RestoreError(f"checkpoint {upto} outside record of {count}")
-
-    frame_sizes = record_frame_sizes(directory)
-    record_bytes = int(sum(frame_sizes))
-    table = None if scrub else load_provenance(directory, upto=upto)
-
-    if table is None:
-        diffs = load_record(directory)
-        restorer = IndexedRestorer(
-            payload_codec=payload_codec, scrub=scrub, space=space
-        )
-        out, ireport = restorer.restore_with_report(diffs, upto)
-        report = RecordRestoreReport(
-            target_ckpt=upto,
-            frames_total=count,
-            frames_parsed=count,
-            record_bytes=record_bytes,
-            record_bytes_read=record_bytes,
-            index_bytes=0,
-            used_index=False,
-            payload_bytes_read=dict(ireport.payload_bytes_read),
-        )
-        return out, report
-
-    if (
-        table.total_checkpoints < count
-        or table.num_checkpoints <= upto
-        or table.data_len != manifest.get("data_len", table.data_len)
-    ):
-        raise IntegrityError(
-            f"provenance index covers {table.total_checkpoints} checkpoints, "
-            f"record holds {count}"
-        )
-    index = table.row(upto)
-    refs = [int(t) for t in index.referenced()]
-    frames = load_record_frames(directory, refs)
-
-    def payload_of(t: int) -> np.ndarray:
-        diff = frames[t]
-        if payload_codec is not None and diff.method == "tree":
-            return np.frombuffer(payload_codec.decompress(diff.payload), np.uint8)
-        return np.frombuffer(diff.payload, dtype=np.uint8)
-
-    index_bytes = record_index_bytes(directory)
-    report = RecordRestoreReport(
-        target_ckpt=upto,
-        frames_total=count,
-        frames_parsed=len(refs),
-        record_bytes=record_bytes,
-        record_bytes_read=int(sum(frame_sizes[t] for t in refs)) + index_bytes,
-        index_bytes=index_bytes,
-        used_index=True,
-    )
-    with telemetry.span(
-        "restore.indexed_record",
-        space=space,
-        upto=upto,
-        frames_total=count,
-        frames_parsed=len(refs),
-        bytes_read=report.record_bytes_read,
-    ):
-        out = materialize_index(index, payload_of, space=space, report=report)
-    events.emit(
-        events.RESTORE,
-        path="indexed_record",
-        target_ckpt=upto,
-        chain_len=count,
-        state_bytes=int(out.nbytes),
-        payload_bytes=sum(report.payload_bytes_read.values()),
-        sources=len(refs),
-        record_bytes_read=report.record_bytes_read,
-    )
-    return out, report
+    return restore_indexed(directory, upto, payload_codec, scrub, space)

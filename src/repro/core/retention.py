@@ -20,11 +20,11 @@ module provides the two primitives that make truncation safe:
 A rebase invalidates any provenance index built over the old chain:
 checkpoint ids shift, and promoting shift references into
 first-occurrence payload changes payload offsets.  ``rebase_record``
-therefore composes the *new* chain's :class:`~repro.core.provenance.
-ProvenanceTable` while it rewrites (``with_index=True``), and
+can therefore compose the *new* chain's :class:`~repro.core.provenance.
+ProvenanceTable` as it rewrites (``with_index=True``), and
 :func:`rebase_stored_record` rewrites a stored record directory — frames,
-manifest, *and* ``provenance.rpix`` — atomically with respect to the
-index, journaling a ``rebase`` event when it does.
+manifest, *and* ``provenance.rpix``, re-composed by the record writer
+from the rewritten diffs — journaling a ``rebase`` event when it does.
 """
 
 from __future__ import annotations
@@ -39,25 +39,33 @@ from ..telemetry import events
 from .chunking import ChunkSpec
 from .diff import CheckpointDiff
 from .merkle import TreeLayout
+from .provenance import ProvenanceBuilder, ProvenanceTable, resolve_source
 from .restore import Restorer
-from .selective import SelectiveRestorer
+from .store import load_record, record_manifest, save_record
 
 
 def payload_dependencies(
     diffs: Sequence[CheckpointDiff], upto: Optional[int] = None
 ) -> Set[int]:
     """Checkpoint ids whose payload bytes contribute to checkpoint *upto*."""
-    _, plan = SelectiveRestorer().restore(diffs, upto)
-    return set(plan.payload_bytes_read)
+    index, _, _ = resolve_source(diffs, upto)
+    return {int(t) for t in index.referenced()}
 
 
 def required_payloads(
     diffs: Sequence[CheckpointDiff], keep: Sequence[int]
 ) -> Set[int]:
-    """Union of payload dependencies over every checkpoint in *keep*."""
+    """Union of payload dependencies over every checkpoint in *keep*.
+
+    One :class:`~repro.core.provenance.ProvenanceBuilder` is composed
+    over the chain and shared by every *k*, so the cost is one pass over
+    the diffs plus a ``referenced()`` per kept checkpoint.
+    """
+    builder = ProvenanceBuilder()
     needed: Set[int] = set()
-    for k in keep:
-        needed |= payload_dependencies(diffs, k)
+    for k in sorted(keep):
+        index, _, _ = resolve_source(diffs, k, builder=builder)
+        needed.update(int(t) for t in index.referenced())
     return needed
 
 
@@ -110,8 +118,6 @@ def rebase_record(
         )
     if not with_index:
         return out
-    from .provenance import ProvenanceTable  # local: retention ↔ provenance
-
     try:
         table = ProvenanceTable.from_diffs(out)
     except ReproError:
@@ -124,36 +130,33 @@ def rebase_stored_record(
 ) -> Path:
     """Rebase a *stored* record directory in place, index included.
 
-    Loads the record, rewrites the chain with :func:`rebase_record`
-    (composing the new chain's provenance table during the rewrite),
+    Loads the record, rewrites the chain with :func:`rebase_record`,
     replaces the frames/manifest/``provenance.rpix`` on disk, and emits a
     ``rebase`` journal event recording that the index was rewritten.
     The old frames are removed first: the rebased chain is shorter and
     renumbered, so nothing of the old layout may survive.
     """
-    from .store import load_record, record_manifest, save_record
-
     path = Path(directory)
     manifest = record_manifest(path)
     diffs = load_record(path)
-    new_diffs, table = rebase_record(diffs, at, payload_codec, with_index=True)
+    new_diffs = rebase_record(diffs, at, payload_codec)
 
     for frame in sorted(path.glob("ckpt-*.rdif")):
         frame.unlink()
     (path / "record.json").unlink()
-    old_index = path / "provenance.rpix"
-    index_existed = old_index.exists()
+    index_path = path / "provenance.rpix"
+    index_existed = index_path.exists()
     if index_existed:
-        old_index.unlink()
+        index_path.unlink()
 
-    save_record(new_diffs, path, method=manifest.get("method", ""), provenance=table)
+    save_record(new_diffs, path, method=manifest.get("method", ""))
     events.emit(
         events.REBASE,
         path=str(path),
         at=at,
         old_checkpoints=len(diffs),
         new_checkpoints=len(new_diffs),
-        index_rewritten=table is not None,
+        index_rewritten=index_path.exists(),
         index_existed=index_existed,
     )
     return path

@@ -2,287 +2,22 @@
 ("scalable reconstruction techniques that efficiently collect scattered
 compact regions from multiple previous checkpoints").
 
-The baseline :class:`~repro.core.restore.Restorer` materialises every
-checkpoint 0..k to produce checkpoint k — simple, but its I/O volume is
-the *sum of the whole record*.  The selective restorer instead resolves
-byte intervals backwards through the diff chain:
-
-* a byte written by a first-occurrence region of version *t* is read
-  straight from that diff's payload (terminal);
-* a byte inside a shifted-duplicate region follows the region's
-  ``(ref_node, ref_ckpt)`` pointer — shifted references always target
-  first-occurrence content (Algorithm 1 only inserts record entries for
-  first occurrences), so each hop either terminates in a payload or
-  translates the interval to version ``t`` itself where first regions
-  cover it;
-* any byte not covered by version *t*'s diff is a fixed duplicate and
-  resolves at version *t-1*.
-
-The result is byte-identical to the chain restorer (property-tested) but
-touches only the payload bytes that actually contribute to checkpoint k —
-the :class:`RestorePlan` reports exactly how many bytes were read from
-which diff, the metric the paper's future-work is about.
+Collecting scattered regions is exactly the provenance gather of
+:mod:`~repro.core.provenance`: checkpoint *k*'s index row names, per
+chunk, the one stored payload range holding its bytes, so a restore
+reads only payload bytes that contribute to checkpoint *k* and its
+report says how many came from which diff.  This module keeps the
+historical entry point.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_right
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Optional, Sequence
 
 import numpy as np
 
-from ..errors import RestoreError
-from .chunking import ChunkSpec
 from .diff import CheckpointDiff
-from .merkle import TreeLayout
-from .serialize import unpack_bitmap
-
-#: Region kinds in the per-diff interval index.
-_FIRST = 0
-_SHIFT = 1
-
-
-@dataclass
-class _DiffIndex:
-    """Byte-interval index of one diff: sorted, non-overlapping regions."""
-
-    starts: np.ndarray          # region byte start, sorted ascending
-    ends: np.ndarray            # region byte end (exclusive)
-    kinds: np.ndarray           # _FIRST or _SHIFT
-    payload_offsets: np.ndarray  # into diff.payload, valid for _FIRST rows
-    src_starts: np.ndarray      # absolute source byte start, _SHIFT rows
-    ref_ckpts: np.ndarray       # source checkpoint id, _SHIFT rows
-
-
-@dataclass
-class RestorePlan:
-    """Accounting of one selective reconstruction."""
-
-    target_ckpt: int
-    data_len: int
-    #: diff id -> payload bytes actually read from it.
-    payload_bytes_read: Dict[int, int] = field(default_factory=dict)
-    #: number of contiguous payload segments gathered.
-    segments: int = 0
-    #: deepest reference chain followed.
-    max_depth: int = 0
-
-    @property
-    def total_bytes_read(self) -> int:
-        """Total payload bytes gathered across all diffs."""
-        return sum(self.payload_bytes_read.values())
-
-    @property
-    def diffs_touched(self) -> int:
-        """How many checkpoints contributed at least one byte."""
-        return len(self.payload_bytes_read)
-
-
-class SelectiveRestorer:
-    """Reconstructs one checkpoint by backward interval resolution."""
-
-    def __init__(self, payload_codec=None) -> None:
-        self.payload_codec = payload_codec
-        self._layouts: Dict[int, TreeLayout] = {}
-
-    # ------------------------------------------------------------------
-    def restore(
-        self, diffs: Sequence[CheckpointDiff], upto: Optional[int] = None
-    ) -> Tuple[np.ndarray, RestorePlan]:
-        """Materialise checkpoint *upto* (default latest).
-
-        Returns ``(buffer, plan)``.
-        """
-        if len(diffs) == 0:
-            raise RestoreError("cannot restore from an empty diff chain")
-        if upto is None:
-            upto = len(diffs) - 1
-        if not 0 <= upto < len(diffs):
-            raise RestoreError(f"checkpoint {upto} outside chain of {len(diffs)}")
-        for position, diff in enumerate(diffs[: upto + 1]):
-            if diff.ckpt_id != position:
-                raise RestoreError(
-                    f"diff chain out of order at position {position}"
-                )
-
-        data_len = diffs[0].data_len
-        out = np.zeros(data_len, dtype=np.uint8)
-        plan = RestorePlan(target_ckpt=upto, data_len=data_len)
-        indexes: Dict[int, _DiffIndex] = {}
-        payloads: Dict[int, np.ndarray] = {}
-
-        def payload_of(t: int) -> np.ndarray:
-            cached = payloads.get(t)
-            if cached is None:
-                raw = diffs[t].payload
-                if self.payload_codec is not None and diffs[t].method == "tree":
-                    raw = self.payload_codec.decompress(raw)
-                cached = np.frombuffer(raw, dtype=np.uint8)
-                payloads[t] = cached
-            return cached
-
-        def index_of(t: int) -> _DiffIndex:
-            cached = indexes.get(t)
-            if cached is None:
-                cached = self._build_index(diffs[t])
-                indexes[t] = cached
-            return cached
-
-        # Work stack of (version, src_lo, src_hi, dst_lo, depth).
-        max_depth_allowed = len(diffs) + 64  # cycles only exist in corrupt chains
-        stack: List[Tuple[int, int, int, int, int]] = [(upto, 0, data_len, 0, 0)]
-        while stack:
-            version, lo, hi, dst, depth = stack.pop()
-            if lo >= hi:
-                continue
-            if depth > max_depth_allowed:
-                raise RestoreError(
-                    "reference chain too deep — the diff chain is corrupt "
-                    "(cyclic shifted-duplicate references)"
-                )
-            if version < 0:
-                # Below checkpoint 0 the buffer is implicitly zero (the
-                # chain restorer starts checkpoint 0 from zeros as well).
-                continue
-            plan.max_depth = max(plan.max_depth, depth)
-            index = index_of(version)
-
-            cursor = lo
-            while cursor < hi:
-                pos = bisect_right(index.starts, cursor) - 1
-                region = -1
-                if pos >= 0 and index.ends[pos] > cursor:
-                    region = pos
-                if region < 0:
-                    # Fixed gap: up to the next region start (or hi).
-                    nxt = bisect_right(index.starts, cursor)
-                    gap_end = hi if nxt >= len(index.starts) else min(
-                        hi, int(index.starts[nxt])
-                    )
-                    stack.append(
-                        (version - 1, cursor, gap_end, dst + (cursor - lo), depth)
-                    )
-                    cursor = gap_end
-                    continue
-
-                seg_end = min(hi, int(index.ends[region]))
-                length = seg_end - cursor
-                if index.kinds[region] == _FIRST:
-                    offset = int(index.payload_offsets[region]) + (
-                        cursor - int(index.starts[region])
-                    )
-                    payload = payload_of(version)
-                    if offset + length > payload.shape[0]:
-                        raise RestoreError(
-                            f"payload of checkpoint {version} too short"
-                        )
-                    d0 = dst + (cursor - lo)
-                    out[d0 : d0 + length] = payload[offset : offset + length]
-                    plan.payload_bytes_read[version] = (
-                        plan.payload_bytes_read.get(version, 0) + length
-                    )
-                    plan.segments += 1
-                else:
-                    src = int(index.src_starts[region]) + (
-                        cursor - int(index.starts[region])
-                    )
-                    ref = int(index.ref_ckpts[region])
-                    if ref > version:
-                        raise RestoreError(
-                            f"forward reference {version}→{ref} in diff chain"
-                        )
-                    stack.append(
-                        (ref, src, src + length, dst + (cursor - lo), depth + 1)
-                    )
-                cursor = seg_end
-        return out, plan
-
-    # ------------------------------------------------------------------
-    def _layout_for(self, num_chunks: int) -> TreeLayout:
-        layout = self._layouts.get(num_chunks)
-        if layout is None:
-            layout = TreeLayout(num_chunks)
-            self._layouts[num_chunks] = layout
-        return layout
-
-    def _build_index(self, diff: CheckpointDiff) -> _DiffIndex:
-        spec = ChunkSpec(diff.data_len, diff.chunk_size)
-        starts: List[int] = []
-        ends: List[int] = []
-        kinds: List[int] = []
-        payload_offsets: List[int] = []
-        src_starts: List[int] = []
-        ref_ckpts: List[int] = []
-
-        if diff.method == "full":
-            starts, ends = [0], [diff.data_len]
-            kinds, payload_offsets = [_FIRST], [0]
-            src_starts, ref_ckpts = [0], [0]
-        elif diff.method == "basic":
-            changed = unpack_bitmap(diff.bitmap, spec.num_chunks)
-            offset = 0
-            run_start = None
-            for chunk in range(spec.num_chunks + 1):
-                active = chunk < spec.num_chunks and changed[chunk]
-                if active and run_start is None:
-                    run_start = chunk
-                elif not active and run_start is not None:
-                    b0, _ = spec.chunk_bounds(run_start)
-                    _, b1 = spec.chunk_bounds(chunk - 1)
-                    starts.append(b0)
-                    ends.append(b1)
-                    kinds.append(_FIRST)
-                    payload_offsets.append(offset)
-                    src_starts.append(0)
-                    ref_ckpts.append(0)
-                    offset += b1 - b0
-                    run_start = None
-        else:
-            layout = (
-                self._layout_for(spec.num_chunks) if diff.method == "tree" else None
-            )
-
-            def bounds(node: int) -> Tuple[int, int]:
-                if diff.method == "tree":
-                    return spec.range_bounds(
-                        int(layout.leaf_start[node]), int(layout.leaf_count[node])
-                    )
-                return spec.chunk_bounds(node)
-
-            offset = 0
-            for node in diff.first_ids:
-                b0, b1 = bounds(int(node))
-                starts.append(b0)
-                ends.append(b1)
-                kinds.append(_FIRST)
-                payload_offsets.append(offset)
-                src_starts.append(0)
-                ref_ckpts.append(0)
-                offset += b1 - b0
-            for i in range(diff.num_shift):
-                b0, b1 = bounds(int(diff.shift_ids[i]))
-                s0, s1 = bounds(int(diff.shift_ref_ids[i]))
-                if s1 - s0 != b1 - b0:
-                    raise RestoreError(
-                        f"shifted region {int(diff.shift_ids[i])} length mismatch"
-                    )
-                starts.append(b0)
-                ends.append(b1)
-                kinds.append(_SHIFT)
-                payload_offsets.append(0)
-                src_starts.append(s0)
-                ref_ckpts.append(int(diff.shift_ref_ckpts[i]))
-
-        order = np.argsort(np.asarray(starts, dtype=np.int64), kind="stable")
-        return _DiffIndex(
-            starts=np.asarray(starts, dtype=np.int64)[order],
-            ends=np.asarray(ends, dtype=np.int64)[order],
-            kinds=np.asarray(kinds, dtype=np.int64)[order],
-            payload_offsets=np.asarray(payload_offsets, dtype=np.int64)[order],
-            src_starts=np.asarray(src_starts, dtype=np.int64)[order],
-            ref_ckpts=np.asarray(ref_ckpts, dtype=np.int64)[order],
-        )
+from .provenance import restore_indexed
 
 
 def selective_restore(
@@ -290,6 +25,5 @@ def selective_restore(
     upto: Optional[int] = None,
     payload_codec=None,
 ) -> np.ndarray:
-    """Convenience wrapper returning just the reconstructed buffer."""
-    buffer, _ = SelectiveRestorer(payload_codec=payload_codec).restore(diffs, upto)
-    return buffer
+    """Checkpoint *upto* (default latest) of an in-memory chain."""
+    return restore_indexed(diffs, upto, payload_codec)[0]

@@ -15,7 +15,7 @@ path + metering: per-rank gathers run on per-rank ``ExecutionSpace``\\ s
 ``KernelCostModel.price_fleet_restore``), optionally split into W
 windows whose uploads the restore-side streaming pipeline overlaps with
 the shared storage read.  Output is bit-identical to the single-GPU
-:class:`~repro.core.provenance.IndexedRestorer` by construction —
+:func:`~repro.core.provenance.restore_indexed` by construction —
 property-tested across every method × rank count.
 """
 
@@ -33,7 +33,6 @@ from .chunking import ChunkSpec
 from .provenance import (
     RAW_INDEX_BYTES_PER_CHUNK,
     ProvenanceIndex,
-    IndexedRestoreReport,
     materialize_index,
 )
 
@@ -198,11 +197,6 @@ class ShardedRestorePlan:
                 if lo == hi:
                     continue
                 space = spaces[shard.rank] if spaces is not None else None
-                scratch = IndexedRestoreReport(
-                    target_ckpt=index.ckpt_id,
-                    data_len=index.data_len,
-                    chain_len=index.ckpt_id + 1,
-                )
                 with telemetry.span(
                     "restore.shard.gather",
                     space=space,
@@ -216,15 +210,11 @@ class ShardedRestorePlan:
                         payload_of,
                         out=out,
                         space=space,
-                        report=scratch,
+                        report=None if reports is None else reports[shard.rank],
                         chunk_lo=lo,
                         chunk_hi=hi,
                         zero=False,
                     )
-                if reports is not None:
-                    held = reports[shard.rank].payload_bytes_read
-                    for t, nbytes in scratch.payload_bytes_read.items():
-                        held[t] = held.get(t, 0) + nbytes
         return out
 
     def estimate_gather_seconds(

@@ -12,14 +12,15 @@ Layout::
     <dir>/ckpt-00000.rdif        CheckpointDiff.to_bytes() per checkpoint
     <dir>/ckpt-00001.rdif
     ...
+    <dir>/provenance.rpix        RPIX v3 index: one row-group per checkpoint
 
-Manifest format v2 adds integrity: a per-checkpoint SHA-256 of each
+The manifest (format v2) carries a per-checkpoint SHA-256 of each
 ``.rdif`` file and a manifest-level *chain digest* (SHA-256 over the
 concatenated per-file digests), so swapping one valid frame for another
 valid-but-wrong frame is detected even though both frames self-verify.
-v1 manifests (and v1 frames) written before the format bump still load;
-their checkpoints are reported as ``unverified`` by :func:`verify_record`
-rather than trusted silently.  See ``docs/FAULT_MODEL.md``.
+This is the only layout read: a pre-integrity record (manifest v1, a
+digest-less manifest, v1 frames, an RPIX v1/v2 index) is rejected by
+name, never loaded unverified.  See ``docs/FAULT_MODEL.md``.
 """
 
 from __future__ import annotations
@@ -33,6 +34,7 @@ from typing import Dict, List, Optional, Sequence, Union
 from ..errors import IntegrityError, ReproError, SerializationError, StorageError
 from .. import telemetry
 from ..telemetry import events
+from . import provenance as _prov
 from .diff import CheckpointDiff
 
 _FRAMES_READ = telemetry.counter(
@@ -56,11 +58,9 @@ _MANIFEST = "record.json"
 _PATTERN = "ckpt-{:05d}.rdif"
 _INDEX_FILE = "provenance.rpix"
 _FORMAT_VERSION = 2
-_V1 = 1
 
 #: Per-checkpoint statuses reported by :func:`verify_record`.
 STATUS_OK = "ok"
-STATUS_UNVERIFIED = "unverified"
 STATUS_CORRUPT = "corrupt"
 STATUS_MISSING = "missing"
 
@@ -107,8 +107,18 @@ def _read_manifest(path: Path) -> dict:
             f"malformed record manifest {manifest_path}: bad num_checkpoints"
         ) from exc
     version = manifest.get("format_version")
-    if version not in (_V1, _FORMAT_VERSION):
+    if version != _FORMAT_VERSION:
         raise StorageError(f"unsupported record format {version!r}")
+    per_frame = (manifest.get("digests"), manifest.get("frame_bytes"))
+    if not isinstance(manifest.get("chain_digest"), str) or any(
+        not isinstance(column, list) or len(column) != manifest["num_checkpoints"]
+        for column in per_frame
+    ):
+        raise StorageError(
+            f"malformed record manifest {manifest_path}: it must hold one "
+            f"frame digest and size per checkpoint and a chain digest "
+            f"(pre-integrity manifests are not supported)"
+        )
     return manifest
 
 
@@ -144,10 +154,9 @@ class RecordWriter:
     Opening an existing record is the only O(chain) step: the manifest's
     cached per-frame digests seed the rolling chain digest (no frame is
     re-read or re-hashed, except a cheap sanity check of the last frame),
-    and the persisted index is decoded once to seed the
-    :class:`~repro.core.provenance.ProvenanceBuilder`.  A legacy v1/v2
-    index is upgraded to the v3 row-group layout on the first append; a
-    record with *no* index (an unindexable chain) stays unindexed.
+    and the persisted index is walked and decoded once to seed the
+    :class:`~repro.core.provenance.ProvenanceBuilder`.  A record with
+    *no* index (an unindexable chain) stays unindexed.
 
     The writer mirrors :func:`save_record`'s leniency for hand-built
     chains: a diff the builder rejects drops the index (the record still
@@ -156,8 +165,6 @@ class RecordWriter:
     """
 
     def __init__(self, directory: Union[str, Path], method: str = "") -> None:
-        from .provenance import ProvenanceBuilder  # local: store ↔ provenance
-
         self.path = Path(directory)
         self.path.mkdir(parents=True, exist_ok=True)
         self.method = method
@@ -167,10 +174,9 @@ class RecordWriter:
         self._chain = hashlib.sha256()
         self._data_len: Optional[int] = None
         self._chunk_size: Optional[int] = None
-        self._builder: Optional[ProvenanceBuilder] = ProvenanceBuilder()
+        self._builder: Optional[_prov.ProvenanceBuilder] = _prov.ProvenanceBuilder()
         self._group_chain = hashlib.sha256()
         self._index_end = 0  # byte offset past the last valid row-group
-        self._index_legacy = False  # v1/v2 blob pending v3 rewrite
         self._closed = False
         if (self.path / _MANIFEST).exists():
             self._open_existing()
@@ -203,8 +209,6 @@ class RecordWriter:
 
     # ------------------------------------------------------------------
     def _open_existing(self) -> None:
-        from . import provenance as _prov  # local: store ↔ provenance
-
         existing = _read_manifest(self.path)
         count = existing["num_checkpoints"]
         if count <= 0:
@@ -221,65 +225,33 @@ class RecordWriter:
                 )
             self._last_method = str(held_method)
 
-        digests = existing.get("digests")
-        if digests and len(digests) == count:
-            self._digests = [str(d) for d in digests]
-            # Torn-append sanity: the manifest is written last, so the
-            # one frame that could disagree with it after a crash is the
-            # final one.  One file hash, not a chain re-scan.
-            last = self.path / _PATTERN.format(count - 1)
-            if not last.exists() or _file_digest(last) != self._digests[-1]:
-                raise IntegrityError(
-                    f"{last.name}: frame does not match the manifest "
-                    f"(damaged or torn record; run verify_record)",
-                    ckpt_id=count - 1,
-                    path=str(last),
-                )
-        else:
-            # v1 manifest (or digestless): hash what is on disk once, so
-            # the next append upgrades the record to the v2 manifest.
-            for i in range(count):
-                frame = self.path / _PATTERN.format(i)
-                if not frame.exists():
-                    raise StorageError(
-                        f"record is missing checkpoint file {frame.name}"
-                    )
-                self._digests.append(_file_digest(frame))
+        self._digests = [str(d) for d in existing["digests"]]
+        # Torn-append sanity: the manifest is written last, so the one
+        # frame that could disagree with it after a crash is the final
+        # one.  One file hash, not a chain re-scan.
+        last = self.path / _PATTERN.format(count - 1)
+        if not last.exists() or _file_digest(last) != self._digests[-1]:
+            raise IntegrityError(
+                f"{last.name}: frame does not match the manifest "
+                f"(damaged or torn record; run verify_record)",
+                ckpt_id=count - 1,
+                path=str(last),
+            )
         for d in self._digests:
             self._chain.update(bytes.fromhex(d))
 
-        sizes = existing.get("frame_bytes")
-        if sizes and len(sizes) == count:
-            self._frame_sizes = [int(s) for s in sizes]
-        else:
-            self._frame_sizes = [
-                (lambda p: p.stat().st_size if p.exists() else 0)(
-                    self.path / _PATTERN.format(i)
-                )
-                for i in range(count)
-            ]
+        self._frame_sizes = [int(s) for s in existing["frame_bytes"]]
 
-        entry = existing.get("provenance")
-        index_path = self.path / _INDEX_FILE
-        if entry is None:
+        walk = _walk_index(self.path, existing)
+        if walk is None:
             # Unindexed record (unindexable chain, or the index was
             # dropped): appends continue without an index.
             self._builder = None
             return
-        if isinstance(entry, dict) and "chain_sha256" in entry:
-            table = load_provenance(self.path)
-            blob = index_path.read_bytes()
-            _header, groups = _prov.scan_v3(blob, max_rows=int(entry["rows"]))
-            for g in groups:
-                self._group_chain.update(g.digest)
-            last_group = groups[-1]
-            self._index_end = last_group.body_off + last_group.body_len
-        else:
-            # Legacy v1/v2 blob: decode it for the builder seed; the
-            # first append rewrites it in the v3 row-group layout.
-            table = load_provenance(self.path)
-            self._index_legacy = True
-        self._builder.seed(table)
+        self._builder.seed(walk.table())
+        for g in walk.groups:
+            self._group_chain.update(g.digest)
+        self._index_end = walk.groups[-1].body_off + walk.groups[-1].body_len
 
     # ------------------------------------------------------------------
     def _drop_index(self) -> None:
@@ -288,7 +260,6 @@ class RecordWriter:
         if index_path.exists():
             index_path.unlink()
         self._index_end = 0
-        self._index_legacy = False
 
     def _append_index(self, diff: CheckpointDiff) -> tuple:
         """Extend the v3 index by one row-group; returns (rows, bytes)."""
@@ -301,8 +272,6 @@ class RecordWriter:
         return self._write_group(row)
 
     def _write_group(self, row) -> tuple:
-        from . import provenance as _prov
-
         rows_before = len(self._builder.indexes) - 1
         n_chunks = int(row.src_ckpt.shape[0])
         with telemetry.span(
@@ -318,24 +287,9 @@ class RecordWriter:
                 rows_before + 1, n_chunks, row.data_len, row.chunk_size
             )
             index_path = self.path / _INDEX_FILE
-            if self._index_legacy or not index_path.exists():
-                # One-time v3 (re)materialization: prologue + one group
-                # per already-held checkpoint, then the new group.
-                parts = [prologue]
-                self._group_chain = hashlib.sha256()
-                for k, idx in enumerate(self._builder.indexes):
-                    rec, dig = _prov.encode_v3_group(
-                        k,
-                        idx.src_ckpt.reshape(1, n_chunks),
-                        idx.src_off.reshape(1, n_chunks),
-                    )
-                    parts.append(rec)
-                    self._group_chain.update(dig)
-                blob = b"".join(parts)
-                index_path.write_bytes(blob)
-                self._index_end = len(blob)
-                self._index_legacy = False
-                written = len(blob)
+            if rows_before == 0:
+                index_path.write_bytes(prologue + record)
+                self._index_end = len(prologue)
             else:
                 with open(index_path, "r+b") as f:
                     f.seek(self._index_end)
@@ -343,20 +297,14 @@ class RecordWriter:
                     f.truncate()
                     f.seek(0)
                     f.write(prologue)
-                self._index_end += len(record)
-                written = len(record) + len(prologue)
+            self._index_end += len(record)
+            written = len(record) + len(prologue)
             span.set(bytes=written)
         return 1, written
 
     # ------------------------------------------------------------------
-    def append(self, diff: CheckpointDiff, index_row=None) -> AppendReceipt:
-        """Durably append one checkpoint: frame + row-group + manifest.
-
-        *index_row* optionally supplies the checkpoint's already-resolved
-        :class:`~repro.core.provenance.ProvenanceIndex` row (a rebase
-        holds the whole table); otherwise the row is composed
-        incrementally from *diff*.
-        """
+    def append(self, diff: CheckpointDiff) -> AppendReceipt:
+        """Durably append one checkpoint: frame + row-group + manifest."""
         if self._closed:
             raise StorageError(f"record writer for {self.path} is closed")
         if self._data_len is not None and diff.data_len != self._data_len:
@@ -383,11 +331,7 @@ class RecordWriter:
             self._last_method = diff.method
 
             if self._builder is not None:
-                if index_row is not None:
-                    self._builder.indexes.append(index_row)
-                    rows_appended, index_bytes = self._write_group(index_row)
-                else:
-                    rows_appended, index_bytes = self._append_index(diff)
+                rows_appended, index_bytes = self._append_index(diff)
             else:
                 rows_appended, index_bytes = 0, 0
 
@@ -441,8 +385,6 @@ class RecordWriter:
 
     def reset(self) -> None:
         """Drop the record entirely (a crashed chain restarts at 0)."""
-        from .provenance import ProvenanceBuilder  # local: store ↔ provenance
-
         for frame in self.path.glob("ckpt-*.rdif"):
             frame.unlink()
         for name in (_INDEX_FILE, _MANIFEST):
@@ -454,10 +396,9 @@ class RecordWriter:
         self._chain = hashlib.sha256()
         self._data_len = None
         self._chunk_size = None
-        self._builder = ProvenanceBuilder()
+        self._builder = _prov.ProvenanceBuilder()
         self._group_chain = hashlib.sha256()
         self._index_end = 0
-        self._index_legacy = False
         self._last_method = ""
 
 
@@ -465,7 +406,6 @@ def save_record(
     diffs: List[CheckpointDiff],
     directory: Union[str, Path],
     method: str = "",
-    provenance=None,
 ) -> Path:
     """Write a diff chain to *directory* (created if missing).
 
@@ -480,12 +420,6 @@ def save_record(
     only the suffix past the stored prefix is appended — so appending
     one checkpoint through this legacy entry point costs one frame, one
     index row-group, and a manifest, not a record rewrite.
-
-    *provenance* optionally supplies a prebuilt
-    :class:`~repro.core.provenance.ProvenanceTable` for exactly this
-    chain (a rebase computes one as it rewrites diffs); it is validated
-    against the chain's shape and persisted instead of rebuilding the
-    index from the diffs.
     """
     if not diffs:
         raise StorageError("cannot save an empty record")
@@ -527,49 +461,26 @@ def save_record(
                 f"method={held_method!r} on disk vs {new_method!r} being saved"
             )
         # Strongest append guard: the overlapping prefix must be the
-        # same bytes checkpoint for checkpoint (v2 manifests only).
-        # The diffs' cached frame digests make this O(chain) hash
-        # *comparisons*, not O(chain) re-serialization.
-        held_digests = existing.get("digests")
-        if held_digests:
-            for i in range(min(len(held_digests), len(diffs))):
-                if diffs[i].frame_digest() != held_digests[i]:
-                    raise StorageError(
-                        f"{path} holds a different chain: checkpoint {i} "
-                        f"does not match the stored record (append must "
-                        f"extend, not rewrite)"
-                    )
-            prefix = min(len(held_digests), len(diffs))
-
-    if provenance is not None:
-        if (
-            provenance.num_checkpoints != len(diffs)
-            or provenance.data_len != diffs[0].data_len
-            or provenance.chunk_size != diffs[0].chunk_size
-        ):
-            raise StorageError(
-                f"supplied provenance table ({provenance.num_checkpoints} "
-                f"checkpoints, data_len={provenance.data_len}) does not "
-                f"match the chain being saved ({len(diffs)} checkpoints, "
-                f"data_len={diffs[0].data_len})"
-            )
+        # same bytes checkpoint for checkpoint.  The diffs' cached frame
+        # digests make this O(chain) hash *comparisons*, not O(chain)
+        # re-serialization.
+        prefix = existing["num_checkpoints"]
+        for i, held in enumerate(existing["digests"]):
+            if diffs[i].frame_digest() != held:
+                raise StorageError(
+                    f"{path} holds a different chain: checkpoint {i} "
+                    f"does not match the stored record (append must "
+                    f"extend, not rewrite)"
+                )
 
     with telemetry.span(
         "store.save_record", frames=len(diffs), path=str(path)
     ) as span:
         writer = RecordWriter(path, method=method)
-        if prefix == 0 and writer.count:
-            # Digestless (v1) record: no prefix can be trusted, so the
-            # whole chain is rewritten — the historical upgrade path.
-            writer.reset()
         _FRAMES_REUSED.inc(prefix)
         written = 0
         for i in range(prefix, len(diffs)):
-            receipt = writer.append(
-                diffs[i],
-                index_row=provenance.row(i) if provenance is not None else None,
-            )
-            written += receipt.frame_bytes
+            written += writer.append(diffs[i]).frame_bytes
         writer.close()
         span.set(
             bytes=written,
@@ -580,24 +491,21 @@ def save_record(
     return path
 
 
-def _load_one(
-    path: Path, index: int, expected_digest: Optional[str]
-) -> CheckpointDiff:
+def _load_one(path: Path, index: int, expected_digest: str) -> CheckpointDiff:
     """Load + fully verify one checkpoint frame; raises on any damage."""
     if not path.exists():
         raise StorageError(f"record is missing checkpoint file {path.name}")
     blob = path.read_bytes()
     _FRAMES_READ.inc()
     _FRAME_BYTES_READ.inc(len(blob))
-    if expected_digest is not None:
-        actual = hashlib.sha256(blob).hexdigest()
-        if actual != expected_digest:
-            raise IntegrityError(
-                f"{path.name}: file digest mismatch "
-                f"(manifest {expected_digest[:16]}…, file {actual[:16]}…)",
-                ckpt_id=index,
-                path=str(path),
-            )
+    actual = hashlib.sha256(blob).hexdigest()
+    if actual != expected_digest:
+        raise IntegrityError(
+            f"{path.name}: file digest mismatch "
+            f"(manifest {expected_digest[:16]}…, file {actual[:16]}…)",
+            ckpt_id=index,
+            path=str(path),
+        )
     try:
         diff = CheckpointDiff.from_bytes(blob)
     except IntegrityError as exc:
@@ -624,17 +532,14 @@ def load_record(
     path = Path(directory)
     manifest = _read_manifest(path)
     count = manifest["num_checkpoints"]
-    digests = manifest.get("digests")
+    digests = manifest["digests"]
     diffs: List[CheckpointDiff] = []
     with telemetry.span(
         "store.load_record", path=str(path), frames=count, strict=strict
     ) as span:
         for i in range(count):
-            expected = (
-                digests[i] if digests is not None and i < len(digests) else None
-            )
             try:
-                diffs.append(_load_one(path / _PATTERN.format(i), i, expected))
+                diffs.append(_load_one(path / _PATTERN.format(i), i, digests[i]))
             except (StorageError, SerializationError) as exc:
                 if strict:
                     raise
@@ -666,12 +571,12 @@ def load_record_frames(
     The selective-read primitive behind the indexed restore path: a
     provenance index names the frames whose payloads a checkpoint's bytes
     live in, and only those files are read and parsed.  Each frame still
-    gets the full v2 treatment (manifest digest + embedded digest).
+    gets the full treatment (manifest digest + embedded digest).
     """
     path = Path(directory)
     manifest = _read_manifest(path)
     count = manifest["num_checkpoints"]
-    digests = manifest.get("digests")
+    digests = manifest["digests"]
     frames: Dict[int, CheckpointDiff] = {}
     with telemetry.span(
         "store.load_frames", path=str(path), frames_total=count
@@ -682,10 +587,7 @@ def load_record_frames(
                 raise StorageError(f"checkpoint {i} outside record of {count}")
             if i in frames:
                 continue
-            expected = (
-                digests[i] if digests is not None and i < len(digests) else None
-            )
-            frames[i] = _load_one(path / _PATTERN.format(i), i, expected)
+            frames[i] = _load_one(path / _PATTERN.format(i), i, digests[i])
         span.set(frames_read=len(frames))
     return frames
 
@@ -701,33 +603,83 @@ def record_frame_sizes(directory: Union[str, Path]) -> List[int]:
     return sizes
 
 
-def load_provenance(directory: Union[str, Path], upto: Optional[int] = None):
-    """Load a record's persisted provenance index, if it has one.
-
-    Returns a :class:`~repro.core.provenance.ProvenanceTable`, or ``None``
-    when the record predates the index (v1 records, or chains that were
-    not indexable at save time).  A *present but damaged* index raises
-    :class:`IntegrityError` — callers choose whether to fall back.
-
-    With *upto*, a v3 (row-group) index is loaded *selectively*: only
-    the groups covering checkpoints ``0..upto`` are hashed and decoded,
-    so restoring checkpoint K never pays for — and is never blocked by
-    damage in — groups past K.  The manifest's ``chain_sha256`` over the
-    stored group digests is always checked in full (a structural walk,
-    no body decoding).  Legacy v1/v2 blobs ignore *upto*.
-    """
-    from . import provenance as _prov  # local: store ↔ provenance
-
-    path = Path(directory)
-    manifest = _read_manifest(path)
+def _index_path(path: Path, manifest: dict) -> Optional[Path]:
+    """The file the manifest's provenance entry names (``None`` if unindexed)."""
     entry = manifest.get("provenance")
     if entry is None:
         return None
     try:
-        index_path = path / str(entry["file"])
+        return path / str(entry["file"])
     except (TypeError, KeyError) as exc:
         raise StorageError(
             f"malformed provenance entry in {path / _MANIFEST}"
+        ) from exc
+
+
+@dataclass
+class _IndexWalk:
+    """One structural pass over a record's ``provenance.rpix``.
+
+    The single place the manifest's provenance entry is parsed, the blob
+    read, its row-groups framed (:func:`~repro.core.provenance.scan_v3`,
+    no bodies decoded) and the manifest's rolling ``chain_sha256`` over
+    the stored group digests compared — shared by :func:`load_provenance`,
+    :func:`verify_record` and a reopening :class:`RecordWriter`.
+    """
+
+    path: Path
+    blob: bytes
+    header: dict
+    groups: List[_prov.RowGroup]
+    rows: int
+    chain_ok: bool
+
+    def table(self, upto: Optional[int] = None) -> _prov.ProvenanceTable:
+        """Verify and decode the groups covering ``0..upto`` (default all)."""
+        if not self.chain_ok:
+            raise IntegrityError(
+                f"{self.path.name}: row-group chain digest does not match "
+                f"the manifest",
+                path=str(self.path),
+            )
+        chosen = (
+            self.groups
+            if upto is None
+            else [g for g in self.groups if g.first_ckpt <= upto]
+        )
+        src_ckpt, src_off = _prov.decode_v3_groups(
+            self.blob, chosen, self.header["num_chunks"]
+        )
+        return _prov.ProvenanceTable(
+            data_len=self.header["data_len"],
+            chunk_size=self.header["chunk_size"],
+            src_ckpt=src_ckpt,
+            src_off=src_off,
+            index_rows=self.rows,
+        )
+
+
+def _walk_index(path: Path, manifest: dict) -> Optional[_IndexWalk]:
+    """Walk the record's index file; ``None`` when the record has none.
+
+    Raises :class:`StorageError` for a manifest entry that is not the
+    RPIX v3 form (``rows`` + ``chain_sha256`` — the whole-file ``sha256``
+    entries of RPIX v1/v2 are not read) and :class:`IntegrityError` for a
+    missing, structurally damaged or pre-v3 index file.  A chain-digest
+    mismatch is *reported* (``chain_ok``), so :func:`verify_record` can
+    still name the damaged groups.
+    """
+    index_path = _index_path(path, manifest)
+    if index_path is None:
+        return None
+    entry = manifest["provenance"]
+    try:
+        rows = int(entry["rows"])
+        expected_chain = str(entry["chain_sha256"])
+    except (TypeError, KeyError, ValueError) as exc:
+        raise StorageError(
+            f"unsupported provenance entry in {path / _MANIFEST}: only "
+            f"RPIX v3 row-group indexes (rows + chain_sha256) are read"
         ) from exc
     if not index_path.exists():
         raise IntegrityError(
@@ -736,72 +688,45 @@ def load_provenance(directory: Union[str, Path], upto: Optional[int] = None):
             path=str(index_path),
         )
     blob = index_path.read_bytes()
+    header, groups = _prov.scan_v3(blob, max_rows=rows)
+    actual_chain = hashlib.sha256(b"".join(g.digest for g in groups)).hexdigest()
+    return _IndexWalk(
+        path=index_path,
+        blob=blob,
+        header=header,
+        groups=groups,
+        rows=rows,
+        chain_ok=actual_chain == expected_chain,
+    )
 
-    if "chain_sha256" in entry:
-        try:
-            rows = int(entry["rows"])
-            expected_chain = str(entry["chain_sha256"])
-        except (TypeError, KeyError, ValueError) as exc:
-            raise StorageError(
-                f"malformed provenance entry in {path / _MANIFEST}"
-            ) from exc
-        header, groups = _prov.scan_v3(blob, max_rows=rows)
-        actual_chain = hashlib.sha256(
-            b"".join(g.digest for g in groups)
-        ).hexdigest()
-        if actual_chain != expected_chain:
-            raise IntegrityError(
-                f"{index_path.name}: row-group chain digest mismatch "
-                f"(manifest {expected_chain[:16]}…, file "
-                f"{actual_chain[:16]}…)",
-                path=str(index_path),
-            )
-        chosen = (
-            groups
-            if upto is None
-            else [g for g in groups if g.first_ckpt <= upto]
-        )
-        src_ckpt, src_off = _prov.decode_v3_groups(
-            blob, chosen, header["num_chunks"]
-        )
-        return _prov.ProvenanceTable(
-            data_len=header["data_len"],
-            chunk_size=header["chunk_size"],
-            src_ckpt=src_ckpt,
-            src_off=src_off,
-            index_rows=rows,
-        )
 
-    try:
-        expected = str(entry["sha256"])
-    except (TypeError, KeyError) as exc:
-        raise StorageError(
-            f"malformed provenance entry in {path / _MANIFEST}"
-        ) from exc
-    actual = hashlib.sha256(blob).hexdigest()
-    if actual != expected:
-        raise IntegrityError(
-            f"{index_path.name}: file digest mismatch "
-            f"(manifest {expected[:16]}…, file {actual[:16]}…)",
-            path=str(index_path),
-        )
-    return _prov.ProvenanceTable.from_bytes(blob)
+def load_provenance(directory: Union[str, Path], upto: Optional[int] = None):
+    """Load a record's persisted provenance index, if it has one.
+
+    Returns a :class:`~repro.core.provenance.ProvenanceTable`, or ``None``
+    when the record has no index (the chain was not indexable at save
+    time).  A *present but damaged* index raises :class:`IntegrityError`
+    — callers choose whether to fall back.
+
+    With *upto* the index is loaded *selectively*: only the row-groups
+    covering checkpoints ``0..upto`` are hashed and decoded, so restoring
+    checkpoint K never pays for — and is never blocked by damage in —
+    groups past K.  The manifest's ``chain_sha256`` over the stored group
+    digests is always checked in full (a structural walk, no body
+    decoding).
+    """
+    path = Path(directory)
+    walk = _walk_index(path, _read_manifest(path))
+    return None if walk is None else walk.table(upto)
 
 
 def record_index_bytes(directory: Union[str, Path]) -> int:
     """On-disk byte size of the record's provenance index (0 if absent)."""
     path = Path(directory)
-    manifest = _read_manifest(path)
-    entry = manifest.get("provenance")
-    if entry is None:
+    index_path = _index_path(path, _read_manifest(path))
+    if index_path is None or not index_path.exists():
         return 0
-    try:
-        index_path = path / str(entry["file"])
-    except (TypeError, KeyError) as exc:
-        raise StorageError(
-            f"malformed provenance entry in {path / _MANIFEST}"
-        ) from exc
-    return index_path.stat().st_size if index_path.exists() else 0
+    return index_path.stat().st_size
 
 
 def record_manifest(directory: Union[str, Path]) -> dict:
@@ -815,13 +740,13 @@ class CheckpointStatus:
 
     index: int
     filename: str
-    status: str  # one of STATUS_OK / STATUS_UNVERIFIED / STATUS_CORRUPT / STATUS_MISSING
+    status: str  # one of STATUS_OK / STATUS_CORRUPT / STATUS_MISSING
     detail: str = ""
 
     @property
     def loadable(self) -> bool:
-        """Whether the frame parses at all (ok or merely unverified)."""
-        return self.status in (STATUS_OK, STATUS_UNVERIFIED)
+        """Whether the frame is present and verified."""
+        return self.status == STATUS_OK
 
 
 @dataclass
@@ -831,15 +756,14 @@ class RecordVerification:
     directory: str
     format_version: int
     checkpoints: List[CheckpointStatus] = field(default_factory=list)
-    chain_ok: Optional[bool] = None  # None when the manifest has no chain digest
+    chain_ok: bool = False
     provenance_ok: Optional[bool] = None  # None when the record has no index
     #: On-disk provenance index size vs its uncompressed 12 B/chunk form
     #: (both 0 when the record has no index or the index is damaged).
     index_bytes: int = 0
     index_raw_bytes: int = 0
-    #: v3 row-group accounting: total groups scanned, and the first
-    #: checkpoint of every group whose digest did not match (empty for
-    #: legacy v1/v2 blobs, which verify whole-file).
+    #: Row-group accounting: total groups scanned, and the first
+    #: checkpoint of every group whose digest did not match.
     index_groups: int = 0
     index_bad_groups: List[int] = field(default_factory=list)
     detail: str = ""
@@ -853,7 +777,7 @@ class RecordVerification:
         """
         return (
             all(c.status == STATUS_OK for c in self.checkpoints)
-            and self.chain_ok is True
+            and self.chain_ok
             and self.provenance_ok is not False
         )
 
@@ -867,7 +791,7 @@ class RecordVerification:
 
     @property
     def index_compression_ratio(self) -> float:
-        """Raw index bytes over stored (RPIX v2/v3 compressed) bytes."""
+        """Raw index bytes over stored (compressed row-group) bytes."""
         if self.index_bytes <= 0:
             return 0.0
         return self.index_raw_bytes / self.index_bytes
@@ -888,10 +812,7 @@ class RecordVerification:
             f"{c.filename}: {c.status}" + (f" ({c.detail})" if c.detail else "")
             for c in self.checkpoints
         ]
-        if self.chain_ok is None:
-            lines.append("chain digest: absent (v1 record)")
-        else:
-            lines.append(f"chain digest: {'ok' if self.chain_ok else 'MISMATCH'}")
+        lines.append(f"chain digest: {'ok' if self.chain_ok else 'MISMATCH'}")
         if self.provenance_ok is None:
             lines.append("provenance index: absent")
         elif not self.provenance_ok:
@@ -921,18 +842,18 @@ def verify_record(directory: Union[str, Path]) -> RecordVerification:
     """Scan a record directory and report per-checkpoint integrity.
 
     Never raises for damage inside the record (only for an unusable
-    manifest): every checkpoint is classified ``ok`` / ``unverified`` /
-    ``corrupt`` / ``missing`` so callers see the full extent of the
-    damage, not just the first problem.
+    manifest, which includes any pre-integrity format): every checkpoint
+    is classified ``ok`` / ``corrupt`` / ``missing`` so callers see the
+    full extent of the damage, not just the first problem.
     """
     path = Path(directory)
     manifest = _read_manifest(path)
-    digests = manifest.get("digests")
+    digests = manifest["digests"]
     report = RecordVerification(
         directory=str(path), format_version=manifest["format_version"]
     )
 
-    frame_sizes = manifest.get("frame_bytes")
+    frame_sizes = manifest["frame_bytes"]
     seen_digests: List[str] = []
     skipped_hash = False
     for i in range(manifest["num_checkpoints"]):
@@ -943,31 +864,24 @@ def verify_record(directory: Union[str, Path]) -> RecordVerification:
                 CheckpointStatus(i, name, STATUS_MISSING, "file not found")
             )
             continue
-        expected_size = (
-            int(frame_sizes[i])
-            if frame_sizes is not None and i < len(frame_sizes)
-            else None
-        )
-        if expected_size is not None:
-            actual_size = blob_path.stat().st_size
-            if actual_size != expected_size:
-                # Size fast path: the manifest digest cannot possibly
-                # match, so the frame is classified without reading or
-                # hashing it.
-                report.checkpoints.append(
-                    CheckpointStatus(
-                        i,
-                        name,
-                        STATUS_CORRUPT,
-                        f"file size {actual_size} != manifest {expected_size}",
-                    )
+        expected_size = int(frame_sizes[i])
+        actual_size = blob_path.stat().st_size
+        if actual_size != expected_size:
+            # Size fast path: the manifest digest cannot possibly match,
+            # so the frame is classified without reading or hashing it.
+            report.checkpoints.append(
+                CheckpointStatus(
+                    i,
+                    name,
+                    STATUS_CORRUPT,
+                    f"file size {actual_size} != manifest {expected_size}",
                 )
-                skipped_hash = True
-                continue
+            )
+            skipped_hash = True
+            continue
         blob = blob_path.read_bytes()
         seen_digests.append(hashlib.sha256(blob).hexdigest())
-        expected = digests[i] if digests is not None and i < len(digests) else None
-        if expected is not None and seen_digests[-1] != expected:
+        if seen_digests[-1] != digests[i]:
             report.checkpoints.append(
                 CheckpointStatus(i, name, STATUS_CORRUPT, "file digest mismatch")
             )
@@ -986,83 +900,37 @@ def verify_record(directory: Union[str, Path]) -> RecordVerification:
                 )
             )
             continue
-        if diff.verified is False:
-            report.checkpoints.append(
-                CheckpointStatus(i, name, STATUS_UNVERIFIED, "v1 frame, no digest")
-            )
-        elif expected is None:
-            report.checkpoints.append(
-                CheckpointStatus(
-                    i, name, STATUS_UNVERIFIED, "no manifest digest for this frame"
-                )
-            )
-        else:
-            report.checkpoints.append(CheckpointStatus(i, name, STATUS_OK))
+        report.checkpoints.append(CheckpointStatus(i, name, STATUS_OK))
 
-    chain_expected = manifest.get("chain_digest")
-    if chain_expected is not None:
-        complete = all(c.status != STATUS_MISSING for c in report.checkpoints)
-        report.chain_ok = (
-            complete
-            and not skipped_hash
-            and _chain_digest(seen_digests) == chain_expected
-        )
+    complete = all(c.status != STATUS_MISSING for c in report.checkpoints)
+    report.chain_ok = (
+        complete
+        and not skipped_hash
+        and _chain_digest(seen_digests) == manifest["chain_digest"]
+    )
 
-    entry = manifest.get("provenance")
-    if entry is not None:
-        if isinstance(entry, dict) and "chain_sha256" in entry:
-            _verify_v3_index(path, entry, report)
-        else:
-            try:
-                table = load_provenance(path)
-            except (StorageError, SerializationError):
-                report.provenance_ok = False
-            else:
-                report.provenance_ok = table is not None
-                if table is not None:
-                    report.index_bytes = record_index_bytes(path)
-                    report.index_raw_bytes = table.raw_index_bytes
-    return report
-
-
-def _verify_v3_index(path: Path, entry: dict, report: RecordVerification) -> None:
-    """Per-row-group integrity of a v3 index, reported not raised.
-
-    Every group's digest is checked independently, so the report names
-    exactly which appends' rows are damaged — and an intact prefix is
-    still restorable via :func:`load_provenance`'s selective ``upto``.
-    """
-    from . import provenance as _prov  # local: store ↔ provenance
-    from .provenance import RAW_INDEX_BYTES_PER_CHUNK
-
+    # Per-row-group integrity, reported not raised: every group's digest
+    # is checked independently, so the report names exactly which
+    # appends' rows are damaged — and an intact prefix is still
+    # restorable via load_provenance's selective ``upto``.
     try:
-        index_path = path / str(entry["file"])
-        rows = int(entry["rows"])
-        expected_chain = str(entry["chain_sha256"])
-    except (TypeError, KeyError, ValueError):
-        report.provenance_ok = False
-        return
-    if not index_path.exists():
-        report.provenance_ok = False
-        return
-    blob = index_path.read_bytes()
-    try:
-        header, groups = _prov.scan_v3(blob, max_rows=rows)
+        walk = _walk_index(path, manifest)
     except (StorageError, SerializationError):
         report.provenance_ok = False
-        return
-    report.index_groups = len(groups)
-    report.index_bad_groups = [
-        g.first_ckpt for g in groups if not _prov.verify_v3_group(blob, g)
-    ]
-    actual_chain = hashlib.sha256(
-        b"".join(g.digest for g in groups)
-    ).hexdigest()
-    report.provenance_ok = (
-        not report.index_bad_groups and actual_chain == expected_chain
-    )
-    if report.provenance_ok:
-        report.index_bytes = index_path.stat().st_size
-        report.index_raw_bytes = (
-            rows * header["num_chunks"] * RAW_INDEX_BYTES_PER_CHUNK
-        )
+        return report
+    if walk is not None:
+        report.index_groups = len(walk.groups)
+        report.index_bad_groups = [
+            g.first_ckpt
+            for g in walk.groups
+            if not _prov.verify_v3_group(walk.blob, g)
+        ]
+        report.provenance_ok = walk.chain_ok and not report.index_bad_groups
+        if report.provenance_ok:
+            report.index_bytes = len(walk.blob)
+            report.index_raw_bytes = (
+                walk.rows
+                * walk.header["num_chunks"]
+                * _prov.RAW_INDEX_BYTES_PER_CHUNK
+            )
+    return report

@@ -31,14 +31,8 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from .. import telemetry
+from ..core.provenance import resolve_source
 from ..core.sharded_restore import ShardedRestorePlan, ShardReport
-from ..core.store import (
-    load_provenance,
-    load_record_frames,
-    record_frame_sizes,
-    record_index_bytes,
-    record_manifest,
-)
 from ..errors import RestoreError
 from ..gpusim.cluster import ClusterSpec, thetagpu
 from ..gpusim.perfmodel import FleetRestoreCost, KernelCostModel
@@ -94,28 +88,24 @@ def restore_record_sharded(
 
     Requires the record's provenance index (fleet restarts are the
     regime the index exists for); records without one restore through
-    :func:`~repro.core.provenance.restore_record_indexed`'s replay
+    :func:`~repro.core.provenance.restore_record_indexed`'s full-record
     fallback instead.  ``windows=None`` lets the streaming scheduler
     pick the window count from the pre-execution cost estimate.
     """
     if cluster is None:
         cluster = thetagpu()
-    manifest = record_manifest(directory)
-    count = manifest["num_checkpoints"]
-    if upto is None:
-        upto = count - 1
-    if not 0 <= upto < count:
-        raise RestoreError(f"checkpoint {upto} outside record of {count}")
-
-    # Selective row-group load: a sharded restore of checkpoint K never
-    # decodes index groups past K.
-    table = load_provenance(directory, upto=upto)
-    if table is None:
+    # The same resolve step as the single-GPU restore: only index groups
+    # up to the target are decoded, and every referenced frame is read
+    # once fleet-wide (each rank gathers from the same host-staged
+    # payloads), priced below at the cluster's aggregate PFS bandwidth.
+    index, payload_of, resolved = resolve_source(directory, upto, payload_codec)
+    if not resolved.used_index:
         raise RestoreError(
             f"{directory} has no provenance index; sharded restore needs "
-            f"one (restore_record_indexed falls back to replay)"
+            f"one (restore_record_indexed falls back to the full record)"
         )
-    index = table.row(upto)
+    upto = index.ckpt_id
+    read_bytes = resolved.record_bytes_read
 
     device = cluster.node.device
     contention = cluster.pcie_contention_for(num_ranks)
@@ -123,10 +113,6 @@ def restore_record_sharded(
         "restore.shard.plan", ranks=num_ranks, upto=upto
     ) as span:
         plan = ShardedRestorePlan(index, num_ranks)
-        refs = [int(t) for t in index.referenced()]
-        frame_sizes = record_frame_sizes(directory)
-        index_bytes = record_index_bytes(directory)
-        read_bytes = int(sum(frame_sizes[t] for t in refs)) + index_bytes
         read_seconds = read_bytes / cluster.pfs_bandwidth
         gather_seconds = plan.estimate_gather_seconds(device, contention)
         scheduler = StreamingScheduler(device, windows if windows else 1)
@@ -145,21 +131,10 @@ def restore_record_sharded(
             )
         span.set(
             windows=windows,
-            sources=len(refs),
+            sources=resolved.frames_parsed,
             read_bytes=read_bytes,
             predicted_seconds=estimate.streamed_seconds,
         )
-
-    # Cooperative read: every referenced frame is read once fleet-wide
-    # (each rank gathers from the same host-staged payloads), priced at
-    # the cluster's aggregate PFS bandwidth.
-    frames = load_record_frames(directory, refs)
-
-    def payload_of(t: int) -> np.ndarray:
-        diff = frames[t]
-        if payload_codec is not None and diff.method == "tree":
-            return np.frombuffer(payload_codec.decompress(diff.payload), np.uint8)
-        return np.frombuffer(diff.payload, dtype=np.uint8)
 
     spaces = [DeviceSpace(rank) for rank in range(num_ranks)]
     reports = [
@@ -194,10 +169,10 @@ def restore_record_sharded(
         num_ranks=num_ranks,
         windows=windows,
         data_len=index.data_len,
-        frames_total=count,
-        frames_parsed=len(refs),
+        frames_total=resolved.frames_total,
+        frames_parsed=resolved.frames_parsed,
         record_bytes_read=read_bytes,
-        index_bytes=index_bytes,
+        index_bytes=resolved.index_bytes,
         predicted_seconds=estimate.streamed_seconds,
         cost=cost,
         shards=reports,
@@ -207,12 +182,12 @@ def restore_record_sharded(
         events.RESTORE,
         path="sharded",
         target_ckpt=upto,
-        chain_len=count,
+        chain_len=resolved.frames_total,
         ranks=num_ranks,
         windows=windows,
         state_bytes=int(out.nbytes),
         payload_bytes=report.total_payload_bytes_read,
-        sources=len(refs),
+        sources=resolved.frames_parsed,
         record_bytes_read=read_bytes,
         read_seconds=cost.read_seconds,
         gather_seconds=cost.gather_critical_seconds,

@@ -21,8 +21,7 @@ import numpy as np
 from ..core.base import DedupEngine
 from ..core.checkpointer import ENGINES
 from ..core.diff import CheckpointDiff
-from ..core.provenance import IndexedRestorer, ProvenanceBuilder
-from ..core.restore import scrub_chain
+from ..core.provenance import ProvenanceBuilder, resolve_source, restore_indexed
 from ..core.store import RecordWriter
 from ..core.sharded_restore import ShardedRestorePlan, ShardReport
 from ..errors import SimulationError
@@ -339,12 +338,12 @@ class NodeRuntime:
         The process loses its in-memory state and every checkpoint still
         in flight through the hierarchy; it restarts from the latest
         checkpoint that was *durable* (had reached the terminal tier) by
-        ``at_time``, reconstructed through the provenance-indexed restore
-        path: the chunk-provenance builder maintained alongside the
-        durability ledger resolves where every chunk's bytes live, and
-        one gather per referenced diff rebuilds the state — no chain
-        replay.  ``scrub=True`` (the default) still validates the whole
-        chain first, exactly as the replay path did.  The engine is
+        ``at_time``, reconstructed by the provenance gather: the
+        chunk-provenance builder maintained alongside the durability
+        ledger resolves where every chunk's bytes live, and one gather
+        per referenced diff rebuilds the state — no chain replay.
+        ``scrub=True`` (the default) still validates the whole chain
+        first.  The engine is
         replaced with a fresh one seeded by re-checkpointing the restored
         state, so the dedup chain restarts consistently.
 
@@ -394,22 +393,18 @@ class NodeRuntime:
         if durable_idx and fan_out > 1:
             last = ledger[durable_idx[-1]]
             chain = [c.diff for c in ledger[: durable_idx[-1] + 1]]
-            if scrub:
-                scrub_chain(chain)
-            builder = self.provenance[process]
-            if len(builder) <= last.ckpt_id:
-                builder.extend(chain[len(builder) : last.ckpt_id + 1])
-            index = builder.index_for(last.ckpt_id)
+            index, payload_of, _ = resolve_source(
+                chain,
+                last.ckpt_id,
+                scrub=scrub,
+                builder=self.provenance[process],
+            )
             plan = ShardedRestorePlan(index, fan_out)
             spaces = [DeviceSpace(r) for r in range(fan_out)]
             reports = [
                 ShardReport(rank=s.rank, chunk_lo=s.chunk_lo, chunk_hi=s.chunk_hi)
                 for s in plan.shards
             ]
-
-            def payload_of(t: int) -> np.ndarray:
-                return np.frombuffer(chain[t].payload, dtype=np.uint8)
-
             with telemetry.span(
                 "node.crash_restart",
                 process=process,
@@ -455,15 +450,18 @@ class NodeRuntime:
             last = ledger[durable_idx[-1]]
             chain = [c.diff for c in ledger[: durable_idx[-1] + 1]]
             space = DeviceSpace(process)
-            restorer = IndexedRestorer(scrub=scrub, space=space)
             with telemetry.span(
                 "node.crash_restart",
                 space=space,
                 process=process,
                 crash_time=at_time,
             ) as span:
-                restored, rreport = restorer.restore_with_report(
-                    chain, upto=last.ckpt_id, builder=self.provenance[process]
+                restored, rreport = restore_indexed(
+                    chain,
+                    last.ckpt_id,
+                    scrub=scrub,
+                    space=space,
+                    builder=self.provenance[process],
                 )
                 span.set(
                     restored_ckpt_id=last.ckpt_id,

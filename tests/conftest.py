@@ -8,6 +8,17 @@ import pytest
 from repro.graphs import Graph
 
 
+def v1_frame(diff) -> bytes:
+    """*diff* as the pre-integrity v1 ``.rdif`` frame: version 1, no digest.
+    Nothing in ``src/`` writes or reads this any more; tests use it to
+    check it is rejected by name."""
+    from repro.core.diff import _HEADER, DIGEST_BYTES
+
+    blob = bytearray(diff.to_bytes())
+    blob[4:6] = (1).to_bytes(2, "little")
+    return bytes(blob[: _HEADER.size] + blob[_HEADER.size + DIGEST_BYTES :])
+
+
 @pytest.fixture
 def rng():
     """Deterministic RNG per test."""

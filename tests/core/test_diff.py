@@ -10,9 +10,9 @@ from repro.core.diff import (
     SHIFT_ENTRY_BYTES,
     _HEADER,
     CheckpointDiff,
-    encode_legacy_v1,
 )
 from repro.errors import IntegrityError, SerializationError
+from tests.conftest import v1_frame
 
 
 def make_tree_diff(**overrides):
@@ -207,26 +207,16 @@ class TestIntegrityV2:
 
 
 class TestLegacyV1:
-    def test_v1_frame_loads_unverified(self):
-        diff = make_tree_diff()
-        back = CheckpointDiff.from_bytes(encode_legacy_v1(diff))
-        assert back.verified is False
-        assert back.payload == diff.payload
-        assert back.first_ids.tolist() == diff.first_ids.tolist()
+    def test_v1_frame_rejected_by_name(self):
+        """The digestless v1 frame cannot detect payload damage, so it is
+        refused outright rather than loaded unverified."""
+        blob = v1_frame(make_tree_diff())
+        for verify in (True, False):
+            with pytest.raises(SerializationError, match="unsupported diff version 1"):
+                CheckpointDiff.from_bytes(blob, verify=verify)
 
     def test_v1_frame_is_smaller_by_digest(self):
+        # The rejected frame is well-formed v1 — refused for its version,
+        # not for a length mismatch.
         diff = make_tree_diff()
-        assert len(encode_legacy_v1(diff)) == len(diff.to_bytes()) - DIGEST_BYTES
-
-    def test_v1_reencoded_becomes_v2(self):
-        diff = make_tree_diff()
-        back = CheckpointDiff.from_bytes(encode_legacy_v1(diff))
-        again = CheckpointDiff.from_bytes(back.to_bytes())
-        assert again.verified is True
-
-    def test_v1_corruption_in_payload_is_silent(self):
-        # Documents WHY v2 exists: v1 frames cannot detect payload damage.
-        blob = bytearray(encode_legacy_v1(make_tree_diff()))
-        blob[-1] ^= 0x40
-        back = CheckpointDiff.from_bytes(bytes(blob))
-        assert back.verified is False  # flagged untrusted, not rejected
+        assert len(v1_frame(diff)) == len(diff.to_bytes()) - DIGEST_BYTES

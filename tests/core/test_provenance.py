@@ -6,25 +6,37 @@ replay — while touching only the checkpoints the target state actually
 references.
 """
 
+import hashlib
+import json
+import struct
+
 import numpy as np
 import pytest
 
 from repro.core import (
     ENGINES,
-    IndexedRestorer,
     ProvenanceBuilder,
     ProvenanceTable,
     Restorer,
-    indexed_restore_latest,
     load_provenance,
     load_record,
     record_manifest,
+    restore_indexed,
     restore_record_indexed,
     save_record,
     verify_record,
 )
 from repro.core.dedup_full import FullCheckpoint
-from repro.errors import IntegrityError, ReproError, RestoreError
+from repro.core.provenance import (
+    _GROUP_HEADER,
+    _TABLE_HEADER,
+    _TABLE_MAGIC,
+    decode_v3_groups,
+    encode_v3_group,
+    encode_v3_prologue,
+    scan_v3,
+)
+from repro.errors import IntegrityError, ReproError, RestoreError, StorageError
 
 N = 64 * 80
 CS = 64
@@ -53,23 +65,22 @@ class TestEquivalence:
     def test_indexed_matches_replay_every_checkpoint(self, method, rng):
         diffs, states = _chain(method, rng)
         replay = Restorer().restore_all(diffs)
-        restorer = IndexedRestorer()
         for k in range(len(diffs)):
-            fast = restorer.restore(diffs, upto=k)
+            fast, _ = restore_indexed(diffs, upto=k)
             assert np.array_equal(fast, replay[k])
             assert np.array_equal(fast, states[k])
 
     @pytest.mark.parametrize("method", ["basic", "list", "tree"])
     def test_tail_chunk_handled(self, method, rng):
         diffs, states = _chain(method, rng, n=N + 17)
-        fast = indexed_restore_latest(diffs)
+        fast, _ = restore_indexed(diffs)
         assert np.array_equal(fast, states[-1])
 
     def test_external_builder_matches_on_the_fly(self, rng):
         diffs, states = _chain("tree", rng)
         builder = ProvenanceBuilder()
         builder.extend(diffs)
-        out = IndexedRestorer().restore(diffs, builder=builder)
+        out, _ = restore_indexed(diffs, builder=builder)
         assert np.array_equal(out, states[-1])
 
     def test_codec_payloads(self, rng):
@@ -82,14 +93,14 @@ class TestEquivalence:
         buf = buf.copy()
         buf[:512] = rng.integers(0, 4, 512, dtype=np.uint8)
         diffs.append(engine.checkpoint(buf))
-        out = IndexedRestorer(payload_codec=codec).restore(diffs)
+        out, _ = restore_indexed(diffs, payload_codec=codec)
         assert np.array_equal(out, buf)
 
     def test_scrub_catches_corrupt_chain(self, rng):
         diffs, _ = _chain("tree", rng)
         diffs[2].payload = diffs[2].payload[:-4]
         with pytest.raises(IntegrityError):
-            IndexedRestorer(scrub=True).restore(diffs)
+            restore_indexed(diffs, scrub=True)
 
 
 class TestBuilderValidation:
@@ -101,12 +112,12 @@ class TestBuilderValidation:
 
     def test_empty_chain(self):
         with pytest.raises(RestoreError, match="empty"):
-            IndexedRestorer().restore([])
+            restore_indexed([])
 
     def test_upto_out_of_range(self, rng):
         diffs, _ = _chain("full", rng, steps=2)
         with pytest.raises(RestoreError, match="outside chain"):
-            IndexedRestorer().restore(diffs, upto=5)
+            restore_indexed(diffs, upto=5)
 
     def test_forward_reference_rejected(self, rng):
         diffs, _ = _chain("tree", rng)
@@ -117,27 +128,54 @@ class TestBuilderValidation:
             builder.extend(diffs)
 
 
+def _v3_blob(table):
+    """The RPIX v3 file RecordWriter writes: prologue + one group per row."""
+    groups = [
+        encode_v3_group(k, table.src_ckpt[k : k + 1], table.src_off[k : k + 1])[0]
+        for k in range(table.num_checkpoints)
+    ]
+    prologue = encode_v3_prologue(
+        table.num_checkpoints, table.num_chunks, table.data_len, table.chunk_size
+    )
+    return prologue + b"".join(groups)
+
+
+def _decode(blob):
+    header, groups = scan_v3(blob)
+    return header, decode_v3_groups(blob, groups, header["num_chunks"])
+
+
 class TestTablePersistence:
     def test_round_trip(self, rng):
         diffs, _ = _chain("tree", rng)
         table = ProvenanceTable.from_diffs(diffs)
-        back = ProvenanceTable.from_bytes(table.to_bytes())
-        assert np.array_equal(back.src_ckpt, table.src_ckpt)
-        assert np.array_equal(back.src_off, table.src_off)
-        assert back.data_len == N and back.chunk_size == CS
+        header, (src_ckpt, src_off) = _decode(_v3_blob(table))
+        assert np.array_equal(src_ckpt, table.src_ckpt)
+        assert np.array_equal(src_off, table.src_off)
+        assert header["data_len"] == N and header["chunk_size"] == CS
 
     def test_bit_flip_detected(self, rng):
         diffs, _ = _chain("list", rng)
-        blob = bytearray(ProvenanceTable.from_diffs(diffs).to_bytes())
+        blob = bytearray(_v3_blob(ProvenanceTable.from_diffs(diffs)))
         blob[len(blob) // 2] ^= 0x40
         with pytest.raises(IntegrityError, match="digest mismatch"):
-            ProvenanceTable.from_bytes(bytes(blob))
+            _decode(bytes(blob))
 
     def test_truncation_detected(self, rng):
         diffs, _ = _chain("basic", rng)
-        blob = ProvenanceTable.from_diffs(diffs).to_bytes()
-        with pytest.raises(IntegrityError):
-            ProvenanceTable.from_bytes(blob[:-8])
+        blob = _v3_blob(ProvenanceTable.from_diffs(diffs))
+        with pytest.raises(IntegrityError, match="overruns|truncated"):
+            _decode(blob[:-8])
+
+    def test_trailing_bytes_detected(self, rng):
+        diffs, _ = _chain("basic", rng)
+        blob = _v3_blob(ProvenanceTable.from_diffs(diffs))
+        with pytest.raises(IntegrityError, match="trailing bytes"):
+            scan_v3(blob + b"\0" * 5)
+        # With the manifest's authoritative row count the walk stops at
+        # that many rows: an orphan tail from a crashed append is tolerated.
+        _header, groups = scan_v3(blob + b"\0" * 5, max_rows=len(diffs))
+        assert len(groups) == len(diffs)
 
     def test_save_record_persists_index(self, rng, tmp_path):
         diffs, _ = _chain("tree", rng)
@@ -163,32 +201,42 @@ class TestTablePersistence:
         assert "provenance" not in record_manifest(tmp_path)
 
 
+def _redigest_last_group(blob):
+    """Recompute the last group's stored digest over its (damaged) body,
+    so only the plane decoder stands between the damage and the caller."""
+    out = bytearray(blob)
+    _header, groups = scan_v3(blob)
+    g = groups[-1]
+    digest = hashlib.sha256(
+        struct.pack("<II", g.first_ckpt, g.num_rows)
+        + blob[g.body_off : g.body_off + g.body_len]
+    ).digest()
+    header_off = g.body_off - _GROUP_HEADER.size
+    out[header_off : g.body_off] = _GROUP_HEADER.pack(
+        g.body_len, g.first_ckpt, g.num_rows, digest
+    )
+    return bytes(out)
+
+
 class TestRpixV2:
-    """The delta+bitpacked index encoding (v2) and its v1 compatibility."""
+    """The delta+bitpacked plane encoding inside every row-group, and the
+    rejection of the pre-row-group file versions."""
 
     def test_v2_much_smaller_than_raw(self, rng):
         diffs, _ = _chain("tree", rng)
         table = ProvenanceTable.from_diffs(diffs)
-        blob = table.to_bytes()
+        blob = _v3_blob(table)
         assert len(blob) < table.raw_index_bytes / 4
-        back = ProvenanceTable.from_bytes(blob)
-        assert np.array_equal(back.src_ckpt, table.src_ckpt)
-        assert np.array_equal(back.src_off, table.src_off)
 
-    def test_v1_blob_still_parses(self, rng):
-        import hashlib as _hashlib
-
-        from repro.core.provenance import (
-            _TABLE_HEADER,
-            _TABLE_MAGIC,
-            _TABLE_VERSION_V1,
-        )
-
+    @pytest.mark.parametrize("version", [1, 2])
+    def test_v1_v2_blobs_rejected_by_name(self, version, rng, tmp_path):
+        """RPIX v1 (raw arrays) and v2 (whole-table planes) are not read:
+        a blob claiming either version is refused, whatever follows it."""
         diffs, _ = _chain("list", rng)
         table = ProvenanceTable.from_diffs(diffs)
         header = _TABLE_HEADER.pack(
             _TABLE_MAGIC,
-            _TABLE_VERSION_V1,
+            version,
             0,
             table.num_checkpoints,
             table.num_chunks,
@@ -199,33 +247,60 @@ class TestRpixV2:
             np.ascontiguousarray(table.src_ckpt, dtype="<i4").tobytes()
             + np.ascontiguousarray(table.src_off, dtype="<i8").tobytes()
         )
-        digest = _hashlib.sha256(header + body).digest()
-        back = ProvenanceTable.from_bytes(header + digest + body)
-        assert np.array_equal(back.src_ckpt, table.src_ckpt)
-        assert np.array_equal(back.src_off, table.src_off)
+        blob = header + hashlib.sha256(header + body).digest() + body
+        with pytest.raises(IntegrityError, match=f"version {version}"):
+            scan_v3(blob)
+
+        # The same blob behind a record manifest: load_provenance raises,
+        # verify_record reports (never raises), under either entry style.
+        save_record(diffs, tmp_path)
+        (tmp_path / "provenance.rpix").write_bytes(blob)
+        with pytest.raises(IntegrityError, match=f"version {version}"):
+            load_provenance(tmp_path)
+        assert verify_record(tmp_path).provenance_ok is False
+        manifest_path = tmp_path / "record.json"
+        manifest = json.loads(manifest_path.read_text())
+        manifest["provenance"] = {
+            "file": "provenance.rpix",
+            "sha256": hashlib.sha256(blob).hexdigest(),
+        }
+        manifest_path.write_text(json.dumps(manifest))
+        with pytest.raises(StorageError, match="unsupported provenance entry"):
+            load_provenance(tmp_path)
+        report = verify_record(tmp_path)
+        assert report.provenance_ok is False and not report.ok
+        with pytest.raises(StorageError):
+            restore_record_indexed(tmp_path)
 
     def test_unknown_version_rejected(self, rng):
         diffs, _ = _chain("full", rng, steps=2)
-        blob = bytearray(ProvenanceTable.from_diffs(diffs).to_bytes())
+        blob = bytearray(_v3_blob(ProvenanceTable.from_diffs(diffs)))
         blob[4:6] = (99).to_bytes(2, "little")  # version field
         with pytest.raises(IntegrityError, match="version"):
-            ProvenanceTable.from_bytes(bytes(blob))
+            scan_v3(bytes(blob))
 
     def test_damaged_plane_detected_even_unverified(self, rng):
         diffs, _ = _chain("tree", rng)
-        table = ProvenanceTable.from_diffs(diffs)
-        blob = bytearray(table.to_bytes())
+        blob = bytearray(_v3_blob(ProvenanceTable.from_diffs(diffs)))
         blob[-1] ^= 0xFF  # inside the last compressed plane
-        # verify=False skips the digest, so the plane decoder itself
-        # must catch the damage.
-        with pytest.raises(IntegrityError):
-            ProvenanceTable.from_bytes(bytes(blob), verify=False)
+        # With the group digest recomputed over the damage, the plane
+        # decoder itself must catch it.
+        with pytest.raises(IntegrityError, match="is damaged"):
+            _decode(_redigest_last_group(bytes(blob)))
 
     def test_truncated_plane_detected(self, rng):
         diffs, _ = _chain("tree", rng)
-        blob = ProvenanceTable.from_diffs(diffs).to_bytes()
-        with pytest.raises(IntegrityError):
-            ProvenanceTable.from_bytes(blob[:-6], verify=False)
+        blob = _v3_blob(ProvenanceTable.from_diffs(diffs))
+        _header, groups = scan_v3(blob)
+        g = groups[-1]
+        # Shorten the last group's body by 6 bytes with coherent framing
+        # and digest: the last plane's length prefix now overruns.
+        cut = bytearray(blob[:-6])
+        cut[g.body_off - _GROUP_HEADER.size : g.body_off] = _GROUP_HEADER.pack(
+            g.body_len - 6, g.first_ckpt, g.num_rows, g.digest
+        )
+        with pytest.raises(IntegrityError, match="is damaged"):
+            _decode(_redigest_last_group(bytes(cut)))
 
     def test_verify_record_reports_compression_ratio(self, rng, tmp_path):
         diffs, _ = _chain("tree", rng)
@@ -276,8 +351,6 @@ class TestRecordRestore:
         save_record(diffs, tmp_path)
         (tmp_path / "provenance.rpix").unlink()
         manifest_path = tmp_path / "record.json"
-        import json
-
         manifest = json.loads(manifest_path.read_text())
         del manifest["provenance"]
         manifest_path.write_text(json.dumps(manifest))

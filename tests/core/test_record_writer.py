@@ -8,7 +8,6 @@ import pytest
 
 from repro.core import ENGINES, RecordWriter, Restorer
 from repro.core.provenance import (
-    ProvenanceTable,
     restore_record_indexed,
     scan_v3,
     verify_v3_group,
@@ -162,45 +161,33 @@ class TestFormatCompatibility:
         table = load_provenance(tmp_path / "rec")
         assert table.num_checkpoints == 5
 
-    def test_legacy_v2_blob_loads_and_upgrades_on_append(self, rng, tmp_path):
+    def test_v2_index_entry_rejected_on_reopen(self, rng, tmp_path):
+        # The whole-file ``sha256`` manifest entry of RPIX v1/v2 is not
+        # read: nothing is upgraded in place, the writer refuses to open.
         diffs = _chain("tree", 5, rng)
         save_record(diffs[:4], tmp_path / "rec", method="tree")
-        # Rewrite the index in the legacy whole-table v2 layout with the
-        # matching legacy manifest entry.
-        table = load_provenance(tmp_path / "rec")
-        blob = table.to_bytes()
         index_path = tmp_path / "rec" / "provenance.rpix"
-        index_path.write_bytes(blob)
         manifest_path = tmp_path / "rec" / "record.json"
         manifest = json.loads(manifest_path.read_text())
         manifest["provenance"] = {
             "file": "provenance.rpix",
-            "sha256": hashlib.sha256(blob).hexdigest(),
+            "sha256": hashlib.sha256(index_path.read_bytes()).hexdigest(),
         }
         manifest_path.write_text(json.dumps(manifest, indent=2))
+        with pytest.raises(StorageError, match="unsupported provenance entry"):
+            load_provenance(tmp_path / "rec")
+        with pytest.raises(StorageError, match="unsupported provenance entry"):
+            RecordWriter(tmp_path / "rec", method="tree")
+        assert verify_record(tmp_path / "rec").provenance_ok is False
 
-        legacy = load_provenance(tmp_path / "rec")
-        assert np.array_equal(legacy.src_ckpt, table.src_ckpt)
-
-        writer = RecordWriter(tmp_path / "rec", method="tree")
-        writer.append(diffs[4])
-        entry = record_manifest(tmp_path / "rec")["provenance"]
-        assert entry["version"] == 3
-        assert entry["rows"] == 5
-        upgraded = load_provenance(tmp_path / "rec")
-        assert upgraded.num_checkpoints == 5
-        out, report = restore_record_indexed(tmp_path / "rec")
-        assert report.used_index
-        assert np.array_equal(out, Restorer().restore_all(diffs)[-1])
-
-    def test_v1_record_adopted_and_appended(self, rng, tmp_path):
-        from repro.core import encode_legacy_v1
+    def test_v1_record_rejected_on_reopen(self, rng, tmp_path):
+        from tests.conftest import v1_frame
 
         diffs = _chain("tree", 3, rng)
         directory = tmp_path / "rec"
         directory.mkdir()
         for i, diff in enumerate(diffs[:2]):
-            (directory / f"ckpt-{i:05d}.rdif").write_bytes(encode_legacy_v1(diff))
+            (directory / f"ckpt-{i:05d}.rdif").write_bytes(v1_frame(diff))
         (directory / "record.json").write_text(
             json.dumps(
                 {
@@ -212,15 +199,10 @@ class TestFormatCompatibility:
                 }
             )
         )
-        writer = RecordWriter(directory, method="tree")
-        assert writer.count == 2
-        writer.append(diffs[2])
-        manifest = record_manifest(directory)
-        assert manifest["format_version"] == 2
-        assert len(manifest["digests"]) == 3
-        loaded = load_record(directory)
-        out = Restorer().restore_all(loaded)[-1]
-        assert np.array_equal(out, Restorer().restore_all(diffs)[-1])
+        with pytest.raises(StorageError, match="unsupported record format 1"):
+            RecordWriter(directory, method="tree")
+        with pytest.raises(StorageError, match="unsupported record format 1"):
+            save_record(diffs, directory, method="tree")
 
 
 class TestRowGroupDamage:

@@ -6,7 +6,7 @@ import pytest
 from repro.core import (
     ENGINES,
     Restorer,
-    SelectiveRestorer,
+    restore_indexed,
     payload_dependencies,
     rebase_record,
     required_payloads,
@@ -83,7 +83,7 @@ class TestRebase:
         rebased = rebase_record(diffs, 2)
         chain_out = Restorer().restore_all(rebased)
         for k in range(len(rebased)):
-            buf, _ = SelectiveRestorer().restore(rebased, k)
+            buf, _ = restore_indexed(rebased, k)
             assert np.array_equal(buf, chain_out[k])
 
 

@@ -2,7 +2,7 @@
 
 The invariant everything here defends: for any valid chain and any rank
 count, the sharded restore plan produces byte-for-byte the same state as
-the single-GPU :class:`IndexedRestorer` — and no shard ever needs more
+the single-GPU :func:`restore_indexed` — and no shard ever needs more
 source payloads resident than the single-GPU restore does.
 """
 
@@ -13,12 +13,12 @@ import pytest
 
 from repro.core import (
     ENGINES,
-    IndexedRestorer,
     IndexedRestoreReport,
     ProvenanceBuilder,
     ShardedRestorePlan,
     ShardReport,
     partition_chunks,
+    restore_indexed,
 )
 from repro.errors import RestoreError
 from repro.gpusim import a100
@@ -83,7 +83,7 @@ class TestBitIdentity:
     @pytest.mark.parametrize("ranks", [1, 4, 16])
     def test_matches_single_gpu(self, method, ranks, rng):
         diffs, states = _chain(method, rng)
-        single = IndexedRestorer().restore(diffs)
+        single, _ = restore_indexed(diffs)
         assert np.array_equal(single, states[-1])
         plan = ShardedRestorePlan(_index_of(diffs), ranks)
         out = plan.materialize(_payload_fn(diffs))
@@ -122,7 +122,7 @@ class TestBitIdentity:
             tree.checkpoint(snap.reshape(-1).view(np.uint8))
             for snap in engine.checkpoint_stream(5)
         ]
-        single = IndexedRestorer().restore(diffs)
+        single, _ = restore_indexed(diffs)
         golden = hashlib.sha256(single.tobytes()).hexdigest()
         for ranks in (1, 4, 16):
             plan = ShardedRestorePlan(_index_of(diffs), ranks)
@@ -134,9 +134,7 @@ class TestShardAccounting:
     def test_peak_buffers_bounded_by_single_gpu(self, rng):
         diffs, _ = _chain("tree", rng)
         index = _index_of(diffs)
-        _, single = IndexedRestorer().restore_with_report(
-            diffs, builder=_builder_of(diffs)
-        )
+        _, single = restore_indexed(diffs, builder=_builder_of(diffs))
         single_sources = single.frames_referenced
         assert single_sources == int(index.referenced().size)
         for ranks in (1, 4, 16):

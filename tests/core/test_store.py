@@ -5,18 +5,19 @@ import json
 import numpy as np
 import pytest
 
-from repro.core import ENGINES, Restorer, encode_legacy_v1
+from repro.core import ENGINES, RecordWriter, Restorer
+from repro.core.provenance import restore_record_indexed
 from repro.core.store import (
     STATUS_CORRUPT,
     STATUS_MISSING,
     STATUS_OK,
-    STATUS_UNVERIFIED,
     load_record,
     record_manifest,
     save_record,
     verify_record,
 )
-from repro.errors import IntegrityError, StorageError
+from repro.errors import IntegrityError, SerializationError, StorageError
+from tests.conftest import v1_frame
 
 
 @pytest.fixture
@@ -83,7 +84,7 @@ def _write_v1_record(diffs, directory):
     """A record exactly as the pre-integrity code would have written it."""
     directory.mkdir(parents=True, exist_ok=True)
     for d in diffs:
-        (directory / f"ckpt-{d.ckpt_id:05d}.rdif").write_bytes(encode_legacy_v1(d))
+        (directory / f"ckpt-{d.ckpt_id:05d}.rdif").write_bytes(v1_frame(d))
     (directory / "record.json").write_text(
         json.dumps(
             {
@@ -207,14 +208,26 @@ class TestVerifyRecord:
         report = verify_record(path)
         assert report.checkpoints[1].status == STATUS_CORRUPT
 
-    def test_v1_record_reported_unverified(self, diffs, tmp_path):
-        path = _write_v1_record(diffs, tmp_path / "v1rec")
+    def test_v1_frame_in_record_reported_corrupt(self, diffs, tmp_path):
+        # A digestless v1 frame behind a current manifest — even with the
+        # manifest digest rewritten to match it — is corrupt, never a
+        # third "unverified but loadable" state.
+        import hashlib
+
+        path = save_record(diffs, tmp_path / "rec")
+        blob = v1_frame(diffs[1])
+        (path / "ckpt-00001.rdif").write_bytes(blob)
+        manifest = json.loads((path / "record.json").read_text())
+        manifest["digests"][1] = hashlib.sha256(blob).hexdigest()
+        manifest["frame_bytes"][1] = len(blob)
+        (path / "record.json").write_text(json.dumps(manifest))
         report = verify_record(path)
-        assert not report.ok  # unverified is not ok, but it is loadable
-        assert all(c.status == STATUS_UNVERIFIED for c in report.checkpoints)
-        assert all(c.loadable for c in report.checkpoints)
-        assert report.chain_ok is None
-        assert "v1" in report.summary()
+        assert not report.ok
+        status = report.checkpoints[1]
+        assert status.status == STATUS_CORRUPT and not status.loadable
+        assert "unsupported diff version 1" in status.detail
+        with pytest.raises(SerializationError, match="unsupported diff version 1"):
+            load_record(path)
 
     def test_summary_mentions_statuses(self, diffs, tmp_path):
         path = save_record(diffs, tmp_path / "rec")
@@ -269,24 +282,41 @@ class TestSalvage:
 
 
 class TestV1Compatibility:
-    def test_v1_record_loads(self, diffs, tmp_path):
-        path = _write_v1_record(diffs, tmp_path / "v1rec")
-        loaded = load_record(path)
-        assert len(loaded) == len(diffs)
-        assert all(d.verified is False for d in loaded)
-        direct = Restorer().restore_all(diffs)
-        from_disk = Restorer().restore_all(loaded)
-        for a, b in zip(direct, from_disk):
-            assert np.array_equal(a, b)
+    """Pre-integrity records are rejected by name, never loaded unverified."""
 
-    def test_resave_upgrades_to_v2(self, diffs, tmp_path):
+    ENTRY_POINTS = (
+        load_record,
+        record_manifest,
+        verify_record,
+        restore_record_indexed,
+        lambda path: RecordWriter(path, method="tree"),
+    )
+
+    def test_v1_manifest_rejected(self, diffs, tmp_path):
         path = _write_v1_record(diffs, tmp_path / "v1rec")
-        loaded = load_record(path)
-        save_record(loaded, tmp_path / "v2rec")
-        manifest = record_manifest(tmp_path / "v2rec")
-        assert manifest["format_version"] == 2
-        assert len(manifest["digests"]) == len(diffs)
-        assert verify_record(tmp_path / "v2rec").ok
+        for entry in self.ENTRY_POINTS:
+            with pytest.raises(StorageError, match="unsupported record format 1"):
+                entry(path)
+        with pytest.raises(StorageError, match="unsupported record format 1"):
+            save_record(diffs, path)
+
+    @pytest.mark.parametrize("missing", ["digests", "chain_digest", "frame_bytes"])
+    def test_digestless_manifest_rejected(self, missing, diffs, tmp_path):
+        path = save_record(diffs, tmp_path / "rec")
+        manifest = json.loads((path / "record.json").read_text())
+        del manifest[missing]
+        (path / "record.json").write_text(json.dumps(manifest))
+        for entry in self.ENTRY_POINTS:
+            with pytest.raises(StorageError, match="pre-integrity manifests"):
+                entry(path)
+
+    def test_short_digest_list_rejected(self, diffs, tmp_path):
+        path = save_record(diffs, tmp_path / "rec")
+        manifest = json.loads((path / "record.json").read_text())
+        manifest["digests"].pop()
+        (path / "record.json").write_text(json.dumps(manifest))
+        with pytest.raises(StorageError, match="one frame digest and size per checkpoint"):
+            load_record(path)
 
 
 class TestCli:

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.core import Restorer, SelectiveRestorer, TreeDedup
+from repro.core import Restorer, TreeDedup, restore_indexed
 from repro.core.store import load_record, save_record, verify_record
 from repro.errors import GraphError
 from repro.graphs import generate
@@ -48,7 +48,7 @@ class TestResumeThroughRecord:
                 break
         save_record(ckpt.record.diffs, tmp_path / "rec")
         diffs = load_record(tmp_path / "rec")
-        state, _ = SelectiveRestorer().restore(diffs)
+        state, _ = restore_indexed(diffs)
 
         resumed = GdvEngine(graph, 4)
         resumed.load_state(state, frontiers[-1])

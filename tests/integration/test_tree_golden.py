@@ -110,13 +110,12 @@ def trace_chain():
 def test_indexed_restore_bit_identical_on_golden_trace(trace_chain):
     """The restore overhaul must not change a byte on the golden trace:
     the provenance-indexed path reproduces every captured state exactly."""
-    from repro.core import IndexedRestorer, Restorer
+    from repro.core import Restorer, restore_indexed
 
     diffs, states = trace_chain
     replay = Restorer().restore_all(diffs)
-    restorer = IndexedRestorer()
     for k, want in enumerate(states):
-        got = restorer.restore(diffs, upto=k)
+        got, _ = restore_indexed(diffs, upto=k)
         assert np.array_equal(got, want)
         assert np.array_equal(got, replay[k])
 

@@ -12,8 +12,8 @@ import time
 import numpy as np
 import pytest
 
-from repro.core import IndexedRestorer, Restorer, TreeDedup
-from repro.core import restore_record_indexed, save_record
+from repro.core import Restorer, TreeDedup
+from repro.core import restore_indexed, restore_record_indexed, save_record
 
 pytestmark = pytest.mark.perf
 
@@ -53,10 +53,9 @@ def test_vectorized_replay_floor():
 
 def test_indexed_beats_replay_in_memory():
     diffs, final = _hot_window_chain()
-    indexed = IndexedRestorer()
-    assert np.array_equal(indexed.restore(diffs), final)
+    assert np.array_equal(restore_indexed(diffs)[0], final)
     replay_s = best_of(lambda: Restorer().restore(diffs))
-    indexed_s = best_of(lambda: indexed.restore(diffs))
+    indexed_s = best_of(lambda: restore_indexed(diffs))
     # The fixed hot window leaves only 2 referenced checkpoints; a tie
     # here means the index is being recomputed or the gather degenerated.
     assert indexed_s < replay_s, (

@@ -22,7 +22,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.core import ENGINES, CheckpointDiff, Restorer, SelectiveRestorer
+from repro.core import ENGINES, CheckpointDiff, Restorer, restore_indexed
 from repro.core.store import (
     STATUS_CORRUPT,
     load_record,
@@ -70,7 +70,7 @@ def test_bitflipped_diff_never_crashes_unsafely(seed, position, flip):
     try:
         parsed = CheckpointDiff.from_bytes(bytes(blob), verify=False)
         Restorer().restore_all([diffs[0], parsed])
-        SelectiveRestorer().restore([diffs[0], parsed])
+        restore_indexed([diffs[0], parsed])
     except ReproError:
         pass  # rejected at parse or restore time: fine
     # Or the flip landed in payload bytes and reconstruction proceeds
@@ -109,7 +109,7 @@ def test_shuffled_chain_rejected_or_detected(seed, k):
             Restorer().restore_all(list(reversed(diffs)))
     else:
         with pytest.raises(ReproError):
-            SelectiveRestorer().restore(list(reversed(diffs)))
+            restore_indexed(list(reversed(diffs)))
 
 
 # ----------------------------------------------------------------------

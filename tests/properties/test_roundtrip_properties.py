@@ -9,7 +9,7 @@ import numpy as np
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.core import ENGINES, IndexedRestorer, Restorer
+from repro.core import ENGINES, Restorer, restore_indexed
 from repro.core.diff import CheckpointDiff
 
 _SETTINGS = dict(
@@ -96,9 +96,8 @@ def test_indexed_restore_matches_replay(case, method):
     engine = ENGINES[method](data_len, chunk_size)
     diffs = [engine.checkpoint(c) for c in stream]
     replay = Restorer().restore_all(diffs)
-    restorer = IndexedRestorer()
     for k in range(len(diffs)):
-        assert np.array_equal(restorer.restore(diffs, upto=k), replay[k])
+        assert np.array_equal(restore_indexed(diffs, upto=k)[0], replay[k])
     windowed = Restorer()
     for k in range(len(diffs)):
         assert np.array_equal(windowed.restore(diffs, upto=k), replay[k])
