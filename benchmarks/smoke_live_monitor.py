@@ -9,8 +9,10 @@ polls the HTTP surface exactly the way a scraper would:
 * every ``/metrics`` page fetched along the way must pass
   :func:`~repro.telemetry.export.validate_prometheus_text`;
 * once the run finishes, the final grade must be ``ok`` (HTTP 200, zero
-  warn/critical findings — a clean run stays quiet), and the closing
-  ``/slo`` snapshot is written to ``SLO_live_monitor.json`` (or
+  warn/critical findings — a clean run stays quiet), the monitor's
+  report must equal :func:`~repro.telemetry.evaluate_health` on the
+  journal it tailed (one engine, one verdict), and the closing ``/slo``
+  snapshot is written to ``SLO_live_monitor.json`` (or
   ``$REPRO_BENCH_OUT``) as the CI artifact.
 
 Run directly (``python benchmarks/smoke_live_monitor.py``) or under
@@ -28,6 +30,7 @@ import urllib.request
 from pathlib import Path
 
 from repro.replay import IncidentSchedule, RunConfig, drive_run
+from repro.telemetry import evaluate_health, read_journal
 from repro.telemetry.export import validate_prometheus_text
 from repro.telemetry.live import LiveMonitor, MonitorServer
 
@@ -101,6 +104,8 @@ def run(out_path: Path | None = None) -> dict:
             _, final_page = _fetch(server.url + "/metrics")
             format_problems.extend(validate_prometheus_text(final_page))
             snapshot = monitor.snapshot()
+            live_report = monitor.report().as_dict()
+            post_hoc_report = evaluate_health(read_journal(journal_path)).as_dict()
 
         result = result_box["result"]
         report.update(
@@ -113,6 +118,7 @@ def run(out_path: Path | None = None) -> dict:
                     "grade": final_grade.strip(),
                 },
                 "golden_ok": result.golden_ok,
+                "live_equals_post_hoc": live_report == post_hoc_report,
                 "snapshot": snapshot,
             }
         )
@@ -141,6 +147,7 @@ def test_smoke_live_monitor(capsys):
     assert report["golden_ok"], "driven run restored wrong bytes"
     assert report["final_healthz"]["status"] == 200
     assert report["final_healthz"]["grade"] == "ok"
+    assert report["live_equals_post_hoc"], "monitor and repro health disagree"
     snap = report["snapshot"]
     assert snap["status"] == "ok" and snap["findings"] == []
     assert all(r["state"] == "ok" for r in snap["ranks"])

@@ -321,18 +321,16 @@ def _cmd_trace(args: argparse.Namespace) -> int:
             telemetry.disable()
 
 
-def _load_rollup(journal_paths):
-    from .telemetry import build_rollup, read_journal
+def _load_and_grade(journal_paths):
+    """The rollup of the journal files and its health report."""
+    from .telemetry import build_rollup, evaluate_health, read_journal
 
-    journals = [read_journal(p) for p in journal_paths]
-    return build_rollup(journals), sum(len(j) for j in journals)
+    rollup = build_rollup([read_journal(p) for p in journal_paths])
+    return rollup, evaluate_health(rollup)
 
 
 def _cmd_health(args: argparse.Namespace) -> int:
-    from .telemetry import evaluate_health
-
-    rollup, total = _load_rollup(args.journal)
-    report = evaluate_health(rollup)
+    rollup, report = _load_and_grade(args.journal)
     if args.json:
         doc = report.as_dict()
         doc["fleet"] = rollup.summary()
@@ -340,7 +338,7 @@ def _cmd_health(args: argparse.Namespace) -> int:
         return report.exit_code
     summary = rollup.summary()
     print(
-        f"fleet: {total} events from {len(args.journal)} journal(s), "
+        f"fleet: {len(rollup.events)} events from {len(args.journal)} journal(s), "
         f"{summary['nodes']} node(s), {summary['ranks']} rank(s), "
         f"{summary['checkpoints']} checkpoints"
     )
@@ -355,14 +353,12 @@ def _cmd_health(args: argparse.Namespace) -> int:
 
 
 def _cmd_report(args: argparse.Namespace) -> int:
-    from .telemetry import evaluate_health
     from .telemetry.report import write_report
 
-    rollup, total = _load_rollup(args.journal)
-    health = evaluate_health(rollup)
+    rollup, health = _load_and_grade(args.journal)
     out = write_report(args.output, rollup, health, title=args.title)
     print(
-        f"report written to {out} ({total} events, "
+        f"report written to {out} ({len(rollup.events)} events, "
         f"status {health.status}, {len(health.findings)} findings)"
     )
     return 0
@@ -392,8 +388,7 @@ def _cmd_monitor(args: argparse.Namespace) -> int:
             while args.polls is None or polls < args.polls:
                 polls += 1
                 print(monitor.rank_table())
-                report = monitor.report(refresh=False)
-                print(report.summary())
+                print(monitor.report(refresh=False).summary())
                 print(flush=True)
                 if args.polls is not None and polls >= args.polls:
                     break

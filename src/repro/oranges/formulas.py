@@ -19,14 +19,20 @@ the foundation for degree/wedge/triangle statistics elsewhere.
 
 from __future__ import annotations
 
+from typing import TYPE_CHECKING
+
 import numpy as np
-from scipy import sparse
 
 from ..graphs.csr import Graph
+
+if TYPE_CHECKING:  # scipy loads on first use, not on ``import repro``
+    from scipy import sparse
 
 
 def adjacency_matrix(graph: Graph) -> sparse.csr_matrix:
     """The graph's symmetric 0/1 adjacency as scipy CSR."""
+    from scipy import sparse
+
     n = graph.num_vertices
     return sparse.csr_matrix(
         (

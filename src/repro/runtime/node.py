@@ -11,7 +11,6 @@ overhead — the paper's bottom-line metric: blocking time on the device
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple, Union
@@ -133,9 +132,9 @@ class NodeRuntime:
     heartbeat_interval:
         Expected simulated seconds between checkpoint rounds (the
         cadence period).  Stamped on every ``heartbeat`` journal event so
-        a live :class:`~repro.telemetry.live.LivenessTracker` knows each
-        rank's deadline without out-of-band configuration; ``None`` lets
-        the tracker infer the cadence from observed gaps.
+        the ``liveness`` health rule knows each rank's deadline without
+        out-of-band configuration; ``None`` lets it infer the cadence
+        from observed gaps.
     """
 
     def __init__(
@@ -285,9 +284,10 @@ class NodeRuntime:
             self.provenance[p].append(diff)
             # The payload digest is only worth computing when a journal
             # is recording — replay uses it to prove bit-identical
-            # durable content without shipping payloads around.
+            # durable content without shipping payloads around.  It is
+            # the frame digest a persisting RecordWriter already cached.
             payload_sha256 = (
-                hashlib.sha256(diff.to_bytes()).hexdigest()
+                diff.frame_digest()
                 if events.active_journal() is not None
                 else None
             )
@@ -310,8 +310,8 @@ class NodeRuntime:
             )
             # Liveness signal: every rank that completes a round says so.
             # A rank that stops heartbeating (crashed without restart,
-            # wedged mid-round) is exactly what the live monitor's
-            # LivenessTracker exists to flag.
+            # wedged mid-round) is exactly what the liveness health rule
+            # exists to flag.
             events.emit(
                 events.HEARTBEAT,
                 sim_time=produced_at,

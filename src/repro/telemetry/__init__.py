@@ -29,7 +29,7 @@ from typing import Any, Dict, Iterator
 
 from ._state import STATE
 from . import events
-from .aggregate import FleetRollup, RankRollup, build_rollup, merge_journals, merge_metrics
+from .aggregate import FleetRollup, RankRollup, build_rollup, merge_journals
 from .events import (
     EventJournal,
     LoadedJournal,
@@ -151,7 +151,6 @@ __all__ = [
     "journal_run_ids",
     "journal_to",
     "merge_journals",
-    "merge_metrics",
     "metrics_to_json",
     "metrics_to_prometheus",
     "phase_summary",

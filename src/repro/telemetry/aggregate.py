@@ -1,33 +1,40 @@
-"""Fleet aggregation: merge per-rank journals and metrics into rollups.
+"""Fleet aggregation: merge per-rank journals into rollups.
 
-A strong-scaling run produces one event journal per simulated rank and
-(optionally) one metrics snapshot per process.  This module merges them
-into a :class:`FleetRollup` — per-rank, per-node, and fleet-wide dedup
-ratio, stored bytes, flush backlog, lost work, and restore amplification
-— with **order-independent** semantics: merging the same journals in any
-order produces the same merged stream and the same rollup
-(property-tested in ``tests/telemetry/test_aggregate.py``).
+A strong-scaling run produces one event journal per simulated rank.
+This module merges them into a :class:`FleetRollup` — per-rank,
+per-node, and fleet-wide dedup ratio, stored bytes, flush backlog, lost
+work, and restore amplification, plus the two views a monitor renders
+and the health rules grade: per-rank liveness
+(:func:`liveness_verdicts`) and the rolling-window SLIs
+(:func:`window_slis`) — with **order-independent** semantics: merging
+the same journals in any order produces the same merged stream and the
+same rollup (property-tested in ``tests/telemetry/test_aggregate.py``).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from dataclasses import asdict, dataclass, field
+from functools import cached_property
+from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .events import (
     CHECKPOINT_COMMITTED,
     CRASH,
+    FAILURE_EVENT_TYPES,
     FLUSH_RETRY,
     FLUSH_ROUTE_AROUND,
+    HEARTBEAT,
     RECORD_FAULT,
     RESTART,
     RESTORE,
     SALVAGE,
     TIER_OUTAGE,
     EventJournal,
+    LoadedJournal,
     journal_run_ids,
     merge_key,
 )
+from .metrics import DEFAULT_BUCKETS, Histogram
 
 
 def _as_records(journal) -> List[Dict[str, Any]]:
@@ -65,55 +72,264 @@ def merge_journals(
     return merged
 
 
-def merge_metrics(
-    snapshots: Sequence[Mapping[str, Mapping[str, Any]]]
-) -> Dict[str, Dict[str, Any]]:
-    """Merge N registry snapshots (``MetricsRegistry.snapshot()`` shape).
+# ----------------------------------------------------------------------
+# Per-rank liveness over the heartbeat stream
+# ----------------------------------------------------------------------
+OK = "ok"
+LAGGING = "lagging"
+HUNG = "hung"
 
-    Counters sum, gauges keep their max, histograms sum counts/sums and
-    per-bucket counts and combine min/max — all commutative and
-    associative, so the merge is order-independent.
+#: Worst-first ordering for liveness states.
+STATE_RANK = {OK: 0, LAGGING: 1, HUNG: 2}
+
+#: Whole heartbeat deadlines a rank may miss before it grades
+#: ``lagging`` / ``hung``.
+LAG_MISSES = 2
+HUNG_MISSES = 4
+#: Standard deviations a rank's mean heartbeat gap may sit above the
+#: fleet median before it is flagged a straggler.
+STRAGGLER_SIGMA = 3.0
+
+RankKey = Tuple[str, Optional[int]]
+
+
+@dataclass
+class LivenessVerdict:
+    """One rank's liveness at a given simulated instant."""
+
+    node: str
+    rank: Optional[int]
+    state: str  # OK | LAGGING | HUNG
+    last_heartbeat: Optional[float]
+    #: Deadline used for this verdict (declared or inferred), seconds.
+    interval: Optional[float]
+    #: Whole deadlines elapsed since the last heartbeat.
+    misses: int
+    heartbeats: int
+    checkpoints: int
+    straggler: bool = False
+    #: Why the verdict is what it is, operator-readable.
+    reason: str = ""
+
+    def as_dict(self) -> Dict[str, Any]:
+        return asdict(self)
+
+
+@dataclass
+class _RankHistory:
+    """Per-rank fold of the heartbeat/crash/restart stream."""
+
+    node: str
+    rank: Optional[int]
+    beats: List[float] = field(default_factory=list)
+    declared_interval: Optional[float] = None
+    checkpoints: int = 0
+    #: Simulated time of a crash nobody has restarted yet.
+    open_crash: Optional[float] = None
+
+    def mean_gap(self) -> Optional[float]:
+        gaps = [b - a for a, b in zip(self.beats, self.beats[1:]) if b > a]
+        return sum(gaps) / len(gaps) if gaps else None
+
+
+def _median(values: List[float]) -> float:
+    ordered = sorted(values)
+    mid = len(ordered) // 2
+    if len(ordered) % 2:
+        return ordered[mid]
+    return (ordered[mid - 1] + ordered[mid]) / 2.0
+
+
+def liveness_verdicts(
+    events: Iterable[Dict[str, Any]], now: Optional[float] = None
+) -> Dict[RankKey, LivenessVerdict]:
+    """Grade every rank that ever beat, crashed or restarted, at *now*.
+
+    Every healthy rank emits a ``heartbeat`` once per checkpoint round
+    (:class:`~repro.runtime.NodeRuntime` stamps the cadence period on it
+    as ``interval_seconds``).  A rank is ``ok`` on deadline, ``lagging``
+    after :data:`LAG_MISSES` missed deadlines and ``hung`` after
+    :data:`HUNG_MISSES` — or one deadline after a ``crash`` nobody
+    restarted, so a dropped recovery is flagged within one heartbeat
+    deadline of the crash instead of waiting out several missed beats.
+    Stragglers are relative, as in the paper's strong-scaling runs: a
+    rank whose mean heartbeat gap sits :data:`STRAGGLER_SIGMA` robust
+    deviations above the fleet median cadence is flagged even though it
+    never misses its own deadline.
+
+    *events* must be in canonical merge order (:func:`merge_journals`),
+    which is what makes the verdicts independent of arrival order.
+    *now* defaults to the newest heartbeat/crash/restart instant — "as
+    of the newest event anywhere in the fleet", which is what a tailer
+    naturally knows.
     """
-    out: Dict[str, Dict[str, Any]] = {}
-    for snapshot in snapshots:
-        for name, metric in snapshot.items():
-            kind = metric.get("type")
-            if name not in out:
-                merged = dict(metric)
-                if kind == "histogram":
-                    merged["buckets"] = dict(metric.get("buckets", {}))
-                out[name] = merged
-                continue
-            held = out[name]
-            if held.get("type") != kind:
-                raise ValueError(
-                    f"metric {name!r} has conflicting types across ranks: "
-                    f"{held.get('type')!r} vs {kind!r}"
+    histories: Dict[RankKey, _RankHistory] = {}
+    newest = 0.0
+    for record in events:
+        kind = record.get("type")
+        if kind not in (HEARTBEAT, CRASH, RESTART):
+            continue
+        key = (str(record.get("node", "")), record.get("rank"))
+        history = histories.get(key)
+        if history is None:
+            history = histories[key] = _RankHistory(node=key[0], rank=key[1])
+        sim = record.get("sim_time")
+        if sim is not None:
+            newest = max(newest, float(sim))
+        if kind == HEARTBEAT:
+            if sim is not None:
+                history.beats.append(float(sim))
+            declared = record.get("interval_seconds")
+            if declared is not None:
+                history.declared_interval = float(declared)
+            history.checkpoints = max(
+                history.checkpoints, int(record.get("checkpoints", 0) or 0)
+            )
+        elif kind == CRASH:
+            history.open_crash = float(sim) if sim is not None else 0.0
+        else:
+            history.open_crash = None
+    if now is None:
+        now = newest
+
+    fleet_gaps = [g for h in histories.values() for g in (h.mean_gap(),) if g]
+    fleet_gap = _median(fleet_gaps) if fleet_gaps else None
+    # Robust dispersion: a hung-or-slow outlier must not inflate the
+    # yardstick it is measured against, so use the median absolute
+    # deviation (scaled to σ-equivalent) with a relative floor — a
+    # perfectly uniform fleet still needs a nonzero band before
+    # normal jitter counts as straggling.
+    if fleet_gap is not None:
+        mad = _median([abs(g - fleet_gap) for g in fleet_gaps])
+        sigma = max(1.4826 * mad, 0.1 * fleet_gap)
+    else:
+        sigma = 0.0
+
+    out: Dict[RankKey, LivenessVerdict] = {}
+    for key in sorted(histories, key=lambda k: (k[0], k[1] if k[1] is not None else -1)):
+        history = histories[key]
+        own_gap = history.mean_gap()
+        # Deadline: declared, else the rank's own cadence, else the fleet's.
+        interval = history.declared_interval or own_gap or fleet_gap
+        last = history.beats[-1] if history.beats else None
+        misses = 0
+        state = OK
+        reason = "on deadline"
+        if interval and interval > 0:
+            since = now - (last if last is not None else 0.0)
+            misses = max(0, int(since / interval))
+            if misses >= HUNG_MISSES:
+                state = HUNG
+                reason = (
+                    f"{misses} heartbeat deadlines missed "
+                    f"(last beat {'never' if last is None else f'at t={last:g}'})"
                 )
-            if kind == "counter":
-                held["value"] += metric["value"]
-            elif kind == "gauge":
-                held["value"] = max(held["value"], metric["value"])
-            elif kind == "histogram":
-                held["count"] += metric["count"]
-                held["sum"] += metric["sum"]
-                if metric.get("min") is not None:
-                    held["min"] = (
-                        metric["min"]
-                        if held.get("min") is None
-                        else min(held["min"], metric["min"])
-                    )
-                if metric.get("max") is not None:
-                    held["max"] = (
-                        metric["max"]
-                        if held.get("max") is None
-                        else max(held["max"], metric["max"])
-                    )
-                for le, count in metric.get("buckets", {}).items():
-                    held["buckets"][le] = held["buckets"].get(le, 0) + count
-            else:
-                raise ValueError(f"metric {name!r} has unknown type {kind!r}")
+            elif misses >= LAG_MISSES:
+                state = LAGGING
+                reason = f"{misses} heartbeat deadlines missed"
+        # A crash nobody restarted escalates straight to hung one
+        # deadline after the crash — no waiting out HUNG_MISSES beats
+        # for a rank we *know* died.
+        if history.open_crash is not None:
+            grace = interval if interval else 0.0
+            if now >= history.open_crash + grace:
+                state = HUNG
+                reason = f"crashed at t={history.open_crash:g} with no restart"
+            elif STATE_RANK[state] < STATE_RANK[LAGGING]:
+                state = LAGGING
+                reason = (
+                    f"crashed at t={history.open_crash:g}, within "
+                    f"restart grace"
+                )
+        straggler = False
+        if (
+            state == OK
+            and own_gap is not None
+            and fleet_gap is not None
+            and len(fleet_gaps) >= 3
+            and own_gap > fleet_gap + STRAGGLER_SIGMA * sigma
+        ):
+            straggler = True
+            reason = (
+                f"cadence {own_gap:g}s/beat vs fleet median "
+                f"{fleet_gap:g}s (+{STRAGGLER_SIGMA:g}σ)"
+            )
+        out[key] = LivenessVerdict(
+            node=history.node,
+            rank=history.rank,
+            state=state,
+            last_heartbeat=last,
+            interval=interval,
+            misses=misses,
+            heartbeats=len(history.beats),
+            checkpoints=history.checkpoints,
+            straggler=straggler,
+            reason=reason,
+        )
     return out
+
+
+# ----------------------------------------------------------------------
+# Rolling-window service-level indicators
+# ----------------------------------------------------------------------
+#: Commits per rolling window.
+SLO_WINDOW = 64
+
+
+def _quantiles(values: Sequence[float]) -> Dict[str, Any]:
+    if not values:
+        return {"p50": None, "p99": None, "count": 0}
+    hist = Histogram.from_values("window", values, buckets=DEFAULT_BUCKETS)
+    return {
+        "p50": hist.quantile(0.5),
+        "p99": hist.quantile(0.99),
+        "count": len(values),
+    }
+
+
+def window_slis(events: Iterable[Dict[str, Any]]) -> Dict[str, Any]:
+    """SLIs over the most recent :data:`SLO_WINDOW` commits of *events*.
+
+    The ``/slo`` endpoint's payload: **commit latency** (application-
+    visible seconds per checkpoint: device work + admission stall) and
+    **flush latency** (``persisted_at − produced_at``, the hierarchy's
+    drain lag) as p50/p99 via :meth:`Histogram.quantile` over the shared
+    cumulative buckets, the **backlog depth** (window commits produced
+    but not yet durable at the newest observed instant), and run-long
+    commit / failure-event counts.
+    """
+    commits: List[Dict[str, Any]] = []
+    failures = 0
+    now = 0.0
+    for event in events:
+        kind = event.get("type")
+        if kind == CHECKPOINT_COMMITTED:
+            commits.append(event)
+        elif kind in FAILURE_EVENT_TYPES:
+            failures += 1
+        if event.get("sim_time") is not None:
+            now = max(now, float(event["sim_time"]))
+    commit_latency: List[float] = []
+    flight: List[Tuple[float, float]] = []
+    for event in commits[-SLO_WINDOW:]:
+        commit_latency.append(
+            float(event.get("device_seconds", 0.0) or 0.0)
+            + float(event.get("blocked_seconds", 0.0) or 0.0)
+        )
+        produced = event.get("produced_at")
+        persisted = event.get("persisted_at")
+        if produced is not None and persisted is not None:
+            flight.append((float(produced), float(persisted)))
+            now = max(now, float(produced))
+    return {
+        "window": SLO_WINDOW,
+        "commits": len(commits),
+        "failures": failures,
+        "now": now,
+        "commit_latency": _quantiles(commit_latency),
+        "flush_latency": _quantiles([max(0.0, q - p) for p, q in flight]),
+        "backlog_depth": sum(1 for p, q in flight if p <= now < q),
+    }
 
 
 @dataclass
@@ -142,6 +358,10 @@ class RankRollup:
     restore_state_bytes: int = 0
     salvages: int = 0
     record_faults: int = 0
+    #: This rank's ``checkpoint_committed`` and crash/restart events in
+    #: merged order — the evidence the per-rank health rules attach.
+    commit_events: List[Dict[str, Any]] = field(default_factory=list)
+    crash_events: List[Dict[str, Any]] = field(default_factory=list)
 
     @property
     def dedup_ratio(self) -> float:
@@ -164,12 +384,27 @@ class RankRollup:
 
 @dataclass
 class FleetRollup:
-    """Merged view over every rank's journal (plus optional metrics)."""
+    """Merged view over every rank's journal."""
 
     events: List[Dict[str, Any]]
-    ranks: Dict[Tuple[str, Optional[int]], RankRollup]
-    metrics: Optional[Dict[str, Dict[str, Any]]] = None
+    ranks: Dict[RankKey, RankRollup]
     tier_outages: List[Dict[str, Any]] = field(default_factory=list)
+    #: Ingest accounting: distinct run ids in the stream (more than one
+    #: means unrelated runs were conflated) and the damaged lines the
+    #: loaders skipped (:class:`~repro.telemetry.events.LoadedJournal`).
+    run_ids: List[str] = field(default_factory=list)
+    skipped_lines: int = 0
+    problems: List[str] = field(default_factory=list)
+
+    @cached_property
+    def liveness(self) -> Dict[RankKey, LivenessVerdict]:
+        """Per-rank liveness as of the newest heartbeat/crash/restart."""
+        return liveness_verdicts(self.events)
+
+    @cached_property
+    def slis(self) -> Dict[str, Any]:
+        """Rolling-window SLIs at the end of the stream."""
+        return window_slis(self.events)
 
     # -- fleet-wide ----------------------------------------------------
     @property
@@ -280,25 +515,31 @@ class FleetRollup:
         }
 
 
-def build_rollup(
-    journals: Iterable,
-    metrics_snapshots: Sequence[Mapping[str, Mapping[str, Any]]] = (),
-) -> FleetRollup:
-    """Merge journals (+ optional metric snapshots) into a :class:`FleetRollup`.
+def build_rollup(journals: Iterable) -> FleetRollup:
+    """Merge journals into a :class:`FleetRollup`.
 
-    *journals* may be a single record list, a single :class:`EventJournal`,
-    or an iterable of either.
+    *journals* may be a single record list, a single :class:`EventJournal`
+    or :class:`LoadedJournal`, or an iterable of any of them.  Journals
+    of different runs still merge — the rollup's ``run_ids`` names them
+    and the ``journal_ingest`` health rule grades that critical.
     """
-    if isinstance(journals, EventJournal):
+    if isinstance(journals, (EventJournal, LoadedJournal)):
         journals = [journals]
     else:
         journals = list(journals)
         # A bare record list (rather than a list of journals) is common.
         if journals and isinstance(journals[0], dict):
             journals = [journals]
-    events = merge_journals(journals)
+    events = merge_journals(journals, allow_mixed_runs=True)
+    skipped_lines = 0
+    problems: List[str] = []
+    for journal in journals:
+        if isinstance(journal, LoadedJournal):
+            skipped_lines += journal.skipped_lines
+            where = f"{journal.path.name}: " if journal.path else ""
+            problems.extend(where + problem for problem in journal.problems)
 
-    ranks: Dict[Tuple[str, Optional[int]], RankRollup] = {}
+    ranks: Dict[RankKey, RankRollup] = {}
     tier_outages: List[Dict[str, Any]] = []
 
     def rank_of(event: Dict[str, Any]) -> RankRollup:
@@ -311,6 +552,7 @@ def build_rollup(
         kind = event.get("type")
         if kind == CHECKPOINT_COMMITTED:
             rollup = rank_of(event)
+            rollup.commit_events.append(event)
             rollup.checkpoints += 1
             stored = int(event.get("stored_bytes", 0))
             full = int(event.get("full_bytes", 0))
@@ -331,9 +573,12 @@ def build_rollup(
         elif kind == TIER_OUTAGE:
             tier_outages.append(event)
         elif kind == CRASH:
-            rank_of(event).crashes += 1
+            rollup = rank_of(event)
+            rollup.crash_events.append(event)
+            rollup.crashes += 1
         elif kind == RESTART:
             rollup = rank_of(event)
+            rollup.crash_events.append(event)
             rollup.lost_work_seconds += float(event.get("lost_work_seconds", 0.0))
             if event.get("cold"):
                 rollup.cold_restarts += 1
@@ -350,6 +595,8 @@ def build_rollup(
     return FleetRollup(
         events=events,
         ranks=ranks,
-        metrics=merge_metrics(metrics_snapshots) if metrics_snapshots else None,
         tier_outages=tier_outages,
+        run_ids=journal_run_ids(events),
+        skipped_lines=skipped_lines,
+        problems=problems,
     )

@@ -1,4 +1,4 @@
-"""Declarative health rules over fleet rollups.
+"""Declarative health rules over fleet rollups — the only grader.
 
 The journal records what happened; the health engine decides whether it
 was *fine*.  Each rule inspects a :class:`~repro.telemetry.aggregate.
@@ -7,6 +7,14 @@ FleetRollup` and produces graded :class:`Finding`\\ s (``warn`` /
 a finding can jump straight to the journal records that triggered it.
 A clean run produces **zero findings** and an overall ``ok`` status —
 asserted on the fixed-seed ORANGES run by the acceptance tests.
+
+:func:`evaluate_health` is the one entry point: ``repro health`` and
+``repro report`` call it on finished journals, the live monitor
+(:mod:`repro.telemetry.live`) calls it on the records ingested so far,
+and the replay and fuzz planes call it on the runs they drive — so a
+run gets the same verdict whether it is graded live or post hoc.  Every
+threshold is a module constant of this file (or, for the liveness and
+window maths, of :mod:`~repro.telemetry.aggregate`).
 
 Rule catalog (see ``docs/OBSERVABILITY.md`` §8):
 
@@ -26,14 +34,21 @@ Rule catalog (see ``docs/OBSERVABILITY.md`` §8):
   appends: frames rewritten, index rebuilt whole).
 * :class:`PoolCandidateRule` — census rows whose cross-record duplicate
   share marks a record as a strong shared-dedup-pool candidate.
+* :class:`LivenessRule` / :class:`StragglerRule` — ranks behind their
+  heartbeat deadline (hung is critical) or beating slower than the fleet.
+* :class:`CommitLatencyTailRule` / :class:`FlushLatencyTailRule` — the
+  rolling window's p99 blowing out relative to its p50.
+* :class:`JournalIngestRule` — the journal itself: mixed runs, damaged
+  lines, swallowed event-bus subscriber errors.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterable, List, Optional, Sequence
+from typing import Any, Dict, List, Optional, Sequence
 
-from .aggregate import FleetRollup, build_rollup
+from . import events as events_mod
+from .aggregate import HUNG, LAGGING, FleetRollup, build_rollup
 from .events import (
     ATTRIBUTION_SUMMARY,
     CRASH,
@@ -42,7 +57,6 @@ from .events import (
     RECORD_APPENDED,
     RECORD_FAULT,
     REPLAY_DIVERGENCE,
-    RESTART,
     RESTORE,
     SALVAGE,
     TIER_OUTAGE,
@@ -57,6 +71,41 @@ _SEVERITY_RANK = {OK: 0, WARN: 1, CRITICAL: 2}
 def severity_rank(severity: str) -> int:
     """Numeric ordering of ``ok`` < ``warn`` < ``critical``."""
     return _SEVERITY_RANK[severity]
+
+
+# ----------------------------------------------------------------------
+# Thresholds — one value each, used live and post hoc alike
+# ----------------------------------------------------------------------
+#: ``dedup_regression``: trailing-window length, and the fraction of the
+#: trailing mean a checkpoint's ratio may lose before warn / critical.
+DEDUP_WINDOW = 4
+DEDUP_WARN_DROP = 0.5
+DEDUP_CRITICAL_DROP = 0.8
+#: ``flush_backlog``: last ÷ first backlog growth for warn / critical,
+#: checkpoints needed before growth is judged, and the smallest initial
+#: backlog (seconds) growth is measured against.
+BACKLOG_WARN_GROWTH = 3.0
+BACKLOG_CRITICAL_GROWTH = 10.0
+BACKLOG_MIN_CHECKPOINTS = 4
+BACKLOG_MIN_SECONDS = 1e-6
+#: ``crash_loop``: crashes of one rank that make a loop.
+CRASH_LOOP_THRESHOLD = 3
+#: ``restore_lag``: measured ÷ predicted critical path.
+RESTORE_LAG_WARN_RATIO = 2.0
+RESTORE_LAG_CRITICAL_RATIO = 4.0
+#: ``write_amplification``: bytes written ÷ checkpoint bytes, judged
+#: only past this many bytes written.
+WRITE_AMP_WARN_RATIO = 4.0
+WRITE_AMP_CRITICAL_RATIO = 16.0
+WRITE_AMP_MIN_BYTES = 1 << 20
+#: ``pool_candidate``: cross-record duplicate share of a census row.
+POOL_WARN_SHARE = 0.3
+POOL_STRONG_SHARE = 0.7
+#: ``slo_commit_latency`` / ``slo_flush_latency``: window p99 ÷ p50.
+#: The simulated clock's absolute latencies scale with workload size, so
+#: only the scale-free tail ratio is graded.
+TAIL_WARN_RATIO = 100.0
+TAIL_CRITICAL_RATIO = 1000.0
 
 
 @dataclass
@@ -140,44 +189,30 @@ class DedupRegressionRule(HealthRule):
     """A rank's dedup ratio collapsing versus its own trailing window.
 
     For each checkpoint past the warm-up window, compare its ratio with
-    the mean of the previous *window* checkpoints: a drop past
-    ``warn_drop`` (fraction of the trailing mean lost) warns, past
-    ``critical_drop`` is critical.  The ratio sequence excludes nothing —
-    the first (full) checkpoint anchors the window low, so organic
-    ratio growth never trips the rule.
+    the mean of the previous :data:`DEDUP_WINDOW` checkpoints: a drop
+    past :data:`DEDUP_WARN_DROP` (fraction of the trailing mean lost)
+    warns, past :data:`DEDUP_CRITICAL_DROP` is critical.  The ratio
+    sequence excludes nothing — the first (full) checkpoint anchors the
+    window low, so organic ratio growth never trips the rule.
     """
 
     name = "dedup_regression"
     description = "per-rank dedup ratio vs trailing window"
-
-    def __init__(
-        self, window: int = 4, warn_drop: float = 0.5, critical_drop: float = 0.8
-    ) -> None:
-        self.window = window
-        self.warn_drop = warn_drop
-        self.critical_drop = critical_drop
 
     def evaluate(self, rollup: FleetRollup) -> List[Finding]:
         findings: List[Finding] = []
         for rank in rollup.ranks.values():
             ratios = rank.dedup_ratios
             worst: Optional[Finding] = None
-            checkpoint_events = [
-                e
-                for e in rollup.events
-                if e.get("type") == "checkpoint_committed"
-                and e.get("node") == rank.node
-                and e.get("rank") == rank.rank
-            ]
-            for i in range(self.window, len(ratios)):
-                trailing = sum(ratios[i - self.window : i]) / self.window
+            for i in range(DEDUP_WINDOW, len(ratios)):
+                trailing = sum(ratios[i - DEDUP_WINDOW : i]) / DEDUP_WINDOW
                 if trailing <= 0:
                     continue
                 drop = 1.0 - ratios[i] / trailing
                 severity = None
-                if drop >= self.critical_drop:
+                if drop >= DEDUP_CRITICAL_DROP:
                     severity = CRITICAL
-                elif drop >= self.warn_drop:
+                elif drop >= DEDUP_WARN_DROP:
                     severity = WARN
                 if severity is None:
                     continue
@@ -186,12 +221,12 @@ class DedupRegressionRule(HealthRule):
                     severity=severity,
                     message=(
                         f"dedup ratio fell to {ratios[i]:.2f}x "
-                        f"({drop:.0%} below trailing-{self.window} mean "
+                        f"({drop:.0%} below trailing-{DEDUP_WINDOW} mean "
                         f"{trailing:.2f}x) at checkpoint {i}"
                     ),
                     node=rank.node,
                     rank=rank.rank,
-                    evidence=checkpoint_events[i : i + 1],
+                    evidence=rank.commit_events[i : i + 1],
                 )
                 if worst is None or severity_rank(severity) > severity_rank(
                     worst.severity
@@ -207,48 +242,32 @@ class FlushBacklogRule(HealthRule):
 
     The backlog of one checkpoint is ``persisted_at − produced_at``.  In
     the healthy regime it is flat (drain keeps up with the cadence); a
-    final backlog ``warn_growth``× the initial one — sustained, i.e. the
-    last value is also the max — means the hierarchy is falling behind.
-    Any application blocking on host admission is itself a warn: the
-    paper's §1 failure mode has arrived.
+    final backlog :data:`BACKLOG_WARN_GROWTH`× the initial one —
+    sustained, i.e. the last value is also the max — means the hierarchy
+    is falling behind.  Any application blocking on host admission is
+    itself a warn: the paper's §1 failure mode has arrived.
     """
 
     name = "flush_backlog"
     description = "flush backlog growth / host-admission stalls"
 
-    def __init__(
-        self,
-        warn_growth: float = 3.0,
-        critical_growth: float = 10.0,
-        min_checkpoints: int = 4,
-        min_backlog_seconds: float = 1e-6,
-    ) -> None:
-        self.warn_growth = warn_growth
-        self.critical_growth = critical_growth
-        self.min_checkpoints = min_checkpoints
-        self.min_backlog_seconds = min_backlog_seconds
-
     def evaluate(self, rollup: FleetRollup) -> List[Finding]:
         findings: List[Finding] = []
         for rank in rollup.ranks.values():
             backlog = rank.backlog_seconds
-            evidence = [
-                e
-                for e in rollup.events
-                if e.get("type") == "checkpoint_committed"
-                and e.get("node") == rank.node
-                and e.get("rank") == rank.rank
-            ]
-            if len(backlog) >= self.min_checkpoints:
+            evidence = rank.commit_events
+            if len(backlog) >= BACKLOG_MIN_CHECKPOINTS:
                 base = backlog[0]
                 last = backlog[-1]
                 if (
-                    base > self.min_backlog_seconds
+                    base > BACKLOG_MIN_SECONDS
                     and last >= max(backlog)
-                    and last / base >= self.warn_growth
+                    and last / base >= BACKLOG_WARN_GROWTH
                 ):
                     severity = (
-                        CRITICAL if last / base >= self.critical_growth else WARN
+                        CRITICAL
+                        if last / base >= BACKLOG_CRITICAL_GROWTH
+                        else WARN
                     )
                     findings.append(
                         Finding(
@@ -333,34 +352,24 @@ class CorruptionRule(HealthRule):
 class CrashLoopRule(HealthRule):
     """Crashes per rank: any crash warns; loops and data loss are critical.
 
-    ``loop_threshold`` crashes of the same rank is a crash loop; a cold
-    restart (nothing durable to restore from — work is gone) is critical
-    regardless of count.
+    :data:`CRASH_LOOP_THRESHOLD` crashes of the same rank is a crash
+    loop; a cold restart (nothing durable to restore from — work is
+    gone) is critical regardless of count.
     """
 
     name = "crash_loop"
     description = "crash counts and cold restarts per rank"
-
-    def __init__(self, loop_threshold: int = 3) -> None:
-        self.loop_threshold = loop_threshold
 
     def evaluate(self, rollup: FleetRollup) -> List[Finding]:
         findings: List[Finding] = []
         for rank in rollup.ranks.values():
             if rank.crashes == 0:
                 continue
-            evidence = [
-                e
-                for e in rollup.events
-                if e.get("type") in (CRASH, RESTART)
-                and e.get("node") == rank.node
-                and e.get("rank") == rank.rank
-            ]
-            if rank.crashes >= self.loop_threshold:
+            if rank.crashes >= CRASH_LOOP_THRESHOLD:
                 severity = CRITICAL
                 message = (
                     f"crash loop: {rank.crashes} crashes "
-                    f"(≥ {self.loop_threshold}), "
+                    f"(≥ {CRASH_LOOP_THRESHOLD}), "
                     f"{rank.lost_work_seconds:.3g}s work lost"
                 )
             elif rank.cold_restarts:
@@ -382,7 +391,7 @@ class CrashLoopRule(HealthRule):
                     message=message,
                     node=rank.node,
                     rank=rank.rank,
-                    evidence=evidence[:10],
+                    evidence=rank.crash_events[:10],
                 )
             )
         return findings
@@ -451,22 +460,16 @@ class RestoreLagRule(HealthRule):
 
     Sharded restores carry both the pre-execution cost-model prediction
     (the number the window auto-picker committed to) and the measured
-    critical path.  A measured path ``warn_ratio``× the prediction means
-    the model no longer describes the fleet — contention, placement, or
-    storage changed under it — and the window choice is stale; past
-    ``critical_ratio`` the restore SLO itself is at risk.  Events
-    without both fields (single-GPU restores) are ignored, so clean
-    runs stay clean.
+    critical path.  A measured path :data:`RESTORE_LAG_WARN_RATIO`× the
+    prediction means the model no longer describes the fleet —
+    contention, placement, or storage changed under it — and the window
+    choice is stale; past :data:`RESTORE_LAG_CRITICAL_RATIO` the restore
+    SLO itself is at risk.  Events without both fields (single-GPU
+    restores) are ignored, so clean runs stay clean.
     """
 
     name = "restore_lag"
     description = "restore critical path vs cost-model prediction"
-
-    def __init__(
-        self, warn_ratio: float = 2.0, critical_ratio: float = 4.0
-    ) -> None:
-        self.warn_ratio = warn_ratio
-        self.critical_ratio = critical_ratio
 
     def evaluate(self, rollup: FleetRollup) -> List[Finding]:
         findings: List[Finding] = []
@@ -476,9 +479,11 @@ class RestoreLagRule(HealthRule):
             if measured <= 0 or predicted <= 0:
                 continue
             ratio = measured / predicted
-            if ratio < self.warn_ratio:
+            if ratio < RESTORE_LAG_WARN_RATIO:
                 continue
-            severity = CRITICAL if ratio >= self.critical_ratio else WARN
+            severity = (
+                CRITICAL if ratio >= RESTORE_LAG_CRITICAL_RATIO else WARN
+            )
             findings.append(
                 Finding(
                     rule=self.name,
@@ -536,27 +541,19 @@ class WriteAmplificationRule(HealthRule):
 
     The append path is O(changed data): one frame, one index row-group,
     one manifest.  Summed over a run, ``bytes_written`` should track
-    ``checkpoint_bytes`` closely; a fleet-wide ratio past ``warn_ratio``
-    means the store is rewriting frames or rebuilding the index whole —
-    the O(N)-append regression this PR's write path removed — and past
-    ``critical_ratio`` the storage pipeline, not the kernels, is the
-    bottleneck again.  Runs writing less than ``min_bytes`` total are
-    ignored: tiny records are all fixed overhead (manifest JSON dwarfs a
-    few-KB frame) and say nothing about the write path.
+    ``checkpoint_bytes`` closely; a fleet-wide ratio past
+    :data:`WRITE_AMP_WARN_RATIO` means the store is rewriting frames or
+    rebuilding the index whole — the O(N)-append regression the
+    ``RecordWriter`` write path removed — and past
+    :data:`WRITE_AMP_CRITICAL_RATIO` the storage pipeline, not the
+    kernels, is the bottleneck again.  Runs writing less than
+    :data:`WRITE_AMP_MIN_BYTES` total are ignored: tiny records are all
+    fixed overhead (manifest JSON dwarfs a few-KB frame) and say nothing
+    about the write path.
     """
 
     name = "write_amplification"
     description = "record-append bytes written vs checkpoint bytes"
-
-    def __init__(
-        self,
-        warn_ratio: float = 4.0,
-        critical_ratio: float = 16.0,
-        min_bytes: int = 1 << 20,
-    ) -> None:
-        self.warn_ratio = warn_ratio
-        self.critical_ratio = critical_ratio
-        self.min_bytes = min_bytes
 
     def evaluate(self, rollup: FleetRollup) -> List[Finding]:
         appends = rollup.events_of(RECORD_APPENDED)
@@ -566,12 +563,12 @@ class WriteAmplificationRule(HealthRule):
         checkpointed = sum(
             int(e.get("checkpoint_bytes", 0) or 0) for e in appends
         )
-        if written < self.min_bytes or checkpointed <= 0:
+        if written < WRITE_AMP_MIN_BYTES or checkpointed <= 0:
             return []
         ratio = written / checkpointed
-        if ratio < self.warn_ratio:
+        if ratio < WRITE_AMP_WARN_RATIO:
             return []
-        severity = CRITICAL if ratio >= self.critical_ratio else WARN
+        severity = CRITICAL if ratio >= WRITE_AMP_CRITICAL_RATIO else WARN
         worst = sorted(
             appends,
             key=lambda e: int(e.get("bytes_written", 0) or 0),
@@ -598,22 +595,16 @@ class PoolCandidateRule(HealthRule):
     ``census_record``, emitted by :class:`~repro.telemetry.attribution.
     ChunkCensus`): when a record's *cross-record duplicate share* — the
     fraction of its unique chunk bytes whose content other records also
-    hold — passes ``warn_share``, standalone storage is leaving real
-    dedup on the table and the record is a shared-pool candidate; past
-    ``strong_share`` the record is mostly duplicate content and storing
-    it outside the pool is mostly waste.  Purely advisory grading: it
-    fires only when a census ran, so clean ORANGES runs stay at zero
-    findings.
+    hold — passes :data:`POOL_WARN_SHARE`, standalone storage is leaving
+    real dedup on the table and the record is a shared-pool candidate;
+    past :data:`POOL_STRONG_SHARE` the record is mostly duplicate
+    content and storing it outside the pool is mostly waste.  Purely
+    advisory grading: it fires only when a census ran, so clean ORANGES
+    runs stay at zero findings.
     """
 
     name = "pool_candidate"
     description = "cross-record duplicate share marks shared-pool candidates"
-
-    def __init__(
-        self, warn_share: float = 0.3, strong_share: float = 0.7
-    ) -> None:
-        self.warn_share = warn_share
-        self.strong_share = strong_share
 
     def evaluate(self, rollup: FleetRollup) -> List[Finding]:
         rows = [
@@ -624,9 +615,9 @@ class PoolCandidateRule(HealthRule):
         findings: List[Finding] = []
         for row in rows:
             share = float(row.get("cross_duplicate_share", 0.0) or 0.0)
-            if share < self.warn_share:
+            if share < POOL_WARN_SHARE:
                 continue
-            severity = CRITICAL if share >= self.strong_share else WARN
+            severity = CRITICAL if share >= POOL_STRONG_SHARE else WARN
             findings.append(
                 Finding(
                     rule=self.name,
@@ -641,6 +632,150 @@ class PoolCandidateRule(HealthRule):
                     node=row.get("node"),
                     rank=row.get("rank"),
                     evidence=[row],
+                )
+            )
+        return findings
+
+
+class LivenessRule(HealthRule):
+    """Ranks behind their heartbeat deadline: lagging warns, hung is critical.
+
+    Grades :attr:`FleetRollup.liveness` (see :func:`~repro.telemetry.
+    aggregate.liveness_verdicts` for the verdict maths).  A finished
+    clean run ends with every rank on deadline and stays quiet; a run
+    that *ends* with a rank behind — a dropped recovery, a rank excluded
+    from the last rounds — is flagged the same live and post hoc.
+    """
+
+    name = "liveness"
+    description = "ranks lagging or hung against their heartbeat deadline"
+
+    def evaluate(self, rollup: FleetRollup) -> List[Finding]:
+        return [
+            Finding(
+                rule=self.name,
+                severity=CRITICAL if verdict.state == HUNG else WARN,
+                message=f"rank {verdict.state}: {verdict.reason}",
+                node=verdict.node,
+                rank=verdict.rank,
+                evidence=[verdict.as_dict()],
+            )
+            for verdict in rollup.liveness.values()
+            if verdict.state in (HUNG, LAGGING)
+        ]
+
+
+class StragglerRule(HealthRule):
+    """Ranks on deadline but beating measurably slower than the fleet."""
+
+    name = "straggler"
+    description = "heartbeat cadence far above the fleet median"
+
+    def evaluate(self, rollup: FleetRollup) -> List[Finding]:
+        return [
+            Finding(
+                rule=self.name,
+                severity=WARN,
+                message=f"straggler: {verdict.reason}",
+                node=verdict.node,
+                rank=verdict.rank,
+                evidence=[verdict.as_dict()],
+            )
+            for verdict in rollup.liveness.values()
+            if verdict.straggler
+        ]
+
+
+class CommitLatencyTailRule(HealthRule):
+    """The rolling window's commit-latency p99 dwarfing its p50.
+
+    Grades one phase of :attr:`FleetRollup.slis`: a p99/p50 ratio past
+    :data:`TAIL_WARN_RATIO` warns, past :data:`TAIL_CRITICAL_RATIO` is
+    critical.  Simulated latencies are sub-millisecond and scale with
+    the workload, so only a pathological tail alerts.
+    """
+
+    name = "slo_commit_latency"
+    description = "window commit latency p99 vs p50"
+    phase = "commit_latency"
+
+    def evaluate(self, rollup: FleetRollup) -> List[Finding]:
+        stats = rollup.slis[self.phase]
+        p50, p99 = stats["p50"], stats["p99"]
+        if not p50 or p50 <= 0:
+            return []
+        ratio = p99 / p50
+        if ratio < TAIL_WARN_RATIO:
+            return []
+        return [
+            Finding(
+                rule=self.name,
+                severity=CRITICAL if ratio >= TAIL_CRITICAL_RATIO else WARN,
+                message=(
+                    f"{self.phase} tail blew out: p99 {p99:.3g}s is "
+                    f"{ratio:.0f}x p50 {p50:.3g}s (window of {stats['count']})"
+                ),
+                evidence=[stats],
+            )
+        ]
+
+
+class FlushLatencyTailRule(CommitLatencyTailRule):
+    """The same tail check on ``persisted_at − produced_at``."""
+
+    name = "slo_flush_latency"
+    description = "window flush latency p99 vs p50"
+    phase = "flush_latency"
+
+
+class JournalIngestRule(HealthRule):
+    """The journal itself: is what was graded the whole, single run?
+
+    Records of two or more ``run_id``\\ s are unrelated fleets conflated
+    into one verdict — critical.  Damaged lines the loaders skipped
+    (:class:`~repro.telemetry.events.LoadedJournal` /
+    :class:`~repro.telemetry.live.JournalFollower` accounting) and
+    event-bus subscriber errors swallowed in this process mean the
+    verdict rests on an incomplete stream — warn.
+    """
+
+    name = "journal_ingest"
+    description = "mixed runs, damaged journal lines, bus subscriber errors"
+
+    def evaluate(self, rollup: FleetRollup) -> List[Finding]:
+        findings: List[Finding] = []
+        if len(rollup.run_ids) > 1:
+            findings.append(
+                Finding(
+                    rule=self.name,
+                    severity=CRITICAL,
+                    message=(
+                        f"journals span {len(rollup.run_ids)} different "
+                        f"runs: {rollup.run_ids}"
+                    ),
+                )
+            )
+        if rollup.skipped_lines:
+            findings.append(
+                Finding(
+                    rule=self.name,
+                    severity=WARN,
+                    message=(
+                        f"{rollup.skipped_lines} damaged journal line(s) "
+                        f"skipped"
+                    ),
+                    evidence=[{"problems": rollup.problems[:8]}],
+                )
+            )
+        if events_mod.subscriber_errors:
+            findings.append(
+                Finding(
+                    rule=self.name,
+                    severity=WARN,
+                    message=(
+                        f"{events_mod.subscriber_errors} event-bus "
+                        f"subscriber error(s) swallowed"
+                    ),
                 )
             )
         return findings
@@ -663,7 +798,7 @@ RULE_COVERAGE: Dict[str, List[str]] = {
 
 
 def default_rules() -> List[HealthRule]:
-    """A fresh instance of every built-in rule, default thresholds."""
+    """A fresh instance of every rule any surface can emit."""
     return [
         DedupRegressionRule(),
         FlushBacklogRule(),
@@ -674,23 +809,27 @@ def default_rules() -> List[HealthRule]:
         ReplayDivergenceRule(),
         WriteAmplificationRule(),
         PoolCandidateRule(),
+        LivenessRule(),
+        StragglerRule(),
+        CommitLatencyTailRule(),
+        FlushLatencyTailRule(),
+        JournalIngestRule(),
     ]
 
 
 def evaluate_health(
-    source,
-    rules: Optional[Sequence[HealthRule]] = None,
-    metrics_snapshots: Sequence[Dict[str, Any]] = (),
+    source, rules: Optional[Sequence[HealthRule]] = None
 ) -> HealthReport:
     """Run the rule set over *source* and grade the outcome.
 
     *source* may be a :class:`FleetRollup`, an :class:`~repro.telemetry.
-    events.EventJournal`, a record list, or an iterable of journals.
+    events.EventJournal`, a record list, or an iterable of journals;
+    *rules* narrows the sweep (how a test isolates one rule).
     """
     if isinstance(source, FleetRollup):
         rollup = source
     else:
-        rollup = build_rollup(source, metrics_snapshots)
+        rollup = build_rollup(source)
     ruleset = list(rules) if rules is not None else default_rules()
     findings: List[Finding] = []
     for rule in ruleset:

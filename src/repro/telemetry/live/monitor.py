@@ -1,16 +1,17 @@
 """The live monitor: one object that tails, grades, and renders.
 
-:class:`LiveMonitor` composes the streaming pieces — a
+:class:`LiveMonitor` ingests a run in flight — a
 :class:`~repro.telemetry.live.tail.JournalFollower` over on-disk
 journals and/or the in-process event bus
-(:func:`repro.telemetry.events.subscribe`) — with the analysis pieces
-(:class:`~repro.telemetry.live.liveness.LivenessTracker`,
-:class:`~repro.telemetry.live.slo.SloEngine`) and renders the result
-three ways:
+(:func:`repro.telemetry.events.subscribe`) — and grades it with the
+same call that grades a finished one:
+:func:`repro.telemetry.health.evaluate_health` over everything ingested
+so far, re-run only when a poll consumed something.  Live and post-hoc
+verdicts are therefore equal by construction, for every prefix of a
+journal.  The result renders three ways:
 
-* :meth:`report` — a graded :class:`~repro.telemetry.health.HealthReport`
-  whose findings mix liveness, SLO, and ingest problems (same type the
-  post-hoc engine produces, same exit-code convention);
+* :meth:`report` — the graded :class:`~repro.telemetry.health.HealthReport`
+  (same rules, same exit-code convention as ``repro health``);
 * :meth:`snapshot` — the JSON blob the ``/slo`` endpoint serves;
 * :meth:`prometheus` — a text exposition page combining the process's
   metric registry with live per-rank families, format-validated by
@@ -24,22 +25,17 @@ from __future__ import annotations
 
 import threading
 from collections import deque
-from typing import Any, Deque, Dict, List, Optional, Union
+from typing import Any, Deque, Dict, List, Optional, Tuple
 
 from .. import events as events_mod
+from ..aggregate import STATE_RANK, FleetRollup, LivenessVerdict, build_rollup
 from ..export import (
     PromFamily,
     registry_families,
     render_prometheus,
 )
-from ..health import CRITICAL, WARN, Finding, HealthReport
-from .liveness import STATE_RANK, LivenessTracker, LivenessVerdict
-from .slo import SloConfig, SloEngine
+from ..health import HealthReport, evaluate_health
 from .tail import JournalFollower, PathLike
-
-#: Rules the live monitor can produce, in addition to whatever names the
-#: liveness tracker and SLO engine emit.
-INGEST_RULE = "journal_ingest"
 
 
 class LiveMonitor:
@@ -54,34 +50,20 @@ class LiveMonitor:
         process reach the monitor with no disk round-trip.  Remember to
         :meth:`close` (or use the monitor as a context manager) to
         unsubscribe.
-    tracker / slo:
-        Pre-configured analysis engines; fresh defaults otherwise.
     """
 
-    def __init__(
-        self,
-        path: Optional[PathLike] = None,
-        bus: bool = False,
-        tracker: Optional[LivenessTracker] = None,
-        slo: Optional[Union[SloEngine, SloConfig]] = None,
-    ) -> None:
+    def __init__(self, path: Optional[PathLike] = None, bus: bool = False) -> None:
         self.follower = JournalFollower(path) if path is not None else None
-        self.tracker = tracker if tracker is not None else LivenessTracker()
-        if isinstance(slo, SloConfig):
-            slo = SloEngine(slo)
-        self.slo = slo if slo is not None else SloEngine()
         self._lock = threading.Lock()
         self._bus_queue: Deque[Dict[str, Any]] = deque()
         self._subscription = None
         if bus:
             self._subscription = events_mod.subscribe(self._bus_queue.append)
-        self.records_seen = 0
-        #: Latest record-scope attribution summary per record name.
-        self._attr_records: Dict[str, Dict[str, Any]] = {}
-        #: Latest census row per record name (scope ``census_record``).
-        self._attr_census_rows: Dict[str, Dict[str, Any]] = {}
-        #: Latest fleet-wide census summary (scope ``census``).
-        self._attr_census: Optional[Dict[str, Any]] = None
+        #: Everything ingested so far plus the follower's damage
+        #: accounting — the one input every surface is derived from.
+        self.journal = events_mod.LoadedJournal()
+        #: ``(ingest state, rollup, report)`` of the latest grading.
+        self._graded: Optional[Tuple[Any, FleetRollup, HealthReport]] = None
 
     # ------------------------------------------------------------------
     def __enter__(self) -> "LiveMonitor":
@@ -102,112 +84,65 @@ class LiveMonitor:
             batch: List[Dict[str, Any]] = []
             if self.follower is not None:
                 batch.extend(self.follower.poll())
+                self.journal.skipped_lines = self.follower.skipped_lines
+                self.journal.problems = self.follower.problems
             while self._bus_queue:
                 batch.append(self._bus_queue.popleft())
-            for record in batch:
-                self.tracker.observe(record)
-                self.slo.observe(record)
-                if record.get("type") == events_mod.ATTRIBUTION_SUMMARY:
-                    self._observe_attribution(record)
-            self.records_seen += len(batch)
+            self.journal.extend(batch)
             return len(batch)
 
-    def _observe_attribution(self, record: Dict[str, Any]) -> None:
-        scope = record.get("scope")
-        if scope == "record":
-            self._attr_records[str(record.get("record", "?"))] = record
-        elif scope == "census_record":
-            self._attr_census_rows[str(record.get("record", "?"))] = record
-        elif scope == "census":
-            self._attr_census = record
+    @property
+    def records_seen(self) -> int:
+        return len(self.journal)
 
     # ------------------------------------------------------------------
-    def _ingest_findings(self) -> List[Finding]:
-        findings: List[Finding] = []
-        follower = self.follower
-        if follower is not None and follower.mixed_runs:
-            findings.append(
-                Finding(
-                    rule=INGEST_RULE,
-                    severity=CRITICAL,
-                    message=(
-                        f"followed journals span {len(follower.run_ids)} "
-                        f"different runs: {sorted(follower.run_ids)}"
-                    ),
-                )
-            )
-        if follower is not None and follower.skipped_lines:
-            findings.append(
-                Finding(
-                    rule=INGEST_RULE,
-                    severity=WARN,
-                    message=(
-                        f"{follower.skipped_lines} damaged journal line(s) "
-                        f"skipped while tailing"
-                    ),
-                    evidence=[{"problems": follower.problems[:8]}],
-                )
-            )
-        if events_mod.subscriber_errors:
-            findings.append(
-                Finding(
-                    rule=INGEST_RULE,
-                    severity=WARN,
-                    message=(
-                        f"{events_mod.subscriber_errors} event-bus "
-                        f"subscriber error(s) swallowed"
-                    ),
-                )
-            )
-        return findings
+    def graded(self, refresh: bool = True) -> Tuple[FleetRollup, HealthReport]:
+        """The rollup of everything ingested and its health report.
 
-    def report(self, refresh: bool = True) -> HealthReport:
-        """Graded live findings (liveness + SLO + ingest), worst first."""
+        Grading is the post-hoc engine run on the records so far; it is
+        repeated only when the ingest state moved since the last call,
+        so an idle scrape costs a poll and returns the previous objects.
+        """
         if refresh:
             self.poll()
-        findings = (
-            self.tracker.findings()
-            + self.slo.findings()
-            + self._ingest_findings()
-        )
-        from ..health import severity_rank
+        with self._lock:
+            state = (
+                len(self.journal),
+                self.journal.skipped_lines,
+                events_mod.subscriber_errors,
+            )
+            if self._graded is None or self._graded[0] != state:
+                rollup = build_rollup(self.journal)
+                self._graded = (state, rollup, evaluate_health(rollup))
+            return self._graded[1], self._graded[2]
 
-        findings.sort(key=lambda f: -severity_rank(f.severity))
-        return HealthReport(
-            findings=findings,
-            rules_run=["liveness", "straggler", "slo", INGEST_RULE],
-        )
+    def report(self, refresh: bool = True) -> HealthReport:
+        """Graded findings over everything ingested, worst first."""
+        return self.graded(refresh)[1]
 
-    # ------------------------------------------------------------------
     def verdicts(self) -> Dict[Any, LivenessVerdict]:
-        return self.tracker.verdicts()
+        return self.graded(refresh=False)[0].liveness
 
     def snapshot(self, refresh: bool = True) -> Dict[str, Any]:
         """The ``/slo`` JSON payload: status, per-rank table, SLI window."""
-        if refresh:
-            self.poll()
-        report = self.report(refresh=False)
-        verdicts = self.verdicts()
+        rollup, report = self.graded(refresh)
         return {
             "status": report.status,
-            "records_seen": self.records_seen,
-            "now": self.tracker.now(),
-            "ranks": [v.as_dict() for v in verdicts.values()],
-            "slo": self.slo.summary(),
+            "records_seen": len(rollup.events),
+            "ranks": [v.as_dict() for v in rollup.liveness.values()],
+            "slo": rollup.slis,
             "findings": [f.as_dict() for f in report.findings],
         }
 
     def rank_table(self, refresh: bool = True) -> str:
         """Fixed-width per-rank liveness/latency table (watch mode)."""
-        if refresh:
-            self.poll()
-        verdicts = self.verdicts()
-        slo = self.slo.summary()
+        rollup, _ = self.graded(refresh)
+        slo = rollup.slis
         lines = [
             f"{'rank':<14s} {'state':<8s} {'beats':>5s} {'ckpts':>5s} "
             f"{'last beat':>12s} {'misses':>6s}  reason"
         ]
-        for verdict in verdicts.values():
+        for verdict in rollup.liveness.values():
             where = verdict.node
             if verdict.rank is not None:
                 where += f"/r{verdict.rank}"
@@ -231,18 +166,15 @@ class LiveMonitor:
         lines.append(
             f"window[{slo['window']}]: commit p50={_fmt(commit['p50'])} "
             f"p99={_fmt(commit['p99'])}  flush p50={_fmt(flush['p50'])} "
-            f"p99={_fmt(flush['p99'])}  backlog={slo['backlog_depth']} "
-            f"burn={slo['burn_rate']:.2f}"
+            f"p99={_fmt(flush['p99'])}  backlog={slo['backlog_depth']}"
         )
         return "\n".join(lines)
 
     # ------------------------------------------------------------------
     def prometheus(self, refresh: bool = True) -> str:
         """Exposition page: registry instruments + live monitor families."""
-        if refresh:
-            self.poll()
-        verdicts = self.verdicts()
-        slo = self.slo.summary()
+        rollup, report = self.graded(refresh)
+        slo = rollup.slis
 
         state_family = PromFamily(
             "repro_live_rank_state",
@@ -259,7 +191,7 @@ class LiveMonitor:
             "counter",
             "Heartbeats observed per rank",
         )
-        for verdict in verdicts.values():
+        for verdict in rollup.liveness.values():
             labels = {
                 "node": verdict.node,
                 "rank": "" if verdict.rank is None else str(verdict.rank),
@@ -291,29 +223,28 @@ class LiveMonitor:
                 "Checkpoints produced but not yet durable",
             ).add("", None, slo["backlog_depth"]),
             PromFamily(
-                "repro_live_error_budget_burn",
-                "gauge",
-                "Error-budget burn rate over the window",
-            ).add("", None, slo["burn_rate"]),
-            PromFamily(
                 "repro_live_records_ingested_total",
                 "counter",
                 "Journal records consumed by the live monitor",
-            ).add("", None, self.records_seen),
+            ).add("", None, len(rollup.events)),
             PromFamily(
                 "repro_live_status",
                 "gauge",
                 "Worst live grade (0 ok, 1 warn, 2 critical)",
-            ).add("", None, self.report(refresh=False).exit_code),
+            ).add("", None, report.exit_code),
         ]
-        if slo["dedup_ewma"] is not None:
-            scalar_families.append(
-                PromFamily(
-                    "repro_live_dedup_ratio_ewma",
-                    "gauge",
-                    "EWMA of per-commit dedup ratios",
-                ).add("", None, slo["dedup_ewma"])
-            )
+        # Latest attribution summary per record name, by scope.
+        attr_records: Dict[str, Dict[str, Any]] = {}
+        attr_census_rows: Dict[str, Dict[str, Any]] = {}
+        attr_census: Dict[str, Any] = {}
+        for row in rollup.events_of(events_mod.ATTRIBUTION_SUMMARY):
+            scope = row.get("scope")
+            if scope == "record":
+                attr_records[str(row.get("record", "?"))] = row
+            elif scope == "census_record":
+                attr_census_rows[str(row.get("record", "?"))] = row
+            elif scope == "census":
+                attr_census = row
         attr_class = PromFamily(
             "repro_attr_class_bytes",
             "gauge",
@@ -329,7 +260,7 @@ class LiveMonitor:
             "gauge",
             "Logical chunk references per unique payload cell",
         )
-        for name, row in self._attr_records.items():
+        for name, row in attr_records.items():
             for cls in ("first", "shift", "fixed", "zero", "metadata"):
                 value = row.get(f"{cls}_bytes")
                 if value is not None:
@@ -344,7 +275,7 @@ class LiveMonitor:
             "gauge",
             "Share of a record's unique chunk bytes other records also hold",
         )
-        for name, row in self._attr_census_rows.items():
+        for name, row in attr_census_rows.items():
             if row.get("cross_duplicate_share") is not None:
                 attr_xdup.add(
                     "", {"record": name}, row["cross_duplicate_share"]
@@ -354,18 +285,16 @@ class LiveMonitor:
             "repro_attr_records_seen_total",
             "counter",
             "Records with an attribution summary observed",
-        ).add("", None, len(self._attr_records))
+        ).add("", None, len(attr_records))
         attr_families.append(attr_records_total)
-        if self._attr_census is not None:
-            pool = self._attr_census.get("pool_forecast_ratio")
-            if pool is not None:
-                attr_families.append(
-                    PromFamily(
-                        "repro_attr_pool_forecast_ratio",
-                        "gauge",
-                        "Attainable fleet dedup with one shared chunk pool",
-                    ).add("", None, pool)
-                )
+        if attr_census.get("pool_forecast_ratio") is not None:
+            attr_families.append(
+                PromFamily(
+                    "repro_attr_pool_forecast_ratio",
+                    "gauge",
+                    "Attainable fleet dedup with one shared chunk pool",
+                ).add("", None, attr_census["pool_forecast_ratio"])
+            )
 
         return render_prometheus(
             registry_families()

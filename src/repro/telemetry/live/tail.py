@@ -18,10 +18,10 @@ from __future__ import annotations
 
 import time
 from pathlib import Path
-from typing import Any, Callable, Dict, Iterator, List, Optional, Set, Union
+from typing import Any, Callable, Dict, Iterator, List, Optional, Union
 
 from ...errors import StorageError
-from ..events import JournalCursor, journal_run_ids, merge_key, read_journal
+from ..events import JournalCursor, merge_key, read_journal
 
 PathLike = Union[str, Path]
 
@@ -31,11 +31,10 @@ class JournalFollower:
 
     Every :meth:`poll` returns only the records appended since the last
     poll, merged across files into canonical order.  Damage accounting
-    (skipped lines, their reasons) accumulates on the follower so a
-    monitor can grade ingest health; distinct ``run_id`` values across
-    the followed files accumulate on :attr:`run_ids` — more than one
-    means unrelated runs are being conflated, which the live monitor
-    surfaces as a critical finding rather than silently merging.
+    (skipped lines, their reasons) accumulates on the follower so the
+    ``journal_ingest`` health rule can grade it.  Files of different
+    runs are delivered like any others — the rule reads the ``run_id``\\ s
+    off the records and grades the conflation critical.
     """
 
     def __init__(self, path: PathLike) -> None:
@@ -43,7 +42,6 @@ class JournalFollower:
         self._cursors: Dict[Path, JournalCursor] = {}
         self.skipped_lines: int = 0
         self.problems: List[str] = []
-        self.run_ids: Set[str] = set()
         self.records_seen: int = 0
         self.polls: int = 0
 
@@ -79,14 +77,8 @@ class JournalFollower:
                     self.problems.append(f"{path.name}: {problem}")
             batch.extend(loaded)
         self.records_seen += len(batch)
-        self.run_ids.update(journal_run_ids(batch))
         batch.sort(key=merge_key)
         return batch
-
-    @property
-    def mixed_runs(self) -> bool:
-        """True when the followed files span more than one ``run_id``."""
-        return len(self.run_ids) > 1
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (

@@ -19,6 +19,7 @@ from repro.faults.plan import CrashSpec
 from repro.oranges import OrangesApp
 from repro.replay import IncidentSchedule, RunConfig, drive_run
 from repro.runtime import NodeRuntime
+from repro.telemetry import evaluate_health, read_journal
 from repro.telemetry.events import HEARTBEAT, journal_to
 from repro.telemetry.export import validate_prometheus_text
 from repro.telemetry.live import HUNG, LiveMonitor, MonitorServer
@@ -126,6 +127,9 @@ class TestCleanRunStaysQuiet:
             verdict = monitor.verdicts()[("node0", 0)]
             assert verdict.heartbeats == NUM_CHECKPOINTS
             assert verdict.state == "ok" and not verdict.straggler
+        # ... and the same journal graded post hoc says the same.
+        post_hoc = evaluate_health(read_journal(path))
+        assert post_hoc.status == "ok" and post_hoc.findings == []
 
     def test_metrics_endpoint_valid_over_http(self, tmp_path):
         path = tmp_path / "oranges.jsonl"

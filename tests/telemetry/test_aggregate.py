@@ -1,4 +1,4 @@
-"""Fleet aggregation: order-independent merge, metric semantics, rollups."""
+"""Fleet aggregation: order-independent merge, rollups, ingest accounting."""
 
 import random
 
@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.telemetry.aggregate import build_rollup, merge_journals, merge_metrics
+from repro.telemetry.aggregate import build_rollup, merge_journals
 from repro.telemetry.events import (
     CHECKPOINT_COMMITTED,
     CRASH,
@@ -15,6 +15,7 @@ from repro.telemetry.events import (
     RESTORE,
     TIER_OUTAGE,
     EventJournal,
+    read_journal,
 )
 
 
@@ -86,61 +87,6 @@ class TestMergeJournals:
         assert len(merge_journals([a, b, c])) == 3
 
 
-class TestMergeMetrics:
-    def test_counters_sum_gauges_max(self):
-        a = {
-            "ckpts": {"type": "counter", "value": 3},
-            "backlog": {"type": "gauge", "value": 1.5},
-        }
-        b = {
-            "ckpts": {"type": "counter", "value": 4},
-            "backlog": {"type": "gauge", "value": 0.5},
-        }
-        merged = merge_metrics([a, b])
-        assert merged["ckpts"]["value"] == 7
-        assert merged["backlog"]["value"] == 1.5
-
-    def test_histograms_sum_buckets_and_combine_extrema(self):
-        a = {
-            "lat": {
-                "type": "histogram", "count": 2, "sum": 3.0,
-                "min": 1.0, "max": 2.0, "buckets": {"1": 1, "+Inf": 2},
-            }
-        }
-        b = {
-            "lat": {
-                "type": "histogram", "count": 1, "sum": 0.5,
-                "min": 0.5, "max": 0.5, "buckets": {"1": 1, "+Inf": 1},
-            }
-        }
-        merged = merge_metrics([a, b])["lat"]
-        assert merged["count"] == 3
-        assert merged["sum"] == 3.5
-        assert merged["min"] == 0.5
-        assert merged["max"] == 2.0
-        assert merged["buckets"] == {"1": 2, "+Inf": 3}
-
-    def test_merge_is_order_independent(self):
-        a = {"c": {"type": "counter", "value": 1}}
-        b = {"c": {"type": "counter", "value": 2}}
-        c = {"c": {"type": "counter", "value": 4}}
-        assert merge_metrics([a, b, c]) == merge_metrics([c, a, b])
-
-    def test_conflicting_types_rejected(self):
-        with pytest.raises(ValueError, match="conflicting types"):
-            merge_metrics([
-                {"x": {"type": "counter", "value": 1}},
-                {"x": {"type": "gauge", "value": 1}},
-            ])
-
-    def test_input_snapshots_not_mutated(self):
-        a = {"lat": {"type": "histogram", "count": 1, "sum": 1.0,
-                     "min": 1.0, "max": 1.0, "buckets": {"+Inf": 1}}}
-        merge_metrics([a, a])
-        assert a["lat"]["buckets"] == {"+Inf": 1}
-        assert a["lat"]["count"] == 1
-
-
 class TestBuildRollup:
     def test_per_rank_and_fleet_numbers(self):
         rollup = build_rollup(_fleet_journals())
@@ -192,9 +138,45 @@ class TestBuildRollup:
         bare = build_rollup(journals[0].records())
         assert single.summary() == bare.summary()
 
-    def test_metrics_attached_when_snapshots_given(self):
-        rollup = build_rollup(
-            _fleet_journals(),
-            metrics_snapshots=[{"c": {"type": "counter", "value": 2}}] * 2,
-        )
-        assert rollup.metrics["c"]["value"] == 4
+    def test_rank_evidence_grouped_in_merged_order(self):
+        # What the per-rank rules attach as evidence: each rank's commit
+        # and crash/restart events, exactly as a filter of the merged
+        # stream would select them.
+        rollup = build_rollup(_fleet_journals())
+        for (node, rank), rolled in rollup.ranks.items():
+            mine = [
+                e for e in rollup.events
+                if e["node"] == node and e["rank"] == rank
+            ]
+            assert rolled.commit_events == [
+                e for e in mine if e["type"] == CHECKPOINT_COMMITTED
+            ]
+            assert rolled.crash_events == [
+                e for e in mine if e["type"] in (CRASH, RESTART)
+            ]
+        assert len(rollup.ranks[("node0", 1)].crash_events) == 2
+
+    def test_mixed_runs_roll_up_and_are_named(self):
+        a = EventJournal(node="n0", rank=0, run_id="run-a")
+        b = EventJournal(node="n0", rank=1, run_id="run-b")
+        a.emit(CRASH, sim_time=1.0)
+        b.emit(CRASH, sim_time=2.0)
+        rollup = build_rollup([a, b])
+        assert rollup.run_ids == ["run-a", "run-b"]
+        assert len(rollup.events) == 2
+
+    def test_loaded_journal_damage_is_accounted(self, tmp_path):
+        good = tmp_path / "good.jsonl"
+        _fleet_journals()[0].write(good)
+        with good.open("a") as fh:
+            fh.write("{torn\n")
+        empty = tmp_path / "empty.jsonl"
+        empty.write_text("not json\n")
+        rollup = build_rollup([read_journal(good), read_journal(empty)])
+        assert rollup.skipped_lines == 2
+        assert [p.split(":")[0] for p in rollup.problems] == [
+            "good.jsonl",
+            "empty.jsonl",
+        ]
+        # A single LoadedJournal — even one with no records — is one journal.
+        assert build_rollup(read_journal(empty)).skipped_lines == 1

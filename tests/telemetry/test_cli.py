@@ -10,6 +10,8 @@ from repro.cli import main
 from repro.core import IncrementalCheckpointer
 from repro.core.store import save_record
 
+from .test_live_monitor import write_clean_run
+
 
 @pytest.fixture()
 def record_dir(tmp_path):
@@ -216,3 +218,49 @@ class TestCensusCommand:
         captured = capsys.readouterr()
         assert rc == 1
         assert "no records found" in captured.err
+
+
+def _finding_lines(text):
+    return [line for line in text.splitlines() if line.startswith("  [")]
+
+
+class TestOneVerdictAcrossCommands:
+    """``health``, ``monitor --once`` and ``report`` grade the same files
+    with the same engine: same findings, same status, same exit code."""
+
+    def test_journals_of_two_runs_grade_critical_not_traceback(
+        self, tmp_path, capsys
+    ):
+        a = write_clean_run(tmp_path / "a.jsonl", run_id="run-a")
+        b = write_clean_run(tmp_path / "b.jsonl", run_id="run-b")
+        assert main(["health", str(a), str(b)]) == 2
+        health = _finding_lines(capsys.readouterr().out)
+        assert len(health) == 1
+        assert "journal_ingest" in health[0] and "critical" in health[0]
+        assert "2 different runs" in health[0]
+
+        assert main(["monitor", str(tmp_path), "--once"]) == 2
+        assert _finding_lines(capsys.readouterr().out) == health
+
+        out = tmp_path / "report.html"
+        assert main(["report", str(a), str(b), "-o", str(out)]) == 0
+        assert "status critical, 1 findings" in capsys.readouterr().out
+        assert "journal_ingest" in out.read_text()
+
+    def test_skipped_line_grades_warn_everywhere(self, tmp_path, capsys):
+        path = write_clean_run(tmp_path / "run.jsonl")
+        with path.open("a") as fh:
+            fh.write('{"schema": 2, "type": "crash", "sim_t\n')
+        assert main(["health", str(path)]) == 1
+        health = _finding_lines(capsys.readouterr().out)
+        assert len(health) == 1
+        assert "journal_ingest" in health[0]
+        assert "1 damaged journal line(s) skipped" in health[0]
+
+        assert main(["monitor", str(path), "--once"]) == 1
+        assert _finding_lines(capsys.readouterr().out) == health
+
+        out = tmp_path / "report.html"
+        assert main(["report", str(path), "-o", str(out)]) == 0
+        assert "status warn, 1 findings" in capsys.readouterr().out
+        assert "journal_ingest" in out.read_text()

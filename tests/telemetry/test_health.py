@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.telemetry import events
 from repro.telemetry.events import (
     ATTRIBUTION_SUMMARY,
     CHECKPOINT_COMMITTED,
@@ -28,7 +29,7 @@ from repro.telemetry.health import (
     Finding,
     FlushBacklogRule,
     HealthReport,
-    PoolCandidateRule,
+    JournalIngestRule,
     RestoreLagRule,
     TierOutageRule,
     default_rules,
@@ -536,8 +537,59 @@ class TestPoolCandidateRule:
     def test_in_default_ruleset(self):
         assert "pool_candidate" in [r.name for r in default_rules()]
 
-    def test_custom_thresholds(self):
-        rule = PoolCandidateRule(warn_share=0.1, strong_share=0.2)
-        journal = _census_journal([0.15])
-        rollup = evaluate_health(journal, rules=[rule])
-        assert [f.severity for f in rollup.findings] == [WARN]
+
+class TestJournalIngestRule:
+    """The journal's own health: one run, nothing dropped on the way in."""
+
+    def _findings(self, source):
+        return evaluate_health(source, rules=[JournalIngestRule()]).findings
+
+    def test_single_run_undamaged_is_quiet(self):
+        journal = EventJournal(node="node0", rank=0, run_id="run-a")
+        journal.emit(CRASH, sim_time=1.0)
+        assert self._findings(journal) == []
+
+    def test_mixed_runs_are_critical_and_named(self):
+        a = EventJournal(node="node0", rank=0, run_id="run-a")
+        b = EventJournal(node="node0", rank=1, run_id="run-b")
+        a.emit(CRASH, sim_time=1.0)
+        b.emit(CRASH, sim_time=2.0)
+        (finding,) = self._findings([a, b])
+        assert finding.severity == CRITICAL
+        assert "2 different runs" in finding.message
+        assert "run-a" in finding.message and "run-b" in finding.message
+
+    def test_skipped_lines_warn_with_the_problems_as_evidence(self, tmp_path):
+        path = tmp_path / "run.jsonl"
+        journal = EventJournal(path=path, node="node0", rank=0)
+        journal.emit(CRASH, sim_time=1.0)
+        journal.close()
+        with path.open("a") as fh:
+            fh.write("not json at all\n")
+        (finding,) = self._findings(events.read_journal(path))
+        assert finding.severity == WARN
+        assert "1 damaged journal line(s) skipped" in finding.message
+        assert finding.evidence[0]["problems"][0].startswith("run.jsonl: line 2")
+
+    def test_swallowed_subscriber_errors_warn(self):
+        def boom(record):
+            raise RuntimeError("subscriber bug")
+
+        events.subscribe(boom)
+        events.emit(CRASH, sim_time=1.0)
+        (finding,) = self._findings([])
+        assert finding.severity == WARN
+        assert "1 event-bus subscriber error(s)" in finding.message
+
+
+class TestRegistry:
+    def test_default_rules_name_every_rule_once(self):
+        names = [r.name for r in default_rules()]
+        assert len(names) == len(set(names))
+        assert {
+            "liveness",
+            "straggler",
+            "slo_commit_latency",
+            "slo_flush_latency",
+            "journal_ingest",
+        } <= set(names)

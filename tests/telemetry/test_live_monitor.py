@@ -13,9 +13,11 @@ from repro.telemetry.events import (
     EventJournal,
 )
 from repro.telemetry.export import validate_prometheus_text
+from repro.telemetry.health import JournalIngestRule, default_rules
 from repro.telemetry.live import LiveMonitor, MonitorServer
-from repro.telemetry.live.monitor import INGEST_RULE
 from repro.telemetry.live.server import CONTENT_TYPE_PROM, HEALTH_STATUS
+
+INGEST_RULE = JournalIngestRule.name
 
 
 def write_clean_run(path, ranks=2, beats=4, interval=10.0, run_id="run-a"):
@@ -84,6 +86,33 @@ class TestFollowerMode:
             ingest = [f for f in report.findings if f.rule == INGEST_RULE]
             assert ingest and ingest[0].severity == "warn"
             assert "skipped" in ingest[0].message
+
+    def test_report_runs_the_whole_registry(self, tmp_path):
+        path = write_clean_run(tmp_path / "run.jsonl")
+        with LiveMonitor(path) as monitor:
+            assert monitor.report().rules_run == [
+                r.name for r in default_rules()
+            ]
+
+    def test_idle_poll_returns_previous_report_without_regrading(self, tmp_path):
+        path = write_clean_run(tmp_path / "run.jsonl")
+        with LiveMonitor(path) as monitor:
+            first = monitor.report()
+            assert monitor.report() is first  # nothing new: not re-graded
+            monitor.snapshot(), monitor.prometheus(), monitor.rank_table()
+            assert monitor.report() is first
+            journal = EventJournal(path=path, run_id="run-a", node="node0")
+            journal.emit(CRASH, sim_time=45.0, rank=1)
+            regraded = monitor.report()
+            assert regraded is not first
+            assert [f.rule for f in regraded.findings] == [
+                "crash_loop",
+                "liveness",
+            ]
+            # A poll that consumed only a damaged line still moves the grade.
+            with path.open("a") as fh:
+                fh.write("not json at all\n")
+            assert INGEST_RULE in [f.rule for f in monitor.report().findings]
 
 
 class TestBusMode:

@@ -1,9 +1,17 @@
-"""SloEngine: windowed quantiles, EWMA drift, backlog depth, burn rate."""
+"""Window SLIs (the ``/slo`` summary) and the two tail-latency rules that
+grade them; the dedup and failure signals the retired streaming engine
+also graded are covered by their registry rules."""
 
 import pytest
 
+from repro.telemetry.aggregate import SLO_WINDOW, window_slis
 from repro.telemetry.events import CHECKPOINT_COMMITTED, CRASH, FLUSH_RETRY
-from repro.telemetry.live import SloConfig, SloEngine
+from repro.telemetry.health import (
+    CommitLatencyTailRule,
+    DedupRegressionRule,
+    FlushLatencyTailRule,
+    evaluate_health,
+)
 
 
 def commit(
@@ -50,110 +58,95 @@ def failure(sim, type=FLUSH_RETRY, seq=0):
     }
 
 
+def tail_findings(records):
+    return evaluate_health(
+        records, rules=[CommitLatencyTailRule(), FlushLatencyTailRule()]
+    ).findings
+
+
 class TestWindowQuantiles:
     def test_summary_carries_p50_p99(self):
-        engine = SloEngine()
-        for i in range(20):
-            engine.observe(commit(float(i), seq=i, device=1e-3))
-        stats = engine.summary()["commit_latency"]
+        records = [commit(float(i), seq=i, device=1e-3) for i in range(20)]
+        stats = window_slis(records)["commit_latency"]
         assert stats["count"] == 20
         assert stats["p50"] == pytest.approx(1e-3, rel=1.0)
         assert stats["p99"] >= stats["p50"]
 
     def test_window_slides(self):
-        engine = SloEngine(SloConfig(window=4))
-        for i in range(10):
-            engine.observe(commit(float(i), seq=i))
-        assert engine.summary()["commit_latency"]["count"] == 4
-        assert engine.commits == 10
+        records = [commit(float(i), seq=i) for i in range(SLO_WINDOW + 6)]
+        summary = window_slis(records)
+        assert summary["commit_latency"]["count"] == SLO_WINDOW
+        assert summary["commits"] == SLO_WINDOW + 6
 
     def test_clean_stream_produces_no_findings(self):
-        engine = SloEngine()
-        for i in range(30):
-            engine.observe(commit(float(i), seq=i))
-        assert engine.findings() == []
+        records = [commit(float(i), seq=i) for i in range(30)]
+        assert evaluate_health(records).findings == []
 
 
 class TestLatencyAlerts:
-    def test_absolute_target_breach(self):
-        engine = SloEngine(SloConfig(commit_p99_target=1e-3))
-        for i in range(20):
-            engine.observe(commit(float(i), seq=i, device=5e-3))
-        findings = engine.findings()
-        rules = {f.rule for f in findings}
-        assert "slo_commit_latency" in rules
-        worst = next(f for f in findings if f.rule == "slo_commit_latency")
-        assert worst.severity == "critical"  # 5x over a 2x-critical target
-
     def test_tail_ratio_alert_without_target(self):
-        engine = SloEngine(SloConfig(tail_warn_ratio=50.0))
-        for i in range(40):
-            engine.observe(commit(float(i), seq=i, device=1e-5))
-        for i in range(40, 42):
-            engine.observe(commit(float(i), seq=i, device=1e-1))
-        findings = [f for f in engine.findings() if f.rule == "slo_commit_latency"]
+        records = [commit(float(i), seq=i, device=1e-5) for i in range(40)]
+        records += [commit(float(i), seq=i, device=1e-1) for i in range(40, 42)]
+        findings = [
+            f for f in tail_findings(records) if f.rule == "slo_commit_latency"
+        ]
         assert findings and findings[0].severity in ("warn", "critical")
         assert "tail" in findings[0].message
+        assert findings[0].evidence == [window_slis(records)["commit_latency"]]
+
+    def test_flush_tail_is_graded_under_its_own_name(self):
+        records = [
+            commit(float(i), seq=i, persisted=float(i) + 1e-5) for i in range(40)
+        ]
+        records += [
+            commit(float(i), seq=i, persisted=float(i) + 1e-1)
+            for i in range(40, 42)
+        ]
+        assert [f.rule for f in tail_findings(records)] == ["slo_flush_latency"]
 
 
 class TestDedupDrift:
+    """The collapsing-ratio signal is ``dedup_regression``'s alone now."""
+
     def test_collapsing_ratio_alerts(self):
-        engine = SloEngine(SloConfig(dedup_min_commits=4))
-        for i in range(8):
-            engine.observe(commit(float(i), seq=i, stored=100, full=1000))
-        assert engine.findings() == []
-        for i in range(8, 30):
-            engine.observe(commit(float(i), seq=i, stored=1000, full=1000))
-        findings = [f for f in engine.findings() if f.rule == "slo_dedup_drift"]
-        assert findings
-        assert engine.dedup_drop() > 0.5
+        steady = [
+            commit(float(i), seq=i, stored=100, full=1000) for i in range(8)
+        ]
+        assert evaluate_health(steady).findings == []
+        collapsed = steady + [
+            commit(float(i), seq=i, stored=1000, full=1000) for i in range(8, 30)
+        ]
+        findings = evaluate_health(collapsed).findings
+        assert [f.rule for f in findings] == [DedupRegressionRule.name]
 
     def test_improving_ratio_never_alerts(self):
-        engine = SloEngine(SloConfig(dedup_min_commits=2))
-        for i in range(20):
-            engine.observe(
-                commit(float(i), seq=i, stored=max(10, 1000 - 40 * i), full=1000)
-            )
-        assert [f for f in engine.findings() if f.rule == "slo_dedup_drift"] == []
+        records = [
+            commit(float(i), seq=i, stored=max(10, 1000 - 40 * i), full=1000)
+            for i in range(20)
+        ]
+        assert evaluate_health(records).findings == []
 
 
 class TestBacklogAndBurn:
     def test_backlog_depth_counts_in_flight(self):
-        engine = SloEngine(SloConfig(backlog_warn_depth=3))
         # Ten commits produced by t=10, none durable until t=100.
-        for i in range(10):
-            engine.observe(
-                commit(float(i), seq=i, produced=float(i), persisted=100.0)
-            )
-        assert engine.backlog_depth() == 10
-        findings = [f for f in engine.findings() if f.rule == "slo_flush_backlog"]
-        assert findings and findings[0].severity == "warn"
+        records = [
+            commit(float(i), seq=i, produced=float(i), persisted=100.0)
+            for i in range(10)
+        ]
+        assert window_slis(records)["backlog_depth"] == 10
 
     def test_drained_backlog_is_quiet(self):
-        engine = SloEngine()
-        for i in range(10):
-            engine.observe(
-                commit(float(i), seq=i, produced=float(i), persisted=float(i) + 0.1)
-            )
-        engine.observe(commit(50.0, seq=99, produced=49.0, persisted=50.0))
-        assert engine.backlog_depth() == 0
+        records = [
+            commit(float(i), seq=i, produced=float(i), persisted=float(i) + 0.1)
+            for i in range(10)
+        ]
+        records.append(commit(50.0, seq=99, produced=49.0, persisted=50.0))
+        assert window_slis(records)["backlog_depth"] == 0
 
-    def test_burn_rate_alerts_on_failures(self):
-        engine = SloEngine(SloConfig(error_budget_fraction=0.05))
-        for i in range(20):
-            engine.observe(commit(float(i), seq=i))
-        assert engine.burn_rate() == 0.0
-        engine.observe(failure(21.0, seq=50))
-        engine.observe(failure(22.0, type=CRASH, seq=51))
-        burn = engine.burn_rate()
-        assert burn == pytest.approx(2 / (0.05 * 20))
-        findings = [f for f in engine.findings() if f.rule == "slo_error_budget"]
-        assert findings and findings[0].severity == "warn"
-
-    def test_heavy_burn_is_critical(self):
-        engine = SloEngine(SloConfig(error_budget_fraction=0.01))
-        engine.observe(commit(0.0))
-        for i in range(5):
-            engine.observe(failure(float(i + 1), seq=10 + i))
-        findings = [f for f in engine.findings() if f.rule == "slo_error_budget"]
-        assert findings and findings[0].severity == "critical"
+    def test_failures_are_counted_not_graded_here(self):
+        records = [commit(float(i), seq=i) for i in range(20)]
+        assert window_slis(records)["failures"] == 0
+        records += [failure(21.0, seq=50), failure(22.0, type=CRASH, seq=51)]
+        assert window_slis(records)["failures"] == 2
+        assert tail_findings(records) == []

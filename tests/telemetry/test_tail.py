@@ -12,6 +12,7 @@ import threading
 import pytest
 
 from repro.errors import StorageError
+from repro.telemetry.aggregate import build_rollup
 from repro.telemetry.events import (
     CHECKPOINT_COMMITTED,
     HEARTBEAT,
@@ -144,10 +145,10 @@ class TestJournalFollower:
     def test_mixed_run_ids_flagged_not_merged_away(self, tmp_path):
         (tmp_path / "a.jsonl").write_text(_line(0, run_id="run-a") + "\n")
         (tmp_path / "b.jsonl").write_text(_line(0, run_id="run-b") + "\n")
-        follower = JournalFollower(tmp_path)
-        follower.poll()
-        assert follower.mixed_runs
-        assert follower.run_ids == {"run-a", "run-b"}
+        # The follower delivers both; build_rollup names the runs and
+        # the journal_ingest rule grades the conflation critical.
+        batch = JournalFollower(tmp_path).poll()
+        assert build_rollup(batch).run_ids == ["run-a", "run-b"]
 
     def test_damage_accumulates_with_file_names(self, tmp_path):
         (tmp_path / "a.jsonl").write_text(_line(0) + "\n{broken\n" + _line(1) + "\n")

@@ -1,5 +1,10 @@
 """Package-level tests: public API surface, version, error hierarchy."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 import repro
@@ -44,6 +49,26 @@ class TestPublicApi:
 
         parser = build_parser()
         assert parser.prog == "repro"
+
+    def test_import_repro_does_not_load_scipy(self):
+        # ``import repro`` is the cold start every CLI call and benchmark
+        # set-up pays; scipy (one use, in oranges.formulas) loads on use.
+        src = str(Path(repro.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=src)
+        proc = subprocess.run(
+            [
+                sys.executable,
+                "-c",
+                "import sys, repro; "
+                "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))",
+            ],
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
 
 
 class TestErrorHierarchy:
