@@ -75,9 +75,11 @@ _TABLE_HEADER = struct.Struct("<4sHHIIQI")
 # magic, version, reserved, num_checkpoints, num_chunks, data_len, chunk_size
 _TABLE_DIGEST_BYTES = 32
 _PLANE_LEN = struct.Struct("<Q")
-#: Row-group record header: body length, first checkpoint row, row
-#: count, SHA-256 over ``pack("<II", first_ckpt, num_rows) + body``.
+#: Row-group record header: body length, checkpoint row, row count
+#: (always 1: one checkpoint = one row = one group), SHA-256 over
+#: ``pack("<II", ckpt_id, 1) + body``.
 _GROUP_HEADER = struct.Struct("<QII32s")
+_GROUP_ROWS = 1
 #: Fixed prologue: table header + SHA-256 of the header bytes.  An
 #: append rewrites exactly this region (the row count lives here) and
 #: appends one group record after the last — O(rows in this checkpoint).
@@ -87,7 +89,7 @@ RAW_INDEX_BYTES_PER_CHUNK = 12
 
 
 def _pack_planes(src_ckpt: np.ndarray, src_off: np.ndarray) -> bytes:
-    """Three length-prefixed cascaded-compressed planes over the rows.
+    """Three length-prefixed cascaded-compressed planes over one row.
 
     ``src_off`` is split into low/high u32 words (rather than
     interleaving an i8 stream) so the delta pass sees the arithmetic
@@ -104,10 +106,8 @@ def _pack_planes(src_ckpt: np.ndarray, src_off: np.ndarray) -> bytes:
     return b"".join(_PLANE_LEN.pack(len(p)) + p for p in parts)
 
 
-def _unpack_planes(
-    buf: bytes, n_rows: int, n_chunks: int
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Decode the three planes back into ``(src_ckpt, src_off)`` arrays.
+def _unpack_planes(buf: bytes, n_chunks: int) -> Tuple[np.ndarray, np.ndarray]:
+    """Decode the three planes back into one row's ``(src_ckpt, src_off)``.
 
     Consumes all of *buf* — trailing bytes are damage.
     """
@@ -115,7 +115,6 @@ def _unpack_planes(
     from ..errors import CompressionError
 
     codec = CascadedCodec()
-    count = n_rows * n_chunks
     off = 0
     planes = []
     for name in ("src_ckpt", "src_off_lo", "src_off_hi"):
@@ -135,10 +134,10 @@ def _unpack_planes(
             raise IntegrityError(
                 f"provenance index {name} plane is damaged: {exc}"
             ) from exc
-        if len(raw) != count * 4:
+        if len(raw) != n_chunks * 4:
             raise IntegrityError(
                 f"provenance index {name} plane holds {len(raw)} bytes, "
-                f"expected {count * 4}"
+                f"expected {n_chunks * 4}"
             )
         planes.append(raw)
         off += length
@@ -146,13 +145,10 @@ def _unpack_planes(
         raise IntegrityError(
             f"provenance index has {len(buf) - off} trailing bytes"
         )
-    src_ckpt = (
-        np.frombuffer(planes[0], dtype="<i4").reshape(n_rows, n_chunks).copy()
-    )
+    src_ckpt = np.frombuffer(planes[0], dtype="<i4").copy()
     lo = np.frombuffer(planes[1], dtype="<u4").astype(np.int64)
     hi = np.frombuffer(planes[2], dtype="<u4").astype(np.int64)
-    src_off = ((hi << np.int64(32)) | lo).reshape(n_rows, n_chunks)
-    return src_ckpt, src_off
+    return src_ckpt, (hi << np.int64(32)) | lo
 
 
 @dataclass
@@ -194,29 +190,9 @@ class ProvenanceBuilder:
         self.indexes: List[ProvenanceIndex] = []
         self._layouts: Dict[int, TreeLayout] = {}
 
-    def __len__(self) -> int:
-        return len(self.indexes)
-
-    def reset(self) -> None:
-        """Drop all rows (a crashed process restarts its chain at 0)."""
-        self.indexes.clear()
-
     def extend(self, diffs: Sequence[CheckpointDiff]) -> None:
         for diff in diffs:
             self.append(diff)
-
-    def seed(self, table: "ProvenanceTable") -> None:
-        """Adopt a decoded table's rows as the already-composed prefix.
-
-        :class:`~repro.core.store.RecordWriter` reopens a record by
-        decoding its persisted index once and seeding the builder from
-        it, so appends resume without re-deriving provenance from the
-        diff chain.
-        """
-        if self.indexes:
-            raise RestoreError("cannot seed a non-empty provenance builder")
-        for k in range(table.num_checkpoints):
-            self.indexes.append(table.row(k))
 
     def index_for(self, ckpt_id: int) -> ProvenanceIndex:
         if not 0 <= ckpt_id < len(self.indexes):
@@ -376,22 +352,10 @@ class ProvenanceTable:
     chunk_size: int
     src_ckpt: np.ndarray  # int32, shape (num_checkpoints, num_chunks)
     src_off: np.ndarray  # int64, shape (num_checkpoints, num_chunks)
-    #: Rows the on-disk index covers in full — equals the rows decoded
-    #: here except after a selective ``upto`` load of a v3 index, which
-    #: skips row-groups past the target checkpoint.
-    index_rows: Optional[int] = None
 
     @property
     def num_checkpoints(self) -> int:
         return int(self.src_ckpt.shape[0])
-
-    @property
-    def total_checkpoints(self) -> int:
-        """Checkpoints the full on-disk index covers (≥ rows decoded)."""
-        return (
-            self.index_rows if self.index_rows is not None
-            else self.num_checkpoints
-        )
 
     @property
     def num_chunks(self) -> int:
@@ -412,22 +376,22 @@ class ProvenanceTable:
         )
 
     @classmethod
-    def from_builder(cls, builder: ProvenanceBuilder) -> "ProvenanceTable":
-        if not builder.indexes:
-            raise RestoreError("cannot build a provenance table from no diffs")
-        first = builder.indexes[0]
+    def from_rows(cls, rows: Sequence[ProvenanceIndex]) -> "ProvenanceTable":
+        """Stack checkpoint rows ``0..n-1`` (composed or decoded) in order."""
+        if not rows:
+            raise RestoreError("cannot build a provenance table from no rows")
         return cls(
-            data_len=first.data_len,
-            chunk_size=first.chunk_size,
-            src_ckpt=np.stack([i.src_ckpt for i in builder.indexes]),
-            src_off=np.stack([i.src_off for i in builder.indexes]),
+            data_len=rows[0].data_len,
+            chunk_size=rows[0].chunk_size,
+            src_ckpt=np.stack([r.src_ckpt for r in rows]),
+            src_off=np.stack([r.src_off for r in rows]),
         )
 
     @classmethod
     def from_diffs(cls, diffs: Sequence[CheckpointDiff]) -> "ProvenanceTable":
         builder = ProvenanceBuilder()
         builder.extend(diffs)
-        return cls.from_builder(builder)
+        return cls.from_rows(builder.indexes)
 
     # ------------------------------------------------------------------
     @property
@@ -441,10 +405,10 @@ class ProvenanceTable:
 # ----------------------------------------------------------------------
 @dataclass(frozen=True)
 class RowGroup:
-    """Structural description of one v3 row-group (body not yet decoded)."""
+    """Framing of one v3 row-group: checkpoint *ckpt_id*'s absolute row,
+    body not yet hashed or decoded."""
 
-    first_ckpt: int
-    num_rows: int
+    ckpt_id: int
     digest: bytes
     body_off: int
     body_len: int
@@ -466,21 +430,22 @@ def encode_v3_prologue(
     return header + hashlib.sha256(header).digest()
 
 
-def encode_v3_group(
-    first_ckpt: int, src_ckpt: np.ndarray, src_off: np.ndarray
-) -> Tuple[bytes, bytes]:
-    """Encode one self-contained row-group record.
+def _group_digest(ckpt_id: int, body: bytes) -> bytes:
+    return hashlib.sha256(
+        struct.pack("<II", ckpt_id, _GROUP_ROWS) + body
+    ).digest()
 
-    *src_ckpt*/*src_off* are 2-D ``(num_rows, num_chunks)`` row slices.
+
+def encode_v3_group(row: ProvenanceIndex) -> Tuple[bytes, bytes]:
+    """Encode checkpoint *row* as one self-contained row-group record.
+
     Returns ``(record_bytes, group_digest)`` — the digest also feeds the
     manifest's rolling ``chain_sha256`` over all group digests.
     """
-    rows = int(np.atleast_2d(src_ckpt).shape[0])
-    body = _pack_planes(src_ckpt, src_off)
-    digest = hashlib.sha256(
-        struct.pack("<II", first_ckpt, rows) + body
-    ).digest()
-    return _GROUP_HEADER.pack(len(body), first_ckpt, rows, digest) + body, digest
+    body = _pack_planes(row.src_ckpt, row.src_off)
+    digest = _group_digest(row.ckpt_id, body)
+    header = _GROUP_HEADER.pack(len(body), row.ckpt_id, _GROUP_ROWS, digest)
+    return header + body, digest
 
 
 def scan_v3(
@@ -488,8 +453,8 @@ def scan_v3(
 ) -> Tuple[dict, List[RowGroup]]:
     """Structurally walk a v3 blob: prologue + group framing, no bodies.
 
-    Verifies the header digest and group framing only — group *bodies*
-    are hashed later, and only for the groups a caller actually decodes.
+    Verifies the header digest and group framing only — a group *body*
+    is hashed when (and only when) a caller decodes or verifies it.
     With *max_rows* (the manifest's authoritative row count) the walk
     stops once that many rows are covered and tolerates trailing bytes:
     a crash between the group append and the manifest update leaves an
@@ -511,31 +476,34 @@ def scan_v3(
         raise IntegrityError("provenance index header digest mismatch")
     want = n_ckpts if max_rows is None else max_rows
     groups: List[RowGroup] = []
-    rows = 0
     off = V3_PROLOGUE_BYTES
-    while rows < want:
+    while len(groups) < want:
         if off + _GROUP_HEADER.size > len(blob):
             raise IntegrityError(
-                f"provenance index truncated: holds {rows} of {want} rows"
+                f"provenance index truncated: holds {len(groups)} of {want} rows"
             )
-        body_len, first, g_rows, digest = _GROUP_HEADER.unpack_from(blob, off)
+        body_len, ckpt_id, g_rows, digest = _GROUP_HEADER.unpack_from(blob, off)
         off += _GROUP_HEADER.size
-        if first != rows or g_rows <= 0:
+        if g_rows != _GROUP_ROWS:
             raise IntegrityError(
-                f"provenance index row-group claims rows "
-                f"{first}..{first + g_rows}, expected to start at {rows}"
+                f"unsupported provenance index row-group of {g_rows} rows at "
+                f"checkpoint {ckpt_id} (a row-group holds exactly one row)"
+            )
+        if ckpt_id != len(groups):
+            raise IntegrityError(
+                f"provenance index row-group claims checkpoint {ckpt_id}, "
+                f"expected {len(groups)}"
             )
         if off + body_len > len(blob):
             raise IntegrityError(
-                f"provenance index row-group {first} body overruns the file"
+                f"provenance index row-group {ckpt_id} body overruns the file"
             )
-        groups.append(RowGroup(first, g_rows, digest, off, body_len))
+        groups.append(RowGroup(ckpt_id, digest, off, body_len))
         off += body_len
-        rows += g_rows
-    if max_rows is None and (rows != want or off != len(blob)):
+    if max_rows is None and off != len(blob):
         raise IntegrityError(
-            f"provenance index row-groups hold {rows} rows and "
-            f"{len(blob) - off} trailing bytes; header claims {want} rows"
+            f"provenance index holds {len(blob) - off} trailing bytes after "
+            f"its {want} row-groups"
         )
     header = {
         "num_checkpoints": n_ckpts,
@@ -548,41 +516,31 @@ def scan_v3(
 
 def verify_v3_group(blob: bytes, group: RowGroup) -> bool:
     """Whether a row-group's stored digest matches its bytes."""
-    actual = hashlib.sha256(
-        struct.pack("<II", group.first_ckpt, group.num_rows)
-        + blob[group.body_off : group.body_off + group.body_len]
-    ).digest()
-    return actual == group.digest
+    body = blob[group.body_off : group.body_off + group.body_len]
+    return _group_digest(group.ckpt_id, body) == group.digest
 
 
-def decode_v3_groups(
-    blob: bytes,
-    groups: Sequence[RowGroup],
-    n_chunks: int,
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Verify and decode (a contiguous prefix of) row-groups into stacked planes."""
-    if not groups:
-        raise IntegrityError("provenance index holds no row-groups")
-    parts_ckpt = []
-    parts_off = []
-    for g in groups:
-        body = blob[g.body_off : g.body_off + g.body_len]
-        if not verify_v3_group(blob, g):
-            raise IntegrityError(
-                f"provenance index row-group {g.first_ckpt} digest mismatch "
-                f"(stored {g.digest.hex()[:16]}…)"
-            )
-        try:
-            ck, off_arr = _unpack_planes(body, g.num_rows, n_chunks)
-        except IntegrityError as exc:
-            raise IntegrityError(
-                f"provenance index row-group {g.first_ckpt} is damaged: {exc}"
-            ) from exc
-        parts_ckpt.append(ck)
-        parts_off.append(off_arr)
-    return (
-        np.concatenate(parts_ckpt, axis=0),
-        np.concatenate(parts_off, axis=0),
+def decode_v3_group(blob: bytes, group: RowGroup, header: dict) -> ProvenanceIndex:
+    """Verify and decode one row-group into its checkpoint's row; nothing
+    outside *group*'s own bytes is hashed or decoded (*header*: scan_v3's)."""
+    body = blob[group.body_off : group.body_off + group.body_len]
+    if _group_digest(group.ckpt_id, body) != group.digest:
+        raise IntegrityError(
+            f"provenance index row-group {group.ckpt_id} digest mismatch "
+            f"(stored {group.digest.hex()[:16]}…)"
+        )
+    try:
+        src_ckpt, src_off = _unpack_planes(body, header["num_chunks"])
+    except IntegrityError as exc:
+        raise IntegrityError(
+            f"provenance index row-group {group.ckpt_id} is damaged: {exc}"
+        ) from exc
+    return ProvenanceIndex(
+        ckpt_id=group.ckpt_id,
+        data_len=header["data_len"],
+        chunk_size=header["chunk_size"],
+        src_ckpt=src_ckpt,
+        src_off=src_off,
     )
 
 
@@ -661,7 +619,6 @@ def materialize_index(
     chunk_lo: int = 0,
     chunk_hi: Optional[int] = None,
     zero: bool = True,
-    h2d: bool = True,
 ) -> np.ndarray:
     """Gather checkpoint bytes straight from source payloads.
 
@@ -673,7 +630,7 @@ def materialize_index(
     ``[chunk_lo, chunk_hi)`` restricts the gather to a chunk range — the
     sharding primitive: each simulated GPU of a fleet restore
     materializes its own contiguous range into the shared ``out`` buffer
-    and uploads only that range (``h2d``).  ``zero=False`` skips the
+    and uploads only that range.  ``zero=False`` skips the
     upfront zero fill (a sharded caller zeroes ``out`` once, not once
     per shard per window).  The defaults reproduce the original
     whole-buffer behavior exactly.
@@ -740,7 +697,7 @@ def materialize_index(
                 bytes_read=gathered + (hi - lo) * RAW_INDEX_BYTES_PER_CHUNK,
                 bytes_written=gathered,
             )
-    if space is not None and h2d:
+    if space is not None:
         extent = min(hi * cs, index.data_len) - lo * cs
         if extent > 0:
             space.transfer("H2D", extent)
@@ -782,7 +739,6 @@ def resolve_source(
     upto: Optional[int] = None,
     payload_codec=None,
     scrub: bool = False,
-    builder: Optional[ProvenanceBuilder] = None,
 ):
     """Resolve ``(diff chain | record directory, upto)`` for a gather.
 
@@ -794,13 +750,13 @@ def resolve_source(
     reconstruction except the :class:`~repro.core.restore.Restorer`
     replay oracle starts here.
 
-    A chain's row comes from *builder* (a caller's incrementally
-    maintained :class:`ProvenanceBuilder`, extended as needed) or is
-    composed on the fly.  A record's row is decoded from its persisted
-    index and only the frames that row names are read and parsed; a
-    record without an index, or ``scrub=True`` (which validates the whole
-    chain and so needs every frame), loads the full record and resolves
-    it as a chain.
+    A chain's row is composed on the fly by a :class:`ProvenanceBuilder`
+    over diffs ``0..upto``.  A record's row is the one row-group the target
+    names, verified and decoded alone — damage in any other group does
+    not block the restore — and only the frames that row names are read
+    and parsed; a record without an index, or ``scrub=True`` (which
+    validates the whole chain and so needs every frame), loads the full
+    record and resolves it as a chain.
     """
     from . import store  # local: store imports this module at its top
 
@@ -808,6 +764,7 @@ def resolve_source(
     if is_record:
         manifest = store.record_manifest(source)
         count = manifest["num_checkpoints"]
+        frame_sizes = manifest["frame_bytes"]
     else:
         count = len(source)
         if count == 0:
@@ -820,38 +777,24 @@ def resolve_source(
             f"{'record' if is_record else 'chain'} of {count}"
         )
 
-    table = None
-    if is_record:
-        frame_sizes = store.record_frame_sizes(source)
-        if not scrub:
-            table = store.load_provenance(source, upto=upto)
-    if table is not None:
-        if (
-            table.total_checkpoints < count
-            or table.num_checkpoints <= upto
-            or table.data_len != manifest.get("data_len", table.data_len)
-        ):
-            raise IntegrityError(
-                f"provenance index covers {table.total_checkpoints} "
-                f"checkpoints, record holds {count}"
-            )
-        index = table.row(upto)
+    index = None
+    if is_record and not scrub:
+        index = store.load_provenance(source, ckpt=upto)
+    used_index = index is not None
+    if used_index:
         parsed = [int(t) for t in index.referenced()]
         frames = store.load_record_frames(source, parsed)
-        index_bytes = store.record_index_bytes(source)
+        # The whole index file was read for the structural walk.
+        index_bytes = os.path.getsize(
+            os.path.join(source, manifest["provenance"]["file"])
+        )
     else:
         frames = store.load_record(source) if is_record else source
         if scrub:
             scrub_chain(frames[: upto + 1], payload_codec)
-        if builder is None:
-            builder = ProvenanceBuilder()
-        if len(builder) <= upto:
-            builder.extend(frames[len(builder) : upto + 1])
-        index = builder.index_for(upto)
-        if index.data_len != frames[0].data_len:
-            raise RestoreError(
-                "provenance builder does not match the supplied chain"
-            )
+        builder = ProvenanceBuilder()
+        builder.extend(frames[: upto + 1])
+        index = builder.indexes[upto]
         parsed, index_bytes = range(count), 0
 
     payloads: Dict[int, np.ndarray] = {}
@@ -871,7 +814,7 @@ def resolve_source(
             record_bytes_read=int(sum(frame_sizes[t] for t in parsed))
             + index_bytes,
             index_bytes=index_bytes,
-            used_index=table is not None,
+            used_index=used_index,
         )
     else:
         report = IndexedRestoreReport(
@@ -886,7 +829,6 @@ def restore_indexed(
     payload_codec=None,
     scrub: bool = False,
     space=None,
-    builder: Optional[ProvenanceBuilder] = None,
 ):
     """Reconstruct checkpoint *upto* of a chain or record: resolve, gather.
 
@@ -895,9 +837,7 @@ def restore_indexed(
     source payload instead of replaying the chain.  Returns
     ``(buffer, report)`` with the report :func:`resolve_source` built.
     """
-    index, payload_of, report = resolve_source(
-        source, upto, payload_codec, scrub, builder
-    )
+    index, payload_of, report = resolve_source(source, upto, payload_codec, scrub)
     on_disk = isinstance(report, RecordRestoreReport)
     path = "indexed_record" if on_disk and report.used_index else "indexed"
     chain_len = report.frames_total if on_disk else report.chain_len

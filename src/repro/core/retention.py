@@ -19,27 +19,26 @@ module provides the two primitives that make truncation safe:
 
 A rebase invalidates any provenance index built over the old chain:
 checkpoint ids shift, and promoting shift references into
-first-occurrence payload changes payload offsets.  ``rebase_record``
-can therefore compose the *new* chain's :class:`~repro.core.provenance.
-ProvenanceTable` as it rewrites (``with_index=True``), and
-:func:`rebase_stored_record` rewrites a stored record directory — frames,
-manifest, *and* ``provenance.rpix``, re-composed by the record writer
-from the rewritten diffs — journaling a ``rebase`` event when it does.
+first-occurrence payload changes payload offsets.
+:func:`rebase_stored_record` therefore rewrites a stored record
+directory whole — frames, manifest, *and* ``provenance.rpix``,
+re-composed by the record writer from the rewritten diffs — journaling a
+``rebase`` event when it does.
 """
 
 from __future__ import annotations
 
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Set, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Set, Union
 
 import numpy as np
 
-from ..errors import ReproError, RestoreError
+from ..errors import RestoreError
 from ..telemetry import events
 from .chunking import ChunkSpec
 from .diff import CheckpointDiff
 from .merkle import TreeLayout
-from .provenance import ProvenanceBuilder, ProvenanceTable, resolve_source
+from .provenance import ProvenanceBuilder, resolve_source
 from .restore import Restorer
 from .store import load_record, record_manifest, save_record
 
@@ -62,10 +61,10 @@ def required_payloads(
     the diffs plus a ``referenced()`` per kept checkpoint.
     """
     builder = ProvenanceBuilder()
+    builder.extend(diffs[: max(keep, default=-1) + 1])
     needed: Set[int] = set()
-    for k in sorted(keep):
-        index, _, _ = resolve_source(diffs, k, builder=builder)
-        needed.update(int(t) for t in index.referenced())
+    for k in keep:
+        needed.update(int(t) for t in builder.index_for(k).referenced())
     return needed
 
 
@@ -73,8 +72,7 @@ def rebase_record(
     diffs: Sequence[CheckpointDiff],
     at: int,
     payload_codec=None,
-    with_index: bool = False,
-):
+) -> List[CheckpointDiff]:
     """Truncate history before checkpoint *at*.
 
     Returns a new chain whose checkpoint 0 is a full image of the old
@@ -89,13 +87,6 @@ def rebase_record(
 
     Only raw-payload records are supported (rebase rewrites payloads, so
     a ``payload_codec`` must be supplied to decode/encode hybrid ones).
-
-    With ``with_index=True`` the return value is ``(chain, table)``: the
-    rewrite also composes the new chain's
-    :class:`~repro.core.provenance.ProvenanceTable`, because any index
-    built over the *old* chain is invalid after a rebase (ids shift,
-    promoted shift references move payload offsets).  ``table`` is
-    ``None`` only if the rewritten chain itself is unindexable.
     """
     if not 0 <= at < len(diffs):
         raise RestoreError(f"rebase point {at} outside chain of {len(diffs)}")
@@ -116,13 +107,7 @@ def rebase_record(
         out.append(
             _rewrite_diff(diffs[old_id], at, states[old_id], layout, payload_codec)
         )
-    if not with_index:
-        return out
-    try:
-        table = ProvenanceTable.from_diffs(out)
-    except ReproError:
-        table = None
-    return out, table
+    return out
 
 
 def rebase_stored_record(

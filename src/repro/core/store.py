@@ -53,6 +53,10 @@ _FRAMES_REUSED = telemetry.counter(
 _SALVAGE_EVENTS = telemetry.counter(
     "store.salvage_events", "Non-strict loads truncated at a damaged frame"
 )
+_INDEX_GROUPS_DECODED = telemetry.counter(
+    "store.index_groups_decoded",
+    "Provenance row-group bodies verified and decoded (one per row read)",
+)
 
 _MANIFEST = "record.json"
 _PATTERN = "ckpt-{:05d}.rdif"
@@ -154,7 +158,7 @@ class RecordWriter:
     Opening an existing record is the only O(chain) step: the manifest's
     cached per-frame digests seed the rolling chain digest (no frame is
     re-read or re-hashed, except a cheap sanity check of the last frame),
-    and the persisted index is walked and decoded once to seed the
+    and every row of the persisted index is decoded once into the
     :class:`~repro.core.provenance.ProvenanceBuilder`.  A record with
     *no* index (an unindexable chain) stays unindexed.
 
@@ -168,6 +172,13 @@ class RecordWriter:
         self.path = Path(directory)
         self.path.mkdir(parents=True, exist_ok=True)
         self.method = method
+        self._closed = False
+        self._clear()
+        if (self.path / _MANIFEST).exists():
+            self._open_existing()
+
+    def _clear(self) -> None:
+        """The state of a writer on an empty record."""
         self._last_method = ""
         self._digests: List[str] = []
         self._frame_sizes: List[int] = []
@@ -177,20 +188,12 @@ class RecordWriter:
         self._builder: Optional[_prov.ProvenanceBuilder] = _prov.ProvenanceBuilder()
         self._group_chain = hashlib.sha256()
         self._index_end = 0  # byte offset past the last valid row-group
-        self._closed = False
-        if (self.path / _MANIFEST).exists():
-            self._open_existing()
 
     # ------------------------------------------------------------------
     @property
     def count(self) -> int:
         """Checkpoints the record currently holds."""
         return len(self._digests)
-
-    @property
-    def digests(self) -> List[str]:
-        """Per-frame SHA-256 hexes, in chain order (a copy)."""
-        return list(self._digests)
 
     @property
     def indexed(self) -> bool:
@@ -248,7 +251,7 @@ class RecordWriter:
             # dropped): appends continue without an index.
             self._builder = None
             return
-        self._builder.seed(walk.table())
+        self._builder.indexes = walk.all_rows()
         for g in walk.groups:
             self._group_chain.update(g.digest)
         self._index_end = walk.groups[-1].body_off + walk.groups[-1].body_len
@@ -261,33 +264,22 @@ class RecordWriter:
             index_path.unlink()
         self._index_end = 0
 
-    def _append_index(self, diff: CheckpointDiff) -> tuple:
-        """Extend the v3 index by one row-group; returns (rows, bytes)."""
-        assert self._builder is not None
+    def _append_index(self, diff: CheckpointDiff) -> int:
+        """Extend the v3 index by *diff*'s row-group; returns the bytes
+        written (0: the builder rejected the diff, the index is dropped)."""
         try:
             row = self._builder.append(diff)
         except ReproError:
             self._drop_index()
-            return 0, 0
-        return self._write_group(row)
-
-    def _write_group(self, row) -> tuple:
-        rows_before = len(self._builder.indexes) - 1
-        n_chunks = int(row.src_ckpt.shape[0])
-        with telemetry.span(
-            "store.index.append_group", rows=1, first_ckpt=rows_before
-        ) as span:
-            record, digest = _prov.encode_v3_group(
-                rows_before,
-                row.src_ckpt.reshape(1, n_chunks),
-                row.src_off.reshape(1, n_chunks),
-            )
+            return 0
+        with telemetry.span("store.index.append_group", ckpt=row.ckpt_id) as span:
+            record, digest = _prov.encode_v3_group(row)
             self._group_chain.update(digest)
             prologue = _prov.encode_v3_prologue(
-                rows_before + 1, n_chunks, row.data_len, row.chunk_size
+                row.ckpt_id + 1, row.num_chunks, row.data_len, row.chunk_size
             )
             index_path = self.path / _INDEX_FILE
-            if rows_before == 0:
+            if row.ckpt_id == 0:
                 index_path.write_bytes(prologue + record)
                 self._index_end = len(prologue)
             else:
@@ -300,7 +292,7 @@ class RecordWriter:
             self._index_end += len(record)
             written = len(record) + len(prologue)
             span.set(bytes=written)
-        return 1, written
+        return written
 
     # ------------------------------------------------------------------
     def append(self, diff: CheckpointDiff) -> AppendReceipt:
@@ -330,11 +322,8 @@ class RecordWriter:
                 self._chunk_size = diff.chunk_size
             self._last_method = diff.method
 
-            if self._builder is not None:
-                rows_appended, index_bytes = self._append_index(diff)
-            else:
-                rows_appended, index_bytes = 0, 0
-
+            index_bytes = self._append_index(diff) if self.indexed else 0
+            rows_appended = int(index_bytes > 0)
             manifest_bytes = self._write_manifest()
             span.set(
                 bytes=len(blob) + index_bytes + manifest_bytes,
@@ -391,15 +380,7 @@ class RecordWriter:
             target = self.path / name
             if target.exists():
                 target.unlink()
-        self._digests = []
-        self._frame_sizes = []
-        self._chain = hashlib.sha256()
-        self._data_len = None
-        self._chunk_size = None
-        self._builder = _prov.ProvenanceBuilder()
-        self._group_chain = hashlib.sha256()
-        self._index_end = 0
-        self._last_method = ""
+        self._clear()
 
 
 def save_record(
@@ -631,32 +612,25 @@ class _IndexWalk:
     blob: bytes
     header: dict
     groups: List[_prov.RowGroup]
-    rows: int
     chain_ok: bool
 
-    def table(self, upto: Optional[int] = None) -> _prov.ProvenanceTable:
-        """Verify and decode the groups covering ``0..upto`` (default all)."""
+    def row(self, k: int) -> _prov.ProvenanceIndex:
+        """Verify and decode row-group *k* alone: checkpoint *k*'s row."""
         if not self.chain_ok:
             raise IntegrityError(
                 f"{self.path.name}: row-group chain digest does not match "
                 f"the manifest",
                 path=str(self.path),
             )
-        chosen = (
-            self.groups
-            if upto is None
-            else [g for g in self.groups if g.first_ckpt <= upto]
-        )
-        src_ckpt, src_off = _prov.decode_v3_groups(
-            self.blob, chosen, self.header["num_chunks"]
-        )
-        return _prov.ProvenanceTable(
-            data_len=self.header["data_len"],
-            chunk_size=self.header["chunk_size"],
-            src_ckpt=src_ckpt,
-            src_off=src_off,
-            index_rows=self.rows,
-        )
+        if not 0 <= k < len(self.groups):
+            raise StorageError(
+                f"checkpoint {k} outside record index of {len(self.groups)}"
+            )
+        _INDEX_GROUPS_DECODED.inc()
+        return _prov.decode_v3_group(self.blob, self.groups[k], self.header)
+
+    def all_rows(self) -> List[_prov.ProvenanceIndex]:
+        return [self.row(k) for k in range(len(self.groups))]
 
 
 def _walk_index(path: Path, manifest: dict) -> Optional[_IndexWalk]:
@@ -689,35 +663,51 @@ def _walk_index(path: Path, manifest: dict) -> Optional[_IndexWalk]:
         )
     blob = index_path.read_bytes()
     header, groups = _prov.scan_v3(blob, max_rows=rows)
+    if not groups:
+        raise IntegrityError(
+            f"{index_path.name}: provenance index holds no row-groups",
+            path=str(index_path),
+        )
     actual_chain = hashlib.sha256(b"".join(g.digest for g in groups)).hexdigest()
     return _IndexWalk(
         path=index_path,
         blob=blob,
         header=header,
         groups=groups,
-        rows=rows,
         chain_ok=actual_chain == expected_chain,
     )
 
 
-def load_provenance(directory: Union[str, Path], upto: Optional[int] = None):
+def load_provenance(directory: Union[str, Path], ckpt: Optional[int] = None):
     """Load a record's persisted provenance index, if it has one.
 
-    Returns a :class:`~repro.core.provenance.ProvenanceTable`, or ``None``
-    when the record has no index (the chain was not indexable at save
-    time).  A *present but damaged* index raises :class:`IntegrityError`
-    — callers choose whether to fall back.
-
-    With *upto* the index is loaded *selectively*: only the row-groups
-    covering checkpoints ``0..upto`` are hashed and decoded, so restoring
-    checkpoint K never pays for — and is never blocked by damage in —
-    groups past K.  The manifest's ``chain_sha256`` over the stored group
-    digests is always checked in full (a structural walk, no body
-    decoding).
+    Returns checkpoint *ckpt*'s :class:`~repro.core.provenance.
+    ProvenanceIndex` row — row-group *ckpt* alone is hashed and decoded,
+    so a restore costs one row at any chain length and damage in any
+    *other* group never blocks it — or, without *ckpt*, every row stacked
+    into a :class:`~repro.core.provenance.ProvenanceTable`; ``None`` when
+    the record has no index (the chain was not indexable at save time).
+    The structural walk and the manifest's ``chain_sha256`` over the
+    stored group digests always cover the whole file (no body decoding).
+    A *present but damaged* index raises :class:`IntegrityError` —
+    callers choose whether to fall back.
     """
     path = Path(directory)
-    walk = _walk_index(path, _read_manifest(path))
-    return None if walk is None else walk.table(upto)
+    manifest = _read_manifest(path)
+    walk = _walk_index(path, manifest)
+    if walk is None:
+        return None
+    if ckpt is None:
+        return _prov.ProvenanceTable.from_rows(walk.all_rows())
+    count, held_len = manifest["num_checkpoints"], manifest.get("data_len")
+    indexed_len = walk.header["data_len"]
+    if len(walk.groups) < count or held_len not in (None, indexed_len):
+        raise IntegrityError(
+            f"provenance index covers {len(walk.groups)} checkpoints of "
+            f"{indexed_len} bytes, record holds {count} of {held_len}",
+            path=str(walk.path),
+        )
+    return walk.row(ckpt)
 
 
 def record_index_bytes(directory: Union[str, Path]) -> int:
@@ -762,8 +752,8 @@ class RecordVerification:
     #: (both 0 when the record has no index or the index is damaged).
     index_bytes: int = 0
     index_raw_bytes: int = 0
-    #: Row-group accounting: total groups scanned, and the first
-    #: checkpoint of every group whose digest did not match.
+    #: Row-group accounting: total groups scanned, and the checkpoint
+    #: of every group whose digest did not match.
     index_groups: int = 0
     index_bad_groups: List[int] = field(default_factory=list)
     detail: str = ""
@@ -911,8 +901,8 @@ def verify_record(directory: Union[str, Path]) -> RecordVerification:
 
     # Per-row-group integrity, reported not raised: every group's digest
     # is checked independently, so the report names exactly which
-    # appends' rows are damaged — and an intact prefix is still
-    # restorable via load_provenance's selective ``upto``.
+    # checkpoints' rows are damaged — every other checkpoint is still
+    # restorable, since a restore decodes only the row it names.
     try:
         walk = _walk_index(path, manifest)
     except (StorageError, SerializationError):
@@ -921,7 +911,7 @@ def verify_record(directory: Union[str, Path]) -> RecordVerification:
     if walk is not None:
         report.index_groups = len(walk.groups)
         report.index_bad_groups = [
-            g.first_ckpt
+            g.ckpt_id
             for g in walk.groups
             if not _prov.verify_v3_group(walk.blob, g)
         ]
@@ -929,7 +919,7 @@ def verify_record(directory: Union[str, Path]) -> RecordVerification:
         if report.provenance_ok:
             report.index_bytes = len(walk.blob)
             report.index_raw_bytes = (
-                walk.rows
+                len(walk.groups)
                 * walk.header["num_chunks"]
                 * _prov.RAW_INDEX_BYTES_PER_CHUNK
             )

@@ -94,8 +94,8 @@ def restore_record_sharded(
     """
     if cluster is None:
         cluster = thetagpu()
-    # The same resolve step as the single-GPU restore: only index groups
-    # up to the target are decoded, and every referenced frame is read
+    # The same resolve step as the single-GPU restore: only the target's
+    # own index row-group is decoded, and every referenced frame is read
     # once fleet-wide (each rank gathers from the same host-staged
     # payloads), priced below at the cluster's aggregate PFS bandwidth.
     index, payload_of, resolved = resolve_source(directory, upto, payload_codec)

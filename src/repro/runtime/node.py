@@ -20,7 +20,7 @@ import numpy as np
 from ..core.base import DedupEngine
 from ..core.checkpointer import ENGINES
 from ..core.diff import CheckpointDiff
-from ..core.provenance import ProvenanceBuilder, resolve_source, restore_indexed
+from ..core.provenance import resolve_source, restore_indexed
 from ..core.store import RecordWriter
 from ..core.sharded_restore import ShardedRestorePlan, ShardReport
 from ..errors import SimulationError
@@ -196,12 +196,6 @@ class NodeRuntime:
         self.persisted: List[List[PersistedCheckpoint]] = [
             [] for _ in range(num_processes)
         ]
-        #: Per-process chunk-provenance builders, kept in lockstep with the
-        #: durability ledger so a crash restores via one indexed gather
-        #: instead of replaying the whole chain.
-        self.provenance: List[ProvenanceBuilder] = [
-            ProvenanceBuilder() for _ in range(num_processes)
-        ]
         self.crash_reports: List[CrashReport] = []
 
     # ------------------------------------------------------------------
@@ -281,7 +275,6 @@ class NodeRuntime:
                     persisted_at=report.persisted_at,
                 )
             )
-            self.provenance[p].append(diff)
             # The payload digest is only worth computing when a journal
             # is recording — replay uses it to prove bit-identical
             # durable content without shipping payloads around.  It is
@@ -338,14 +331,13 @@ class NodeRuntime:
         The process loses its in-memory state and every checkpoint still
         in flight through the hierarchy; it restarts from the latest
         checkpoint that was *durable* (had reached the terminal tier) by
-        ``at_time``, reconstructed by the provenance gather: the
-        chunk-provenance builder maintained alongside the durability
-        ledger resolves where every chunk's bytes live, and one gather
-        per referenced diff rebuilds the state — no chain replay.
-        ``scrub=True`` (the default) still validates the whole chain
-        first.  The engine is
-        replaced with a fresh one seeded by re-checkpointing the restored
-        state, so the dedup chain restarts consistently.
+        ``at_time``, reconstructed by the provenance gather: the durable
+        chain's provenance row is composed at crash time (one pass over
+        diffs that ``scrub=True``, the default, validates in full
+        anyway), and one gather per referenced diff rebuilds the state —
+        no chain replay.  The engine is replaced with a fresh one seeded
+        by re-checkpointing the restored state, so the dedup chain
+        restarts consistently.
 
         ``fan_out`` shards the restore's gathers across that many of the
         node's GPUs (the crashed process's siblings are idle during a
@@ -390,15 +382,13 @@ class NodeRuntime:
         restore_seconds = 0.0
         restore_payload_bytes = 0
         restore_sources = 0
-        if durable_idx and fan_out > 1:
+        if durable_idx:
             last = ledger[durable_idx[-1]]
             chain = [c.diff for c in ledger[: durable_idx[-1] + 1]]
-            index, payload_of, _ = resolve_source(
-                chain,
-                last.ckpt_id,
-                scrub=scrub,
-                builder=self.provenance[process],
-            )
+            restored_id: Optional[int] = last.ckpt_id
+            lost = max(0.0, at_time - last.produced_at)
+        if durable_idx and fan_out > 1:
+            index, payload_of, _ = resolve_source(chain, last.ckpt_id, scrub=scrub)
             plan = ShardedRestorePlan(index, fan_out)
             spaces = [DeviceSpace(r) for r in range(fan_out)]
             reports = [
@@ -444,11 +434,7 @@ class NodeRuntime:
                 sources=restore_sources,
                 critical_path_seconds=restore_seconds,
             )
-            restored_id: Optional[int] = last.ckpt_id
-            lost = max(0.0, at_time - last.produced_at)
         elif durable_idx:
-            last = ledger[durable_idx[-1]]
-            chain = [c.diff for c in ledger[: durable_idx[-1] + 1]]
             space = DeviceSpace(process)
             with telemetry.span(
                 "node.crash_restart",
@@ -457,11 +443,7 @@ class NodeRuntime:
                 crash_time=at_time,
             ) as span:
                 restored, rreport = restore_indexed(
-                    chain,
-                    last.ckpt_id,
-                    scrub=scrub,
-                    space=space,
-                    builder=self.provenance[process],
+                    chain, last.ckpt_id, scrub=scrub, space=space
                 )
                 span.set(
                     restored_ckpt_id=last.ckpt_id,
@@ -472,8 +454,6 @@ class NodeRuntime:
             restore_seconds = cost.seconds
             restore_payload_bytes = rreport.total_payload_bytes_read
             restore_sources = rreport.frames_referenced
-            restored_id = last.ckpt_id
-            lost = max(0.0, at_time - last.produced_at)
         else:
             telemetry.instant("node.cold_restart", process=process)
             restored = np.zeros(self._data_len, dtype=np.uint8)
@@ -487,7 +467,6 @@ class NodeRuntime:
         # (it was reconstructed from data already on the terminal tier).
         engine = ENGINES[self._method](self._data_len, self._chunk_size)
         self.persisted[process] = []
-        self.provenance[process].reset()
         if self.record_root is not None:
             self._pending_records = {
                 key: staged
@@ -505,7 +484,6 @@ class NodeRuntime:
                     persisted_at=at_time,
                 )
             )
-            self.provenance[process].append(seed_diff)
             if self.record_root is not None:
                 # The restart checkpoint is durable by construction (it
                 # was rebuilt from bytes already on the terminal tier),

@@ -344,15 +344,10 @@ def attribute_diffs(
     )
 
 
-def attribute_record(
-    directory, record: Optional[str] = None, emit: bool = True
-) -> RecordAttribution:
-    """Attribute a stored record.
-
-    Uses the persisted RPIX index when present (frames are still read
-    once for the metadata/stored-byte columns, but never replayed);
-    records predating the index get one composed from their diffs.
-    """
+def _load_indexed(directory, name: Optional[str]):
+    """A stored record's ``(diffs, table, name)``: the persisted RPIX index
+    when it covers the chain (frames are read once, never replayed), else
+    one composed from the diffs; *name* defaults to the directory's."""
     import os
 
     from ..core.provenance import ProvenanceTable
@@ -362,9 +357,16 @@ def attribute_record(
     table = load_provenance(directory)
     if table is None or table.num_checkpoints < len(diffs):
         table = ProvenanceTable.from_diffs(diffs)
-    name = record if record is not None else os.path.basename(
-        os.path.normpath(str(directory))
-    )
+    if name is None:
+        name = os.path.basename(os.path.normpath(str(directory)))
+    return diffs, table, name
+
+
+def attribute_record(
+    directory, record: Optional[str] = None, emit: bool = True
+) -> RecordAttribution:
+    """Attribute a stored record (see :func:`_load_indexed`)."""
+    diffs, table, name = _load_indexed(directory, record)
     return attribute_table(table, diffs, record=name, emit=emit)
 
 
@@ -496,20 +498,11 @@ class ChunkCensus:
         self, directory, name: Optional[str] = None
     ) -> CensusRecord:
         """Ingest a stored record (index-driven, payloads sliced cold)."""
-        import os
+        from ..core.store import record_frame_sizes
 
-        from ..core.provenance import ProvenanceTable
-        from ..core.store import load_provenance, load_record, record_frame_sizes
-
-        diffs = load_record(directory)
-        table = load_provenance(directory)
-        if table is None or table.num_checkpoints < len(diffs):
-            table = ProvenanceTable.from_diffs(diffs)
+        diffs, table, label = _load_indexed(directory, name)
         payloads = {d.ckpt_id: np.frombuffer(d.payload, np.uint8) for d in diffs}
         stored = int(sum(record_frame_sizes(directory)))
-        label = name if name is not None else os.path.basename(
-            os.path.normpath(str(directory))
-        )
         return self._ingest(label, table, payloads.__getitem__, stored)
 
     def _ingest(
@@ -708,7 +701,7 @@ def chunk_size_sweep(
     table = ProvenanceTable.from_diffs(diffs)
     payloads = {d.ckpt_id: np.frombuffer(d.payload, np.uint8) for d in diffs}
     states = [
-        materialize_index(table.row(k), payloads.__getitem__, h2d=False)
+        materialize_index(table.row(k), payloads.__getitem__)
         for k in range(table.num_checkpoints)
     ]
     logical = table.num_checkpoints * table.data_len

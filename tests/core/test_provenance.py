@@ -31,7 +31,8 @@ from repro.core.provenance import (
     _GROUP_HEADER,
     _TABLE_HEADER,
     _TABLE_MAGIC,
-    decode_v3_groups,
+    _pack_planes,
+    decode_v3_group,
     encode_v3_group,
     encode_v3_prologue,
     scan_v3,
@@ -77,11 +78,17 @@ class TestEquivalence:
         assert np.array_equal(fast, states[-1])
 
     def test_external_builder_matches_on_the_fly(self, rng):
+        from repro.core import materialize_index, resolve_source
+
         diffs, states = _chain("tree", rng)
         builder = ProvenanceBuilder()
         builder.extend(diffs)
-        out, _ = restore_indexed(diffs, builder=builder)
-        assert np.array_equal(out, states[-1])
+        for k in (1, len(diffs) - 1):
+            index, payload_of, _ = resolve_source(diffs, k)
+            external = builder.index_for(k)
+            assert np.array_equal(external.src_ckpt, index.src_ckpt)
+            assert np.array_equal(external.src_off, index.src_off)
+            assert np.array_equal(materialize_index(external, payload_of), states[k])
 
     def test_codec_payloads(self, rng):
         from repro.compress import get_codec
@@ -131,8 +138,7 @@ class TestBuilderValidation:
 def _v3_blob(table):
     """The RPIX v3 file RecordWriter writes: prologue + one group per row."""
     groups = [
-        encode_v3_group(k, table.src_ckpt[k : k + 1], table.src_off[k : k + 1])[0]
-        for k in range(table.num_checkpoints)
+        encode_v3_group(table.row(k))[0] for k in range(table.num_checkpoints)
     ]
     prologue = encode_v3_prologue(
         table.num_checkpoints, table.num_chunks, table.data_len, table.chunk_size
@@ -141,8 +147,12 @@ def _v3_blob(table):
 
 
 def _decode(blob):
+    """Every row of a bare v3 blob, one self-contained group at a time."""
     header, groups = scan_v3(blob)
-    return header, decode_v3_groups(blob, groups, header["num_chunks"])
+    table = ProvenanceTable.from_rows(
+        [decode_v3_group(blob, g, header) for g in groups]
+    )
+    return header, (table.src_ckpt, table.src_off)
 
 
 class TestTablePersistence:
@@ -208,12 +218,12 @@ def _redigest_last_group(blob):
     _header, groups = scan_v3(blob)
     g = groups[-1]
     digest = hashlib.sha256(
-        struct.pack("<II", g.first_ckpt, g.num_rows)
+        struct.pack("<II", g.ckpt_id, 1)
         + blob[g.body_off : g.body_off + g.body_len]
     ).digest()
     header_off = g.body_off - _GROUP_HEADER.size
     out[header_off : g.body_off] = _GROUP_HEADER.pack(
-        g.body_len, g.first_ckpt, g.num_rows, digest
+        g.body_len, g.ckpt_id, 1, digest
     )
     return bytes(out)
 
@@ -272,6 +282,33 @@ class TestRpixV2:
         with pytest.raises(StorageError):
             restore_record_indexed(tmp_path)
 
+    def test_multi_row_group_rejected_by_name(self, rng, tmp_path):
+        """One checkpoint = one row = one group: a well-formed group whose
+        header says ``rows=2`` (nothing ever wrote one) is not read."""
+        diffs, _ = _chain("tree", rng, steps=2)
+        table = ProvenanceTable.from_diffs(diffs)
+        body = _pack_planes(table.src_ckpt, table.src_off)
+        digest = hashlib.sha256(struct.pack("<II", 0, 2) + body).digest()
+        blob = (
+            encode_v3_prologue(2, table.num_chunks, table.data_len, CS)
+            + _GROUP_HEADER.pack(len(body), 0, 2, digest)
+            + body
+        )
+        with pytest.raises(IntegrityError, match="row-group of 2 rows"):
+            scan_v3(blob)
+
+        save_record(diffs, tmp_path)
+        (tmp_path / "provenance.rpix").write_bytes(blob)
+        manifest_path = tmp_path / "record.json"
+        manifest = json.loads(manifest_path.read_text())
+        manifest["provenance"]["chain_sha256"] = hashlib.sha256(digest).hexdigest()
+        manifest_path.write_text(json.dumps(manifest))
+        for ckpt in (None, 0, 1):
+            with pytest.raises(IntegrityError, match="row-group of 2 rows"):
+                load_provenance(tmp_path, ckpt=ckpt)
+        report = verify_record(tmp_path)
+        assert report.provenance_ok is False and not report.ok
+
     def test_unknown_version_rejected(self, rng):
         diffs, _ = _chain("full", rng, steps=2)
         blob = bytearray(_v3_blob(ProvenanceTable.from_diffs(diffs)))
@@ -297,7 +334,7 @@ class TestRpixV2:
         # and digest: the last plane's length prefix now overruns.
         cut = bytearray(blob[:-6])
         cut[g.body_off - _GROUP_HEADER.size : g.body_off] = _GROUP_HEADER.pack(
-            g.body_len - 6, g.first_ckpt, g.num_rows, g.digest
+            g.body_len - 6, g.ckpt_id, 1, g.digest
         )
         with pytest.raises(IntegrityError, match="is damaged"):
             _decode(_redigest_last_group(bytes(cut)))

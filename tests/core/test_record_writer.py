@@ -6,6 +6,7 @@ import json
 import numpy as np
 import pytest
 
+from repro import telemetry
 from repro.core import ENGINES, RecordWriter, Restorer
 from repro.core.provenance import (
     restore_record_indexed,
@@ -19,7 +20,7 @@ from repro.core.store import (
     save_record,
     verify_record,
 )
-from repro.errors import IntegrityError, StorageError
+from repro.errors import IntegrityError, RestoreError, StorageError
 from repro.telemetry import events
 from repro.telemetry.health import WriteAmplificationRule, evaluate_health
 
@@ -229,17 +230,24 @@ class TestRowGroupDamage:
         assert report.index_bad_groups == [4]
         assert "row-groups damaged" in report.summary()
 
-    def test_restore_before_damage_still_works(self, rng, tmp_path):
+    def test_restore_beside_damage_still_works(self, rng, tmp_path):
+        """Blast radius of index damage is the row asked for: with every
+        group but one damaged, that one checkpoint still restores."""
         diffs = _chain("tree", 6, rng)
-        save_record(diffs, tmp_path / "rec", method="tree")
-        self._damage_group(tmp_path / "rec", 4)
-        # Selective load: checkpoint 3 never touches group 4's bytes.
-        out, report = restore_record_indexed(tmp_path / "rec", upto=3)
-        assert report.used_index
-        assert np.array_equal(out, Restorer().restore_all(diffs[:4])[-1])
-        # At or past the damage, the mismatch is detected loudly.
-        with pytest.raises(IntegrityError):
-            restore_record_indexed(tmp_path / "rec", upto=4)
+        states = Restorer().restore_all(diffs)
+        for intact in (0, 3, 5):
+            directory = save_record(diffs, tmp_path / f"rec{intact}", method="tree")
+            damaged = [j for j in range(6) if j != intact]
+            for j in damaged:
+                self._damage_group(directory, j)
+            out, report = restore_record_indexed(directory, upto=intact)
+            assert report.used_index and np.array_equal(out, states[intact])
+            # Exactly the damaged rows are refused, loudly.
+            for j in damaged:
+                with pytest.raises(IntegrityError, match=f"row-group {j} digest"):
+                    restore_record_indexed(directory, upto=j)
+            verdict = verify_record(directory)
+            assert verdict.index_bad_groups == damaged and not verdict.ok
 
     def test_chain_digest_catches_group_swap(self, rng, tmp_path):
         diffs = _chain("tree", 4, rng)
@@ -267,6 +275,168 @@ class TestRowGroupDamage:
         manifest_path.write_text(json.dumps(manifest, indent=2))
         report = verify_record(tmp_path / "rec")
         assert report.provenance_ok is False
+
+
+GOLDEN_N = 64 * 96 + 23  # short tail chunk
+#: SHA-256 of every file ``save_record(_golden_chain(method))`` wrote at
+#: commit a61ebd3 (PR 17).  The reader may change; these bytes may not.
+GOLDEN_SHA256 = {
+    "basic": {
+        "ckpt-00000.rdif": "da62fa683faa6ae68d48e9a2baa18cdec2de9e5ba270f9ad0493af2900bc27e9",
+        "ckpt-00001.rdif": "6a86db49d4720f2fbbbd197b842b73ec5961b12985efc04c073727f827aa665a",
+        "ckpt-00002.rdif": "57c5679d3e961c472847fc8f25f8311e560efe084618e9877547d68a55da41c0",
+        "ckpt-00003.rdif": "657b2f301ad98040c54978e1c67a362b33fec2f93e609916ab024914d07b48bb",
+        "ckpt-00004.rdif": "364318b72e0a3a35485e4ba20ebaac2fbda3d6727d6b157ab80b355ba4aff63d",
+        "ckpt-00005.rdif": "18a4365d35676bbb9bede44cb99bc8fd1eb59360f85ec130acd5ebb1b3e8c966",
+        "provenance.rpix": "a593c31d95341357330d8268c360c03ea0019f82390ea32c99f1ad071c914005",
+        "record.json": "b248fc2d0b24a9750960851de8efe5d2fcd7a14d7d786ed4b742b33e09db5781",
+    },
+    "full": {
+        "ckpt-00000.rdif": "da62fa683faa6ae68d48e9a2baa18cdec2de9e5ba270f9ad0493af2900bc27e9",
+        "ckpt-00001.rdif": "8832e2bc4f23ab18f59ac8cdfda1310c2f744cc654e61c546983a54df9a58974",
+        "ckpt-00002.rdif": "babc840f0b53e903599a2cc1517c2250a24d5b9b65c4c3ca894400876a3bede5",
+        "ckpt-00003.rdif": "2e3ee1465e506d291ab97e73af1a99bdd629b5104bd9176a2de41d58b9dedfc7",
+        "ckpt-00004.rdif": "66b433c1764e83c93af44c109918ed091f12d5b5e42e0843283d825a63f791bd",
+        "ckpt-00005.rdif": "6ec38f6d609e4bdcf8bb4e43469b42fe73b2748013eac1c7d65b51750ff9e96d",
+        "provenance.rpix": "bf5b73a85435d7d41655459c6cc41c6dd0e40fc29d06a94a55f9193e955c101b",
+        "record.json": "8e54789686baa9e45b1aa26803494c5a65f16c0260a3b90e3d3d602a7220c5cb",
+    },
+    "list": {
+        "ckpt-00000.rdif": "da62fa683faa6ae68d48e9a2baa18cdec2de9e5ba270f9ad0493af2900bc27e9",
+        "ckpt-00001.rdif": "f2b0f0f4e8af4d02ba3cb112b96c30c0202b781fc01ecbf749c9d001a4b5eabc",
+        "ckpt-00002.rdif": "5d53e4561ccff2e99e08d3dd82f1da73eaa3d4ce264211b29ce677a5c46817f9",
+        "ckpt-00003.rdif": "7b13fc500a6382fb829691c6550a54509cdfc00182bc5727cec0fa31d9c08be9",
+        "ckpt-00004.rdif": "7eab97cf9565166b9028500178f50ffef5a84fd747c8ea7159c9e52d60319bc7",
+        "ckpt-00005.rdif": "8fb0fa7233488abeb203ae600365cdaf398012317e9d426cffa21cea40b8eb49",
+        "provenance.rpix": "93577bf7c9aa49a3155901a40087be23750bfec3adb00725c8f1a5f0bab2ca9d",
+        "record.json": "f28f0de48eca2bc3541c43d3094719e58e9bf4aa57282dda7cc39cbb46cde113",
+    },
+    "tree": {
+        "ckpt-00000.rdif": "da62fa683faa6ae68d48e9a2baa18cdec2de9e5ba270f9ad0493af2900bc27e9",
+        "ckpt-00001.rdif": "64c3605f830c6fcee16f5267bb95fc478755dd0f46d918048c9b5917a65c50dd",
+        "ckpt-00002.rdif": "fc0198d3cdfd5a13bca61fb55d814c2748d44518a381cadf50772e99e3cf8f4b",
+        "ckpt-00003.rdif": "b0efba47423e4845aa65e33809d64e3bda1814dac97e83fe17d459970793d6a4",
+        "ckpt-00004.rdif": "9030ccb087bace84c6cdcdd007166921c8883003f6d854a381d3613c3bfdf4c9",
+        "ckpt-00005.rdif": "b46c742248ad2ec31bb762b14e6d35cb56a13a1315f08635f0a82fa25c05c2fd",
+        "provenance.rpix": "196b4b054b987e74beecd02496d35fc3dd334748ecde25e845dd1b033209170c",
+        "record.json": "0d50989c7fc54c9282958fe5a69374dc9eb5b8ee05ed5245c2e898ced4b72f50",
+    },
+}
+
+
+def _noise(n, salt):
+    """Deterministic bytes without numpy's RNG (its streams may change)."""
+    x = np.arange(n, dtype=np.uint64) + np.uint64(salt * 7919 + 1)
+    return ((x * np.uint64(0x9E3779B97F4A7C15)) >> np.uint64(56)).astype(np.uint8)
+
+
+def _golden_chain(method):
+    """Six checkpoints: overwrites, a run stored by an earlier checkpoint,
+    a run stored twice in one checkpoint, a never-written zero half."""
+    engine = ENGINES[method](GOLDEN_N, CHUNK)
+    buf = np.zeros(GOLDEN_N, dtype=np.uint8)
+    buf[: GOLDEN_N // 2] = _noise(GOLDEN_N // 2, 0)
+    diffs = [engine.checkpoint(buf)]
+    for k in range(1, 6):
+        buf = buf.copy()
+        off = (k * 1237) % (GOLDEN_N - 700)
+        buf[off : off + 640] = _noise(640, k)
+        if k % 2 == 0:
+            buf[CHUNK * (4 + k) : CHUNK * (8 + k)] = buf[
+                CHUNK * (20 + k) : CHUNK * (24 + k)
+            ]
+        else:
+            buf[CHUNK * 70 : CHUNK * 74] = buf[CHUNK * 80 : CHUNK * 84] = _noise(
+                4 * CHUNK, 100 + k
+            )
+        diffs.append(engine.checkpoint(buf))
+    return diffs
+
+
+def _dir_sha256(path):
+    return {
+        name: hashlib.sha256(blob).hexdigest()
+        for name, blob in _dir_bytes(path).items()
+    }
+
+
+@pytest.mark.parametrize("method", sorted(GOLDEN_SHA256))
+class TestGoldenRecordBytes:
+    """The on-disk format is frozen: frames, manifest and index of a fixed
+    chain hash to what the parent commit wrote, however they are read."""
+
+    def test_whole_save_matches_golden_and_reads_back(self, method, tmp_path):
+        diffs = _golden_chain(method)
+        directory = save_record(diffs, tmp_path / "rec", method=method)
+        assert _dir_sha256(directory) == GOLDEN_SHA256[method]
+        assert verify_record(directory).ok
+        for k, want in enumerate(Restorer().restore_all(diffs)):
+            out, report = restore_record_indexed(directory, upto=k)
+            assert report.used_index and np.array_equal(out, want)
+
+    def test_reopen_then_append_matches_golden(self, method, tmp_path):
+        diffs = _golden_chain(method)
+        save_record(diffs[:4], tmp_path / "rec", method=method)
+        with RecordWriter(tmp_path / "rec", method=method) as writer:
+            for diff in diffs[4:]:
+                writer.append(diff)
+        assert _dir_sha256(tmp_path / "rec") == GOLDEN_SHA256[method]
+
+
+class TestOneRowDecoded:
+    """A restore decodes the one row-group it names — counted, not timed."""
+
+    CHAIN = 64
+
+    @pytest.fixture
+    def record(self, rng, tmp_path):
+        diffs = _chain("tree", self.CHAIN, rng)
+        return save_record(diffs, tmp_path / "rec", method="tree"), diffs
+
+    @staticmethod
+    def _decoded():
+        return telemetry.counter("store.index_groups_decoded").value
+
+    def test_cold_restore_decodes_exactly_one_group(self, record):
+        directory, diffs = record
+        states = Restorer().restore_all(diffs)
+        with telemetry.capture():
+            for k in range(self.CHAIN):
+                before = self._decoded()
+                out, report = restore_record_indexed(directory, upto=k)
+                assert self._decoded() - before == 1, f"upto={k}"
+                assert report.used_index and np.array_equal(out, states[k])
+
+    def test_whole_table_and_reopen_decode_every_group_once(self, record):
+        directory, _ = record
+        with telemetry.capture():
+            table = load_provenance(directory)
+            assert self._decoded() == table.num_checkpoints == self.CHAIN
+            writer = RecordWriter(directory, method="tree")
+            assert self._decoded() == 2 * self.CHAIN and writer.indexed
+
+    def test_row_out_of_range(self, record):
+        directory, _ = record
+        with pytest.raises(StorageError, match="outside record index of 64"):
+            load_provenance(directory, ckpt=self.CHAIN)
+        with pytest.raises(RestoreError, match="outside record of 64"):
+            restore_record_indexed(directory, upto=self.CHAIN)
+
+    def test_index_covering_fewer_rows_than_the_record(self, rng, tmp_path):
+        """A coherent 5-row index under a 6-checkpoint manifest is refused
+        for every target, including the rows it does hold."""
+        diffs = _chain("tree", 6, rng)
+        short = save_record(diffs[:5], tmp_path / "short", method="tree")
+        directory = save_record(diffs, tmp_path / "rec", method="tree")
+        (directory / "provenance.rpix").write_bytes(
+            (short / "provenance.rpix").read_bytes()
+        )
+        manifest = json.loads((directory / "record.json").read_text())
+        manifest["provenance"] = record_manifest(short)["provenance"]
+        (directory / "record.json").write_text(json.dumps(manifest, indent=2))
+        for k in (2, 5):
+            with pytest.raises(IntegrityError, match="covers 5 checkpoints"):
+                restore_record_indexed(directory, upto=k)
 
 
 class TestAppendEvents:

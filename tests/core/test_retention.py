@@ -151,22 +151,13 @@ class TestRebaseIndex:
 
         return materialize_index(table.row(upto), payload_of)
 
-    def test_with_index_composes_table_for_new_chain(self, stream):
+    def test_indexed_restore_after_rebase_bit_identical(self, stream):
         from repro.core import ProvenanceTable, rebase_record
 
         diffs = chain(stream)
-        rebased, table = rebase_record(diffs, 2, with_index=True)
-        assert isinstance(table, ProvenanceTable)
-        fresh = ProvenanceTable.from_diffs(rebased)
-        assert np.array_equal(table.src_ckpt, fresh.src_ckpt)
-        assert np.array_equal(table.src_off, fresh.src_off)
-
-    def test_indexed_restore_after_rebase_bit_identical(self, stream):
-        from repro.core import rebase_record
-
-        diffs = chain(stream)
         originals = Restorer().restore_all(diffs)
-        rebased, table = rebase_record(diffs, 2, with_index=True)
+        rebased = rebase_record(diffs, 2)
+        table = ProvenanceTable.from_diffs(rebased)
         for new_id in range(len(rebased)):
             state = self._materialize(table, rebased, new_id)
             assert np.array_equal(state, originals[new_id + 2])

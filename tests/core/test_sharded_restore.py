@@ -134,7 +134,7 @@ class TestShardAccounting:
     def test_peak_buffers_bounded_by_single_gpu(self, rng):
         diffs, _ = _chain("tree", rng)
         index = _index_of(diffs)
-        _, single = restore_indexed(diffs, builder=_builder_of(diffs))
+        _, single = restore_indexed(diffs)
         single_sources = single.frames_referenced
         assert single_sources == int(index.referenced().size)
         for ranks in (1, 4, 16):
@@ -205,8 +205,3 @@ class TestValidation:
         assert one > 0
         assert sixteen < one
 
-
-def _builder_of(diffs):
-    builder = ProvenanceBuilder()
-    builder.extend(diffs)
-    return builder

@@ -212,18 +212,6 @@ class TestIndexedRestart:
         assert report.restore_payload_bytes == 0
         assert report.restore_sources == 0
 
-    def test_provenance_builder_tracks_ledger(self, rng):
-        runtime = NodeRuntime(SIZE, 64, num_processes=2)
-        run_cadence(runtime, rng, steps=3)
-        for p in range(2):
-            assert len(runtime.provenance[p]) == len(runtime.persisted[p])
-        runtime.crash_restart(0, at_time=2 * PERIOD + 1.0)
-        # After restart the builder reseeds with the restart checkpoint.
-        assert len(runtime.provenance[0]) == len(runtime.persisted[0]) == 1
-        # And the next cadence keeps them in lockstep.
-        run_cadence(runtime, rng, steps=2)
-        assert len(runtime.provenance[0]) == len(runtime.persisted[0]) == 3
-
     def test_restart_then_crash_again_is_consistent(self, rng):
         runtime = NodeRuntime(SIZE, 64, num_processes=1)
         run_cadence(runtime, rng, steps=3)
