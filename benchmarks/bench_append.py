@@ -3,8 +3,8 @@
 Grows one on-disk record to 500 checkpoints through
 :class:`~repro.core.store.RecordWriter` and proves the per-append cost
 stays *flat* as the chain grows: the Nth append writes the new frame,
-one RPIX v3 row-group, the 60-byte index prologue, and the manifest —
-never the N-1 existing frames or index rows.  The pre-PR path
+one RPIX v4 row-group and one 120-byte record-log entry — never the N-1
+existing frames, index rows or log entries.  The pre-PR path
 (``save_record`` rewriting the whole chain, measured here as a fresh
 whole-chain save) is timed at chain lengths 10 and 500 for contrast:
 that cost grows linearly with the chain.
@@ -14,8 +14,8 @@ Reported per the ISSUE's acceptance bar:
 * ``tail_over_head_ratio`` — median wall ms of appends 490..500 over
   appends 5..15 (floor: ≤ 1.5x, i.e. append #500 costs what #10 did);
 * ``bytes_tail_over_head_ratio`` — same windows over
-  ``AppendReceipt.bytes_written`` (manifest growth is the only term
-  allowed to move, and it is bounded);
+  ``AppendReceipt.bytes_written`` (the log entry is a constant: only the
+  frame and row-group of the checkpoint itself may move it);
 * ``index_bytes_per_append_ratio`` — row-group bytes per append, tail
   over head (the index append is O(rows in this checkpoint), so flat);
 * four-method byte-identity — N ``append()`` calls produce a directory

@@ -24,8 +24,8 @@ N-rank sharded restart and a node's crash restart all first
 callable, then gather a chunk range.  A cold restart from disk only has
 to *parse the frames the index names* (:func:`restore_record_indexed`),
 because :class:`~repro.core.store.RecordWriter` persists one RPIX
-row-group per checkpoint next to the record manifest with the same
-digest discipline as the ``.rdif`` frames.
+row-group per checkpoint next to the record log with the same digest
+discipline as the ``.rdif`` frames.
 
 The composition relies on the engines' serialization invariant (§2.2):
 shifted-duplicate references point at content stored as a first
@@ -62,28 +62,32 @@ from .serialize import (
 ZERO_SOURCE = -1
 
 _TABLE_MAGIC = b"RPIX"
-#: The one on-disk layout: a fixed prologue (header + header digest)
-#: followed by self-contained *row-group* records, one per appended
-#: checkpoint, each carrying its own digest and three cascaded-compressed
-#: planes (``src_ckpt``, and ``src_off`` split into low/high u32 words —
-#: the rows are runny, so 12 B/chunk raw shrinks toward 1–2 B/chunk).
-#: Appending a checkpoint writes one group record and rewrites the
-#: 60-byte prologue in place; nothing else on disk is touched.  The
-#: pre-row-group versions 1 and 2 are rejected by name, never loaded.
-_TABLE_VERSION = 3
-_TABLE_HEADER = struct.Struct("<4sHHIIQI")
-# magic, version, reserved, num_checkpoints, num_chunks, data_len, chunk_size
+#: The one on-disk layout: a fixed prologue (geometry header + header
+#: digest, written once) followed by *row-group* records, one per
+#: appended checkpoint, each carrying its own digest.  A group is a
+#: **keyframe** — checkpoint *k*'s absolute row as three
+#: cascaded-compressed planes (``src_ckpt``, and ``src_off`` split into
+#: low/high u32 words: the rows are runny, so 12 B/chunk raw shrinks
+#: toward 1–2 B/chunk) — or a **delta**: exactly the chunks where row *k*
+#: differs from row *k−1*, raw, 16 B each.  Appending a checkpoint
+#: appends one group record; nothing else in the file is touched.  The
+#: writer (:class:`~repro.core.store.RecordWriter`) picks the kind by a
+#: size rule, so a row is always one keyframe plus less than one
+#: keyframe's bytes of deltas away.  Versions 1–3 are rejected by name.
+_TABLE_VERSION = 4
+_TABLE_HEADER = struct.Struct("<4sHHIQI")
+# magic, version, reserved, num_chunks, data_len, chunk_size
 _TABLE_DIGEST_BYTES = 32
 _PLANE_LEN = struct.Struct("<Q")
-#: Row-group record header: body length, checkpoint row, row count
-#: (always 1: one checkpoint = one row = one group), SHA-256 over
-#: ``pack("<II", ckpt_id, 1) + body``.
+#: Row-group record header: body length, checkpoint row, kind, SHA-256
+#: over ``pack("<II", ckpt_id, kind) + body``.
 _GROUP_HEADER = struct.Struct("<QII32s")
-_GROUP_ROWS = 1
-#: Fixed prologue: table header + SHA-256 of the header bytes.  An
-#: append rewrites exactly this region (the row count lives here) and
-#: appends one group record after the last — O(rows in this checkpoint).
-V3_PROLOGUE_BYTES = _TABLE_HEADER.size + _TABLE_DIGEST_BYTES
+KEYFRAME = 1
+DELTA = 2
+#: One delta entry: u32 chunk id + i32 ``src_ckpt`` + i64 ``src_off``.
+_DELTA_ENTRY_BYTES = 16
+#: Fixed prologue: table header + SHA-256 of the header bytes.
+PROLOGUE_BYTES = _TABLE_HEADER.size + _TABLE_DIGEST_BYTES
 #: Uncompressed index bytes per chunk per checkpoint: i4 src_ckpt + i8 src_off.
 RAW_INDEX_BYTES_PER_CHUNK = 12
 
@@ -166,6 +170,9 @@ class ProvenanceIndex:
     chunk_size: int
     src_ckpt: np.ndarray  # int32, shape (num_chunks,)
     src_off: np.ndarray  # int64, shape (num_chunks,)
+    #: Record-log + index-group bytes read to decode this row from a
+    #: stored record (0 for a row composed in memory).
+    bytes_read: int = 0
 
     @property
     def num_chunks(self) -> int:
@@ -345,7 +352,7 @@ class ProvenanceTable:
     """All checkpoints' provenance rows, stacked — the persisted form.
 
     Row *k* (``row(k)``) is checkpoint *k*'s :class:`ProvenanceIndex`.
-    On disk it is the RPIX v3 row-group file below (one group per row).
+    On disk it is the RPIX v4 row-group file below (one group per row).
     """
 
     data_len: int
@@ -401,144 +408,166 @@ class ProvenanceTable:
 
 
 # ----------------------------------------------------------------------
-# RPIX v3: append-only row-group layout
+# RPIX v4: append-only keyframe / delta row-groups
 # ----------------------------------------------------------------------
-@dataclass(frozen=True)
-class RowGroup:
-    """Framing of one v3 row-group: checkpoint *ckpt_id*'s absolute row,
-    body not yet hashed or decoded."""
-
-    ckpt_id: int
-    digest: bytes
-    body_off: int
-    body_len: int
-
-
-def encode_v3_prologue(
-    num_checkpoints: int, num_chunks: int, data_len: int, chunk_size: int
-) -> bytes:
-    """The fixed-size v3 file prologue: header + SHA-256 of the header."""
+def encode_prologue(num_chunks: int, data_len: int, chunk_size: int) -> bytes:
+    """The fixed-size file prologue: geometry header + its SHA-256."""
     header = _TABLE_HEADER.pack(
-        _TABLE_MAGIC,
-        _TABLE_VERSION,
-        0,
-        num_checkpoints,
-        num_chunks,
-        data_len,
-        chunk_size,
+        _TABLE_MAGIC, _TABLE_VERSION, 0, num_chunks, data_len, chunk_size
     )
     return header + hashlib.sha256(header).digest()
 
 
-def _group_digest(ckpt_id: int, body: bytes) -> bytes:
-    return hashlib.sha256(
-        struct.pack("<II", ckpt_id, _GROUP_ROWS) + body
-    ).digest()
-
-
-def encode_v3_group(row: ProvenanceIndex) -> Tuple[bytes, bytes]:
-    """Encode checkpoint *row* as one self-contained row-group record.
-
-    Returns ``(record_bytes, group_digest)`` — the digest also feeds the
-    manifest's rolling ``chain_sha256`` over all group digests.
-    """
-    body = _pack_planes(row.src_ckpt, row.src_off)
-    digest = _group_digest(row.ckpt_id, body)
-    header = _GROUP_HEADER.pack(len(body), row.ckpt_id, _GROUP_ROWS, digest)
-    return header + body, digest
-
-
-def scan_v3(
-    blob: bytes, max_rows: Optional[int] = None
-) -> Tuple[dict, List[RowGroup]]:
-    """Structurally walk a v3 blob: prologue + group framing, no bodies.
-
-    Verifies the header digest and group framing only — a group *body*
-    is hashed when (and only when) a caller decodes or verifies it.
-    With *max_rows* (the manifest's authoritative row count) the walk
-    stops once that many rows are covered and tolerates trailing bytes:
-    a crash between the group append and the manifest update leaves an
-    orphan group that the next writer open truncates away.
-    """
-    if len(blob) < V3_PROLOGUE_BYTES:
+def decode_prologue(blob: bytes) -> dict:
+    """Check a file's prologue (magic, version, header digest) and return
+    its geometry: ``num_chunks``, ``data_len``, ``chunk_size``."""
+    if len(blob) < PROLOGUE_BYTES:
         raise IntegrityError(f"provenance index too short ({len(blob)} bytes)")
-    magic, version, _reserved, n_ckpts, n_chunks, data_len, chunk_size = (
+    magic, version, _reserved, n_chunks, data_len, chunk_size = (
         _TABLE_HEADER.unpack_from(blob, 0)
     )
     if magic != _TABLE_MAGIC:
         raise IntegrityError(f"bad provenance index magic {magic!r}")
     if version != _TABLE_VERSION:
         raise IntegrityError(
-            f"unsupported provenance index version {version} (expected v3)"
+            f"unsupported provenance index version {version} "
+            f"(expected v{_TABLE_VERSION})"
         )
-    stored = blob[_TABLE_HEADER.size : V3_PROLOGUE_BYTES]
+    stored = blob[_TABLE_HEADER.size : PROLOGUE_BYTES]
     if hashlib.sha256(blob[: _TABLE_HEADER.size]).digest() != stored:
         raise IntegrityError("provenance index header digest mismatch")
-    want = n_ckpts if max_rows is None else max_rows
-    groups: List[RowGroup] = []
-    off = V3_PROLOGUE_BYTES
-    while len(groups) < want:
-        if off + _GROUP_HEADER.size > len(blob):
-            raise IntegrityError(
-                f"provenance index truncated: holds {len(groups)} of {want} rows"
-            )
-        body_len, ckpt_id, g_rows, digest = _GROUP_HEADER.unpack_from(blob, off)
-        off += _GROUP_HEADER.size
-        if g_rows != _GROUP_ROWS:
-            raise IntegrityError(
-                f"unsupported provenance index row-group of {g_rows} rows at "
-                f"checkpoint {ckpt_id} (a row-group holds exactly one row)"
-            )
-        if ckpt_id != len(groups):
-            raise IntegrityError(
-                f"provenance index row-group claims checkpoint {ckpt_id}, "
-                f"expected {len(groups)}"
-            )
-        if off + body_len > len(blob):
-            raise IntegrityError(
-                f"provenance index row-group {ckpt_id} body overruns the file"
-            )
-        groups.append(RowGroup(ckpt_id, digest, off, body_len))
-        off += body_len
-    if max_rows is None and off != len(blob):
-        raise IntegrityError(
-            f"provenance index holds {len(blob) - off} trailing bytes after "
-            f"its {want} row-groups"
+    return {"num_chunks": n_chunks, "data_len": data_len, "chunk_size": chunk_size}
+
+
+def changed_chunks(prev: ProvenanceIndex, row: ProvenanceIndex) -> np.ndarray:
+    """Ascending ids of the chunks whose source differs between two rows."""
+    return np.flatnonzero(
+        (row.src_ckpt != prev.src_ckpt) | (row.src_off != prev.src_off)
+    )
+
+
+def delta_group_bytes(num_changed: int) -> int:
+    """Record bytes of a delta group over *num_changed* chunks."""
+    return _GROUP_HEADER.size + _DELTA_ENTRY_BYTES * num_changed
+
+
+def _group_digest(ckpt_id: int, kind: int, body: bytes) -> bytes:
+    return hashlib.sha256(struct.pack("<II", ckpt_id, kind) + body).digest()
+
+
+def encode_group(
+    row: ProvenanceIndex, changed: Optional[np.ndarray] = None
+) -> Tuple[bytes, bytes]:
+    """Encode checkpoint *row* as one row-group record.
+
+    Without *changed* a keyframe (the absolute row, cascaded-packed);
+    with it — :func:`changed_chunks` against row ``k-1`` — a delta: the
+    changed chunks' ids, ``src_ckpt`` and ``src_off`` as three raw
+    little-endian columns.  Returns ``(record_bytes, group_digest)``; the
+    digest is also what the record log stores for the group.
+    """
+    if changed is None:
+        kind = KEYFRAME
+        body = _pack_planes(row.src_ckpt, row.src_off)
+    else:
+        kind = DELTA
+        body = (
+            changed.astype("<u4").tobytes()
+            + row.src_ckpt[changed].astype("<i4").tobytes()
+            + row.src_off[changed].astype("<i8").tobytes()
         )
-    header = {
-        "num_checkpoints": n_ckpts,
-        "num_chunks": n_chunks,
-        "data_len": data_len,
-        "chunk_size": chunk_size,
-    }
-    return header, groups
+    digest = _group_digest(row.ckpt_id, kind, body)
+    return _GROUP_HEADER.pack(len(body), row.ckpt_id, kind, digest) + body, digest
 
 
-def verify_v3_group(blob: bytes, group: RowGroup) -> bool:
-    """Whether a row-group's stored digest matches its bytes."""
-    body = blob[group.body_off : group.body_off + group.body_len]
-    return _group_digest(group.ckpt_id, body) == group.digest
+def _open_group(record: bytes, ckpt_id: int, digest: bytes) -> Tuple[int, bytes]:
+    """Frame and authenticate one group record: ``(kind, body)``.
 
-
-def decode_v3_group(blob: bytes, group: RowGroup, header: dict) -> ProvenanceIndex:
-    """Verify and decode one row-group into its checkpoint's row; nothing
-    outside *group*'s own bytes is hashed or decoded (*header*: scan_v3's)."""
-    body = blob[group.body_off : group.body_off + group.body_len]
-    if _group_digest(group.ckpt_id, body) != group.digest:
+    The record must be checkpoint *ckpt_id*'s whole group, and its bytes
+    must hash to both the digest its own header stores and *digest*, the
+    record log's copy.
+    """
+    if len(record) < _GROUP_HEADER.size:
         raise IntegrityError(
-            f"provenance index row-group {group.ckpt_id} digest mismatch "
-            f"(stored {group.digest.hex()[:16]}…)"
+            f"provenance index row-group {ckpt_id} is truncated "
+            f"({len(record)} bytes)"
         )
+    body_len, held_id, kind, stored = _GROUP_HEADER.unpack_from(record, 0)
+    body = record[_GROUP_HEADER.size:]
+    if kind not in (KEYFRAME, DELTA):
+        raise IntegrityError(
+            f"unsupported provenance index row-group kind {kind} at "
+            f"checkpoint {ckpt_id}"
+        )
+    if held_id != ckpt_id or body_len != len(body):
+        raise IntegrityError(
+            f"provenance index row-group {ckpt_id} is misframed: claims "
+            f"checkpoint {held_id} and {body_len} body bytes, holds {len(body)}"
+        )
+    if _group_digest(ckpt_id, kind, body) != stored or stored != digest:
+        raise IntegrityError(
+            f"provenance index row-group {ckpt_id} digest mismatch "
+            f"(stored {stored.hex()[:16]}…)"
+        )
+    return kind, body
+
+
+def group_intact(record: bytes, ckpt_id: int, digest: bytes) -> bool:
+    """Whether a group record is whole and matches both of its digests."""
     try:
-        src_ckpt, src_off = _unpack_planes(body, header["num_chunks"])
+        _open_group(record, ckpt_id, digest)
+    except IntegrityError:
+        return False
+    return True
+
+
+def _apply_delta(
+    body: bytes, prev: Optional[ProvenanceIndex]
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Row *k* from row *k-1* and a delta body; *prev* is not modified."""
+    if prev is None:
+        raise IntegrityError("delta row-group has no row before it")
+    n, rest = divmod(len(body), _DELTA_ENTRY_BYTES)
+    if rest:
+        raise IntegrityError(f"delta body of {len(body)} bytes is not whole entries")
+    ids = np.frombuffer(body, dtype="<u4", count=n).astype(np.int64)
+    if n and (np.any(np.diff(ids) <= 0) or int(ids[-1]) >= prev.num_chunks):
+        raise IntegrityError(
+            f"delta chunk ids are not ascending inside {prev.num_chunks} chunks"
+        )
+    src_ckpt, src_off = prev.src_ckpt.copy(), prev.src_off.copy()
+    src_ckpt[ids] = np.frombuffer(body, dtype="<i4", count=n, offset=4 * n)
+    src_off[ids] = np.frombuffer(body, dtype="<i8", count=n, offset=8 * n)
+    return src_ckpt, src_off
+
+
+def decode_group(
+    record: bytes,
+    ckpt_id: int,
+    digest: bytes,
+    spec: ChunkSpec,
+    prev: Optional[ProvenanceIndex] = None,
+) -> ProvenanceIndex:
+    """Verify and decode checkpoint *ckpt_id*'s group record into its row.
+
+    *digest* is the record log's copy of the group digest, *spec* the
+    record's geometry; a delta folds onto *prev*, row ``ckpt_id - 1``.
+    Nothing outside *record* is hashed or decoded.
+    """
+    kind, body = _open_group(record, ckpt_id, digest)
+    try:
+        if kind == KEYFRAME:
+            src_ckpt, src_off = _unpack_planes(body, spec.num_chunks)
+        else:
+            src_ckpt, src_off = _apply_delta(body, prev)
     except IntegrityError as exc:
         raise IntegrityError(
-            f"provenance index row-group {group.ckpt_id} is damaged: {exc}"
+            f"provenance index row-group {ckpt_id} is damaged: {exc}"
         ) from exc
     return ProvenanceIndex(
-        ckpt_id=group.ckpt_id,
-        data_len=header["data_len"],
-        chunk_size=header["chunk_size"],
+        ckpt_id=ckpt_id,
+        data_len=spec.data_len,
+        chunk_size=spec.chunk_size,
         src_ckpt=src_ckpt,
         src_off=src_off,
     )
@@ -718,8 +747,10 @@ class RecordRestoreReport:
     frames_parsed: int
     #: Total ``.rdif`` bytes the record holds on disk.
     record_bytes: int
-    #: ``.rdif`` bytes actually read (+ the index file on the fast path).
+    #: ``.rdif`` bytes actually read, plus :attr:`index_bytes`.
     record_bytes_read: int
+    #: Record-log bytes + the index byte range (the target's keyframe
+    #: through its own group) read on the fast path; 0 without the index.
     index_bytes: int
     used_index: bool
     payload_bytes_read: Dict[int, int] = field(default_factory=dict)
@@ -751,10 +782,11 @@ def resolve_source(
     replay oracle starts here.
 
     A chain's row is composed on the fly by a :class:`ProvenanceBuilder`
-    over diffs ``0..upto``.  A record's row is the one row-group the target
-    names, verified and decoded alone — damage in any other group does
-    not block the restore — and only the frames that row names are read
-    and parsed; a record without an index, or ``scrub=True`` (which
+    over diffs ``0..upto``.  A record's row is decoded from the target's
+    keyframe span alone — its last keyframe and the deltas up to its own
+    group; damage in any group outside that span does not block the
+    restore — and only the frames that row names are read and parsed; a
+    record without an index, or ``scrub=True`` (which
     validates the whole chain and so needs every frame), loads the full
     record and resolves it as a chain.
     """
@@ -784,10 +816,7 @@ def resolve_source(
     if used_index:
         parsed = [int(t) for t in index.referenced()]
         frames = store.load_record_frames(source, parsed)
-        # The whole index file was read for the structural walk.
-        index_bytes = os.path.getsize(
-            os.path.join(source, manifest["provenance"]["file"])
-        )
+        index_bytes = index.bytes_read
     else:
         frames = store.load_record(source) if is_record else source
         if scrub:

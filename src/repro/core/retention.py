@@ -21,7 +21,7 @@ A rebase invalidates any provenance index built over the old chain:
 checkpoint ids shift, and promoting shift references into
 first-occurrence payload changes payload offsets.
 :func:`rebase_stored_record` therefore rewrites a stored record
-directory whole — frames, manifest, *and* ``provenance.rpix``,
+directory whole — frames, header, log *and* provenance index,
 re-composed by the record writer from the rewritten diffs — journaling a
 ``rebase`` event when it does.
 """
@@ -40,7 +40,7 @@ from .diff import CheckpointDiff
 from .merkle import TreeLayout
 from .provenance import ProvenanceBuilder, resolve_source
 from .restore import Restorer
-from .store import load_record, record_manifest, save_record
+from .store import RecordWriter, load_record, record_manifest, save_record
 
 
 def payload_dependencies(
@@ -116,24 +116,17 @@ def rebase_stored_record(
     """Rebase a *stored* record directory in place, index included.
 
     Loads the record, rewrites the chain with :func:`rebase_record`,
-    replaces the frames/manifest/``provenance.rpix`` on disk, and emits a
-    ``rebase`` journal event recording that the index was rewritten.
-    The old frames are removed first: the rebased chain is shorter and
-    renumbered, so nothing of the old layout may survive.
+    replaces every file of the record on disk, and emits a ``rebase``
+    journal event recording that the index was rewritten.  The old
+    record is reset first (the store knows its files): the rebased chain
+    is shorter and renumbered, so nothing of the old layout may survive.
     """
     path = Path(directory)
     manifest = record_manifest(path)
     diffs = load_record(path)
     new_diffs = rebase_record(diffs, at, payload_codec)
 
-    for frame in sorted(path.glob("ckpt-*.rdif")):
-        frame.unlink()
-    (path / "record.json").unlink()
-    index_path = path / "provenance.rpix"
-    index_existed = index_path.exists()
-    if index_existed:
-        index_path.unlink()
-
+    RecordWriter(path).reset()
     save_record(new_diffs, path, method=manifest.get("method", ""))
     events.emit(
         events.REBASE,
@@ -141,8 +134,8 @@ def rebase_stored_record(
         at=at,
         old_checkpoints=len(diffs),
         new_checkpoints=len(new_diffs),
-        index_rewritten=index_path.exists(),
-        index_existed=index_existed,
+        index_rewritten="provenance" in record_manifest(path),
+        index_existed="provenance" in manifest,
     )
     return path
 

@@ -1,40 +1,57 @@
 """On-disk checkpoint record store.
 
-Persists a diff chain as one file per checkpoint plus a small JSON
-manifest — the shape a deployment would push down the Fig. 3 hierarchy.
-The wire format is the versioned encoding of
+Persists a diff chain as one file per checkpoint plus a sealed log — the
+shape a deployment would push down the Fig. 3 hierarchy.  The wire
+format of a frame is the versioned encoding of
 :class:`~repro.core.diff.CheckpointDiff`, so records written here can be
 read by any tool that speaks it.
 
 Layout::
 
-    <dir>/record.json            manifest: method, count, geometry, digests
+    <dir>/record.json            static header: format, method, geometry,
+                                 the log and index file names
+    <dir>/record.log             one fixed-size sealed entry per checkpoint
     <dir>/ckpt-00000.rdif        CheckpointDiff.to_bytes() per checkpoint
     <dir>/ckpt-00001.rdif
     ...
-    <dir>/provenance.rpix        RPIX v3 index: one row-group per checkpoint
+    <dir>/provenance.rpix        RPIX v4 index: one row-group per checkpoint
 
-The manifest (format v2) carries a per-checkpoint SHA-256 of each
-``.rdif`` file and a manifest-level *chain digest* (SHA-256 over the
-concatenated per-file digests), so swapping one valid frame for another
-valid-but-wrong frame is detected even though both frames self-verify.
-This is the only layout read: a pre-integrity record (manifest v1, a
-digest-less manifest, v1 frames, an RPIX v1/v2 index) is rejected by
-name, never loaded unverified.  See ``docs/FAULT_MODEL.md``.
+**The log entry is the commit point.**  An append writes the frame, then
+its index row-group, then one log entry — three pure appends; the header
+is written (temp file + ``os.replace``) only when one of its fields
+changes, in practice once.  An entry holds the frame's size and SHA-256,
+the offset / length / kind / SHA-256 of the index group, and a *seal*:
+the SHA-256 of every log byte before it — all earlier entries, their
+seals included, then this entry's other columns — so the last whole
+entry authenticates every column of the log in one hash.  A
+checkpoint exists iff its entry is whole and sealed: a torn or flipped
+tail entry is simply not a checkpoint, and whatever an interrupted append
+left behind (a frame, a group, part of an entry) is overwritten or
+truncated by the next writer.  A failed seal *before* the tail is damage
+and is refused by every entry point.  Swapping one valid frame for
+another valid-but-wrong frame is detected even though both self-verify,
+because the log holds each frame's digest.
+
+This is the only layout read: manifest v1/v2 (per-checkpoint columns in
+``record.json``), v1 frames and RPIX v1–v3 indexes are rejected by name,
+never loaded unverified.  See ``docs/FAULT_MODEL.md``.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import os
+import struct
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Union
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 from ..errors import IntegrityError, ReproError, SerializationError, StorageError
 from .. import telemetry
 from ..telemetry import events
 from . import provenance as _prov
+from .chunking import ChunkSpec
 from .diff import CheckpointDiff
 
 _FRAMES_READ = telemetry.counter(
@@ -55,18 +72,51 @@ _SALVAGE_EVENTS = telemetry.counter(
 )
 _INDEX_GROUPS_DECODED = telemetry.counter(
     "store.index_groups_decoded",
-    "Provenance row-group bodies verified and decoded (one per row read)",
+    "Provenance row-groups verified and decoded (a row read decodes its "
+    "keyframe plus the deltas up to it)",
 )
 
 _MANIFEST = "record.json"
+_LOG_FILE = "record.log"
 _PATTERN = "ckpt-{:05d}.rdif"
 _INDEX_FILE = "provenance.rpix"
-_FORMAT_VERSION = 2
+_FORMAT_VERSION = 3
+_INDEX_VERSION = 4
+
+#: One log entry: frame bytes, frame SHA-256, index-group offset, length,
+#: kind (0: the record is unindexed) and SHA-256 — then the 32-byte seal.
+_LOG_BODY = struct.Struct("<Q32sQII32s")
+_LOG_ENTRY = struct.Struct(_LOG_BODY.format + "32s")
+_SEAL_BYTES = 32
+#: The group columns of an entry in an unindexed record.
+_NO_GROUP = (0, 0, 0, bytes(32))
 
 #: Per-checkpoint statuses reported by :func:`verify_record`.
 STATUS_OK = "ok"
 STATUS_CORRUPT = "corrupt"
 STATUS_MISSING = "missing"
+
+
+class _Log(NamedTuple):
+    """A record's sealed log, column by column: ``column[k]`` is
+    checkpoint *k*'s value."""
+
+    frame_bytes: Tuple[int, ...] = ()
+    frame_sha: Tuple[bytes, ...] = ()
+    group_off: Tuple[int, ...] = ()
+    group_len: Tuple[int, ...] = ()
+    group_kind: Tuple[int, ...] = ()
+    group_sha: Tuple[bytes, ...] = ()
+    seal: Tuple[bytes, ...] = ()
+
+    @property
+    def count(self) -> int:
+        """Checkpoints the log commits."""
+        return len(self.seal)
+
+    def group_end(self, k: int) -> int:
+        """Index-file offset just past checkpoint *k*'s row-group."""
+        return self.group_off[k] + self.group_len[k]
 
 
 def _file_digest(path: Path) -> str:
@@ -79,17 +129,14 @@ def _file_digest(path: Path) -> str:
         return h.hexdigest()
 
 
-def _chain_digest(digests: List[str]) -> str:
-    h = hashlib.sha256()
-    for d in digests:
-        h.update(bytes.fromhex(d))
-    return h.hexdigest()
+def _chain_digest(digests: Sequence[bytes]) -> str:
+    return hashlib.sha256(b"".join(digests)).hexdigest()
 
 
-def _read_manifest(path: Path) -> dict:
-    """Load and minimally validate a manifest, wrapping parse errors.
+def _read_header(path: Path) -> dict:
+    """Load and validate ``record.json``, wrapping parse errors.
 
-    A malformed manifest is a *storage* failure, not a programming error:
+    A malformed header is a *storage* failure, not a programming error:
     raw ``json.JSONDecodeError`` / ``KeyError`` must never escape to
     callers.
     """
@@ -97,32 +144,94 @@ def _read_manifest(path: Path) -> dict:
     if not manifest_path.exists():
         raise StorageError(f"{path} holds no record manifest")
     try:
-        manifest = json.loads(manifest_path.read_text())
+        header = json.loads(manifest_path.read_text())
     except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise StorageError(f"malformed record manifest {manifest_path}: {exc}") from exc
-    if not isinstance(manifest, dict):
+    if not isinstance(header, dict):
         raise StorageError(
             f"malformed record manifest {manifest_path}: not a JSON object"
         )
-    try:
-        manifest["num_checkpoints"] = int(manifest["num_checkpoints"])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise StorageError(
-            f"malformed record manifest {manifest_path}: bad num_checkpoints"
-        ) from exc
-    version = manifest.get("format_version")
+    version = header.get("format_version")
     if version != _FORMAT_VERSION:
         raise StorageError(f"unsupported record format {version!r}")
-    per_frame = (manifest.get("digests"), manifest.get("frame_bytes"))
-    if not isinstance(manifest.get("chain_digest"), str) or any(
-        not isinstance(column, list) or len(column) != manifest["num_checkpoints"]
-        for column in per_frame
+    if not isinstance(header.get("log"), str) or not isinstance(
+        header.get("index", ""), str
     ):
         raise StorageError(
-            f"malformed record manifest {manifest_path}: it must hold one "
-            f"frame digest and size per checkpoint and a chain digest "
-            f"(pre-integrity manifests are not supported)"
+            f"malformed record manifest {manifest_path}: it must name the "
+            f"record log (and the index, if any) by file name"
         )
+    for key in ("data_len", "chunk_size"):
+        if not isinstance(header.get(key), int):
+            raise StorageError(
+                f"malformed record manifest {manifest_path}: bad {key}"
+            )
+    return header
+
+
+def _read_log(path: Path, header: dict) -> _Log:
+    """The sealed entries of a record's log.
+
+    The last whole entry's seal is recomputed over everything before it,
+    so whatever is returned is authenticated end to end.  A partial tail
+    entry, or a whole tail entry that fails its seal, is a torn append —
+    not a checkpoint, silently left out; a failure anywhere before the
+    tail is damage and raises :class:`IntegrityError`.
+    """
+    log_path = path / header["log"]
+    raw = log_path.read_bytes() if log_path.exists() else b""
+    size = _LOG_ENTRY.size
+    whole = len(raw) // size
+    for count in (whole, whole - 1):
+        end = max(count, 0) * size
+        seal = raw[end - _SEAL_BYTES : end]
+        if not end or hashlib.sha256(raw[: end - _SEAL_BYTES]).digest() == seal:
+            return _Log(*zip(*_LOG_ENTRY.iter_unpack(raw[:end])))
+    # Damage, so time no longer matters: name the first unsealed entry.
+    sealer = hashlib.sha256()
+    for k in range(whole):
+        end = (k + 1) * size
+        sealer.update(raw[end - size : end - _SEAL_BYTES])
+        if sealer.digest() != raw[end - _SEAL_BYTES : end]:
+            break
+        sealer.update(raw[end - _SEAL_BYTES : end])
+    raise IntegrityError(
+        f"{log_path.name}: entry {k} of {whole} fails its seal "
+        f"(damaged record log)",
+        ckpt_id=k,
+        path=str(log_path),
+    )
+
+
+def _read_record(path: Path) -> Tuple[dict, _Log]:
+    header = _read_header(path)
+    return header, _read_log(path, header)
+
+
+def record_manifest(directory: Union[str, Path]) -> dict:
+    """A stored record's manifest: its header fields plus, derived from
+    the sealed log, ``num_checkpoints``, per-checkpoint ``digests`` /
+    ``frame_bytes``, the ``chain_digest`` over the frame digests, and —
+    when the record is indexed — ``provenance`` (``file``, ``version``,
+    ``rows``, ``chain_sha256`` over the group digests)."""
+    header, log = _read_record(Path(directory))
+    manifest = {
+        "format_version": header["format_version"],
+        "method": header.get("method", ""),
+        "num_checkpoints": log.count,
+        "data_len": header["data_len"],
+        "chunk_size": header["chunk_size"],
+        "digests": [digest.hex() for digest in log.frame_sha],
+        "frame_bytes": list(log.frame_bytes),
+        "chain_digest": _chain_digest(log.frame_sha),
+    }
+    if "index" in header:
+        manifest["provenance"] = {
+            "file": header["index"],
+            "version": _INDEX_VERSION,
+            "rows": log.count,
+            "chain_sha256": _chain_digest(log.group_sha),
+        }
     return manifest
 
 
@@ -135,9 +244,11 @@ class AppendReceipt:
     frame_bytes: int
     #: Provenance rows appended (0 when the record is unindexed).
     index_rows_appended: int
-    #: Bytes appended to + rewritten in ``provenance.rpix``.
+    #: Bytes appended to ``provenance.rpix``: this checkpoint's keyframe or
+    #: delta group (plus the prologue on checkpoint 0); nothing is rewritten.
     index_bytes: int
-    #: Bytes of the rewritten manifest.
+    #: Bytes of the appended log entry, plus the ``record.json`` header
+    #: when this append (re)wrote it.
     manifest_bytes: int
 
     @property
@@ -149,18 +260,25 @@ class AppendReceipt:
 class RecordWriter:
     """Append-optimized handle on a record directory.
 
-    ``open → append(diff) × N → close``; the record is durable and
-    loadable after *every* append.  Each append writes only the new
-    frame, one RPIX v3 row-group, the 60-byte index prologue, and the
-    manifest — never the existing frames or index rows, so the cost of
-    appending checkpoint N is O(rows in checkpoint N), not O(chain).
+    ``open → append(diff) × N → close``; the record is loadable after
+    *every* append.  Each append is three pure appends — the new frame,
+    one RPIX row-group, one fixed-size log entry, in that order — so the
+    cost of appending checkpoint N is O(what checkpoint N changed), not
+    O(chain): nothing already on disk is rewritten.
 
-    Opening an existing record is the only O(chain) step: the manifest's
-    cached per-frame digests seed the rolling chain digest (no frame is
-    re-read or re-hashed, except a cheap sanity check of the last frame),
-    and every row of the persisted index is decoded once into the
-    :class:`~repro.core.provenance.ProvenanceBuilder`.  A record with
-    *no* index (an unindexable chain) stays unindexed.
+    The row-group is a delta (16 B per chunk whose source changed) iff
+    the deltas since the last keyframe, this one included, stay smaller
+    than that keyframe; otherwise it is a keyframe (the absolute row).
+    The rule uses only sizes the writer already holds, and bounds what a
+    restore reads by twice one keyframe.
+
+    Opening an existing record is the only O(chain) step: the log is
+    read and its seal verified (no frame is re-read or re-hashed,
+    except a cheap sanity check of the last one), whatever an
+    interrupted append left past the last sealed entry is truncated
+    away, and every row of the index is rebuilt by keyframe decode +
+    delta fold into the :class:`~repro.core.provenance.ProvenanceBuilder`.
+    A record with *no* index (an unindexable chain) stays unindexed.
 
     The writer mirrors :func:`save_record`'s leniency for hand-built
     chains: a diff the builder rejects drops the index (the record still
@@ -180,20 +298,21 @@ class RecordWriter:
     def _clear(self) -> None:
         """The state of a writer on an empty record."""
         self._last_method = ""
-        self._digests: List[str] = []
-        self._frame_sizes: List[int] = []
-        self._chain = hashlib.sha256()
+        self._header: Optional[dict] = None  # record.json as it stands on disk
+        self._count = 0
+        self._sealer = hashlib.sha256()  # over every log byte written
         self._data_len: Optional[int] = None
         self._chunk_size: Optional[int] = None
         self._builder: Optional[_prov.ProvenanceBuilder] = _prov.ProvenanceBuilder()
-        self._group_chain = hashlib.sha256()
-        self._index_end = 0  # byte offset past the last valid row-group
+        self._index_end = 0  # byte offset past the last committed row-group
+        self._keyframe_bytes = 0  # the last keyframe group ...
+        self._delta_bytes = 0  # ... and the delta groups since it
 
     # ------------------------------------------------------------------
     @property
     def count(self) -> int:
         """Checkpoints the record currently holds."""
-        return len(self._digests)
+        return self._count
 
     @property
     def indexed(self) -> bool:
@@ -207,18 +326,25 @@ class RecordWriter:
         self.close()
 
     def close(self) -> None:
-        """Mark the writer closed (every append was already durable)."""
+        """Mark the writer closed (every append was already committed)."""
         self._closed = True
 
     # ------------------------------------------------------------------
     def _open_existing(self) -> None:
-        existing = _read_manifest(self.path)
-        count = existing["num_checkpoints"]
-        if count <= 0:
+        header, log = _read_record(self.path)
+        if (header["log"], header.get("index", _INDEX_FILE)) != (_LOG_FILE, _INDEX_FILE):
+            # Appending under other names would orphan the files it names.
+            raise StorageError(
+                f"{self.path / _MANIFEST} names record files this writer "
+                f"does not write"
+            )
+        self._header = header
+        count = log.count
+        if count == 0:
             return
-        self._data_len = existing.get("data_len")
-        self._chunk_size = existing.get("chunk_size")
-        held_method = existing.get("method")
+        self._data_len = header["data_len"]
+        self._chunk_size = header["chunk_size"]
+        held_method = header.get("method")
         if held_method:
             if self.method and count > 1 and held_method != self.method:
                 raise StorageError(
@@ -228,75 +354,106 @@ class RecordWriter:
                 )
             self._last_method = str(held_method)
 
-        self._digests = [str(d) for d in existing["digests"]]
-        # Torn-append sanity: the manifest is written last, so the one
+        # Torn-append sanity: the log entry is written last, so the one
         # frame that could disagree with it after a crash is the final
         # one.  One file hash, not a chain re-scan.
         last = self.path / _PATTERN.format(count - 1)
-        if not last.exists() or _file_digest(last) != self._digests[-1]:
+        if not last.exists() or _file_digest(last) != log.frame_sha[-1].hex():
             raise IntegrityError(
-                f"{last.name}: frame does not match the manifest "
+                f"{last.name}: frame does not match the record log "
                 f"(damaged or torn record; run verify_record)",
                 ckpt_id=count - 1,
                 path=str(last),
             )
-        for d in self._digests:
-            self._chain.update(bytes.fromhex(d))
+        self._count = count
+        log_path = self.path / header["log"]
+        _truncate(log_path, count * _LOG_ENTRY.size)
+        self._sealer.update(log_path.read_bytes())
 
-        self._frame_sizes = [int(s) for s in existing["frame_bytes"]]
-
-        walk = _walk_index(self.path, existing)
-        if walk is None:
+        if "index" not in header:
             # Unindexed record (unindexable chain, or the index was
             # dropped): appends continue without an index.
             self._builder = None
             return
-        self._builder.indexes = walk.all_rows()
-        for g in walk.groups:
-            self._group_chain.update(g.digest)
-        self._index_end = walk.groups[-1].body_off + walk.groups[-1].body_len
+        self._builder.indexes = _decode_rows(self.path, header, log)
+        self._index_end = log.group_end(count - 1)
+        _truncate(self.path / header["index"], self._index_end)
+        keyframe = _keyframe_of(log, count - 1)
+        self._keyframe_bytes = log.group_len[keyframe]
+        self._delta_bytes = sum(log.group_len[keyframe + 1 :])
 
     # ------------------------------------------------------------------
+    def _write_header(self) -> int:
+        """Bring ``record.json`` up to date; returns the bytes written
+        (0: it already says all of this)."""
+        header = {
+            "format_version": _FORMAT_VERSION,
+            "method": self.method or self._last_method,
+            "data_len": self._data_len,
+            "chunk_size": self._chunk_size,
+            "log": _LOG_FILE,
+        }
+        if self.indexed:
+            header["index"] = _INDEX_FILE
+        if header == self._header:
+            return 0
+        text = json.dumps(header, indent=2)
+        scratch = self.path / (_MANIFEST + ".tmp")
+        scratch.write_text(text)
+        os.replace(scratch, self.path / _MANIFEST)
+        self._header = header
+        return len(text)
+
     def _drop_index(self) -> None:
         self._builder = None
+        self._write_header()  # first: no header may name a deleted index
         index_path = self.path / _INDEX_FILE
         if index_path.exists():
             index_path.unlink()
         self._index_end = 0
 
-    def _append_index(self, diff: CheckpointDiff) -> int:
-        """Extend the v3 index by *diff*'s row-group; returns the bytes
-        written (0: the builder rejected the diff, the index is dropped)."""
+    def _append_index(self, diff: CheckpointDiff):
+        """Extend the index by *diff*'s row-group; returns the bytes
+        appended and the group's ``(offset, length, kind, digest)`` log
+        columns (zeros: the builder rejected the diff, the index is
+        dropped)."""
         try:
             row = self._builder.append(diff)
         except ReproError:
             self._drop_index()
-            return 0
+            return 0, _NO_GROUP
         with telemetry.span("store.index.append_group", ckpt=row.ckpt_id) as span:
-            record, digest = _prov.encode_v3_group(row)
-            self._group_chain.update(digest)
-            prologue = _prov.encode_v3_prologue(
-                row.ckpt_id + 1, row.num_chunks, row.data_len, row.chunk_size
-            )
-            index_path = self.path / _INDEX_FILE
-            if row.ckpt_id == 0:
-                index_path.write_bytes(prologue + record)
-                self._index_end = len(prologue)
+            changed = None
+            if row.ckpt_id:
+                changed = _prov.changed_chunks(self._builder.indexes[-2], row)
+                size = _prov.delta_group_bytes(changed.size)
+                if self._delta_bytes + size >= self._keyframe_bytes:
+                    changed = None
+            record, digest = _prov.encode_group(row, changed)
+            if changed is None:
+                kind = _prov.KEYFRAME
+                self._keyframe_bytes, self._delta_bytes = len(record), 0
             else:
-                with open(index_path, "r+b") as f:
-                    f.seek(self._index_end)
-                    f.write(record)
-                    f.truncate()
-                    f.seek(0)
-                    f.write(prologue)
-            self._index_end += len(record)
-            written = len(record) + len(prologue)
-            span.set(bytes=written)
-        return written
+                kind = _prov.DELTA
+                self._delta_bytes += len(record)
+            # Checkpoint 0 starts the file afresh, prologue first.
+            prologue = b""
+            if row.ckpt_id == 0:
+                prologue = _prov.encode_prologue(
+                    row.num_chunks, row.data_len, row.chunk_size
+                )
+                self._index_end = 0
+            with open(self.path / _INDEX_FILE, "ab" if row.ckpt_id else "wb") as f:
+                f.write(prologue + record)
+            offset = self._index_end + len(prologue)
+            self._index_end = offset + len(record)
+            span.set(bytes=len(prologue) + len(record), kind=kind)
+        return len(prologue) + len(record), (offset, len(record), kind, digest)
 
     # ------------------------------------------------------------------
     def append(self, diff: CheckpointDiff) -> AppendReceipt:
-        """Durably append one checkpoint: frame + row-group + manifest."""
+        """Append one checkpoint: frame, row-group, then the log entry
+        that commits both."""
         if self._closed:
             raise StorageError(f"record writer for {self.path} is closed")
         if self._data_len is not None and diff.data_len != self._data_len:
@@ -309,22 +466,30 @@ class RecordWriter:
             "store.append", ckpt=diff.ckpt_id, path=str(self.path)
         ) as span:
             blob = diff.to_bytes()
-            digest = hashlib.sha256(blob).hexdigest()
-            diff._frame_digest = digest
+            frame_sha = hashlib.sha256(blob).digest()
+            diff._frame_digest = frame_sha.hex()
             (self.path / _PATTERN.format(diff.ckpt_id)).write_bytes(blob)
             _FRAMES_WRITTEN.inc()
-            prior = self.count
-            self._digests.append(digest)
-            self._frame_sizes.append(len(blob))
-            self._chain.update(bytes.fromhex(digest))
+            prior = self._count
             if self._data_len is None:
                 self._data_len = diff.data_len
                 self._chunk_size = diff.chunk_size
             self._last_method = diff.method
 
-            index_bytes = self._append_index(diff) if self.indexed else 0
+            index_bytes, group = (
+                self._append_index(diff) if self.indexed else (0, _NO_GROUP)
+            )
             rows_appended = int(index_bytes > 0)
-            manifest_bytes = self._write_manifest()
+
+            manifest_bytes = self._write_header() + _LOG_ENTRY.size
+            body = _LOG_BODY.pack(len(blob), frame_sha, *group)
+            self._sealer.update(body)
+            seal = self._sealer.digest()
+            self._sealer.update(seal)
+            # The commit point.  Checkpoint 0 starts the log afresh.
+            with open(self.path / _LOG_FILE, "ab" if prior else "wb") as f:
+                f.write(body + seal)
+            self._count = prior + 1
             span.set(
                 bytes=len(blob) + index_bytes + manifest_bytes,
                 frame_bytes=len(blob),
@@ -350,37 +515,23 @@ class RecordWriter:
         )
         return receipt
 
-    def _write_manifest(self) -> int:
-        manifest = {
-            "format_version": _FORMAT_VERSION,
-            "method": self.method or self._last_method,
-            "num_checkpoints": self.count,
-            "data_len": self._data_len,
-            "chunk_size": self._chunk_size,
-            "digests": list(self._digests),
-            "frame_bytes": list(self._frame_sizes),
-            "chain_digest": self._chain.hexdigest(),
-        }
-        if self._builder is not None and self._builder.indexes:
-            manifest["provenance"] = {
-                "file": _INDEX_FILE,
-                "version": 3,
-                "rows": len(self._builder.indexes),
-                "chain_sha256": self._group_chain.hexdigest(),
-            }
-        text = json.dumps(manifest, indent=2)
-        (self.path / _MANIFEST).write_text(text)
-        return len(text)
-
     def reset(self) -> None:
         """Drop the record entirely (a crashed chain restarts at 0)."""
-        for frame in self.path.glob("ckpt-*.rdif"):
-            frame.unlink()
-        for name in (_INDEX_FILE, _MANIFEST):
+        # The log first: from then on the record holds no checkpoint.
+        for name in (_LOG_FILE, _INDEX_FILE, _MANIFEST):
             target = self.path / name
             if target.exists():
                 target.unlink()
+        for frame in self.path.glob("ckpt-*.rdif"):
+            frame.unlink()
         self._clear()
+
+
+def _truncate(path: Path, size: int) -> None:
+    """Cut what an interrupted append left past *size* (a partial log
+    entry, an orphan row-group), so the next append is a pure append."""
+    if path.stat().st_size > size:
+        os.truncate(path, size)
 
 
 def save_record(
@@ -400,17 +551,19 @@ def save_record(
     digests already match the chain are *reused*, never rewritten, and
     only the suffix past the stored prefix is appended — so appending
     one checkpoint through this legacy entry point costs one frame, one
-    index row-group, and a manifest, not a record rewrite.
+    index row-group, and a log entry, not a record rewrite.
     """
     if not diffs:
         raise StorageError("cannot save an empty record")
     path = Path(directory)
     path.mkdir(parents=True, exist_ok=True)
 
-    manifest_path = path / _MANIFEST
     prefix = 0
-    if manifest_path.exists():
-        existing = _read_manifest(path)
+    # (A header with an empty log — a first append that never committed —
+    # holds nothing to be compatible with.)
+    if (path / _MANIFEST).exists() and (existing := record_manifest(path))[
+        "num_checkpoints"
+    ]:
         if existing["num_checkpoints"] > len(diffs):
             raise StorageError(
                 f"{path} already holds a longer record "
@@ -472,18 +625,18 @@ def save_record(
     return path
 
 
-def _load_one(path: Path, index: int, expected_digest: str) -> CheckpointDiff:
+def _load_one(path: Path, index: int, expected_digest: bytes) -> CheckpointDiff:
     """Load + fully verify one checkpoint frame; raises on any damage."""
     if not path.exists():
         raise StorageError(f"record is missing checkpoint file {path.name}")
     blob = path.read_bytes()
     _FRAMES_READ.inc()
     _FRAME_BYTES_READ.inc(len(blob))
-    actual = hashlib.sha256(blob).hexdigest()
+    actual = hashlib.sha256(blob).digest()
     if actual != expected_digest:
         raise IntegrityError(
             f"{path.name}: file digest mismatch "
-            f"(manifest {expected_digest[:16]}…, file {actual[:16]}…)",
+            f"(record log {expected_digest.hex()[:16]}…, file {actual.hex()[:16]}…)",
             ckpt_id=index,
             path=str(path),
         )
@@ -511,9 +664,8 @@ def load_record(
     recoverable part.
     """
     path = Path(directory)
-    manifest = _read_manifest(path)
-    count = manifest["num_checkpoints"]
-    digests = manifest["digests"]
+    _header, log = _read_record(path)
+    count, digests = log.count, log.frame_sha
     diffs: List[CheckpointDiff] = []
     with telemetry.span(
         "store.load_record", path=str(path), frames=count, strict=strict
@@ -552,12 +704,11 @@ def load_record_frames(
     The selective-read primitive behind the indexed restore path: a
     provenance index names the frames whose payloads a checkpoint's bytes
     live in, and only those files are read and parsed.  Each frame still
-    gets the full treatment (manifest digest + embedded digest).
+    gets the full treatment (record-log digest + embedded digest).
     """
     path = Path(directory)
-    manifest = _read_manifest(path)
-    count = manifest["num_checkpoints"]
-    digests = manifest["digests"]
+    _header, log = _read_record(path)
+    count, digests = log.count, log.frame_sha
     frames: Dict[int, CheckpointDiff] = {}
     with telemetry.span(
         "store.load_frames", path=str(path), frames_total=count
@@ -576,7 +727,7 @@ def load_record_frames(
 def record_frame_sizes(directory: Union[str, Path]) -> List[int]:
     """On-disk byte size of each ``.rdif`` frame (0 for missing files)."""
     path = Path(directory)
-    manifest = _read_manifest(path)
+    manifest = record_manifest(path)
     sizes = []
     for i in range(manifest["num_checkpoints"]):
         frame = path / _PATTERN.format(i)
@@ -584,144 +735,105 @@ def record_frame_sizes(directory: Union[str, Path]) -> List[int]:
     return sizes
 
 
-def _index_path(path: Path, manifest: dict) -> Optional[Path]:
-    """The file the manifest's provenance entry names (``None`` if unindexed)."""
-    entry = manifest.get("provenance")
-    if entry is None:
-        return None
-    try:
-        return path / str(entry["file"])
-    except (TypeError, KeyError) as exc:
-        raise StorageError(
-            f"malformed provenance entry in {path / _MANIFEST}"
-        ) from exc
+def _keyframe_of(log: _Log, k: int) -> int:
+    """The last keyframe at or before checkpoint *k*."""
+    while k > 0 and log.group_kind[k] != _prov.KEYFRAME:
+        k -= 1
+    return k
 
 
-@dataclass
-class _IndexWalk:
-    """One structural pass over a record's ``provenance.rpix``.
-
-    The single place the manifest's provenance entry is parsed, the blob
-    read, its row-groups framed (:func:`~repro.core.provenance.scan_v3`,
-    no bodies decoded) and the manifest's rolling ``chain_sha256`` over
-    the stored group digests compared — shared by :func:`load_provenance`,
-    :func:`verify_record` and a reopening :class:`RecordWriter`.
+def _read_groups(
+    path: Path, header: dict, log: _Log, ckpt: Optional[int] = None
+) -> Tuple[int, List[bytes]]:
+    """The group records a read of checkpoint *ckpt*'s row needs, as
+    ``(first checkpoint, records)``: its keyframe span — the last
+    keyframe at or before it through its own group — in one ``pread`` of
+    exactly that byte range.  Without *ckpt*, every group, read with the
+    file prologue, which must agree with the header's geometry.
     """
-
-    path: Path
-    blob: bytes
-    header: dict
-    groups: List[_prov.RowGroup]
-    chain_ok: bool
-
-    def row(self, k: int) -> _prov.ProvenanceIndex:
-        """Verify and decode row-group *k* alone: checkpoint *k*'s row."""
-        if not self.chain_ok:
-            raise IntegrityError(
-                f"{self.path.name}: row-group chain digest does not match "
-                f"the manifest",
-                path=str(self.path),
-            )
-        if not 0 <= k < len(self.groups):
-            raise StorageError(
-                f"checkpoint {k} outside record index of {len(self.groups)}"
-            )
-        _INDEX_GROUPS_DECODED.inc()
-        return _prov.decode_v3_group(self.blob, self.groups[k], self.header)
-
-    def all_rows(self) -> List[_prov.ProvenanceIndex]:
-        return [self.row(k) for k in range(len(self.groups))]
-
-
-def _walk_index(path: Path, manifest: dict) -> Optional[_IndexWalk]:
-    """Walk the record's index file; ``None`` when the record has none.
-
-    Raises :class:`StorageError` for a manifest entry that is not the
-    RPIX v3 form (``rows`` + ``chain_sha256`` — the whole-file ``sha256``
-    entries of RPIX v1/v2 are not read) and :class:`IntegrityError` for a
-    missing, structurally damaged or pre-v3 index file.  A chain-digest
-    mismatch is *reported* (``chain_ok``), so :func:`verify_record` can
-    still name the damaged groups.
-    """
-    index_path = _index_path(path, manifest)
-    if index_path is None:
-        return None
-    entry = manifest["provenance"]
-    try:
-        rows = int(entry["rows"])
-        expected_chain = str(entry["chain_sha256"])
-    except (TypeError, KeyError, ValueError) as exc:
-        raise StorageError(
-            f"unsupported provenance entry in {path / _MANIFEST}: only "
-            f"RPIX v3 row-group indexes (rows + chain_sha256) are read"
-        ) from exc
+    index_path = path / header["index"]
     if not index_path.exists():
         raise IntegrityError(
             f"manifest names provenance index {index_path.name}, "
             f"which is missing",
             path=str(index_path),
         )
-    blob = index_path.read_bytes()
-    header, groups = _prov.scan_v3(blob, max_rows=rows)
-    if not groups:
-        raise IntegrityError(
-            f"{index_path.name}: provenance index holds no row-groups",
-            path=str(index_path),
+    first = 0 if ckpt is None else _keyframe_of(log, ckpt)
+    last = log.count - 1 if ckpt is None else ckpt
+    start = 0 if ckpt is None else log.group_off[first]
+    with open(index_path, "rb") as f:
+        blob = os.pread(f.fileno(), log.group_end(last) - start, start)
+    if ckpt is None:
+        geometry = _prov.decode_prologue(blob)
+        held = (header["data_len"], header["chunk_size"])
+        if (geometry["data_len"], geometry["chunk_size"]) != held:
+            raise IntegrityError(
+                f"{index_path.name} indexes checkpoints of "
+                f"{geometry['data_len']} bytes in {geometry['chunk_size']}-byte "
+                f"chunks, record holds {held[0]} in {held[1]}",
+                path=str(index_path),
+            )
+    return first, [
+        blob[log.group_off[k] - start : log.group_end(k) - start]
+        for k in range(first, last + 1)
+    ]
+
+
+def _decode_rows(
+    path: Path, header: dict, log: _Log, ckpt: Optional[int] = None
+) -> List[_prov.ProvenanceIndex]:
+    """Rows of :func:`_read_groups`' span, by keyframe decode + delta
+    fold; each group is checked against its own digest and the log's."""
+    first, records = _read_groups(path, header, log, ckpt)
+    spec = ChunkSpec(header["data_len"], header["chunk_size"])
+    rows: List[_prov.ProvenanceIndex] = []
+    for k, record in enumerate(records, first):
+        rows.append(
+            _prov.decode_group(
+                record, k, log.group_sha[k], spec, rows[-1] if rows else None
+            )
         )
-    actual_chain = hashlib.sha256(b"".join(g.digest for g in groups)).hexdigest()
-    return _IndexWalk(
-        path=index_path,
-        blob=blob,
-        header=header,
-        groups=groups,
-        chain_ok=actual_chain == expected_chain,
-    )
+        _INDEX_GROUPS_DECODED.inc()
+    return rows
 
 
 def load_provenance(directory: Union[str, Path], ckpt: Optional[int] = None):
     """Load a record's persisted provenance index, if it has one.
 
     Returns checkpoint *ckpt*'s :class:`~repro.core.provenance.
-    ProvenanceIndex` row — row-group *ckpt* alone is hashed and decoded,
-    so a restore costs one row at any chain length and damage in any
-    *other* group never blocks it — or, without *ckpt*, every row stacked
-    into a :class:`~repro.core.provenance.ProvenanceTable`; ``None`` when
-    the record has no index (the chain was not indexable at save time).
-    The structural walk and the manifest's ``chain_sha256`` over the
-    stored group digests always cover the whole file (no body decoding).
+    ProvenanceIndex` row: the record log is read and its seal chain
+    verified, then the one contiguous byte range from *ckpt*'s last
+    keyframe through its own group is read, each group in it checked
+    against its header digest and the log's, the keyframe decoded and
+    the deltas folded onto it — so a restore costs at most two keyframes'
+    bytes at any chain length, and damage in any group *outside* that
+    span never blocks it.  Without *ckpt*, every row stacked into a
+    :class:`~repro.core.provenance.ProvenanceTable`; ``None`` when the
+    record has no index (the chain was not indexable at save time).
     A *present but damaged* index raises :class:`IntegrityError` —
     callers choose whether to fall back.
     """
     path = Path(directory)
-    manifest = _read_manifest(path)
-    walk = _walk_index(path, manifest)
-    if walk is None:
+    header, log = _read_record(path)
+    if "index" not in header or not log.count:
         return None
     if ckpt is None:
-        return _prov.ProvenanceTable.from_rows(walk.all_rows())
-    count, held_len = manifest["num_checkpoints"], manifest.get("data_len")
-    indexed_len = walk.header["data_len"]
-    if len(walk.groups) < count or held_len not in (None, indexed_len):
-        raise IntegrityError(
-            f"provenance index covers {len(walk.groups)} checkpoints of "
-            f"{indexed_len} bytes, record holds {count} of {held_len}",
-            path=str(walk.path),
-        )
-    return walk.row(ckpt)
+        return _prov.ProvenanceTable.from_rows(_decode_rows(path, header, log))
+    if not 0 <= ckpt < log.count:
+        raise StorageError(f"checkpoint {ckpt} outside record index of {log.count}")
+    row = _decode_rows(path, header, log, ckpt)[-1]
+    span_start = log.group_off[_keyframe_of(log, ckpt)]
+    row.bytes_read = log.count * _LOG_ENTRY.size + log.group_end(ckpt) - span_start
+    return row
 
 
 def record_index_bytes(directory: Union[str, Path]) -> int:
     """On-disk byte size of the record's provenance index (0 if absent)."""
     path = Path(directory)
-    index_path = _index_path(path, _read_manifest(path))
-    if index_path is None or not index_path.exists():
+    index_name = _read_header(path).get("index")
+    if index_name is None or not (path / index_name).exists():
         return 0
-    return index_path.stat().st_size
-
-
-def record_manifest(directory: Union[str, Path]) -> dict:
-    """Read just the manifest of a stored record."""
-    return _read_manifest(Path(directory))
+    return (path / index_name).stat().st_size
 
 
 @dataclass
@@ -831,22 +943,21 @@ class RecordVerification:
 def verify_record(directory: Union[str, Path]) -> RecordVerification:
     """Scan a record directory and report per-checkpoint integrity.
 
-    Never raises for damage inside the record (only for an unusable
-    manifest, which includes any pre-integrity format): every checkpoint
-    is classified ``ok`` / ``corrupt`` / ``missing`` so callers see the
-    full extent of the damage, not just the first problem.
+    Never raises for damage to a frame or the index (only for an unusable
+    header or a damaged record log, which includes any pre-integrity
+    format): every checkpoint is classified ``ok`` / ``corrupt`` /
+    ``missing`` so callers see the full extent of the damage, not just
+    the first problem.
     """
     path = Path(directory)
-    manifest = _read_manifest(path)
-    digests = manifest["digests"]
+    header, log = _read_record(path)
     report = RecordVerification(
-        directory=str(path), format_version=manifest["format_version"]
+        directory=str(path), format_version=header["format_version"]
     )
 
-    frame_sizes = manifest["frame_bytes"]
-    seen_digests: List[str] = []
+    seen_digests: List[bytes] = []
     skipped_hash = False
-    for i in range(manifest["num_checkpoints"]):
+    for i in range(log.count):
         blob_path = path / _PATTERN.format(i)
         name = blob_path.name
         if not blob_path.exists():
@@ -854,24 +965,23 @@ def verify_record(directory: Union[str, Path]) -> RecordVerification:
                 CheckpointStatus(i, name, STATUS_MISSING, "file not found")
             )
             continue
-        expected_size = int(frame_sizes[i])
         actual_size = blob_path.stat().st_size
-        if actual_size != expected_size:
-            # Size fast path: the manifest digest cannot possibly match,
+        if actual_size != log.frame_bytes[i]:
+            # Size fast path: the log's digest cannot possibly match,
             # so the frame is classified without reading or hashing it.
             report.checkpoints.append(
                 CheckpointStatus(
                     i,
                     name,
                     STATUS_CORRUPT,
-                    f"file size {actual_size} != manifest {expected_size}",
+                    f"file size {actual_size} != record log {log.frame_bytes[i]}",
                 )
             )
             skipped_hash = True
             continue
         blob = blob_path.read_bytes()
-        seen_digests.append(hashlib.sha256(blob).hexdigest())
-        if seen_digests[-1] != digests[i]:
+        seen_digests.append(hashlib.sha256(blob).digest())
+        if seen_digests[-1] != log.frame_sha[i]:
             report.checkpoints.append(
                 CheckpointStatus(i, name, STATUS_CORRUPT, "file digest mismatch")
             )
@@ -896,31 +1006,32 @@ def verify_record(directory: Union[str, Path]) -> RecordVerification:
     report.chain_ok = (
         complete
         and not skipped_hash
-        and _chain_digest(seen_digests) == manifest["chain_digest"]
+        and seen_digests == list(log.frame_sha)
     )
 
-    # Per-row-group integrity, reported not raised: every group's digest
-    # is checked independently, so the report names exactly which
-    # checkpoints' rows are damaged — every other checkpoint is still
-    # restorable, since a restore decodes only the row it names.
+    # Per-row-group integrity, reported not raised: every group is
+    # checked independently against its own digest and the log's, so the
+    # report names exactly which groups are damaged — a checkpoint whose
+    # keyframe span holds none of them is still restorable.
+    if "index" not in header or not log.count:
+        return report
     try:
-        walk = _walk_index(path, manifest)
+        _first, records = _read_groups(path, header, log)
     except (StorageError, SerializationError):
         report.provenance_ok = False
         return report
-    if walk is not None:
-        report.index_groups = len(walk.groups)
-        report.index_bad_groups = [
-            g.ckpt_id
-            for g in walk.groups
-            if not _prov.verify_v3_group(walk.blob, g)
-        ]
-        report.provenance_ok = walk.chain_ok and not report.index_bad_groups
-        if report.provenance_ok:
-            report.index_bytes = len(walk.blob)
-            report.index_raw_bytes = (
-                len(walk.groups)
-                * walk.header["num_chunks"]
-                * _prov.RAW_INDEX_BYTES_PER_CHUNK
-            )
+    report.index_groups = len(records)
+    report.index_bad_groups = [
+        k
+        for k, record in enumerate(records)
+        if not _prov.group_intact(record, k, log.group_sha[k])
+    ]
+    report.provenance_ok = not report.index_bad_groups
+    if report.provenance_ok:
+        report.index_bytes = log.group_end(log.count - 1)
+        report.index_raw_bytes = (
+            log.count
+            * ChunkSpec(header["data_len"], header["chunk_size"]).num_chunks
+            * _prov.RAW_INDEX_BYTES_PER_CHUNK
+        )
     return report

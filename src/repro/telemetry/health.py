@@ -540,7 +540,7 @@ class WriteAmplificationRule(HealthRule):
     """Record appends writing far more bytes than they checkpoint.
 
     The append path is O(changed data): one frame, one index row-group,
-    one manifest.  Summed over a run, ``bytes_written`` should track
+    one log entry.  Summed over a run, ``bytes_written`` should track
     ``checkpoint_bytes`` closely; a fleet-wide ratio past
     :data:`WRITE_AMP_WARN_RATIO` means the store is rewriting frames or
     rebuilding the index whole — the O(N)-append regression the
@@ -548,7 +548,7 @@ class WriteAmplificationRule(HealthRule):
     :data:`WRITE_AMP_CRITICAL_RATIO` the storage pipeline, not the
     kernels, is the bottleneck again.  Runs writing less than
     :data:`WRITE_AMP_MIN_BYTES` total are ignored: tiny records are all
-    fixed overhead (manifest JSON dwarfs a few-KB frame) and say nothing
+    fixed overhead (header, index prologue, log entries) and say nothing
     about the write path.
     """
 

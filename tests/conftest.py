@@ -19,6 +19,54 @@ def v1_frame(diff) -> bytes:
     return bytes(blob[: _HEADER.size] + blob[_HEADER.size + DIGEST_BYTES :])
 
 
+def v2_manifest(directory) -> None:
+    """Overwrite *directory*'s ``record.json`` with the manifest v2 the
+    pre-log store kept there (per-checkpoint columns in JSON).  Nothing in
+    ``src/`` writes or reads this any more; tests use it to check it is
+    rejected by name."""
+    import json
+
+    from repro.core.store import record_manifest
+
+    manifest = dict(record_manifest(directory), format_version=2)
+    if "provenance" in manifest:
+        manifest["provenance"] = dict(manifest["provenance"], version=3)
+    (directory / "record.json").write_text(json.dumps(manifest, indent=2))
+
+
+def forge_log_entry(directory, index, **columns) -> None:
+    """Replace columns of ``record.log`` entry *index* and re-seal the log
+    from there on, so the seal chain still verifies: only the checks
+    *behind* the log (frame and group digests) stand against the forgery."""
+    import hashlib
+
+    from repro.core import store
+
+    path = directory / "record.log"
+    raw = path.read_bytes()
+    size = store._LOG_ENTRY.size
+    bodies = [
+        raw[at : at + store._LOG_BODY.size] for at in range(0, len(raw), size)
+    ]
+    fields = store._Log(*store._LOG_BODY.unpack(bodies[index]))._replace(**columns)
+    bodies[index] = store._LOG_BODY.pack(*fields[:-1])
+    out = b""
+    for body in bodies:
+        out += body + hashlib.sha256(out + body).digest()
+    path.write_bytes(out)
+
+
+def unindex(directory) -> None:
+    """Make a stored record unindexed, as if its chain never was
+    indexable: drop the index file and its name from the header."""
+    import json
+
+    header_path = directory / "record.json"
+    header = json.loads(header_path.read_text())
+    (directory / header.pop("index")).unlink()
+    header_path.write_text(json.dumps(header, indent=2))
+
+
 @pytest.fixture
 def rng():
     """Deterministic RNG per test."""

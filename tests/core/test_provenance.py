@@ -7,7 +7,6 @@ references.
 """
 
 import hashlib
-import json
 import struct
 
 import numpy as np
@@ -17,6 +16,7 @@ from repro.core import (
     ENGINES,
     ProvenanceBuilder,
     ProvenanceTable,
+    RecordWriter,
     Restorer,
     load_provenance,
     load_record,
@@ -26,18 +26,20 @@ from repro.core import (
     save_record,
     verify_record,
 )
+from repro.core.chunking import ChunkSpec
 from repro.core.dedup_full import FullCheckpoint
 from repro.core.provenance import (
     _GROUP_HEADER,
-    _TABLE_HEADER,
     _TABLE_MAGIC,
-    _pack_planes,
-    decode_v3_group,
-    encode_v3_group,
-    encode_v3_prologue,
-    scan_v3,
+    PROLOGUE_BYTES,
+    changed_chunks,
+    decode_group,
+    decode_prologue,
+    encode_group,
+    encode_prologue,
 )
 from repro.errors import IntegrityError, ReproError, RestoreError, StorageError
+from tests.conftest import forge_log_entry, unindex, v2_manifest
 
 N = 64 * 80
 CS = 64
@@ -135,57 +137,92 @@ class TestBuilderValidation:
             builder.extend(diffs)
 
 
-def _v3_blob(table):
-    """The RPIX v3 file RecordWriter writes: prologue + one group per row."""
-    groups = [
-        encode_v3_group(table.row(k))[0] for k in range(table.num_checkpoints)
-    ]
-    prologue = encode_v3_prologue(
-        table.num_checkpoints, table.num_chunks, table.data_len, table.chunk_size
-    )
-    return prologue + b"".join(groups)
+def _encode(table, deltas=()):
+    """RPIX v4 group records of *table*, one per row: ``[(record, digest)]``.
+    Rows named in *deltas* are delta groups against the row before."""
+    out = []
+    for k in range(table.num_checkpoints):
+        changed = changed_chunks(table.row(k - 1), table.row(k)) if k in deltas else None
+        out.append(encode_group(table.row(k), changed))
+    return out
 
 
-def _decode(blob):
-    """Every row of a bare v3 blob, one self-contained group at a time."""
-    header, groups = scan_v3(blob)
-    table = ProvenanceTable.from_rows(
-        [decode_v3_group(blob, g, header) for g in groups]
-    )
-    return header, (table.src_ckpt, table.src_off)
+def _decode(groups, spec=ChunkSpec(N, CS)):
+    """Every row of a list of ``(record, digest)`` groups, folded in order."""
+    rows = []
+    for k, (record, digest) in enumerate(groups):
+        rows.append(decode_group(record, k, digest, spec, rows[-1] if rows else None))
+    table = ProvenanceTable.from_rows(rows)
+    return table.src_ckpt, table.src_off
+
+
+def _blob(table):
+    """The file RecordWriter writes when every group is a keyframe."""
+    prologue = encode_prologue(table.num_chunks, table.data_len, table.chunk_size)
+    return prologue + b"".join(record for record, _ in _encode(table))
+
+
+def _redigest(record, ckpt_id):
+    """*record* with its stored digest recomputed over its (damaged) body,
+    and that digest — so only the body decoder stands between the damage
+    and the caller."""
+    body_len, _held, kind, _stored = _GROUP_HEADER.unpack_from(record)
+    body = record[_GROUP_HEADER.size :]
+    digest = hashlib.sha256(struct.pack("<II", ckpt_id, kind) + body).digest()
+    return _GROUP_HEADER.pack(body_len, ckpt_id, kind, digest) + body, digest
 
 
 class TestTablePersistence:
     def test_round_trip(self, rng):
         diffs, _ = _chain("tree", rng)
         table = ProvenanceTable.from_diffs(diffs)
-        header, (src_ckpt, src_off) = _decode(_v3_blob(table))
-        assert np.array_equal(src_ckpt, table.src_ckpt)
-        assert np.array_equal(src_off, table.src_off)
-        assert header["data_len"] == N and header["chunk_size"] == CS
+        for deltas in ((), (1, 3, 4), range(1, len(diffs))):
+            src_ckpt, src_off = _decode(_encode(table, deltas))
+            assert np.array_equal(src_ckpt, table.src_ckpt)
+            assert np.array_equal(src_off, table.src_off)
+        header = decode_prologue(_blob(table))
+        assert header == {"num_chunks": N // CS, "data_len": N, "chunk_size": CS}
 
     def test_bit_flip_detected(self, rng):
         diffs, _ = _chain("list", rng)
-        blob = bytearray(_v3_blob(ProvenanceTable.from_diffs(diffs)))
-        blob[len(blob) // 2] ^= 0x40
-        with pytest.raises(IntegrityError, match="digest mismatch"):
-            _decode(bytes(blob))
+        table = ProvenanceTable.from_diffs(diffs)
+        for deltas in ((), (2,)):
+            groups = _encode(table, deltas)
+            record, digest = groups[2]
+            damaged = bytearray(record)
+            damaged[len(record) // 2] ^= 0x40
+            groups[2] = (bytes(damaged), digest)
+            with pytest.raises(IntegrityError, match="row-group 2 digest mismatch"):
+                _decode(groups)
 
     def test_truncation_detected(self, rng):
         diffs, _ = _chain("basic", rng)
-        blob = _v3_blob(ProvenanceTable.from_diffs(diffs))
-        with pytest.raises(IntegrityError, match="overruns|truncated"):
-            _decode(blob[:-8])
+        groups = _encode(ProvenanceTable.from_diffs(diffs))
+        record, digest = groups[-1]
+        for cut in (record[:-8], record[:40]):
+            groups[-1] = (cut, digest)
+            with pytest.raises(IntegrityError, match="misframed|truncated"):
+                _decode(groups)
 
     def test_trailing_bytes_detected(self, rng):
+        # A group is exactly the byte range the record log names: a range
+        # that runs past the group's own body length is refused.  (Bytes
+        # past the *last* group of the file are an interrupted append's
+        # orphan, never read: test_orphan_index_bytes_survive_reopen.)
         diffs, _ = _chain("basic", rng)
-        blob = _v3_blob(ProvenanceTable.from_diffs(diffs))
-        with pytest.raises(IntegrityError, match="trailing bytes"):
-            scan_v3(blob + b"\0" * 5)
-        # With the manifest's authoritative row count the walk stops at
-        # that many rows: an orphan tail from a crashed append is tolerated.
-        _header, groups = scan_v3(blob + b"\0" * 5, max_rows=len(diffs))
-        assert len(groups) == len(diffs)
+        groups = _encode(ProvenanceTable.from_diffs(diffs))
+        record, digest = groups[0]
+        groups[0] = (record + b"\0" * 5, digest)
+        with pytest.raises(IntegrityError, match="misframed"):
+            _decode(groups)
+
+    def test_log_digest_must_match_too(self, rng):
+        # A group that self-verifies but is not the one the log sealed.
+        diffs, _ = _chain("tree", rng)
+        groups = _encode(ProvenanceTable.from_diffs(diffs))
+        groups[1] = (groups[1][0], groups[2][1])
+        with pytest.raises(IntegrityError, match="row-group 1 digest mismatch"):
+            _decode(groups)
 
     def test_save_record_persists_index(self, rng, tmp_path):
         diffs, _ = _chain("tree", rng)
@@ -211,40 +248,24 @@ class TestTablePersistence:
         assert "provenance" not in record_manifest(tmp_path)
 
 
-def _redigest_last_group(blob):
-    """Recompute the last group's stored digest over its (damaged) body,
-    so only the plane decoder stands between the damage and the caller."""
-    out = bytearray(blob)
-    _header, groups = scan_v3(blob)
-    g = groups[-1]
-    digest = hashlib.sha256(
-        struct.pack("<II", g.ckpt_id, 1)
-        + blob[g.body_off : g.body_off + g.body_len]
-    ).digest()
-    header_off = g.body_off - _GROUP_HEADER.size
-    out[header_off : g.body_off] = _GROUP_HEADER.pack(
-        g.body_len, g.ckpt_id, 1, digest
-    )
-    return bytes(out)
-
-
 class TestRpixV2:
-    """The delta+bitpacked plane encoding inside every row-group, and the
-    rejection of the pre-row-group file versions."""
+    """The delta+bitpacked plane encoding inside every keyframe, the raw
+    delta groups, and the rejection of the retired file versions."""
 
     def test_v2_much_smaller_than_raw(self, rng):
         diffs, _ = _chain("tree", rng)
         table = ProvenanceTable.from_diffs(diffs)
-        blob = _v3_blob(table)
-        assert len(blob) < table.raw_index_bytes / 4
+        assert len(_blob(table)) < table.raw_index_bytes / 4
 
-    @pytest.mark.parametrize("version", [1, 2])
+    @pytest.mark.parametrize("version", [1, 2, 3])
     def test_v1_v2_blobs_rejected_by_name(self, version, rng, tmp_path):
-        """RPIX v1 (raw arrays) and v2 (whole-table planes) are not read:
-        a blob claiming either version is refused, whatever follows it."""
+        """RPIX v1 (raw arrays), v2 (whole-table planes) and v3 (absolute
+        row-groups under a row-counting prologue) are not read: a blob
+        claiming any of them is refused, whatever follows it."""
         diffs, _ = _chain("list", rng)
         table = ProvenanceTable.from_diffs(diffs)
-        header = _TABLE_HEADER.pack(
+        header = struct.pack(
+            "<4sHHIIQI",
             _TABLE_MAGIC,
             version,
             0,
@@ -258,86 +279,114 @@ class TestRpixV2:
             + np.ascontiguousarray(table.src_off, dtype="<i8").tobytes()
         )
         blob = header + hashlib.sha256(header + body).digest() + body
-        with pytest.raises(IntegrityError, match=f"version {version}"):
-            scan_v3(blob)
+        with pytest.raises(IntegrityError, match=f"index version {version}"):
+            decode_prologue(blob)
 
-        # The same blob behind a record manifest: load_provenance raises,
-        # verify_record reports (never raises), under either entry style.
+        # The same blob behind a record: load_provenance and a reopening
+        # writer raise, verify_record reports (never raises).
         save_record(diffs, tmp_path)
         (tmp_path / "provenance.rpix").write_bytes(blob)
-        with pytest.raises(IntegrityError, match=f"version {version}"):
+        with pytest.raises(IntegrityError, match=f"index version {version}"):
             load_provenance(tmp_path)
-        assert verify_record(tmp_path).provenance_ok is False
-        manifest_path = tmp_path / "record.json"
-        manifest = json.loads(manifest_path.read_text())
-        manifest["provenance"] = {
-            "file": "provenance.rpix",
-            "sha256": hashlib.sha256(blob).hexdigest(),
-        }
-        manifest_path.write_text(json.dumps(manifest))
-        with pytest.raises(StorageError, match="unsupported provenance entry"):
-            load_provenance(tmp_path)
+        with pytest.raises(IntegrityError, match=f"index version {version}"):
+            RecordWriter(tmp_path)
         report = verify_record(tmp_path)
         assert report.provenance_ok is False and not report.ok
-        with pytest.raises(StorageError):
-            restore_record_indexed(tmp_path)
+        # ... and behind the manifest v2 that went with it, nothing loads.
+        v2_manifest(tmp_path)
+        for entry in (load_provenance, verify_record, restore_record_indexed):
+            with pytest.raises(StorageError, match="unsupported record format 2"):
+                entry(tmp_path)
 
-    def test_multi_row_group_rejected_by_name(self, rng, tmp_path):
-        """One checkpoint = one row = one group: a well-formed group whose
-        header says ``rows=2`` (nothing ever wrote one) is not read."""
+    def test_unknown_group_kind_rejected_by_name(self, rng, tmp_path):
+        """A group is a keyframe (1) or a delta (2): a well-formed group of
+        any other kind (nothing ever wrote one) is not read."""
         diffs, _ = _chain("tree", rng, steps=2)
         table = ProvenanceTable.from_diffs(diffs)
-        body = _pack_planes(table.src_ckpt, table.src_off)
-        digest = hashlib.sha256(struct.pack("<II", 0, 2) + body).digest()
-        blob = (
-            encode_v3_prologue(2, table.num_chunks, table.data_len, CS)
-            + _GROUP_HEADER.pack(len(body), 0, 2, digest)
-            + body
-        )
-        with pytest.raises(IntegrityError, match="row-group of 2 rows"):
-            scan_v3(blob)
+        record, _ = encode_group(table.row(1))
+        body = record[_GROUP_HEADER.size :]
+        digest = hashlib.sha256(struct.pack("<II", 1, 3) + body).digest()
+        alien = _GROUP_HEADER.pack(len(body), 1, 3, digest) + body
+        with pytest.raises(IntegrityError, match="row-group kind 3 at checkpoint 1"):
+            decode_group(alien, 1, digest, ChunkSpec(N, CS), table.row(0))
 
+        # Behind a record whose log is forged to vouch for it.
         save_record(diffs, tmp_path)
-        (tmp_path / "provenance.rpix").write_bytes(blob)
-        manifest_path = tmp_path / "record.json"
-        manifest = json.loads(manifest_path.read_text())
-        manifest["provenance"]["chain_sha256"] = hashlib.sha256(digest).hexdigest()
-        manifest_path.write_text(json.dumps(manifest))
-        for ckpt in (None, 0, 1):
-            with pytest.raises(IntegrityError, match="row-group of 2 rows"):
+        index_path = tmp_path / "provenance.rpix"
+        first, _ = encode_group(table.row(0))
+        index_path.write_bytes(
+            index_path.read_bytes()[: PROLOGUE_BYTES + len(first)] + alien
+        )
+        forge_log_entry(tmp_path, 1, group_len=len(alien), group_sha=digest, group_kind=3)
+        assert load_provenance(tmp_path, ckpt=0).ckpt_id == 0
+        for ckpt in (None, 1):
+            with pytest.raises(IntegrityError, match="row-group kind 3"):
                 load_provenance(tmp_path, ckpt=ckpt)
         report = verify_record(tmp_path)
-        assert report.provenance_ok is False and not report.ok
+        assert report.index_bad_groups == [1] and not report.ok
 
     def test_unknown_version_rejected(self, rng):
         diffs, _ = _chain("full", rng, steps=2)
-        blob = bytearray(_v3_blob(ProvenanceTable.from_diffs(diffs)))
+        blob = bytearray(_blob(ProvenanceTable.from_diffs(diffs)))
         blob[4:6] = (99).to_bytes(2, "little")  # version field
         with pytest.raises(IntegrityError, match="version"):
-            scan_v3(bytes(blob))
+            decode_prologue(bytes(blob))
+        blob[4:6] = (4).to_bytes(2, "little")
+        blob[8] ^= 0x01  # num_chunks, under the header digest
+        with pytest.raises(IntegrityError, match="header digest mismatch"):
+            decode_prologue(bytes(blob))
 
     def test_damaged_plane_detected_even_unverified(self, rng):
         diffs, _ = _chain("tree", rng)
-        blob = bytearray(_v3_blob(ProvenanceTable.from_diffs(diffs)))
-        blob[-1] ^= 0xFF  # inside the last compressed plane
+        groups = _encode(ProvenanceTable.from_diffs(diffs))
+        last = len(groups) - 1
+        damaged = bytearray(groups[last][0])
+        damaged[-1] ^= 0xFF  # inside the last compressed plane
         # With the group digest recomputed over the damage, the plane
         # decoder itself must catch it.
+        groups[last] = _redigest(bytes(damaged), last)
         with pytest.raises(IntegrityError, match="is damaged"):
-            _decode(_redigest_last_group(bytes(blob)))
+            _decode(groups)
 
     def test_truncated_plane_detected(self, rng):
         diffs, _ = _chain("tree", rng)
-        blob = _v3_blob(ProvenanceTable.from_diffs(diffs))
-        _header, groups = scan_v3(blob)
-        g = groups[-1]
+        groups = _encode(ProvenanceTable.from_diffs(diffs))
+        last = len(groups) - 1
+        record = groups[last][0]
+        body_len, _held, kind, stored = _GROUP_HEADER.unpack_from(record)
         # Shorten the last group's body by 6 bytes with coherent framing
         # and digest: the last plane's length prefix now overruns.
-        cut = bytearray(blob[:-6])
-        cut[g.body_off - _GROUP_HEADER.size : g.body_off] = _GROUP_HEADER.pack(
-            g.body_len - 6, g.ckpt_id, 1, g.digest
-        )
+        cut = _GROUP_HEADER.pack(body_len - 6, last, kind, stored) + record[48:-6]
+        groups[last] = _redigest(cut, last)
         with pytest.raises(IntegrityError, match="is damaged"):
-            _decode(_redigest_last_group(bytes(cut)))
+            _decode(groups)
+
+    def test_damaged_delta_detected_even_unverified(self, rng):
+        """A delta body that hashes to its (recomputed) digest but is not
+        a delta: ragged, ids unsorted or past the last chunk, no base."""
+        diffs, _ = _chain("tree", rng)
+        table = ProvenanceTable.from_diffs(diffs)
+        groups = _encode(table, deltas=(2,))
+        record, digest = groups[2]
+        body = bytearray(record[48:])
+        assert len(body) % 16 == 0 and len(body) >= 32
+
+        def framed(new_body):
+            return _redigest(
+                _GROUP_HEADER.pack(len(new_body), 2, 2, b"\0" * 32) + bytes(new_body), 2
+            )
+
+        swapped = bytearray(body)
+        swapped[0:4], swapped[4:8] = body[4:8], body[0:4]
+        outside = bytearray(body)
+        n = len(body) // 16
+        outside[4 * (n - 1) : 4 * n] = (N // CS).to_bytes(4, "little")
+        for bad in (body[:-3], swapped, outside):
+            groups[2] = framed(bad)
+            with pytest.raises(IntegrityError, match="row-group 2 is damaged"):
+                _decode(groups)
+        with pytest.raises(IntegrityError, match="no row before it"):
+            decode_group(record, 2, digest, ChunkSpec(N, CS), None)
 
     def test_verify_record_reports_compression_ratio(self, rng, tmp_path):
         diffs, _ = _chain("tree", rng)
@@ -386,11 +435,7 @@ class TestRecordRestore:
     def test_replay_fallback_without_index(self, rng, tmp_path):
         diffs, states = _chain("list", rng)
         save_record(diffs, tmp_path)
-        (tmp_path / "provenance.rpix").unlink()
-        manifest_path = tmp_path / "record.json"
-        manifest = json.loads(manifest_path.read_text())
-        del manifest["provenance"]
-        manifest_path.write_text(json.dumps(manifest))
+        unindex(tmp_path)
         out, report = restore_record_indexed(tmp_path)
         assert np.array_equal(out, states[-1])
         assert not report.used_index

@@ -17,7 +17,7 @@ from repro.core.store import (
     verify_record,
 )
 from repro.errors import IntegrityError, SerializationError, StorageError
-from tests.conftest import v1_frame
+from tests.conftest import forge_log_entry, v1_frame, v2_manifest
 
 
 @pytest.fixture
@@ -109,8 +109,12 @@ class TestManifestRobustness:
 
     def test_missing_key_wrapped(self, diffs, tmp_path):
         path = save_record(diffs, tmp_path / "rec")
-        (path / "record.json").write_text(json.dumps({"format_version": 2}))
-        with pytest.raises(StorageError, match="num_checkpoints"):
+        (path / "record.json").write_text(json.dumps({"format_version": 3}))
+        with pytest.raises(StorageError, match="must name the record log"):
+            load_record(path)
+        header = {"format_version": 3, "log": "record.log", "data_len": "64"}
+        (path / "record.json").write_text(json.dumps(header))
+        with pytest.raises(StorageError, match="bad data_len"):
             load_record(path)
 
     def test_non_object_manifest_wrapped(self, diffs, tmp_path):
@@ -209,18 +213,17 @@ class TestVerifyRecord:
         assert report.checkpoints[1].status == STATUS_CORRUPT
 
     def test_v1_frame_in_record_reported_corrupt(self, diffs, tmp_path):
-        # A digestless v1 frame behind a current manifest — even with the
-        # manifest digest rewritten to match it — is corrupt, never a
-        # third "unverified but loadable" state.
+        # A digestless v1 frame behind a current record log — even with
+        # the log entry forged to match it and re-sealed — is corrupt,
+        # never a third "unverified but loadable" state.
         import hashlib
 
         path = save_record(diffs, tmp_path / "rec")
         blob = v1_frame(diffs[1])
         (path / "ckpt-00001.rdif").write_bytes(blob)
-        manifest = json.loads((path / "record.json").read_text())
-        manifest["digests"][1] = hashlib.sha256(blob).hexdigest()
-        manifest["frame_bytes"][1] = len(blob)
-        (path / "record.json").write_text(json.dumps(manifest))
+        forge_log_entry(
+            path, 1, frame_sha=hashlib.sha256(blob).digest(), frame_bytes=len(blob)
+        )
         report = verify_record(path)
         assert not report.ok
         status = report.checkpoints[1]
@@ -300,23 +303,93 @@ class TestV1Compatibility:
         with pytest.raises(StorageError, match="unsupported record format 1"):
             save_record(diffs, path)
 
-    @pytest.mark.parametrize("missing", ["digests", "chain_digest", "frame_bytes"])
-    def test_digestless_manifest_rejected(self, missing, diffs, tmp_path):
+    def test_v2_manifest_rejected(self, diffs, tmp_path):
+        """The per-checkpoint columns live in the sealed log now: a
+        ``record.json`` that carries them itself (manifest v2) is refused
+        by name, intact frames or not."""
         path = save_record(diffs, tmp_path / "rec")
-        manifest = json.loads((path / "record.json").read_text())
-        del manifest[missing]
-        (path / "record.json").write_text(json.dumps(manifest))
+        v2_manifest(path)
+        assert json.loads((path / "record.json").read_text())["digests"]
         for entry in self.ENTRY_POINTS:
-            with pytest.raises(StorageError, match="pre-integrity manifests"):
+            with pytest.raises(StorageError, match="unsupported record format 2"):
                 entry(path)
+        with pytest.raises(StorageError, match="unsupported record format 2"):
+            save_record(diffs, path)
 
-    def test_short_digest_list_rejected(self, diffs, tmp_path):
-        path = save_record(diffs, tmp_path / "rec")
-        manifest = json.loads((path / "record.json").read_text())
-        manifest["digests"].pop()
-        (path / "record.json").write_text(json.dumps(manifest))
-        with pytest.raises(StorageError, match="one frame digest and size per checkpoint"):
+
+class TestRecordLog:
+    """``record.log`` is the commit point and the root of trust: a
+    checkpoint exists iff its entry is whole and sealed."""
+
+    ENTRY_POINTS = TestV1Compatibility.ENTRY_POINTS
+
+    @pytest.fixture
+    def record(self, rng, tmp_path):
+        n = 64 * 64
+        engine = ENGINES["tree"](n, 64)
+        buf = rng.integers(0, 256, n, dtype=np.uint8)
+        chain = [engine.checkpoint(buf)]
+        for k in range(1, 4):
+            buf = buf.copy()
+            buf[k * 128 : k * 128 + 64] = k
+            chain.append(engine.checkpoint(buf))
+        return save_record(chain, tmp_path / "rec", method="tree"), chain
+
+    def test_manifest_columns_come_from_the_log(self, record):
+        path, chain = record
+        manifest = record_manifest(path)
+        assert manifest["num_checkpoints"] == len(chain)
+        assert manifest["digests"] == [d.frame_digest() for d in chain]
+        assert manifest["frame_bytes"] == [d.serialized_size for d in chain]
+        assert manifest["provenance"]["rows"] == len(chain)
+        header = json.loads((path / "record.json").read_text())
+        assert sorted(header) == [
+            "chunk_size", "data_len", "format_version", "index", "log", "method",
+        ]
+
+    def test_any_flipped_byte_before_the_tail_is_refused(self, record):
+        """Every column of every entry before the last is sealed: one
+        flipped byte anywhere in them and no entry point will read the
+        record (damage before the tail is not a torn append)."""
+        path, chain = record
+        log = path / "record.log"
+        clean = log.read_bytes()
+        size = len(clean) // len(chain)
+        for at in range(0, size * (len(chain) - 1), 7):
+            raw = bytearray(clean)
+            raw[at] ^= 0x20
+            log.write_bytes(bytes(raw))
+            for entry in self.ENTRY_POINTS:
+                with pytest.raises(IntegrityError, match=f"entry {at // size} .*seal"):
+                    entry(path)
+
+    def test_torn_or_flipped_tail_entry_is_not_a_checkpoint(self, record):
+        path, chain = record
+        log = path / "record.log"
+        clean = log.read_bytes()
+        size = len(clean) // len(chain)
+        flipped = bytearray(clean)
+        flipped[-size // 2] ^= 0x01
+        for tail in (clean[:-1], clean[: -size + 1], bytes(flipped)):
+            log.write_bytes(tail)
+            assert record_manifest(path)["num_checkpoints"] == len(chain) - 1
+            assert verify_record(path).ok
+            assert len(load_record(path)) == len(chain) - 1
+            out, report = restore_record_indexed(path)
+            assert report.target_ckpt == len(chain) - 2 and report.used_index
+            assert np.array_equal(out, Restorer().restore(chain[:-1]))
+
+    def test_forged_frame_digest_is_caught_by_the_frame(self, record):
+        """A coherent (re-sealed) log that names another frame's digest
+        or size: the frame check behind the log still refuses it."""
+        path, chain = record
+        forge_log_entry(path, 2, frame_sha=bytes.fromhex(chain[1].frame_digest()))
+        assert verify_record(path).checkpoints[2].status == STATUS_CORRUPT
+        with pytest.raises(IntegrityError, match="file digest mismatch"):
             load_record(path)
+        forge_log_entry(path, 2, frame_bytes=chain[2].serialized_size + 1)
+        status = verify_record(path).checkpoints[2]
+        assert status.status == STATUS_CORRUPT and "file size" in status.detail
 
 
 class TestCli:

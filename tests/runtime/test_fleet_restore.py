@@ -88,14 +88,10 @@ class TestRestoreRecordSharded:
         )
 
     def test_record_without_index_rejected(self, rng, tmp_path):
-        directory, _ = _record(rng, tmp_path)
-        (directory / "provenance.rpix").unlink()
-        import json
+        from tests.conftest import unindex
 
-        manifest_path = directory / "record.json"
-        manifest = json.loads(manifest_path.read_text())
-        manifest.pop("provenance", None)
-        manifest_path.write_text(json.dumps(manifest))
+        directory, _ = _record(rng, tmp_path)
+        unindex(directory)
         with pytest.raises(RestoreError, match="no provenance index"):
             restore_record_sharded(directory, 4)
 
