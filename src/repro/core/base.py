@@ -122,10 +122,6 @@ class DedupEngine(ABC):
     def _process(self, flat: np.ndarray, ckpt_id: int) -> CheckpointDiff:
         """Produce the diff for checkpoint *ckpt_id* over buffer *flat*."""
 
-    def _check_first(self, ckpt_id: int) -> bool:
-        """True for the initial checkpoint (no history to dedup against)."""
-        return ckpt_id == 0
-
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (
             f"<{type(self).__name__} chunk={self.spec.chunk_size}B "

@@ -181,16 +181,13 @@ class TreeDedup(DedupEngine):
                 bytes_written=digests.nbytes,
             )
 
-        if ckpt_id == 0:
-            fixed = np.zeros(n, dtype=bool)
-        else:
-            prev = self.tree.digests[leaf_nodes]
-            fixed = digests_equal(digests, prev)
-            self.space.launch(
-                "tree.fixed_compare",
-                items=n,
-                bytes_read=2 * digests.nbytes,
-            )
+        prev = self.tree.digests[leaf_nodes]
+        fixed = digests_equal(digests, prev)
+        self.space.launch(
+            "tree.fixed_compare",
+            items=n,
+            bytes_read=2 * digests.nbytes,
+        )
         labels[leaf_nodes[fixed]] = FIXED_DUPL
 
         moving = np.nonzero(~fixed)[0]

@@ -1,22 +1,28 @@
-"""Build-on-demand loader for the native Murmur3 batch kernels.
+"""Build-on-demand loader for the native kernels.
 
-The reproduction's hot loop is chunk hashing; the paper runs it as a GPU
-kernel, and the closest CPU analogue is a compiled C loop rather than a
-chain of NumPy ufunc passes.  This module compiles
-``_murmur3_native.c`` with the system C compiler the first time it is
-needed, caches the shared object next to the source, and exposes the
-entry points through :mod:`ctypes`.
+The reproduction's hot loops are chunk hashing and the hash-record
+probing of :class:`~repro.kokkos.unordered_map.DigestMap`; the paper runs
+both as GPU kernels, and the closest CPU analogue is a compiled C loop
+rather than a chain of NumPy ufunc passes.  This module compiles
+``_murmur3_native.c`` and ``kokkos/_digest_map_native.c`` into one shared
+object with the system C compiler the first time it is needed, caches the
+object next to the Murmur3 source under a name keyed on the SHA-256 of
+both sources (so a stale object is never loaded, whatever happened to the
+files' mtimes), and exposes the entry points through :mod:`ctypes`.
 
-The native path is strictly optional: if no compiler is available, the
-build fails, or ``REPRO_NO_NATIVE`` is set in the environment, callers
-get ``None`` and fall back to the pure-NumPy vectorized kernels (which
-remain the tested reference for every code path).  No third-party
-dependency is introduced either way.
+The native path is strictly optional: if no compiler is available or
+``REPRO_NO_NATIVE`` is set in the environment, callers get ``None`` and
+fall back to the pure-NumPy vectorized kernels (which remain the tested
+reference for every code path).  A build that *fails* although a compiler
+was found — or an object that does not load or lacks a symbol — falls
+back the same way but is not silent: the reason is kept in
+:data:`build_error`.  No third-party dependency is introduced either way.
 """
 
 from __future__ import annotations
 
 import ctypes
+import hashlib
 import os
 import subprocess
 import sysconfig
@@ -24,11 +30,21 @@ import tempfile
 from pathlib import Path
 from typing import Optional
 
-_SOURCE = Path(__file__).with_name("_murmur3_native.c")
-_SONAME = "_murmur3_native" + (sysconfig.get_config_var("SHLIB_SUFFIX") or ".so")
+_HERE = Path(__file__).parent
+_SOURCES = (
+    _HERE / "_murmur3_native.c",
+    _HERE.parent / "kokkos" / "_digest_map_native.c",
+)
+_STEM = "_murmur3_native"
+_SUFFIX = sysconfig.get_config_var("SHLIB_SUFFIX") or ".so"
 
 #: Tri-state cache: None = not tried, False = unavailable, else the CDLL.
 _lib = None
+
+#: Why the kernels are unavailable although they should not be: the
+#: compiler's stderr, or the load / symbol-lookup error.  ``None`` when
+#: they loaded, were opted out of, or no compiler exists.
+build_error: Optional[str] = None
 
 
 def _compiler() -> Optional[str]:
@@ -49,17 +65,22 @@ def _compiler() -> Optional[str]:
     return None
 
 
-def _build(so_path: Path) -> None:
-    cc = _compiler()
-    if cc is None:
-        raise RuntimeError("no C compiler available")
+def _so_path() -> Path:
+    """Where the object built from the current sources is cached."""
+    digest = hashlib.sha256()
+    for source in _SOURCES:
+        digest.update(source.read_bytes())
+    return _HERE / f"{_STEM}-{digest.hexdigest()[:12]}{_SUFFIX}"
+
+
+def _build(cc: str, so_path: Path) -> None:
     # Build into a temp file and atomically move into place so concurrent
     # interpreters never load a half-written object.
     fd, tmp = tempfile.mkstemp(suffix=".so", dir=str(so_path.parent))
     os.close(fd)
     try:
         subprocess.run(
-            [cc, "-O3", "-shared", "-fPIC", "-o", tmp, str(_SOURCE)],
+            [cc, "-O3", "-shared", "-fPIC", "-o", tmp, *map(str, _SOURCES)],
             check=True,
             capture_output=True,
             timeout=120,
@@ -68,11 +89,54 @@ def _build(so_path: Path) -> None:
     finally:
         if os.path.exists(tmp):
             os.unlink(tmp)
+    # Objects of other source versions are dead weight; a reader that has
+    # one mapped keeps it, a failed unlink changes nothing.
+    for stale in so_path.parent.glob(f"{_STEM}*{_SUFFIX}"):
+        if stale != so_path:
+            try:
+                stale.unlink()
+            except OSError:
+                pass
+
+
+def _bind(lib: ctypes.CDLL) -> None:
+    """Declare every entry point; a missing symbol raises AttributeError."""
+    u8p = ctypes.POINTER(ctypes.c_uint8)
+    u64p = ctypes.POINTER(ctypes.c_uint64)
+    size_t = ctypes.c_size_t
+    u64 = ctypes.c_uint64
+    lib.hb_hash_rows.argtypes = [u8p, size_t, size_t, u64, u64p]
+    lib.hb_hash_rows.restype = None
+    lib.hb_hash_chunks.argtypes = [u8p, size_t, size_t, u64, u64p]
+    lib.hb_hash_chunks.restype = None
+    lib.hb_hash_pairs.argtypes = [u64p, u64p, size_t, u64, u64p]
+    lib.hb_hash_pairs.restype = None
+    # DigestMap kernels take buffer addresses (``ndarray.ctypes.data``).
+    ptr = ctypes.c_void_p
+    i64 = ctypes.c_int64
+    lib.dm_probe.argtypes = [ptr, ptr, i64, ptr, i64, ptr, ptr]
+    lib.dm_probe.restype = i64
+    lib.dm_insert_or_lookup.argtypes = [ptr, ptr, ptr, i64, ptr, ptr, i64, ptr, ptr]
+    lib.dm_insert_or_lookup.restype = i64
+    lib.dm_reinsert_unique.argtypes = [ptr, ptr, ptr, i64, ptr, ptr, i64, ptr]
+    lib.dm_reinsert_unique.restype = i64
+
+
+def _load() -> Optional[ctypes.CDLL]:
+    so_path = _so_path()
+    if not so_path.exists():
+        cc = _compiler()
+        if cc is None:
+            return None
+        _build(cc, so_path)
+    lib = ctypes.CDLL(str(so_path))
+    _bind(lib)
+    return lib
 
 
 def get_lib() -> Optional[ctypes.CDLL]:
     """Return the loaded native library, or ``None`` if unavailable."""
-    global _lib
+    global _lib, build_error
     if _lib is False:
         return None
     if _lib is not None:
@@ -80,29 +144,14 @@ def get_lib() -> Optional[ctypes.CDLL]:
     if os.environ.get("REPRO_NO_NATIVE"):
         _lib = False
         return None
+    _lib = False
     try:
-        so_path = _SOURCE.with_name(_SONAME)
-        if (
-            not so_path.exists()
-            or so_path.stat().st_mtime < _SOURCE.stat().st_mtime
-        ):
-            _build(so_path)
-        lib = ctypes.CDLL(str(so_path))
-        u8p = ctypes.POINTER(ctypes.c_uint8)
-        u64p = ctypes.POINTER(ctypes.c_uint64)
-        size_t = ctypes.c_size_t
-        u64 = ctypes.c_uint64
-        lib.hb_hash_rows.argtypes = [u8p, size_t, size_t, u64, u64p]
-        lib.hb_hash_rows.restype = None
-        lib.hb_hash_chunks.argtypes = [u8p, size_t, size_t, u64, u64p]
-        lib.hb_hash_chunks.restype = None
-        lib.hb_hash_pairs.argtypes = [u64p, u64p, size_t, u64, u64p]
-        lib.hb_hash_pairs.restype = None
-        _lib = lib
-    except Exception:
-        _lib = False
-        return None
-    return _lib
+        _lib = _load() or False
+    except subprocess.CalledProcessError as exc:
+        build_error = exc.stderr.decode(errors="replace") or str(exc)
+    except (OSError, subprocess.SubprocessError, AttributeError) as exc:
+        build_error = f"{type(exc).__name__}: {exc}"
+    return _lib or None
 
 
 def native_available() -> bool:

@@ -27,6 +27,22 @@ success mask and the authoritative value per row — no second probe.
 
 Probe counts are tracked so the dedup engines can charge the GPU cost
 model for the (non-coalesced) global-memory traffic of map operations.
+
+Each of the three probing cores — ``insert_or_lookup``, ``_probe`` and
+``_reinsert_unique`` — exists twice.  The NumPy loops below replay the
+GPU's race as synchronous *rounds* (one lockstep step of the thread grid:
+every pending row inspects its slot, rows on one slot coalesce, writes
+become visible next round); they are the reference, and the only path on
+a host without a C compiler.  When :mod:`repro.hashing.native` loaded its
+shared object, the same rounds run as compiled kernels
+(``_digest_map_native.c``) without the per-round interpreter dispatch.
+Which slot a digest lands in and how many probes are charged both depend
+on round timing, so the kernels are round-synchronous too and leave
+``_state`` / ``_keys`` / ``_vals`` and ``total_probes`` bit-identical to
+the loops (``docs/ALGORITHM.md`` §1.2 states the three parity rules;
+``tests/kokkos/test_unordered_map.py`` decides them).  Validation, growth
+policy, counters and the final value gather stay in Python on both paths,
+and nothing selects between them except whether the object loaded.
 """
 
 from __future__ import annotations
@@ -36,6 +52,7 @@ from typing import Optional, Tuple
 import numpy as np
 
 from ..errors import CapacityError, ConfigurationError
+from ..hashing import native as _native
 from ..hashing.digest import check_digests
 from ..telemetry import metrics as _metrics
 from ..utils.validation import positive_int
@@ -115,6 +132,14 @@ class DigestMap:
         # Host-side scratch for the scatter-based CAS arbitration (not part
         # of the simulated device footprint); always written before read.
         self._scan = np.zeros(capacity, dtype=np.int64)
+        # What the native kernels are handed: the table's buffer addresses
+        # (fixed until the next _allocate) and its power-of-two capacity.
+        self._table = (
+            self._keys.ctypes.data,
+            self._vals.ctypes.data,
+            self._state.ctypes.data,
+            capacity,
+        )
 
     # ------------------------------------------------------------------
     # Introspection
@@ -140,7 +165,7 @@ class DigestMap:
     def items(self) -> Tuple[np.ndarray, np.ndarray]:
         """Return ``(keys, values)`` arrays of the occupied entries."""
         occ = self._state == _FULL
-        return self._keys[occ].copy(), self._vals[occ].copy()
+        return self._keys[occ], self._vals[occ]  # mask indexing copies
 
     def clear(self) -> None:
         """Remove all entries, keeping the allocation."""
@@ -154,6 +179,17 @@ class DigestMap:
         """Home slot per key: low digest bits masked to the pow2 capacity."""
         return (keys[:, 0] & self._mask).astype(np.int64)
 
+    def _charge(self, probes: int, stuck: str) -> None:
+        """Account for a native kernel's return value: the slot inspections
+        it made, one's-complemented when its non-termination guard tripped."""
+        tripped = probes < 0
+        if tripped:
+            probes = ~probes
+        self.total_probes += probes
+        _MAP_PROBES.inc(probes)
+        if tripped:
+            raise CapacityError(stuck)
+
     def _probe(self, keys: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
         """Linear-probe each key to its match or first empty slot.
 
@@ -161,6 +197,21 @@ class DigestMap:
         the table, in which case ``slot[i]`` is its slot; otherwise
         ``slot[i]`` is the empty slot where an insert would place it.
         """
+        lib = _native.get_lib()
+        if lib is not None:
+            keys = np.ascontiguousarray(keys)
+            m = keys.shape[0]
+            found = np.empty(m, dtype=bool)
+            slot = np.empty(m, dtype=np.int64)
+            tkeys, _tvals, tstate, capacity = self._table
+            self._charge(
+                lib.dm_probe(
+                    tkeys, tstate, capacity,
+                    keys.ctypes.data, m, found.ctypes.data, slot.ctypes.data,
+                ),
+                "DigestMap probe did not terminate (table full?)",
+            )
+            return found, slot
         m = keys.shape[0]
         found = np.zeros(m, dtype=bool)
         slot = self._home_slots(keys)
@@ -264,6 +315,23 @@ class DigestMap:
         # pre-deduplicated, so reserve room as if every row were new.
         self._maybe_grow(self._count + n)
 
+        lib = _native.get_lib()
+        if lib is not None:
+            keys = np.ascontiguousarray(keys)
+            values = np.ascontiguousarray(values)
+            success = np.empty(n, dtype=bool)
+            work = np.empty(3 * n, dtype=np.int64)
+            probes = lib.dm_insert_or_lookup(
+                *self._table, keys.ctypes.data, values.ctypes.data, n,
+                success.ctypes.data, work.ctypes.data,
+            )
+            slot = work[:n]  # the rest is the kernel's scratch
+            inserted = int(np.count_nonzero(success))
+            self._count += inserted
+            _MAP_INSERTS.inc(inserted)
+            self._charge(probes, "DigestMap insert did not terminate (table full?)")
+            return success, self._vals[slot]
+
         success = np.zeros(n, dtype=bool)
         slot = self._home_slots(keys)
         pending = np.ones(n, dtype=bool)
@@ -352,6 +420,21 @@ class DigestMap:
         slots can only ever be other rebuilt keys — mismatches advance
         without a key comparison.
         """
+        lib = _native.get_lib()
+        if lib is not None:
+            keys = np.ascontiguousarray(keys, dtype=np.uint64)
+            values = np.ascontiguousarray(values, dtype=np.int64)
+            m = keys.shape[0]
+            work = np.empty(4 * m, dtype=np.int64)
+            self._charge(
+                lib.dm_reinsert_unique(
+                    *self._table, keys.ctypes.data, values.ctypes.data, m,
+                    work.ctypes.data,
+                ),
+                "DigestMap rehash did not terminate",
+            )
+            self._count += m
+            return
         m = keys.shape[0]
         slot = self._home_slots(keys)
         pending = np.arange(m)

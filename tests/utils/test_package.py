@@ -1,6 +1,7 @@
 """Package-level tests: public API surface, version, error hierarchy."""
 
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -69,6 +70,21 @@ class TestPublicApi:
         )
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "[]"
+
+
+class TestPackageData:
+    def test_every_c_source_ships_in_a_wheel(self):
+        # The native kernels build on demand from their sources, so a
+        # non-editable install that lacks one falls back to NumPy silently.
+        package = Path(repro.__file__).resolve().parent
+        pyproject = (package.parents[1] / "pyproject.toml").read_text()
+        section = pyproject.split("[tool.setuptools.package-data]")[1].split("\n[")[0]
+        declared = re.search(r"^repro\s*=\s*\[(.*?)\]", section, re.M | re.S).group(1)
+        globs = re.findall(r'"([^"]+)"', declared)
+        shipped = {path for glob in globs for path in package.glob(glob)}
+        sources = set(package.rglob("*.c"))
+        assert len(sources) >= 2, sources
+        assert sources <= shipped, sorted(sources - shipped)
 
 
 class TestErrorHierarchy:
