@@ -11,7 +11,12 @@ Measures the kernels the overhaul targets and writes
                   one warm table (µs/row): bound by per-call and per-round
                   overhead, which is the regime the end-to-end workloads
                   run (2-13 map calls of 16-512 rows per checkpoint),
-* ``tree_e2e``  — Tree checkpoints/second on the Fig. 4 chunk-size sweep.
+* ``tree_e2e``  — Tree checkpoints/second on the Fig. 4 chunk-size sweep
+                  (only ``tree.checkpoint`` is inside the stopwatch),
+* ``tree_passes`` — ms per checkpoint with the three Tree passes compiled
+                  and with the NumPy passes they mirror (hashing and the
+                  map native on both sides), for a one-byte change, a
+                  block swap and a 25 % rewrite at two tree sizes.
 
 Each section also records the seed implementation's best-of timing
 (measured on the same host at the seed commit, before the overhaul) and
@@ -27,11 +32,14 @@ from __future__ import annotations
 import json
 import os
 import time
+from contextlib import nullcontext
 from pathlib import Path
+from types import SimpleNamespace
+from unittest import mock
 
 import numpy as np
 
-from repro.core import TreeDedup
+from repro.core import TreeDedup, dedup_tree
 from repro.hashing import hash_chunks
 from repro.hashing.native import native_available
 from repro.kokkos import DigestMap
@@ -138,6 +146,17 @@ def bench_map_small() -> dict:
     }
 
 
+def _time_checkpoints(tree: TreeDedup, states: list) -> list:
+    """Seconds per ``tree.checkpoint`` over prebuilt *states*, nothing else
+    inside the stopwatch."""
+    secs = []
+    for state in states:
+        t0 = time.perf_counter()
+        tree.checkpoint(state)
+        secs.append(time.perf_counter() - t0)
+    return secs
+
+
 def bench_tree_e2e(buffer_mb: int = 4, checkpoints: int = 6) -> list:
     """Checkpoints/second for Tree across the Fig. 4 chunk sizes.
 
@@ -149,13 +168,13 @@ def bench_tree_e2e(buffer_mb: int = 4, checkpoints: int = 6) -> list:
     for chunk_size in FIG4_CHUNK_SIZES:
         rng = np.random.default_rng(7)
         buf = rng.integers(0, 256, nbytes, dtype=np.uint8)
-        tree = TreeDedup(nbytes, chunk_size)
-        tree.checkpoint(buf.copy())  # ckpt 0: full flush + map seeding
-        t0 = time.perf_counter()
+        states = [buf.copy()]
         for _ in range(checkpoints):
             buf[rng.integers(0, nbytes, 4000)] ^= 0xFF
-            tree.checkpoint(buf.copy())
-        secs = time.perf_counter() - t0
+            states.append(buf.copy())
+        tree = TreeDedup(nbytes, chunk_size)
+        tree.checkpoint(states[0])  # ckpt 0: full flush + map seeding
+        secs = sum(_time_checkpoints(tree, states[1:]))
         out.append(
             {
                 "chunk_size": chunk_size,
@@ -165,6 +184,74 @@ def bench_tree_e2e(buffer_mb: int = 4, checkpoints: int = 6) -> list:
                 "ms_per_ckpt": round(secs / checkpoints * 1e3, 2),
             }
         )
+    return out
+
+
+#: (buffer bytes, chunk size): the end-to-end workloads' tree, and a 16x
+#: larger one where the dense label scans would show if they mattered.
+TREE_PASSES_GEOMETRIES = ((512 << 10, 128), (4 * MB, 64))
+
+
+def _tree_passes_states(nbytes: int, edit: str, checkpoints: int) -> list:
+    rng = np.random.default_rng(11)
+    buf = rng.integers(0, 256, nbytes, dtype=np.uint8)
+    states = [buf.copy()]
+    block = 16384
+    for _ in range(checkpoints):
+        if edit == "one_byte":
+            buf[int(rng.integers(0, nbytes))] ^= 0xFF
+        elif edit == "block_swap":  # the e2e ``shift_shuffle`` step
+            blocks = nbytes // block
+            pairs = max(1, (3 * blocks) // 32)
+            picked = rng.choice(blocks, 2 * pairs, replace=False) * block
+            for a, b in zip(picked[:pairs], picked[pairs:]):
+                moved = buf[a : a + block].copy()
+                buf[a : a + block] = buf[b : b + block]
+                buf[b : b + block] = moved
+            at = int(rng.integers(0, nbytes // 4096)) * 4096
+            buf[at : at + 4096] = rng.integers(0, 256, 4096, dtype=np.uint8)
+        else:  # "dense_25": the e2e ``dense_churn`` step
+            slots = nbytes // 2048
+            for at in np.sort(rng.choice(slots, slots // 4, replace=False)) * 2048:
+                buf[at : at + 2048] = rng.integers(0, 256, 2048, dtype=np.uint8)
+        states.append(buf.copy())
+    return states
+
+
+def bench_tree_passes(checkpoints: int = 12) -> list:
+    """The compiled Tree passes against the NumPy passes they mirror.
+
+    Nothing but whether the shared object loaded selects between the two,
+    so the NumPy side is timed by hiding the loader from ``dedup_tree``
+    alone: hashing and ``DigestMap`` stay native on both sides and the
+    ratio is the passes' own.  Median ms over *checkpoints* checkpoints.
+    """
+    numpy_passes = mock.patch.object(
+        dedup_tree, "_native", SimpleNamespace(get_lib=lambda: None)
+    )
+    out = []
+    for nbytes, chunk_size in TREE_PASSES_GEOMETRIES:
+        for edit in ("one_byte", "block_swap", "dense_25"):
+            states = _tree_passes_states(nbytes, edit, checkpoints)
+            ms = {}
+            for path, passes in (("native", nullcontext()), ("numpy", numpy_passes)):
+                tree = TreeDedup(nbytes, chunk_size)
+                tree.checkpoint(states[0])
+                with passes:
+                    secs = _time_checkpoints(tree, states[1:])
+                ms[path] = float(np.median(secs)) * 1e3
+            out.append(
+                {
+                    "case": f"{nbytes >> 10}k_{chunk_size}b_{edit}",
+                    "buffer_bytes": nbytes,
+                    "chunk_size": chunk_size,
+                    "edit": edit,
+                    "native_kernel": native_available(),
+                    "ms_per_ckpt": round(ms["native"], 4),
+                    "numpy_ms_per_ckpt": round(ms["numpy"], 4),
+                    "speedup_vs_numpy": round(ms["numpy"] / ms["native"], 2),
+                }
+            )
     return out
 
 
@@ -178,6 +265,7 @@ def run(out_path: Path | None = None) -> dict:
             "map": bench_map(),
             "map_small": bench_map_small(),
             "tree_e2e": bench_tree_e2e(),
+            "tree_passes": bench_tree_passes(),
         }
     report["telemetry"] = tel
     if out_path is None:
@@ -201,6 +289,8 @@ def test_bench_hotpath(capsys):
     assert report["map"]["mops_per_s"] > 0
     assert report["map_small"]["us_per_row"] > 0
     assert len(report["tree_e2e"]) == len(FIG4_CHUNK_SIZES)
+    assert len(report["tree_passes"]) == 3 * len(TREE_PASSES_GEOMETRIES)
+    assert all(row["ms_per_ckpt"] > 0 for row in report["tree_passes"])
 
 
 if __name__ == "__main__":

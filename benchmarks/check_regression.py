@@ -41,6 +41,12 @@ METRICS: List[Tuple[str, str]] = [
     ("BENCH_hotpath.json", "map.mops_per_s"),
     # 1 / map_small.us_per_row: this list gates higher-is-better figures.
     ("BENCH_hotpath.json", "map_small.mops_per_s"),
+    ("BENCH_hotpath.json", "tree_e2e[chunk_size=128].ckpt_per_s"),
+    # Compiled Tree passes over the NumPy passes, same host, same run: a
+    # drop means the passes between the kernels are back in the interpreter.
+    ("BENCH_hotpath.json", "tree_passes[case=512k_128b_one_byte].speedup_vs_numpy"),
+    ("BENCH_hotpath.json", "tree_passes[case=512k_128b_block_swap].speedup_vs_numpy"),
+    ("BENCH_hotpath.json", "tree_passes[case=4096k_64b_one_byte].speedup_vs_numpy"),
     ("BENCH_restore.json", "tree_sweep[chain_len=50].speedup"),
     ("BENCH_restore.json", "fleet.points[ranks=16].speedup"),
     ("BENCH_restore.json", "fleet.rpix.compression_ratio"),

@@ -1,7 +1,6 @@
 """``Tree`` — the paper's Merkle-tree compact-metadata de-duplication.
 
-Implements Algorithm 1 (§2.2) in three vectorized passes over the flat
-Merkle tree:
+Implements Algorithm 1 (§2.2) in three passes over the flat Merkle tree:
 
 1. **Leaf pass** — hash every chunk; a chunk whose digest matches the same
    leaf of the previous checkpoint is a *fixed duplicate*; otherwise it is
@@ -27,6 +26,18 @@ Merkle tree:
 Stage one runs to completion before stage two so that shifted duplicates
 can never race ahead of the first occurrences they depend on — the exact
 hazard the paper's two-stage parallelization avoids.
+
+The passes exist twice.  ``_leaf_pass`` / ``_first_ocur_pass`` /
+``_shift_pass_and_emit`` are whole-level NumPy array passes: the reference,
+and the only path on a host without a C compiler.  When
+:mod:`repro.hashing.native` loaded its shared object, ``_native_passes``
+runs the same passes as compiled level scans (``_tree_passes_native.c``)
+that hash ``left || right`` where it lies in the flat tree and call the
+``DigestMap`` kernels as C functions — the host-side analogue of the paper's
+fused kernel.  Both leave bit-identical labels, tree digests, table, probe
+counts, emitted regions and kernel ledger (``docs/ALGORITHM.md`` §3 states
+the parity rules; ``tests/core/test_tree_dedup.py`` decides them), and
+nothing selects between them except whether the object loaded.
 """
 
 from __future__ import annotations
@@ -35,15 +46,45 @@ from typing import List, Tuple
 
 import numpy as np
 
-from ..errors import SerializationError
-from ..hashing.digest import digests_equal
-from ..hashing.murmur3 import hash_chunks, hash_digest_pairs
+from ..errors import ChunkingError, SerializationError
+from ..hashing import native as _native
+from ..hashing.digest import check_digests, digests_equal
+from ..hashing.murmur3 import count_digest_pairs, hash_chunks, hash_digest_pairs
 from ..kokkos.unordered_map import DigestMap
 from .base import DedupEngine
 from .diff import CheckpointDiff
 from .labels import FIRST_OCUR, FIXED_DUPL, MIXED, SHIFT_DUPL, new_label_array
 from .merkle import MerkleTree, TreeLayout
 from .serialize import gather_region_payload
+
+
+class _NativeScratch:
+    """What the compiled passes work in besides the engine's own state: the
+    interior levels as ``[first node, count]`` rows, a ``[rows, probes]``
+    row per level for the launches, and batch buffers sized once for the
+    widest batch (every leaf moving; an interior level holds at most half
+    as many rows).  ``addr`` maps each buffer to its address.
+    """
+
+    def __init__(self, layout: TreeLayout) -> None:
+        n = layout.num_leaves
+        levels = layout.interior_levels_bottom_up()
+        self.levels = np.array(
+            [(lvl[0], lvl.shape[0]) for lvl in levels], dtype=np.int64
+        ).reshape(len(levels), 2)
+        if any(lvl[-1] - lvl[0] + 1 != lvl.shape[0] for lvl in levels):
+            # pragma: no cover - layout invariant
+            raise ChunkingError("interior nodes are not a contiguous run per level")
+        width = int(self.levels[:, 1].max(initial=0))
+        self.per_level = np.zeros((len(levels), 2), dtype=np.int64)
+        self.keys = np.empty((n, 2), dtype=np.uint64)
+        self.vals = np.empty((n, 2), dtype=np.int64)
+        self.flags = np.empty(n, dtype=bool)
+        self.work = np.empty(3 * width, dtype=np.int64)
+        self.first_out = np.empty(n, dtype=np.int64)
+        self.shift_out = np.empty(n, dtype=np.int64)
+        self.ctl = np.zeros(3, dtype=np.int64)
+        self.addr = {name: buf.ctypes.data for name, buf in vars(self).items()}
 
 
 class TreeDedup(DedupEngine):
@@ -83,6 +124,8 @@ class TreeDedup(DedupEngine):
         # passes so serialization never re-probes the hash record.
         self._shift_refs = np.zeros((self.layout.num_nodes, 2), dtype=np.int64)
         self._shift_ref_valid = np.zeros(self.layout.num_nodes, dtype=bool)
+        # Made by the first checkpoint that runs the compiled passes.
+        self._scratch: _NativeScratch | None = None
 
     def device_state_bytes(self) -> int:
         """Merkle digest array plus the historical hash record."""
@@ -97,9 +140,13 @@ class TreeDedup(DedupEngine):
         labels = new_label_array(self.layout.num_nodes)
         self._shift_ref_valid[:] = False
 
-        self._leaf_pass(flat, ckpt_id, labels)
-        self._first_ocur_pass(ckpt_id, labels)
-        first_nodes, shift_nodes = self._shift_pass_and_emit(labels)
+        lib = _native.get_lib()
+        if lib is not None:
+            first_nodes, shift_nodes = self._native_passes(lib, flat, ckpt_id, labels)
+        else:
+            self._leaf_pass(flat, ckpt_id, labels)
+            self._first_ocur_pass(ckpt_id, labels)
+            first_nodes, shift_nodes = self._shift_pass_and_emit(labels)
         self.last_labels = labels
 
         return self._serialize(flat, ckpt_id, first_nodes, shift_nodes)
@@ -166,6 +213,126 @@ class TreeDedup(DedupEngine):
             chunk_size=self.spec.chunk_size,
             payload=flat.tobytes(),
         )
+
+    def _native_passes(
+        self, lib, flat: np.ndarray, ckpt_id: int, labels: np.ndarray
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """The three passes below as compiled level scans
+        (``_tree_passes_native.c``): same labels, digests, table, probe
+        counts, emitted nodes and ledger, without the whole-level NumPy ops.
+
+        Hashing the chunks, the leaf insert, growth, the map's and the
+        hashing counters, the phases and every launch stay here; the
+        launches of a consolidation pass are rebuilt from the per-level
+        ``(rows, probes)`` its kernel returns.
+        """
+        layout = self.layout
+        n = self.spec.num_chunks
+        scratch = self._scratch
+        if scratch is None:
+            scratch = self._scratch = _NativeScratch(layout)
+        addr = scratch.addr
+        tree = self.tree.digests
+        check_digests(tree, "tree digests")
+        if tree.shape[0] != layout.num_nodes or not tree.flags.c_contiguous:
+            raise ChunkingError(
+                f"tree digests must be a contiguous ({layout.num_nodes}, 2) array"
+            )
+        tree_addr = tree.ctypes.data
+        labels_addr = labels.ctypes.data
+        refs_addr = self._shift_refs.ctypes.data
+        valid_addr = self._shift_ref_valid.ctypes.data
+
+        with self.phase("tree.hash_leaves"):
+            digests = hash_chunks(flat, self.spec.chunk_size)
+            self.space.launch(
+                "tree.hash_leaves",
+                items=n,
+                bytes_read=self.spec.data_len,
+                bytes_written=digests.nbytes,
+            )
+        check_digests(digests, "digests")
+        if digests.shape[0] != n:
+            raise ChunkingError(f"expected {n} leaf digests, got {digests.shape[0]}")
+        digests = np.ascontiguousarray(digests)
+
+        moving = lib.tp_leaf_classify(
+            digests.ctypes.data, n, layout.deep_start, layout.deep_leaves,
+            layout.shallow_start, ckpt_id, tree_addr, labels_addr,
+            addr["keys"], addr["vals"],
+        )
+        self.space.launch(
+            "tree.fixed_compare",
+            items=n,
+            bytes_read=2 * digests.nbytes,
+        )
+        probes_before = self.map.total_probes
+        with self.phase("tree.map_leaves"):
+            success, winners = self.map.insert_or_lookup(
+                scratch.keys[:moving], scratch.vals[:moving]
+            )
+            self.space.launch(
+                "tree.classify_leaves",
+                items=moving,
+                bytes_read=digests.nbytes,
+                bytes_written=n,  # label array
+                random_accesses=self.map.total_probes - probes_before,
+            )
+        lib.tp_leaf_apply(
+            addr["vals"], success.ctypes.data, winners.ctypes.data, moving,
+            labels_addr, refs_addr, valid_addr,
+        )
+
+        nlevels = scratch.levels.shape[0]
+        with self.phase("tree.first_pass"):
+            level = carried = 0
+            while level < nlevels:
+                # Growth happens where the reference grows: the kernel stops
+                # at the level whose batch the table has no room for, the
+                # rebuild's probes are charged to that level's launch.
+                probes = lib.tp_first_pass(
+                    tree_addr, labels_addr, addr["levels"], nlevels, level,
+                    carried, ckpt_id, *self.map.native_table, self.map.room,
+                    addr["keys"], addr["vals"], addr["flags"], addr["work"],
+                    addr["per_level"], addr["ctl"],
+                )
+                reached, inserted, hashed = scratch.ctl.tolist()
+                count_digest_pairs(hashed)
+                self.map.charge_inserts(inserted, probes)
+                self._launch_levels("tree.first_pass", level, reached)
+                level = reached
+                if level < nlevels:
+                    carried = self.map.reserve(int(scratch.per_level[level, 0]))
+
+        with self.phase("tree.shift_pass"):
+            probes = lib.tp_shift_pass(
+                tree_addr, labels_addr, addr["levels"], nlevels,
+                *self.map.native_table,
+                addr["keys"], addr["vals"], addr["flags"], addr["work"],
+                refs_addr, valid_addr, addr["first_out"], addr["shift_out"], n,
+                addr["per_level"], addr["ctl"],
+            )
+            num_first, num_shift, hashed = scratch.ctl.tolist()
+            count_digest_pairs(hashed)
+            self.map.charge_probes(probes)
+            self._launch_levels("tree.shift_pass", 0, nlevels)
+        return (
+            scratch.first_out[n - num_first :].copy(),
+            scratch.shift_out[n - num_shift :].copy(),
+        )
+
+    def _launch_levels(self, name: str, start: int, stop: int) -> None:
+        """One launch per level in ``[start, stop)`` whose batch had rows,
+        as the NumPy consolidation passes record them."""
+        for rows, probes in self._scratch.per_level[start:stop].tolist():
+            if rows:
+                self.space.launch(
+                    name,
+                    items=rows,
+                    bytes_read=2 * 16 * rows,
+                    bytes_written=16 * rows,
+                    random_accesses=probes,
+                )
 
     def _leaf_pass(self, flat: np.ndarray, ckpt_id: int, labels: np.ndarray) -> None:
         """Algorithm 1, lines 1-23."""

@@ -69,22 +69,12 @@ def gather_region_payload(
     Returns ``(payload, region_lengths)`` where ``region_lengths[i]`` is the
     byte length of region *i* — the deserializer needs the running offsets.
     """
-    node_arr = np.asarray(nodes, dtype=np.int64)
-    if node_arr.size == 0:
-        return b"", np.empty(0, dtype=np.int64)
-    if node_arr.min() < 0 or node_arr.max() >= layout.num_nodes:
-        raise SerializationError("node id out of range for payload gather")
-
-    starts = layout.leaf_start[node_arr]
-    counts = layout.leaf_count[node_arr]
-    parts = []
-    lengths = np.empty(node_arr.shape[0], dtype=np.int64)
-    for i in range(node_arr.shape[0]):
-        b0, b1 = spec.range_bounds(int(starts[i]), int(counts[i]))
-        parts.append(flat[b0:b1])
-        lengths[i] = b1 - b0
-    payload = np.concatenate(parts).tobytes() if parts else b""
-    return payload, lengths
+    starts, ends = node_region_bounds(spec, layout, nodes)  # validates the ids
+    # One copy: the regions' bytes go straight from the buffer into the
+    # payload (bytes.join needs contiguous memory to slice).
+    view = memoryview(np.ascontiguousarray(flat))
+    payload = b"".join(view[b0:b1] for b0, b1 in zip(starts.tolist(), ends.tolist()))
+    return payload, ends - starts
 
 
 def region_byte_lengths(

@@ -282,6 +282,14 @@ def hash_chunks(data: np.ndarray, chunk_size: int, seed: int = 0) -> np.ndarray:
     return out
 
 
+def count_digest_pairs(n: int) -> None:
+    """Advance the hashing counters for *n* interior-node hashes: what
+    :func:`hash_digest_pairs` charges, also for the native Tree passes,
+    which hash ``left || right`` where it lies in the flat tree."""
+    _HASHED_BYTES.inc(32 * n)
+    _HASHED_CHUNKS.inc(n)
+
+
 def hash_digest_pairs(
     left: np.ndarray, right: np.ndarray, seed: int = 0
 ) -> np.ndarray:
@@ -302,8 +310,7 @@ def hash_digest_pairs(
         )
     non_negative_int(seed, "seed")
     n = left.shape[0]
-    _HASHED_BYTES.inc(32 * n)
-    _HASHED_CHUNKS.inc(n)
+    count_digest_pairs(n)
 
     lib = _native.get_lib()
     if lib is not None and n:

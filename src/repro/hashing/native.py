@@ -1,14 +1,16 @@
 """Build-on-demand loader for the native kernels.
 
-The reproduction's hot loops are chunk hashing and the hash-record
-probing of :class:`~repro.kokkos.unordered_map.DigestMap`; the paper runs
-both as GPU kernels, and the closest CPU analogue is a compiled C loop
-rather than a chain of NumPy ufunc passes.  This module compiles
-``_murmur3_native.c`` and ``kokkos/_digest_map_native.c`` into one shared
-object with the system C compiler the first time it is needed, caches the
-object next to the Murmur3 source under a name keyed on the SHA-256 of
-both sources (so a stale object is never loaded, whatever happened to the
-files' mtimes), and exposes the entry points through :mod:`ctypes`.
+The reproduction's hot loops are chunk hashing, the hash-record probing of
+:class:`~repro.kokkos.unordered_map.DigestMap` and the label passes of
+:class:`~repro.core.dedup_tree.TreeDedup` between them; the paper runs all
+three as one fused GPU kernel, and the closest CPU analogue is a compiled
+C loop rather than a chain of NumPy ufunc passes.  This module compiles
+``_murmur3_native.c``, ``kokkos/_digest_map_native.c`` and
+``core/_tree_passes_native.c`` into one shared object with the system C
+compiler the first time it is needed, caches the object next to the
+Murmur3 source under a name keyed on the SHA-256 of the sources (so a
+stale object is never loaded, whatever happened to the files' mtimes), and
+exposes the entry points through :mod:`ctypes`.
 
 The native path is strictly optional: if no compiler is available or
 ``REPRO_NO_NATIVE`` is set in the environment, callers get ``None`` and
@@ -34,6 +36,7 @@ _HERE = Path(__file__).parent
 _SOURCES = (
     _HERE / "_murmur3_native.c",
     _HERE.parent / "kokkos" / "_digest_map_native.c",
+    _HERE.parent / "core" / "_tree_passes_native.c",
 )
 _STEM = "_murmur3_native"
 _SUFFIX = sysconfig.get_config_var("SHLIB_SUFFIX") or ".so"
@@ -120,6 +123,20 @@ def _bind(lib: ctypes.CDLL) -> None:
     lib.dm_insert_or_lookup.restype = i64
     lib.dm_reinsert_unique.argtypes = [ptr, ptr, ptr, i64, ptr, ptr, i64, ptr]
     lib.dm_reinsert_unique.restype = i64
+    # Tree passes: addresses again, the DigestMap table among them.
+    table = [ptr, ptr, ptr, i64]
+    lib.tp_leaf_classify.argtypes = [ptr, i64, i64, i64, i64, i64, ptr, ptr, ptr, ptr]
+    lib.tp_leaf_classify.restype = i64
+    lib.tp_leaf_apply.argtypes = [ptr, ptr, ptr, i64, ptr, ptr, ptr]
+    lib.tp_leaf_apply.restype = None
+    lib.tp_first_pass.argtypes = [
+        ptr, ptr, ptr, i64, i64, i64, i64, *table, i64, ptr, ptr, ptr, ptr, ptr, ptr,
+    ]
+    lib.tp_first_pass.restype = i64
+    lib.tp_shift_pass.argtypes = [
+        ptr, ptr, ptr, i64, *table, ptr, ptr, ptr, ptr, ptr, ptr, ptr, ptr, i64, ptr, ptr,
+    ]
+    lib.tp_shift_pass.restype = i64
 
 
 def _load() -> Optional[ctypes.CDLL]:

@@ -47,6 +47,7 @@ and nothing selects between them except whether the object loaded.
 
 from __future__ import annotations
 
+import math
 from typing import Optional, Tuple
 
 import numpy as np
@@ -75,6 +76,10 @@ _FULL = np.uint8(1)
 VALUE_LANES = 2
 
 _MIN_CAPACITY = 8
+
+# What a tripped non-termination guard raises, on either path.
+_INSERT_STUCK = "DigestMap insert did not terminate (table full?)"
+_PROBE_STUCK = "DigestMap probe did not terminate (table full?)"
 
 
 def _next_pow2(n: int) -> int:
@@ -129,9 +134,10 @@ class DigestMap:
         self._keys = np.zeros((capacity, 2), dtype=np.uint64)
         self._vals = np.zeros((capacity, VALUE_LANES), dtype=np.int64)
         self._state = np.zeros(capacity, dtype=np.uint8)
-        # Host-side scratch for the scatter-based CAS arbitration (not part
-        # of the simulated device footprint); always written before read.
-        self._scan = np.zeros(capacity, dtype=np.int64)
+        # Host-side scratch for the NumPy loops' scatter-based CAS
+        # arbitration (not part of the simulated device footprint), made by
+        # the first loop that needs it: the native path never does.
+        self._scan: Optional[np.ndarray] = None
         # What the native kernels are handed: the table's buffer addresses
         # (fixed until the next _allocate) and its power-of-two capacity.
         self._table = (
@@ -179,6 +185,13 @@ class DigestMap:
         """Home slot per key: low digest bits masked to the pow2 capacity."""
         return (keys[:, 0] & self._mask).astype(np.int64)
 
+    def _scan_scratch(self) -> np.ndarray:
+        """One int64 per slot for the NumPy loops' CAS arbitration; always
+        written before it is read, so it needs no reset between calls."""
+        if self._scan is None:
+            self._scan = np.zeros(self._capacity, dtype=np.int64)
+        return self._scan
+
     def _charge(self, probes: int, stuck: str) -> None:
         """Account for a native kernel's return value: the slot inspections
         it made, one's-complemented when its non-termination guard tripped."""
@@ -189,6 +202,39 @@ class DigestMap:
         _MAP_PROBES.inc(probes)
         if tripped:
             raise CapacityError(stuck)
+
+    # ------------------------------------------------------------------
+    # For native kernels that call ``dm_*`` themselves (the Tree passes)
+    # ------------------------------------------------------------------
+    @property
+    def native_table(self) -> Tuple[int, int, int, int]:
+        """The ``dm_*`` table arguments (three buffer addresses and the pow2
+        capacity), valid until the next growth."""
+        return self._table
+
+    @property
+    def room(self) -> int:
+        """Rows a batch may hold before :meth:`reserve` grows the table."""
+        return math.floor(self._capacity * self.max_load_factor) - self._count
+
+    def reserve(self, rows: int) -> int:
+        """Make room for a batch of *rows* as ``insert_or_lookup`` does
+        before probing (every row counted as new; ``CapacityError`` when
+        ``auto_grow`` is off); returns the probes the rebuild charged."""
+        before = self.total_probes
+        self._maybe_grow(self._count + rows)
+        return self.total_probes - before
+
+    def charge_inserts(self, inserted: int, probes: int) -> None:
+        """Account for ``dm_insert_or_lookup`` calls: the entries created
+        and the kernel's probe count (see :meth:`_charge`)."""
+        self._count += inserted
+        _MAP_INSERTS.inc(inserted)
+        self._charge(probes, _INSERT_STUCK)
+
+    def charge_probes(self, probes: int) -> None:
+        """Account for ``dm_probe`` calls (see :meth:`_charge`)."""
+        self._charge(probes, _PROBE_STUCK)
 
     def _probe(self, keys: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
         """Linear-probe each key to its match or first empty slot.
@@ -204,12 +250,11 @@ class DigestMap:
             found = np.empty(m, dtype=bool)
             slot = np.empty(m, dtype=np.int64)
             tkeys, _tvals, tstate, capacity = self._table
-            self._charge(
+            self.charge_probes(
                 lib.dm_probe(
                     tkeys, tstate, capacity,
                     keys.ctypes.data, m, found.ctypes.data, slot.ctypes.data,
-                ),
-                "DigestMap probe did not terminate (table full?)",
+                )
             )
             return found, slot
         m = keys.shape[0]
@@ -220,7 +265,7 @@ class DigestMap:
         while active.size:
             rounds += 1
             if rounds > self._capacity + 1:
-                raise CapacityError("DigestMap probe did not terminate (table full?)")
+                raise CapacityError(_PROBE_STUCK)
             self.total_probes += active.size
             _MAP_PROBES.inc(active.size)
             s = slot[active]
@@ -326,16 +371,14 @@ class DigestMap:
                 success.ctypes.data, work.ctypes.data,
             )
             slot = work[:n]  # the rest is the kernel's scratch
-            inserted = int(np.count_nonzero(success))
-            self._count += inserted
-            _MAP_INSERTS.inc(inserted)
-            self._charge(probes, "DigestMap insert did not terminate (table full?)")
+            self.charge_inserts(int(np.count_nonzero(success)), probes)
             return success, self._vals[slot]
 
         success = np.zeros(n, dtype=bool)
         slot = self._home_slots(keys)
         pending = np.ones(n, dtype=bool)
         rounds = 0
+        scan = self._scan_scratch()
         # Every pending row inspects its slot once per round.  Duplicate
         # digests share the identical probe path (same home slot, same
         # transitions), so the lowest batch row reaches any empty slot in
@@ -348,17 +391,15 @@ class DigestMap:
                 break
             rounds += 1
             if rounds > 2 * self._capacity + 2:  # pragma: no cover - invariant
-                raise CapacityError(
-                    "DigestMap insert did not terminate (table full?)"
-                )
+                raise CapacityError(_INSERT_STUCK)
             s = slot[idx]
             # Scatter-based arbitration: write row ids in descending order
             # so the *lowest* row lands last, then each row checks whether
             # it owns its slot.  One scatter + one gather resolves the CAS
             # winner per slot with no sort (the scratch is always written
             # before it is read, so it needs no reset between calls).
-            self._scan[s[::-1]] = idx[::-1]
-            first = self._scan[s] == idx
+            scan[s[::-1]] = idx[::-1]
+            first = scan[s] == idx
             # Duplicate digests walk the probe path in lockstep, so rows
             # inspecting the same slot in the same round coalesce into a
             # single global-memory transaction (exactly as warp-coalesced
@@ -439,6 +480,7 @@ class DigestMap:
         slot = self._home_slots(keys)
         pending = np.arange(m)
         rounds = 0
+        scan = self._scan_scratch()
         while pending.size:
             rounds += 1
             if rounds > self._capacity + 1:  # pragma: no cover - invariant
@@ -446,8 +488,8 @@ class DigestMap:
             self.total_probes += pending.size
             _MAP_PROBES.inc(pending.size)
             s = slot[pending]
-            self._scan[s[::-1]] = pending[::-1]
-            first = self._scan[s] == pending
+            scan[s[::-1]] = pending[::-1]
+            first = scan[s] == pending
             occupied = self._state[s] == _FULL
             advance = pending[occupied]
             slot[advance] = (slot[advance] + 1) & self._mask_i

@@ -67,6 +67,17 @@ def unindex(directory) -> None:
     header_path.write_text(json.dumps(header, indent=2))
 
 
+def numpy_path():
+    """Patch that makes the native loader report "no native object": hashing,
+    ``DigestMap`` and the Tree passes all take their NumPy reference paths
+    while it is active."""
+    from unittest import mock
+
+    from repro.hashing import native
+
+    return mock.patch.object(native, "get_lib", lambda: None)
+
+
 @pytest.fixture
 def rng():
     """Deterministic RNG per test."""

@@ -81,6 +81,17 @@ class TestGatherRegions:
         assert payload == buffer[:64].tobytes() + buffer[128:192].tobytes()
         assert lengths.tolist() == [64, 64]
 
+        # The short tail chunk, alone and as the end of an interior region.
+        tail = int(layout.node_of_leaf[15])
+        nodes = np.array([tail, int(layout.node_of_leaf[2]), (tail - 1) // 2])
+        payload, lengths = gather_region_payload(buffer, spec, layout, nodes)
+        assert lengths.tolist() == [24, 64, 88]
+        assert payload == (
+            buffer[15 * 64 :].tobytes()
+            + buffer[128:192].tobytes()
+            + buffer[14 * 64 :].tobytes()
+        )
+
     def test_lengths_helper_matches(self, buffer, spec):
         layout = TreeLayout(spec.num_chunks)
         nodes = np.arange(layout.num_nodes)
@@ -95,11 +106,15 @@ class TestGatherRegions:
         )
         assert payload == b""
         assert lengths.shape == (0,)
+        payload, lengths = gather_region_payload(buffer, spec, layout, [])
+        assert payload == b"" and lengths.shape == (0,) and lengths.dtype == np.int64
 
     def test_out_of_range(self, buffer, spec):
         layout = TreeLayout(spec.num_chunks)
         with pytest.raises(SerializationError):
             gather_region_payload(buffer, spec, layout, np.array([999]))
+        with pytest.raises(SerializationError):
+            gather_region_payload(buffer, spec, layout, np.array([3, -1]))
 
 
 class TestBitmap:

@@ -1,10 +1,24 @@
-"""Algorithm-level tests of the Tree method (Algorithm 1, §2.2)."""
+"""Algorithm-level tests of the Tree method (Algorithm 1, §2.2).
+
+The three passes run as compiled level scans when the native object loaded
+and as the NumPy passes otherwise.  The classes below run on whichever path
+the host loads; the differential section at the end drives one engine per
+path through the same checkpoints and is what decides that the two agree —
+on every emitted byte, label, digest, table slot, probe count and ledger
+record.
+"""
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+from repro import telemetry
 from repro.core import FIRST_OCUR, FIXED_DUPL, MIXED, SHIFT_DUPL, Restorer, TreeDedup
 from repro.core.labels import count_labels
+from repro.hashing import native
+from repro.kokkos import DigestMap
+from tests.conftest import numpy_path
 
 
 def chunk(tag, size=64):
@@ -199,3 +213,191 @@ class TestHybridCompression:
         restored = Restorer(payload_codec=codec).restore_all([d0, d1])
         assert np.array_equal(restored[0], base)
         assert np.array_equal(restored[1], nxt)
+
+
+# ----------------------------------------------------------------------
+# Differential: one engine per path, same checkpoints, equal everything
+# ----------------------------------------------------------------------
+@pytest.fixture
+def needs_native():
+    if not native.native_available():
+        pytest.skip("no C compiler / native kernel in this environment")
+
+
+def engine_state(engine, diff):
+    """Everything the two paths must agree on after a checkpoint."""
+    m = engine.map
+    shift_ids = np.asarray(diff.shift_ids if diff.shift_ids is not None else [], dtype=np.int64)
+    return {
+        "frame": diff.to_bytes(),
+        "labels": None if engine.last_labels is None else engine.last_labels.tobytes(),
+        "digests": engine.tree.digests.tobytes(),
+        "shift_refs": engine._shift_refs[shift_ids].tobytes(),
+        "map": (m.capacity, len(m), m.total_probes),
+        "state": m._state.tobytes(),
+        "keys": m._keys.tobytes(),
+        "vals": m._vals.tobytes(),
+        "ledger": [
+            (r.name, r.launches, r.items, r.bytes_read, r.bytes_written, r.random_accesses)
+            for r in engine.last_checkpoint_view().kernels
+        ],
+    }
+
+
+class PathPair:
+    """A native-path and a NumPy-path engine fed the same buffers."""
+
+    def __init__(self, data_len, chunk_size, fused=True):
+        self.fast = TreeDedup(data_len, chunk_size, fused=fused)
+        with numpy_path():
+            self.ref = TreeDedup(data_len, chunk_size, fused=fused)
+        self.grows = 0
+
+    def checkpoint(self, buf):
+        """Checkpoint *buf* on both paths, assert parity, return the diff."""
+        capacity = self.fast.map.capacity
+        got = self.fast.checkpoint(buf.copy())
+        with numpy_path():
+            want = self.ref.checkpoint(buf.copy())
+        self.grows += self.fast.map.capacity != capacity
+        fast, ref = engine_state(self.fast, got), engine_state(self.ref, want)
+        for key in ref:
+            assert fast[key] == ref[key], (self.fast.next_ckpt_id - 1, key)
+        return got
+
+
+def apply_edit(buf, history, chunk_size, edit):
+    """One chunk-aligned edit of *buf* in place."""
+    kind, at, length, source, older, seed = edit
+    chunks = -(-buf.shape[0] // chunk_size)
+    a = (at % chunks) * chunk_size
+    b = min(buf.shape[0], a + length * chunk_size)
+    if kind == "fresh":
+        buf[a:b] = np.random.default_rng(seed).integers(0, 256, b - a, dtype=np.uint8)
+    elif kind == "zero":
+        buf[a:b] = 0
+    elif kind == "revert":  # an older checkpoint's content, in place
+        buf[a:b] = history[older % len(history)][a:b]
+    else:  # a copy from elsewhere: of the last checkpoint, or of an older one
+        old = history[-1] if kind == "copy" else history[older % len(history)]
+        src = (source % chunks) * chunk_size
+        n = min(b - a, buf.shape[0] - src)
+        buf[a : a + n] = old[src : src + n]
+
+
+_edit = st.tuples(
+    st.sampled_from(["fresh", "fresh", "zero", "copy", "revert", "revert_shifted"]),
+    st.integers(0, 63),  # destination chunk
+    st.integers(1, 24),  # length in chunks
+    st.integers(0, 63),  # source chunk
+    st.integers(0, 7),  # which older checkpoint
+    st.integers(0, 2**16),  # fresh-content seed
+)
+
+
+@given(
+    leaves=st.sampled_from([1, 2, 3, 8, 13, 16, 37, 64]),
+    short_tail=st.booleans(),
+    fused=st.booleans(),
+    zero_run=st.booleans(),
+    checkpoints=st.lists(st.lists(_edit, max_size=4), min_size=1, max_size=8),
+)
+@settings(
+    max_examples=120,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large],
+)
+def test_native_and_numpy_passes_are_bit_identical(
+    leaves, short_tail, fused, zero_run, checkpoints
+):
+    if not native.native_available():
+        pytest.skip("no C compiler / native kernel in this environment")
+    chunk_size = 16
+    data_len = leaves * chunk_size - (5 if short_tail and leaves > 1 else 0)
+    pair = PathPair(data_len, chunk_size, fused=fused)
+    buf = np.random.default_rng(leaves).integers(0, 256, data_len, dtype=np.uint8)
+    if zero_run:
+        buf[: data_len // 2] = 0
+    history = []
+    for edits in [[]] + checkpoints:
+        for edit in edits:
+            apply_edit(buf, history, chunk_size, edit)
+        pair.checkpoint(buf)
+        history.append(buf.copy())
+
+
+def test_long_sequence_grows_the_map_on_both_paths(needs_native, rng):
+    """Fresh content every step: the table doubles several times, by the
+    leaf insert and by the first pass, and the paths still agree."""
+    chunk_size, leaves = 16, 37
+    pair = PathPair(leaves * chunk_size - 3, chunk_size)
+    buf = rng.integers(0, 256, leaves * chunk_size - 3, dtype=np.uint8)
+    for step in range(12):
+        if step:
+            a = (step * 5 % leaves) * chunk_size
+            buf[a : a + 9 * chunk_size] = rng.integers(
+                0, 256, buf[a : a + 9 * chunk_size].shape[0], dtype=np.uint8
+            )
+        pair.checkpoint(buf)
+    assert pair.grows >= 2
+
+
+def test_growth_inside_the_first_pass_lands_on_the_same_level(needs_native, rng):
+    chunk_size, leaves = 32, 16
+    pair = PathPair(leaves * chunk_size, chunk_size, fused=False)
+    buf = rng.integers(0, 256, leaves * chunk_size, dtype=np.uint8)
+    pair.checkpoint(buf)
+    assert (len(pair.fast.map), pair.fast.map.capacity) == (31, 64)  # room for 44
+
+    # 8 fresh leaves under one subtree: the leaf insert (31 + 8) and the
+    # first level (39 + 4) fit, the second level (43 + 2) does not.
+    buf[: 8 * chunk_size] = rng.integers(0, 256, 8 * chunk_size, dtype=np.uint8)
+    diff = pair.checkpoint(buf)
+    assert diff.first_ids.tolist() == [1]
+    assert pair.fast.map.capacity == 128 and len(pair.fast.map) == 46
+    ledger = [
+        (r.name, r.items, r.random_accesses)
+        for r in pair.fast.last_checkpoint_view().kernels
+    ]
+    leaf_insert = ledger[2]
+    assert leaf_insert[:2] == ("tree.classify_leaves", 8) and leaf_insert[2] < 43
+    first_pass = [row for row in ledger if row[0] == "tree.first_pass"]
+    assert [row[1] for row in first_pass] == [4, 2, 1]
+    # The rebuild re-probes all 43 entries: charged to the level that grew.
+    assert first_pass[0][2] < 43 <= first_pass[1][2] and first_pass[2][2] < 43
+
+
+def test_one_leaf_tree_on_both_paths(needs_native):
+    """No interior level: the root rule alone decides what is emitted."""
+    pair = PathPair(64, 64)
+    pair.checkpoint(chunk("A"))
+    first = pair.checkpoint(chunk("B"))
+    assert first.first_ids.tolist() == [0] and first.num_shift == 0
+    fixed = pair.checkpoint(chunk("B"))
+    assert fixed.num_first == 0 and fixed.num_shift == 0
+    shifted = pair.checkpoint(chunk("A"))
+    assert shifted.shift_ids.tolist() == [0]
+    assert (shifted.shift_ref_ids.tolist(), shifted.shift_ref_ckpts.tolist()) == ([0], [0])
+
+
+def test_telemetry_totals_do_not_depend_on_the_path(needs_native, checkpoint_stream):
+    """Counters advance by the same amounts, and the consolidation spans
+    carry the same simulated work, whichever path ran the passes."""
+
+    def run():
+        with telemetry.capture() as tel:
+            engine = TreeDedup(len(checkpoint_stream[0]), 64, fused=False)
+            engine.map = DigestMap(capacity_hint=16)  # grows on the way
+            for buf in checkpoint_stream:
+                engine.checkpoint(buf)
+        return tel
+
+    fast = run()
+    with numpy_path():
+        ref = run()
+    for name in ("map.probes", "map.inserts", "map.grows", "hash.bytes", "hash.chunks"):
+        assert fast["metrics"][name]["value"] == ref["metrics"][name]["value"] > 0, name
+    for name in ("tree.process", "tree.map_leaves", "tree.first_pass", "tree.shift_pass"):
+        assert fast["spans"][name]["sim_seconds"] == pytest.approx(
+            ref["spans"][name]["sim_seconds"]
+        ), name

@@ -50,6 +50,14 @@ def test_kernels_load_wherever_a_compiler_exists(compiler):
         f"{native.build_error}"
     )
     assert native.build_error is None
+    # Every entry point by name: an object that lacks one says which.
+    lib = native.get_lib()
+    for symbol in (
+        "hb_hash_rows", "hb_hash_chunks", "hb_hash_pairs",
+        "dm_probe", "dm_insert_or_lookup", "dm_reinsert_unique",
+        "tp_leaf_classify", "tp_leaf_apply", "tp_first_pass", "tp_shift_pass",
+    ):
+        assert hasattr(lib, symbol), symbol
 
 
 def test_object_is_keyed_on_its_sources_not_on_mtime(compiler, scratch_loader, tmp_path):

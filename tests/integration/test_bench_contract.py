@@ -92,3 +92,25 @@ def test_record_restore_span_tree(tracing, rng, tmp_path):
     ]
     (operation,) = recorder.operations()
     assert sum(operation.self_time.values()) == pytest.approx(operation.duration)
+
+
+def test_a_checkpoint_hashes_its_chunks_through_the_patched_name_once(tracing, rng):
+    """``core.dedup_tree.floor_ratio`` divides a checkpoint by its
+    ``hashing.hash_chunks`` span, which wraps the name ``dedup_tree`` bound:
+    the compiled tree passes (the path this runs on wherever a compiler
+    exists) must keep calling it, once per checkpoint, as the NumPy passes do."""
+    n, cs = 64 * 64, 64
+    engine = ENGINES["tree"](n, cs)
+    buf = rng.integers(0, 256, n, dtype=np.uint8)
+    recorder = tracing.SpanRecorder()
+    with recorder:
+        for _ in range(3):
+            engine.checkpoint(buf)
+            buf = buf.copy()
+            buf[:512] = rng.integers(0, 256, 512, dtype=np.uint8)
+    spans = recorder.spans
+    hashes = [s for s in spans if s.name == "hashing.hash_chunks"]
+    assert len(hashes) == 3
+    parents = [s.parent for s in hashes]
+    assert len(set(parents)) == 3
+    assert {spans[i].name for i in parents} == {"core.dedup_tree.checkpoint"}

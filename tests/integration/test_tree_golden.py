@@ -14,7 +14,9 @@ import numpy as np
 import pytest
 
 from repro.core import TreeDedup
+from repro.hashing import native
 from repro.oranges import OrangesApp
+from tests.conftest import numpy_path
 
 #: (diff_sha256, labels_sha256, n_first, n_shift, payload_len) per checkpoint,
 #: captured from the seed implementation (unstructured_mesh, 512 vertices,
@@ -69,8 +71,7 @@ def _diff_digest(diff) -> str:
     return h.hexdigest()
 
 
-@pytest.fixture(scope="module")
-def trace_diffs():
+def _trace_rows():
     app = OrangesApp("unstructured_mesh", num_vertices=512, seed=2)
     engine = app.fresh_engine()
     tree = TreeDedup(engine.buffer_nbytes, 64)
@@ -91,6 +92,11 @@ def trace_diffs():
             )
         )
     return out
+
+
+@pytest.fixture(scope="module")
+def trace_diffs():
+    return _trace_rows()
 
 
 @pytest.fixture(scope="module")
@@ -130,3 +136,17 @@ def test_label_checksums_bit_identical(trace_diffs):
 
 def test_region_counts_and_payload_sizes(trace_diffs):
     assert [row[2:] for row in trace_diffs] == [g[2:] for g in GOLDEN]
+
+
+@pytest.mark.parametrize("path", ["native", "numpy"])
+def test_goldens_hold_on_both_tree_paths(path):
+    """The compiled passes and the NumPy passes they mirror are held to the
+    same checksums, whichever of them the tests above happened to run."""
+    if path == "native":
+        if not native.native_available():
+            pytest.skip("no C compiler / native kernel in this environment")
+        rows = _trace_rows()
+    else:
+        with numpy_path():
+            rows = _trace_rows()
+    assert rows == GOLDEN

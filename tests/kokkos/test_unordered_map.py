@@ -14,8 +14,6 @@ loops, the new classes through the ``dispatch`` fixture, and one
 differential test that drives a map per path through the same operations.
 """
 
-from unittest import mock
-
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -24,12 +22,7 @@ from hypothesis import strategies as st
 from repro.errors import CapacityError, ConfigurationError
 from repro.hashing import hash_chunks, native
 from repro.kokkos import DigestMap
-
-
-def numpy_path():
-    """Patch that makes the loader report "no native object": DigestMap
-    (and hashing) take the NumPy reference loops while it is active."""
-    return mock.patch.object(native, "get_lib", lambda: None)
+from tests.conftest import numpy_path
 
 
 @pytest.fixture
