@@ -11,15 +11,10 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import List, Optional, Sequence
 
-import numpy as np
-
-from ..errors import RestoreError
-from .chunking import ChunkSpec
 from .diff import CheckpointDiff
-from .merkle import TreeLayout
-from .serialize import unpack_bitmap
+from .serialize import chunk_map
 
 
 @dataclass
@@ -66,72 +61,31 @@ class DiffComposition:
         return chunks / entries
 
 
-def analyze_diff(
-    diff: CheckpointDiff, layout: Optional[TreeLayout] = None
-) -> DiffComposition:
-    """Compute the composition of one diff."""
-    spec = ChunkSpec(diff.data_len, diff.chunk_size)
-    comp = DiffComposition(
+def analyze_diff(diff: CheckpointDiff) -> DiffComposition:
+    """Compute the composition of one diff from its :func:`chunk_map`."""
+    cmap = chunk_map(diff)
+    cs = diff.chunk_size
+    first_len = cmap.first_end - cmap.first_start
+    shift_len = cmap.shift_end - cmap.shift_start
+    first_bytes, shift_bytes = int(first_len.sum()), int(shift_len.sum())
+    return DiffComposition(
         ckpt_id=diff.ckpt_id,
         method=diff.method,
         data_len=diff.data_len,
-        first_bytes=0,
-        shift_bytes=0,
-        fixed_bytes=0,
+        first_bytes=first_bytes,
+        shift_bytes=shift_bytes,
+        fixed_bytes=diff.data_len - first_bytes - shift_bytes,
         metadata_bytes=diff.metadata_bytes,
         stored_bytes=diff.serialized_size,
+        first_region_chunks=Counter((-(-first_len // cs)).tolist()),
+        shift_region_chunks=Counter((-(-shift_len // cs)).tolist()),
+        shift_targets=Counter(cmap.shift_ckpt.tolist()),
     )
-
-    if diff.method == "full":
-        comp.first_bytes = diff.data_len
-        comp.first_region_chunks[spec.num_chunks] = 1
-    elif diff.method == "basic":
-        changed = unpack_bitmap(diff.bitmap, spec.num_chunks)
-        for chunk in np.nonzero(changed)[0]:
-            b0, b1 = spec.chunk_bounds(int(chunk))
-            comp.first_bytes += b1 - b0
-            comp.first_region_chunks[1] += 1
-    else:
-        if diff.method == "tree":
-            if layout is None:
-                layout = TreeLayout(spec.num_chunks)
-
-            def extent(node: int):
-                count = int(layout.leaf_count[node])
-                b0, b1 = spec.range_bounds(int(layout.leaf_start[node]), count)
-                return count, b1 - b0
-
-        else:
-
-            def extent(node: int):
-                b0, b1 = spec.chunk_bounds(node)
-                return 1, b1 - b0
-
-        for node in diff.first_ids:
-            chunks, nbytes = extent(int(node))
-            comp.first_bytes += nbytes
-            comp.first_region_chunks[chunks] += 1
-        for i in range(diff.num_shift):
-            chunks, nbytes = extent(int(diff.shift_ids[i]))
-            comp.shift_bytes += nbytes
-            comp.shift_region_chunks[chunks] += 1
-            comp.shift_targets[int(diff.shift_ref_ckpts[i])] += 1
-
-    comp.fixed_bytes = diff.data_len - comp.first_bytes - comp.shift_bytes
-    return comp
 
 
 def analyze_record(diffs: Sequence[CheckpointDiff]) -> List[DiffComposition]:
-    """Composition of every diff in a record (shared tree layout)."""
-    if not diffs:
-        return []
-    layout: Optional[TreeLayout] = None
-    out = []
-    for diff in diffs:
-        if diff.method == "tree" and layout is None:
-            layout = TreeLayout(ChunkSpec(diff.data_len, diff.chunk_size).num_chunks)
-        out.append(analyze_diff(diff, layout))
-    return out
+    """Composition of every diff in a record."""
+    return [analyze_diff(diff) for diff in diffs]
 
 
 def composition_report(diffs: Sequence[CheckpointDiff]) -> str:
@@ -162,110 +116,35 @@ def verify_chain(diffs: Sequence[CheckpointDiff]) -> List[str]:
     """Structural integrity checks over a diff chain.
 
     Returns a list of problem descriptions (empty = chain is sound):
-    ordering, stable geometry, region bounds, non-overlap, payload
-    lengths, reference validity, and the §2.2 serialization invariant
+    ordering and stable geometry here, then each diff's
+    :func:`~repro.core.serialize.chunk_map` problems — region bounds,
+    non-overlap, reference validity and the §2.2 serialization invariant
     (a shifted duplicate referencing its own checkpoint reads bytes a
     first occurrence — or no region — of that diff wrote, never another
-    shift destination).  Used by tests, scrubbing restores and the CLI.
+    shift destination) — and its payload length.  Used by tests,
+    scrubbing restores and the CLI.
 
     Payload-length checks assume raw payloads; records produced with a
     ``payload_codec`` (the hybrid mode) should be verified after
     decompressing, or their payload-length findings ignored.
     """
-    problems: List[str] = []
     if not diffs:
         return ["chain is empty"]
-    data_len = diffs[0].data_len
-    chunk_size = diffs[0].chunk_size
-    layout: Optional[TreeLayout] = None
-
+    problems: List[str] = []
+    geometry = (diffs[0].data_len, diffs[0].chunk_size)
     for position, diff in enumerate(diffs):
         where = f"ckpt {position}"
         if diff.ckpt_id != position:
             problems.append(f"{where}: out-of-order id {diff.ckpt_id}")
             continue
-        if diff.data_len != data_len or diff.chunk_size != chunk_size:
+        if (diff.data_len, diff.chunk_size) != geometry:
             problems.append(f"{where}: geometry changed mid-chain")
             continue
-        spec = ChunkSpec(diff.data_len, diff.chunk_size)
-
-        if diff.method == "full":
-            if diff.payload_bytes != data_len:
-                problems.append(f"{where}: full payload length mismatch")
-            continue
-        if diff.method == "basic":
-            try:
-                changed = unpack_bitmap(diff.bitmap, spec.num_chunks)
-            except Exception as exc:  # noqa: BLE001 - reported, not raised
-                problems.append(f"{where}: bad bitmap ({exc})")
-                continue
-            expect = sum(
-                spec.chunk_len(int(c)) for c in np.nonzero(changed)[0]
-            )
-            if diff.payload_bytes != expect:
-                problems.append(f"{where}: basic payload length mismatch")
-            continue
-
-        if diff.method == "tree" and layout is None:
-            layout = TreeLayout(spec.num_chunks)
-
-        def bounds(node: int):
-            if diff.method == "tree":
-                if not 0 <= node < layout.num_nodes:
-                    return None
-                return spec.range_bounds(
-                    int(layout.leaf_start[node]), int(layout.leaf_count[node])
-                )
-            if not 0 <= node < spec.num_chunks:
-                return None
-            return spec.chunk_bounds(node)
-
-        covered = np.zeros(data_len, dtype=bool)
-        shifted = np.zeros(data_len, dtype=bool)
-        same_ckpt_sources = []
-        payload_expect = 0
-        ok = True
-        for node in diff.first_ids:
-            span = bounds(int(node))
-            if span is None:
-                problems.append(f"{where}: first id {int(node)} out of range")
-                ok = False
-                continue
-            if covered[span[0] : span[1]].any():
-                problems.append(f"{where}: overlapping regions at {span}")
-                ok = False
-            covered[span[0] : span[1]] = True
-            payload_expect += span[1] - span[0]
-        for i in range(diff.num_shift):
-            span = bounds(int(diff.shift_ids[i]))
-            src = bounds(int(diff.shift_ref_ids[i]))
-            if span is None or src is None:
-                problems.append(f"{where}: shift entry {i} out of range")
-                ok = False
-                continue
-            if covered[span[0] : span[1]].any():
-                problems.append(f"{where}: overlapping regions at {span}")
-                ok = False
-            covered[span[0] : span[1]] = True
-            shifted[span[0] : span[1]] = True
-            if int(diff.shift_ref_ckpts[i]) == position:
-                same_ckpt_sources.append((i, src))
-            if src[1] - src[0] != span[1] - span[0]:
-                problems.append(f"{where}: shift entry {i} length mismatch")
-                ok = False
-            if int(diff.shift_ref_ckpts[i]) > position:
-                problems.append(f"{where}: shift entry {i} references the future")
-                ok = False
-        for i, src in same_ckpt_sources:
-            if shifted[src[0] : src[1]].any():
-                problems.append(
-                    f"{where}: shift entry {i} reads bytes another shifted "
-                    f"duplicate of this checkpoint writes"
-                )
-                ok = False
-        if ok and diff.payload_bytes != payload_expect:
+        cmap = chunk_map(diff)
+        problems.extend(cmap.problems)
+        if not cmap.problems and diff.payload_bytes != cmap.payload_len:
             problems.append(
                 f"{where}: payload is {diff.payload_bytes} B, regions demand "
-                f"{payload_expect} B"
+                f"{cmap.payload_len} B"
             )
     return problems

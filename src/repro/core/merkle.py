@@ -20,6 +20,7 @@ adjacent chunks, §2.2).
 
 from __future__ import annotations
 
+import functools
 from typing import List, Tuple
 
 import numpy as np
@@ -144,6 +145,20 @@ class TreeLayout:
         recompute them.  Treat the arrays as read-only.
         """
         return self._interior_levels
+
+
+@functools.lru_cache(maxsize=8)
+def layout_for(num_chunks: int) -> TreeLayout:
+    """The shared, read-only :class:`TreeLayout` over *num_chunks* leaves:
+    what decoders of stored tree diffs resolve node ids through (the
+    engines build their own).  Its arrays are frozen: a stray write raises
+    instead of corrupting every reader of that chunk count."""
+    layout = TreeLayout(num_chunks)
+    levels = [a for level in layout.interior_levels_with_children() for a in level]
+    for arr in [layout.node_of_leaf, layout.leaf_of_node, layout.leaf_start,
+                layout.leaf_count, *levels]:
+        arr.flags.writeable = False
+    return layout
 
 
 class MerkleTree:

@@ -49,14 +49,8 @@ from ..telemetry import events
 from ..errors import IntegrityError, RestoreError
 from .chunking import ChunkSpec
 from .diff import CheckpointDiff
-from .merkle import TreeLayout
 from .restore import scrub_chain
-from .serialize import (
-    chunk_payload_offsets,
-    expand_node_chunks,
-    node_region_bounds,
-    unpack_bitmap,
-)
+from .serialize import chunk_map, diff_payload, place_chunks
 
 #: ``src_ckpt`` value for chunks never written by any diff (implicit zeros).
 ZERO_SOURCE = -1
@@ -195,7 +189,6 @@ class ProvenanceBuilder:
 
     def __init__(self) -> None:
         self.indexes: List[ProvenanceIndex] = []
-        self._layouts: Dict[int, TreeLayout] = {}
 
     def extend(self, diffs: Sequence[CheckpointDiff]) -> None:
         for diff in diffs:
@@ -210,56 +203,43 @@ class ProvenanceBuilder:
 
     # ------------------------------------------------------------------
     def append(self, diff: CheckpointDiff) -> ProvenanceIndex:
-        """Compose the next checkpoint's index from *diff*."""
+        """Compose the next checkpoint's index from *diff*.
+
+        Row *k* is row *k-1* with *diff*'s :func:`chunk_map` applied: its
+        first occurrences point into its own payload, its shifted
+        duplicates copy the entries of the rows they reference.  A diff
+        the map finds a problem in raises that problem as
+        :class:`RestoreError` — the composition relies on every one of
+        those checks, the §4 invariant included.
+        """
         k = len(self.indexes)
         if diff.ckpt_id != k:
             raise RestoreError(
                 f"diff chain out of order: position {k} holds "
                 f"checkpoint {diff.ckpt_id}"
             )
-        spec = ChunkSpec(diff.data_len, diff.chunk_size)
-        if self.indexes:
-            prev = self.indexes[-1]
-            if prev.data_len != diff.data_len:
-                raise RestoreError(
-                    f"checkpoint length changed mid-chain at {k}"
-                )
-            src_ckpt = prev.src_ckpt.copy()
-            src_off = prev.src_off.copy()
+        prev = self.indexes[-1] if self.indexes else None
+        if prev is not None and (prev.data_len, prev.chunk_size) != (
+            diff.data_len, diff.chunk_size
+        ):
+            raise RestoreError(f"checkpoint geometry changed mid-chain at {k}")
+        cmap = chunk_map(diff)
+        if cmap.problems:
+            raise RestoreError(cmap.problems[0])
+        if prev is None:
+            src_ckpt = np.full(cmap.spec.num_chunks, ZERO_SOURCE, dtype=np.int32)
+            src_off = np.zeros(cmap.spec.num_chunks, dtype=np.int64)
         else:
-            src_ckpt = np.full(spec.num_chunks, ZERO_SOURCE, dtype=np.int32)
-            src_off = np.zeros(spec.num_chunks, dtype=np.int64)
+            src_ckpt, src_off = prev.src_ckpt.copy(), prev.src_off.copy()
 
-        cs = spec.chunk_size
-        if diff.method == "full":
-            src_ckpt[:] = k
-            src_off[:] = np.arange(spec.num_chunks, dtype=np.int64) * cs
-        elif diff.method == "basic":
-            changed = unpack_bitmap(diff.bitmap, spec.num_chunks)
-            chunks = np.nonzero(changed)[0].astype(np.int64)
-            offsets, _, _ = chunk_payload_offsets(spec, chunks)
-            src_ckpt[chunks] = k
-            src_off[chunks] = offsets
-        else:
-            first_chunks, first_offs = self._first_occurrence_chunks(diff, spec)
-            src_ckpt[first_chunks] = k
-            src_off[first_chunks] = first_offs
-            dst, src, refs = self._shift_chunks(diff, spec)
-            if refs.size:
-                if int(refs.max()) > k:
-                    raise RestoreError(
-                        f"shifted duplicate references checkpoint "
-                        f"{int(refs.max())}, which is not reconstructed yet"
-                    )
-                for t in np.unique(refs):
-                    sel = refs == t
-                    if t == k:
-                        s_ck, s_off = src_ckpt, src_off
-                    else:
-                        ref_index = self.indexes[int(t)]
-                        s_ck, s_off = ref_index.src_ckpt, ref_index.src_off
-                    src_ckpt[dst[sel]] = s_ck[src[sel]]
-                    src_off[dst[sel]] = s_off[src[sel]]
+        src_ckpt[cmap.first_chunks] = k
+        src_off[cmap.first_chunks] = cmap.first_offs
+        for t in np.unique(cmap.refs):
+            sel = cmap.refs == t
+            ref = self.indexes[t] if t < k else None
+            dst, src = cmap.dst[sel], cmap.src[sel]
+            src_ckpt[dst] = (src_ckpt if ref is None else ref.src_ckpt)[src]
+            src_off[dst] = (src_off if ref is None else ref.src_off)[src]
 
         index = ProvenanceIndex(
             ckpt_id=k,
@@ -270,81 +250,6 @@ class ProvenanceBuilder:
         )
         self.indexes.append(index)
         return index
-
-    def _first_occurrence_chunks(
-        self, diff: CheckpointDiff, spec: ChunkSpec
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        """First-occurrence chunk ids + their payload byte offsets."""
-        firsts = diff.first_ids.astype(np.int64)
-        if diff.method == "list":
-            if firsts.size and (
-                firsts.min() < 0 or firsts.max() >= spec.num_chunks
-            ):
-                raise RestoreError(
-                    f"chunk id {int(firsts.max())} outside checkpoint of "
-                    f"{spec.num_chunks} chunks"
-                )
-            offsets, _, _ = chunk_payload_offsets(spec, firsts)
-            return firsts, offsets
-        layout = self._layout_for(spec.num_chunks)
-        self._check_nodes(layout, firsts)
-        r0, r1 = node_region_bounds(spec, layout, firsts)
-        region_lengths = r1 - r0
-        region_offsets = np.empty(firsts.shape[0], dtype=np.int64)
-        if firsts.size:
-            region_offsets[0] = 0
-            np.cumsum(region_lengths[:-1], out=region_offsets[1:])
-        chunks, region_of, within = expand_node_chunks(layout, firsts)
-        return chunks, region_offsets[region_of] + within * spec.chunk_size
-
-    def _shift_chunks(
-        self, diff: CheckpointDiff, spec: ChunkSpec
-    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Shifted-duplicate (dst chunk, src chunk, ref ckpt) triples."""
-        if diff.num_shift == 0:
-            empty = np.empty(0, dtype=np.int64)
-            return empty, empty.copy(), empty.copy()
-        refs = diff.shift_ref_ckpts.astype(np.int64)
-        if diff.method == "list":
-            dst = diff.shift_ids.astype(np.int64)
-            src = diff.shift_ref_ids.astype(np.int64)
-            for arr in (dst, src):
-                if arr.min() < 0 or arr.max() >= spec.num_chunks:
-                    raise RestoreError(
-                        f"chunk id {int(arr.max())} outside checkpoint of "
-                        f"{spec.num_chunks} chunks"
-                    )
-            return dst, src, refs
-        layout = self._layout_for(spec.num_chunks)
-        dst_nodes = diff.shift_ids.astype(np.int64)
-        src_nodes = diff.shift_ref_ids.astype(np.int64)
-        self._check_nodes(layout, dst_nodes)
-        self._check_nodes(layout, src_nodes)
-        d0, d1 = node_region_bounds(spec, layout, dst_nodes)
-        s0, s1 = node_region_bounds(spec, layout, src_nodes)
-        bad = np.nonzero((d1 - d0) != (s1 - s0))[0]
-        if bad.size:
-            raise RestoreError(
-                f"shifted region {int(dst_nodes[bad[0]])} length mismatch"
-            )
-        dst_chunks, dst_region, _ = expand_node_chunks(layout, dst_nodes)
-        src_chunks, _, _ = expand_node_chunks(layout, src_nodes)
-        return dst_chunks, src_chunks, refs[dst_region]
-
-    def _layout_for(self, num_chunks: int) -> TreeLayout:
-        layout = self._layouts.get(num_chunks)
-        if layout is None:
-            layout = TreeLayout(num_chunks)
-            self._layouts[num_chunks] = layout
-        return layout
-
-    @staticmethod
-    def _check_nodes(layout: TreeLayout, nodes: np.ndarray) -> None:
-        if nodes.size and (nodes.min() < 0 or nodes.max() >= layout.num_nodes):
-            bad = int(nodes.min()) if nodes.min() < 0 else int(nodes.max())
-            raise RestoreError(
-                f"node id {bad} outside tree of {layout.num_nodes}"
-            )
 
 
 @dataclass
@@ -661,12 +566,10 @@ def materialize_index(
     materializes its own contiguous range into the shared ``out`` buffer
     and uploads only that range.  ``zero=False`` skips the
     upfront zero fill (a sharded caller zeroes ``out`` once, not once
-    per shard per window).  The defaults reproduce the original
-    whole-buffer behavior exactly.
+    per shard per window).
     """
     spec = ChunkSpec(index.data_len, index.chunk_size)
     cs = spec.chunk_size
-    full = index.data_len // cs
     lo = chunk_lo
     hi = spec.num_chunks if chunk_hi is None else chunk_hi
     if not 0 <= lo <= hi <= spec.num_chunks:
@@ -678,41 +581,19 @@ def materialize_index(
         out = np.zeros(index.data_len, dtype=np.uint8)
     elif zero:
         out[lo * cs : min(hi * cs, index.data_len)] = 0
-    body = out[: full * cs].reshape(full, cs) if full else None
 
     sub_ckpt = index.src_ckpt[lo:hi]
     referenced = np.unique(sub_ckpt)
-    referenced = referenced[referenced >= 0]
-    for t in referenced:
-        t = int(t)
-        payload = payload_of(t)
-        sel = sub_ckpt == t
-        chunks = np.nonzero(sel)[0].astype(np.int64) + lo
-        offs = index.src_off[chunks]
-        lengths = np.full(chunks.shape[0], cs, dtype=np.int64)
-        if index.data_len % cs:
-            lengths[chunks == spec.num_chunks - 1] = spec.tail_len
-        if int((offs + lengths).max()) > payload.shape[0] or int(offs.min()) < 0:
+    for t in referenced[referenced >= 0].tolist():
+        chunks = np.flatnonzero(sub_ckpt == t) + lo
+        try:
+            gathered = place_chunks(
+                out, spec, chunks, index.src_off[chunks], payload_of(t)
+            )
+        except RestoreError as exc:
             raise RestoreError(
                 f"provenance index points outside checkpoint {t}'s payload"
-            )
-        is_full = chunks < full
-        rows = chunks[is_full]
-        if rows.size:
-            f_offs = offs[is_full]
-            n = rows.shape[0]
-            if n == 1 or bool(np.all(np.diff(f_offs) == cs)):
-                start = int(f_offs[0])
-                body[rows] = payload[start : start + n * cs].reshape(n, cs)
-            else:
-                body[rows] = payload[
-                    f_offs[:, None] + np.arange(cs, dtype=np.int64)
-                ]
-        for i in np.nonzero(~is_full)[0]:
-            b0, b1 = spec.chunk_bounds(int(chunks[i]))
-            off = int(offs[i])
-            out[b0:b1] = payload[off : off + (b1 - b0)]
-        gathered = int(lengths.sum())
+            ) from exc
         if report is not None:
             report.payload_bytes_read[t] = (
                 report.payload_bytes_read.get(t, 0) + gathered
@@ -754,15 +635,6 @@ class RecordRestoreReport:
     index_bytes: int
     used_index: bool
     payload_bytes_read: Dict[int, int] = field(default_factory=dict)
-
-
-def diff_payload(diff: CheckpointDiff, payload_codec=None) -> np.ndarray:
-    """*diff*'s payload as the uint8 array provenance offsets index into
-    (a hybrid tree diff's payload is decompressed first)."""
-    raw = diff.payload
-    if payload_codec is not None and diff.method == "tree":
-        raw = payload_codec.decompress(raw)
-    return np.frombuffer(raw, dtype=np.uint8)
 
 
 def resolve_source(

@@ -7,14 +7,14 @@ shifted duplicates by copying from the referenced checkpoint — which may
 be an earlier checkpoint or checkpoint *k* itself (a shifted duplicate of
 a first occurrence earlier in the same buffer).
 
-Shifted-duplicate references always point at content that was stored as a
-first occurrence, so after phase one of the current checkpoint every
-reference target is available in some reconstructed buffer.  All three
-apply paths are vectorized: first-occurrence payloads land via one
-reshape/fancy-index scatter, and shifted duplicates are grouped by
-referenced checkpoint so each source buffer is touched by one batched
-gather (the read-path mirror of the serialization gathers in
-:mod:`~repro.core.serialize`).
+Every diff, whatever its method, is read through
+:func:`~repro.core.serialize.chunk_map`, which also checks that
+shifted-duplicate references point at content stored as a first
+occurrence — so after phase one of the current checkpoint every
+reference target is available in some reconstructed buffer.  First
+occurrences land through one :func:`~repro.core.serialize.place_chunks`
+scatter, and shifted duplicates are grouped by referenced checkpoint so
+each source buffer is read by one more.
 
 :meth:`Restorer.restore` keeps only the *reference window* in memory —
 the previous checkpoint plus whatever earlier checkpoints later diffs
@@ -34,18 +34,11 @@ import numpy as np
 from ..errors import IntegrityError, ReproError, RestoreError
 from .. import telemetry
 from ..telemetry import events
-from .chunking import ChunkSpec
 from .diff import CheckpointDiff
-from .merkle import TreeLayout
+from .serialize import chunk_map, diff_payload, place_chunks
 
 _DIFFS_APPLIED = telemetry.counter(
     "restore.diffs_applied", "Diffs applied during chain-replay restores"
-)
-from .serialize import (
-    chunk_payload_offsets,
-    expand_node_chunks,
-    node_region_bounds,
-    unpack_bitmap,
 )
 
 
@@ -77,65 +70,6 @@ def scrub_chain(diffs: Sequence[CheckpointDiff], payload_codec=None) -> None:
         )
 
 
-def _scatter_payload(
-    data: np.ndarray,
-    spec: ChunkSpec,
-    chunks: np.ndarray,
-    offsets: np.ndarray,
-    payload: np.ndarray,
-) -> None:
-    """Write ``payload[offsets[i]:...]`` into chunk ``chunks[i]`` for all i.
-
-    Full-size chunks scatter through one reshape + fancy-index assignment;
-    the (at most one) short tail chunk is patched scalar.  Offsets must be
-    validated against the payload length by the caller.
-    """
-    if chunks.size == 0:
-        return
-    cs = spec.chunk_size
-    full = spec.data_len // cs
-    is_full = chunks < full
-    rows = chunks[is_full]
-    if rows.size:
-        offs = offsets[is_full]
-        body = data[: full * cs].reshape(full, cs)
-        n = rows.shape[0]
-        if n == 1 or bool(np.all(np.diff(offs) == cs)):
-            # Contiguous payload run — the common case (ascending
-            # first-occurrence chunks with no interleaved tail).
-            start = int(offs[0])
-            body[rows] = payload[start : start + n * cs].reshape(n, cs)
-        else:
-            body[rows] = payload[offs[:, None] + np.arange(cs, dtype=np.int64)]
-    for i in np.nonzero(~is_full)[0]:
-        start, end = spec.chunk_bounds(int(chunks[i]))
-        off = int(offsets[i])
-        data[start:end] = payload[off : off + (end - start)]
-
-
-def _copy_chunks(
-    data: np.ndarray,
-    spec: ChunkSpec,
-    dst_chunks: np.ndarray,
-    src_chunks: np.ndarray,
-    source: np.ndarray,
-) -> None:
-    """Batched chunk copy ``data[dst] = source[src]`` (lengths pre-checked)."""
-    if dst_chunks.size == 0:
-        return
-    cs = spec.chunk_size
-    full = spec.data_len // cs
-    both_full = (dst_chunks < full) & (src_chunks < full)
-    if np.any(both_full):
-        body = data[: full * cs].reshape(full, cs)
-        src_body = source[: full * cs].reshape(full, cs)
-        body[dst_chunks[both_full]] = src_body[src_chunks[both_full]]
-    for i in np.nonzero(~both_full)[0]:
-        d0, d1 = spec.chunk_bounds(int(dst_chunks[i]))
-        s0, s1 = spec.chunk_bounds(int(src_chunks[i]))
-        data[d0:d1] = source[s0:s1]
-
-
 class Restorer:
     """Reconstructs full checkpoints from an ordered diff chain.
 
@@ -146,12 +80,13 @@ class Restorer:
         compression (the hybrid mode of :class:`~repro.core.dedup_tree.
         TreeDedup`); ``None`` for raw payloads.
     scrub:
-        When true, every diff is structurally validated before it is
-        applied (frame digest where present, region bounds, payload
-        lengths, reference validity), and any damage raises a structured
-        :class:`~repro.errors.IntegrityError` naming the first bad
-        checkpoint — instead of silently producing wrong bytes or
-        surfacing an unattributed :class:`RestoreError` mid-apply.
+        Every diff is structurally checked as it is applied
+        (:func:`~repro.core.serialize.chunk_map`) whatever this says.
+        When true, the whole chain is validated *before* anything is
+        applied (:func:`~repro.core.analysis.verify_chain`), and any
+        damage raises a structured :class:`~repro.errors.IntegrityError`
+        naming the first bad checkpoint — instead of an unattributed
+        :class:`RestoreError` mid-apply.
     space:
         Optional execution space (:class:`~repro.kokkos.execution.
         ExecutionSpace`); when set, each applied diff and the final
@@ -170,7 +105,6 @@ class Restorer:
         self.scrub = scrub
         self.space = space
         self.peak_buffers_held: int = 0
-        self._layouts: Dict[int, TreeLayout] = {}
 
     # ------------------------------------------------------------------
     def restore_all(self, diffs: Sequence[CheckpointDiff]) -> List[np.ndarray]:
@@ -179,7 +113,7 @@ class Restorer:
             "restore.replay_all", space=self.space, chain_len=len(diffs)
         ):
             if self.scrub:
-                self._scrub_chain(diffs)
+                scrub_chain(diffs, self.payload_codec)
             history: Dict[int, np.ndarray] = {}
             for position, diff in enumerate(diffs):
                 if diff.ckpt_id != position:
@@ -194,10 +128,6 @@ class Restorer:
             if self.space is not None and history:
                 self.space.transfer("H2D", int(history[len(diffs) - 1].nbytes))
         return [history[i] for i in range(len(diffs))]
-
-    def _scrub_chain(self, diffs: Sequence[CheckpointDiff]) -> None:
-        """Pre-apply validation; raises on the first bad checkpoint."""
-        scrub_chain(diffs, self.payload_codec)
 
     def restore(
         self, diffs: Sequence[CheckpointDiff], upto: Optional[int] = None
@@ -236,7 +166,7 @@ class Restorer:
         self, chain: Sequence[CheckpointDiff], upto: int
     ) -> np.ndarray:
         if self.scrub:
-            self._scrub_chain(chain)
+            scrub_chain(chain, self.payload_codec)
 
         # Last position at which each reconstructed checkpoint is read:
         # position+1 needs position (fixed duplicates), and any later
@@ -290,32 +220,48 @@ class Restorer:
     def _restore_one(
         self, diff: CheckpointDiff, history: Mapping[int, np.ndarray]
     ) -> np.ndarray:
-        spec = ChunkSpec(diff.data_len, diff.chunk_size)
-        if diff.ckpt_id == 0:
+        k = diff.ckpt_id
+        if k == 0:
             data = np.zeros(diff.data_len, dtype=np.uint8)
         else:
-            prev = history.get(diff.ckpt_id - 1)
+            prev = history.get(k - 1)
             if prev is None:
                 raise RestoreError(
-                    f"checkpoint {diff.ckpt_id} needs checkpoint "
-                    f"{diff.ckpt_id - 1}, which is not reconstructed"
+                    f"checkpoint {k} needs checkpoint {k - 1}, "
+                    f"which is not reconstructed"
                 )
             if prev.shape[0] != diff.data_len:
-                raise RestoreError(
-                    f"checkpoint length changed mid-chain at {diff.ckpt_id}"
-                )
+                raise RestoreError(f"checkpoint length changed mid-chain at {k}")
             data = prev.copy()
 
-        handler = {
-            "full": self._apply_full,
-            "basic": self._apply_basic,
-            "list": self._apply_list,
-            "tree": self._apply_tree,
-        }[diff.method]
-        handler(diff, spec, data, history)
+        cmap = chunk_map(diff)
+        if cmap.problems:
+            raise RestoreError(cmap.problems[0])
+        payload = diff_payload(diff, self.payload_codec)
+        if payload.shape[0] != cmap.payload_len:
+            raise RestoreError(
+                f"{diff.method} payload is {payload.shape[0]} bytes, its "
+                f"entries demand {cmap.payload_len}"
+            )
+        spec = cmap.spec
+        place_chunks(data, spec, cmap.first_chunks, cmap.first_offs, payload)
+        # §4: no shift reads bytes another shift of this diff writes, so
+        # applying them grouped by referenced checkpoint is equivalent to
+        # the sequential per-entry order.
+        for t in np.unique(cmap.refs).tolist():
+            source = data if t == k else history.get(t)
+            if source is None:
+                raise RestoreError(
+                    f"shifted duplicate references checkpoint {t}, "
+                    f"which is not reconstructed yet"
+                )
+            sel = cmap.refs == t
+            place_chunks(
+                data, spec, cmap.dst[sel], cmap.src[sel] * spec.chunk_size, source
+            )
         _DIFFS_APPLIED.inc()
         if self.space is not None:
-            prev_bytes = diff.data_len if diff.ckpt_id else 0
+            prev_bytes = diff.data_len if k else 0
             self.space.launch(
                 f"restore.apply.{diff.method}",
                 items=spec.num_chunks,
@@ -323,188 +269,6 @@ class Restorer:
                 bytes_written=diff.data_len,
             )
         return data
-
-    def _payload(self, diff: CheckpointDiff) -> bytes:
-        if self.payload_codec is not None and diff.method == "tree":
-            return self.payload_codec.decompress(diff.payload)
-        return diff.payload
-
-    def _apply_shifts(
-        self,
-        spec: ChunkSpec,
-        data: np.ndarray,
-        dst_chunks: np.ndarray,
-        src_chunks: np.ndarray,
-        ref_ckpts: np.ndarray,
-        current_ckpt: int,
-        history: Mapping[int, np.ndarray],
-    ) -> None:
-        """Copy shifted duplicates, one batched gather per source buffer.
-
-        Shifted references target first occurrences (of this or an earlier
-        checkpoint), never bytes another shifted duplicate of the same
-        diff wrote — so applying them grouped by referenced checkpoint is
-        equivalent to the sequential per-entry order.
-        """
-        for t in np.unique(ref_ckpts):
-            source = self._source_buffer(int(t), current_ckpt, data, history)
-            sel = ref_ckpts == t
-            _copy_chunks(data, spec, dst_chunks[sel], src_chunks[sel], source)
-
-    # ------------------------------------------------------------------
-    def _apply_full(
-        self,
-        diff: CheckpointDiff,
-        spec: ChunkSpec,
-        data: np.ndarray,
-        history: Mapping[int, np.ndarray],
-    ) -> None:
-        payload = self._payload(diff)
-        if len(payload) != diff.data_len:
-            raise RestoreError(
-                f"full checkpoint payload is {len(payload)} bytes, "
-                f"expected {diff.data_len}"
-            )
-        data[:] = np.frombuffer(payload, dtype=np.uint8)
-
-    def _apply_basic(
-        self,
-        diff: CheckpointDiff,
-        spec: ChunkSpec,
-        data: np.ndarray,
-        history: Mapping[int, np.ndarray],
-    ) -> None:
-        changed = unpack_bitmap(diff.bitmap, spec.num_chunks)
-        payload = np.frombuffer(self._payload(diff), dtype=np.uint8)
-        chunks = np.nonzero(changed)[0].astype(np.int64)
-        offsets, _, total = chunk_payload_offsets(spec, chunks)
-        if total > payload.shape[0]:
-            raise RestoreError("basic payload shorter than bitmap demands")
-        if total < payload.shape[0]:
-            raise RestoreError(
-                f"basic payload has {payload.shape[0] - total} trailing bytes"
-            )
-        _scatter_payload(data, spec, chunks, offsets, payload)
-
-    def _apply_list(
-        self,
-        diff: CheckpointDiff,
-        spec: ChunkSpec,
-        data: np.ndarray,
-        history: Mapping[int, np.ndarray],
-    ) -> None:
-        payload = np.frombuffer(self._payload(diff), dtype=np.uint8)
-        firsts = diff.first_ids.astype(np.int64)
-        self._check_chunk_ids(spec, firsts)
-        offsets, _, total = chunk_payload_offsets(spec, firsts)
-        if total != payload.shape[0]:
-            raise RestoreError("list payload length mismatch")
-        _scatter_payload(data, spec, firsts, offsets, payload)
-
-        if diff.num_shift:
-            dst = diff.shift_ids.astype(np.int64)
-            src = diff.shift_ref_ids.astype(np.int64)
-            self._check_chunk_ids(spec, dst)
-            self._check_chunk_ids(spec, src)
-            _, dst_len, _ = chunk_payload_offsets(spec, dst)
-            _, src_len, _ = chunk_payload_offsets(spec, src)
-            bad = np.nonzero(dst_len != src_len)[0]
-            if bad.size:
-                raise RestoreError(
-                    f"shifted chunk {int(dst[bad[0]])} length mismatch"
-                )
-            self._apply_shifts(
-                spec, data, dst, src,
-                diff.shift_ref_ckpts.astype(np.int64), diff.ckpt_id, history,
-            )
-
-    def _apply_tree(
-        self,
-        diff: CheckpointDiff,
-        spec: ChunkSpec,
-        data: np.ndarray,
-        history: Mapping[int, np.ndarray],
-    ) -> None:
-        layout = self._layout_for(spec.num_chunks)
-        payload = np.frombuffer(self._payload(diff), dtype=np.uint8)
-        firsts = diff.first_ids.astype(np.int64)
-        self._check_node_ids(layout, firsts)
-        f0, f1 = node_region_bounds(spec, layout, firsts)
-        region_lengths = f1 - f0
-        total = int(region_lengths.sum())
-        if total > payload.shape[0]:
-            raise RestoreError("tree payload shorter than regions demand")
-        if total < payload.shape[0]:
-            raise RestoreError(
-                f"tree payload has {payload.shape[0] - total} trailing bytes"
-            )
-        region_offsets = np.empty(firsts.shape[0], dtype=np.int64)
-        if firsts.size:
-            region_offsets[0] = 0
-            np.cumsum(region_lengths[:-1], out=region_offsets[1:])
-        chunks, region_of, within = expand_node_chunks(layout, firsts)
-        chunk_offsets = region_offsets[region_of] + within * spec.chunk_size
-        _scatter_payload(data, spec, chunks, chunk_offsets, payload)
-
-        if diff.num_shift:
-            dst_nodes = diff.shift_ids.astype(np.int64)
-            src_nodes = diff.shift_ref_ids.astype(np.int64)
-            self._check_node_ids(layout, dst_nodes)
-            self._check_node_ids(layout, src_nodes)
-            d0, d1 = node_region_bounds(spec, layout, dst_nodes)
-            s0, s1 = node_region_bounds(spec, layout, src_nodes)
-            bad = np.nonzero((d1 - d0) != (s1 - s0))[0]
-            if bad.size:
-                raise RestoreError(
-                    f"shifted region {int(dst_nodes[bad[0]])} length mismatch"
-                )
-            # Equal byte lengths imply equal chunk counts, so the two
-            # expansions pair up chunk for chunk.
-            dst_chunks, dst_region, _ = expand_node_chunks(layout, dst_nodes)
-            src_chunks, _, _ = expand_node_chunks(layout, src_nodes)
-            refs = diff.shift_ref_ckpts.astype(np.int64)[dst_region]
-            self._apply_shifts(
-                spec, data, dst_chunks, src_chunks, refs, diff.ckpt_id, history
-            )
-
-    # ------------------------------------------------------------------
-    def _layout_for(self, num_chunks: int) -> TreeLayout:
-        layout = self._layouts.get(num_chunks)
-        if layout is None:
-            layout = TreeLayout(num_chunks)
-            self._layouts[num_chunks] = layout
-        return layout
-
-    @staticmethod
-    def _check_chunk_ids(spec: ChunkSpec, chunks: np.ndarray) -> None:
-        if chunks.size and (chunks.min() < 0 or chunks.max() >= spec.num_chunks):
-            bad = int(chunks.min()) if chunks.min() < 0 else int(chunks.max())
-            spec.chunk_bounds(bad)  # raises ChunkingError with the bad id
-
-    @staticmethod
-    def _check_node_ids(layout: TreeLayout, nodes: np.ndarray) -> None:
-        if nodes.size and (nodes.min() < 0 or nodes.max() >= layout.num_nodes):
-            bad = int(nodes.min()) if nodes.min() < 0 else int(nodes.max())
-            raise RestoreError(
-                f"node id {bad} outside tree of {layout.num_nodes}"
-            )
-
-    @staticmethod
-    def _source_buffer(
-        ref_ckpt: int,
-        current_ckpt: int,
-        data: np.ndarray,
-        history: Mapping[int, np.ndarray],
-    ) -> np.ndarray:
-        if ref_ckpt == current_ckpt:
-            return data
-        source = history.get(ref_ckpt) if ref_ckpt >= 0 else None
-        if source is None:
-            raise RestoreError(
-                f"shifted duplicate references checkpoint {ref_ckpt}, "
-                f"which is not reconstructed yet"
-            )
-        return source
 
 
 def restore_latest(

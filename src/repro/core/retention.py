@@ -22,25 +22,29 @@ checkpoint ids shift, and promoting shift references into
 first-occurrence payload changes payload offsets.
 :func:`rebase_stored_record` therefore rewrites a stored record
 directory whole — frames, header, log *and* provenance index,
-re-composed by the record writer from the rewritten diffs — journaling a
-``rebase`` event when it does.
+re-composed by the record writer from the rewritten diffs — into a
+sibling directory, verifies it, and swaps it in by two renames, so a
+crash at any point leaves the old chain or the rebased one loadable;
+it journals a ``rebase`` event when it does.
 """
 
 from __future__ import annotations
 
+import dataclasses
+import os
+import shutil
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Set, Union
+from typing import List, Optional, Sequence, Set, Union
 
 import numpy as np
 
-from ..errors import RestoreError
+from ..errors import RestoreError, StorageError
 from ..telemetry import events
-from .chunking import ChunkSpec
 from .diff import CheckpointDiff
-from .merkle import TreeLayout
 from .provenance import ProvenanceBuilder, resolve_source
 from .restore import Restorer
-from .store import RecordWriter, load_record, record_manifest, save_record
+from .serialize import chunk_map, gather_chunk_payload
+from .store import load_record, record_manifest, save_record, verify_record
 
 
 def payload_dependencies(
@@ -102,32 +106,47 @@ def rebase_record(
             payload=states[at].tobytes(),
         )
     ]
-    layout: Optional[TreeLayout] = None
     for old_id in range(at + 1, len(diffs)):
-        out.append(
-            _rewrite_diff(diffs[old_id], at, states[old_id], layout, payload_codec)
-        )
+        out.append(_rewrite_diff(diffs[old_id], at, states[old_id], payload_codec))
     return out
 
 
 def rebase_stored_record(
     directory: Union[str, Path], at: int, payload_codec=None
 ) -> Path:
-    """Rebase a *stored* record directory in place, index included.
+    """Rebase a *stored* record directory, index included.
 
-    Loads the record, rewrites the chain with :func:`rebase_record`,
-    replaces every file of the record on disk, and emits a ``rebase``
-    journal event recording that the index was rewritten.  The old
-    record is reset first (the store knows its files): the rebased chain
-    is shorter and renumbered, so nothing of the old layout may survive.
+    Loads the record, rewrites the chain with :func:`rebase_record` and
+    saves it to the sibling ``<name>.rebase-new``, which must pass
+    :func:`~repro.core.store.verify_record`.  Only then is the record
+    swapped: ``<name>`` is renamed to ``<name>.rebase-old``,
+    ``.rebase-new`` to ``<name>``, and ``.rebase-old`` deleted last.  A
+    failure before the first rename leaves the old record in place; one
+    between the two renames leaves it whole in ``.rebase-old``.  The
+    directory moves as a whole, so it must hold nothing but the record.
+    Emits a ``rebase`` journal event recording that the index was
+    rewritten.
     """
     path = Path(directory)
     manifest = record_manifest(path)
     diffs = load_record(path)
     new_diffs = rebase_record(diffs, at, payload_codec)
 
-    RecordWriter(path).reset()
-    save_record(new_diffs, path, method=manifest.get("method", ""))
+    staged = path.with_name(path.name + ".rebase-new")
+    old = path.with_name(path.name + ".rebase-old")
+    for leftover in (staged, old):  # an earlier, interrupted rebase's
+        if leftover.exists():
+            shutil.rmtree(leftover)
+    save_record(new_diffs, staged, method=manifest.get("method", ""))
+    verification = verify_record(staged)
+    if not verification.ok:
+        raise StorageError(
+            f"rebased record {staged} fails verification; {path} is "
+            f"untouched:\n{verification.summary()}"
+        )
+    os.rename(path, old)
+    os.rename(staged, path)
+    shutil.rmtree(old)
     events.emit(
         events.REBASE,
         path=str(path),
@@ -141,12 +160,14 @@ def rebase_stored_record(
 
 
 def _rewrite_diff(
-    diff: CheckpointDiff,
-    at: int,
-    state: np.ndarray,
-    layout: Optional[TreeLayout],
-    payload_codec,
+    diff: CheckpointDiff, at: int, state: np.ndarray, payload_codec
 ) -> CheckpointDiff:
+    """*diff* renumbered onto a chain that starts at old checkpoint *at*.
+
+    Its shift entries into the discarded prefix become first entries, and
+    the first-occurrence payload is re-gathered from *state*, the
+    checkpoint's reconstruction — which holds every first region's bytes.
+    """
     new_id = diff.ckpt_id - at
     if diff.method in ("full", "basic"):
         # Position-relative methods never reference other checkpoints.
@@ -159,64 +180,20 @@ def _rewrite_diff(
             payload=diff.payload,
         )
 
-    spec = ChunkSpec(diff.data_len, diff.chunk_size)
-    if diff.method == "tree":
-        if layout is None:
-            layout = TreeLayout(spec.num_chunks)
-
-        def bounds(node: int):
-            return spec.range_bounds(
-                int(layout.leaf_start[node]), int(layout.leaf_count[node])
-            )
-
-    else:
-
-        def bounds(node: int):
-            return spec.chunk_bounds(node)
-
-    keep_mask = diff.shift_ref_ckpts.astype(np.int64) >= at
-    promoted = diff.shift_ids[~keep_mask]
-
-    # New first set = old firsts + promoted shifts; payload gathered from
-    # the reconstructed state in the id order of the merged array.
-    raw_payload = diff.payload
-    if payload_codec is not None:
-        raw_payload = payload_codec.decompress(raw_payload)
-    old_payload = np.frombuffer(raw_payload, dtype=np.uint8)
-
-    first_ids = np.concatenate(
-        [diff.first_ids.astype(np.int64), promoted.astype(np.int64)]
-    )
-    order = np.argsort(first_ids, kind="stable")
-    first_ids = first_ids[order]
-    parts: List[bytes] = []
-    # Offsets of the ORIGINAL firsts within the old payload.
-    old_offsets: Dict[int, int] = {}
-    cursor = 0
-    for node in diff.first_ids:
-        b0, b1 = bounds(int(node))
-        old_offsets[int(node)] = cursor
-        cursor += b1 - b0
-    promoted_set = {int(n) for n in promoted}
-    for node in first_ids:
-        b0, b1 = bounds(int(node))
-        if int(node) in promoted_set:
-            parts.append(state[b0:b1].tobytes())
-        else:
-            off = old_offsets[int(node)]
-            parts.append(old_payload[off : off + (b1 - b0)].tobytes())
-    payload = b"".join(parts)
-    if payload_codec is not None:
-        payload = payload_codec.compress(payload)
-
-    return CheckpointDiff(
+    keep = diff.shift_ref_ckpts.astype(np.int64) >= at
+    first_ids = np.sort(np.concatenate([diff.first_ids, diff.shift_ids[~keep]]))
+    rewritten = CheckpointDiff(
         method=diff.method,
         ckpt_id=new_id,
         data_len=diff.data_len,
         chunk_size=diff.chunk_size,
         first_ids=first_ids,
-        shift_ids=diff.shift_ids[keep_mask],
-        shift_ref_ids=diff.shift_ref_ids[keep_mask],
-        shift_ref_ckpts=diff.shift_ref_ckpts[keep_mask].astype(np.int64) - at,
-        payload=payload,
+        shift_ids=diff.shift_ids[keep],
+        shift_ref_ids=diff.shift_ref_ids[keep],
+        shift_ref_ckpts=diff.shift_ref_ckpts[keep].astype(np.int64) - at,
     )
+    cmap = chunk_map(rewritten)
+    payload = gather_chunk_payload(state, cmap.spec, cmap.first_chunks)
+    if payload_codec is not None and diff.method == "tree":
+        payload = payload_codec.compress(payload)
+    return dataclasses.replace(rewritten, payload=payload)

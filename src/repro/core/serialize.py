@@ -1,21 +1,32 @@
-"""Payload gathering — the consolidation step of §2.1/§2.4.
+"""Diff payloads: the gathers that write them and the one decoder that
+reads them.
 
-First-occurrence chunks are scattered across the checkpoint buffer; the
-paper gathers them into one contiguous device buffer (team-of-threads
-copies, coalesced accesses) so a *single* D2H transfer moves the whole
-diff.  These helpers perform the equivalent vectorized gathers and report
-the byte traffic so the engines can meter the serialization kernel.
+Write side (the consolidation step of §2.1/§2.4): first-occurrence chunks
+are scattered across the checkpoint buffer; the paper gathers them into
+one contiguous device buffer (team-of-threads copies, coalesced accesses)
+so a *single* D2H transfer moves the whole diff.  These helpers perform
+the equivalent vectorized gathers and report the byte traffic so the
+engines can meter the serialization kernel.
+
+Read side: :func:`chunk_map` is the only code that turns a diff's ids
+into chunks and payload offsets, and checks them while it does; the
+provenance builder, the replay oracle, the chain verifier, the
+composition analysis and the rebase rewrite all read a diff through it.
+:func:`place_chunks` is the one scatter both the gather and the oracle
+write a checkpoint with.
 """
 
 from __future__ import annotations
 
-from typing import Sequence, Tuple
+from dataclasses import dataclass
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
-from ..errors import SerializationError
+from ..errors import RestoreError, SerializationError
 from .chunking import ChunkSpec
-from .merkle import TreeLayout
+from .diff import CheckpointDiff
+from .merkle import TreeLayout, layout_for
 
 
 def gather_chunk_payload(
@@ -107,54 +118,6 @@ def node_region_bounds(
     return starts.astype(np.int64), ends.astype(np.int64)
 
 
-def expand_node_chunks(
-    layout: TreeLayout, nodes: np.ndarray
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Expand tree *nodes* into the flat chunk ids their regions cover.
-
-    Returns ``(chunks, region_of, within)``: for each covered chunk, its
-    chunk id, the index into *nodes* of the region it belongs to, and its
-    position inside that region.  Pure index arithmetic (repeat + cumsum),
-    no Python loop over regions.
-    """
-    node_arr = np.asarray(nodes, dtype=np.int64)
-    if node_arr.size == 0:
-        empty = np.empty(0, dtype=np.int64)
-        return empty, empty.copy(), empty.copy()
-    if node_arr.min() < 0 or node_arr.max() >= layout.num_nodes:
-        raise SerializationError("node id out of range for region expansion")
-    starts = layout.leaf_start[node_arr]
-    counts = layout.leaf_count[node_arr]
-    total = int(counts.sum())
-    region_of = np.repeat(np.arange(node_arr.shape[0], dtype=np.int64), counts)
-    within = np.arange(total, dtype=np.int64) - np.repeat(
-        np.cumsum(counts) - counts, counts
-    )
-    chunks = np.repeat(starts, counts) + within
-    return chunks, region_of, within
-
-
-def chunk_payload_offsets(
-    spec: ChunkSpec, chunk_ids: np.ndarray
-) -> Tuple[np.ndarray, np.ndarray, int]:
-    """Running payload offsets for *chunk_ids* concatenated in order.
-
-    Returns ``(offsets, lengths, total)`` where ``offsets[i]`` is the byte
-    offset of chunk ``chunk_ids[i]`` inside the concatenated payload and
-    ``total`` the payload length.  Chunk ids must already be validated.
-    """
-    ids = np.asarray(chunk_ids, dtype=np.int64)
-    lengths = np.full(ids.shape[0], spec.chunk_size, dtype=np.int64)
-    if spec.data_len % spec.chunk_size:
-        lengths[ids == spec.num_chunks - 1] = spec.tail_len
-    if ids.size == 0:
-        return np.empty(0, dtype=np.int64), lengths, 0
-    offsets = np.empty(ids.shape[0], dtype=np.int64)
-    offsets[0] = 0
-    np.cumsum(lengths[:-1], out=offsets[1:])
-    return offsets, lengths, int(lengths.sum())
-
-
 def pack_bitmap(changed: np.ndarray) -> np.ndarray:
     """Pack a boolean changed-chunk mask into a uint8 bitmap (LSB-first)."""
     if changed.dtype != bool or changed.ndim != 1:
@@ -170,3 +133,257 @@ def unpack_bitmap(bitmap: np.ndarray, num_chunks: int) -> np.ndarray:
             f"bitmap holds {bits.shape[0]} bits, need {num_chunks}"
         )
     return bits[:num_chunks].astype(bool)
+
+
+# ----------------------------------------------------------------------
+# The read side: one decoder, one scatter
+# ----------------------------------------------------------------------
+def diff_payload(diff: CheckpointDiff, payload_codec=None) -> np.ndarray:
+    """*diff*'s payload as the uint8 array :class:`ChunkMap` offsets and
+    provenance rows index into (a hybrid tree diff's payload is
+    decompressed first)."""
+    raw = diff.payload
+    if payload_codec is not None and diff.method == "tree":
+        raw = payload_codec.decompress(raw)
+    return np.frombuffer(raw, dtype=np.uint8)
+
+
+@dataclass
+class ChunkMap:
+    """One diff of any method decoded into chunks and payload offsets.
+
+    A metadata *entry* is a contiguous chunk range: the whole buffer for
+    ``full``, one changed chunk for ``basic``, one chunk for ``list``,
+    one node's region for ``tree``.  Per entry (in-range entries only, in
+    diff order): the byte bounds of the first and shift regions and the
+    checkpoint each shift entry references.  Per chunk:
+    ``first_chunks`` / ``first_offs`` in payload order, and the paired
+    ``dst`` / ``src`` / ``refs`` triples of the shifted duplicates.
+
+    ``problems`` lists every structural fault, in the message format of
+    :func:`~repro.core.analysis.verify_chain`; the arrays may only be
+    applied when it is empty.  It includes a payload whose length is not
+    ``payload_len`` — except for ``tree`` diffs, whose payload a codec may
+    have compressed: only the caller holding the decompressed payload can
+    compare that one.
+    """
+
+    spec: ChunkSpec
+    first_chunks: np.ndarray
+    first_offs: np.ndarray
+    payload_len: int
+    dst: np.ndarray
+    src: np.ndarray
+    refs: np.ndarray
+    first_start: np.ndarray
+    first_end: np.ndarray
+    shift_start: np.ndarray
+    shift_end: np.ndarray
+    shift_ckpt: np.ndarray
+    problems: List[str]
+
+
+def _expand(start: np.ndarray, count: np.ndarray) -> np.ndarray:
+    """The chunks of ranges ``[start, start + count)``, in order."""
+    if not (count > 1).any():  # one chunk per range: nothing to expand
+        return start
+    ends = np.cumsum(count)
+    return np.arange(int(ends[-1]), dtype=np.int64) + np.repeat(start - (ends - count), count)
+
+
+def _owner(count: np.ndarray) -> np.ndarray:
+    """For each chunk of :func:`_expand`, the index of its range."""
+    return np.repeat(np.arange(count.shape[0], dtype=np.int64), count)
+
+
+def chunk_map(diff: CheckpointDiff) -> ChunkMap:
+    """Decode *diff* (PAPER §2.2) and check it, once, for every consumer.
+
+    The problems found are the structural half of
+    :func:`~repro.core.analysis.verify_chain`: every id in range, each
+    shift pair of equal length, no reference to a later checkpoint, no
+    chunk covered by two entries, and no same-checkpoint reference that
+    reads a shift destination (docs/ALGORITHM.md §4 — the invariant that
+    lets shifts apply grouped by referenced checkpoint) — and, for the
+    methods whose payload is stored raw, its length.  Tree node ids
+    resolve through the cached :func:`~repro.core.merkle.layout_for`.
+
+    The first, shift and reference entries are decoded as one
+    concatenated array (first ids, then shift ids, then reference ids),
+    so a diff costs the same few array operations whatever its size; the
+    per-entry messages are only built when a check fails.
+    """
+    spec = ChunkSpec(diff.data_len, diff.chunk_size)
+    n, cs, k = spec.num_chunks, spec.chunk_size, diff.ckpt_id
+    where = f"ckpt {k}"
+    problems: List[str] = []
+    kept = None  # the shift entries decoded, when some are out of range
+    if diff.method == "full":
+        start, count = np.zeros(1, dtype=np.int64), np.full(1, n, dtype=np.int64)
+    elif diff.method == "basic":
+        try:
+            start = np.flatnonzero(unpack_bitmap(diff.bitmap, n))
+        except SerializationError as exc:
+            problems.append(f"{where}: bad bitmap ({exc})")
+            start = np.empty(0, dtype=np.int64)
+        count = np.ones(start.shape[0], dtype=np.int64)
+    else:
+        nf, ns = diff.num_first, diff.num_shift
+        ids = np.concatenate(
+            [diff.first_ids, diff.shift_ids, diff.shift_ref_ids]
+        ).astype(np.int64)
+        if diff.method == "tree":
+            layout = layout_for(n)
+        ok = ids < (layout.num_nodes if diff.method == "tree" else n)
+        if not ok.all():
+            both = ok[nf : nf + ns] & ok[nf + ns :]
+            for i in np.flatnonzero(~ok[:nf]):
+                problems.append(f"{where}: first id {int(ids[i])} out of range")
+            for i in np.flatnonzero(~both):
+                problems.append(f"{where}: shift entry {i} out of range")
+            kept = np.flatnonzero(both)
+            ids = ids[np.concatenate([ok[:nf], both, both])]
+        if diff.method == "tree":
+            start, count = layout.leaf_start[ids], layout.leaf_count[ids]
+        else:
+            start, count = ids, np.ones(ids.shape[0], dtype=np.int64)
+    ckpt = diff.shift_ref_ckpts if kept is None else diff.shift_ref_ckpts[kept]
+    ckpt = ckpt.astype(np.int64)
+    ns = ckpt.shape[0]
+    nf = start.shape[0] - 2 * ns
+
+    def entry(e) -> int:
+        return int(e if kept is None else kept[e])
+
+    b0 = start * cs
+    b1 = np.minimum((start + count) * cs, spec.data_len)
+    f_len = b1[:nf] - b0[:nf]
+    same_len = None  # per shift pair: equal byte lengths
+    if ns:
+        length = b1[nf:] - b0[nf:]
+        same_len = length[:ns] == length[ns:]
+        if same_len.all():
+            same_len = None
+        else:
+            for e in np.flatnonzero(~same_len):
+                problems.append(f"{where}: shift entry {entry(e)} length mismatch")
+        if int(ckpt.max()) > k:
+            for e in np.flatnonzero(ckpt > k):
+                problems.append(
+                    f"{where}: shift entry {entry(e)} references the future "
+                    f"(checkpoint {int(ckpt[e])} is not reconstructed yet)"
+                )
+
+    chunks = _expand(start, count)
+    if chunks.shape[0] == start.shape[0]:  # one chunk per entry
+        cf, cd = nf, nf + ns
+    else:
+        cf = int(count[:nf].sum())
+        cd = cf + int(count[nf : nf + ns].sum())
+    first_chunks = chunks[:cf]
+    # Payload order: every chunk is chunk_size bytes but the short tail,
+    # which moves every chunk after it back by the bytes it lacks.
+    first_offs = np.arange(cf, dtype=np.int64) * cs
+    if spec.tail_len != cs and (b1[:nf] == spec.data_len).any():
+        is_tail = first_chunks == n - 1
+        first_offs -= (cs - spec.tail_len) * (np.cumsum(is_tail) - is_tail)
+
+    # No chunk covered twice: flag every entry (firsts before shifts,
+    # each in diff order) that covers a chunk an earlier entry covers.
+    # A sort of the covered chunks, so the check costs what the diff costs.
+    cover = chunks[:cd]
+    sorted_cover = np.sort(cover)
+    if (sorted_cover[1:] == sorted_cover[:-1]).any():
+        order = np.argsort(cover, kind="stable")
+        twice = np.flatnonzero(cover[order][1:] == cover[order][:-1]) + 1
+        for e in np.unique(_owner(count[: nf + ns])[order][twice]):
+            problems.append(
+                f"{where}: overlapping regions at {(int(b0[e]), int(b1[e]))}"
+            )
+
+    dst, src, refs = chunks[cf:cd], chunks[cd:], ckpt[:0]
+    if ns:
+        d_entry = _owner(count[nf : nf + ns])
+        if same_len is not None:
+            # Equal byte lengths imply equal chunk counts: the chunks of
+            # each equal-length pair line up one for one.
+            src = src[same_len[_owner(count[nf + ns :])]]
+            dst, d_entry = dst[same_len[d_entry]], d_entry[same_len[d_entry]]
+        refs = ckpt[d_entry]
+        own = refs == k
+        if own.any():
+            reads_shift = own.copy()
+            reads_shift[own] = np.isin(src[own], cover[cf:])
+            if reads_shift.any():
+                for e in np.unique(d_entry[reads_shift]):
+                    problems.append(
+                        f"{where}: shift entry {entry(e)} reads bytes another "
+                        f"shifted duplicate of this checkpoint writes"
+                    )
+    payload_len = int(f_len.sum())
+    if diff.method != "tree" and not problems and diff.payload_bytes != payload_len:
+        problems.append(
+            f"{where}: payload is {diff.payload_bytes} B, regions demand "
+            f"{payload_len} B"
+        )
+    return ChunkMap(
+        spec=spec,
+        first_chunks=first_chunks,
+        first_offs=first_offs,
+        payload_len=payload_len,
+        dst=dst,
+        src=src,
+        refs=refs,
+        first_start=b0[:nf],
+        first_end=b1[:nf],
+        shift_start=b0[nf : nf + ns],
+        shift_end=b1[nf : nf + ns],
+        shift_ckpt=ckpt,
+        problems=problems,
+    )
+
+
+def place_chunks(
+    out: np.ndarray,
+    spec: ChunkSpec,
+    chunks: np.ndarray,
+    offs: np.ndarray,
+    source: np.ndarray,
+) -> int:
+    """Copy ``source[offs[i] :]`` — chunk ``chunks[i]``'s length of it —
+    into that chunk of *out*, for every *i*; returns the bytes placed.
+
+    The one scatter of the read side: the gather places the payload
+    ranges a provenance row names, the replay oracle places a diff's
+    first occurrences (``ChunkMap.first_offs``) and its shifted
+    duplicates (``src * chunk_size`` into a reconstructed buffer).
+    Full-size chunks move in one reshape + fancy-index assignment — one
+    slice when their source bytes are contiguous, a row gather when they
+    are chunk-aligned; the short tail chunk, if named, is patched alone.
+    """
+    if chunks.size == 0:
+        return 0
+    cs = spec.chunk_size
+    full = spec.data_len // cs
+    is_full = chunks < full
+    lengths = np.where(is_full, cs, spec.tail_len)
+    if int(offs.min()) < 0 or int((offs + lengths).max()) > source.shape[0]:
+        raise RestoreError(
+            f"chunk source range outside its {source.shape[0]}-byte source"
+        )
+    rows, f_offs = chunks[is_full], offs[is_full]
+    if rows.size:
+        m = rows.shape[0]
+        body = out[: full * cs].reshape(full, cs)
+        if m == 1 or bool(np.all(np.diff(f_offs) == cs)):
+            start = int(f_offs[0])
+            body[rows] = source[start : start + m * cs].reshape(m, cs)
+        elif not (f_offs % cs).any():
+            whole = source.shape[0] // cs
+            body[rows] = source[: whole * cs].reshape(whole, cs)[f_offs // cs]
+        else:
+            body[rows] = source[f_offs[:, None] + np.arange(cs, dtype=np.int64)]
+    for i in np.flatnonzero(~is_full):
+        b0, off = int(chunks[i]) * cs, int(offs[i])
+        out[b0 : b0 + spec.tail_len] = source[off : off + spec.tail_len]
+    return int(lengths.sum())

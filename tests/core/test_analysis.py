@@ -93,6 +93,64 @@ class TestAnalyzeDiff:
         assert "—" in composition_report(diffs)
 
 
+def _seeded_chain(method):
+    """Overwrites, an aligned copy into the middle and a copy of the head
+    into the short tail chunk, on a fixed seed."""
+    n = 64 * 96 + 17
+    rng = np.random.default_rng(2024)
+    engine = ENGINES[method](n, 64)
+    state = rng.integers(0, 256, n, dtype=np.uint8)
+    diffs = [engine.checkpoint(state)]
+    for step in range(3):
+        state = state.copy()
+        state[step * 640 : step * 640 + 300] = rng.integers(0, 256, 300, dtype=np.uint8)
+        state[4096 : 4096 + 1024] = state[128 * step : 128 * step + 1024]
+        state[-200:] = state[:200]
+        diffs.append(engine.checkpoint(state))
+    return diffs
+
+
+_FULL = ("full", 6161, 0, 0, 0, 6237, {97: 1}, {}, {})
+
+#: (method, first_bytes, shift_bytes, fixed_bytes, metadata_bytes,
+#: stored_bytes, first_region_chunks, shift_region_chunks, shift_targets)
+#: per checkpoint of ``_seeded_chain(method)``.
+PINNED_COMPOSITIONS = {
+    "full": [_FULL] * 4,
+    "basic": [
+        _FULL,
+        ("basic", 1553, 0, 4608, 13, 1642, {1: 25}, {}, {}),
+        ("basic", 1344, 0, 4817, 13, 1433, {1: 21}, {}, {}),
+        ("basic", 1344, 0, 4817, 13, 1433, {1: 21}, {}, {}),
+    ],
+    "list": [
+        _FULL,
+        ("list", 529, 1024, 4608, 228, 833, {1: 9}, {1: 16}, {0: 11, 1: 5}),
+        ("list", 320, 1024, 4817, 212, 608, {1: 5}, {1: 16}, {0: 8, 1: 3, 2: 5}),
+        ("list", 320, 1024, 4817, 212, 608, {1: 5}, {1: 16}, {0: 10, 1: 1, 2: 5}),
+    ],
+    "tree": [
+        _FULL,
+        ("tree", 529, 1024, 4608, 192, 797, {1: 1, 4: 2}, {1: 14, 2: 1}, {0: 11, 1: 4}),
+        ("tree", 320, 1024, 4817, 192, 588, {1: 1, 2: 2}, {1: 14, 2: 1}, {0: 8, 1: 2, 2: 5}),
+        ("tree", 320, 1024, 4817, 200, 596, {1: 1, 4: 1}, {1: 16}, {0: 10, 1: 1, 2: 5}),
+    ],
+}
+
+
+@pytest.mark.parametrize("method", sorted(PINNED_COMPOSITIONS))
+def test_analyze_record_pinned(method):
+    got = [
+        (
+            c.method, c.first_bytes, c.shift_bytes, c.fixed_bytes,
+            c.metadata_bytes, c.stored_bytes, dict(c.first_region_chunks),
+            dict(c.shift_region_chunks), dict(c.shift_targets),
+        )
+        for c in analyze_record(_seeded_chain(method))
+    ]
+    assert got == PINNED_COMPOSITIONS[method]
+
+
 class TestVerifyChain:
     def test_sound_chains_pass(self, rng):
         n = 64 * 64

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.core.merkle import MerkleTree, TreeLayout
+from repro.core.merkle import MerkleTree, TreeLayout, layout_for
 from repro.hashing import hash_chunks, hash_digest_pairs, murmur3_x64_128
 
 
@@ -74,6 +74,14 @@ class TestTreeLayout:
         assert layout.num_nodes == 1
         assert layout.node_of_leaf.tolist() == [0]
         assert layout.interior_levels_bottom_up() == []
+
+    def test_shared_layout_is_frozen(self):
+        layout = layout_for(11)
+        assert layout_for(11) is layout
+        assert (layout.leaf_start == TreeLayout(11).leaf_start).all()
+        for arr in (layout.leaf_start, layout.leaf_count, layout.node_of_leaf):
+            with pytest.raises(ValueError):
+                arr[0] = 1
 
 
 class TestMerkleTree:

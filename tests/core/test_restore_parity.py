@@ -11,6 +11,8 @@ returns exactly the bytes of the replay oracle,
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from repro.compress import get_codec
 from repro.core import (
@@ -23,6 +25,7 @@ from repro.core import (
     save_record,
     selective_restore,
 )
+from repro.core.serialize import chunk_map
 from repro.runtime.fleet_restore import restore_record_sharded
 
 N = 64 * 80 + 17  # short tail chunk
@@ -93,3 +96,46 @@ def test_every_stored_row_equals_the_composed_row(method, rng, tmp_path):
         for name in ("src_ckpt", "src_off"):
             a, b = getattr(got, name), getattr(want, name)
             assert a.dtype == b.dtype and np.array_equal(a, b), f"ckpt {k} {name}"
+
+
+#: one edit of a checkpoint: (kind, source chunk, destination chunk, chunks)
+_EDITS = st.lists(
+    st.tuples(
+        st.sampled_from(["overwrite", "copy"]),
+        st.integers(0, N // CS),
+        st.integers(0, N // CS),
+        st.integers(1, 12),
+    ),
+    min_size=1,
+    max_size=4,
+)
+
+
+@pytest.mark.parametrize("method", ["list", "tree"])
+@settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(steps=st.lists(_EDITS, min_size=1, max_size=5), seed=st.integers(0, 2**16))
+def test_every_shift_names_bytes_its_checkpoint_stored(method, steps, seed):
+    """docs/ALGORITHM.md §4, the invariant the grouped shift apply rests
+    on: every shift triple ``(dst, src, t)`` of an engine's checkpoint
+    reads a chunk checkpoint *t* itself stored, ``row(t).src_ckpt[src] == t``."""
+    rng = np.random.default_rng(seed)
+    engine = ENGINES[method](N, CS)
+    buf = rng.integers(0, 4, N, dtype=np.uint8)
+    diffs = [engine.checkpoint(buf)]
+    for edits in steps:
+        buf = buf.copy()
+        for kind, src, dst, count in edits:
+            s0, d0 = src * CS, dst * CS
+            length = min(count * CS, N - s0, N - d0)
+            if kind == "copy":
+                buf[d0 : d0 + length] = buf[s0 : s0 + length].copy()
+            else:
+                buf[d0 : d0 + length] = rng.integers(0, 256, length, dtype=np.uint8)
+        diffs.append(engine.checkpoint(buf))
+    builder = ProvenanceBuilder()
+    builder.extend(diffs)
+    for diff in diffs:
+        cmap = chunk_map(diff)
+        for t in np.unique(cmap.refs).tolist():
+            src = cmap.src[cmap.refs == t]
+            assert np.all(builder.index_for(t).src_ckpt[src] == t), (diff.ckpt_id, t)

@@ -1,18 +1,26 @@
 """Tests for lineage retention: dependency analysis and rebase."""
 
+import dataclasses
+import os
+import shutil
+
 import numpy as np
 import pytest
 
 from repro.core import (
     ENGINES,
     Restorer,
+    load_record,
+    rebase_stored_record,
     restore_indexed,
+    save_record,
     payload_dependencies,
     rebase_record,
     required_payloads,
     verify_chain,
 )
-from repro.errors import RestoreError
+from repro.core import retention
+from repro.errors import RestoreError, StorageError
 
 
 @pytest.fixture
@@ -207,3 +215,77 @@ class TestRebaseIndex:
         rebase_stored_record(directory, 1)
         verification = verify_record(directory)
         assert verification.ok, verification.problems
+
+
+class TestRebaseSwap:
+    """A stored rebase writes the new chain beside the old one and swaps
+    it in by two renames: a failure at any step leaves a loadable chain."""
+
+    AT = 2
+
+    @pytest.mark.parametrize(
+        "fail_at", ["save_record", "verify_record", "rename-1", "rename-2", "rmtree"]
+    )
+    def test_failure_at_every_step_leaves_a_loadable_chain(
+        self, stream, tmp_path, monkeypatch, fail_at
+    ):
+        diffs = chain(stream)
+        states = Restorer().restore_all(diffs)
+        directory = save_record(diffs, tmp_path / "rec", method="tree")
+
+        class Crash(Exception):
+            pass
+
+        real_save, real_verify = retention.save_record, retention.verify_record
+        real_rename, real_rmtree = os.rename, shutil.rmtree
+        renames = []
+
+        def save_then_crash(*args, **kwargs):
+            real_save(*args, **kwargs)
+            raise Crash
+
+        def rename(src, dst):
+            renames.append(src)
+            if fail_at == f"rename-{len(renames)}":
+                raise Crash
+            real_rename(src, dst)
+
+        def rmtree(path, *args, **kwargs):
+            if fail_at == "rmtree" and str(path).endswith(".rebase-old"):
+                raise Crash
+            real_rmtree(path, *args, **kwargs)
+
+        if fail_at == "save_record":
+            monkeypatch.setattr(retention, "save_record", save_then_crash)
+        elif fail_at == "verify_record":
+            monkeypatch.setattr(
+                retention, "verify_record",
+                lambda path: dataclasses.replace(real_verify(path), chain_ok=False),
+            )
+        monkeypatch.setattr(retention.os, "rename", rename)
+        monkeypatch.setattr(retention.shutil, "rmtree", rmtree)
+
+        with pytest.raises((Crash, StorageError)):
+            rebase_stored_record(directory, self.AT)
+        monkeypatch.undo()
+
+        old = directory.with_name("rec.rebase-old")
+        if fail_at == "rename-2":
+            # Between the renames: the record is gone, the old chain whole.
+            assert not directory.exists()
+            expect, loaded = states, load_record(old)
+        elif fail_at == "rmtree":
+            expect, loaded = states[self.AT :], load_record(directory)
+        else:
+            expect, loaded = states, load_record(directory)
+            assert not old.exists()
+        got = Restorer().restore_all(loaded)
+        assert len(got) == len(expect)
+        assert all(np.array_equal(a, b) for a, b in zip(got, expect))
+
+        if fail_at in ("save_record", "verify_record", "rename-1"):
+            # The interrupted attempt's leftovers do not block a retry.
+            rebase_stored_record(directory, self.AT)
+            got = Restorer().restore_all(load_record(directory))
+            assert all(np.array_equal(a, b) for a, b in zip(got, states[self.AT :]))
+            assert sorted(p.name for p in tmp_path.iterdir()) == ["rec"]

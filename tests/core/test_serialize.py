@@ -1,18 +1,28 @@
-"""Tests for payload gathering and bitmap packing."""
+"""Tests for payload gathering, bitmap packing and the one diff decoder."""
 
 import numpy as np
 import pytest
 
+from repro.core import (
+    ProvenanceBuilder,
+    Restorer,
+    record_manifest,
+    restore_indexed,
+    save_record,
+    verify_chain,
+)
 from repro.core.chunking import ChunkSpec
+from repro.core.diff import CheckpointDiff
 from repro.core.merkle import TreeLayout
 from repro.core.serialize import (
+    chunk_map,
     gather_chunk_payload,
     gather_region_payload,
     pack_bitmap,
     region_byte_lengths,
     unpack_bitmap,
 )
-from repro.errors import SerializationError
+from repro.errors import IntegrityError, RestoreError, SerializationError
 
 
 @pytest.fixture
@@ -133,3 +143,100 @@ class TestBitmap:
     def test_unpack_too_short(self):
         with pytest.raises(SerializationError):
             unpack_bitmap(np.zeros(1, dtype=np.uint8), 9)
+
+
+# ----------------------------------------------------------------------
+# chunk_map: every malformed diff is caught by the one decoder, and so by
+# every consumer of it.  Five chunks, the last a 17-byte tail; tree node
+# ids over them: 0 root, 1 chunks 0-2, 2 chunks 3-4, 3 chunks 0-1,
+# leaves 7, 8, 4, 5, 6 for chunks 0..4.
+# ----------------------------------------------------------------------
+N_MAP, CS_MAP = 64 * 4 + 17, 64
+
+
+def _diff(method="list", ckpt_id=1, payload=b"", **arrays):
+    if method == "basic":
+        arrays.setdefault("bitmap", np.zeros(1, dtype=np.uint8))
+    return CheckpointDiff(
+        method=method, ckpt_id=ckpt_id, data_len=N_MAP, chunk_size=CS_MAP,
+        payload=payload,
+        **{k: np.asarray(v, dtype=np.uint32) if k != "bitmap" else v
+           for k, v in arrays.items()},
+    )
+
+
+def _shift(dst, src, ckpt, method="list", **kw):
+    return _diff(method, shift_ids=dst, shift_ref_ids=src, shift_ref_ckpts=ckpt, **kw)
+
+
+#: row -> (malformed checkpoint-1 diff, substring of its first problem)
+MALFORMED = {
+    "first-id-out-of-range": (_diff("tree", first_ids=[99]), "first id 99 out of range"),
+    "shift-id-out-of-range": (_shift([9], [0], [0]), "shift entry 0 out of range"),
+    "ref-id-out-of-range": (_shift([7], [99], [0], "tree"), "shift entry 0 out of range"),
+    "tree-length-mismatch": (_shift([3], [7], [0], "tree"), "shift entry 0 length mismatch"),
+    "list-length-mismatch": (_shift([4], [0], [0]), "shift entry 0 length mismatch"),
+    "future-reference": (_shift([1], [0], [2]), "references the future"),
+    "first-shift-overlap": (
+        _shift([1], [0], [0], first_ids=[1], payload=bytes(64)),
+        "overlapping regions at (64, 128)",
+    ),
+    "cyclic-same-checkpoint": (
+        _shift([0, 1], [1, 0], [1, 1]), "reads bytes another shifted duplicate",
+    ),
+    "payload-one-byte-short": (
+        _diff(first_ids=[1], payload=bytes(63)), "payload is 63 B, regions demand 64 B",
+    ),
+    "payload-one-byte-long": (
+        _diff(first_ids=[1], payload=bytes(65)), "payload is 65 B, regions demand 64 B",
+    ),
+    "short-bitmap": (
+        _diff("basic", bitmap=np.zeros(0, dtype=np.uint8)), "bad bitmap",
+    ),
+}
+
+
+@pytest.mark.parametrize("row", sorted(MALFORMED))
+def test_malformed_diff_is_refused_by_every_reader(row, tmp_path):
+    bad, message = MALFORMED[row]
+    base = CheckpointDiff(
+        method="full", ckpt_id=0, data_len=N_MAP, chunk_size=CS_MAP,
+        payload=bytes(range(256)) + bytes(17),
+    )
+    chain = [base, bad]
+
+    problems = chunk_map(bad).problems
+    assert problems and message in problems[0], problems
+    assert problems[0] in verify_chain(chain)
+
+    with pytest.raises(RestoreError, match="ckpt 1"):
+        ProvenanceBuilder().extend(chain)
+    with pytest.raises(RestoreError, match="ckpt 1"):
+        Restorer().restore(chain)
+    with pytest.raises(RestoreError):
+        restore_indexed(chain)
+    for restore in (
+        lambda: Restorer(scrub=True).restore(chain),
+        lambda: restore_indexed(chain, scrub=True),
+    ):
+        with pytest.raises(IntegrityError) as caught:
+            restore()
+        assert caught.value.ckpt_id == 1
+
+    directory = save_record(chain, tmp_path / row)
+    assert "provenance" not in record_manifest(directory)
+
+
+def test_chunk_map_of_a_sound_tree_diff():
+    # Node 2 (chunks 3-4, 81 B) first, leaf 7 (chunk 0) a shift of node 5
+    # (chunk 3) of this checkpoint: a same-checkpoint reference into a
+    # first region, which the §4 invariant allows.
+    diff = _shift([7], [5], [1], "tree", first_ids=[2], payload=bytes(81))
+    cmap = chunk_map(diff)
+    assert cmap.problems == []
+    assert cmap.first_chunks.tolist() == [3, 4]
+    assert cmap.first_offs.tolist() == [0, 64]
+    assert cmap.payload_len == 81
+    assert (cmap.dst.tolist(), cmap.src.tolist(), cmap.refs.tolist()) == ([0], [3], [1])
+    assert (cmap.first_start.tolist(), cmap.first_end.tolist()) == ([192], [273])
+    assert (cmap.shift_start.tolist(), cmap.shift_end.tolist()) == ([0], [64])
