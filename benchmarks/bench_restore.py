@@ -17,9 +17,16 @@ Tree chain-length sweep (10/25/50) showing the replay cost growing with
 the chain while the indexed cost tracks the *referenced* set.  Every
 timed pair is asserted bit-identical first.
 
+The ``gather`` block times :func:`~repro.core.provenance.materialize_index`
+alone on one 4 MiB state of 128 B chunks, gathered once from 1 source
+payload and once from 100 (each chunk's source drawn at random).  Its
+``sources_100_over_1`` is a same-run ratio, so it holds on any host: a
+gather that pays per source, not per byte, pushes it up.
+
 Run directly (``python benchmarks/bench_restore.py``) or under pytest
 (``pytest benchmarks/bench_restore.py``) — the pytest hook enforces the
-acceptance floor: ≥5x speedup on the 50-checkpoint Tree chain.
+acceptance floors: ≥5x speedup on the 50-checkpoint Tree chain, and the
+gather ratio under ``GATHER_MAX_SOURCES_RATIO``.
 """
 
 from __future__ import annotations
@@ -34,6 +41,7 @@ import numpy as np
 
 from repro.core import Restorer, load_record, restore_record_indexed, save_record
 from repro.core.checkpointer import ENGINES
+from repro.core.provenance import ProvenanceIndex, materialize_index
 from repro.core.store import load_provenance, record_index_bytes
 
 MB = 1 << 20
@@ -55,6 +63,16 @@ FLEET_CHAIN_LEN = 50
 FLEET_RANKS = (1, 2, 4, 8, 16, 32, 64)
 #: Acceptance floor (ISSUE 6): ≥6x at 16 ranks over single-GPU indexed.
 FLEET16_MIN_SPEEDUP = 6.0
+
+#: Gather-only case: one state, gathered from 1 and from 100 payloads.
+GATHER_BYTES = 4 * MB
+GATHER_CHUNK_SIZE = 128
+GATHER_SOURCES = 100
+GATHER_REPS = 15
+#: Ceiling on ``gather.sources_100_over_1`` (also gated in
+#: ``check_regression.py``): 100 sources may cost at most this much more
+#: than 1 for the same bytes.
+GATHER_MAX_SOURCES_RATIO = 2.5
 
 
 def _best_of(fn, reps: int = 3) -> float:
@@ -202,6 +220,50 @@ def bench_fleet(directory: Path) -> dict:
     }
 
 
+def _gather_case(state: np.ndarray, num_sources: int, rng):
+    """A row placing *state*'s chunks from *num_sources* payloads: each
+    chunk's source drawn at random, each payload holding its chunks in
+    chunk order."""
+    cs = GATHER_CHUNK_SIZE
+    rows = state.reshape(-1, cs)
+    src_ckpt = rng.integers(0, num_sources, rows.shape[0]).astype(np.int32)
+    src_off = np.empty(rows.shape[0], dtype=np.int64)
+    payloads = {}
+    for t in range(num_sources):
+        chunks = np.flatnonzero(src_ckpt == t)
+        src_off[chunks] = np.arange(chunks.shape[0], dtype=np.int64) * cs
+        payloads[t] = rows[chunks].reshape(-1)
+    index = ProvenanceIndex(
+        ckpt_id=num_sources - 1,
+        data_len=state.shape[0],
+        chunk_size=cs,
+        src_ckpt=src_ckpt,
+        src_off=src_off,
+    )
+    return index, payloads
+
+
+def bench_gather() -> dict:
+    """``materialize_index`` alone, best of ``GATHER_REPS``: the same
+    bytes from 1 source payload and from ``GATHER_SOURCES``."""
+    rng = np.random.default_rng(0x6A7)
+    state = rng.integers(0, 256, GATHER_BYTES, dtype=np.uint8)
+    best = {}
+    for sources in (1, GATHER_SOURCES):
+        index, payloads = _gather_case(state, sources, rng)
+        assert np.array_equal(materialize_index(index, payloads.__getitem__), state)
+        best[sources] = _best_of(
+            lambda: materialize_index(index, payloads.__getitem__), GATHER_REPS
+        )
+    return {
+        "buffer_bytes": GATHER_BYTES,
+        "chunk_size": GATHER_CHUNK_SIZE,
+        "sources_1_ms": round(best[1] * 1e3, 3),
+        f"sources_{GATHER_SOURCES}_ms": round(best[GATHER_SOURCES] * 1e3, 3),
+        f"sources_{GATHER_SOURCES}_over_1": round(best[GATHER_SOURCES] / best[1], 3),
+    }
+
+
 def run(out_path: Path | None = None) -> dict:
     from repro import telemetry
 
@@ -213,13 +275,16 @@ def run(out_path: Path | None = None) -> dict:
                 bench_one("tree", n, tmp_path) for n in TREE_SWEEP_LENGTHS
             ]
             fleet = bench_fleet(tmp_path)
+        gather = bench_gather()
     report = {
         "bench": "restore",
         "tree50_min_speedup": TREE50_MIN_SPEEDUP,
         "fleet16_min_speedup": FLEET16_MIN_SPEEDUP,
+        "gather_max_sources_ratio": GATHER_MAX_SOURCES_RATIO,
         "methods": methods,
         "tree_sweep": tree_sweep,
         "fleet": fleet,
+        "gather": gather,
         "telemetry": tel,
     }
     if out_path is None:
@@ -256,6 +321,11 @@ def test_bench_restore(capsys):
     assert fleet["rpix"]["compression_ratio"] >= 4.0, (
         f"RPIX v2 only {fleet['rpix']['compression_ratio']}x vs raw "
         f"12 B/chunk"
+    )
+    ratio = report["gather"][f"sources_{GATHER_SOURCES}_over_1"]
+    assert ratio <= GATHER_MAX_SOURCES_RATIO, (
+        f"gathering one state from {GATHER_SOURCES} payloads costs {ratio}x "
+        f"gathering it from 1 (ceiling {GATHER_MAX_SOURCES_RATIO}x)"
     )
 
 

@@ -1,8 +1,9 @@
 """Vectorized bit-packing primitives shared by cascaded and bitcomp.
 
 Packs arrays of ``uint32`` values into ``width``-bit fields, LSB-first,
-using NumPy's bit-level pack/unpack so no Python loop touches individual
-values.  ``width == 0`` encodes an all-zero array in zero payload bytes.
+using NumPy's bit-level pack so no Python loop touches individual
+values; unpacking reads each field out of one little-endian 8-byte
+window.  ``width == 0`` encodes an all-zero array in zero payload bytes.
 """
 
 from __future__ import annotations
@@ -37,7 +38,15 @@ def pack_bits(values: np.ndarray, width: int) -> bytes:
 
 
 def unpack_bits(blob: bytes, count: int, width: int) -> np.ndarray:
-    """Inverse of :func:`pack_bits`: recover *count* uint32 values."""
+    """Inverse of :func:`pack_bits`: recover *count* uint32 values.
+
+    Field *i* starts at bit ``i * width``: it is the little-endian 8-byte
+    window at byte ``(i * width) >> 3``, shifted right by the bit offset
+    ``(i * width) & 7`` and masked to *width* bits — a field plus its
+    offset spans at most 39 bits, so one window always holds it.  The
+    windows read a zero-padded copy of the blob, so the last field's
+    window never runs past the end.
+    """
     if not 0 <= width <= 32:
         raise CompressionError(f"bit width must be 0..32, got {width}")
     if width == 0:
@@ -48,9 +57,15 @@ def unpack_bits(blob: bytes, count: int, width: int) -> np.ndarray:
         raise CompressionError(
             f"bit-packed blob too short: {raw.size * 8} bits, need {need_bits}"
         )
-    bits = np.unpackbits(raw, bitorder="little")[:need_bits].reshape(count, width)
-    shifts = np.arange(width, dtype=np.uint64)
-    values = (bits.astype(np.uint64) << shifts).sum(axis=1, dtype=np.uint64)
+    nbytes = (need_bits + 7) // 8
+    padded = np.zeros(nbytes + 8, dtype=np.uint8)
+    padded[:nbytes] = raw[:nbytes]
+    # One unaligned little-endian u8 window at every byte offset.
+    windows = np.ndarray((nbytes + 1,), dtype="<u8", buffer=padded, strides=(1,))
+    start = np.arange(count, dtype=np.int64) * width
+    values = np.take(windows, start >> 3)
+    values >>= (start & 7).astype(np.uint64)
+    values &= np.uint64((1 << width) - 1)
     return values.astype(np.uint32)
 
 

@@ -68,6 +68,8 @@ def _as_u32(arr: Optional[np.ndarray], name: str) -> np.ndarray:
     out = np.asarray(arr)
     if out.ndim != 1:
         raise SerializationError(f"{name} must be 1-D, got shape {out.shape}")
+    if out.dtype == np.uint32:  # every value is in range: no scan, no copy
+        return out
     if out.size and (out.min() < 0 or out.max() > np.iinfo(np.uint32).max):
         raise SerializationError(f"{name} contains values outside u32 range")
     return out.astype(np.uint32)
@@ -278,9 +280,10 @@ class CheckpointDiff:
                 f"diff blob length {len(blob)} != expected {need}"
             )
         if verify:
+            view = memoryview(blob)
             actual = hashlib.sha256()
-            actual.update(blob[: _HEADER.size])
-            actual.update(blob[_HEADER.size + DIGEST_BYTES :])
+            actual.update(view[: _HEADER.size])
+            actual.update(view[_HEADER.size + DIGEST_BYTES :])
             if actual.digest() != stored_digest:
                 raise IntegrityError(
                     f"checkpoint {ckpt_id}: frame digest mismatch "

@@ -50,7 +50,7 @@ from ..errors import IntegrityError, RestoreError
 from .chunking import ChunkSpec
 from .diff import CheckpointDiff
 from .restore import scrub_chain
-from .serialize import chunk_map, diff_payload, place_chunks
+from .serialize import chunk_map, diff_payload, group_by_source, place_chunks
 
 #: ``src_ckpt`` value for chunks never written by any diff (implicit zeros).
 ZERO_SOURCE = -1
@@ -557,9 +557,13 @@ def materialize_index(
     """Gather checkpoint bytes straight from source payloads.
 
     ``payload_of(t)`` must return diff *t*'s (decompressed) payload as a
-    uint8 array; it is called once per checkpoint the index references.
-    *report* is any of the restore reports: the bytes gathered from each
-    source accumulate in its ``payload_bytes_read``.
+    uint8 array; it is called once per checkpoint the index references,
+    in ascending *t*.  The written chunks are sorted by source once and
+    every payload is placed by one grouped
+    :func:`~repro.core.serialize.place_chunks` call, so a gather costs
+    its bytes plus a few array operations per source.  *report* is any
+    of the restore reports: the bytes gathered from each source
+    accumulate in its ``payload_bytes_read``.
 
     ``[chunk_lo, chunk_hi)`` restricts the gather to a chunk range — the
     sharding primitive: each simulated GPU of a fleet restore
@@ -582,18 +586,25 @@ def materialize_index(
     elif zero:
         out[lo * cs : min(hi * cs, index.data_len)] = 0
 
+    # The written chunks grouped by source checkpoint (chunk order within
+    # each group), then one scatter over every source payload at once.
     sub_ckpt = index.src_ckpt[lo:hi]
-    referenced = np.unique(sub_ckpt)
-    for t in referenced[referenced >= 0].tolist():
-        chunks = np.flatnonzero(sub_ckpt == t) + lo
-        try:
-            gathered = place_chunks(
-                out, spec, chunks, index.src_off[chunks], payload_of(t)
-            )
-        except RestoreError as exc:
-            raise RestoreError(
-                f"provenance index points outside checkpoint {t}'s payload"
-            ) from exc
+    written = np.flatnonzero(sub_ckpt >= 0)
+    order, refs, ends = group_by_source(sub_ckpt[written])
+    chunks = written[order] + lo
+    refs = refs.tolist()
+    payloads = [payload_of(t) for t in refs]
+    try:
+        placed = place_chunks(
+            out, spec, chunks, index.src_off[chunks], payloads, ends
+        )
+    except RestoreError as exc:
+        raise RestoreError(
+            f"provenance index points outside checkpoint {refs[exc.group]}'s "
+            f"payload"
+        ) from exc
+    items = np.diff(ends, prepend=0).tolist()
+    for t, gathered, n in zip(refs, placed.tolist(), items):
         if report is not None:
             report.payload_bytes_read[t] = (
                 report.payload_bytes_read.get(t, 0) + gathered
@@ -603,7 +614,7 @@ def materialize_index(
             # bytes plus the index row slice once, writes them into place.
             space.launch(
                 "restore.gather",
-                items=int(chunks.shape[0]),
+                items=n,
                 bytes_read=gathered + (hi - lo) * RAW_INDEX_BYTES_PER_CHUNK,
                 bytes_written=gathered,
             )

@@ -13,8 +13,8 @@ shifted-duplicate references point at content stored as a first
 occurrence — so after phase one of the current checkpoint every
 reference target is available in some reconstructed buffer.  First
 occurrences land through one :func:`~repro.core.serialize.place_chunks`
-scatter, and shifted duplicates are grouped by referenced checkpoint so
-each source buffer is read by one more.
+scatter, and shifted duplicates through one more, grouped by referenced
+checkpoint: one group, and one copy, per source buffer.
 
 :meth:`Restorer.restore` keeps only the *reference window* in memory —
 the previous checkpoint plus whatever earlier checkpoints later diffs
@@ -35,7 +35,7 @@ from ..errors import IntegrityError, ReproError, RestoreError
 from .. import telemetry
 from ..telemetry import events
 from .diff import CheckpointDiff
-from .serialize import chunk_map, diff_payload, place_chunks
+from .serialize import chunk_map, diff_payload, group_by_source, place_chunks
 
 _DIFFS_APPLIED = telemetry.counter(
     "restore.diffs_applied", "Diffs applied during chain-replay restores"
@@ -244,21 +244,27 @@ class Restorer:
                 f"entries demand {cmap.payload_len}"
             )
         spec = cmap.spec
-        place_chunks(data, spec, cmap.first_chunks, cmap.first_offs, payload)
+        place_chunks(
+            data, spec, cmap.first_chunks, cmap.first_offs, [payload],
+            [cmap.first_chunks.shape[0]],
+        )
         # §4: no shift reads bytes another shift of this diff writes, so
-        # applying them grouped by referenced checkpoint is equivalent to
-        # the sequential per-entry order.
-        for t in np.unique(cmap.refs).tolist():
+        # applying them grouped by referenced checkpoint, in one scatter,
+        # is equivalent to the sequential per-entry order.
+        order, refs, ends = group_by_source(cmap.refs)
+        sources = []
+        for t in refs.tolist():
             source = data if t == k else history.get(t)
             if source is None:
                 raise RestoreError(
                     f"shifted duplicate references checkpoint {t}, "
                     f"which is not reconstructed yet"
                 )
-            sel = cmap.refs == t
-            place_chunks(
-                data, spec, cmap.dst[sel], cmap.src[sel] * spec.chunk_size, source
-            )
+            sources.append(source)
+        place_chunks(
+            data, spec, cmap.dst[order], cmap.src[order] * spec.chunk_size,
+            sources, ends,
+        )
         _DIFFS_APPLIED.inc()
         if self.space is not None:
             prev_bytes = diff.data_len if k else 0

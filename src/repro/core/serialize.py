@@ -343,47 +343,99 @@ def chunk_map(diff: CheckpointDiff) -> ChunkMap:
     )
 
 
+def group_by_source(keys: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Group positions by *keys*: ``(order, sources, ends)``.
+
+    ``keys[order]`` is ascending, stable within equal keys; ``sources``
+    holds each distinct key once, ascending; group *g* is
+    ``order[ends[g - 1] : ends[g]]`` — the :func:`place_chunks` groups.
+    Keys are non-negative checkpoint ids: below 2**16 they sort as
+    ``uint16``, which NumPy's stable sort orders by radix, in linear time.
+    """
+    narrow = keys.size and int(keys.max()) < 1 << 16
+    order = np.argsort(keys.astype(np.uint16) if narrow else keys, kind="stable")
+    ordered = keys[order]
+    new = np.ones(ordered.shape[0], dtype=bool)
+    new[1:] = ordered[1:] != ordered[:-1]
+    starts = np.flatnonzero(new)
+    ends = np.append(starts[1:], ordered.shape[0]) if starts.size else starts
+    return order, ordered[starts], ends
+
+
 def place_chunks(
     out: np.ndarray,
     spec: ChunkSpec,
     chunks: np.ndarray,
     offs: np.ndarray,
-    source: np.ndarray,
-) -> int:
-    """Copy ``source[offs[i] :]`` — chunk ``chunks[i]``'s length of it —
-    into that chunk of *out*, for every *i*; returns the bytes placed.
+    sources: Sequence[np.ndarray],
+    ends: Sequence[int],
+) -> np.ndarray:
+    """Copy ``sources[g][offs[i] :]`` — chunk ``chunks[i]``'s length of
+    it — into that chunk of *out*, for every *i* of group *g*
+    (``ends[g - 1] <= i < ends[g]``); returns the bytes placed per group.
 
     The one scatter of the read side: the gather places the payload
-    ranges a provenance row names, the replay oracle places a diff's
-    first occurrences (``ChunkMap.first_offs``) and its shifted
-    duplicates (``src * chunk_size`` into a reconstructed buffer).
-    Full-size chunks move in one reshape + fancy-index assignment — one
-    slice when their source bytes are contiguous, a row gather when they
-    are chunk-aligned; the short tail chunk, if named, is patched alone.
+    ranges a provenance row names, one group per source payload; the
+    replay oracle places a diff's first occurrences
+    (``ChunkMap.first_offs``, one group) and its shifted duplicates
+    (``src * chunk_size``, one group per referenced buffer).  The range
+    check and the short tail chunk's patch run once per call; each group
+    then moves its full-size chunks with one copy — one slice when their
+    source bytes are contiguous, a row gather when they are chunk-aligned,
+    a byte gather otherwise.  A range outside its source raises
+    :class:`RestoreError` with that group's index as ``group``.
     """
-    if chunks.size == 0:
-        return 0
-    cs = spec.chunk_size
+    cs, n = spec.chunk_size, chunks.shape[0]
     full = spec.data_len // cs
-    is_full = chunks < full
-    lengths = np.where(is_full, cs, spec.tail_len)
-    if int(offs.min()) < 0 or int((offs + lengths).max()) > source.shape[0]:
-        raise RestoreError(
-            f"chunk source range outside its {source.shape[0]}-byte source"
+    ends = np.asarray(ends, dtype=np.int64)
+    counts = np.diff(ends, prepend=0)
+    sizes = np.array([s.shape[0] for s in sources], dtype=np.int64)
+    placed = counts * cs
+    if n == 0:
+        return placed
+    tails = np.flatnonzero(chunks >= full)  # the short tail chunk, if named
+    reach = offs + cs
+    reach[tails] -= cs - spec.tail_len
+    bad = (offs < 0) | (reach > np.repeat(sizes, counts))
+    if bad.any():
+        g = int(np.searchsorted(ends, np.argmax(bad), side="right"))
+        err = RestoreError(
+            f"chunk source range outside its {int(sizes[g])}-byte source"
         )
-    rows, f_offs = chunks[is_full], offs[is_full]
-    if rows.size:
-        m = rows.shape[0]
-        body = out[: full * cs].reshape(full, cs)
-        if m == 1 or bool(np.all(np.diff(f_offs) == cs)):
-            start = int(f_offs[0])
-            body[rows] = source[start : start + m * cs].reshape(m, cs)
-        elif not (f_offs % cs).any():
+        err.group = g
+        raise err
+    if tails.size:
+        for i, g in zip(
+            tails.tolist(), np.searchsorted(ends, tails, side="right").tolist()
+        ):
+            b0, off = int(chunks[i]) * cs, int(offs[i])
+            out[b0 : b0 + spec.tail_len] = sources[g][off : off + spec.tail_len]
+            placed[g] -= cs - spec.tail_len
+        keep = np.ones(n, dtype=bool)
+        keep[tails] = False
+        chunks, offs = chunks[keep], offs[keep]
+        ends = ends - np.searchsorted(tails, ends)
+    # Per group, from one pass over the call: does its source run
+    # contiguously (every step one chunk), and is it chunk-aligned?
+    # (An empty group may start past the last chunk: ``breaks`` is padded.)
+    starts = np.concatenate(([0], ends[:-1]))
+    breaks = np.concatenate(([0], np.cumsum(np.diff(offs) != cs), [0]))
+    unaligned = np.concatenate(([0], np.cumsum(offs % cs != 0)))
+    contiguous = breaks[np.maximum(ends - 1, 0)] == breaks[starts]
+    aligned = unaligned[ends] == unaligned[starts]
+    body = out[: full * cs].reshape(full, cs)
+    for source, start, end, run, whole_rows in zip(
+        sources, starts.tolist(), ends.tolist(), contiguous.tolist(), aligned.tolist()
+    ):
+        if end == start:
+            continue
+        rows, f_offs = chunks[start:end], offs[start:end]
+        if run:
+            first = int(f_offs[0])
+            body[rows] = source[first : first + (end - start) * cs].reshape(-1, cs)
+        elif whole_rows:
             whole = source.shape[0] // cs
             body[rows] = source[: whole * cs].reshape(whole, cs)[f_offs // cs]
         else:
             body[rows] = source[f_offs[:, None] + np.arange(cs, dtype=np.int64)]
-    for i in np.flatnonzero(~is_full):
-        b0, off = int(chunks[i]) * cs, int(offs[i])
-        out[b0 : b0 + spec.tail_len] = source[off : off + spec.tail_len]
-    return int(lengths.sum())
+    return placed

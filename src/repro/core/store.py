@@ -627,9 +627,13 @@ def save_record(
 
 def _load_one(path: Path, index: int, expected_digest: bytes) -> CheckpointDiff:
     """Load + fully verify one checkpoint frame; raises on any damage."""
-    if not path.exists():
-        raise StorageError(f"record is missing checkpoint file {path.name}")
-    blob = path.read_bytes()
+    try:
+        with open(path, "rb") as f:
+            blob = f.read()
+    except FileNotFoundError:
+        raise StorageError(
+            f"record is missing checkpoint file {path.name}"
+        ) from None
     _FRAMES_READ.inc()
     _FRAME_BYTES_READ.inc(len(blob))
     actual = hashlib.sha256(blob).digest()
@@ -960,15 +964,20 @@ def verify_record(directory: Union[str, Path]) -> RecordVerification:
     for i in range(log.count):
         blob_path = path / _PATTERN.format(i)
         name = blob_path.name
-        if not blob_path.exists():
+        # One open per frame: a file that vanishes after an existence
+        # check could otherwise escape as a raw FileNotFoundError.
+        try:
+            with open(blob_path, "rb") as f:
+                actual_size = os.fstat(f.fileno()).st_size
+                # Size fast path: the log's digest cannot possibly match,
+                # so the frame is classified without reading or hashing it.
+                blob = f.read() if actual_size == log.frame_bytes[i] else None
+        except FileNotFoundError:
             report.checkpoints.append(
                 CheckpointStatus(i, name, STATUS_MISSING, "file not found")
             )
             continue
-        actual_size = blob_path.stat().st_size
-        if actual_size != log.frame_bytes[i]:
-            # Size fast path: the log's digest cannot possibly match,
-            # so the frame is classified without reading or hashing it.
+        if blob is None:
             report.checkpoints.append(
                 CheckpointStatus(
                     i,
@@ -979,7 +988,6 @@ def verify_record(directory: Union[str, Path]) -> RecordVerification:
             )
             skipped_hash = True
             continue
-        blob = blob_path.read_bytes()
         seen_digests.append(hashlib.sha256(blob).digest())
         if seen_digests[-1] != log.frame_sha[i]:
             report.checkpoints.append(

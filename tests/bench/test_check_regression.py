@@ -11,7 +11,7 @@ import check_regression  # noqa: E402
 
 
 def _write_reports(directory, gbps=7.0, mops=4.5, speedup=9.0,
-                   detection=1.0, recovery=1.0):
+                   detection=1.0, recovery=1.0, gather_ratio=1.4):
     directory.mkdir(parents=True, exist_ok=True)
     (directory / "BENCH_hotpath.json").write_text(json.dumps(
         {"hash": {"gb_per_s": gbps}, "map": {"mops_per_s": mops}}
@@ -20,7 +20,8 @@ def _write_reports(directory, gbps=7.0, mops=4.5, speedup=9.0,
         {"tree_sweep": [
             {"chain_len": 10, "speedup": 2.0},
             {"chain_len": 50, "speedup": speedup},
-        ]}
+        ],
+         "gather": {"sources_100_over_1": gather_ratio}}
     ))
     (directory / "BENCH_faults.json").write_text(json.dumps(
         {"record": {"total": {"detection_rate": detection,
@@ -154,6 +155,16 @@ class TestGate:
         ])
         assert rc == 1
         assert "over ceiling" in capsys.readouterr().out
+
+    def test_gather_paying_per_source_fails(self, tmp_path, capsys):
+        _write_reports(tmp_path / "base")
+        _write_reports(tmp_path / "fresh", gather_ratio=5.0)
+        rc = check_regression.main([
+            "--baseline", str(tmp_path / "base"),
+            "--fresh", str(tmp_path / "fresh"),
+        ])
+        assert rc == 1
+        assert "gather.sources_100_over_1" in capsys.readouterr().out
 
     def test_bounded_metric_gone_from_fresh_fails(self, tmp_path, capsys):
         _write_reports(tmp_path / "base")

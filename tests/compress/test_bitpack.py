@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.compress.bitpack import (
     pack_bits,
@@ -55,6 +57,70 @@ class TestPackUnpack:
     def test_wrong_dtype_rejected(self):
         with pytest.raises(CompressionError):
             pack_bits(np.zeros(4, dtype=np.int64), 4)
+
+
+def _unpack_bits_bitmatrix(blob: bytes, count: int, width: int) -> np.ndarray:
+    """The bit-matrix decode :func:`unpack_bits` replaced: every bit
+    unpacked into a ``count x width`` matrix, then shift-summed."""
+    if not 0 <= width <= 32:
+        raise CompressionError(f"bit width must be 0..32, got {width}")
+    if width == 0:
+        return np.zeros(count, dtype=np.uint32)
+    need_bits = count * width
+    raw = np.frombuffer(blob, dtype=np.uint8)
+    if raw.size * 8 < need_bits:
+        raise CompressionError(
+            f"bit-packed blob too short: {raw.size * 8} bits, need {need_bits}"
+        )
+    bits = np.unpackbits(raw, bitorder="little")[:need_bits].reshape(count, width)
+    shifts = np.arange(width, dtype=np.uint64)
+    values = (bits.astype(np.uint64) << shifts).sum(axis=1, dtype=np.uint64)
+    return values.astype(np.uint32)
+
+
+class TestWordWindowDecode:
+    """:func:`unpack_bits` reads 8-byte windows; the bit-matrix decode is
+    the reference it must agree with bit for bit."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        width=st.integers(0, 32),
+        count=st.integers(0, 5000),
+        fill=st.sampled_from(["random", "zeros", "ones"]),
+        seed=st.integers(0, 2**32 - 1),
+        slack=st.integers(0, 9),
+    )
+    def test_agrees_with_the_bit_matrix(self, width, count, fill, seed, slack):
+        top = (1 << width) - 1
+        if fill == "random":
+            rng = np.random.default_rng(seed)
+            vals = rng.integers(0, top + 1, count, dtype=np.uint64).astype(np.uint32)
+        else:
+            vals = np.full(count, top if fill == "ones" else 0, dtype=np.uint32)
+        # Trailing bytes past the last field must not leak into it.
+        blob = pack_bits(vals, width) + b"\xff" * slack
+        got = unpack_bits(blob, count, width)
+        assert got.dtype == np.uint32
+        assert np.array_equal(got, _unpack_bits_bitmatrix(blob, count, width))
+        assert np.array_equal(got, vals)
+
+    @pytest.mark.parametrize("width,count", [(1, 9), (8, 10), (13, 5), (32, 2)])
+    def test_short_blob_message_unchanged(self, width, count):
+        blob = b"\x00" * ((count * width + 7) // 8 - 1)
+        messages = []
+        for decode in (unpack_bits, _unpack_bits_bitmatrix):
+            with pytest.raises(CompressionError) as exc:
+                decode(blob, count, width)
+            messages.append(str(exc.value))
+        assert messages[0] == messages[1]
+        assert messages[0] == (
+            f"bit-packed blob too short: {len(blob) * 8} bits, "
+            f"need {count * width}"
+        )
+
+    def test_bad_width_message_unchanged(self):
+        with pytest.raises(CompressionError, match="bit width must be 0..32, got 33"):
+            unpack_bits(b"", 1, 33)
 
 
 class TestZigzag:

@@ -60,6 +60,23 @@ class TestConstruction:
     def test_id_overflow_rejected(self):
         with pytest.raises(SerializationError):
             make_tree_diff(first_ids=np.array([2**33], dtype=np.int64))
+        with pytest.raises(SerializationError, match="outside u32 range"):
+            make_tree_diff(first_ids=np.array([2**33], dtype=np.uint64))
+
+    def test_two_dimensional_u32_ids_rejected(self):
+        with pytest.raises(SerializationError, match=r"must be 1-D, got shape \(1, 2\)"):
+            make_tree_diff(first_ids=np.array([[1, 5]], dtype=np.uint32))
+
+    def test_negative_ids_rejected(self):
+        with pytest.raises(SerializationError, match="outside u32 range"):
+            make_tree_diff(first_ids=np.array([1, -5], dtype=np.int64))
+
+    def test_u32_ids_kept_without_a_copy(self):
+        ids = np.array([1, 5], dtype=np.uint32)
+        assert make_tree_diff(first_ids=ids).first_ids is ids
+        converted = make_tree_diff(first_ids=np.array([1, 5], dtype=np.int64))
+        assert converted.first_ids.dtype == np.uint32
+        assert converted.first_ids.tolist() == [1, 5]
 
 
 class TestSizeAccounting:

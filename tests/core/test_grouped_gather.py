@@ -1,0 +1,256 @@
+"""The grouped gather against the per-source loop it replaced.
+
+:func:`~repro.core.provenance.materialize_index` sorts a row's written
+chunks by source checkpoint once and hands every source payload to one
+grouped :func:`~repro.core.serialize.place_chunks` call.  The reference
+below is the loop it replaced, kept verbatim: one ``flatnonzero`` pass
+and one single-source scatter per referenced checkpoint.  Both must
+produce the same bytes, the same per-source report and the same kernel
+ledger, on every checkpoint, every chunk range and a short tail chunk.
+"""
+
+import numpy as np
+import pytest
+
+from repro.core import ENGINES, ProvenanceBuilder
+from repro.core.chunking import ChunkSpec
+from repro.core.provenance import (
+    RAW_INDEX_BYTES_PER_CHUNK,
+    IndexedRestoreReport,
+    ProvenanceIndex,
+    materialize_index,
+)
+from repro.core.serialize import diff_payload, group_by_source, place_chunks
+from repro.errors import RestoreError
+from repro.kokkos import DeviceSpace
+
+CS = 64
+METHODS = ("full", "basic", "list", "tree")
+
+
+def _place_one(out, spec, chunks, offs, source) -> int:
+    """The single-source scatter: every chunk reads *source*."""
+    if chunks.size == 0:
+        return 0
+    cs = spec.chunk_size
+    full = spec.data_len // cs
+    is_full = chunks < full
+    lengths = np.where(is_full, cs, spec.tail_len)
+    if int(offs.min()) < 0 or int((offs + lengths).max()) > source.shape[0]:
+        raise RestoreError(
+            f"chunk source range outside its {source.shape[0]}-byte source"
+        )
+    rows, f_offs = chunks[is_full], offs[is_full]
+    if rows.size:
+        m = rows.shape[0]
+        body = out[: full * cs].reshape(full, cs)
+        if m == 1 or bool(np.all(np.diff(f_offs) == cs)):
+            start = int(f_offs[0])
+            body[rows] = source[start : start + m * cs].reshape(m, cs)
+        elif not (f_offs % cs).any():
+            whole = source.shape[0] // cs
+            body[rows] = source[: whole * cs].reshape(whole, cs)[f_offs // cs]
+        else:
+            body[rows] = source[f_offs[:, None] + np.arange(cs, dtype=np.int64)]
+    for i in np.flatnonzero(~is_full):
+        b0, off = int(chunks[i]) * cs, int(offs[i])
+        out[b0 : b0 + spec.tail_len] = source[off : off + spec.tail_len]
+    return int(lengths.sum())
+
+
+def _reference_materialize(
+    index, payload_of, out=None, space=None, report=None,
+    chunk_lo=0, chunk_hi=None, zero=True,
+):
+    """The per-source gather loop the grouped gather replaced."""
+    spec = ChunkSpec(index.data_len, index.chunk_size)
+    cs = spec.chunk_size
+    lo = chunk_lo
+    hi = spec.num_chunks if chunk_hi is None else chunk_hi
+    if out is None:
+        out = np.zeros(index.data_len, dtype=np.uint8)
+    elif zero:
+        out[lo * cs : min(hi * cs, index.data_len)] = 0
+    sub_ckpt = index.src_ckpt[lo:hi]
+    referenced = np.unique(sub_ckpt)
+    for t in referenced[referenced >= 0].tolist():
+        chunks = np.flatnonzero(sub_ckpt == t) + lo
+        try:
+            gathered = _place_one(
+                out, spec, chunks, index.src_off[chunks], payload_of(t)
+            )
+        except RestoreError as exc:
+            raise RestoreError(
+                f"provenance index points outside checkpoint {t}'s payload"
+            ) from exc
+        if report is not None:
+            report.payload_bytes_read[t] = (
+                report.payload_bytes_read.get(t, 0) + gathered
+            )
+        if space is not None:
+            space.launch(
+                "restore.gather",
+                items=int(chunks.shape[0]),
+                bytes_read=gathered + (hi - lo) * RAW_INDEX_BYTES_PER_CHUNK,
+                bytes_written=gathered,
+            )
+    if space is not None:
+        extent = min(hi * cs, index.data_len) - lo * cs
+        if extent > 0:
+            space.transfer("H2D", extent)
+    return out
+
+
+def _chain(method, rng, n, steps=8):
+    """Rewrites, aligned duplicates (shifted references) and zero runs,
+    so a late row draws on many source payloads."""
+    engine = ENGINES[method](n, CS)
+    buf = np.zeros(n, dtype=np.uint8)
+    buf[: n // 2] = rng.integers(0, 256, n // 2, dtype=np.uint8)
+    diffs = [engine.checkpoint(buf)]
+    for k in range(1, steps):
+        buf = buf.copy()
+        off = int(rng.integers(0, n - 700))
+        buf[off : off + 640] = rng.integers(0, 256, 640, dtype=np.uint8)
+        if k % 2 == 0:
+            buf[CS * 4 : CS * 8] = buf[CS * 20 : CS * 24]
+        if k == 5:  # the short tail chunk is rewritten mid-chain
+            buf[-CS:] = rng.integers(0, 256, CS, dtype=np.uint8)
+        diffs.append(engine.checkpoint(buf))
+    builder = ProvenanceBuilder()
+    builder.extend(diffs)
+    payloads = {d.ckpt_id: diff_payload(d) for d in diffs}
+    return builder.indexes, payloads
+
+
+def _run(gather, index, payloads, **kwargs):
+    calls = []
+
+    def payload_of(t):
+        calls.append(t)
+        return payloads[t]
+
+    space = DeviceSpace(0)
+    report = IndexedRestoreReport(
+        target_ckpt=index.ckpt_id, data_len=index.data_len, chain_len=0
+    )
+    out = gather(index, payload_of, space=space, report=report, **kwargs)
+    return (
+        out,
+        list(report.payload_bytes_read.items()),
+        space.ledger.kernels,
+        space.ledger.transfers,
+        calls,
+    )
+
+
+def _assert_same(index, payloads, seed=None, **kwargs):
+    """Both gathers, into a fresh buffer or into copies of *seed*."""
+    got, want = (
+        _run(gather, index, payloads, out=None if seed is None else seed.copy(),
+             **kwargs)
+        for gather in (materialize_index, _reference_materialize)
+    )
+    assert np.array_equal(got[0], want[0])
+    assert got[1] == want[1]  # bytes per source, keys in order
+    assert got[2] == want[2]  # launches: name, items, bytes read / written
+    assert got[3] == want[3]
+    assert got[4] == want[4]  # payload_of once per source, ascending
+
+
+@pytest.mark.parametrize("n", [CS * 80, CS * 80 + 17], ids=["aligned", "tail"])
+@pytest.mark.parametrize("method", METHODS)
+class TestParityWithThePerSourceLoop:
+    def test_every_checkpoint(self, method, n, rng):
+        rows, payloads = _chain(method, rng, n)
+        if method != "full":  # a full diff's row only reads its own payload
+            assert max(len(r.referenced()) for r in rows) > 2
+        for row in rows:
+            _assert_same(row, payloads)
+
+    def test_sharded_ranges_without_zero_fill(self, method, n, rng):
+        rows, payloads = _chain(method, rng, n)
+        num_chunks = rows[-1].num_chunks
+        cuts = [0, 1, 13, num_chunks // 2, num_chunks - 1, num_chunks]
+        for row in rows:
+            for lo, hi in zip(cuts, cuts[1:]):
+                seed = rng.integers(0, 256, n, dtype=np.uint8)
+                _assert_same(row, payloads, seed, chunk_lo=lo, chunk_hi=hi, zero=False)
+            _assert_same(row, payloads, chunk_lo=cuts[2], chunk_hi=cuts[2])
+
+
+class TestOutOfRange:
+    def test_error_names_the_checkpoint(self, rng):
+        rows, payloads = _chain("tree", rng, CS * 80)
+        row = rows[-1]
+        t = int(row.referenced()[1])
+        src_off = row.src_off.copy()
+        src_off[np.flatnonzero(row.src_ckpt == t)[-1]] = payloads[t].shape[0]
+        bad = ProvenanceIndex(
+            ckpt_id=row.ckpt_id,
+            data_len=row.data_len,
+            chunk_size=row.chunk_size,
+            src_ckpt=row.src_ckpt,
+            src_off=src_off,
+        )
+        message = f"provenance index points outside checkpoint {t}'s payload"
+        with pytest.raises(RestoreError, match=message):
+            materialize_index(bad, payloads.__getitem__)
+        with pytest.raises(RestoreError, match=message):
+            _reference_materialize(bad, payloads.__getitem__)
+
+
+class TestPlaceChunks:
+    """One grouped call against one single-source call per group, over
+    contiguous, chunk-aligned and unaligned source offsets, with and
+    without the tail chunk and with empty groups."""
+
+    @pytest.mark.parametrize("data_len", [CS * 50, CS * 50 - 9])
+    def test_grouped_equals_per_group(self, data_len, rng):
+        spec = ChunkSpec(data_len, CS)
+        for trial in range(60):
+            chunks = rng.permutation(spec.num_chunks)[: int(rng.integers(1, 40))]
+            keys = rng.integers(0, 1 + trial % 5, chunks.shape[0])
+            order, refs, ends = group_by_source(keys)
+            chunks = chunks[order].astype(np.int64)
+            sources, offs, start = [], [], 0
+            for end in ends.tolist():
+                m = end - start
+                kind = trial % 3
+                if kind == 0:  # contiguous
+                    first = int(rng.integers(0, 4)) * CS
+                    o = first + np.arange(m, dtype=np.int64) * CS
+                elif kind == 1:  # chunk-aligned, scattered
+                    o = rng.permutation(3 * m)[:m].astype(np.int64) * CS
+                else:  # unaligned
+                    o = rng.integers(0, 3 * m * CS, m).astype(np.int64)
+                offs.append(o)
+                size = int(o.max()) + CS + int(rng.integers(0, 3))
+                sources.append(rng.integers(0, 256, size, dtype=np.uint8))
+                start = end
+            offs = np.concatenate(offs)
+            # an empty group before, between or after the real ones
+            at = int(rng.integers(0, len(sources) + 1))
+            sources.insert(at, np.zeros(0, dtype=np.uint8))
+            ends = np.insert(ends, at, ends[at - 1] if at else 0)
+            seed = rng.integers(0, 256, data_len, dtype=np.uint8)
+            got, want = seed.copy(), seed.copy()
+            placed = place_chunks(got, spec, chunks, offs, sources, ends)
+            expect, start = [], 0
+            for source, end in zip(sources, ends.tolist()):
+                expect.append(
+                    _place_one(want, spec, chunks[start:end], offs[start:end], source)
+                )
+                start = end
+            assert np.array_equal(got, want)
+            assert placed.tolist() == expect
+
+    def test_range_error_names_the_group(self, rng):
+        spec = ChunkSpec(CS * 8, CS)
+        sources = [np.zeros(2 * CS, dtype=np.uint8), np.zeros(CS, dtype=np.uint8)]
+        with pytest.raises(RestoreError, match="outside its 64-byte source") as exc:
+            place_chunks(
+                np.zeros(CS * 8, dtype=np.uint8), spec,
+                np.array([0, 1, 2]), np.array([0, CS, 1]), sources, [2, 3],
+            )
+        assert exc.value.group == 1

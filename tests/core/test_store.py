@@ -1,6 +1,9 @@
 """Tests for the on-disk record store."""
 
+import builtins
+import io
 import json
+import os
 
 import numpy as np
 import pytest
@@ -237,6 +240,46 @@ class TestVerifyRecord:
         (path / "ckpt-00001.rdif").unlink()
         text = verify_record(path).summary()
         assert "ckpt-00001.rdif: missing" in text
+
+
+@pytest.fixture
+def vanish(monkeypatch):
+    """``vanish(name)``: from now on, opening the file *name* raises
+    :class:`FileNotFoundError` although it is still on disk — a frame
+    removed between any existence or size check and its read."""
+
+    def install(name):
+        real_open = builtins.open
+
+        def open_unless_gone(file, *args, **kwargs):
+            if isinstance(file, (str, os.PathLike)) and os.path.basename(file) == name:
+                raise FileNotFoundError(2, "No such file or directory", str(file))
+            return real_open(file, *args, **kwargs)
+
+        monkeypatch.setattr(builtins, "open", open_unless_gone)
+        monkeypatch.setattr(io, "open", open_unless_gone)
+
+    return install
+
+
+class TestFrameVanishesAtTheRead:
+    def test_verify_record_reports_it_missing(self, diffs, tmp_path, vanish):
+        path = save_record(diffs, tmp_path / "rec")
+        vanish("ckpt-00001.rdif")
+        report = verify_record(path)
+        assert [c.status for c in report.checkpoints] == [STATUS_OK, STATUS_MISSING]
+        assert report.checkpoints[1].detail == "file not found"
+        assert not report.ok and report.chain_ok is False
+
+    def test_load_raises_storage_error(self, diffs, tmp_path, vanish):
+        path = save_record(diffs, tmp_path / "rec")
+        vanish("ckpt-00001.rdif")
+        message = "record is missing checkpoint file ckpt-00001.rdif"
+        with pytest.raises(StorageError, match=message):
+            load_record(path)
+        with pytest.raises(StorageError, match=message):
+            restore_record_indexed(path)
+        assert len(load_record(path, strict=False)) == 1
 
 
 class TestSalvage:
