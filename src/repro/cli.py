@@ -65,6 +65,7 @@ from .core import (
     verify_chain,
 )
 from .core.store import load_record, record_manifest, save_record, verify_record
+from .record import is_record
 from .utils.rng import seeded_rng
 from .utils.units import format_bytes, format_ratio
 
@@ -517,13 +518,10 @@ def _cmd_census(args: argparse.Namespace) -> int:
     from .telemetry.attribution import ChunkCensus
 
     root = Path(args.root)
-    if (root / "record.json").exists():
+    if is_record(root):
         record_dirs = [root]
     else:
-        record_dirs = sorted(
-            p for p in root.iterdir()
-            if p.is_dir() and (p / "record.json").exists()
-        )
+        record_dirs = sorted(p for p in root.iterdir() if p.is_dir() and is_record(p))
     if not record_dirs:
         print(f"no records found under {root}", file=sys.stderr)
         return 1

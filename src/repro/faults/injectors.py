@@ -17,6 +17,7 @@ from pathlib import Path
 from typing import List, Union
 
 from ..errors import FaultError
+from ..record import frame_files
 from ..telemetry import events
 
 PathLike = Union[str, Path]
@@ -38,7 +39,7 @@ class AppliedFault:
 
 def record_files(record_dir: PathLike) -> List[Path]:
     """The checkpoint frames of a record directory, in chain order."""
-    files = sorted(Path(record_dir).glob("ckpt-*.rdif"))
+    files = frame_files(record_dir)
     if not files:
         raise FaultError(f"{record_dir} holds no checkpoint frames to corrupt")
     return files

@@ -27,11 +27,12 @@ def v2_manifest(directory) -> None:
     import json
 
     from repro.core.store import record_manifest
+    from repro.record.log import HEADER_FILE
 
     manifest = dict(record_manifest(directory), format_version=2)
     if "provenance" in manifest:
         manifest["provenance"] = dict(manifest["provenance"], version=3)
-    (directory / "record.json").write_text(json.dumps(manifest, indent=2))
+    (directory / HEADER_FILE).write_text(json.dumps(manifest, indent=2))
 
 
 def forge_log_entry(directory, index, **columns) -> None:
@@ -40,16 +41,14 @@ def forge_log_entry(directory, index, **columns) -> None:
     *behind* the log (frame and group digests) stand against the forgery."""
     import hashlib
 
-    from repro.core import store
+    from repro.record.log import LOG_BODY, LOG_ENTRY, LOG_FILE, Log
 
-    path = directory / "record.log"
+    path = directory / LOG_FILE
     raw = path.read_bytes()
-    size = store._LOG_ENTRY.size
-    bodies = [
-        raw[at : at + store._LOG_BODY.size] for at in range(0, len(raw), size)
-    ]
-    fields = store._Log(*store._LOG_BODY.unpack(bodies[index]))._replace(**columns)
-    bodies[index] = store._LOG_BODY.pack(*fields[:-1])
+    size = LOG_ENTRY.size
+    bodies = [raw[at : at + LOG_BODY.size] for at in range(0, len(raw), size)]
+    fields = Log(*LOG_BODY.unpack(bodies[index]))._replace(**columns)
+    bodies[index] = LOG_BODY.pack(*fields[:-1])
     out = b""
     for body in bodies:
         out += body + hashlib.sha256(out + body).digest()
@@ -61,7 +60,9 @@ def unindex(directory) -> None:
     indexable: drop the index file and its name from the header."""
     import json
 
-    header_path = directory / "record.json"
+    from repro.record.log import HEADER_FILE
+
+    header_path = directory / HEADER_FILE
     header = json.loads(header_path.read_text())
     (directory / header.pop("index")).unlink()
     header_path.write_text(json.dumps(header, indent=2))

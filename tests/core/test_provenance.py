@@ -28,7 +28,7 @@ from repro.core import (
 )
 from repro.core.chunking import ChunkSpec
 from repro.core.dedup_full import FullCheckpoint
-from repro.core.provenance import (
+from repro.record.index import (
     _GROUP_HEADER,
     _TABLE_MAGIC,
     PROLOGUE_BYTES,

@@ -11,16 +11,8 @@ import numpy as np
 import pytest
 
 from repro import telemetry
-from repro.core import ENGINES, ProvenanceBuilder, RecordWriter, Restorer, store
-from repro.core.provenance import (
-    _GROUP_HEADER,
-    _pack_planes,
-    DELTA,
-    KEYFRAME,
-    changed_chunks,
-    encode_group,
-    restore_record_indexed,
-)
+from repro.core import ENGINES, ProvenanceBuilder, RecordWriter, Restorer
+from repro.core.provenance import restore_record_indexed
 from repro.core.store import (
     load_provenance,
     load_record,
@@ -29,6 +21,17 @@ from repro.core.store import (
     verify_record,
 )
 from repro.errors import IntegrityError, ReproError, RestoreError, StorageError
+from repro.record import RecordView
+from repro.record import writer as store  # TestCrashPoints spies on its open()
+from repro.record.index import (
+    _GROUP_HEADER,
+    _pack_planes,
+    DELTA,
+    KEYFRAME,
+    changed_chunks,
+    encode_group,
+)
+from repro.record.log import Log
 from repro.telemetry import events
 from repro.telemetry.health import WriteAmplificationRule, evaluate_health
 
@@ -72,8 +75,7 @@ def _dir_bytes(path):
 def _log(directory):
     """The record's sealed log, one row per checkpoint (group offsets,
     lengths, kinds, ...)."""
-    columns = store._read_record(Path(directory))[1]
-    return [store._Log(*row) for row in zip(*columns)]
+    return [Log(*row) for row in zip(*RecordView(directory).log)]
 
 
 def _keyframe_of(log, k):

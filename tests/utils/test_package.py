@@ -43,6 +43,7 @@ class TestPublicApi:
         import repro.hashing
         import repro.kokkos
         import repro.oranges
+        import repro.record
         import repro.runtime
 
     def test_cli_importable(self):
