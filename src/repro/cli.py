@@ -241,10 +241,9 @@ def _cmd_restore(args: argparse.Namespace) -> int:
 
     buffer, report = restore_record_indexed(args.record, upto=args.checkpoint)
     Path(args.output).write_bytes(buffer.tobytes())
-    path_name = "indexed" if report.used_index else "full-record gather (no index)"
     print(
         f"checkpoint {report.target_ckpt} → {args.output} "
-        f"({format_bytes(buffer.nbytes)}) via {path_name}"
+        f"({format_bytes(buffer.nbytes)}) via indexed"
     )
     frame_bytes_read = report.record_bytes_read - report.index_bytes
     print(

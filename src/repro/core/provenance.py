@@ -380,14 +380,14 @@ class RecordRestoreReport:
     target_ckpt: int
     frames_total: int
     #: Frames actually read and parsed (index-referenced ones on the fast
-    #: path; the whole record when no index is available or scrub is on).
+    #: path; the whole record when scrub is on).
     frames_parsed: int
     #: Total ``.rdif`` bytes the record holds on disk.
     record_bytes: int
     #: ``.rdif`` bytes actually read, plus :attr:`index_bytes`.
     record_bytes_read: int
     #: Record-log bytes + the index byte range (the target's keyframe
-    #: through its own group) read on the fast path; 0 without the index.
+    #: through its own group) read on the fast path; 0 under scrub.
     index_bytes: int
     used_index: bool
     payload_bytes_read: Dict[int, int] = field(default_factory=dict)
@@ -413,10 +413,9 @@ def resolve_source(
     over diffs ``0..upto``.  A record's row is decoded from the target's
     keyframe span alone — its last keyframe and the deltas up to its own
     group; damage in any group outside that span does not block the
-    restore — and only the frames that row names are read and parsed; a
-    record without an index, or ``scrub=True`` (which
-    validates the whole chain and so needs every frame), loads the full
-    record and resolves it as a chain.
+    restore — and only the frames that row names are read and parsed;
+    ``scrub=True`` (which validates the whole chain and so needs every
+    frame) loads the full record and resolves it as a chain.
     """
     is_record = isinstance(source, (str, os.PathLike))
     if is_record:
@@ -434,11 +433,9 @@ def resolve_source(
             f"{'record' if is_record else 'chain'} of {count}"
         )
 
-    index = None
-    if is_record and not scrub:
-        index = store.load_provenance(view, ckpt=upto)
-    used_index = index is not None
+    used_index = is_record and not scrub
     if used_index:
+        index = store.load_provenance(view, ckpt=upto)
         parsed = [int(t) for t in index.referenced()]
         frames = store.load_record_frames(view, parsed)
         index_bytes = index.bytes_read

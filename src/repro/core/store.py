@@ -98,7 +98,6 @@ def save_record(
             bytes=written,
             frames_written=len(diffs) - prefix,
             frames_reused=prefix,
-            indexed=writer.indexed,
         )
     return path
 
@@ -156,17 +155,16 @@ def record_frame_sizes(record: Record) -> List[int]:
 
 
 def load_provenance(record: Record, ckpt: Optional[int] = None):
-    """Load a record's persisted provenance index, if it has one.
+    """Load a record's persisted provenance index.
 
     Returns checkpoint *ckpt*'s row (:meth:`~repro.record.RecordView.row`)
     or, without *ckpt*, every row stacked into a
     :class:`~repro.core.provenance.ProvenanceTable`; ``None`` when the
-    record has no index (the chain was not indexable at save time).
-    A *present but damaged* index raises :class:`IntegrityError` —
-    callers choose whether to fall back.
+    record holds no checkpoint.  A damaged index raises
+    :class:`IntegrityError`.
     """
     view = RecordView.of(record)
-    if not view.indexed or not view.count:
+    if not view.count:
         return None
     if ckpt is None:
         return _prov.ProvenanceTable.from_rows(view.rows())
@@ -174,7 +172,8 @@ def load_provenance(record: Record, ckpt: Optional[int] = None):
 
 
 def record_index_bytes(record: Record) -> int:
-    """On-disk byte size of the record's provenance index (0 if absent)."""
+    """Bytes of the record's provenance index the log seals
+    (:meth:`~repro.record.RecordView.index_bytes`)."""
     return RecordView.of(record).index_bytes()
 
 

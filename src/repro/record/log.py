@@ -16,12 +16,10 @@ INDEX_FILE = "provenance.rpix"
 FORMAT_VERSION = 3
 
 #: One log entry: frame bytes, frame SHA-256, index-group offset, length,
-#: kind (0: the record is unindexed) and SHA-256 — then the 32-byte seal.
+#: kind and SHA-256 — then the 32-byte seal.
 LOG_BODY = struct.Struct("<Q32sQII32s")
 LOG_ENTRY = struct.Struct(LOG_BODY.format + "32s")
 SEAL_BYTES = 32
-#: The group columns of an entry in an unindexed record.
-NO_GROUP = (0, 0, 0, bytes(32))
 
 
 class Log(NamedTuple):
@@ -77,13 +75,18 @@ def read_header(path: Path) -> dict:
     ):
         raise StorageError(
             f"malformed record manifest {manifest_path}: it must name the "
-            f"record log (and the index, if any) by file name"
+            f"record log and the index by file name"
         )
     for key in ("data_len", "chunk_size"):
         if not isinstance(header.get(key), int):
             raise StorageError(
                 f"malformed record manifest {manifest_path}: bad {key}"
             )
+    if "index" not in header:
+        raise StorageError(
+            f"{manifest_path} names no provenance index: the unindexed "
+            f"record is a retired format"
+        )
     return header
 
 

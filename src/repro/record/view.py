@@ -62,11 +62,6 @@ class RecordView:
         return self.log.count
 
     @property
-    def indexed(self) -> bool:
-        """Whether the header names a provenance index."""
-        return "index" in self.header
-
-    @property
     def spec(self) -> ChunkSpec:
         return ChunkSpec(self.header["data_len"], self.header["chunk_size"])
 
@@ -169,19 +164,18 @@ class RecordView:
         return [p.stat().st_size if p.exists() else 0 for p in paths]
 
     def index_bytes(self) -> int:
-        """On-disk byte size of the provenance index (0 if absent)."""
-        if not self.indexed or not (self.path / self.header["index"]).exists():
-            return 0
-        return (self.path / self.header["index"]).stat().st_size
+        """Bytes of the provenance index the log seals (0 for an empty
+        record): what an interrupted append left past them is not in it."""
+        return self.log.group_end(self.count - 1) if self.count else 0
 
     def manifest(self) -> dict:
         """The header fields plus, derived from the sealed log,
         ``num_checkpoints``, per-checkpoint ``digests`` / ``frame_bytes``,
-        the ``chain_digest`` over the frame digests, and — when the record
-        is indexed — ``provenance`` (``file``, ``version``, ``rows``,
-        ``chain_sha256`` over the group digests)."""
+        the ``chain_digest`` over the frame digests, and ``provenance``
+        (``file``, ``version``, ``rows``, ``chain_sha256`` over the group
+        digests)."""
         header, log = self.header, self.log
-        manifest = {
+        return {
             "format_version": header["format_version"],
             "method": header.get("method", ""),
             "num_checkpoints": log.count,
@@ -190,15 +184,13 @@ class RecordView:
             "digests": [digest.hex() for digest in log.frame_sha],
             "frame_bytes": list(log.frame_bytes),
             "chain_digest": _chain_digest(log.frame_sha),
-        }
-        if self.indexed:
-            manifest["provenance"] = {
+            "provenance": {
                 "file": header["index"],
                 "version": index.VERSION,
                 "rows": log.count,
                 "chain_sha256": _chain_digest(log.group_sha),
-            }
-        return manifest
+            },
+        }
 
     # ------------------------------------------------------------------
     def verify(self) -> "RecordVerification":
@@ -232,7 +224,8 @@ class RecordView:
         # checked independently against its own digest and the log's, so the
         # report names exactly which groups are damaged — a checkpoint whose
         # keyframe span holds none of them is still restorable.
-        if not self.indexed or not log.count:
+        if not log.count:
+            report.provenance_ok = True
             return report
         try:
             _first, records = self._groups()
@@ -247,7 +240,7 @@ class RecordView:
         ]
         report.provenance_ok = not report.index_bad_groups
         if report.provenance_ok:
-            report.index_bytes = log.group_end(log.count - 1)
+            report.index_bytes = self.index_bytes()
             report.index_raw_bytes = (
                 log.count * self.spec.num_chunks * _prov.RAW_INDEX_BYTES_PER_CHUNK
             )
@@ -277,9 +270,9 @@ class RecordVerification:
     format_version: int
     checkpoints: List[CheckpointStatus] = field(default_factory=list)
     chain_ok: bool = False
-    provenance_ok: Optional[bool] = None  # None when the record has no index
+    provenance_ok: bool = False
     #: On-disk provenance index size vs its uncompressed 12 B/chunk form
-    #: (both 0 when the record has no index or the index is damaged).
+    #: (both 0 when the record is empty or the index is damaged).
     index_bytes: int = 0
     index_raw_bytes: int = 0
     #: Row-group accounting: total groups scanned, and the checkpoint
@@ -289,15 +282,11 @@ class RecordVerification:
 
     @property
     def ok(self) -> bool:
-        """Every checkpoint verified and the chain digest matched.
-
-        A record without a provenance index is still ``ok`` (replay
-        restores it); a record whose index is *damaged* is not.
-        """
+        """Every checkpoint, the chain digest and the index verified."""
         return (
             all(c.status == STATUS_OK for c in self.checkpoints)
             and self.chain_ok
-            and self.provenance_ok is not False
+            and self.provenance_ok
         )
 
     @property
@@ -328,9 +317,7 @@ class RecordVerification:
             for c in self.checkpoints
         ]
         lines.append(f"chain digest: {'ok' if self.chain_ok else 'MISMATCH'}")
-        if self.provenance_ok is None:
-            lines.append("provenance index: absent")
-        elif not self.provenance_ok:
+        if not self.provenance_ok:
             detail = (
                 f" ({len(self.index_bad_groups)}/{self.index_groups} "
                 f"row-groups damaged)"

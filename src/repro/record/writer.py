@@ -12,12 +12,12 @@ from typing import Optional, Union
 from .. import telemetry
 from ..core import provenance as _prov
 from ..core.diff import CheckpointDiff
-from ..errors import IntegrityError, ReproError, StorageError
+from ..errors import IntegrityError, RestoreError, StorageError
 from ..telemetry import events
 from . import index
 from .frames import STATUS_OK, check_frame, frame_files, frame_path
 from .log import FORMAT_VERSION, HEADER_FILE, INDEX_FILE, LOG_BODY, LOG_ENTRY
-from .log import LOG_FILE, NO_GROUP, is_record
+from .log import LOG_FILE, is_record
 from .view import RecordView
 
 _FRAMES_WRITTEN = telemetry.counter(
@@ -32,8 +32,6 @@ class AppendReceipt:
     ckpt_id: int
     #: Bytes of the new ``.rdif`` frame (the checkpoint itself).
     frame_bytes: int
-    #: Provenance rows appended (0 when the record is unindexed).
-    index_rows_appended: int
     #: Bytes appended to ``provenance.rpix``: this checkpoint's keyframe or
     #: delta group (plus the prologue on checkpoint 0); nothing is rewritten.
     index_bytes: int
@@ -61,10 +59,11 @@ class RecordWriter:
     :class:`RecordView` checks the log's seal, the last frame is checked
     against it (a torn append), whatever an interrupted append left past
     the last sealed entry is truncated, and every index row is rebuilt
-    into the :class:`~repro.core.provenance.ProvenanceBuilder`; an
-    unindexed record stays unindexed.  :meth:`check` is the one
-    compatibility check.  A diff the builder rejects drops the index: the
-    record still saves, and restores fall back to replay.
+    into the :class:`~repro.core.provenance.ProvenanceBuilder`.
+    :meth:`check` is the one compatibility check.  Every append composes
+    its row before it opens a file: a diff the builder rejects — out of
+    order, another geometry, or a chunk map no reader can restore — is
+    refused, and the record is left as it was.
     """
 
     def __init__(self, directory: Union[str, Path], method: str = "") -> None:
@@ -84,7 +83,7 @@ class RecordWriter:
         self._header: Optional[dict] = None  # record.json as it stands on disk
         self._count = 0
         self._sealer = hashlib.sha256()  # over every log byte written
-        self._builder: Optional[_prov.ProvenanceBuilder] = _prov.ProvenanceBuilder()
+        self._builder = _prov.ProvenanceBuilder()
         self._index_end = 0  # byte offset past the last committed row-group
         self._keyframe_bytes = 0  # the last keyframe group ...
         self._delta_bytes = 0  # ... and the delta groups since it
@@ -94,11 +93,6 @@ class RecordWriter:
     def count(self) -> int:
         """Checkpoints the record currently holds."""
         return self._count
-
-    @property
-    def indexed(self) -> bool:
-        """Whether the record carries a provenance index."""
-        return self._builder is not None
 
     def __enter__(self) -> "RecordWriter":
         return self
@@ -113,7 +107,7 @@ class RecordWriter:
     # ------------------------------------------------------------------
     def _open_existing(self, view: RecordView) -> None:
         header, log = view.header, view.log
-        if (header["log"], header.get("index", INDEX_FILE)) != (LOG_FILE, INDEX_FILE):
+        if (header["log"], header["index"]) != (LOG_FILE, INDEX_FILE):
             # Appending under other names would orphan the files it names.
             raise StorageError(
                 f"{self.path / HEADER_FILE} names record files this writer "
@@ -139,12 +133,6 @@ class RecordWriter:
         self._count = count
         _truncate(self.path / LOG_FILE, count * LOG_ENTRY.size)
         self._sealer = view.sealer.copy()
-
-        if not view.indexed:
-            # Unindexed record (unindexable chain, or the index was
-            # dropped): appends continue without an index.
-            self._builder = None
-            return
         self._builder.indexes = view.rows()
         self._index_end = log.group_end(count - 1)
         _truncate(self.path / INDEX_FILE, self._index_end)
@@ -180,9 +168,8 @@ class RecordWriter:
             "data_len": diff.data_len,
             "chunk_size": diff.chunk_size,
             "log": LOG_FILE,
+            "index": INDEX_FILE,
         }
-        if self.indexed:
-            header["index"] = INDEX_FILE
         if header == self._header:
             return 0
         text = json.dumps(header, indent=2)
@@ -192,22 +179,10 @@ class RecordWriter:
         self._header = header
         return len(text)
 
-    def _drop_index(self, diff: CheckpointDiff) -> None:
-        self._builder = None
-        self._write_header(diff)  # first: no header may name a deleted index
-        (self.path / INDEX_FILE).unlink(missing_ok=True)
-        self._index_end = 0
-
-    def _append_index(self, diff: CheckpointDiff):
-        """Extend the index by *diff*'s row-group; returns the bytes
+    def _append_index(self, row):
+        """Extend the index by *row*'s row-group; returns the bytes
         appended and the group's ``(offset, length, kind, digest)`` log
-        columns (zeros: the builder rejected the diff, the index is
-        dropped)."""
-        try:
-            row = self._builder.append(diff)
-        except ReproError:
-            self._drop_index(diff)
-            return 0, NO_GROUP
+        columns."""
         with telemetry.span("store.index.append_group", ckpt=row.ckpt_id) as span:
             changed = None
             if row.ckpt_id:
@@ -238,14 +213,21 @@ class RecordWriter:
 
     # ------------------------------------------------------------------
     def append(self, diff: CheckpointDiff) -> AppendReceipt:
-        """Append one checkpoint: frame, row-group, then the log entry
-        that commits both."""
+        """Append one checkpoint: compose its row, then write the frame,
+        the row-group and the log entry that commits both."""
         if self._closed:
             raise StorageError(f"record writer for {self.path} is closed")
         self.check(diff)
         with telemetry.span(
             "store.append", ckpt=diff.ckpt_id, path=str(self.path)
         ) as span:
+            # The row first: a diff no reader could restore writes nothing.
+            try:
+                row = self._builder.append(diff)
+            except RestoreError as exc:
+                raise StorageError(
+                    f"{self.path}: cannot append checkpoint {diff.ckpt_id}: {exc}"
+                ) from exc
             blob = diff.to_bytes()
             frame_sha = hashlib.sha256(blob).digest()
             diff._frame_digest = frame_sha.hex()
@@ -253,10 +235,7 @@ class RecordWriter:
             _FRAMES_WRITTEN.inc()
             prior = self._count
 
-            index_bytes, group = (
-                self._append_index(diff) if self.indexed else (0, NO_GROUP)
-            )
-            rows_appended = int(index_bytes > 0)
+            index_bytes, group = self._append_index(row)
 
             manifest_bytes = self._write_header(diff) + LOG_ENTRY.size
             body = LOG_BODY.pack(len(blob), frame_sha, *group)
@@ -276,7 +255,6 @@ class RecordWriter:
         receipt = AppendReceipt(
             ckpt_id=diff.ckpt_id,
             frame_bytes=len(blob),
-            index_rows_appended=rows_appended,
             index_bytes=index_bytes,
             manifest_bytes=manifest_bytes,
         )
@@ -286,7 +264,6 @@ class RecordWriter:
             ckpt_id=diff.ckpt_id,
             frames_written=1,
             frames_reused=prior,
-            index_rows_appended=rows_appended,
             bytes_written=receipt.bytes_written,
             checkpoint_bytes=len(blob),
         )

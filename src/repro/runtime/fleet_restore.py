@@ -33,7 +33,6 @@ import numpy as np
 from .. import telemetry
 from ..core.provenance import resolve_source
 from ..core.sharded_restore import ShardedRestorePlan, ShardReport
-from ..errors import RestoreError
 from ..gpusim.cluster import ClusterSpec, thetagpu
 from ..gpusim.perfmodel import FleetRestoreCost, KernelCostModel
 from ..kokkos.execution import DeviceSpace
@@ -86,11 +85,8 @@ def restore_record_sharded(
     """Reconstruct a checkpoint from a stored record across *num_ranks*
     simulated GPUs, overlapping the shared frame read with the gathers.
 
-    Requires the record's provenance index (fleet restarts are the
-    regime the index exists for); records without one restore through
-    :func:`~repro.core.provenance.restore_record_indexed`'s full-record
-    fallback instead.  ``windows=None`` lets the streaming scheduler
-    pick the window count from the pre-execution cost estimate.
+    ``windows=None`` lets the streaming scheduler pick the window count
+    from the pre-execution cost estimate.
     """
     if cluster is None:
         cluster = thetagpu()
@@ -99,11 +95,6 @@ def restore_record_sharded(
     # once fleet-wide (each rank gathers from the same host-staged
     # payloads), priced below at the cluster's aggregate PFS bandwidth.
     index, payload_of, resolved = resolve_source(directory, upto, payload_codec)
-    if not resolved.used_index:
-        raise RestoreError(
-            f"{directory} has no provenance index; sharded restore needs "
-            f"one (restore_record_indexed falls back to the full record)"
-        )
     upto = index.ckpt_id
     read_bytes = resolved.record_bytes_read
 

@@ -346,17 +346,17 @@ def attribute_diffs(
 
 def _load_indexed(directory, name: Optional[str]):
     """A stored record's ``(diffs, table, name)``: the persisted RPIX index
-    when it covers the chain (frames are read once, never replayed), else
-    one composed from the diffs; *name* defaults to the directory's."""
+    (frames are read once, never replayed); *name* defaults to the
+    directory's."""
     import os
 
-    from ..core.provenance import ProvenanceTable
     from ..core.store import load_provenance, load_record
+    from ..errors import StorageError
 
     diffs = load_record(directory)
     table = load_provenance(directory)
-    if table is None or table.num_checkpoints < len(diffs):
-        table = ProvenanceTable.from_diffs(diffs)
+    if table is None:
+        raise StorageError(f"{directory} holds no checkpoint to attribute")
     if name is None:
         name = os.path.basename(os.path.normpath(str(directory)))
     return diffs, table, name

@@ -30,8 +30,9 @@ records from one emitter even when ``sim_time`` ties or is absent.
 journals from *different* runs can no longer be silently conflated by a
 merge: :func:`repro.telemetry.aggregate.merge_journals` and the replay
 subsystem (:mod:`repro.replay`) both refuse mixed ``run_id`` streams.
-Schema v1 records (no ``run_id``) still load; their run id reads as
-``None``, which merges compatibly with anything.
+A ``run_id`` of ``None`` merges compatibly with anything.  Schema v1
+records (no ``run_id`` field) are a retired format: :func:`read_journal`
+refuses them by name, like any other unsupported schema.
 """
 
 from __future__ import annotations
@@ -47,7 +48,7 @@ from typing import Any, Dict, Iterable, Iterator, List, Optional, Union
 from ..errors import StorageError
 
 #: Journal record schema version; bump on incompatible envelope changes.
-#: v2 adds the ``run_id`` envelope field (v1 records still load).
+#: v2 added the ``run_id`` envelope field; it is the only one read.
 SCHEMA_VERSION = 2
 
 # ----------------------------------------------------------------------
@@ -396,8 +397,9 @@ def read_journal(
     """Load one JSONL journal, validating the envelope of every record.
 
     By default damaged lines — truncated JSON (a crash mid-write),
-    garbled bytes, records with no event type, or an unsupported schema
-    version — are *skipped and counted* on the returned
+    garbled bytes, records with no event type, or any schema but
+    :data:`SCHEMA_VERSION` (the retired schema 1 included) — are
+    *skipped and counted* on the returned
     :class:`LoadedJournal` (``skipped_lines`` / ``problems``) instead of
     aborting the load mid-file.  ``strict=True`` restores the raising
     behaviour for tests and for pipelines that must not tolerate damage.
@@ -460,7 +462,7 @@ def read_journal(
             _skip(lineno, "journal record has no event type")
             continue
         version = record.get("schema")
-        if not isinstance(version, int) or version > SCHEMA_VERSION:
+        if not isinstance(version, int) or version != SCHEMA_VERSION:
             _skip(lineno, f"unsupported journal schema {version!r}")
             continue
         records.append(record)
@@ -474,8 +476,8 @@ def read_journal(
 def journal_run_ids(records: Iterable[Dict[str, Any]]) -> List[str]:
     """Distinct non-``None`` ``run_id`` values in *records*, sorted.
 
-    Schema v1 records (and v2 records from ad-hoc journals) carry no run
-    identity and are compatible with any run; only *conflicting* ids —
+    Records from ad-hoc journals carry no run identity and are
+    compatible with any run; only *conflicting* ids —
     two or more distinct non-``None`` values — indicate journals from
     different runs being conflated.
     """

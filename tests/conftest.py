@@ -55,13 +55,21 @@ def forge_log_entry(directory, index, **columns) -> None:
     path.write_bytes(out)
 
 
-def unindex(directory) -> None:
-    """Make a stored record unindexed, as if its chain never was
-    indexable: drop the index file and its name from the header."""
+def retire_index(directory) -> None:
+    """Rewrite *directory* as the unindexed record the writer used to leave
+    when it dropped the index: no ``"index"`` in the header, no index
+    file, and zero (kind 0) group columns in every log entry.  Nothing in
+    ``src/`` writes or reads this any more; tests use it to check it is
+    rejected by name."""
     import json
 
-    from repro.record.log import HEADER_FILE
+    from repro.record.log import HEADER_FILE, LOG_ENTRY, LOG_FILE
 
+    count = (directory / LOG_FILE).stat().st_size // LOG_ENTRY.size
+    for k in range(count):
+        forge_log_entry(
+            directory, k, group_off=0, group_len=0, group_kind=0, group_sha=bytes(32)
+        )
     header_path = directory / HEADER_FILE
     header = json.loads(header_path.read_text())
     (directory / header.pop("index")).unlink()

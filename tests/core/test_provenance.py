@@ -39,7 +39,7 @@ from repro.record.index import (
     encode_prologue,
 )
 from repro.errors import IntegrityError, ReproError, RestoreError, StorageError
-from tests.conftest import forge_log_entry, unindex, v2_manifest
+from tests.conftest import forge_log_entry, retire_index, v2_manifest
 
 N = 64 * 80
 CS = 64
@@ -235,7 +235,9 @@ class TestTablePersistence:
 
     def test_unindexable_chain_still_saves(self, rng, tmp_path):
         # A chain missing its opening full checkpoint cannot be indexed
-        # from position 0, but the record must still land on disk.
+        # from position 0.  It used to land as an unindexed record no
+        # reader could restore; the writer now refuses it before writing
+        # a byte, so no record of it lands on disk.
         diffs, _ = _chain("tree", rng)
         shifted = next(d for d in diffs if d.num_shift)
         shifted.ckpt_id = 0  # hand-built: claims position 0
@@ -243,9 +245,10 @@ class TestTablePersistence:
         broken = [shifted]
         with pytest.raises(ReproError):
             ProvenanceTable.from_diffs(broken)
-        save_record(broken, tmp_path)
-        assert load_provenance(tmp_path) is None
-        assert "provenance" not in record_manifest(tmp_path)
+        directory = tmp_path / "rec"
+        with pytest.raises(StorageError, match="cannot append checkpoint 0"):
+            save_record(broken, directory)
+        assert not directory.exists() or not any(directory.iterdir())
 
 
 class TestRpixV2:
@@ -433,13 +436,15 @@ class TestRecordRestore:
             Restorer().restore(load_record(tmp_path))
 
     def test_replay_fallback_without_index(self, rng, tmp_path):
-        diffs, states = _chain("list", rng)
+        # The full-record fallback for a record without an index is gone:
+        # such a record is a retired format, refused by name on every
+        # path, the scrub included.
+        diffs, _ = _chain("list", rng)
         save_record(diffs, tmp_path)
-        unindex(tmp_path)
-        out, report = restore_record_indexed(tmp_path)
-        assert np.array_equal(out, states[-1])
-        assert not report.used_index
-        assert report.frames_parsed == report.frames_total
+        retire_index(tmp_path)
+        for scrub in (False, True):
+            with pytest.raises(StorageError, match="names no provenance index"):
+                restore_record_indexed(tmp_path, scrub=scrub)
 
     def test_corrupt_index_detected(self, rng, tmp_path):
         diffs, _ = _chain("tree", rng)

@@ -300,19 +300,23 @@ class TestWriterGuards:
             RecordWriter(tmp_path / "rec", method="tree")
 
     def test_unindexable_appends_drop_index(self, rng, tmp_path):
-        # A hand-shifted diff the builder rejects: the record still
-        # saves, the index is dropped — save_record's historic leniency.
+        # A hand-shifted diff the builder rejects used to be appended with
+        # the index dropped.  The writer now refuses it: the record keeps
+        # its index and the right next checkpoint still lands.
         diffs = _chain("tree", 3, rng)
         bad = diffs[1]
+        good_refs = bad.shift_ref_ckpts.copy()
         bad.shift_ref_ckpts = np.full_like(bad.shift_ref_ckpts, 99)
         writer = RecordWriter(tmp_path / "rec", method="tree")
         writer.append(diffs[0])
-        assert writer.indexed
-        writer.append(bad)
-        assert not writer.indexed
+        with pytest.raises(StorageError, match="cannot append checkpoint 1"):
+            writer.append(bad)
+        assert writer.count == 1
+        bad.shift_ref_ckpts = good_refs
+        writer.append(diffs[1])
         manifest = record_manifest(tmp_path / "rec")
-        assert "provenance" not in manifest
-        assert load_provenance(tmp_path / "rec") is None
+        assert "provenance" in manifest
+        assert load_provenance(tmp_path / "rec").num_checkpoints == 2
 
 
 class TestFormatCompatibility:
@@ -704,7 +708,7 @@ class TestOneRowDecoded:
             table = load_provenance(directory)
             assert self._decoded() == table.num_checkpoints == self.CHAIN
             writer = RecordWriter(directory, method="tree")
-            assert self._decoded() == 2 * self.CHAIN and writer.indexed
+            assert self._decoded() == 2 * self.CHAIN and writer.count == self.CHAIN
 
     def test_row_out_of_range(self, record):
         directory, _diffs, _states = record
@@ -749,7 +753,6 @@ class TestAppendEvents:
             assert record["ckpt_id"] == k
             assert record["frames_written"] == 1
             assert record["frames_reused"] == k
-            assert record["index_rows_appended"] == 1
             assert record["bytes_written"] > record["checkpoint_bytes"] > 0
 
     def test_save_record_reuses_stored_frames(self, rng, tmp_path):

@@ -22,7 +22,7 @@ from repro.core.serialize import (
     region_byte_lengths,
     unpack_bitmap,
 )
-from repro.errors import IntegrityError, RestoreError, SerializationError
+from repro.errors import IntegrityError, RestoreError, SerializationError, StorageError
 
 
 @pytest.fixture
@@ -223,8 +223,15 @@ def test_malformed_diff_is_refused_by_every_reader(row, tmp_path):
             restore()
         assert caught.value.ckpt_id == 1
 
-    directory = save_record(chain, tmp_path / row)
-    assert "provenance" not in record_manifest(directory)
+    # The writer is the twelfth reader: it refuses the checkpoint before
+    # writing a byte of it.
+    directory = tmp_path / row
+    with pytest.raises(StorageError, match="cannot append checkpoint 1: ckpt 1"):
+        save_record(chain, directory)
+    assert record_manifest(directory)["num_checkpoints"] == 1
+    assert sorted(p.name for p in directory.iterdir()) == [
+        "ckpt-00000.rdif", "provenance.rpix", "record.json", "record.log",
+    ]
 
 
 def test_chunk_map_of_a_sound_tree_diff():

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.core import ENGINES, restore_record_indexed, save_record
-from repro.errors import RestoreError
+from repro.errors import StorageError
 from repro.gpusim import polaris, thetagpu
 from repro.runtime import StrongScalingDriver, restore_record_sharded
 from repro.telemetry import events
@@ -88,11 +88,11 @@ class TestRestoreRecordSharded:
         )
 
     def test_record_without_index_rejected(self, rng, tmp_path):
-        from tests.conftest import unindex
+        from tests.conftest import retire_index
 
         directory, _ = _record(rng, tmp_path)
-        unindex(directory)
-        with pytest.raises(RestoreError, match="no provenance index"):
+        retire_index(directory)
+        with pytest.raises(StorageError, match="no provenance index"):
             restore_record_sharded(directory, 4)
 
     def test_emits_sharded_restore_event(self, rng, tmp_path):

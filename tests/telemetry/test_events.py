@@ -107,7 +107,7 @@ class TestPersistence:
 
     def test_malformed_line_raises_with_location_in_strict_mode(self, tmp_path):
         path = tmp_path / "bad.jsonl"
-        path.write_text('{"schema": 1, "type": "crash"}\nnot json\n')
+        path.write_text('{"schema": 2, "type": "crash"}\nnot json\n')
         with pytest.raises(StorageError, match="bad.jsonl:2"):
             read_journal(path, strict=True)
 
@@ -121,7 +121,7 @@ class TestPersistence:
 
     def test_blank_lines_skipped(self, tmp_path):
         path = tmp_path / "gaps.jsonl"
-        path.write_text('\n{"schema": 1, "type": "crash"}\n\n')
+        path.write_text('\n{"schema": 2, "type": "crash"}\n\n')
         loaded = read_journal(path)
         assert len(loaded) == 1
         assert loaded.skipped_lines == 0
@@ -165,12 +165,16 @@ class TestRunIdentity:
         record = EventJournal(node="n").emit(CRASH)
         assert record["run_id"] is None
 
-    def test_v1_records_still_load(self, tmp_path):
+    def test_v1_records_rejected_by_name(self, tmp_path):
+        """Schema 1 (no ``run_id`` field) is retired: skipped by name, or
+        refused under ``strict=True``."""
         path = tmp_path / "v1.jsonl"
         path.write_text('{"schema": 1, "type": "crash", "seq": 0}\n')
         loaded = read_journal(path)
-        assert len(loaded) == 1
-        assert journal_run_ids(loaded) == []
+        assert len(loaded) == 0 and loaded.skipped_lines == 1
+        assert "unsupported journal schema 1" in loaded.problems[0]
+        with pytest.raises(StorageError, match="unsupported journal schema 1"):
+            read_journal(path, strict=True)
 
     def test_journal_run_ids_sorted_distinct(self):
         records = [
