@@ -23,12 +23,15 @@ transfer).
 
 Format v2 adds integrity to the frame: a 32-byte SHA-256 content digest
 sits directly after the fixed header and covers every other byte of the
-frame (header + metadata + payload).  ``from_bytes`` recomputes it and
-raises :class:`~repro.errors.IntegrityError` on mismatch, so a bit flip
-anywhere in a stored ``.rdif`` file is detected at parse time.  The
-digestless v1 frame is rejected by name ("unsupported diff version 1"),
-never loaded unverified.  See ``docs/FAULT_MODEL.md`` for the full frame
-layout.
+frame (header + metadata + payload).  ``from_bytes`` recomputes it — or,
+handed the value a caller already computed with :func:`content_digest`,
+compares the field to that — and raises
+:class:`~repro.errors.IntegrityError` on mismatch, so a bit flip anywhere
+in a stored ``.rdif`` file is detected at parse time.  The same digest is
+the one a record log stores per frame, so a reader hashes each frame
+byte once.  The digestless v1 frame is rejected by name ("unsupported
+diff version 1"), never loaded unverified.  See ``docs/FAULT_MODEL.md``
+for the full frame layout.
 """
 
 from __future__ import annotations
@@ -75,6 +78,16 @@ def _as_u32(arr: Optional[np.ndarray], name: str) -> np.ndarray:
     return out.astype(np.uint32)
 
 
+def content_digest(blob) -> bytes:
+    """SHA-256 over a frame minus its digest field (header ‖ body): the
+    value an intact frame embeds, and the one a record log stores for it.
+    One pass over *blob*, through a memoryview (no copy)."""
+    view = memoryview(blob)
+    h = hashlib.sha256(view[: _HEADER.size])
+    h.update(view[_HEADER.size + DIGEST_BYTES :])
+    return h.digest()
+
+
 @dataclass
 class CheckpointDiff:
     """One serialized incremental checkpoint.
@@ -100,10 +113,10 @@ class CheckpointDiff:
     #: with ``verify=False``), ``True`` when parsed from a frame whose
     #: digest matched.
     verified: Optional[bool] = field(default=None, compare=False)
-    #: Lazily cached SHA-256 hex of :meth:`to_bytes` — the on-disk frame
-    #: digest the record manifest stores.  Engines never mutate a diff
-    #: after building it; anything that does must clear this cache.
-    _frame_digest: Optional[str] = field(default=None, compare=False, repr=False)
+    #: Cached :meth:`content_digest`, set by :meth:`to_bytes` and by a
+    #: verifying :meth:`from_bytes`.  Engines never mutate a diff after
+    #: building it; anything that does must clear this cache.
+    _digest: Optional[bytes] = field(default=None, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         one_of(self.method, METHODS, "method")
@@ -178,8 +191,8 @@ class CheckpointDiff:
     # ------------------------------------------------------------------
     # Encoding
     # ------------------------------------------------------------------
-    def _body_bytes(self) -> bytes:
-        """Metadata + payload, the variable part of the frame."""
+    def _body_parts(self) -> list:
+        """Metadata + payload, the variable part of the frame, in order."""
         parts = [self.first_ids.astype("<u4").tobytes()]
         shift = np.empty((self.num_shift, 3), dtype="<u4")
         shift[:, 0] = self.shift_ids
@@ -189,7 +202,7 @@ class CheckpointDiff:
         if self.bitmap is not None:
             parts.append(self.bitmap.tobytes())
         parts.append(self.payload)
-        return b"".join(parts)
+        return parts
 
     def _pack_header(self) -> bytes:
         bitmap_bytes = self.bitmap.nbytes if self.bitmap is not None else 0
@@ -208,29 +221,30 @@ class CheckpointDiff:
         )
 
     def content_digest(self) -> bytes:
-        """SHA-256 over the frame minus its digest field (header + body)."""
-        h = hashlib.sha256()
-        h.update(self._pack_header())
-        h.update(self._body_bytes())
-        return h.digest()
+        """The frame's content digest (:func:`content_digest` of
+        :meth:`to_bytes`), cached after first use: the SHA-256 the frame
+        embeds and the record log stores for it."""
+        if self._digest is None:
+            self.to_bytes()
+        return self._digest
 
     def frame_digest(self) -> str:
-        """SHA-256 hex of the full serialized frame, cached after first use.
-
-        This is the digest the record manifest holds per ``.rdif`` file;
-        caching it is what makes the append guard O(1) — comparing a new
-        chain against a stored record no longer re-serializes the prefix.
-        """
-        if self._frame_digest is None:
-            self._frame_digest = hashlib.sha256(self.to_bytes()).hexdigest()
-        return self._frame_digest
+        """Hex of :meth:`content_digest`, the per-frame digest a record's
+        manifest lists.  Cached, so comparing a chain against a stored
+        record costs hash *comparisons*, not re-serialization."""
+        return self.content_digest().hex()
 
     def to_bytes(self) -> bytes:
-        """Serialize to the versioned little-endian wire format (v2)."""
+        """Serialize to the versioned little-endian wire format (v2):
+        header and body go through one SHA-256, whose digest is embedded
+        and cached as :meth:`content_digest`."""
         header = self._pack_header()
-        body = self._body_bytes()
-        digest = hashlib.sha256(header + body).digest()
-        out = header + digest + body
+        parts = self._body_parts()
+        h = hashlib.sha256(header)
+        for part in parts:
+            h.update(part)
+        self._digest = h.digest()
+        out = b"".join([header, self._digest, *parts])
         if len(out) != self.serialized_size:  # pragma: no cover - invariant
             raise SerializationError(
                 f"encoded size {len(out)} != predicted {self.serialized_size}"
@@ -238,11 +252,17 @@ class CheckpointDiff:
         return out
 
     @classmethod
-    def from_bytes(cls, blob: bytes, verify: bool = True) -> "CheckpointDiff":
+    def from_bytes(
+        cls, blob: bytes, verify: bool = True, digest: Optional[bytes] = None
+    ) -> "CheckpointDiff":
         """Parse a diff previously produced by :meth:`to_bytes`.
 
         The frame's content digest is recomputed here (mismatch raises
         :class:`~repro.errors.IntegrityError` unless *verify* is false).
+        A caller that already computed :func:`content_digest` of *blob* —
+        a record reader, which checks it against the record log — passes
+        it as *digest*: the embedded field is compared to it and the frame
+        is not hashed again.
         """
         if len(blob) < _HEADER.size:
             raise SerializationError(f"diff blob too short ({len(blob)} bytes)")
@@ -279,16 +299,14 @@ class CheckpointDiff:
             raise SerializationError(
                 f"diff blob length {len(blob)} != expected {need}"
             )
-        if verify:
-            view = memoryview(blob)
-            actual = hashlib.sha256()
-            actual.update(view[: _HEADER.size])
-            actual.update(view[_HEADER.size + DIGEST_BYTES :])
-            if actual.digest() != stored_digest:
+        checked = verify or digest is not None
+        if checked:
+            actual = content_digest(blob) if digest is None else digest
+            if actual != stored_digest:
                 raise IntegrityError(
                     f"checkpoint {ckpt_id}: frame digest mismatch "
                     f"(stored {stored_digest.hex()[:16]}…, "
-                    f"computed {actual.hexdigest()[:16]}…)",
+                    f"computed {actual.hex()[:16]}…)",
                     ckpt_id=ckpt_id,
                 )
         first_ids = np.frombuffer(blob, dtype="<u4", count=n_first, offset=off).copy()
@@ -317,7 +335,8 @@ class CheckpointDiff:
             shift_ref_ckpts=shift[:, 2],
             bitmap=bitmap,
             payload=payload,
-            verified=True if verify else None,
+            verified=True if checked else None,
+            _digest=stored_digest if checked else None,
         )
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic

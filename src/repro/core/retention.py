@@ -153,8 +153,6 @@ def rebase_stored_record(
         at=at,
         old_checkpoints=len(diffs),
         new_checkpoints=len(new_diffs),
-        index_rewritten=True,  # every record carries its index
-        index_existed=True,
     )
     return path
 

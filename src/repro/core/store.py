@@ -80,10 +80,10 @@ def save_record(
             writer.check(diffs[-1])
             # Strongest append guard: the overlapping prefix must be the
             # same bytes checkpoint for checkpoint.  The diffs' cached
-            # frame digests make this O(chain) hash *comparisons*, not
+            # content digests make this O(chain) hash *comparisons*, not
             # O(chain) re-serialization.
             for i, held in enumerate(writer.view.log.frame_sha):
-                if diffs[i].frame_digest() != held.hex():
+                if diffs[i].content_digest() != held:
                     raise StorageError(
                         f"{path} holds a different chain: checkpoint {i} "
                         f"does not match the stored record (append must "

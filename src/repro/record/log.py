@@ -13,10 +13,11 @@ from ..errors import IntegrityError, StorageError
 HEADER_FILE = "record.json"
 LOG_FILE = "record.log"
 INDEX_FILE = "provenance.rpix"
-FORMAT_VERSION = 3
+FORMAT_VERSION = 4
 
-#: One log entry: frame bytes, frame SHA-256, index-group offset, length,
-#: kind and SHA-256 — then the 32-byte seal.
+#: One log entry: frame bytes, frame content digest (the SHA-256 over
+#: header ‖ body the frame embeds), index-group offset, length, kind and
+#: SHA-256 — then the 32-byte seal.
 LOG_BODY = struct.Struct("<Q32sQII32s")
 LOG_ENTRY = struct.Struct(LOG_BODY.format + "32s")
 SEAL_BYTES = 32

@@ -136,14 +136,17 @@ class RecordView:
 
     # ------------------------------------------------------------------
     def frame(self, k: int) -> CheckpointDiff:
-        """Load checkpoint *k*'s frame, checked against the log's digest
-        and its own embedded one."""
-        return load_frame(frame_path(self.path, k), k, self.log.frame_sha[k])
+        """Load checkpoint *k*'s frame, checked against the log's size and
+        digest and its own embedded digest."""
+        log = self.log
+        path = frame_path(self.path, k)
+        return load_frame(path, k, log.frame_bytes[k], log.frame_sha[k])
 
     def frames(self, ids: Sequence[int]) -> Dict[int, CheckpointDiff]:
         """Load + verify only the named checkpoint frames: a provenance row
         names the frames its bytes live in, and only those files are read
-        and parsed, each against the log's digest and its embedded one."""
+        and parsed, each against the log's size and digest and its
+        embedded digest."""
         count = self.count
         frames: Dict[int, CheckpointDiff] = {}
         with telemetry.span(

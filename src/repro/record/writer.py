@@ -229,8 +229,6 @@ class RecordWriter:
                     f"{self.path}: cannot append checkpoint {diff.ckpt_id}: {exc}"
                 ) from exc
             blob = diff.to_bytes()
-            frame_sha = hashlib.sha256(blob).digest()
-            diff._frame_digest = frame_sha.hex()
             frame_path(self.path, diff.ckpt_id).write_bytes(blob)
             _FRAMES_WRITTEN.inc()
             prior = self._count
@@ -238,7 +236,7 @@ class RecordWriter:
             index_bytes, group = self._append_index(row)
 
             manifest_bytes = self._write_header(diff) + LOG_ENTRY.size
-            body = LOG_BODY.pack(len(blob), frame_sha, *group)
+            body = LOG_BODY.pack(len(blob), diff.content_digest(), *group)
             self._sealer.update(body)
             seal = self._sealer.digest()
             self._sealer.update(seal)

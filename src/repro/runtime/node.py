@@ -278,7 +278,8 @@ class NodeRuntime:
             # The payload digest is only worth computing when a journal
             # is recording — replay uses it to prove bit-identical
             # durable content without shipping payloads around.  It is
-            # the frame digest a persisting RecordWriter already cached.
+            # the frame's content digest, which the to_bytes a persisting
+            # RecordWriter ran already cached.
             payload_sha256 = (
                 diff.frame_digest()
                 if events.active_journal() is not None

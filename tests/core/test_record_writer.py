@@ -519,9 +519,10 @@ class TestSizeRule:
 GOLDEN_N = 64 * 96 + 23  # short tail chunk
 #: SHA-256 of every file ``save_record(_golden_chain(method))`` writes.
 #: The ``ckpt-*.rdif`` digests are as pinned at commit a61ebd3 (PR 17):
-#: frames have not changed since.  ``record.json`` (static header),
-#: ``record.log`` and ``provenance.rpix`` (RPIX v4) were captured once,
-#: at PR 19.  The reader may change; these bytes may not.
+#: frames have not changed since.  ``provenance.rpix`` was captured once,
+#: with RPIX v4; ``record.json`` (static header) and ``record.log`` with
+#: record format 4 (the log's frame column holds each frame's content
+#: digest).  The reader may change; these bytes may not.
 GOLDEN_SHA256 = {
     "basic": {
         "ckpt-00000.rdif": "da62fa683faa6ae68d48e9a2baa18cdec2de9e5ba270f9ad0493af2900bc27e9",
@@ -531,8 +532,8 @@ GOLDEN_SHA256 = {
         "ckpt-00004.rdif": "364318b72e0a3a35485e4ba20ebaac2fbda3d6727d6b157ab80b355ba4aff63d",
         "ckpt-00005.rdif": "18a4365d35676bbb9bede44cb99bc8fd1eb59360f85ec130acd5ebb1b3e8c966",
         "provenance.rpix": "593d2275ec710539f77f2d81c471934676557d1d7d14b86946d5f5204383c136",
-        "record.json": "2c79740b7598c5bba6c2b96bcec17f7b9346d154411e01910d34ac90841f5a2a",
-        "record.log": "04af1669dee13e4ac4e173673049356e4d4df30360c671ae809bc20a5936ec3b",
+        "record.json": "82de3654ed20ab63e737889f819ab1c6f3e5a71c2692b35f0f2f4cf4aaacbe06",
+        "record.log": "603eb2ed368082dc9f0c9e5924dfac7f939e50eddc970e56e4e10c194bad6286",
     },
     "full": {
         "ckpt-00000.rdif": "da62fa683faa6ae68d48e9a2baa18cdec2de9e5ba270f9ad0493af2900bc27e9",
@@ -542,8 +543,8 @@ GOLDEN_SHA256 = {
         "ckpt-00004.rdif": "66b433c1764e83c93af44c109918ed091f12d5b5e42e0843283d825a63f791bd",
         "ckpt-00005.rdif": "6ec38f6d609e4bdcf8bb4e43469b42fe73b2748013eac1c7d65b51750ff9e96d",
         "provenance.rpix": "34a753681b57893bbbbdef1f05f61971185b00eb366758fe6d71669ba624d7e1",
-        "record.json": "31de15f5eaeaae96e57168a36caa61eebb689072343305bccaf29de65c947a75",
-        "record.log": "9ba4f629fabf0f8b639e82d0b6f9e83c14dd2f36f329fb424058b6afcb59f655",
+        "record.json": "d839f98a98ea20adaf9771e5674f3fbb3a5a0b09a5790186f9529cdd90b85212",
+        "record.log": "38e29f6d249bef051ceaea889d0e392dfb56454121c4918e65246ee0485aae66",
     },
     "list": {
         "ckpt-00000.rdif": "da62fa683faa6ae68d48e9a2baa18cdec2de9e5ba270f9ad0493af2900bc27e9",
@@ -553,8 +554,8 @@ GOLDEN_SHA256 = {
         "ckpt-00004.rdif": "7eab97cf9565166b9028500178f50ffef5a84fd747c8ea7159c9e52d60319bc7",
         "ckpt-00005.rdif": "8fb0fa7233488abeb203ae600365cdaf398012317e9d426cffa21cea40b8eb49",
         "provenance.rpix": "96bf00d836f04c0e2da7e5ddffceb668c3f99c95871764244d085c90a05c4ed9",
-        "record.json": "d31ac09c9fc22d5dcd9899d550e029078107d20454eff3f47104156ddca15c8f",
-        "record.log": "c65e47db8cffa1a025cc66cf0fa476c7b888b11a6449fd763694db08c2130aef",
+        "record.json": "0cd438109716073fdc06ff67620f2986d183babf6b80aa4a96eaba1f246cb908",
+        "record.log": "9a317831f4522b5e015ce3415885094049ecc54a6cdd82675d882bf471190579",
     },
     "tree": {
         "ckpt-00000.rdif": "da62fa683faa6ae68d48e9a2baa18cdec2de9e5ba270f9ad0493af2900bc27e9",
@@ -564,8 +565,8 @@ GOLDEN_SHA256 = {
         "ckpt-00004.rdif": "9030ccb087bace84c6cdcdd007166921c8883003f6d854a381d3613c3bfdf4c9",
         "ckpt-00005.rdif": "b46c742248ad2ec31bb762b14e6d35cb56a13a1315f08635f0a82fa25c05c2fd",
         "provenance.rpix": "d17bf061dc54f434a3ecc58cb6d78b4c49f2d4cb683396912e0185cc2e4d204d",
-        "record.json": "9a19dd2f116b9104ac87d2a7ea97d1321768d2e666f35536f7f5001490b78601",
-        "record.log": "b7a140f08498cd433f9239de8134ff1e199ae5a9f1fa352f010bddf1d23faadb",
+        "record.json": "cef48fc8a0d9244dbf7fb1d304c02a94bc1c3ef5a44643dc619c16b14c8f6bef",
+        "record.log": "7f0178cedefa5c4396a436b2f5e7427deb7e91117bf2a9b64236fb7ce119f63e",
     },
 }
 
@@ -642,10 +643,11 @@ def _golden_sparse_chain():
     return diffs
 
 
-#: Captured once, at PR 19 (RPIX v4 deltas + record.log).
+#: ``provenance.rpix`` captured once, with the RPIX v4 deltas;
+#: ``record.log`` with record format 4.
 GOLDEN_SPARSE_SHA256 = {
     "provenance.rpix": "8bc3265fbae124253c59bbc69681d0a321e0e8809416affccd0be3a5e1624621",
-    "record.log": "721b6484471df853e93cd286f290b8e40e605702dfe4b4b345509ca784a36dab",
+    "record.log": "00d3e738fa001995c30f821292d8e98f5ffc3f5d4139895e193c6dbe1ef958bd",
 }
 GOLDEN_SPARSE_KINDS = "KDDKDDKDDDKD"
 

@@ -203,8 +203,6 @@ class TestRebaseIndex:
         assert event["at"] == 3
         assert event["old_checkpoints"] == len(diffs)
         assert event["new_checkpoints"] == len(diffs) - 3
-        assert event["index_rewritten"] is True
-        assert event["index_existed"] is True
 
     def test_rebase_stored_record_verifies_clean(self, stream, tmp_path):
         from repro.core import rebase_stored_record, save_record

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from repro.core import ENGINES, RecordWriter, Restorer
+from repro.core.diff import content_digest
 from repro.core.provenance import restore_record_indexed
 from repro.core.store import (
     STATUS_CORRUPT,
@@ -20,6 +21,7 @@ from repro.core.store import (
     verify_record,
 )
 from repro.errors import IntegrityError, SerializationError, StorageError
+from repro.record.log import FORMAT_VERSION
 from tests.conftest import forge_log_entry, v1_frame, v2_manifest
 
 
@@ -112,10 +114,11 @@ class TestManifestRobustness:
 
     def test_missing_key_wrapped(self, diffs, tmp_path):
         path = save_record(diffs, tmp_path / "rec")
-        (path / "record.json").write_text(json.dumps({"format_version": 3}))
+        header = {"format_version": FORMAT_VERSION}
+        (path / "record.json").write_text(json.dumps(header))
         with pytest.raises(StorageError, match="must name the record log"):
             load_record(path)
-        header = {"format_version": 3, "log": "record.log", "data_len": "64"}
+        header.update(log="record.log", data_len="64")
         (path / "record.json").write_text(json.dumps(header))
         with pytest.raises(StorageError, match="bad data_len"):
             load_record(path)
@@ -219,13 +222,11 @@ class TestVerifyRecord:
         # A digestless v1 frame behind a current record log — even with
         # the log entry forged to match it and re-sealed — is corrupt,
         # never a third "unverified but loadable" state.
-        import hashlib
-
         path = save_record(diffs, tmp_path / "rec")
         blob = v1_frame(diffs[1])
         (path / "ckpt-00001.rdif").write_bytes(blob)
         forge_log_entry(
-            path, 1, frame_sha=hashlib.sha256(blob).digest(), frame_bytes=len(blob)
+            path, 1, frame_sha=content_digest(blob), frame_bytes=len(blob)
         )
         report = verify_record(path)
         assert not report.ok

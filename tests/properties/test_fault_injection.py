@@ -23,8 +23,10 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.core import ENGINES, CheckpointDiff, Restorer, restore_indexed
+from repro.core.provenance import restore_record_indexed
 from repro.core.store import (
     STATUS_CORRUPT,
+    load_provenance,
     load_record,
     save_record,
     verify_record,
@@ -183,18 +185,26 @@ def test_salvage_never_restores_wrong_bytes(seed, file_pick, position, flip):
 
 def test_every_single_byte_flip_detected_exhaustively():
     """Deterministic complement of the property: flip one bit at EVERY
-    byte offset of every file of a small record — all must be caught."""
+    byte offset of every file of a small record — all must be caught, by
+    the scan and by every reader: a strict ``load_record`` and the
+    indexed restore of a checkpoint whose row references the frame both
+    refuse it with :class:`IntegrityError`."""
     record = make_chain(0)
     with tempfile.TemporaryDirectory() as tmp:
         src = save_record(record, Path(tmp) / "rec")
-        for target in sorted(src.glob("ckpt-*.rdif")):
+        for k, target in enumerate(sorted(src.glob("ckpt-*.rdif"))):
+            # Checkpoint k's own row names frame k (it stores bytes).
+            assert k in load_provenance(src, k).referenced()
             pristine = target.read_bytes()
             for offset in range(len(pristine)):
                 blob = bytearray(pristine)
                 blob[offset] ^= 0x01
                 target.write_bytes(bytes(blob))
-                assert not verify_record(src).ok, (
-                    f"flip at {target.name}:{offset} went undetected"
-                )
+                where = f"flip at {target.name}:{offset}"
+                assert not verify_record(src).ok, f"{where} went undetected"
+                with pytest.raises(IntegrityError):
+                    load_record(src)
+                with pytest.raises(IntegrityError):
+                    restore_record_indexed(src, upto=k)
             target.write_bytes(pristine)
         assert verify_record(src).ok

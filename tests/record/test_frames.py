@@ -1,0 +1,215 @@
+"""Frame reads: one SHA-256 pass per frame, and every check still made.
+
+The record log stores each frame's content digest — the SHA-256 over
+header ‖ body that the frame embeds (record format 4) — so a reader
+hashes a frame once and compares that one value to the log's column and
+to the embedded field.  These tests pin the single pass on every path
+that touches a frame, the log's size column on the restore path, and
+the refusal of the retired format 3 by every entry point."""
+
+import hashlib
+import json
+
+import numpy as np
+import pytest
+
+from repro import telemetry
+from repro.cli import main
+from repro.core import ENGINES, RecordWriter, Restorer
+from repro.core.diff import DIGEST_BYTES
+from repro.core.provenance import restore_record_indexed
+from repro.core.store import (
+    load_provenance,
+    load_record,
+    load_record_frames,
+    record_manifest,
+    save_record,
+    verify_record,
+)
+from repro.errors import IntegrityError, StorageError
+from repro.record import RecordView
+from repro.runtime import restore_record_sharded
+from tests.conftest import forge_log_entry
+
+N, CS = 64 * 64, 64
+
+
+def _chain(n, seed=3):
+    rng = np.random.default_rng(seed)
+    engine = ENGINES["tree"](N, CS)
+    state = rng.integers(0, 256, N, dtype=np.uint8)
+    diffs = [engine.checkpoint(state)]
+    for k in range(1, n):
+        state = state.copy()
+        state[k * 512 : k * 512 + 300] = rng.integers(0, 256, 300, dtype=np.uint8)
+        diffs.append(engine.checkpoint(state))
+    return diffs
+
+
+@pytest.fixture
+def record(tmp_path):
+    diffs = _chain(4)
+    return save_record(diffs, tmp_path / "rec", method="tree"), diffs
+
+
+class _CountingHashlib:
+    """Stands in for :mod:`hashlib` in the modules that hash frames:
+    ``sha256`` objects that count every byte they are fed."""
+
+    def __init__(self):
+        self.bytes = 0
+
+    def sha256(self, data=b""):
+        return _CountingHash(self, hashlib.sha256(), data)
+
+
+class _CountingHash:
+    def __init__(self, owner, inner, data=b""):
+        self._owner, self._inner = owner, inner
+        self.update(data)
+
+    def update(self, data):
+        self._owner.bytes += memoryview(data).nbytes
+        self._inner.update(data)
+
+    def digest(self):
+        return self._inner.digest()
+
+    def hexdigest(self):
+        return self._inner.hexdigest()
+
+
+@pytest.fixture
+def hashed(monkeypatch):
+    """Start counting the bytes the frame codec, the frame readers and
+    the writer hash; returns the counter."""
+
+    def start():
+        counter = _CountingHashlib()
+        for module in ("core.diff", "record.frames", "record.writer"):
+            monkeypatch.setattr(f"repro.{module}.hashlib", counter, raising=False)
+        return counter
+
+    return start
+
+
+def _hashable(directory, frames):
+    """Bytes one pass hashes over *frames*: each frame but its digest."""
+    sizes = record_manifest(directory)["frame_bytes"]
+    return sum(sizes[k] - DIGEST_BYTES for k in frames)
+
+
+class TestOnePassPerFrame:
+    """Each frame a path touches is hashed exactly once, over every byte
+    but its digest field (format 3 hashed it twice)."""
+
+    @pytest.mark.parametrize("upto", [0, 2, 3])
+    def test_indexed_restore(self, record, hashed, upto):
+        path, diffs = record
+        referenced = load_provenance(path, upto).referenced()
+        want = _hashable(path, referenced)
+        counter = hashed()
+        out, report = restore_record_indexed(path, upto=upto)
+        assert counter.bytes == want
+        assert report.frames_parsed == len(referenced)
+        assert np.array_equal(out, Restorer().restore(diffs[: upto + 1]))
+
+    def test_sharded_restore(self, record, hashed):
+        path, _ = record
+        want = _hashable(path, load_provenance(path, 3).referenced())
+        counter = hashed()
+        restore_record_sharded(path, 4)
+        assert counter.bytes == want
+
+    @pytest.mark.parametrize("reader", [load_record, verify_record])
+    def test_whole_record_readers(self, record, hashed, reader):
+        path, diffs = record
+        want = _hashable(path, range(len(diffs)))
+        counter = hashed()
+        reader(path)
+        assert counter.bytes == want
+
+    def test_append(self, tmp_path, hashed):
+        diffs = _chain(4)
+        writer = RecordWriter(tmp_path / "rec", method="tree")
+        for diff in diffs[:3]:
+            writer.append(diff)
+        counter = hashed()
+        writer.append(diffs[3])
+        assert counter.bytes == diffs[3].serialized_size - DIGEST_BYTES
+
+    def test_reopen(self, record, hashed):
+        """The torn-append check reads the last frame and nothing else."""
+        path, diffs = record
+        counter = hashed()
+        assert RecordWriter(path, method="tree").count == len(diffs)
+        assert counter.bytes == _hashable(path, [len(diffs) - 1])
+
+    def test_loaded_frames_carry_their_digest(self, record):
+        """A loaded frame's digest is the log's: re-saving the chain it
+        came from compares digests, it does not serialize or hash."""
+        path, _ = record
+        loaded = load_record(path)
+        held = record_manifest(path)["digests"]
+        assert [diff.frame_digest() for diff in loaded] == held
+        save_record(loaded, path, method="tree")
+
+
+class TestLogFrameSize:
+    """The restore path checks the log's size column, as verify and the
+    writer's reopen always did."""
+
+    def test_readers_refuse_a_frame_the_log_sizes_differently(self, record):
+        path, diffs = record
+        size = diffs[3].serialized_size
+        forge_log_entry(path, 3, frame_bytes=size + 1)
+        assert 3 in load_provenance(path, 3).referenced()
+        detail = f"file size {size} != record log {size + 1}"
+        assert detail in verify_record(path).checkpoints[3].detail
+        for reader in (restore_record_indexed, load_record):
+            with pytest.raises(IntegrityError, match=f"ckpt-00003.rdif: {detail}"):
+                reader(path)
+        with pytest.raises(IntegrityError, match="does not match the record log"):
+            RecordWriter(path, method="tree")
+
+    def test_an_oversized_frame_is_refused_unread(self, record):
+        path, diffs = record
+        frame = path / "ckpt-00003.rdif"
+        frame.write_bytes(frame.read_bytes() + bytes(1 << 20))
+        with pytest.raises(IntegrityError, match="ckpt-00003.rdif: file size"):
+            restore_record_indexed(path, upto=3)
+        with telemetry.capture():
+            read = telemetry.counter("store.frame_bytes_read")
+            with pytest.raises(IntegrityError, match="file size"):
+                load_record_frames(path, [3])
+            assert read.value == 0
+
+
+def _retire_to_format_3(directory):
+    """Relabel *directory*'s header as the retired record format 3."""
+    header_path = directory / "record.json"
+    header = json.loads(header_path.read_text())
+    header["format_version"] = 3
+    header_path.write_text(json.dumps(header, indent=2))
+
+
+class TestFormat3Retired:
+    """A format-3 record's log holds whole-file digests, not content
+    digests: every entry point refuses it by name, before reading a frame."""
+
+    ENTRY_POINTS = {
+        "RecordView": RecordView,
+        "verify_record": verify_record,
+        "restore_record_indexed": restore_record_indexed,
+        "RecordWriter": lambda path: RecordWriter(path, method="tree"),
+        "restore_record_sharded": lambda path: restore_record_sharded(path, 4),
+        "repro_verify": lambda path: main(["verify", str(path)]),
+    }
+
+    @pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
+    def test_rejected_by_name(self, record, entry):
+        path, _ = record
+        assert verify_record(path).ok
+        _retire_to_format_3(path)
+        with pytest.raises(StorageError, match="unsupported record format 3"):
+            self.ENTRY_POINTS[entry](path)
