@@ -45,7 +45,7 @@ from .provenance import (
     restore_indexed,
     restore_record_indexed,
 )
-from .record import CheckpointRecord, CheckpointStats, merge_records
+from .record import CheckpointRecord, CheckpointStats
 from .restore import Restorer, restore_latest, scrub_chain
 from .retention import (
     payload_dependencies,
@@ -119,7 +119,6 @@ __all__ = [
     "TreeLayout",
     "CheckpointRecord",
     "CheckpointStats",
-    "merge_records",
     "Restorer",
     "restore_latest",
     "scrub_chain",

@@ -9,8 +9,8 @@ aggregations so every bench computes them the same way.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import List, Optional, Sequence
+from dataclasses import dataclass
+from typing import List, Optional
 
 import numpy as np
 
@@ -18,7 +18,7 @@ from ..errors import RestoreError
 from ..gpusim.perfmodel import CostBreakdown
 from ..utils.units import format_bytes, format_ratio
 from .diff import CheckpointDiff
-from .restore import Restorer
+from .provenance import restore_indexed
 
 
 @dataclass
@@ -111,12 +111,9 @@ class CheckpointRecord:
         return payload / seconds if seconds > 0 else float("inf")
 
     def restore(self, upto: Optional[int] = None, payload_codec=None) -> np.ndarray:
-        """Reconstruct a checkpoint from the record."""
-        return Restorer(payload_codec=payload_codec).restore(self.diffs, upto)
-
-    def restore_all(self, payload_codec=None) -> List[np.ndarray]:
-        """Reconstruct every checkpoint."""
-        return Restorer(payload_codec=payload_codec).restore_all(self.diffs)
+        """Reconstruct checkpoint *upto* (default latest) by the provenance
+        gather: the row is composed on demand, then one gather per source."""
+        return restore_indexed(self.diffs, upto, payload_codec)[0]
 
     def summary(self) -> str:
         """One-line human-readable record summary."""
@@ -127,27 +124,3 @@ class CheckpointRecord:
             f"({format_ratio(self.dedup_ratio())})"
         )
 
-
-def merge_records(records: Sequence[CheckpointRecord]) -> dict:
-    """Cluster-level aggregation across per-process records (Fig. 6).
-
-    Returns totals: full bytes, stored bytes, ratio, and the maximum
-    per-process simulated time per checkpoint index (the paper measures
-    scaling throughput as total data over the *slowest* process).
-    """
-    if not records:
-        raise RestoreError("merge_records needs at least one record")
-    num_ckpts = min(len(r) for r in records)
-    total_full = sum(r.total_full_bytes() for r in records)
-    total_stored = sum(r.total_stored_bytes() for r in records)
-    max_seconds = 0.0
-    for i in range(num_ckpts):
-        max_seconds += max(r.stats[i].simulated_seconds for r in records)
-    return {
-        "num_processes": len(records),
-        "num_checkpoints": num_ckpts,
-        "total_full_bytes": total_full,
-        "total_stored_bytes": total_stored,
-        "dedup_ratio": total_full / total_stored if total_stored else float("inf"),
-        "aggregate_throughput": total_full / max_seconds if max_seconds else float("inf"),
-    }

@@ -87,11 +87,6 @@ class Restorer:
         damage raises a structured :class:`~repro.errors.IntegrityError`
         naming the first bad checkpoint — instead of an unattributed
         :class:`RestoreError` mid-apply.
-    space:
-        Optional execution space (:class:`~repro.kokkos.execution.
-        ExecutionSpace`); when set, each applied diff and the final
-        host-to-device upload are recorded in its ledger so the restart
-        can be priced like the create path (see ``docs/COST_MODEL.md``).
 
     Attributes
     ----------
@@ -100,18 +95,15 @@ class Restorer:
         the last :meth:`restore` / :meth:`restore_all` call.
     """
 
-    def __init__(self, payload_codec=None, scrub: bool = False, space=None) -> None:
+    def __init__(self, payload_codec=None, scrub: bool = False) -> None:
         self.payload_codec = payload_codec
         self.scrub = scrub
-        self.space = space
         self.peak_buffers_held: int = 0
 
     # ------------------------------------------------------------------
     def restore_all(self, diffs: Sequence[CheckpointDiff]) -> List[np.ndarray]:
         """Reconstruct every checkpoint in the chain, in order."""
-        with telemetry.span(
-            "restore.replay_all", space=self.space, chain_len=len(diffs)
-        ):
+        with telemetry.span("restore.replay_all", chain_len=len(diffs)):
             if self.scrub:
                 scrub_chain(diffs, self.payload_codec)
             history: Dict[int, np.ndarray] = {}
@@ -125,8 +117,6 @@ class Restorer:
                     diff, history, position
                 )
             self.peak_buffers_held = len(history)
-            if self.space is not None and history:
-                self.space.transfer("H2D", int(history[len(diffs) - 1].nbytes))
         return [history[i] for i in range(len(diffs))]
 
     def restore(
@@ -147,9 +137,7 @@ class Restorer:
         if not 0 <= upto < len(diffs):
             raise RestoreError(f"checkpoint {upto} outside chain of {len(diffs)}")
         chain = diffs[: upto + 1]
-        with telemetry.span(
-            "restore.replay", space=self.space, upto=upto, chain_len=len(chain)
-        ) as span:
+        with telemetry.span("restore.replay", upto=upto, chain_len=len(chain)) as span:
             result = self._restore_windowed(chain, upto)
             span.set(peak_buffers=self.peak_buffers_held)
         events.emit(
@@ -193,8 +181,6 @@ class Restorer:
             for t in dead:
                 del history[t]
         self.peak_buffers_held = peak
-        if self.space is not None:
-            self.space.transfer("H2D", int(history[upto].nbytes))
         return history[upto]
 
     # ------------------------------------------------------------------
@@ -266,14 +252,6 @@ class Restorer:
             sources, ends,
         )
         _DIFFS_APPLIED.inc()
-        if self.space is not None:
-            prev_bytes = diff.data_len if k else 0
-            self.space.launch(
-                f"restore.apply.{diff.method}",
-                items=spec.num_chunks,
-                bytes_read=diff.payload_bytes + diff.metadata_bytes + prev_bytes,
-                bytes_written=diff.data_len,
-            )
         return data
 
 

@@ -164,13 +164,10 @@ class KernelCostModel:
     ) -> "RestoreCost":
         """Price a restore's metered work into a :class:`RestoreCost`.
 
-        The indexed restart path meters one ``restore.gather`` launch per
+        The provenance gather meters one ``restore.gather`` launch per
         referenced source payload plus the final H2D upload of the
-        reconstructed buffer; chain replay meters one
-        ``restore.apply.<method>`` launch per diff.  Both land in the
-        same ledger shape, so this prices either path — which is what
-        makes the speedup comparable in simulated seconds, not just
-        host-side wall clock.
+        reconstructed buffer; the chain-replay oracle
+        (:class:`~repro.core.restore.Restorer`) is not metered.
 
         *read_bytes* / *read_bandwidth* optionally charge the storage
         read feeding the gathers (PFS bandwidth for a cold fleet

@@ -7,7 +7,6 @@ from .async_flush import AsyncFlushPipeline, FlushReport
 from .fleet_restore import FleetRestoreReport, restore_record_sharded
 from .node import CrashReport, NodeRuntime, NodeTimeline, PersistedCheckpoint
 from .scaling import (
-    FleetRestartResult,
     ScalingResult,
     StrongScalingDriver,
     induced_partition_graph,
@@ -25,7 +24,6 @@ __all__ = [
     "PersistedCheckpoint",
     "FleetRestoreReport",
     "restore_record_sharded",
-    "FleetRestartResult",
     "ScalingResult",
     "StrongScalingDriver",
     "induced_partition_graph",

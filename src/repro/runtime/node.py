@@ -2,11 +2,12 @@
 
 Combines everything on one simulated compute node: several application
 processes (one per GPU) produce checkpoints on a cadence; each process
-de-duplicates on its own GPU (priced with that node's PCIe contention),
-hands the consolidated diff to the shared asynchronous flush hierarchy,
-and resumes.  The runtime tracks the application-visible checkpoint
-overhead — the paper's bottom-line metric: blocking time on the device
-(de-dup + D2H) plus any stall waiting for host staging space.
+commits through its own :class:`~repro.core.checkpointer.
+IncrementalCheckpointer` (its GPU, priced with that node's PCIe
+contention), hands the consolidated diff to the shared asynchronous flush
+hierarchy, and resumes.  The runtime tracks the application-visible
+checkpoint overhead — the paper's bottom-line metric: blocking time on the
+device (de-dup + D2H) plus any stall waiting for host staging space.
 """
 
 from __future__ import annotations
@@ -18,14 +19,13 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from ..core.base import DedupEngine
-from ..core.checkpointer import ENGINES
+from ..core.checkpointer import IncrementalCheckpointer
 from ..core.diff import CheckpointDiff
 from ..core.provenance import resolve_source, restore_indexed
 from ..core.store import RecordWriter
 from ..core.sharded_restore import ShardedRestorePlan, ShardReport
 from ..errors import SimulationError
 from ..gpusim.cluster import NodeSpec, thetagpu_node
-from ..gpusim.perfmodel import KernelCostModel
 from ..kokkos.execution import DeviceSpace
 from ..utils.validation import positive_float, positive_int
 from .. import telemetry
@@ -106,6 +106,11 @@ class CrashReport:
 class NodeRuntime:
     """Drives N per-GPU checkpoint pipelines over one node's hierarchy.
 
+    Each process commits through its own
+    :class:`~repro.core.checkpointer.IncrementalCheckpointer`
+    (:attr:`checkpointers`), the one unit that knows how a checkpoint is
+    taken and priced.
+
     Parameters
     ----------
     data_len / chunk_size / method:
@@ -163,11 +168,12 @@ class NodeRuntime:
                 f"{self.node.gpus_per_node} GPUs"
             )
         self.num_processes = num_processes
-        contention = self.node.pcie_contention(num_processes)
-        self.engines: List[DedupEngine] = [
-            ENGINES[method](data_len, chunk_size) for _ in range(num_processes)
+        self._method = method
+        self._data_len = data_len
+        self._chunk_size = chunk_size
+        self.checkpointers: List[IncrementalCheckpointer] = [
+            self._new_checkpointer() for _ in range(num_processes)
         ]
-        self.cost_model = KernelCostModel(self.node.device, pcie_contention=contention)
         staging = (
             host_staging_bytes
             if host_staging_bytes is not None
@@ -189,14 +195,25 @@ class NodeRuntime:
         )
         self.timelines = [NodeTimeline(process=p) for p in range(num_processes)]
         self._ckpt_counter = 0
-        self._method = method
-        self._data_len = data_len
-        self._chunk_size = chunk_size
         #: Per-process durability ledger, appended by checkpoint_all.
         self.persisted: List[List[PersistedCheckpoint]] = [
             [] for _ in range(num_processes)
         ]
         self.crash_reports: List[CrashReport] = []
+
+    def _new_checkpointer(self) -> IncrementalCheckpointer:
+        return IncrementalCheckpointer(
+            self._data_len,
+            self._chunk_size,
+            method=self._method,
+            device=self.node.device,
+            pcie_contention=self.node.pcie_contention(self.num_processes),
+        )
+
+    @property
+    def engines(self) -> List[DedupEngine]:
+        """Each process's engine, read-only: the units own them."""
+        return [c.engine for c in self.checkpointers]
 
     # ------------------------------------------------------------------
     def record_writer(self, process: int) -> Optional[RecordWriter]:
@@ -246,18 +263,15 @@ class NodeRuntime:
         active = (
             set(range(self.num_processes)) if processes is None else set(processes)
         )
-        for p, (engine, buffer) in enumerate(zip(self.engines, buffers)):
+        for p, (unit, buffer) in enumerate(zip(self.checkpointers, buffers)):
             if p not in active:
                 continue
-            with telemetry.span(
-                "node.checkpoint", space=engine.space, process=p, sim_now=now
-            ):
-                diff = engine.checkpoint(buffer)
-            cost = self.cost_model.price(engine.last_checkpoint_view())
+            device_seconds = unit.checkpoint(buffer).cost.total_seconds
+            diff = unit.record.diffs[-1]
             timeline = self.timelines[p]
-            timeline.blocking_device_seconds += cost.total_seconds
+            timeline.blocking_device_seconds += device_seconds
             timeline.stored_bytes += diff.serialized_size
-            produced_at = now + cost.total_seconds
+            produced_at = now + device_seconds
             key = f"p{p}-ck{self._ckpt_counter}"
             if self.record_root is not None:
                 self._pending_records[key] = (p, diff)
@@ -294,7 +308,7 @@ class NodeRuntime:
                 method=self._method,
                 stored_bytes=diff.serialized_size,
                 full_bytes=self._data_len,
-                device_seconds=cost.total_seconds,
+                device_seconds=device_seconds,
                 blocked_seconds=report.blocked_seconds,
                 produced_at=produced_at,
                 persisted_at=report.persisted_at,
@@ -336,9 +350,9 @@ class NodeRuntime:
         chain's provenance row is composed at crash time (one pass over
         diffs that ``scrub=True``, the default, validates in full
         anyway), and one gather per referenced diff rebuilds the state —
-        no chain replay.  The engine is replaced with a fresh one seeded
-        by re-checkpointing the restored state, so the dedup chain
-        restarts consistently.
+        no chain replay.  The process's checkpointer is replaced with a
+        fresh one seeded by re-checkpointing the restored state, so the
+        dedup chain restarts consistently.
 
         ``fan_out`` shards the restore's gathers across that many of the
         node's GPUs (the crashed process's siblings are idle during a
@@ -380,6 +394,7 @@ class NodeRuntime:
             durable_ckpts=len(durable_idx),
         )
 
+        restore_model = self.checkpointers[process].cost_model
         restore_seconds = 0.0
         restore_payload_bytes = 0
         restore_sources = 0
@@ -415,7 +430,7 @@ class NodeRuntime:
                     sources=restore_sources,
                 )
             contention = [self.node.pcie_contention(fan_out)] * fan_out
-            cost = self.cost_model.price_fleet_restore(
+            cost = restore_model.price_fleet_restore(
                 [s.ledger for s in spaces],
                 restored_bytes=self._data_len,
                 contention=contention,
@@ -451,7 +466,7 @@ class NodeRuntime:
                     payload_bytes=rreport.total_payload_bytes_read,
                     sources=rreport.frames_referenced,
                 )
-            cost = self.cost_model.price_restore(space.ledger, self._data_len)
+            cost = restore_model.price_restore(space.ledger, self._data_len)
             restore_seconds = cost.seconds
             restore_payload_bytes = rreport.total_payload_bytes_read
             restore_sources = rreport.frames_referenced
@@ -461,12 +476,12 @@ class NodeRuntime:
             restored_id = None
             lost = at_time
 
-        # Replace the crashed process's engine and rebuild its dedup
-        # state from the restored checkpoint.  The new engine's chain
+        # Replace the crashed process's checkpointer and rebuild its dedup
+        # state from the restored checkpoint.  The new unit's chain
         # restarts at checkpoint 0, so the durability ledger restarts
         # with it: the restart checkpoint is durable by construction
         # (it was reconstructed from data already on the terminal tier).
-        engine = ENGINES[self._method](self._data_len, self._chunk_size)
+        unit = self.checkpointers[process] = self._new_checkpointer()
         self.persisted[process] = []
         if self.record_root is not None:
             self._pending_records = {
@@ -476,7 +491,8 @@ class NodeRuntime:
             }
             self.record_writer(process).reset()
         if restored_id is not None:
-            seed_diff = engine.checkpoint(restored)
+            unit.checkpoint(restored)
+            seed_diff = unit.record.diffs[-1]
             self.persisted[process].append(
                 PersistedCheckpoint(
                     ckpt_id=seed_diff.ckpt_id,
@@ -490,7 +506,6 @@ class NodeRuntime:
                 # was rebuilt from bytes already on the terminal tier),
                 # so it re-seeds the on-disk record immediately.
                 self.record_writer(process).append(seed_diff)
-        self.engines[process] = engine
 
         events.emit(
             events.RESTART,

@@ -16,22 +16,18 @@ from __future__ import annotations
 
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
 from ..core.checkpointer import IncrementalCheckpointer
-from ..core.provenance import restore_record_indexed
-from ..errors import RestoreError, SimulationError
+from ..errors import SimulationError
 from ..gpusim.cluster import ClusterSpec, thetagpu
-from ..gpusim.perfmodel import KernelCostModel
 from ..graphs.csr import Graph
-from ..kokkos.execution import DeviceSpace
 from ..oranges.gdv import GdvEngine
 from ..telemetry.aggregate import merge_journals
-from ..telemetry.events import CHECKPOINT_COMMITTED, HEARTBEAT, RESTORE, EventJournal
+from ..telemetry.events import CHECKPOINT_COMMITTED, HEARTBEAT, EventJournal
 from ..utils.validation import positive_int
-from .fleet_restore import restore_record_sharded
 
 
 @dataclass
@@ -63,37 +59,6 @@ class ScalingResult:
         if self.critical_path_seconds <= 0:
             return float("inf")
         return self.total_full_bytes / self.critical_path_seconds
-
-
-@dataclass
-class FleetRestartResult:
-    """One fleet-restart point: N ranks restoring from a shared record."""
-
-    num_ranks: int
-    windows: int
-    #: Simulated seconds of the single-GPU indexed restore (PFS read
-    #: included) — the baseline the sharded path is measured against.
-    single_seconds: float
-    #: Simulated fleet critical path: shared read pipelined against the
-    #: slowest rank's gathers.
-    critical_path_seconds: float
-    read_seconds: float
-    state_bytes: int
-    per_rank_seconds: List[float] = field(default_factory=list)
-    #: Merged per-rank journal events (``capture_events=True`` runs only).
-    events: List[dict] = field(default_factory=list)
-
-    @property
-    def speedup(self) -> float:
-        """Single-GPU restore time over the fleet critical path."""
-        if self.critical_path_seconds <= 0:
-            return float("inf")
-        return self.single_seconds / self.critical_path_seconds
-
-    @property
-    def efficiency(self) -> float:
-        """Speedup over rank count — 1.0 is perfect strong scaling."""
-        return self.speedup / self.num_ranks
 
 
 def partition_vertices(num_vertices: int, num_parts: int) -> List[np.ndarray]:
@@ -291,87 +256,4 @@ class StrongScalingDriver:
             critical_path_seconds=critical_path,
             per_process_stored=per_process_stored,
             events=merge_journals(per_rank_events) if per_rank_events else [],
-        )
-
-    # ------------------------------------------------------------------
-    def fleet_restart(
-        self,
-        record_dir,
-        num_ranks: int,
-        upto: Optional[int] = None,
-        windows: Optional[int] = None,
-    ) -> FleetRestartResult:
-        """Restore all *num_ranks* ranks from one shared stored record.
-
-        The fleet-restart half of the Fig. 6 experiment: every rank of a
-        restarted job needs the same checkpoint back, so the restore is
-        sharded across the fleet's GPUs (each under its placement's PCIe
-        contention) while the shared PFS read of the referenced frames
-        streams against the gathers.  The single-GPU indexed restore —
-        same record, same PFS read — is priced as the baseline, and the
-        sharded output is checked bit-identical against it before any
-        number is reported.
-        """
-        positive_int(num_ranks, "num_ranks")
-        space = DeviceSpace(0)
-        single, sreport = restore_record_indexed(record_dir, upto=upto, space=space)
-        model = KernelCostModel(self.cluster.node.device)
-        single_cost = model.price_restore(
-            space.ledger,
-            int(single.nbytes),
-            read_bytes=sreport.record_bytes_read,
-            read_bandwidth=self.cluster.pfs_bandwidth,
-        )
-
-        out, report = restore_record_sharded(
-            record_dir,
-            num_ranks,
-            cluster=self.cluster,
-            upto=upto,
-            windows=windows,
-        )
-        if not np.array_equal(out, single):
-            raise RestoreError(
-                f"sharded restore of {record_dir} across {num_ranks} ranks "
-                f"diverged from the single-GPU indexed restore"
-            )
-
-        per_rank = report.per_rank_seconds()
-        events: List[dict] = []
-        if self.capture_events:
-            gpus_per_node = self.cluster.node.gpus_per_node
-            restart_run_id = f"fleet-restart-r{num_ranks}-c{report.target_ckpt}"
-            per_rank_events: List[List[dict]] = []
-            for shard, seconds in zip(report.shards, per_rank):
-                rank_journal = EventJournal(
-                    node=f"node{shard.rank // gpus_per_node}",
-                    rank=shard.rank,
-                    run_id=restart_run_id,
-                )
-                rank_journal.emit(
-                    RESTORE,
-                    path="sharded",
-                    sim_time=seconds,
-                    target_ckpt=report.target_ckpt,
-                    chain_len=report.frames_total,
-                    ranks=num_ranks,
-                    windows=report.windows,
-                    payload_bytes=shard.total_payload_bytes_read,
-                    sources=shard.sources,
-                    gather_seconds=seconds,
-                    critical_path_seconds=report.critical_path_seconds,
-                    predicted_seconds=report.predicted_seconds,
-                )
-                per_rank_events.append(rank_journal.records())
-            events = merge_journals(per_rank_events)
-
-        return FleetRestartResult(
-            num_ranks=num_ranks,
-            windows=report.windows,
-            single_seconds=single_cost.seconds,
-            critical_path_seconds=report.critical_path_seconds,
-            read_seconds=report.cost.read_seconds,
-            state_bytes=int(out.nbytes),
-            per_rank_seconds=per_rank,
-            events=events,
         )

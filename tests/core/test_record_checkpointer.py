@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.core import CheckpointRecord, IncrementalCheckpointer, merge_records
+from repro.core import CheckpointRecord, IncrementalCheckpointer
 from repro.errors import ConfigurationError, RestoreError
 from repro.gpusim import laptop_gpu
 
@@ -136,21 +136,3 @@ class TestRecordAggregation:
         assert record.total_metadata_bytes() >= 0
         assert record.total_metadata_bytes(skip_first=True) <= record.total_metadata_bytes() + 1
 
-
-class TestMergeRecords:
-    def test_merge(self, stream):
-        records = []
-        for _ in range(3):
-            ck = IncrementalCheckpointer(stream[0].shape[0], 64)
-            for s in stream:
-                ck.checkpoint(s)
-            records.append(ck.record)
-        merged = merge_records(records)
-        assert merged["num_processes"] == 3
-        assert merged["total_full_bytes"] == 3 * stream[0].shape[0] * len(stream)
-        assert merged["dedup_ratio"] > 1.0
-        assert merged["aggregate_throughput"] > 0
-
-    def test_merge_empty_rejected(self):
-        with pytest.raises(RestoreError):
-            merge_records([])

@@ -1,8 +1,8 @@
 """One reconstruction, many entry points: the parity matrix.
 
-Every production restore — in-memory gather, ``selective_restore``, the
-cold-record gather, the N-rank sharded plan, with or without a hybrid
-payload codec — resolves a source to one provenance row and gathers it
+Every production restore — in-memory gather, ``selective_restore``,
+``IncrementalCheckpointer.restore``, the cold-record gather, the N-rank
+sharded plan, with or without a hybrid payload codec — resolves a source to one provenance row and gathers it
 with ``materialize_index``.  This matrix pins what that buys: for all
 four methods and *every* checkpoint of the chain, each entry point
 returns exactly the bytes of the replay oracle,
@@ -14,9 +14,11 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro import telemetry
 from repro.compress import get_codec
 from repro.core import (
     ENGINES,
+    IncrementalCheckpointer,
     ProvenanceBuilder,
     Restorer,
     load_provenance,
@@ -33,22 +35,25 @@ CS = 64
 CODEC = get_codec("deflate")
 
 
-def _chain(method, rng, codec=None, steps=6):
+def _states(rng, steps=6):
     """Overwrites, shifted duplicates (same- and cross-checkpoint) and a
     never-written zero half, so every source kind appears in the rows."""
-    kwargs = {"payload_codec": codec} if codec is not None and method == "tree" else {}
-    engine = ENGINES[method](N, CS, **kwargs)
     buf = np.zeros(N, dtype=np.uint8)
     buf[: N // 2] = rng.integers(0, 4, N // 2, dtype=np.uint8)
-    diffs = [engine.checkpoint(buf)]
+    yield buf
     for k in range(1, steps):
         buf = buf.copy()
         off = int(rng.integers(0, N - 700))
         buf[off : off + 640] = rng.integers(0, 256, 640, dtype=np.uint8)
         if k % 2 == 0:
             buf[CS * 4 : CS * 8] = buf[CS * 20 : CS * 24]
-        diffs.append(engine.checkpoint(buf))
-    return diffs
+        yield buf
+
+
+def _chain(method, rng, codec=None, steps=6):
+    kwargs = {"payload_codec": codec} if codec is not None and method == "tree" else {}
+    engine = ENGINES[method](N, CS, **kwargs)
+    return [engine.checkpoint(buf) for buf in _states(rng, steps)]
 
 
 #: entry point -> (uses a payload codec, needs a stored record, restore fn)
@@ -80,6 +85,25 @@ def test_every_entry_point_equals_replay_at_every_checkpoint(method, path, rng, 
     for k, want in enumerate(oracle):
         got = restore(source, k, codec)
         assert got.dtype == np.uint8 and np.array_equal(got, want), f"ckpt {k}"
+
+
+@pytest.mark.parametrize(
+    "method, codec", [(m, None) for m in sorted(ENGINES)] + [("tree", "bitcomp")]
+)
+def test_checkpointer_restore_is_the_gather(method, codec, rng):
+    """The public in-memory restore gathers the composed row — one
+    ``restore.indexed``, no ``restore.replay`` — at every checkpoint."""
+    codec = get_codec(codec) if codec is not None else None
+    ckpt = IncrementalCheckpointer(N, CS, method=method, payload_codec=codec)
+    for buf in _states(rng):
+        ckpt.checkpoint(buf)
+    oracle = Restorer(payload_codec=codec)
+    for k in range(ckpt.num_checkpoints):
+        with telemetry.capture() as summary:
+            got = ckpt.restore(k)
+        assert set(summary["spans"]) == {"restore.indexed"}
+        assert summary["spans"]["restore.indexed"]["count"] == 1
+        assert np.array_equal(got, oracle.restore(ckpt.record.diffs, k)), f"ckpt {k}"
 
 
 @pytest.mark.parametrize("method", sorted(ENGINES))

@@ -6,7 +6,7 @@ import pytest
 from repro.core import ENGINES, restore_record_indexed, save_record
 from repro.errors import StorageError
 from repro.gpusim import polaris, thetagpu
-from repro.runtime import StrongScalingDriver, restore_record_sharded
+from repro.runtime import restore_record_sharded
 from repro.telemetry import events
 
 N = 64 * 80
@@ -110,38 +110,6 @@ class TestRestoreRecordSharded:
         assert event["critical_path_seconds"] > 0
         assert event["predicted_seconds"] > 0
         assert event["read_seconds"] > 0
-
-
-class TestFleetRestart:
-    def test_speedup_and_identity(self, rng, tmp_path):
-        directory, final = _record(rng, tmp_path)
-        from repro.graphs import unstructured_mesh
-
-        driver = StrongScalingDriver(unstructured_mesh(128, seed=1))
-        result = driver.fleet_restart(directory, num_ranks=8)
-        assert result.num_ranks == 8
-        assert result.single_seconds > 0
-        assert result.critical_path_seconds > 0
-        assert result.speedup > 1.0
-        assert result.efficiency == pytest.approx(result.speedup / 8)
-        assert len(result.per_rank_seconds) == 8
-        assert result.state_bytes == final.nbytes
-
-    def test_capture_events_places_ranks_on_nodes(self, rng, tmp_path):
-        directory, _ = _record(rng, tmp_path)
-        from repro.graphs import unstructured_mesh
-
-        driver = StrongScalingDriver(
-            unstructured_mesh(128, seed=1), capture_events=True
-        )
-        result = driver.fleet_restart(directory, num_ranks=16)
-        assert len(result.events) == 16
-        nodes = {e["node"] for e in result.events}
-        # ThetaGPU packs 8 GPUs per node → 16 ranks span 2 nodes.
-        assert nodes == {"node0", "node1"}
-        for event in result.events:
-            assert event["type"] == events.RESTORE
-            assert event["predicted_seconds"] > 0
 
 
 class TestCli:

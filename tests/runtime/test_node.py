@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.errors import SimulationError
+from repro import telemetry
+from repro.errors import ConfigurationError, SimulationError
 from repro.runtime import NodeRuntime
 from repro.utils.rng import seeded_rng
 
@@ -84,6 +85,35 @@ class TestNodeRuntime:
             assert [c.ckpt_id for c in ledger] == [0, 1, 2]
             for entry in ledger:
                 assert entry.persisted_at >= entry.produced_at
+
+
+class TestCommitUnit:
+    """Every process commits through its own IncrementalCheckpointer."""
+
+    def test_unknown_method_is_a_configuration_error(self):
+        with pytest.raises(ConfigurationError, match="unknown method 'wavelet'"):
+            NodeRuntime(1024, 64, method="wavelet", num_processes=1)
+
+    def test_ledger_timeline_and_spans_come_from_the_units(self, rng):
+        runtime = NodeRuntime(4096, 64, num_processes=2)
+        buffers = make_buffers(2, 4096, rng)
+        with telemetry.capture():
+            for step in range(5):
+                runtime.checkpoint_all(buffers, now=float(step))
+                for b in buffers:
+                    b[:128] = rng.integers(0, 256, 128, dtype=np.uint8)
+            spans = telemetry.get_tracer().spans()
+        for p, unit in enumerate(runtime.checkpointers):
+            diffs = [c.diff for c in runtime.persisted[p]]
+            assert len(diffs) == 5
+            assert all(a is b for a, b in zip(diffs, unit.record.diffs))
+            assert runtime.engines[p] is unit.engine
+            assert sum(s.cost.total_seconds for s in unit.record.stats) == (
+                runtime.timelines[p].blocking_device_seconds
+            )
+        commits = [r.attrs["ckpt_id"] for r in spans if r.name == "checkpoint"]
+        assert sorted(commits) == [k for k in range(5) for _ in range(2)]
+        assert not any(r.name == "node.checkpoint" for r in spans)
 
 
 SIZE = 64 * 128
