@@ -55,10 +55,12 @@ from .retention import (
 )
 from .selective import selective_restore
 from .sharded_restore import (
+    FleetRestoreReport,
     ShardedRestorePlan,
     ShardReport,
     ShardSpec,
     partition_chunks,
+    restore_sharded,
 )
 from .store import (
     AppendReceipt,
@@ -136,8 +138,10 @@ __all__ = [
     "rebase_stored_record",
     "required_payloads",
     "selective_restore",
+    "FleetRestoreReport",
     "ShardedRestorePlan",
     "ShardReport",
     "ShardSpec",
     "partition_chunks",
+    "restore_sharded",
 ]

@@ -1,20 +1,22 @@
-"""Sharded restore plan: fan one checkpoint's gathers out across N GPUs.
+"""Sharded restore: one checkpoint restored across N ≥ 1 simulated GPUs.
 
 The per-source batched gathers of :func:`~repro.core.provenance.
 materialize_index` are independent per chunk — chunk *c*'s bytes come
 from exactly one ``(src_ckpt[c], src_off[c])`` location regardless of
-what any other chunk does.  So a fleet restart can split the chunk range
-of the target checkpoint across N simulated GPUs the same way the
+what any other chunk does.  So a restart can split the chunk range of
+the target checkpoint across N simulated GPUs the same way the
 strong-scaling driver splits a graph's vertex range: contiguous balanced
 ranges, one per rank, each rank gathering and uploading only its own
 byte extent.
 
-:class:`ShardedRestorePlan` owns that decomposition.  It is pure data
-path + metering: per-rank gathers run on per-rank ``ExecutionSpace``\\ s
-(so each rank's ledger can be priced under its own PCIe contention by
-``KernelCostModel.price_fleet_restore``), optionally split into W
-windows whose uploads the restore-side streaming pipeline overlaps with
-the shared storage read.  Output is bit-identical to the single-GPU
+:class:`ShardedRestorePlan` owns that decomposition and states what each
+rank will meter.  :func:`restore_sharded` is the one restart restore
+built on it — ``NodeRuntime.crash_restart`` at any fan-out and
+``restore_record_sharded`` both call it: resolve the source, plan the
+shards, pick the window count from the plan's priced counts, gather
+each rank on its own ``DeviceSpace``, price the per-rank ledgers with
+``KernelCostModel.price_fleet_restore`` and journal one ``restore``
+event.  Output is bit-identical to the single-GPU
 :func:`~repro.core.provenance.restore_indexed` by construction —
 property-tested across every method × rank count.
 """
@@ -22,18 +24,33 @@ property-tested across every method × rank count.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .. import telemetry
 from ..errors import RestoreError
+from ..gpusim.device import DeviceSpec
+from ..gpusim.perfmodel import (
+    WINDOW_CANDIDATES,
+    FleetRestoreCost,
+    KernelCostModel,
+    pick_window_count,
+)
+from ..kokkos.execution import DeviceSpace, KernelCounts
+from ..telemetry import events
 from ..utils.validation import positive_int
 from .chunking import ChunkSpec
 from .provenance import (
     RAW_INDEX_BYTES_PER_CHUNK,
     ProvenanceIndex,
+    RecordRestoreReport,
     materialize_index,
+    resolve_source,
+)
+
+_SHARDED_RESTORES = telemetry.counter(
+    "fleet.restores", "Sharded restores executed (restarts and record restores)"
 )
 
 
@@ -73,6 +90,26 @@ class ShardSpec:
     def num_chunks(self) -> int:
         return self.chunk_hi - self.chunk_lo
 
+    @property
+    def planned_counts(self) -> KernelCounts:
+        """What this shard's gathers meter with one window.
+
+        One ``restore.gather`` launch per source payload, each reading
+        its gathered bytes plus the shard's index slice and writing the
+        gathered bytes (exactly what :func:`materialize_index` meters),
+        and one H2D of the shard's extent.  The window pick prices these
+        before any ledger exists.
+        """
+        launches = len(self.sources)
+        return KernelCounts(
+            launches=launches,
+            bytes_read=self.payload_bytes
+            + launches * self.num_chunks * RAW_INDEX_BYTES_PER_CHUNK,
+            bytes_written=self.payload_bytes,
+            transfer_count=1,
+            transfer_bytes=self.state_bytes,
+        )
+
 
 @dataclass
 class ShardReport:
@@ -91,25 +128,14 @@ class ShardReport:
     def total_payload_bytes_read(self) -> int:
         return sum(self.payload_bytes_read.values())
 
-    @property
-    def peak_payloads_held(self) -> int:
-        """Distinct source payloads this rank's gathers needed resident.
-
-        Bounded by the single-GPU restore's ``frames_referenced`` — a
-        shard can only ever reference a subset of what the whole
-        checkpoint references (asserted by the property tests).
-        """
-        return len(self.payload_bytes_read)
-
 
 class ShardedRestorePlan:
     """Partition one checkpoint's provenance across N simulated GPUs.
 
     Built once per restore from the target's :class:`ProvenanceIndex`;
+    each :class:`ShardSpec` states its rank's planned counts, and
     :meth:`materialize` executes the per-rank gathers (window-major, so
-    the metered ledger order matches the streaming pipeline's timeline)
-    and :meth:`estimate_gather_seconds` gives the analytic worst-rank
-    gather time the window auto-picker needs *before* execution.
+    the metered ledger order matches the streaming pipeline's timeline).
     """
 
     def __init__(self, index: ProvenanceIndex, num_ranks: int) -> None:
@@ -217,42 +243,151 @@ class ShardedRestorePlan:
                     )
         return out
 
-    def estimate_gather_seconds(
-        self, device, contention: Sequence[float]
-    ) -> float:
-        """Analytic worst-rank gather + H2D seconds (pre-execution).
-
-        Mirrors the :class:`~repro.gpusim.perfmodel.KernelCostModel`
-        linear terms for what :meth:`materialize` will meter with W=1:
-        one gather launch per source payload (reading payload bytes +
-        the shard's index slice, writing payload bytes) and one H2D of
-        the shard extent under that rank's PCIe contention.  The window
-        auto-picker needs this *before* any ledger exists.
-        """
-        if len(contention) < self.num_ranks:
-            raise RestoreError(
-                f"{len(contention)} contention factors for "
-                f"{self.num_ranks} ranks"
-            )
-        worst = 0.0
-        for shard in self.shards:
-            launches = len(shard.sources)
-            stream_bytes = (
-                2 * shard.payload_bytes
-                + launches * shard.num_chunks * RAW_INDEX_BYTES_PER_CHUNK
-            )
-            seconds = (
-                launches * device.kernel_launch_latency
-                + stream_bytes / device.effective_stream_bandwidth
-                + device.pcie_latency
-                + shard.state_bytes
-                / (device.pcie_bandwidth / contention[shard.rank])
-            )
-            worst = max(worst, seconds)
-        return worst
-
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (
             f"<ShardedRestorePlan ckpt={self.index.ckpt_id} "
             f"ranks={self.num_ranks} chunks={self._spec.num_chunks}>"
         )
+
+
+@dataclass
+class FleetRestoreReport:
+    """Everything one sharded restore read, gathered, and cost."""
+
+    target_ckpt: int
+    num_ranks: int
+    windows: int
+    data_len: int
+    frames_total: int
+    frames_parsed: int
+    #: Frame bytes + index bytes the shared read actually pulled (0 for
+    #: a chain already in memory).
+    record_bytes_read: int
+    index_bytes: int
+    #: Pre-execution critical-path prediction (the window picker's view).
+    predicted_seconds: float
+    cost: FleetRestoreCost
+    shards: List[ShardReport] = field(default_factory=list)
+
+    @property
+    def critical_path_seconds(self) -> float:
+        return self.cost.critical_path_seconds
+
+    @property
+    def total_payload_bytes_read(self) -> int:
+        return sum(s.total_payload_bytes_read for s in self.shards)
+
+    @property
+    def sources(self) -> int:
+        """Distinct source payloads the gathers read from."""
+        return len(set().union(*(s.payload_bytes_read for s in self.shards)))
+
+
+def restore_sharded(
+    source,
+    ranks: int,
+    device: DeviceSpec,
+    contention: Sequence[float],
+    upto: Optional[int] = None,
+    read_bandwidth: Optional[float] = None,
+    windows: Optional[int] = None,
+    payload_codec=None,
+    scrub: bool = False,
+    path: str = "sharded",
+    **identity: Any,
+) -> Tuple[np.ndarray, FleetRestoreReport]:
+    """Reconstruct checkpoint *upto* of a chain or record across *ranks*
+    simulated GPUs: the one restart restore, for every fan-out.
+
+    *contention* holds each rank's PCIe contention factor.  A record's
+    referenced frames are read once fleet-wide and priced at
+    *read_bandwidth*; a chain already in memory reads nothing.  With
+    ``windows=None`` the window count is picked before execution from
+    the plan's priced counts (a restore with no read to overlap picks
+    one window).  Every restore journals one ``restore`` event with
+    *path* and the caller's *identity* (``node``, ``rank``,
+    ``sim_time``).
+    """
+    if len(contention) != ranks:
+        raise RestoreError(
+            f"{len(contention)} contention factors for {ranks} ranks"
+        )
+    index, payload_of, resolved = resolve_source(source, upto, payload_codec, scrub)
+    if isinstance(resolved, RecordRestoreReport):
+        frames_total, frames_parsed = resolved.frames_total, resolved.frames_parsed
+        read_bytes, index_bytes = resolved.record_bytes_read, resolved.index_bytes
+    else:
+        frames_total = frames_parsed = resolved.chain_len
+        read_bytes = index_bytes = 0
+
+    model = KernelCostModel(device)
+    with telemetry.span(
+        "restore.shard.plan", ranks=ranks, upto=index.ckpt_id
+    ) as span:
+        plan = ShardedRestorePlan(index, ranks)
+        read_seconds = model.price_read(read_bytes, read_bandwidth)
+        gather_seconds = max(
+            KernelCostModel(device, c).price_counts(s.planned_counts).total_seconds
+            for s, c in zip(plan.shards, contention)
+        )
+        windows, predicted = pick_window_count(
+            read_seconds,
+            gather_seconds,
+            per_window_overhead=device.pcie_latency,
+            candidates=WINDOW_CANDIDATES if windows is None else (windows,),
+        )
+        span.set(
+            windows=windows,
+            sources=int(index.referenced().size),
+            read_bytes=read_bytes,
+            predicted_seconds=predicted,
+        )
+
+    spaces = [DeviceSpace(rank) for rank in range(ranks)]
+    reports = [
+        ShardReport(rank=s.rank, chunk_lo=s.chunk_lo, chunk_hi=s.chunk_hi)
+        for s in plan.shards
+    ]
+    out = plan.materialize(
+        payload_of, spaces=spaces, windows=windows, reports=reports
+    )
+    cost = model.price_fleet_restore(
+        [space.ledger for space in spaces],
+        restored_bytes=index.data_len,
+        contention=contention,
+        read_bytes=read_bytes,
+        read_bandwidth=read_bandwidth,
+        windows=windows,
+    )
+    report = FleetRestoreReport(
+        target_ckpt=index.ckpt_id,
+        num_ranks=ranks,
+        windows=windows,
+        data_len=index.data_len,
+        frames_total=frames_total,
+        frames_parsed=frames_parsed,
+        record_bytes_read=read_bytes,
+        index_bytes=index_bytes,
+        predicted_seconds=predicted,
+        cost=cost,
+        shards=reports,
+    )
+    _SHARDED_RESTORES.inc()
+    events.emit(
+        events.RESTORE,
+        path=path,
+        target_ckpt=index.ckpt_id,
+        chain_len=frames_total,
+        ranks=ranks,
+        windows=windows,
+        state_bytes=int(out.nbytes),
+        payload_bytes=report.total_payload_bytes_read,
+        sources=report.sources,
+        record_bytes_read=read_bytes,
+        read_seconds=cost.read_seconds,
+        gather_seconds=cost.gather_critical_seconds,
+        critical_path_seconds=cost.critical_path_seconds,
+        predicted_seconds=predicted,
+        **identity,
+    )
+    return out, report

@@ -22,6 +22,7 @@ from .perfmodel import (
     FleetRestoreCost,
     KernelCostModel,
     RestoreCost,
+    pick_window_count,
     pipeline_makespan,
 )
 
@@ -41,5 +42,6 @@ __all__ = [
     "FleetRestoreCost",
     "KernelCostModel",
     "RestoreCost",
+    "pick_window_count",
     "pipeline_makespan",
 ]

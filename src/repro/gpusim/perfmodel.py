@@ -18,7 +18,7 @@ oversubscription factor while kernel time is unaffected.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..kokkos.execution import KernelCounts, KernelLedger
 from ..utils.validation import positive_float, positive_int
@@ -32,9 +32,9 @@ def pipeline_makespan(
 
     Both stage totals are divided across *windows*; window *w*'s stage-2
     work starts only after its own stage-1 work **and** window *w-1*'s
-    stage-2 work finish.  This is the same recurrence the streaming
-    scheduler uses for checkpoint-side dedup/transfer overlap, factored
-    out so restore-side read/gather overlap prices identically.
+    stage-2 work finish.  The checkpoint side (dedup, then D2H drain)
+    and the restore side (shared storage read, then gather + H2D) both
+    price their window pipelines with this one recurrence.
     """
     positive_int(windows, "windows")
     s1 = stage1_seconds / windows
@@ -45,6 +45,36 @@ def pipeline_makespan(
         stage1_done += s1
         stage2_done = max(stage2_done, stage1_done) + s2
     return stage2_done
+
+
+#: Window counts :func:`pick_window_count` tries by default.
+WINDOW_CANDIDATES = (1, 2, 4, 8, 16, 32)
+
+
+def pick_window_count(
+    stage1_seconds: float,
+    stage2_seconds: float,
+    per_window_overhead: float = 0.0,
+    candidates: Sequence[int] = WINDOW_CANDIDATES,
+) -> Tuple[int, float]:
+    """The candidate window count with the shortest pipeline makespan.
+
+    Stage 2 pays *per_window_overhead* once per window past the first
+    (the serial timeline already pays it once) — DMA setup in either
+    direction — so over-fine windows lose their benefit.  Returns
+    ``(windows, makespan)``; a tie goes to the earlier candidate, and a
+    single candidate simply prices that window count.
+    """
+    best: Optional[Tuple[int, float]] = None
+    for w in candidates:
+        seconds = pipeline_makespan(
+            stage1_seconds, stage2_seconds + (w - 1) * per_window_overhead, w
+        )
+        if best is None or seconds < best[1]:
+            best = (w, seconds)
+    if best is None:
+        raise ValueError("pick_window_count needs at least one candidate")
+    return best
 
 
 @dataclass
@@ -174,17 +204,23 @@ class KernelCostModel:
         restart); by default only the metered device/PCIe work is priced,
         which keeps single-node restart costs identical to before.
         """
-        read_seconds = 0.0
-        if read_bytes:
-            if read_bandwidth is None:
-                raise ValueError("read_bytes given without read_bandwidth")
-            positive_float(read_bandwidth, "read_bandwidth")
-            read_seconds = read_bytes / read_bandwidth
         return RestoreCost(
             breakdown=self.price(ledger),
             restored_bytes=restored_bytes,
-            read_seconds=read_seconds,
+            read_seconds=self.price_read(read_bytes, read_bandwidth),
         )
+
+    def price_read(
+        self, read_bytes: int, read_bandwidth: Optional[float]
+    ) -> float:
+        """Seconds the storage read of *read_bytes* feeding a restore
+        takes at *read_bandwidth* (0 when nothing is read)."""
+        if not read_bytes:
+            return 0.0
+        if read_bandwidth is None:
+            raise ValueError("read_bytes given without read_bandwidth")
+        positive_float(read_bandwidth, "read_bandwidth")
+        return read_bytes / read_bandwidth
 
     def price_fleet_restore(
         self,
@@ -221,12 +257,6 @@ class KernelCostModel:
             )
         if read_bandwidth is None and cluster is not None:
             read_bandwidth = cluster.pfs_bandwidth
-        read_seconds = 0.0
-        if read_bytes:
-            if read_bandwidth is None:
-                raise ValueError("read_bytes given without read_bandwidth")
-            positive_float(read_bandwidth, "read_bandwidth")
-            read_seconds = read_bytes / read_bandwidth
         per_rank: List[RestoreCost] = []
         for rank, ledger in enumerate(ledgers):
             sibling = KernelCostModel(self.device, pcie_contention=contention[rank])
@@ -234,7 +264,7 @@ class KernelCostModel:
             per_rank.append(sibling.price_restore(ledger, rank_bytes))
         return FleetRestoreCost(
             per_rank=per_rank,
-            read_seconds=read_seconds,
+            read_seconds=self.price_read(read_bytes, read_bandwidth),
             windows=windows,
             restored_bytes=restored_bytes,
         )
@@ -258,13 +288,6 @@ class RestoreCost:
     @property
     def seconds(self) -> float:
         return self.breakdown.total_seconds + self.read_seconds
-
-    @property
-    def effective_bandwidth(self) -> float:
-        """Restored bytes per simulated second (the restart-speed metric)."""
-        if self.seconds <= 0.0:
-            return float("inf")
-        return self.restored_bytes / self.seconds
 
 
 @dataclass
@@ -311,19 +334,3 @@ class FleetRestoreCost:
     def overlap_saving_seconds(self) -> float:
         """Seconds the window pipeline saves over the serial timeline."""
         return self.serial_seconds - self.critical_path_seconds
-
-    @property
-    def effective_bandwidth(self) -> float:
-        """Restored bytes per critical-path second."""
-        seconds = self.critical_path_seconds
-        if seconds <= 0.0:
-            return float("inf")
-        return self.restored_bytes / seconds
-
-    def speedup_over(self, single_seconds: float) -> float:
-        """How much faster than a serial single-GPU restore taking
-        *single_seconds*."""
-        critical = self.critical_path_seconds
-        if critical <= 0.0:
-            return float("inf")
-        return single_seconds / critical

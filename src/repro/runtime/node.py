@@ -20,13 +20,12 @@ import numpy as np
 
 from ..core.base import DedupEngine
 from ..core.checkpointer import IncrementalCheckpointer
+from ..core.chunking import ChunkSpec
 from ..core.diff import CheckpointDiff
-from ..core.provenance import resolve_source, restore_indexed
 from ..core.store import RecordWriter
-from ..core.sharded_restore import ShardedRestorePlan, ShardReport
+from ..core.sharded_restore import restore_sharded
 from ..errors import SimulationError
 from ..gpusim.cluster import NodeSpec, thetagpu_node
-from ..kokkos.execution import DeviceSpace
 from ..utils.validation import positive_float, positive_int
 from .. import telemetry
 from ..telemetry import events
@@ -356,12 +355,12 @@ class NodeRuntime:
 
         ``fan_out`` shards the restore's gathers across that many of the
         node's GPUs (the crashed process's siblings are idle during a
-        restart, so borrowing them is free): a
-        :class:`~repro.core.sharded_restore.ShardedRestorePlan` splits
-        the chunk range, each shard gathers on its own ``DeviceSpace``,
-        and the restore cost becomes the fleet critical path under the
-        node's PCIe contention at that fan-out.  Output is bit-identical
-        to ``fan_out=1``.
+        restart, so borrowing them is free).  Every fan-out, 1 included,
+        is one call of :func:`~repro.core.sharded_restore.restore_sharded`:
+        each shard gathers its chunk range on its own ``DeviceSpace``, and
+        the restore cost is the fleet critical path with every rank under
+        the node's PCIe contention at that fan-out.  Output is
+        bit-identical at every fan-out.
 
         Returns a :class:`CrashReport` with the restored state, the
         lost-work metric, and the restore's simulated cost.
@@ -377,6 +376,11 @@ class NodeRuntime:
             raise SimulationError(
                 f"fan-out {fan_out} exceeds the node's "
                 f"{self.node.gpus_per_node} GPUs"
+            )
+        num_chunks = ChunkSpec(self._data_len, self._chunk_size).num_chunks
+        if fan_out > num_chunks:
+            raise SimulationError(
+                f"fan-out {fan_out} exceeds the checkpoint's {num_chunks} chunks"
             )
         ledger = self.persisted[process]
         durable_idx = [i for i, c in enumerate(ledger) if c.persisted_at <= at_time]
@@ -394,7 +398,6 @@ class NodeRuntime:
             durable_ckpts=len(durable_idx),
         )
 
-        restore_model = self.checkpointers[process].cost_model
         restore_seconds = 0.0
         restore_payload_bytes = 0
         restore_sources = 0
@@ -403,73 +406,32 @@ class NodeRuntime:
             chain = [c.diff for c in ledger[: durable_idx[-1] + 1]]
             restored_id: Optional[int] = last.ckpt_id
             lost = max(0.0, at_time - last.produced_at)
-        if durable_idx and fan_out > 1:
-            index, payload_of, _ = resolve_source(chain, last.ckpt_id, scrub=scrub)
-            plan = ShardedRestorePlan(index, fan_out)
-            spaces = [DeviceSpace(r) for r in range(fan_out)]
-            reports = [
-                ShardReport(rank=s.rank, chunk_lo=s.chunk_lo, chunk_hi=s.chunk_hi)
-                for s in plan.shards
-            ]
             with telemetry.span(
                 "node.crash_restart",
                 process=process,
                 crash_time=at_time,
                 fan_out=fan_out,
             ) as span:
-                restored = plan.materialize(
-                    payload_of, spaces=spaces, reports=reports
+                restored, rreport = restore_sharded(
+                    chain,
+                    fan_out,
+                    self.node.device,
+                    [self.node.pcie_contention(fan_out)] * fan_out,
+                    upto=last.ckpt_id,
+                    scrub=scrub,
+                    path="sharded_node",
+                    node=self.name,
+                    rank=process,
+                    sim_time=at_time,
                 )
-                restore_payload_bytes = sum(
-                    r.total_payload_bytes_read for r in reports
-                )
-                restore_sources = int(index.referenced().size)
+                restore_seconds = rreport.critical_path_seconds
+                restore_payload_bytes = rreport.total_payload_bytes_read
+                restore_sources = rreport.sources
                 span.set(
                     restored_ckpt_id=last.ckpt_id,
                     payload_bytes=restore_payload_bytes,
                     sources=restore_sources,
                 )
-            contention = [self.node.pcie_contention(fan_out)] * fan_out
-            cost = restore_model.price_fleet_restore(
-                [s.ledger for s in spaces],
-                restored_bytes=self._data_len,
-                contention=contention,
-            )
-            restore_seconds = cost.critical_path_seconds
-            events.emit(
-                events.RESTORE,
-                path="sharded_node",
-                sim_time=at_time,
-                node=self.name,
-                rank=process,
-                target_ckpt=last.ckpt_id,
-                chain_len=len(chain),
-                ranks=fan_out,
-                state_bytes=int(restored.nbytes),
-                payload_bytes=restore_payload_bytes,
-                sources=restore_sources,
-                critical_path_seconds=restore_seconds,
-            )
-        elif durable_idx:
-            space = DeviceSpace(process)
-            with telemetry.span(
-                "node.crash_restart",
-                space=space,
-                process=process,
-                crash_time=at_time,
-            ) as span:
-                restored, rreport = restore_indexed(
-                    chain, last.ckpt_id, scrub=scrub, space=space
-                )
-                span.set(
-                    restored_ckpt_id=last.ckpt_id,
-                    payload_bytes=rreport.total_payload_bytes_read,
-                    sources=rreport.frames_referenced,
-                )
-            cost = restore_model.price_restore(space.ledger, self._data_len)
-            restore_seconds = cost.seconds
-            restore_payload_bytes = rreport.total_payload_bytes_read
-            restore_sources = rreport.frames_referenced
         else:
             telemetry.instant("node.cold_restart", process=process)
             restored = np.zeros(self._data_len, dtype=np.uint8)

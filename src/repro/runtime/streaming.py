@@ -13,6 +13,8 @@ a checkpoint's cost breakdown under a W-window software pipeline:
   dedup passes are data-parallel, so this is the natural decomposition);
 * the makespan is the classic 2-stage pipeline bound —
   ``stage1 + stage2 + (W-1) * max(stage1, stage2) / W``-style overlap —
+  priced by :func:`~repro.gpusim.perfmodel.pick_window_count`, the same
+  recurrence and window pick the sharded restore uses;
 * per-window transfer latency is charged per copy, so over-fine windows
   lose their benefit to DMA setup cost (the trade-off the paper would
   face in practice).
@@ -21,10 +23,10 @@ a checkpoint's cost breakdown under a W-window software pipeline:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List
+from typing import Sequence
 
 from ..gpusim.device import DeviceSpec
-from ..gpusim.perfmodel import CostBreakdown
+from ..gpusim.perfmodel import WINDOW_CANDIDATES, CostBreakdown, pick_window_count
 from ..utils.validation import positive_int
 from .. import telemetry
 
@@ -57,39 +59,24 @@ class StreamingScheduler:
         self.device = device
         self.windows = windows
 
-    def estimate_stages(
-        self,
-        stage1_seconds: float,
-        stage2_seconds: float,
-        per_window_overhead: float = 0.0,
-    ) -> StreamingEstimate:
-        """Direction-agnostic window estimate over two FIFO stages.
+    def estimate(self, cost: CostBreakdown) -> StreamingEstimate:
+        """Pipeline a checkpoint whose serial cost is *cost*.
 
-        Stage 1 of window *w* runs concurrently with stage 2 of window
-        *w-1*.  On the checkpoint side stage 1 is device dedup and
-        stage 2 the D2H drain; on the restore side stage 1 is the shared
-        PFS frame read and stage 2 the sharded gather + H2D upload.  The
-        pipeline shape is identical — only the stage meanings differ, so
-        this estimate carries no checkpoint-side assumptions.
-
-        *per_window_overhead* is charged to stage 2 once per window past
-        the first (the serial timeline already pays it once) — DMA setup
-        on either direction — so over-fine windows lose their benefit.
+        The device stage of window *w* runs concurrently with the transfer
+        stage of window *w-1*; both stages are FIFO.  Extra per-window DMA
+        setup (``pcie_latency`` per additional copy) is charged against
+        the transfer stage.
         """
-        w = self.windows
-        stage1 = stage1_seconds / w
-        stage2 = (stage2_seconds + (w - 1) * per_window_overhead) / w
-
-        # 2-stage pipeline makespan with per-window FIFO stages.
-        stage1_done = 0.0
-        stage2_done = 0.0
-        for _ in range(w):
-            stage1_done += stage1
-            stage2_done = max(stage2_done, stage1_done) + stage2
+        w, streamed = pick_window_count(
+            cost.kernel_seconds,
+            cost.transfer_seconds,
+            per_window_overhead=self.device.pcie_latency,
+            candidates=(self.windows,),
+        )
         est = StreamingEstimate(
             windows=w,
-            serial_seconds=stage1_seconds + stage2_seconds,
-            streamed_seconds=stage2_done,
+            serial_seconds=cost.kernel_seconds + cost.transfer_seconds,
+            streamed_seconds=streamed,
         )
         _ESTIMATES.inc()
         telemetry.instant(
@@ -100,44 +87,14 @@ class StreamingScheduler:
         )
         return est
 
-    def estimate(self, cost: CostBreakdown) -> StreamingEstimate:
-        """Pipeline a checkpoint whose serial cost is *cost*.
-
-        The device stage of window *w* runs concurrently with the transfer
-        stage of window *w-1*; both stages are FIFO.  Extra per-window DMA
-        setup (``pcie_latency`` per additional copy) is charged against
-        the transfer stage.
-        """
-        return self.estimate_stages(
-            cost.kernel_seconds,
-            cost.transfer_seconds,
-            per_window_overhead=self.device.pcie_latency,
-        )
-
     def best_window_count(
-        self, cost: CostBreakdown, candidates: List[int] = (1, 2, 4, 8, 16, 32)
+        self, cost: CostBreakdown, candidates: Sequence[int] = WINDOW_CANDIDATES
     ) -> StreamingEstimate:
         """Pick the candidate window count minimising the makespan."""
-        return self.best_window_count_stages(
+        w, _ = pick_window_count(
             cost.kernel_seconds,
             cost.transfer_seconds,
             per_window_overhead=self.device.pcie_latency,
             candidates=candidates,
         )
-
-    def best_window_count_stages(
-        self,
-        stage1_seconds: float,
-        stage2_seconds: float,
-        per_window_overhead: float = 0.0,
-        candidates: List[int] = (1, 2, 4, 8, 16, 32),
-    ) -> StreamingEstimate:
-        """Direction-agnostic :meth:`best_window_count` over raw stages."""
-        best = None
-        for w in candidates:
-            est = StreamingScheduler(self.device, w).estimate_stages(
-                stage1_seconds, stage2_seconds, per_window_overhead
-            )
-            if best is None or est.streamed_seconds < best.streamed_seconds:
-                best = est
-        return best
+        return StreamingScheduler(self.device, w).estimate(cost)

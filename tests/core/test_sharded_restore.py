@@ -19,9 +19,10 @@ from repro.core import (
     ShardReport,
     partition_chunks,
     restore_indexed,
+    restore_sharded,
 )
 from repro.errors import RestoreError
-from repro.gpusim import a100
+from repro.gpusim import KernelCostModel, a100
 from repro.kokkos.execution import DeviceSpace
 
 N = 64 * 80
@@ -145,7 +146,7 @@ class TestShardAccounting:
             ]
             plan.materialize(_payload_fn(diffs), reports=reports)
             for report in reports:
-                assert report.peak_payloads_held <= single_sources
+                assert report.sources <= single_sources
 
     def test_payload_bytes_sum_matches_single_gpu(self, rng):
         diffs, _ = _chain("tree", rng)
@@ -188,20 +189,55 @@ class TestValidation:
 
     def test_too_few_contention_factors_rejected(self, rng):
         diffs, _ = _chain("full", rng, steps=2)
-        plan = ShardedRestorePlan(_index_of(diffs), 4)
         with pytest.raises(RestoreError, match="contention factors"):
-            plan.estimate_gather_seconds(a100(), [1.0, 1.0])
+            restore_sharded(diffs, 4, a100(), [1.0, 1.0])
 
     def test_estimate_positive_and_shrinks_with_ranks(self, rng):
         diffs, _ = _chain("tree", rng)
         index = _index_of(diffs)
-        device = a100()
-        one = ShardedRestorePlan(index, 1).estimate_gather_seconds(
-            device, [1.0]
-        )
-        sixteen = ShardedRestorePlan(index, 16).estimate_gather_seconds(
-            device, [1.0] * 16
-        )
-        assert one > 0
-        assert sixteen < one
+        model = KernelCostModel(a100())
 
+        def worst_rank(ranks):
+            return max(
+                model.price_counts(s.planned_counts).total_seconds
+                for s in ShardedRestorePlan(index, ranks).shards
+            )
+
+        assert worst_rank(1) > 0
+        assert worst_rank(16) < worst_rank(1)
+
+
+class TestOnePricing:
+    """The window pick prices the plan's counts with the one cost model,
+    and a one-rank restart meters and prices exactly like the single-GPU
+    gather."""
+
+    @pytest.mark.parametrize("ranks", [1, 2, 4, 8])
+    def test_planned_counts_price_like_executed_ledgers(self, ranks, rng):
+        diffs, _ = _chain("tree", rng, n=N + 17)
+        plan = ShardedRestorePlan(_index_of(diffs), ranks)
+        spaces = [DeviceSpace(r) for r in range(ranks)]
+        plan.materialize(_payload_fn(diffs), spaces=spaces)
+        for shard, space in zip(plan.shards, spaces):
+            model = KernelCostModel(a100(), 1.0 + 0.75 * shard.rank)
+            planned = model.price_counts(shard.planned_counts).total_seconds
+            executed = model.price(space.ledger).total_seconds
+            assert planned == pytest.approx(executed, rel=1e-12)
+
+    def test_one_rank_restart_is_the_single_gpu_gather(self, rng):
+        diffs, _ = _chain("tree", rng)
+        space = DeviceSpace(0)
+        single, _ = restore_indexed(diffs, space=space)
+        plan = ShardedRestorePlan(_index_of(diffs), 1)
+        rank_space = DeviceSpace(0)
+        plan.materialize(_payload_fn(diffs), spaces=[rank_space])
+        assert rank_space.ledger.kernels == space.ledger.kernels
+        assert rank_space.ledger.transfers == space.ledger.transfers
+
+        model = KernelCostModel(a100(), 2.0)
+        out, report = restore_sharded(diffs, 1, a100(), [2.0])
+        assert np.array_equal(out, single)
+        assert report.windows == 1
+        assert report.critical_path_seconds == (
+            model.price_restore(space.ledger, len(single)).seconds
+        )

@@ -228,12 +228,3 @@ class TestFleetRestorePricing:
             overlapped.read_seconds, overlapped.gather_critical_seconds
         ) * (1 - 1e-9)
         assert overlapped.overlap_saving_seconds > 0
-
-    def test_speedup_over(self):
-        model = KernelCostModel(a100())
-        fleet = model.price_fleet_restore(
-            [self._ledger(1 << 20)], restored_bytes=1 << 20, contention=[1.0]
-        )
-        assert fleet.speedup_over(
-            2 * fleet.critical_path_seconds
-        ) == pytest.approx(2.0)

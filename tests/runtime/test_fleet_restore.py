@@ -52,8 +52,8 @@ class TestRestoreRecordSharded:
         assert report.cost.read_seconds > 0
         assert report.critical_path_seconds > 0
         assert report.predicted_seconds > 0
-        assert len(report.per_rank_seconds()) == 4
-        assert all(s > 0 for s in report.per_rank_seconds())
+        assert len(report.cost.per_rank) == 4
+        assert all(c.seconds > 0 for c in report.cost.per_rank)
         # Pipelined critical path never exceeds the serial timeline.
         assert (
             report.critical_path_seconds

@@ -346,22 +346,42 @@ class TestShardedRestart:
         assert report.restore_seconds == 0.0
 
     def test_emits_sharded_node_restore_event(self, rng):
+        from repro.telemetry.aggregate import build_rollup
         from repro.telemetry.events import RESTORE, journal_to
 
-        runtime = NodeRuntime(SIZE, 64, num_processes=2)
-        run_cadence(runtime, rng, steps=3)
-        with journal_to(node="node0") as journal:
-            report = runtime.crash_restart(
-                0, at_time=2 * PERIOD + 1.0, fan_out=4
-            )
-        restores = [
-            e for e in journal.records() if e["type"] == RESTORE
-        ]
-        assert len(restores) == 1
-        event = restores[0]
-        assert event["path"] == "sharded_node"
-        assert event["ranks"] == 4
-        assert event["critical_path_seconds"] == report.restore_seconds
+        # Every fan-out, 1 included, journals its one restore on the
+        # crashed process's own identity, not the journal's defaults: the
+        # rollup sees the node's two ranks and no third.
+        for fan_out in (1, 2):
+            with journal_to(node="ignored") as journal:
+                runtime = NodeRuntime(4096, 64, num_processes=2, name="nodeA")
+                buffers = make_buffers(2, 4096, seeded_rng(5))
+                for step in range(4):
+                    runtime.checkpoint_all(buffers, now=step * PERIOD)
+                report = runtime.crash_restart(1, at_time=100.0, fan_out=fan_out)
+            restores = [
+                e for e in journal.records() if e["type"] == RESTORE
+            ]
+            assert len(restores) == 1
+            event = restores[0]
+            assert (event["node"], event["rank"]) == ("nodeA", 1)
+            assert event["sim_time"] == 100.0
+            assert event["path"] == "sharded_node"
+            assert event["ranks"] == fan_out
+            assert event["critical_path_seconds"] == report.restore_seconds
+            assert event["predicted_seconds"] > 0
+            assert len(build_rollup(journal.records()).ranks) == 2
+
+    def test_fan_out_beyond_chunks_rejected_before_any_event(self, rng):
+        from repro.telemetry.events import journal_to
+
+        runtime = NodeRuntime(256, 64, num_processes=1)
+        runtime.checkpoint_all(make_buffers(1, 256, rng), now=0.0)
+        with journal_to() as journal:
+            with pytest.raises(SimulationError, match="4 chunks"):
+                runtime.crash_restart(0, at_time=100.0, fan_out=8)
+        assert journal.records() == []
+        assert runtime.crash_reports == []
 
     def test_cadence_continues_after_sharded_restart(self, rng):
         runtime = NodeRuntime(SIZE, 64, num_processes=1)

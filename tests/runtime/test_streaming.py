@@ -3,6 +3,7 @@
 import pytest
 
 from repro.gpusim import CostBreakdown, a100
+from repro.gpusim.perfmodel import WINDOW_CANDIDATES, pick_window_count
 from repro.runtime import StreamingScheduler
 
 
@@ -61,22 +62,41 @@ class TestStreamingScheduler:
         assert est.serial_seconds > 0
 
 
+def stages_reference(stage1, stage2, windows, per_window_overhead=0.0):
+    """The direction-agnostic window estimate as first written: stage 2
+    pays the overhead once per window past the first, then the 2-stage
+    FIFO recurrence over evenly split stages."""
+    s1 = stage1 / windows
+    s2 = (stage2 + (windows - 1) * per_window_overhead) / windows
+    stage1_done = stage2_done = 0.0
+    for _ in range(windows):
+        stage1_done += s1
+        stage2_done = max(stage2_done, stage1_done) + s2
+    return stage2_done
+
+
 class TestDirectionAgnosticStages:
-    """The restore-side generalization: raw two-stage estimates."""
+    """The window picker both directions share: raw two-stage estimates
+    from ``gpusim.perfmodel.pick_window_count``."""
 
     def test_estimate_delegates_to_stages(self):
-        # The checkpoint-side estimate must be numerically identical to
-        # the raw-stage estimate with the device's DMA latency.
+        # The checkpoint-side estimate and the picker priced at one
+        # window count are bit-identical to the reference recurrence.
         c = cost(kernel=300e-6, transfer=150e-6)
-        for w in (1, 2, 4, 8):
-            sched = StreamingScheduler(a100(), w)
-            assert sched.estimate(c).streamed_seconds == pytest.approx(
-                sched.estimate_stages(
-                    c.kernel_seconds,
-                    c.transfer_seconds,
-                    per_window_overhead=a100().pcie_latency,
-                ).streamed_seconds
+        latency = a100().pcie_latency
+        for w in range(1, 33):
+            reference = stages_reference(
+                c.kernel_seconds, c.transfer_seconds, w, latency
             )
+            assert pick_window_count(
+                c.kernel_seconds,
+                c.transfer_seconds,
+                per_window_overhead=latency,
+                candidates=(w,),
+            ) == (w, reference)
+            assert StreamingScheduler(a100(), w).estimate(
+                c
+            ).streamed_seconds == reference
 
     @pytest.mark.parametrize(
         "stage1,stage2",
@@ -87,22 +107,31 @@ class TestDirectionAgnosticStages:
     )
     def test_monotone_until_overhead_bites_both_directions(self, stage1, stage2):
         times = [
-            StreamingScheduler(a100(), w).estimate_stages(
-                stage1, stage2, per_window_overhead=a100().pcie_latency
-            ).streamed_seconds
+            pick_window_count(
+                stage1,
+                stage2,
+                per_window_overhead=a100().pcie_latency,
+                candidates=(w,),
+            )[1]
             for w in (1, 2, 4)
         ]
         assert times[1] < times[0]
         assert times[2] < times[1]
 
     def test_best_window_count_stages_never_worse_than_serial(self):
+        latency = a100().pcie_latency
         for stage1, stage2 in [(1e-3, 1e-3), (1e-5, 1e-3), (1e-3, 1e-5)]:
-            best = StreamingScheduler(a100()).best_window_count_stages(
-                stage1, stage2, per_window_overhead=a100().pcie_latency
+            windows, best = pick_window_count(
+                stage1, stage2, per_window_overhead=latency
             )
-            assert best.streamed_seconds <= (stage1 + stage2) * (1 + 1e-9)
+            assert best <= (stage1 + stage2) * (1 + 1e-9)
+            assert best == min(
+                stages_reference(stage1, stage2, w, latency)
+                for w in WINDOW_CANDIDATES
+            )
+            assert best == stages_reference(stage1, stage2, windows, latency)
 
     def test_overhead_free_stages_single_window_is_serial(self):
-        est = StreamingScheduler(a100(), 1).estimate_stages(1e-3, 2e-3)
-        assert est.streamed_seconds == pytest.approx(3e-3)
-        assert est.serial_seconds == pytest.approx(3e-3)
+        windows, seconds = pick_window_count(1e-3, 2e-3, candidates=(1,))
+        assert windows == 1
+        assert seconds == pytest.approx(3e-3)
