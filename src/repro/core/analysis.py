@@ -118,15 +118,11 @@ def verify_chain(diffs: Sequence[CheckpointDiff]) -> List[str]:
     Returns a list of problem descriptions (empty = chain is sound):
     ordering and stable geometry here, then each diff's
     :func:`~repro.core.serialize.chunk_map` problems — region bounds,
-    non-overlap, reference validity and the §2.2 serialization invariant
+    non-overlap, reference validity, the §2.2 serialization invariant
     (a shifted duplicate referencing its own checkpoint reads bytes a
     first occurrence — or no region — of that diff wrote, never another
-    shift destination) — and its payload length.  Used by tests,
+    shift destination) and a raw payload's length.  Used by tests,
     scrubbing restores and the CLI.
-
-    Payload-length checks assume raw payloads; records produced with a
-    ``payload_codec`` (the hybrid mode) should be verified after
-    decompressing, or their payload-length findings ignored.
     """
     if not diffs:
         return ["chain is empty"]
@@ -140,11 +136,5 @@ def verify_chain(diffs: Sequence[CheckpointDiff]) -> List[str]:
         if (diff.data_len, diff.chunk_size) != geometry:
             problems.append(f"{where}: geometry changed mid-chain")
             continue
-        cmap = chunk_map(diff)
-        problems.extend(cmap.problems)
-        if not cmap.problems and diff.payload_bytes != cmap.payload_len:
-            problems.append(
-                f"{where}: payload is {diff.payload_bytes} B, regions demand "
-                f"{cmap.payload_len} B"
-            )
+        problems.extend(chunk_map(diff).problems)
     return problems

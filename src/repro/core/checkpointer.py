@@ -63,7 +63,8 @@ class IncrementalCheckpointer:
         Record device work as fused kernels (paper default) or one launch
         per pass (ablation).
     payload_codec:
-        Optional hybrid compression of the tree payload (paper §5).
+        Optional hybrid compression of the tree payload (paper §5); each
+        frame names its codec, so restores need no argument.
     """
 
     def __init__(
@@ -91,7 +92,6 @@ class IncrementalCheckpointer:
         self.engine: DedupEngine = ENGINES[method](data_len, chunk_size, **kwargs)
         self.cost_model = KernelCostModel(self.device, pcie_contention=pcie_contention)
         self.record = CheckpointRecord(method)
-        self.payload_codec = payload_codec
 
     # ------------------------------------------------------------------
     def checkpoint(self, data: BufferLike) -> CheckpointStats:
@@ -131,7 +131,7 @@ class IncrementalCheckpointer:
 
     def restore(self, upto: Optional[int] = None) -> np.ndarray:
         """Reconstruct checkpoint *upto* (default latest) from the record."""
-        return self.record.restore(upto, payload_codec=self.payload_codec)
+        return self.record.restore(upto)
 
     # ------------------------------------------------------------------
     @property

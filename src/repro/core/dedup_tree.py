@@ -46,13 +46,13 @@ from typing import List, Tuple
 
 import numpy as np
 
-from ..errors import ChunkingError, SerializationError
+from ..errors import ChunkingError, ConfigurationError, SerializationError
 from ..hashing import native as _native
 from ..hashing.digest import check_digests, digests_equal
 from ..hashing.murmur3 import count_digest_pairs, hash_chunks, hash_digest_pairs
 from ..kokkos.unordered_map import DigestMap
 from .base import DedupEngine
-from .diff import CheckpointDiff
+from .diff import PAYLOAD_CODECS, CheckpointDiff
 from .labels import FIRST_OCUR, FIXED_DUPL, MIXED, SHIFT_DUPL, new_label_array
 from .merkle import MerkleTree, TreeLayout
 from .serialize import gather_region_payload
@@ -96,9 +96,8 @@ class TreeDedup(DedupEngine):
         Optional codec from :mod:`repro.compress` applied to the
         first-occurrence payload before serialization — the paper's
         future-work hybrid (§5).  The diff then stores compressed payload
-        bytes; pass the same codec to the restorers (the codec choice is
-        record-level configuration, carried out-of-band like the chunk
-        size's engine-side counterpart).
+        bytes and names the codec in its frame header, so every reader
+        decodes it without being told.
     """
 
     name = "tree"
@@ -116,6 +115,11 @@ class TreeDedup(DedupEngine):
         # Worst case the record gains one entry per node per checkpoint
         # epoch; leaves + interior = 2n - 1 for the first checkpoint.
         self.map = DigestMap(capacity_hint=max(self.layout.num_nodes, 16))
+        if payload_codec is not None and payload_codec.name not in PAYLOAD_CODECS:
+            raise ConfigurationError(
+                f"payload codec {payload_codec.name!r} has no frame code; "
+                f"choose from {list(PAYLOAD_CODECS)}"
+            )
         self.payload_codec = payload_codec
         #: Labels of the most recent checkpoint (exposed for tests/examples).
         self.last_labels: np.ndarray | None = None
@@ -523,9 +527,10 @@ class TreeDedup(DedupEngine):
                 shift_ref_ckpts = np.empty(0, dtype=np.int64)
                 ref_gather_accesses = 0
 
-            raw_payload = payload
+            raw_payload, codec = payload, None
             if self.payload_codec is not None:
                 raw_payload = self.payload_codec.compress(payload)
+                codec = self.payload_codec.name
 
             self.space.launch(
                 "tree.serialize",
@@ -547,4 +552,5 @@ class TreeDedup(DedupEngine):
             shift_ref_ids=shift_ref_ids,
             shift_ref_ckpts=shift_ref_ckpts,
             payload=raw_payload,
+            codec=codec,
         )

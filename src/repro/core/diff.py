@@ -32,6 +32,11 @@ the one a record log stores per frame, so a reader hashes each frame
 byte once.  The digestless v1 frame is rejected by name ("unsupported
 diff version 1"), never loaded unverified.  See ``docs/FAULT_MODEL.md``
 for the full frame layout.
+
+The header's ``flags`` byte names the frame's payload codec
+(:data:`PAYLOAD_CODECS`): 0 for a raw payload, ``i + 1`` for a ``tree``
+payload the hybrid mode (§5) compressed with ``PAYLOAD_CODECS[i]``.  A
+frame therefore says how to read itself; the digest covers the byte.
 """
 
 from __future__ import annotations
@@ -58,6 +63,11 @@ DIGEST_BYTES = 32
 
 METHODS = ("full", "basic", "list", "tree")
 _METHOD_CODE = {name: i for i, name in enumerate(METHODS)}
+
+#: Payload codec names by wire code minus one (code 0 is a raw payload):
+#: the registered :mod:`repro.compress` codecs, a fixed table.
+PAYLOAD_CODECS = ("bitcomp", "cascaded", "deflate", "lz4sim", "snappysim", "zstdsim")
+_CODEC_CODE = {None: 0, **{name: i + 1 for i, name in enumerate(PAYLOAD_CODECS)}}
 
 #: Wire width of one first-occurrence metadata entry (u32 id).
 FIRST_ENTRY_BYTES = 4
@@ -96,7 +106,9 @@ class CheckpointDiff:
     ids for the list method; ``bitmap`` is only present for the basic
     method.  ``payload`` holds the concatenated first-occurrence bytes in
     the order of ``first_ids`` (changed chunks in ascending order for
-    basic; the whole buffer for full).
+    basic; the whole buffer for full).  ``codec`` names the
+    :data:`PAYLOAD_CODECS` entry a hybrid ``tree`` payload is compressed
+    with (``None``: raw).
     """
 
     method: str
@@ -109,6 +121,7 @@ class CheckpointDiff:
     shift_ref_ckpts: np.ndarray = field(default_factory=lambda: np.empty(0, np.uint32))
     bitmap: Optional[np.ndarray] = None  # packed uint8, basic method only
     payload: bytes = b""
+    codec: Optional[str] = None
     #: Integrity provenance: ``None`` for locally built diffs (or a parse
     #: with ``verify=False``), ``True`` when parsed from a frame whose
     #: digest matched.
@@ -210,7 +223,7 @@ class CheckpointDiff:
             _MAGIC,
             _VERSION,
             _METHOD_CODE[self.method],
-            0,
+            _CODEC_CODE[self.codec],
             self.ckpt_id,
             self.data_len,
             self.chunk_size,
@@ -270,7 +283,7 @@ class CheckpointDiff:
             magic,
             version,
             method_code,
-            _flags,
+            codec_code,
             ckpt_id,
             data_len,
             chunk_size,
@@ -309,6 +322,15 @@ class CheckpointDiff:
                     f"computed {actual.hex()[:16]}…)",
                     ckpt_id=ckpt_id,
                 )
+        codec = None
+        if codec_code:
+            if codec_code > len(PAYLOAD_CODECS):
+                raise SerializationError(f"unknown payload codec code {codec_code}")
+            if method != "tree":
+                raise SerializationError(
+                    f"payload codec code {codec_code} on a {method} frame"
+                )
+            codec = PAYLOAD_CODECS[codec_code - 1]
         first_ids = np.frombuffer(blob, dtype="<u4", count=n_first, offset=off).copy()
         off += 4 * n_first
         shift = (
@@ -335,6 +357,7 @@ class CheckpointDiff:
             shift_ref_ckpts=shift[:, 2],
             bitmap=bitmap,
             payload=payload,
+            codec=codec,
             verified=True if checked else None,
             _digest=stored_digest if checked else None,
         )

@@ -393,12 +393,7 @@ class RecordRestoreReport:
     payload_bytes_read: Dict[int, int] = field(default_factory=dict)
 
 
-def resolve_source(
-    source,
-    upto: Optional[int] = None,
-    payload_codec=None,
-    scrub: bool = False,
-):
+def resolve_source(source, upto: Optional[int] = None, scrub: bool = False):
     """Resolve ``(diff chain | record directory, upto)`` for a gather.
 
     Returns ``(index, payload_of, report)``: checkpoint *upto*'s
@@ -442,7 +437,7 @@ def resolve_source(
     else:
         frames = store.load_record(view) if is_record else source
         if scrub:
-            scrub_chain(frames[: upto + 1], payload_codec)
+            scrub_chain(frames[: upto + 1])
         builder = ProvenanceBuilder()
         builder.extend(frames[: upto + 1])
         index = builder.indexes[upto]
@@ -453,7 +448,7 @@ def resolve_source(
     def payload_of(t: int) -> np.ndarray:
         cached = payloads.get(t)
         if cached is None:
-            cached = payloads[t] = diff_payload(frames[t], payload_codec)
+            cached = payloads[t] = diff_payload(frames[t])
         return cached
 
     if is_record:
@@ -476,11 +471,7 @@ def resolve_source(
 
 
 def restore_indexed(
-    source,
-    upto: Optional[int] = None,
-    payload_codec=None,
-    scrub: bool = False,
-    space=None,
+    source, upto: Optional[int] = None, scrub: bool = False, space=None
 ):
     """Reconstruct checkpoint *upto* of a chain or record: resolve, gather.
 
@@ -489,7 +480,7 @@ def restore_indexed(
     source payload instead of replaying the chain.  Returns
     ``(buffer, report)`` with the report :func:`resolve_source` built.
     """
-    index, payload_of, report = resolve_source(source, upto, payload_codec, scrub)
+    index, payload_of, report = resolve_source(source, upto, scrub)
     on_disk = isinstance(report, RecordRestoreReport)
     path = "indexed_record" if on_disk and report.used_index else "indexed"
     chain_len = report.frames_total if on_disk else report.chain_len
@@ -516,14 +507,10 @@ def restore_indexed(
 
 
 def restore_record_indexed(
-    directory,
-    upto: Optional[int] = None,
-    payload_codec=None,
-    scrub: bool = False,
-    space=None,
+    directory, upto: Optional[int] = None, scrub: bool = False, space=None
 ) -> Tuple[np.ndarray, RecordRestoreReport]:
     """Cold restart: :func:`restore_indexed` on a stored record directory,
     parsing only the frames its provenance index names.  Frame and index
     integrity checks apply whether or not the index is used.
     """
-    return restore_indexed(directory, upto, payload_codec, scrub, space)
+    return restore_indexed(directory, upto, scrub, space)

@@ -110,10 +110,10 @@ class CheckpointRecord:
         payload = sum(s.data_len for s in stats)
         return payload / seconds if seconds > 0 else float("inf")
 
-    def restore(self, upto: Optional[int] = None, payload_codec=None) -> np.ndarray:
+    def restore(self, upto: Optional[int] = None) -> np.ndarray:
         """Reconstruct checkpoint *upto* (default latest) by the provenance
         gather: the row is composed on demand, then one gather per source."""
-        return restore_indexed(self.diffs, upto, payload_codec)[0]
+        return restore_indexed(self.diffs, upto)[0]
 
     def summary(self) -> str:
         """One-line human-readable record summary."""

@@ -42,19 +42,15 @@ _DIFFS_APPLIED = telemetry.counter(
 )
 
 
-def scrub_chain(diffs: Sequence[CheckpointDiff], payload_codec=None) -> None:
+def scrub_chain(diffs: Sequence[CheckpointDiff]) -> None:
     """Structurally validate a chain before applying it.
 
     Raises a structured :class:`~repro.errors.IntegrityError` naming the
-    first bad checkpoint.  With a *payload_codec*, payload-length findings
-    are suppressed (compressed payloads legitimately differ from the raw
-    lengths the verifier predicts).
+    first bad checkpoint.
     """
     from .analysis import verify_chain  # local import: avoids a cycle
 
     problems = verify_chain(diffs)
-    if payload_codec is not None:
-        problems = [p for p in problems if "payload" not in p]
     if problems:
         first = problems[0]
         ckpt_id: Optional[int] = None
@@ -73,12 +69,11 @@ def scrub_chain(diffs: Sequence[CheckpointDiff], payload_codec=None) -> None:
 class Restorer:
     """Reconstructs full checkpoints from an ordered diff chain.
 
+    Each diff's payload is decoded with the codec its frame names
+    (:func:`~repro.core.serialize.diff_payload`).
+
     Parameters
     ----------
-    payload_codec:
-        Codec whose ``decompress`` undoes the engine-side payload
-        compression (the hybrid mode of :class:`~repro.core.dedup_tree.
-        TreeDedup`); ``None`` for raw payloads.
     scrub:
         Every diff is structurally checked as it is applied
         (:func:`~repro.core.serialize.chunk_map`) whatever this says.
@@ -95,8 +90,7 @@ class Restorer:
         the last :meth:`restore` / :meth:`restore_all` call.
     """
 
-    def __init__(self, payload_codec=None, scrub: bool = False) -> None:
-        self.payload_codec = payload_codec
+    def __init__(self, scrub: bool = False) -> None:
         self.scrub = scrub
         self.peak_buffers_held: int = 0
 
@@ -105,7 +99,7 @@ class Restorer:
         """Reconstruct every checkpoint in the chain, in order."""
         with telemetry.span("restore.replay_all", chain_len=len(diffs)):
             if self.scrub:
-                scrub_chain(diffs, self.payload_codec)
+                scrub_chain(diffs)
             history: Dict[int, np.ndarray] = {}
             for position, diff in enumerate(diffs):
                 if diff.ckpt_id != position:
@@ -154,7 +148,7 @@ class Restorer:
         self, chain: Sequence[CheckpointDiff], upto: int
     ) -> np.ndarray:
         if self.scrub:
-            scrub_chain(chain, self.payload_codec)
+            scrub_chain(chain)
 
         # Last position at which each reconstructed checkpoint is read:
         # position+1 needs position (fixed duplicates), and any later
@@ -223,7 +217,7 @@ class Restorer:
         cmap = chunk_map(diff)
         if cmap.problems:
             raise RestoreError(cmap.problems[0])
-        payload = diff_payload(diff, self.payload_codec)
+        payload = diff_payload(diff)
         if payload.shape[0] != cmap.payload_len:
             raise RestoreError(
                 f"{diff.method} payload is {payload.shape[0]} bytes, its "
@@ -255,8 +249,6 @@ class Restorer:
         return data
 
 
-def restore_latest(
-    diffs: Sequence[CheckpointDiff], payload_codec=None, scrub: bool = False
-) -> np.ndarray:
+def restore_latest(diffs: Sequence[CheckpointDiff], scrub: bool = False) -> np.ndarray:
     """Convenience wrapper: reconstruct only the final checkpoint."""
-    return Restorer(payload_codec=payload_codec, scrub=scrub).restore(diffs)
+    return Restorer(scrub=scrub).restore(diffs)

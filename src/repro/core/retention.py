@@ -38,6 +38,7 @@ from typing import List, Optional, Sequence, Set, Union
 
 import numpy as np
 
+from ..compress import get_codec
 from ..errors import RestoreError, StorageError
 from ..telemetry import events
 from .diff import CheckpointDiff
@@ -72,11 +73,7 @@ def required_payloads(
     return needed
 
 
-def rebase_record(
-    diffs: Sequence[CheckpointDiff],
-    at: int,
-    payload_codec=None,
-) -> List[CheckpointDiff]:
+def rebase_record(diffs: Sequence[CheckpointDiff], at: int) -> List[CheckpointDiff]:
     """Truncate history before checkpoint *at*.
 
     Returns a new chain whose checkpoint 0 is a full image of the old
@@ -89,13 +86,11 @@ def rebase_record(
       reconstruction — the only way to keep them restorable once the
       prefix is gone.
 
-    Only raw-payload records are supported (rebase rewrites payloads, so
-    a ``payload_codec`` must be supplied to decode/encode hybrid ones).
+    A rewritten payload is re-encoded with the codec its frame names.
     """
     if not 0 <= at < len(diffs):
         raise RestoreError(f"rebase point {at} outside chain of {len(diffs)}")
-    restorer = Restorer(payload_codec=payload_codec)
-    states = restorer.restore_all(diffs)
+    states = Restorer().restore_all(diffs)
 
     out: List[CheckpointDiff] = [
         CheckpointDiff(
@@ -107,13 +102,11 @@ def rebase_record(
         )
     ]
     for old_id in range(at + 1, len(diffs)):
-        out.append(_rewrite_diff(diffs[old_id], at, states[old_id], payload_codec))
+        out.append(_rewrite_diff(diffs[old_id], at, states[old_id]))
     return out
 
 
-def rebase_stored_record(
-    directory: Union[str, Path], at: int, payload_codec=None
-) -> Path:
+def rebase_stored_record(directory: Union[str, Path], at: int) -> Path:
     """Rebase a *stored* record directory, index included.
 
     Loads the record, rewrites the chain with :func:`rebase_record` and
@@ -130,7 +123,7 @@ def rebase_stored_record(
     path = Path(directory)
     manifest = record_manifest(path)
     diffs = load_record(path)
-    new_diffs = rebase_record(diffs, at, payload_codec)
+    new_diffs = rebase_record(diffs, at)
 
     staged = path.with_name(path.name + ".rebase-new")
     old = path.with_name(path.name + ".rebase-old")
@@ -157,14 +150,13 @@ def rebase_stored_record(
     return path
 
 
-def _rewrite_diff(
-    diff: CheckpointDiff, at: int, state: np.ndarray, payload_codec
-) -> CheckpointDiff:
+def _rewrite_diff(diff: CheckpointDiff, at: int, state: np.ndarray) -> CheckpointDiff:
     """*diff* renumbered onto a chain that starts at old checkpoint *at*.
 
     Its shift entries into the discarded prefix become first entries, and
     the first-occurrence payload is re-gathered from *state*, the
-    checkpoint's reconstruction — which holds every first region's bytes.
+    checkpoint's reconstruction — which holds every first region's bytes
+    — and re-encoded with the frame's own codec.
     """
     new_id = diff.ckpt_id - at
     if diff.method in ("full", "basic"):
@@ -192,6 +184,6 @@ def _rewrite_diff(
     )
     cmap = chunk_map(rewritten)
     payload = gather_chunk_payload(state, cmap.spec, cmap.first_chunks)
-    if payload_codec is not None and diff.method == "tree":
-        payload = payload_codec.compress(payload)
-    return dataclasses.replace(rewritten, payload=payload)
+    if diff.codec is not None:
+        payload = get_codec(diff.codec).compress(payload)
+    return dataclasses.replace(rewritten, payload=payload, codec=diff.codec)

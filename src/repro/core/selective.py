@@ -21,9 +21,7 @@ from .provenance import restore_indexed
 
 
 def selective_restore(
-    diffs: Sequence[CheckpointDiff],
-    upto: Optional[int] = None,
-    payload_codec=None,
+    diffs: Sequence[CheckpointDiff], upto: Optional[int] = None
 ) -> np.ndarray:
     """Checkpoint *upto* (default latest) of an in-memory chain."""
-    return restore_indexed(diffs, upto, payload_codec)[0]
+    return restore_indexed(diffs, upto)[0]

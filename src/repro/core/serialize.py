@@ -138,13 +138,15 @@ def unpack_bitmap(bitmap: np.ndarray, num_chunks: int) -> np.ndarray:
 # ----------------------------------------------------------------------
 # The read side: one decoder, one scatter
 # ----------------------------------------------------------------------
-def diff_payload(diff: CheckpointDiff, payload_codec=None) -> np.ndarray:
+def diff_payload(diff: CheckpointDiff) -> np.ndarray:
     """*diff*'s payload as the uint8 array :class:`ChunkMap` offsets and
-    provenance rows index into (a hybrid tree diff's payload is
-    decompressed first)."""
+    provenance rows index into: a hybrid diff's payload is decompressed
+    with the codec its frame names."""
     raw = diff.payload
-    if payload_codec is not None and diff.method == "tree":
-        raw = payload_codec.decompress(raw)
+    if diff.codec is not None:
+        from ..compress import get_codec  # local import: compress imports core
+
+        raw = get_codec(diff.codec).decompress(raw)
     return np.frombuffer(raw, dtype=np.uint8)
 
 
@@ -162,10 +164,9 @@ class ChunkMap:
 
     ``problems`` lists every structural fault, in the message format of
     :func:`~repro.core.analysis.verify_chain`; the arrays may only be
-    applied when it is empty.  It includes a payload whose length is not
-    ``payload_len`` — except for ``tree`` diffs, whose payload a codec may
-    have compressed: only the caller holding the decompressed payload can
-    compare that one.
+    applied when it is empty.  It includes a raw payload whose length is
+    not ``payload_len``; a compressed one is compared by whoever decodes
+    it (:func:`diff_payload`).
     """
 
     spec: ChunkSpec
@@ -204,8 +205,8 @@ def chunk_map(diff: CheckpointDiff) -> ChunkMap:
     shift pair of equal length, no reference to a later checkpoint, no
     chunk covered by two entries, and no same-checkpoint reference that
     reads a shift destination (docs/ALGORITHM.md §4 — the invariant that
-    lets shifts apply grouped by referenced checkpoint) — and, for the
-    methods whose payload is stored raw, its length.  Tree node ids
+    lets shifts apply grouped by referenced checkpoint) — and, for a
+    payload stored raw, its length.  Tree node ids
     resolve through the cached :func:`~repro.core.merkle.layout_for`.
 
     The first, shift and reference entries are decoded as one
@@ -321,7 +322,7 @@ def chunk_map(diff: CheckpointDiff) -> ChunkMap:
                         f"shifted duplicate of this checkpoint writes"
                     )
     payload_len = int(f_len.sum())
-    if diff.method != "tree" and not problems and diff.payload_bytes != payload_len:
+    if diff.codec is None and not problems and diff.payload_bytes != payload_len:
         problems.append(
             f"{where}: payload is {diff.payload_bytes} B, regions demand "
             f"{payload_len} B"

@@ -291,7 +291,6 @@ def restore_sharded(
     upto: Optional[int] = None,
     read_bandwidth: Optional[float] = None,
     windows: Optional[int] = None,
-    payload_codec=None,
     scrub: bool = False,
     path: str = "sharded",
     **identity: Any,
@@ -312,7 +311,7 @@ def restore_sharded(
         raise RestoreError(
             f"{len(contention)} contention factors for {ranks} ranks"
         )
-    index, payload_of, resolved = resolve_source(source, upto, payload_codec, scrub)
+    index, payload_of, resolved = resolve_source(source, upto, scrub)
     if isinstance(resolved, RecordRestoreReport):
         frames_total, frames_parsed = resolved.frames_total, resolved.frames_parsed
         read_bytes, index_bytes = resolved.record_bytes_read, resolved.index_bytes

@@ -27,7 +27,6 @@ def restore_record_sharded(
     cluster: Optional[ClusterSpec] = None,
     upto: Optional[int] = None,
     windows: Optional[int] = None,
-    payload_codec=None,
 ) -> Tuple[np.ndarray, FleetRestoreReport]:
     """Reconstruct a checkpoint from a stored record across *num_ranks*
     simulated GPUs, overlapping the shared frame read with the gathers.
@@ -45,5 +44,4 @@ def restore_record_sharded(
         upto=upto,
         read_bandwidth=cluster.pfs_bandwidth,
         windows=windows,
-        payload_codec=payload_codec,
     )

@@ -488,9 +488,10 @@ class ChunkCensus:
     def add_diffs(self, name: str, diffs: Sequence) -> CensusRecord:
         """Ingest an in-memory diff chain."""
         from ..core.provenance import ProvenanceTable
+        from ..core.serialize import diff_payload
 
         table = ProvenanceTable.from_diffs(diffs)
-        payloads = {d.ckpt_id: np.frombuffer(d.payload, np.uint8) for d in diffs}
+        payloads = {d.ckpt_id: diff_payload(d) for d in diffs}
         stored = sum(int(d.serialized_size) for d in diffs)
         return self._ingest(name, table, payloads.__getitem__, stored)
 
@@ -498,10 +499,11 @@ class ChunkCensus:
         self, directory, name: Optional[str] = None
     ) -> CensusRecord:
         """Ingest a stored record (index-driven, payloads sliced cold)."""
+        from ..core.serialize import diff_payload
         from ..core.store import record_frame_sizes
 
         diffs, table, label = _load_indexed(directory, name)
-        payloads = {d.ckpt_id: np.frombuffer(d.payload, np.uint8) for d in diffs}
+        payloads = {d.ckpt_id: diff_payload(d) for d in diffs}
         stored = int(sum(record_frame_sizes(directory)))
         return self._ingest(label, table, payloads.__getitem__, stored)
 
@@ -695,11 +697,12 @@ def chunk_size_sweep(
         ProvenanceTable,
         materialize_index,
     )
+    from ..core.serialize import diff_payload
 
     if not chunk_sizes:
         raise ValueError("chunk_size_sweep needs at least one chunk size")
     table = ProvenanceTable.from_diffs(diffs)
-    payloads = {d.ckpt_id: np.frombuffer(d.payload, np.uint8) for d in diffs}
+    payloads = {d.ckpt_id: diff_payload(d) for d in diffs}
     states = [
         materialize_index(table.row(k), payloads.__getitem__)
         for k in range(table.num_checkpoints)

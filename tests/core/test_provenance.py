@@ -102,7 +102,7 @@ class TestEquivalence:
         buf = buf.copy()
         buf[:512] = rng.integers(0, 4, 512, dtype=np.uint8)
         diffs.append(engine.checkpoint(buf))
-        out, _ = restore_indexed(diffs, payload_codec=codec)
+        out, _ = restore_indexed(diffs)
         assert np.array_equal(out, buf)
 
     def test_scrub_catches_corrupt_chain(self, rng):

@@ -58,19 +58,15 @@ def _chain(method, rng, codec=None, steps=6):
 
 #: entry point -> (uses a payload codec, needs a stored record, restore fn)
 PATHS = {
-    "gather": (False, False, lambda src, k, codec: restore_indexed(src, k)[0]),
-    "selective": (False, False, lambda src, k, codec: selective_restore(src, k)),
-    "record": (False, True, lambda src, k, codec: restore_record_indexed(src, k)[0]),
-    "sharded1": (False, True, lambda src, k, codec: restore_record_sharded(src, 1, upto=k)[0]),
-    "sharded3": (False, True, lambda src, k, codec: restore_record_sharded(src, 3, upto=k)[0]),
-    "hybrid-gather": (True, False, lambda src, k, codec: restore_indexed(src, k, codec)[0]),
-    "hybrid-selective": (True, False, lambda src, k, codec: selective_restore(src, k, codec)),
-    "hybrid-record": (True, True, lambda src, k, codec: restore_record_indexed(src, k, codec)[0]),
-    "hybrid-sharded3": (
-        True,
-        True,
-        lambda src, k, codec: restore_record_sharded(src, 3, upto=k, payload_codec=codec)[0],
-    ),
+    "gather": (False, False, lambda src, k: restore_indexed(src, k)[0]),
+    "selective": (False, False, lambda src, k: selective_restore(src, k)),
+    "record": (False, True, lambda src, k: restore_record_indexed(src, k)[0]),
+    "sharded1": (False, True, lambda src, k: restore_record_sharded(src, 1, upto=k)[0]),
+    "sharded3": (False, True, lambda src, k: restore_record_sharded(src, 3, upto=k)[0]),
+    "hybrid-gather": (True, False, lambda src, k: restore_indexed(src, k)[0]),
+    "hybrid-selective": (True, False, lambda src, k: selective_restore(src, k)),
+    "hybrid-record": (True, True, lambda src, k: restore_record_indexed(src, k)[0]),
+    "hybrid-sharded3": (True, True, lambda src, k: restore_record_sharded(src, 3, upto=k)[0]),
 }
 
 
@@ -80,10 +76,10 @@ def test_every_entry_point_equals_replay_at_every_checkpoint(method, path, rng, 
     hybrid, stored, restore = PATHS[path]
     codec = CODEC if hybrid else None
     diffs = _chain(method, rng, codec)
-    oracle = Restorer(payload_codec=codec).restore_all(diffs)
+    oracle = Restorer().restore_all(diffs)
     source = save_record(diffs, tmp_path / "rec", method=method) if stored else diffs
     for k, want in enumerate(oracle):
-        got = restore(source, k, codec)
+        got = restore(source, k)
         assert got.dtype == np.uint8 and np.array_equal(got, want), f"ckpt {k}"
 
 
@@ -97,7 +93,7 @@ def test_checkpointer_restore_is_the_gather(method, codec, rng):
     ckpt = IncrementalCheckpointer(N, CS, method=method, payload_codec=codec)
     for buf in _states(rng):
         ckpt.checkpoint(buf)
-    oracle = Restorer(payload_codec=codec)
+    oracle = Restorer()
     for k in range(ckpt.num_checkpoints):
         with telemetry.capture() as summary:
             got = ckpt.restore(k)

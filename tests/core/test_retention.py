@@ -141,8 +141,8 @@ class TestRebaseProperties:
         cur[1024:1536] = base[:512]
         stream.append(cur.copy())
         diffs = [engine.checkpoint(c) for c in stream]
-        rebased = rebase_record(diffs, 1, payload_codec=codec)
-        restored = Restorer(payload_codec=codec).restore_all(rebased)
+        rebased = rebase_record(diffs, 1)
+        restored = Restorer().restore_all(rebased)
         assert np.array_equal(restored[0], stream[1])
         assert np.array_equal(restored[1], stream[2])
 

@@ -145,5 +145,5 @@ class TestHelpers:
         nxt = base.copy()
         nxt[:512] = rng.integers(0, 4, 512, dtype=np.uint8)
         diffs.append(engine.checkpoint(nxt))
-        out = selective_restore(diffs, payload_codec=codec)
+        out = selective_restore(diffs)
         assert np.array_equal(out, nxt)

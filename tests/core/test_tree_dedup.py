@@ -210,7 +210,7 @@ class TestHybridCompression:
         nxt = base.copy()
         nxt[: 64 * 8] = rng.integers(0, 4, 64 * 8, dtype=np.uint8)
         d1 = engine.checkpoint(nxt)
-        restored = Restorer(payload_codec=codec).restore_all([d0, d1])
+        restored = Restorer().restore_all([d0, d1])
         assert np.array_equal(restored[0], base)
         assert np.array_equal(restored[1], nxt)
 

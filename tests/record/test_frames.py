@@ -4,8 +4,9 @@ The record log stores each frame's content digest — the SHA-256 over
 header ‖ body that the frame embeds (record format 4) — so a reader
 hashes a frame once and compares that one value to the log's column and
 to the embedded field.  These tests pin the single pass on every path
-that touches a frame, the log's size column on the restore path, and
-the refusal of the retired format 3 by every entry point."""
+that touches a frame, the log's size column on the restore path, the
+refusal of the retired format 3 by every entry point, and the payload
+codec a hybrid frame names in its header's flags byte."""
 
 import hashlib
 import json
@@ -15,9 +16,19 @@ import pytest
 
 from repro import telemetry
 from repro.cli import main
-from repro.core import ENGINES, RecordWriter, Restorer
-from repro.core.diff import DIGEST_BYTES
+from repro.compress import BitcompCodec, Codec, DeflateCodec, get_codec, list_codecs
+from repro.core import (
+    ENGINES,
+    IncrementalCheckpointer,
+    RecordWriter,
+    Restorer,
+    TreeDedup,
+    verify_chain,
+)
+from repro.core.diff import DIGEST_BYTES, PAYLOAD_CODECS, CheckpointDiff, content_digest
 from repro.core.provenance import restore_record_indexed
+from repro.core.retention import rebase_stored_record
+from repro.core.serialize import chunk_map
 from repro.core.store import (
     load_provenance,
     load_record,
@@ -26,7 +37,12 @@ from repro.core.store import (
     save_record,
     verify_record,
 )
-from repro.errors import IntegrityError, StorageError
+from repro.errors import (
+    ConfigurationError,
+    IntegrityError,
+    SerializationError,
+    StorageError,
+)
 from repro.record import RecordView
 from repro.runtime import restore_record_sharded
 from tests.conftest import forge_log_entry
@@ -213,3 +229,145 @@ class TestFormat3Retired:
         _retire_to_format_3(path)
         with pytest.raises(StorageError, match="unsupported record format 3"):
             self.ENTRY_POINTS[entry](path)
+
+
+FLAGS = 7  # the header's flags byte: the payload codec code
+
+
+def _hybrid(codec, n=4, seed=5):
+    """A tree unit compressing its payloads with *codec*, and its states."""
+    rng = np.random.default_rng(seed)
+    unit = IncrementalCheckpointer(N, CS, payload_codec=codec)
+    state = rng.integers(0, 4, N, dtype=np.uint8)  # compressible
+    states = []
+    for k in range(n):
+        if k:
+            state = state.copy()
+            state[k * 512 : k * 512 + 300] = rng.integers(0, 4, 300, dtype=np.uint8)
+            state[3000:3256] = state[k * 256 : k * 256 + 256]
+        unit.checkpoint(state)
+        states.append(state)
+    return unit, states
+
+
+def _reseal(blob: bytearray) -> bytes:
+    """*blob* with its embedded content digest recomputed."""
+    blob[44 : 44 + DIGEST_BYTES] = content_digest(blob)
+    return bytes(blob)
+
+
+class TestFrameNamesItsCodec:
+    """Byte 7 of a frame names its payload codec, so every reader decodes
+    a hybrid record without being told how it was written."""
+
+    def test_code_table_is_the_registry(self):
+        assert list(PAYLOAD_CODECS) == list_codecs()
+
+    def test_only_compressed_frames_carry_a_code(self):
+        unit, _ = _hybrid(get_codec("bitcomp"))
+        blobs = [d.to_bytes() for d in unit.record.diffs]
+        assert blobs[0][FLAGS] == 0  # checkpoint 0 is stored raw
+        code = PAYLOAD_CODECS.index("bitcomp") + 1
+        assert [b[FLAGS] for b in blobs[1:]] == [code] * 3
+        assert [CheckpointDiff.from_bytes(b).codec for b in blobs] == [
+            None, "bitcomp", "bitcomp", "bitcomp",
+        ]
+
+    def test_a_rewritten_code_is_damage(self, tmp_path):
+        unit, _ = _hybrid(get_codec("bitcomp"))
+        path = save_record(unit.record.diffs, tmp_path / "rec", method="tree")
+        frame = path / "ckpt-00001.rdif"
+        blob = bytearray(frame.read_bytes())
+        assert blob[FLAGS] == PAYLOAD_CODECS.index("bitcomp") + 1
+        blob[FLAGS] = PAYLOAD_CODECS.index("deflate") + 1  # not resealed
+        frame.write_bytes(bytes(blob))
+        report = verify_record(path)
+        assert not report.ok
+        assert report.checkpoints[1].status == "corrupt"
+        with pytest.raises(IntegrityError):
+            restore_record_indexed(path)
+
+    def test_an_unknown_code_is_refused_by_name(self):
+        unit, _ = _hybrid(get_codec("deflate"))
+        blob = bytearray(unit.record.diffs[1].to_bytes())
+        blob[FLAGS] = 200
+        with pytest.raises(SerializationError, match="200"):
+            CheckpointDiff.from_bytes(_reseal(blob))
+
+    def test_a_code_on_a_raw_method_frame_is_refused(self):
+        engine = ENGINES["basic"](N, CS)
+        engine.checkpoint(np.zeros(N, dtype=np.uint8))
+        diff = engine.checkpoint(np.ones(N, dtype=np.uint8))
+        blob = bytearray(diff.to_bytes())
+        blob[FLAGS] = PAYLOAD_CODECS.index("deflate") + 1
+        with pytest.raises(SerializationError, match="code 3 on a basic frame"):
+            CheckpointDiff.from_bytes(_reseal(blob))
+
+    def test_a_codec_without_a_code_is_refused_at_construction(self):
+        class Identity(Codec):
+            name = "identity"
+
+            def compress(self, data):
+                return data
+
+            def decompress(self, blob):
+                return blob
+
+        with pytest.raises(ConfigurationError, match="identity"):
+            TreeDedup(N, CS, payload_codec=Identity())
+
+    @pytest.mark.parametrize(
+        "codec", [BitcompCodec(block_size=1024), DeflateCodec(level=1)], ids=repr
+    )
+    def test_codec_parameters_travel_in_the_payload(self, codec, tmp_path):
+        unit, states = _hybrid(codec)
+        path = save_record(unit.record.diffs, tmp_path / "rec", method="tree")
+        replayed = Restorer().restore_all(load_record(path))
+        for k, want in enumerate(states):
+            for scrub in (False, True):
+                out, _ = restore_record_indexed(path, upto=k, scrub=scrub)
+                assert np.array_equal(out, want), (k, scrub)
+            assert np.array_equal(unit.restore(k), want)
+            assert np.array_equal(replayed[k], want)
+
+    def test_every_reader_restores_a_hybrid_record(self, tmp_path):
+        unit, states = _hybrid(get_codec("bitcomp"))
+        path = save_record(unit.record.diffs, tmp_path / "rec", method="tree")
+        assert verify_chain(unit.record.diffs) == []
+        assert verify_record(path).ok
+        out, _ = restore_record_sharded(path, 4)
+        assert np.array_equal(out, states[-1])
+        for extra in ([], ["--replay"], ["--ranks", "4"]):
+            dest = tmp_path / "out.bin"
+            assert main(["restore", str(path), "-o", str(dest), *extra]) == 0
+            assert dest.read_bytes() == states[-1].tobytes(), extra
+
+    def test_rebase_keeps_the_frames_codec(self, tmp_path):
+        unit, states = _hybrid(get_codec("bitcomp"))
+        path = save_record(unit.record.diffs, tmp_path / "rec", method="tree")
+        rebase_stored_record(path, 1)
+        rebased = load_record(path)
+        assert [d.codec for d in rebased] == [None, "bitcomp", "bitcomp"]
+        for k, want in enumerate(states[1:]):
+            out, _ = restore_record_indexed(path, upto=k)
+            assert np.array_equal(out, want), k
+
+
+class TestRawPayloadLength:
+    """``chunk_map`` checks the payload length of every raw frame, tree
+    frames included."""
+
+    def test_a_short_raw_tree_payload_is_refused(self, tmp_path):
+        diffs = _chain(3)
+        diffs[2].payload = diffs[2].payload[:-1]
+        diffs[2]._digest = None
+        problems = chunk_map(diffs[2]).problems
+        assert problems and "payload is" in problems[0]
+        assert verify_chain(diffs) == problems
+        writer = RecordWriter(tmp_path / "rec", method="tree")
+        writer.append(diffs[0])
+        writer.append(diffs[1])
+        before = {f.name: f.read_bytes() for f in writer.path.iterdir()}
+        with pytest.raises(StorageError, match="cannot append checkpoint 2"):
+            writer.append(diffs[2])
+        assert {f.name: f.read_bytes() for f in writer.path.iterdir()} == before

@@ -3,7 +3,9 @@
 import numpy as np
 import pytest
 
-from repro.core import Restorer
+from repro.compress import get_codec
+from repro.core import IncrementalCheckpointer, Restorer
+from repro.core.provenance import restore_record_indexed
 from repro.core.store import load_record, verify_record
 from repro.replay.driver import ScheduledRecordFault, IncidentSchedule, drive_run
 from repro.replay.timeline import RunConfig
@@ -65,6 +67,33 @@ class TestNodeRecording:
         # The chain keeps growing from the restart seed.
         runtime.checkpoint_all(buffers, now=3.0)
         assert [d.ckpt_id for d in load_record(runtime.record_path(0))] == [0, 1]
+
+    def test_crash_restart_of_a_hybrid_unit(self, rng, tmp_path):
+        """A unit whose frames compress their payloads (paper §5) restarts
+        bit-for-bit: the restore reads each frame's codec from the frame."""
+        runtime = NodeRuntime(
+            SIZE, 64, num_processes=1, record_root=tmp_path / "records"
+        )
+        plain = runtime.checkpointers[0]
+        runtime.checkpointers[0] = IncrementalCheckpointer(
+            SIZE,
+            64,
+            device=plain.device,
+            pcie_contention=plain.cost_model.pcie_contention,
+            payload_codec=get_codec("bitcomp"),
+        )
+        buf = rng.integers(0, 4, SIZE, dtype=np.uint8)
+        for step in range(4):
+            buf = buf.copy()
+            buf[step * 640 : step * 640 + 512] = rng.integers(0, 4, 512, dtype=np.uint8)
+            runtime.checkpoint_all([buf], now=float(step))
+        stored = load_record(runtime.record_path(0))
+        assert [d.codec for d in stored] == [None, "bitcomp", "bitcomp", "bitcomp"]
+        out, _ = restore_record_indexed(runtime.record_path(0))
+        assert np.array_equal(out, buf)
+        report = runtime.crash_restart(0, at_time=10.0)
+        assert report.restored_ckpt_id == 3
+        assert np.array_equal(report.restored_state, buf)
 
     def test_no_record_root_means_no_records(self, rng, tmp_path):
         runtime = NodeRuntime(SIZE, 64, num_processes=1)

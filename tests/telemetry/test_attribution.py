@@ -9,6 +9,7 @@ with the diff-level :func:`repro.core.analyze_record` composition.
 import numpy as np
 import pytest
 
+from repro.compress import get_codec
 from repro.core import ENGINES, analyze_record
 from repro.core.provenance import ProvenanceTable
 from repro.core.store import save_record
@@ -320,3 +321,43 @@ class TestChunkSizeSweep:
     def test_report_has_one_row_per_point(self, tree_diffs):
         points = chunk_size_sweep(tree_diffs, (64, 128))
         assert len(sweep_report(points).splitlines()) == 3
+
+
+class TestHybridChains:
+    """A hybrid (dedup + compression) chain is read through the codec its
+    frames name: sweep and census see the same bytes as the raw chain."""
+
+    @staticmethod
+    def _chains(seed=5, n=64 * 256, steps=4):
+        """Each step rewrites 16 chunks of 128 B whose first halves are one
+        repeated 64 B block: new at 128 B, duplicates at 64 B."""
+        rng = np.random.default_rng(seed)
+        raw = ENGINES["tree"](n, 128)
+        hybrid = ENGINES["tree"](n, 128, payload_codec=get_codec("bitcomp"))
+        buf = rng.integers(0, 256, n, dtype=np.uint8)
+        raw_diffs, hybrid_diffs = [], []
+        for k in range(steps):
+            if k:
+                buf = buf.copy()
+                chunks = rng.integers(0, 256, (16, 128), dtype=np.uint8)
+                chunks[:, :64] = rng.integers(0, 256, 64, dtype=np.uint8)
+                buf[k * 2048 : (k + 1) * 2048] = chunks.reshape(-1)
+            raw_diffs.append(raw.checkpoint(buf))
+            hybrid_diffs.append(hybrid.checkpoint(buf))
+        assert any(d.codec == "bitcomp" for d in hybrid_diffs)
+        return raw_diffs, hybrid_diffs
+
+    def test_sweep_equals_the_raw_chains(self):
+        raw, hybrid = self._chains()
+        sizes = (64, 128, 256)
+        assert chunk_size_sweep(hybrid, sizes) == chunk_size_sweep(raw, sizes)
+
+    def test_census_pools_with_the_raw_chain(self, tmp_path):
+        raw, hybrid = self._chains()
+        census = ChunkCensus()
+        want = census.add_diffs("raw", raw)
+        census.add_diffs("hybrid", hybrid)
+        census.add_record(save_record(hybrid, tmp_path / "rec", method="tree"))
+        report = census.report(emit=False)
+        assert report.pool_unique_chunks == want.unique_chunks
+        assert all(row["cross_duplicate_share"] == 1.0 for row in report.records)
