@@ -7,10 +7,10 @@ and writes ``BENCH_faults.json`` next to the repo root (or
 
 * ``record``   — a seeded :class:`~repro.faults.FaultPlan` sweep over
   stored ``.rdif`` corruption (bit flips, truncation, deletion): every
-  fault must be detected by ``verify_record()``/scrubbing restore or be
-  provably harmless, and salvage-then-restore of the longest valid
-  prefix must be bit-identical to the golden states — zero silent
-  wrong-bytes restores.
+  fault must be detected by ``verify_record()`` or be provably
+  harmless, and salvage-then-gather of the longest valid prefix must be
+  bit-identical to the golden states — zero silent wrong-bytes
+  restores.
 * ``tiers``    — transient and permanent tier outages through
   :class:`~repro.runtime.AsyncFlushPipeline`: retry/backoff counts and
   route-around write-through.

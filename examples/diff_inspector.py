@@ -51,5 +51,5 @@ print(f"  shifted duplicates point at checkpoints: {dict(targets)}")
 buffer, report = restore_indexed(diffs)
 print(f"\nprovenance gather of the final checkpoint read "
       f"{format_bytes(report.total_payload_bytes_read)} from "
-      f"{report.frames_referenced} of {report.chain_len} diffs: "
+      f"{report.frames_referenced} of {report.frames_total} diffs: "
       f"{dict(sorted(report.payload_bytes_read.items()))}")

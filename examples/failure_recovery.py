@@ -53,7 +53,7 @@ with tempfile.TemporaryDirectory() as tmp:
     state, report = restore_indexed(diffs)
     print(f"restored checkpoint {report.target_ckpt} reading "
           f"{format_bytes(report.total_payload_bytes_read)} from "
-          f"{report.frames_referenced} of {report.chain_len} diffs")
+          f"{report.frames_referenced} of {report.frames_total} diffs")
 
 resumed = GdvEngine(graph, app.max_graphlet_size,
                     layout=app.layout, counting=app.counting)

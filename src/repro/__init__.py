@@ -42,7 +42,6 @@ from .core import (
     ListDedup,
     Restorer,
     TreeDedup,
-    restore_latest,
 )
 from .compress import CompressionCheckpointer, get_codec, list_codecs
 from .errors import (
@@ -70,7 +69,6 @@ __all__ = [
     "ListDedup",
     "Restorer",
     "TreeDedup",
-    "restore_latest",
     "CompressionCheckpointer",
     "get_codec",
     "list_codecs",

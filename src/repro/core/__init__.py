@@ -35,18 +35,18 @@ from .labels import (
 )
 from .merkle import MerkleTree, TreeLayout
 from .provenance import (
-    IndexedRestoreReport,
     ProvenanceBuilder,
     ProvenanceIndex,
     ProvenanceTable,
-    RecordRestoreReport,
+    RestoreReport,
+    gather_states,
     materialize_index,
     resolve_source,
     restore_indexed,
     restore_record_indexed,
 )
 from .record import CheckpointRecord, CheckpointStats
-from .restore import Restorer, restore_latest, scrub_chain
+from .restore import Restorer
 from .retention import (
     payload_dependencies,
     rebase_record,
@@ -122,13 +122,11 @@ __all__ = [
     "CheckpointRecord",
     "CheckpointStats",
     "Restorer",
-    "restore_latest",
-    "scrub_chain",
-    "IndexedRestoreReport",
     "ProvenanceBuilder",
     "ProvenanceIndex",
     "ProvenanceTable",
-    "RecordRestoreReport",
+    "RestoreReport",
+    "gather_states",
     "materialize_index",
     "resolve_source",
     "restore_indexed",

@@ -121,8 +121,8 @@ def verify_chain(diffs: Sequence[CheckpointDiff]) -> List[str]:
     non-overlap, reference validity, the §2.2 serialization invariant
     (a shifted duplicate referencing its own checkpoint reads bytes a
     first occurrence — or no region — of that diff wrote, never another
-    shift destination) and a raw payload's length.  Used by tests,
-    scrubbing restores and the CLI.
+    shift destination) and a raw payload's length.  Used by tests and
+    the CLI.
     """
     if not diffs:
         return ["chain is empty"]

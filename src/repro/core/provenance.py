@@ -21,7 +21,8 @@ diffs out of an arbitrarily long chain.  That gather is the only
 production reconstruction: an in-memory chain, a stored record, an
 N-rank sharded restart and a node's crash restart all first
 :func:`resolve_source` to one index row plus a ``payload_of(t)``
-callable, then gather a chunk range.  A cold restart from disk only has
+callable, then gather a chunk range; the rebase and the fault graders
+walk a chain state by state through :func:`gather_states`.  A cold restart from disk only has
 to *parse the frames the index names* (:func:`restore_record_indexed`),
 because :class:`~repro.record.RecordWriter` persists one RPIX
 row-group per checkpoint next to the record log with the same digest
@@ -38,7 +39,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -49,7 +50,6 @@ from ..record import RecordView
 from . import store
 from .chunking import ChunkSpec
 from .diff import CheckpointDiff
-from .restore import scrub_chain
 from .serialize import chunk_map, diff_payload, group_by_source, place_chunks
 
 #: ``src_ckpt`` value for chunks never written by any diff (implicit zeros).
@@ -270,12 +270,29 @@ def cell_reference_counts(table: ProvenanceTable) -> Tuple[np.ndarray, int]:
 # Materialization
 # ----------------------------------------------------------------------
 @dataclass
-class IndexedRestoreReport:
-    """What one indexed restore actually touched."""
+class RestoreReport:
+    """What one restore read and gathered, from a chain or a record.
+
+    A chain in memory parses every diff it holds and reads no bytes
+    (``frames_parsed == frames_total``, ``used_index`` false); a stored
+    record reads its target's index span and only the frames that row
+    names (``used_index`` true).
+    """
 
     target_ckpt: int
     data_len: int
-    chain_len: int
+    #: Checkpoints the chain or record holds.
+    frames_total: int
+    #: Frames parsed: the whole chain, or the frames a record's row names.
+    frames_parsed: int
+    #: Total ``.rdif`` bytes the record holds on disk (0 for a chain).
+    record_bytes: int = 0
+    #: ``.rdif`` bytes actually read, plus :attr:`index_bytes`.
+    record_bytes_read: int = 0
+    #: Record-log bytes + the index byte range (the target's keyframe
+    #: through its own group) read for the row.
+    index_bytes: int = 0
+    used_index: bool = False
     #: Payload bytes gathered per referenced source checkpoint.
     payload_bytes_read: Dict[int, int] = field(default_factory=dict)
 
@@ -306,9 +323,9 @@ def materialize_index(
     in ascending *t*.  The written chunks are sorted by source once and
     every payload is placed by one grouped
     :func:`~repro.core.serialize.place_chunks` call, so a gather costs
-    its bytes plus a few array operations per source.  *report* is any
-    of the restore reports: the bytes gathered from each source
-    accumulate in its ``payload_bytes_read``.
+    its bytes plus a few array operations per source.  *report* is a
+    :class:`RestoreReport` or a shard's report: the bytes gathered from
+    each source accumulate in its ``payload_bytes_read``.
 
     ``[chunk_lo, chunk_hi)`` restricts the gather to a chunk range — the
     sharding primitive: each simulated GPU of a fleet restore
@@ -373,44 +390,36 @@ def materialize_index(
 # ----------------------------------------------------------------------
 # Resolve a source, then gather: the one reconstruction path
 # ----------------------------------------------------------------------
-@dataclass
-class RecordRestoreReport:
-    """I/O accounting of one from-disk restore."""
+def _payload_cache(frames) -> Callable[[int], np.ndarray]:
+    """``payload_of(t)`` over *frames*, decoding each payload once."""
+    payloads: Dict[int, np.ndarray] = {}
 
-    target_ckpt: int
-    frames_total: int
-    #: Frames actually read and parsed (index-referenced ones on the fast
-    #: path; the whole record when scrub is on).
-    frames_parsed: int
-    #: Total ``.rdif`` bytes the record holds on disk.
-    record_bytes: int
-    #: ``.rdif`` bytes actually read, plus :attr:`index_bytes`.
-    record_bytes_read: int
-    #: Record-log bytes + the index byte range (the target's keyframe
-    #: through its own group) read on the fast path; 0 under scrub.
-    index_bytes: int
-    used_index: bool
-    payload_bytes_read: Dict[int, int] = field(default_factory=dict)
+    def payload_of(t: int) -> np.ndarray:
+        cached = payloads.get(t)
+        if cached is None:
+            cached = payloads[t] = diff_payload(frames[t])
+        return cached
+
+    return payload_of
 
 
-def resolve_source(source, upto: Optional[int] = None, scrub: bool = False):
+def resolve_source(source, upto: Optional[int] = None):
     """Resolve ``(diff chain | record directory, upto)`` for a gather.
 
     Returns ``(index, payload_of, report)``: checkpoint *upto*'s
     :class:`ProvenanceIndex` row, the ``payload_of(t)`` callable
     :func:`materialize_index` pulls source payloads through, and the
-    report the gather fills — an :class:`IndexedRestoreReport` for a
-    chain, a :class:`RecordRestoreReport` for a record.  Every
-    reconstruction except the :class:`~repro.core.restore.Restorer`
-    replay oracle starts here.
+    :class:`RestoreReport` the gather fills.  Every reconstruction except
+    the :class:`~repro.core.restore.Restorer` replay oracle starts here.
 
-    A chain's row is composed on the fly by a :class:`ProvenanceBuilder`
-    over diffs ``0..upto``.  A record's row is decoded from the target's
+    A chain's row is composed on the fly by one
+    :class:`ProvenanceBuilder` pass over diffs ``0..upto`` — that pass is
+    the validation: a malformed diff raises :class:`RestoreError` naming
+    its checkpoint.  A record's row is decoded from the target's
     keyframe span alone — its last keyframe and the deltas up to its own
     group; damage in any group outside that span does not block the
-    restore — and only the frames that row names are read and parsed;
-    ``scrub=True`` (which validates the whole chain and so needs every
-    frame) loads the full record and resolves it as a chain.
+    restore — and only the frames that row names are read and parsed,
+    each verified against the log.
     """
     is_record = isinstance(source, (str, os.PathLike))
     if is_record:
@@ -428,51 +437,37 @@ def resolve_source(source, upto: Optional[int] = None, scrub: bool = False):
             f"{'record' if is_record else 'chain'} of {count}"
         )
 
-    used_index = is_record and not scrub
-    if used_index:
+    if is_record:
         index = store.load_provenance(view, ckpt=upto)
         parsed = [int(t) for t in index.referenced()]
         frames = store.load_record_frames(view, parsed)
-        index_bytes = index.bytes_read
-    else:
-        frames = store.load_record(view) if is_record else source
-        if scrub:
-            scrub_chain(frames[: upto + 1])
-        builder = ProvenanceBuilder()
-        builder.extend(frames[: upto + 1])
-        index = builder.indexes[upto]
-        parsed, index_bytes = range(count), 0
-
-    payloads: Dict[int, np.ndarray] = {}
-
-    def payload_of(t: int) -> np.ndarray:
-        cached = payloads.get(t)
-        if cached is None:
-            cached = payloads[t] = diff_payload(frames[t])
-        return cached
-
-    if is_record:
         frame_sizes = view.log.frame_bytes
-        report = RecordRestoreReport(
+        report = RestoreReport(
             target_ckpt=upto,
+            data_len=index.data_len,
             frames_total=count,
             frames_parsed=len(parsed),
             record_bytes=int(sum(frame_sizes)),
             record_bytes_read=int(sum(frame_sizes[t] for t in parsed))
-            + index_bytes,
-            index_bytes=index_bytes,
-            used_index=used_index,
+            + index.bytes_read,
+            index_bytes=index.bytes_read,
+            used_index=True,
         )
     else:
-        report = IndexedRestoreReport(
-            target_ckpt=upto, data_len=index.data_len, chain_len=count
+        frames = source
+        builder = ProvenanceBuilder()
+        builder.extend(frames[: upto + 1])
+        index = builder.indexes[upto]
+        report = RestoreReport(
+            target_ckpt=upto,
+            data_len=index.data_len,
+            frames_total=count,
+            frames_parsed=count,
         )
-    return index, payload_of, report
+    return index, _payload_cache(frames), report
 
 
-def restore_indexed(
-    source, upto: Optional[int] = None, scrub: bool = False, space=None
-):
+def restore_indexed(source, upto: Optional[int] = None, space=None):
     """Reconstruct checkpoint *upto* of a chain or record: resolve, gather.
 
     Bit-identical to :meth:`~repro.core.restore.Restorer.restore` on
@@ -480,26 +475,27 @@ def restore_indexed(
     source payload instead of replaying the chain.  Returns
     ``(buffer, report)`` with the report :func:`resolve_source` built.
     """
-    index, payload_of, report = resolve_source(source, upto, scrub)
-    on_disk = isinstance(report, RecordRestoreReport)
-    path = "indexed_record" if on_disk and report.used_index else "indexed"
-    chain_len = report.frames_total if on_disk else report.chain_len
+    index, payload_of, report = resolve_source(source, upto)
+    path = "indexed_record" if report.used_index else "indexed"
     with telemetry.span(
-        f"restore.{path}", space=space, upto=index.ckpt_id, chain_len=chain_len
+        f"restore.{path}",
+        space=space,
+        upto=index.ckpt_id,
+        chain_len=report.frames_total,
     ) as span:
         out = materialize_index(index, payload_of, space=space, report=report)
         fields = {
-            "sources": len(report.payload_bytes_read),
-            "payload_bytes": sum(report.payload_bytes_read.values()),
+            "sources": report.frames_referenced,
+            "payload_bytes": report.total_payload_bytes_read,
         }
-        if on_disk:
+        if report.used_index:
             fields["record_bytes_read"] = report.record_bytes_read
         span.set(**fields)
     events.emit(
         events.RESTORE,
         path=path,
         target_ckpt=index.ckpt_id,
-        chain_len=chain_len,
+        chain_len=report.frames_total,
         state_bytes=int(out.nbytes),
         **fields,
     )
@@ -507,10 +503,29 @@ def restore_indexed(
 
 
 def restore_record_indexed(
-    directory, upto: Optional[int] = None, scrub: bool = False, space=None
-) -> Tuple[np.ndarray, RecordRestoreReport]:
+    directory, upto: Optional[int] = None, space=None
+) -> Tuple[np.ndarray, RestoreReport]:
     """Cold restart: :func:`restore_indexed` on a stored record directory,
-    parsing only the frames its provenance index names.  Frame and index
-    integrity checks apply whether or not the index is used.
+    parsing only the frames its provenance index names.
     """
-    return restore_indexed(directory, upto, scrub, space)
+    return restore_indexed(directory, upto, space)
+
+
+def gather_states(
+    diffs: Sequence[CheckpointDiff], start: int = 0
+) -> Iterator[np.ndarray]:
+    """Checkpoints ``start..end`` of an in-memory chain, one at a time.
+
+    The chain is composed once — one :class:`ProvenanceBuilder`, one
+    payload cache — and each state is gathered as soon as its row
+    exists, so a caller that drops a state before taking the next holds
+    the rows, the payloads and one state, never the whole history.  The
+    rebase and the graders reconstruct through it; unlike a restore it
+    journals nothing.
+    """
+    payload_of = _payload_cache(diffs)
+    builder = ProvenanceBuilder()
+    for diff in diffs:
+        index = builder.append(diff)
+        if index.ckpt_id >= start:
+            yield materialize_index(index, payload_of)

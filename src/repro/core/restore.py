@@ -21,8 +21,10 @@ the previous checkpoint plus whatever earlier checkpoints later diffs
 still point at — and drops each buffer after its last use
 (``peak_buffers_held`` reports the high-water mark).
 :meth:`Restorer.restore_all` returns every state and therefore holds the
-whole chain by construction.  For restores that skip chain replay
-entirely, see :mod:`~repro.core.provenance`.
+whole chain by construction.  Chain replay is the parity oracle — the
+tests, the end-to-end harness and ``repro restore --replay`` run it;
+every production reconstruction is the provenance gather of
+:mod:`~repro.core.provenance`.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ from typing import Dict, List, Mapping, Optional, Sequence
 
 import numpy as np
 
-from ..errors import IntegrityError, ReproError, RestoreError
+from ..errors import RestoreError
 from .. import telemetry
 from ..telemetry import events
 from .diff import CheckpointDiff
@@ -42,46 +44,15 @@ _DIFFS_APPLIED = telemetry.counter(
 )
 
 
-def scrub_chain(diffs: Sequence[CheckpointDiff]) -> None:
-    """Structurally validate a chain before applying it.
-
-    Raises a structured :class:`~repro.errors.IntegrityError` naming the
-    first bad checkpoint.
-    """
-    from .analysis import verify_chain  # local import: avoids a cycle
-
-    problems = verify_chain(diffs)
-    if problems:
-        first = problems[0]
-        ckpt_id: Optional[int] = None
-        if first.startswith("ckpt "):
-            try:
-                ckpt_id = int(first.split()[1].rstrip(":"))
-            except ValueError:
-                ckpt_id = None
-        raise IntegrityError(
-            f"scrub failed: {first}"
-            + (f" (+{len(problems) - 1} more)" if len(problems) > 1 else ""),
-            ckpt_id=ckpt_id,
-        )
-
-
 class Restorer:
     """Reconstructs full checkpoints from an ordered diff chain.
 
     Each diff's payload is decoded with the codec its frame names
-    (:func:`~repro.core.serialize.diff_payload`).
-
-    Parameters
-    ----------
-    scrub:
-        Every diff is structurally checked as it is applied
-        (:func:`~repro.core.serialize.chunk_map`) whatever this says.
-        When true, the whole chain is validated *before* anything is
-        applied (:func:`~repro.core.analysis.verify_chain`), and any
-        damage raises a structured :class:`~repro.errors.IntegrityError`
-        naming the first bad checkpoint — instead of an unattributed
-        :class:`RestoreError` mid-apply.
+    (:func:`~repro.core.serialize.diff_payload`), and each diff is
+    structurally checked (:func:`~repro.core.serialize.chunk_map`) as it
+    is applied: a malformed diff raises :class:`RestoreError` naming its
+    checkpoint.  This is the test-side parity oracle; production
+    reconstruction is the provenance gather.
 
     Attributes
     ----------
@@ -90,16 +61,13 @@ class Restorer:
         the last :meth:`restore` / :meth:`restore_all` call.
     """
 
-    def __init__(self, scrub: bool = False) -> None:
-        self.scrub = scrub
+    def __init__(self) -> None:
         self.peak_buffers_held: int = 0
 
     # ------------------------------------------------------------------
     def restore_all(self, diffs: Sequence[CheckpointDiff]) -> List[np.ndarray]:
         """Reconstruct every checkpoint in the chain, in order."""
         with telemetry.span("restore.replay_all", chain_len=len(diffs)):
-            if self.scrub:
-                scrub_chain(diffs)
             history: Dict[int, np.ndarray] = {}
             for position, diff in enumerate(diffs):
                 if diff.ckpt_id != position:
@@ -107,9 +75,7 @@ class Restorer:
                         f"diff chain out of order: position {position} holds "
                         f"checkpoint {diff.ckpt_id}"
                     )
-                history[position] = self._restore_one_guarded(
-                    diff, history, position
-                )
+                history[position] = self._restore_one(diff, history)
             self.peak_buffers_held = len(history)
         return [history[i] for i in range(len(diffs))]
 
@@ -147,9 +113,6 @@ class Restorer:
     def _restore_windowed(
         self, chain: Sequence[CheckpointDiff], upto: int
     ) -> np.ndarray:
-        if self.scrub:
-            scrub_chain(chain)
-
         # Last position at which each reconstructed checkpoint is read:
         # position+1 needs position (fixed duplicates), and any later
         # diff's shifted duplicates may reach further back.
@@ -169,7 +132,7 @@ class Restorer:
         history: Dict[int, np.ndarray] = {}
         peak = 0
         for position, diff in enumerate(chain):
-            history[position] = self._restore_one_guarded(diff, history, position)
+            history[position] = self._restore_one(diff, history)
             peak = max(peak, len(history))
             dead = [t for t in history if last_use.get(t, -1) <= position and t != upto]
             for t in dead:
@@ -178,25 +141,6 @@ class Restorer:
         return history[upto]
 
     # ------------------------------------------------------------------
-    def _restore_one_guarded(
-        self,
-        diff: CheckpointDiff,
-        history: Mapping[int, np.ndarray],
-        position: int,
-    ) -> np.ndarray:
-        """Apply one diff; under scrub, wrap apply failures as integrity."""
-        if not self.scrub:
-            return self._restore_one(diff, history)
-        try:
-            return self._restore_one(diff, history)
-        except IntegrityError:
-            raise
-        except ReproError as exc:
-            raise IntegrityError(
-                f"checkpoint {position}: diff failed to apply ({exc})",
-                ckpt_id=position,
-            ) from exc
-
     def _restore_one(
         self, diff: CheckpointDiff, history: Mapping[int, np.ndarray]
     ) -> np.ndarray:
@@ -248,7 +192,3 @@ class Restorer:
         _DIFFS_APPLIED.inc()
         return data
 
-
-def restore_latest(diffs: Sequence[CheckpointDiff], scrub: bool = False) -> np.ndarray:
-    """Convenience wrapper: reconstruct only the final checkpoint."""
-    return Restorer(scrub=scrub).restore(diffs)

@@ -42,8 +42,7 @@ from ..compress import get_codec
 from ..errors import RestoreError, StorageError
 from ..telemetry import events
 from .diff import CheckpointDiff
-from .provenance import ProvenanceBuilder, resolve_source
-from .restore import Restorer
+from .provenance import ProvenanceBuilder, gather_states, resolve_source
 from .serialize import chunk_map, gather_chunk_payload
 from .store import load_record, record_manifest, save_record, verify_record
 
@@ -87,22 +86,24 @@ def rebase_record(diffs: Sequence[CheckpointDiff], at: int) -> List[CheckpointDi
       prefix is gone.
 
     A rewritten payload is re-encoded with the codec its frame names.
+    States ``at..end`` are gathered one at a time
+    (:func:`~repro.core.provenance.gather_states`), so a rebase holds one
+    state, never the whole history.
     """
     if not 0 <= at < len(diffs):
         raise RestoreError(f"rebase point {at} outside chain of {len(diffs)}")
-    states = Restorer().restore_all(diffs)
-
+    states = gather_states(diffs, start=at)
     out: List[CheckpointDiff] = [
         CheckpointDiff(
             method="full",
             ckpt_id=0,
             data_len=diffs[at].data_len,
             chunk_size=diffs[at].chunk_size,
-            payload=states[at].tobytes(),
+            payload=next(states).tobytes(),
         )
     ]
-    for old_id in range(at + 1, len(diffs)):
-        out.append(_rewrite_diff(diffs[old_id], at, states[old_id]))
+    for old_id, state in enumerate(states, start=at + 1):
+        out.append(_rewrite_diff(diffs[old_id], at, state))
     return out
 
 

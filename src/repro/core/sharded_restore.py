@@ -44,7 +44,6 @@ from .chunking import ChunkSpec
 from .provenance import (
     RAW_INDEX_BYTES_PER_CHUNK,
     ProvenanceIndex,
-    RecordRestoreReport,
     materialize_index,
     resolve_source,
 )
@@ -291,7 +290,6 @@ def restore_sharded(
     upto: Optional[int] = None,
     read_bandwidth: Optional[float] = None,
     windows: Optional[int] = None,
-    scrub: bool = False,
     path: str = "sharded",
     **identity: Any,
 ) -> Tuple[np.ndarray, FleetRestoreReport]:
@@ -311,13 +309,8 @@ def restore_sharded(
         raise RestoreError(
             f"{len(contention)} contention factors for {ranks} ranks"
         )
-    index, payload_of, resolved = resolve_source(source, upto, scrub)
-    if isinstance(resolved, RecordRestoreReport):
-        frames_total, frames_parsed = resolved.frames_total, resolved.frames_parsed
-        read_bytes, index_bytes = resolved.record_bytes_read, resolved.index_bytes
-    else:
-        frames_total = frames_parsed = resolved.chain_len
-        read_bytes = index_bytes = 0
+    index, payload_of, resolved = resolve_source(source, upto)
+    read_bytes = resolved.record_bytes_read
 
     model = KernelCostModel(device)
     with telemetry.span(
@@ -363,10 +356,10 @@ def restore_sharded(
         num_ranks=ranks,
         windows=windows,
         data_len=index.data_len,
-        frames_total=frames_total,
-        frames_parsed=frames_parsed,
+        frames_total=resolved.frames_total,
+        frames_parsed=resolved.frames_parsed,
         record_bytes_read=read_bytes,
-        index_bytes=index_bytes,
+        index_bytes=resolved.index_bytes,
         predicted_seconds=predicted,
         cost=cost,
         shards=reports,
@@ -376,7 +369,7 @@ def restore_sharded(
         events.RESTORE,
         path=path,
         target_ckpt=index.ckpt_id,
-        chain_len=frames_total,
+        chain_len=resolved.frames_total,
         ranks=ranks,
         windows=windows,
         state_bytes=int(out.nbytes),

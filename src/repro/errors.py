@@ -67,11 +67,11 @@ class IntegrityError(SerializationError, StorageError):
     """Stored checkpoint bytes fail their integrity checks.
 
     Raised when a frame's content digest does not match its bytes, when a
-    record's chain digest is broken, or when a scrubbing restore detects a
-    structurally invalid diff.  Carries enough structure for recovery code
-    to act on: ``ckpt_id`` names the first bad checkpoint (``None`` when
-    the damage is not attributable to one) and ``path`` names the on-disk
-    artifact when there is one.
+    record's log, index or chain digest is broken.  A structurally
+    invalid diff is not an integrity error: every reader refuses it with
+    :class:`RestoreError` naming its checkpoint.  ``ckpt_id`` names the
+    first bad checkpoint (``None`` when the damage is not attributable to
+    one) and ``path`` names the on-disk artifact when there is one.
     """
 
     def __init__(

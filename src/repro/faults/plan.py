@@ -234,8 +234,8 @@ def run_record_campaign(
 
     For each trial a fresh copy of *record_dir* receives one seeded
     fault; the copy is then scanned (`verify_record`), salvaged
-    (`load_record(strict=False)`), and scrub-restored.  Outcomes per
-    fault kind:
+    (`load_record(strict=False)`), and every salvaged checkpoint is
+    gathered (`gather_states`) and compared.  Outcomes per fault kind:
 
     * ``detected``      — the scan flagged the damage;
     * ``recovered``     — the salvaged prefix restored bit-identically
@@ -248,7 +248,7 @@ def run_record_campaign(
     Returns ``{kind: counters}`` plus a ``"total"`` roll-up; everything
     is plain ints/floats so the result is JSON-serialisable.
     """
-    from ..core.restore import Restorer
+    from ..core.provenance import gather_states
     from ..core.store import load_record, verify_record
 
     def _bucket() -> dict:
@@ -278,10 +278,9 @@ def run_record_campaign(
         scan = verify_record(trial_dir)
         detected = not scan.ok
         prefix = load_record(trial_dir, strict=False)
-        states = Restorer(scrub=True).restore_all(prefix) if prefix else []
         prefix_identical = all(
             np.array_equal(state, golden)
-            for state, golden in zip(states, golden_states)
+            for state, golden in zip(gather_states(prefix), golden_states)
         )
 
         for bucket in (results[kind], results["total"]):
@@ -290,7 +289,7 @@ def run_record_campaign(
                 bucket["detected"] += 1
                 if prefix_identical:
                     bucket["recovered"] += 1
-            elif len(states) == len(golden_states) and prefix_identical:
+            elif len(prefix) == len(golden_states) and prefix_identical:
                 bucket["harmless"] += 1
             else:
                 bucket["silent_wrong"] += 1

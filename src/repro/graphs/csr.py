@@ -154,16 +154,6 @@ class Graph:
         remapped = np.stack([new_id[edges[:, 0]], new_id[edges[:, 1]]], axis=1)
         return Graph.from_edges(n, remapped)
 
-    def subgraph_adjacency(self, vertices: np.ndarray) -> np.ndarray:
-        """Dense boolean adjacency of the induced subgraph on *vertices*."""
-        k = len(vertices)
-        out = np.zeros((k, k), dtype=bool)
-        for i in range(k):
-            for j in range(i + 1, k):
-                if self.has_edge(int(vertices[i]), int(vertices[j])):
-                    out[i, j] = out[j, i] = True
-        return out
-
     def to_networkx(self):
         """Convert to a networkx.Graph (test/diagnostic helper)."""
         import networkx as nx

@@ -232,15 +232,6 @@ class GraphletAtlas:
             raise GraphError(f"mask {mask:#x} on {k} vertices is disconnected")
         return row
 
-    def graphlet_of_mask(self, k: int, mask: int) -> GraphletInfo:
-        """The graphlet type of a connected labeled mask."""
-        perms = permutations(range(k))
-        canon = min(_apply_perm(mask, k, p) for p in perms)
-        for info in self.graphlets:
-            if info.size == k and info.canonical_mask == canon:
-                return info
-        raise GraphError(f"mask {mask:#x} not in atlas (disconnected?)")
-
 
 _ATLAS_CACHE: Dict[int, GraphletAtlas] = {}
 

@@ -404,7 +404,7 @@ def drive_run(
     state — the driven run stays a pure function of ``(config,
     schedule)``.
     """
-    from ..core.restore import Restorer
+    from ..core.provenance import gather_states
     from ..core.store import load_record, verify_record
     from ..runtime.node import NodeRuntime
 
@@ -535,17 +535,16 @@ def drive_run(
                 injected.extend(journal.records()[fault_mark:])
                 scan = verify_record(record_dir)
                 prefix = load_record(record_dir, strict=False)
-                restored = (
-                    Restorer(scrub=True).restore_all(prefix) if prefix else []
-                )
                 prefix_ok = all(
                     np.array_equal(state, golden)
-                    for state, golden in zip(restored, snapshots[0])
+                    for state, golden in zip(
+                        gather_states(prefix), snapshots[0]
+                    )
                 )
                 detected = not scan.ok
                 if detected:
                     outcome_kind = "recovered" if prefix_ok else "detected"
-                elif len(restored) == len(ledger) and prefix_ok:
+                elif len(prefix) == len(ledger) and prefix_ok:
                     outcome_kind = "harmless"
                 else:
                     outcome_kind = "silent_wrong"
@@ -567,7 +566,7 @@ def drive_run(
             if durable_idx:
                 last = ledger[durable_idx[-1]]
                 chain = [c.diff for c in ledger[: durable_idx[-1] + 1]]
-                state = Restorer().restore_all(chain)[-1]
+                (state,) = gather_states(chain, start=len(chain) - 1)
                 digest = hashlib.sha256(state.tobytes()).hexdigest()
                 if last.ckpt_id < len(snapshots[p]) and not np.array_equal(
                     state, snapshots[p][last.ckpt_id]

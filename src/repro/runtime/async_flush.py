@@ -29,7 +29,7 @@ Degradation under injected faults (see ``docs/FAULT_MODEL.md``):
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence
 
 from ..errors import StorageError
 from ..utils.validation import non_negative_int, positive_float
@@ -96,13 +96,6 @@ class AsyncFlushPipeline:
         k-th retry waits ``retry_base_seconds * 2**(k-1)`` simulated
         seconds; after *max_retries* failed attempts on one link the
         flush gives up with :class:`StorageError`.
-    persist:
-        Optional durability hook called with each completed
-        :class:`FlushReport` once the object has reached the terminal
-        tier — the moment the runtime would commit it into a stored
-        record.  :class:`~repro.runtime.node.NodeRuntime` uses this to
-        route every flushed checkpoint through a
-        :class:`~repro.core.store.RecordWriter`.
     """
 
     def __init__(
@@ -110,7 +103,6 @@ class AsyncFlushPipeline:
         tiers: Optional[Sequence[StorageTier]] = None,
         retry_base_seconds: float = 0.25,
         max_retries: int = 16,
-        persist: Optional[Callable[[FlushReport], None]] = None,
     ) -> None:
         self.tiers: List[StorageTier] = (
             list(tiers) if tiers is not None else default_hierarchy()
@@ -120,7 +112,6 @@ class AsyncFlushPipeline:
         positive_float(retry_base_seconds, "retry_base_seconds")
         self.retry_base_seconds = retry_base_seconds
         self.max_retries = max_retries
-        self.persist = persist
         self.reports: List[FlushReport] = []
         #: Pending evictions: (free_time, tier_index, key, nbytes).
         self._departures: List[tuple] = []
@@ -238,8 +229,6 @@ class AsyncFlushPipeline:
         with telemetry.span("flush.submit", key=key, bytes=nbytes, sim_now=now) as span:
             report = self._submit(key, nbytes, now, span)
         _BLOCKED.observe(report.blocked_seconds)
-        if self.persist is not None:
-            self.persist(report)
         return report
 
     def _submit(self, key: str, nbytes: int, now: float, span) -> FlushReport:

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Union
 
 import numpy as np
 
@@ -29,7 +29,7 @@ from ..gpusim.cluster import NodeSpec, thetagpu_node
 from ..utils.validation import positive_float, positive_int
 from .. import telemetry
 from ..telemetry import events
-from .async_flush import AsyncFlushPipeline, FlushReport
+from .async_flush import AsyncFlushPipeline
 from .storage import StorageTier
 
 PathLike = Union[str, Path]
@@ -128,8 +128,8 @@ class NodeRuntime:
         Optional directory root for durable on-disk records.  When set,
         each process gets a :class:`~repro.core.store.RecordWriter` at
         ``record_root/p{rank}`` and every checkpoint is appended to it
-        the moment its flush reaches the terminal tier — the record on
-        disk tracks the durability ledger append-by-append instead of
+        as it commits, right after its flush is submitted — the record
+        on disk tracks the durability ledger append-by-append instead of
         being rewritten wholesale at the end of a run.  A crash/restart
         resets that process's record and re-seeds it with the restart
         checkpoint, mirroring the in-memory ledger.
@@ -182,15 +182,12 @@ class NodeRuntime:
         positive_float(ssd_drain_bandwidth, "ssd_drain_bandwidth")
         self.record_root = Path(record_root) if record_root is not None else None
         self._writers: Dict[int, RecordWriter] = {}
-        #: Diffs staged for the persist hook, flush key → (rank, diff).
-        self._pending_records: Dict[str, Tuple[int, CheckpointDiff]] = {}
         self.pipeline = AsyncFlushPipeline(
             [
                 StorageTier("host", staging, host_drain_bandwidth),
                 StorageTier("ssd", max(staging * 200, 1), ssd_drain_bandwidth),
                 StorageTier("pfs", max(staging * 20_000, 1), 250.0e9),
-            ],
-            persist=self._persist_flushed if self.record_root is not None else None,
+            ]
         )
         self.timelines = [NodeTimeline(process=p) for p in range(num_processes)]
         self._ckpt_counter = 0
@@ -233,14 +230,6 @@ class NodeRuntime:
             return None
         return self.record_root / f"p{process}"
 
-    def _persist_flushed(self, report: FlushReport) -> None:
-        """Flush-completion hook: append the flushed diff to its record."""
-        staged = self._pending_records.pop(report.key, None)
-        if staged is None:
-            return
-        rank, diff = staged
-        self.record_writer(rank).append(diff)
-
     # ------------------------------------------------------------------
     def checkpoint_all(
         self,
@@ -271,14 +260,14 @@ class NodeRuntime:
             timeline.blocking_device_seconds += device_seconds
             timeline.stored_bytes += diff.serialized_size
             produced_at = now + device_seconds
-            key = f"p{p}-ck{self._ckpt_counter}"
-            if self.record_root is not None:
-                self._pending_records[key] = (p, diff)
             report = self.pipeline.submit(
-                key,
+                f"p{p}-ck{self._ckpt_counter}",
                 diff.serialized_size,
                 now=produced_at,
             )
+            writer = self.record_writer(p)
+            if writer is not None:
+                writer.append(diff)
             timeline.blocking_staging_seconds += report.blocked_seconds
             self.persisted[p].append(
                 PersistedCheckpoint(
@@ -291,8 +280,8 @@ class NodeRuntime:
             # The payload digest is only worth computing when a journal
             # is recording — replay uses it to prove bit-identical
             # durable content without shipping payloads around.  It is
-            # the frame's content digest, which the to_bytes a persisting
-            # RecordWriter ran already cached.
+            # the frame's content digest, which the to_bytes of the
+            # append above already cached.
             payload_sha256 = (
                 diff.frame_digest()
                 if events.active_journal() is not None
@@ -347,11 +336,11 @@ class NodeRuntime:
         checkpoint that was *durable* (had reached the terminal tier) by
         ``at_time``, reconstructed by the provenance gather: the durable
         chain's provenance row is composed at crash time (one pass over
-        diffs that ``scrub=True``, the default, validates in full
-        anyway), and one gather per referenced diff rebuilds the state —
-        no chain replay.  The process's checkpointer is replaced with a
-        fresh one seeded by re-checkpointing the restored state, so the
-        dedup chain restarts consistently.
+        the diffs, which validates them), and one gather per referenced
+        diff rebuilds the state — no chain replay.  The process's
+        checkpointer is replaced with a fresh one seeded by
+        re-checkpointing the restored state, so the dedup chain restarts
+        consistently.
 
         ``fan_out`` shards the restore's gathers across that many of the
         node's GPUs (the crashed process's siblings are idle during a
@@ -361,6 +350,8 @@ class NodeRuntime:
         the restore cost is the fleet critical path with every rank under
         the node's PCIe contention at that fan-out.  Output is
         bit-identical at every fan-out.
+
+        ``scrub`` has no effect: validation is part of composing the chain.
 
         Returns a :class:`CrashReport` with the restored state, the
         lost-work metric, and the restore's simulated cost.
@@ -418,7 +409,6 @@ class NodeRuntime:
                     self.node.device,
                     [self.node.pcie_contention(fan_out)] * fan_out,
                     upto=last.ckpt_id,
-                    scrub=scrub,
                     path="sharded_node",
                     node=self.name,
                     rank=process,
@@ -446,11 +436,6 @@ class NodeRuntime:
         unit = self.checkpointers[process] = self._new_checkpointer()
         self.persisted[process] = []
         if self.record_root is not None:
-            self._pending_records = {
-                key: staged
-                for key, staged in self._pending_records.items()
-                if staged[0] != process
-            }
             self.record_writer(process).reset()
         if restored_id is not None:
             unit.checkpoint(restored)

@@ -16,8 +16,8 @@ from repro.core import ENGINES, ProvenanceBuilder
 from repro.core.chunking import ChunkSpec
 from repro.core.provenance import (
     RAW_INDEX_BYTES_PER_CHUNK,
-    IndexedRestoreReport,
     ProvenanceIndex,
+    RestoreReport,
     materialize_index,
 )
 from repro.core.serialize import diff_payload, group_by_source, place_chunks
@@ -131,8 +131,11 @@ def _run(gather, index, payloads, **kwargs):
         return payloads[t]
 
     space = DeviceSpace(0)
-    report = IndexedRestoreReport(
-        target_ckpt=index.ckpt_id, data_len=index.data_len, chain_len=0
+    report = RestoreReport(
+        target_ckpt=index.ckpt_id,
+        data_len=index.data_len,
+        frames_total=0,
+        frames_parsed=0,
     )
     out = gather(index, payload_of, space=space, report=report, **kwargs)
     return (

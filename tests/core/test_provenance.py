@@ -18,6 +18,7 @@ from repro.core import (
     ProvenanceTable,
     RecordWriter,
     Restorer,
+    gather_states,
     load_provenance,
     load_record,
     record_manifest,
@@ -73,6 +74,23 @@ class TestEquivalence:
             assert np.array_equal(fast, replay[k])
             assert np.array_equal(fast, states[k])
 
+    @pytest.mark.parametrize("method", ["full", "basic", "list", "tree"])
+    def test_gather_states_matches_replay(self, method, rng):
+        diffs, states = _chain(method, rng)
+        gathered = list(gather_states(diffs, start=2))
+        assert len(gathered) == len(diffs) - 2
+        for got, want in zip(gathered, states[2:]):
+            assert np.array_equal(got, want)
+
+    def test_chain_report_reads_nothing(self, rng):
+        diffs, _ = _chain("tree", rng)
+        _, report = restore_indexed(diffs, upto=1)
+        assert report.target_ckpt == 1
+        assert report.frames_total == report.frames_parsed == len(diffs)
+        assert report.record_bytes == report.record_bytes_read == 0
+        assert report.index_bytes == 0 and not report.used_index
+        assert report.frames_referenced >= 1
+
     @pytest.mark.parametrize("method", ["basic", "list", "tree"])
     def test_tail_chunk_handled(self, method, rng):
         diffs, states = _chain(method, rng, n=N + 17)
@@ -108,8 +126,8 @@ class TestEquivalence:
     def test_scrub_catches_corrupt_chain(self, rng):
         diffs, _ = _chain("tree", rng)
         diffs[2].payload = diffs[2].payload[:-4]
-        with pytest.raises(IntegrityError):
-            restore_indexed(diffs, scrub=True)
+        with pytest.raises(RestoreError, match="ckpt 2"):
+            restore_indexed(diffs)
 
 
 class TestBuilderValidation:
@@ -438,13 +456,12 @@ class TestRecordRestore:
     def test_replay_fallback_without_index(self, rng, tmp_path):
         # The full-record fallback for a record without an index is gone:
         # such a record is a retired format, refused by name on every
-        # path, the scrub included.
+        # path.
         diffs, _ = _chain("list", rng)
         save_record(diffs, tmp_path)
         retire_index(tmp_path)
-        for scrub in (False, True):
-            with pytest.raises(StorageError, match="names no provenance index"):
-                restore_record_indexed(tmp_path, scrub=scrub)
+        with pytest.raises(StorageError, match="names no provenance index"):
+            restore_record_indexed(tmp_path)
 
     def test_corrupt_index_detected(self, rng, tmp_path):
         diffs, _ = _chain("tree", rng)
@@ -466,13 +483,6 @@ class TestRecordRestore:
         assert report.provenance_ok is True
         assert report.ok
         assert "provenance index: ok" in report.summary()
-
-    def test_scrub_path_validates_whole_record(self, rng, tmp_path):
-        diffs, states = _chain("tree", rng)
-        save_record(diffs, tmp_path)
-        out, report = restore_record_indexed(tmp_path, scrub=True)
-        assert np.array_equal(out, states[-1])
-        assert not report.used_index  # scrub needs every frame anyway
 
     def test_upto_selects_checkpoint(self, rng, tmp_path):
         diffs, states = _chain("tree", rng)

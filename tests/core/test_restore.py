@@ -3,9 +3,16 @@
 import numpy as np
 import pytest
 
-from repro.core import ENGINES, Restorer, restore_latest
+from repro.core import (
+    ENGINES,
+    Restorer,
+    gather_states,
+    restore_indexed,
+    restore_record_indexed,
+    save_record,
+)
 from repro.core.diff import CheckpointDiff
-from repro.errors import IntegrityError, RestoreError
+from repro.errors import RestoreError
 
 
 @pytest.fixture
@@ -31,9 +38,6 @@ class TestRestoreApi:
         latest = Restorer().restore(tree_chain)
         explicit = Restorer().restore(tree_chain, upto=len(tree_chain) - 1)
         assert np.array_equal(latest, explicit)
-
-    def test_restore_latest_helper(self, tree_chain):
-        assert np.array_equal(restore_latest(tree_chain), Restorer().restore(tree_chain))
 
     def test_empty_chain_rejected(self):
         with pytest.raises(RestoreError):
@@ -116,10 +120,14 @@ class TestCorruptionDetection:
 
 
 class TestScrubbing:
+    """Validation is part of every reconstruction: the replay oracle and
+    the gather refuse the same damage, naming the same checkpoint."""
+
     def test_clean_chain_scrubs_identically(self, tree_chain):
         plain = Restorer().restore_all(tree_chain)
-        scrubbed = Restorer(scrub=True).restore_all(tree_chain)
-        for a, b in zip(plain, scrubbed):
+        gathered = list(gather_states(tree_chain))
+        assert len(gathered) == len(plain)
+        for a, b in zip(plain, gathered):
             assert np.array_equal(a, b)
 
     def _damaged(self, tree_chain, **overrides):
@@ -142,9 +150,13 @@ class TestScrubbing:
 
     def test_scrub_names_first_bad_checkpoint(self, tree_chain):
         chain = self._damaged(tree_chain, payload=tree_chain[2].payload[:-7])
-        with pytest.raises(IntegrityError) as exc:
-            Restorer(scrub=True).restore_all(chain)
-        assert exc.value.ckpt_id == 2
+        for restore in (
+            lambda: Restorer().restore_all(chain),
+            lambda: list(gather_states(chain)),
+            lambda: restore_indexed(chain),
+        ):
+            with pytest.raises(RestoreError, match="ckpt 2"):
+                restore()
 
     def test_scrub_catches_forward_reference(self, rng):
         d0 = CheckpointDiff(
@@ -157,36 +169,25 @@ class TestScrubbing:
             shift_ref_ids=np.array([4], dtype=np.uint32),
             shift_ref_ckpts=np.array([7], dtype=np.uint32),  # future ckpt
         )
-        with pytest.raises(IntegrityError) as exc:
-            Restorer(scrub=True).restore_all([d0, d1])
-        assert exc.value.ckpt_id == 1
+        for restore in (
+            lambda: Restorer().restore_all([d0, d1]),
+            lambda: list(gather_states([d0, d1])),
+        ):
+            with pytest.raises(RestoreError, match="ckpt 1"):
+                restore()
 
-    def test_scrub_wraps_apply_failures(self, rng):
-        d0 = CheckpointDiff(
-            method="full", ckpt_id=0, data_len=256, chunk_size=64,
-            payload=bytes(256),
-        )
-        d1 = CheckpointDiff(
-            method="full", ckpt_id=1, data_len=512, chunk_size=64,
-            payload=bytes(512),
-        )
-        with pytest.raises(IntegrityError) as exc:
-            Restorer(scrub=True).restore_all([d0, d1])
-        assert exc.value.ckpt_id == 1
-
-    def test_restore_latest_scrub_passthrough(self, tree_chain):
-        assert np.array_equal(
-            restore_latest(tree_chain, scrub=True),
-            restore_latest(tree_chain),
-        )
-
-    def test_integrity_error_is_restorable_catch(self, tree_chain):
-        """Legacy callers catching ReproError subclasses still work."""
+    def test_integrity_error_is_restorable_catch(self, tree_chain, tmp_path):
+        """Legacy callers catching ReproError subclasses still work: a
+        damaged frame surfaces as IntegrityError, which both catch."""
         from repro.errors import SerializationError, StorageError
 
-        chain = self._damaged(tree_chain, payload=tree_chain[2].payload[:-7])
+        path = save_record(tree_chain, tmp_path / "rec")
+        frame = path / "ckpt-00002.rdif"
+        blob = bytearray(frame.read_bytes())
+        blob[len(blob) // 2] ^= 0x10
+        frame.write_bytes(bytes(blob))
         with pytest.raises((SerializationError, StorageError)):
-            Restorer(scrub=True).restore_all(chain)
+            restore_record_indexed(path, upto=2)
 
 
 class TestMixedMethodChain:

@@ -147,6 +147,53 @@ class TestRebaseProperties:
         assert np.array_equal(restored[1], stream[2])
 
 
+def test_rebase_holds_one_state_not_the_history(rng):
+    """The rebase gathers states one at a time: on a 48-checkpoint chain
+    its tracemalloc peak — one state, the provenance rows (12 B per chunk
+    per checkpoint) and the rebased chain it returns — stays under 8
+    buffers, where replaying the history holds all 48.  Its output
+    equals, frame for frame, the rebase built from the replay oracle's
+    states."""
+    import tracemalloc
+
+    from repro.core.diff import CheckpointDiff
+
+    n, cs, steps, at = 64 * 1024, 512, 48, 16
+    engine = ENGINES["tree"](n, cs)
+    cur = rng.integers(0, 256, n, dtype=np.uint8)
+    diffs = [engine.checkpoint(cur)]
+    for _ in range(steps - 1):
+        cur = cur.copy()
+        s, d = rng.integers(0, n // cs - 2, 2) * cs
+        cur[d : d + 2 * cs] = cur[s : s + 2 * cs]  # moved chunks: shifts
+        idx = rng.integers(0, n, 2)
+        cur[idx] = rng.integers(0, 256, 2, dtype=np.uint8)
+        diffs.append(engine.checkpoint(cur))
+
+    rebase_record(diffs[:2], 0)  # first-call imports are not the rebase's
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        rebased = rebase_record(diffs, at)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * n, f"rebase peak {peak} B for a {n} B buffer"
+
+    states = Restorer().restore_all(diffs)
+    expected = [
+        CheckpointDiff(
+            method="full", ckpt_id=0, data_len=n, chunk_size=cs,
+            payload=states[at].tobytes(),
+        )
+    ] + [
+        retention._rewrite_diff(diffs[k], at, states[k])
+        for k in range(at + 1, steps)
+    ]
+    assert any(d.num_shift for d in expected[1:])
+    assert [d.to_bytes() for d in rebased] == [d.to_bytes() for d in expected]
+
+
 class TestRebaseIndex:
     """A rebase invalidates the provenance index; the rewrite renews it."""
 

@@ -6,7 +6,7 @@ import pytest
 
 from repro.core import ENGINES, Restorer, restore_indexed, selective_restore, verify_chain
 from repro.core.diff import CheckpointDiff
-from repro.errors import IntegrityError, RestoreError
+from repro.errors import RestoreError
 
 
 @pytest.fixture
@@ -110,10 +110,10 @@ class TestErrors:
         problems = verify_chain([d0, d1])
         assert len(problems) == 2
         assert all("another shifted duplicate" in p for p in problems)
-        with pytest.raises(IntegrityError, match="ckpt 1"):
-            Restorer(scrub=True).restore([d0, d1])
-        with pytest.raises(IntegrityError, match="ckpt 1"):
-            restore_indexed([d0, d1], scrub=True)
+        with pytest.raises(RestoreError, match="ckpt 1"):
+            Restorer().restore([d0, d1])
+        with pytest.raises(RestoreError, match="ckpt 1"):
+            restore_indexed([d0, d1])
 
     def test_same_checkpoint_shift_from_first_occurrence_passes(self, rng):
         n = 256

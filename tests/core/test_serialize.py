@@ -4,10 +4,12 @@ import numpy as np
 import pytest
 
 from repro.core import (
+    CheckpointRecord,
     ProvenanceBuilder,
     Restorer,
     record_manifest,
     restore_indexed,
+    restore_sharded,
     save_record,
     verify_chain,
 )
@@ -22,7 +24,8 @@ from repro.core.serialize import (
     region_byte_lengths,
     unpack_bitmap,
 )
-from repro.errors import IntegrityError, RestoreError, SerializationError, StorageError
+from repro.errors import RestoreError, SerializationError, StorageError
+from repro.gpusim.device import a100
 
 
 @pytest.fixture
@@ -209,19 +212,17 @@ def test_malformed_diff_is_refused_by_every_reader(row, tmp_path):
     assert problems and message in problems[0], problems
     assert problems[0] in verify_chain(chain)
 
-    with pytest.raises(RestoreError, match="ckpt 1"):
-        ProvenanceBuilder().extend(chain)
-    with pytest.raises(RestoreError, match="ckpt 1"):
-        Restorer().restore(chain)
-    with pytest.raises(RestoreError):
-        restore_indexed(chain)
+    record = CheckpointRecord(bad.method)
+    record.diffs.extend(chain)
     for restore in (
-        lambda: Restorer(scrub=True).restore(chain),
-        lambda: restore_indexed(chain, scrub=True),
+        lambda: ProvenanceBuilder().extend(chain),
+        lambda: Restorer().restore(chain),
+        lambda: restore_indexed(chain),
+        lambda: restore_sharded(chain, 2, a100(), [1.0, 1.0]),
+        lambda: record.restore(),
     ):
-        with pytest.raises(IntegrityError) as caught:
+        with pytest.raises(RestoreError, match="ckpt 1"):
             restore()
-        assert caught.value.ckpt_id == 1
 
     # The writer is the twelfth reader: it refuses the checkpoint before
     # writing a byte of it.

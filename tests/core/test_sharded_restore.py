@@ -13,8 +13,8 @@ import pytest
 
 from repro.core import (
     ENGINES,
-    IndexedRestoreReport,
     ProvenanceBuilder,
+    RestoreReport,
     ShardedRestorePlan,
     ShardReport,
     partition_chunks,
@@ -151,10 +151,11 @@ class TestShardAccounting:
     def test_payload_bytes_sum_matches_single_gpu(self, rng):
         diffs, _ = _chain("tree", rng)
         index = _index_of(diffs)
-        single = IndexedRestoreReport(
+        single = RestoreReport(
             target_ckpt=index.ckpt_id,
             data_len=index.data_len,
-            chain_len=len(diffs),
+            frames_total=len(diffs),
+            frames_parsed=len(diffs),
         )
         from repro.core import materialize_index
 

@@ -324,7 +324,7 @@ class TestSalvage:
         blob[60] ^= 0x80
         (path / "ckpt-00001.rdif").write_bytes(bytes(blob))
         prefix = load_record(path, strict=False)
-        states = Restorer(scrub=True).restore_all(prefix)
+        states = Restorer().restore_all(prefix)
         assert np.array_equal(states[0], golden[0])
 
 

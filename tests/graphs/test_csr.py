@@ -67,11 +67,6 @@ class TestQueries:
         assert edges.shape == (9, 2)
         assert (edges[:, 0] < edges[:, 1]).all()
 
-    def test_subgraph_adjacency(self, small_graph):
-        adj = small_graph.subgraph_adjacency(np.array([0, 1, 2]))
-        assert adj.sum() == 6  # triangle, symmetric
-        assert not adj.diagonal().any()
-
     def test_to_networkx(self, small_graph):
         gnx = small_graph.to_networkx()
         assert gnx.number_of_nodes() == 8

@@ -78,7 +78,7 @@ class TestGoldenTraceRecovery:
         diffs, states = golden_trace
         path = save_record(diffs, tmp_path / "rec", method="tree")
         assert verify_record(path).ok
-        restored = Restorer(scrub=True).restore_all(load_record(path))
+        restored = Restorer().restore_all(load_record(path))
         assert len(restored) == len(states)
         for got, want in zip(restored, states):
             assert np.array_equal(got, want)
@@ -96,7 +96,7 @@ class TestGoldenTraceRecovery:
 
         prefix = load_record(path, strict=False)
         assert len(prefix) == 3
-        restored = Restorer(scrub=True).restore_all(prefix)
+        restored = Restorer().restore_all(prefix)
         for got, want in zip(restored, states[:3]):
             assert np.array_equal(got, want)
 

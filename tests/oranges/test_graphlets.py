@@ -95,13 +95,6 @@ class TestClassification:
         with pytest.raises(GraphError):
             atlas.classify(4, mask_from_edges(4, [(0, 1), (2, 3)]))
 
-    def test_graphlet_of_mask(self):
-        atlas = get_atlas(4)
-        info = atlas.graphlet_of_mask(3, 0b111)
-        assert info.size == 3
-        assert info.num_edges == 3
-        assert info.num_orbits == 1
-
     def test_orbit_ids_partition_range(self):
         atlas = get_atlas(5)
         seen = set()

@@ -178,7 +178,7 @@ def test_salvage_never_restores_wrong_bytes(seed, file_pick, position, flip):
         assert len(prefix) == index
         if not prefix:
             return  # first checkpoint hit: nothing salvageable, nothing wrong
-        states = Restorer(scrub=True).restore_all(prefix)
+        states = Restorer().restore_all(prefix)
         for got, want in zip(states, golden):
             assert np.array_equal(got, want)
 
