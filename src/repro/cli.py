@@ -653,7 +653,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--fast",
         dest="replay",
         action="store_false",
-        help="provenance-indexed restore, parsing only referenced frames (default)",
+        help="provenance-indexed restore, reading only referenced frames (default)",
     )
     path_group.add_argument(
         "--replay",

@@ -44,7 +44,7 @@ from __future__ import annotations
 import hashlib
 import struct
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -96,6 +96,109 @@ def content_digest(blob) -> bytes:
     h = hashlib.sha256(view[: _HEADER.size])
     h.update(view[_HEADER.size + DIGEST_BYTES :])
     return h.digest()
+
+
+class FrameHeader(NamedTuple):
+    """A frame's fixed header, checked by :func:`frame_header`."""
+
+    method: str
+    codec: Optional[str]
+    ckpt_id: int
+    data_len: int
+    chunk_size: int
+    n_first: int
+    n_shift: int
+    bitmap_bytes: int
+    #: Where the payload starts; it runs to the end of the frame.
+    payload_off: int
+    #: The embedded content digest, when it was checked (else ``None``).
+    digest: Optional[bytes]
+
+
+def frame_header(
+    blob, verify: bool = True, digest: Optional[bytes] = None
+) -> FrameHeader:
+    """Check a frame's header against its bytes; the one list of checks
+    every frame reader makes, whether it then builds a whole
+    :class:`CheckpointDiff` or only takes the payload.
+
+    In order: magic, version, method code, exact length, the embedded
+    digest against *digest* (a caller's :func:`content_digest` of *blob*,
+    typically the record log's value) or against a fresh hash when
+    *verify* is true, the codec code (known, and only on a ``tree``
+    frame), and a positive ``data_len`` and ``chunk_size``.  Raises
+    :class:`~repro.errors.SerializationError`, or
+    :class:`~repro.errors.IntegrityError` for a digest mismatch.
+    """
+    if len(blob) < _HEADER.size:
+        raise SerializationError(f"diff blob too short ({len(blob)} bytes)")
+    (
+        magic,
+        version,
+        method_code,
+        codec_code,
+        ckpt_id,
+        data_len,
+        chunk_size,
+        n_first,
+        n_shift,
+        bitmap_bytes,
+        payload_len,
+    ) = _HEADER.unpack_from(blob, 0)
+    if magic != _MAGIC:
+        raise SerializationError(f"bad magic {magic!r}")
+    if version != _VERSION:
+        raise SerializationError(f"unsupported diff version {version}")
+    if method_code >= len(METHODS):
+        raise SerializationError(f"unknown method code {method_code}")
+    method = METHODS[method_code]
+
+    off = _HEADER.size
+    if len(blob) < off + DIGEST_BYTES:
+        raise SerializationError(
+            f"diff blob too short for v2 digest ({len(blob)} bytes)"
+        )
+    payload_off = off + DIGEST_BYTES + 4 * n_first + 12 * n_shift + bitmap_bytes
+    need = payload_off + payload_len
+    if len(blob) != need:
+        raise SerializationError(f"diff blob length {len(blob)} != expected {need}")
+    stored_digest = None
+    if verify or digest is not None:
+        stored_digest = bytes(blob[off : off + DIGEST_BYTES])
+        actual = content_digest(blob) if digest is None else digest
+        if actual != stored_digest:
+            raise IntegrityError(
+                f"checkpoint {ckpt_id}: frame digest mismatch "
+                f"(stored {stored_digest.hex()[:16]}…, "
+                f"computed {actual.hex()[:16]}…)",
+                ckpt_id=ckpt_id,
+            )
+    codec = None
+    if codec_code:
+        if codec_code > len(PAYLOAD_CODECS):
+            raise SerializationError(f"unknown payload codec code {codec_code}")
+        if method != "tree":
+            raise SerializationError(
+                f"payload codec code {codec_code} on a {method} frame"
+            )
+        codec = PAYLOAD_CODECS[codec_code - 1]
+    if not data_len or not chunk_size:
+        raise SerializationError(
+            f"checkpoint {ckpt_id}: data_len {data_len} / chunk_size "
+            f"{chunk_size} must be positive"
+        )
+    return FrameHeader(
+        method=method,
+        codec=codec,
+        ckpt_id=ckpt_id,
+        data_len=data_len,
+        chunk_size=chunk_size,
+        n_first=n_first,
+        n_shift=n_shift,
+        bitmap_bytes=bitmap_bytes,
+        payload_off=payload_off,
+        digest=stored_digest,
+    )
 
 
 @dataclass
@@ -270,67 +373,18 @@ class CheckpointDiff:
     ) -> "CheckpointDiff":
         """Parse a diff previously produced by :meth:`to_bytes`.
 
-        The frame's content digest is recomputed here (mismatch raises
-        :class:`~repro.errors.IntegrityError` unless *verify* is false).
-        A caller that already computed :func:`content_digest` of *blob* —
-        a record reader, which checks it against the record log — passes
-        it as *digest*: the embedded field is compared to it and the frame
-        is not hashed again.
+        The frame is checked by :func:`frame_header` — the checks every
+        frame reader makes — and its metadata arrays and payload are then
+        copied out.  The frame's content digest is recomputed there
+        (mismatch raises :class:`~repro.errors.IntegrityError` unless
+        *verify* is false).  A caller that already computed
+        :func:`content_digest` of *blob* — a record reader, which checks
+        it against the record log — passes it as *digest*: the embedded
+        field is compared to it and the frame is not hashed again.
         """
-        if len(blob) < _HEADER.size:
-            raise SerializationError(f"diff blob too short ({len(blob)} bytes)")
-        (
-            magic,
-            version,
-            method_code,
-            codec_code,
-            ckpt_id,
-            data_len,
-            chunk_size,
-            n_first,
-            n_shift,
-            bitmap_bytes,
-            payload_len,
-        ) = _HEADER.unpack_from(blob, 0)
-        if magic != _MAGIC:
-            raise SerializationError(f"bad magic {magic!r}")
-        if version != _VERSION:
-            raise SerializationError(f"unsupported diff version {version}")
-        if method_code >= len(METHODS):
-            raise SerializationError(f"unknown method code {method_code}")
-        method = METHODS[method_code]
-
-        off = _HEADER.size
-        if len(blob) < off + DIGEST_BYTES:
-            raise SerializationError(
-                f"diff blob too short for v2 digest ({len(blob)} bytes)"
-            )
-        stored_digest = blob[off : off + DIGEST_BYTES]
-        off += DIGEST_BYTES
-        need = off + 4 * n_first + 12 * n_shift + bitmap_bytes + payload_len
-        if len(blob) != need:
-            raise SerializationError(
-                f"diff blob length {len(blob)} != expected {need}"
-            )
-        checked = verify or digest is not None
-        if checked:
-            actual = content_digest(blob) if digest is None else digest
-            if actual != stored_digest:
-                raise IntegrityError(
-                    f"checkpoint {ckpt_id}: frame digest mismatch "
-                    f"(stored {stored_digest.hex()[:16]}…, "
-                    f"computed {actual.hex()[:16]}…)",
-                    ckpt_id=ckpt_id,
-                )
-        codec = None
-        if codec_code:
-            if codec_code > len(PAYLOAD_CODECS):
-                raise SerializationError(f"unknown payload codec code {codec_code}")
-            if method != "tree":
-                raise SerializationError(
-                    f"payload codec code {codec_code} on a {method} frame"
-                )
-            codec = PAYLOAD_CODECS[codec_code - 1]
+        head = frame_header(blob, verify=verify, digest=digest)
+        off = _HEADER.size + DIGEST_BYTES
+        n_first, n_shift = head.n_first, head.n_shift
         first_ids = np.frombuffer(blob, dtype="<u4", count=n_first, offset=off).copy()
         off += 4 * n_first
         shift = (
@@ -340,26 +394,26 @@ class CheckpointDiff:
         )
         off += 12 * n_shift
         bitmap = None
-        if method == "basic":
+        if head.method == "basic":
             bitmap = np.frombuffer(
-                blob, dtype=np.uint8, count=bitmap_bytes, offset=off
+                blob, dtype=np.uint8, count=head.bitmap_bytes, offset=off
             ).copy()
-        off += bitmap_bytes
-        payload = blob[off : off + payload_len]
+        payload = blob[head.payload_off :]
+        checked = head.digest is not None
         return cls(
-            method=method,
-            ckpt_id=ckpt_id,
-            data_len=data_len,
-            chunk_size=chunk_size,
+            method=head.method,
+            ckpt_id=head.ckpt_id,
+            data_len=head.data_len,
+            chunk_size=head.chunk_size,
             first_ids=first_ids,
             shift_ids=shift[:, 0],
             shift_ref_ids=shift[:, 1],
             shift_ref_ckpts=shift[:, 2],
             bitmap=bitmap,
             payload=payload,
-            codec=codec,
+            codec=head.codec,
             verified=True if checked else None,
-            _digest=stored_digest if checked else None,
+            _digest=head.digest,
         )
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
@@ -368,3 +422,4 @@ class CheckpointDiff:
             f"first={self.num_first} shift={self.num_shift} "
             f"payload={self.payload_bytes}B total={self.serialized_size}B>"
         )
+

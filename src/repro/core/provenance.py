@@ -22,11 +22,12 @@ production reconstruction: an in-memory chain, a stored record, an
 N-rank sharded restart and a node's crash restart all first
 :func:`resolve_source` to one index row plus a ``payload_of(t)``
 callable, then gather a chunk range; the rebase and the fault graders
-walk a chain state by state through :func:`gather_states`.  A cold restart from disk only has
-to *parse the frames the index names* (:func:`restore_record_indexed`),
-because :class:`~repro.record.RecordWriter` persists one RPIX
-row-group per checkpoint next to the record log with the same digest
-discipline as the ``.rdif`` frames.
+walk a chain state by state through :func:`gather_states`.  A cold
+restart from disk only has to *read the payloads of the frames the index
+names* (:func:`restore_record_indexed`), because
+:class:`~repro.record.RecordWriter` persists one RPIX row-group per
+checkpoint next to the record log with the same digest discipline as the
+``.rdif`` frames.
 
 The composition relies on the engines' serialization invariant (§2.2):
 shifted-duplicate references point at content stored as a first
@@ -322,8 +323,9 @@ def materialize_index(
     uint8 array; it is called once per checkpoint the index references,
     in ascending *t*.  The written chunks are sorted by source once and
     every payload is placed by one grouped
-    :func:`~repro.core.serialize.place_chunks` call, so a gather costs
-    its bytes plus a few array operations per source.  *report* is a
+    :func:`~repro.core.serialize.place_chunks` call — one compiled call
+    when the native object loaded — so a gather costs its bytes plus a
+    few array operations per call.  *report* is a
     :class:`RestoreReport` or a shard's report: the bytes gathered from
     each source accumulate in its ``payload_bytes_read``.
 
@@ -391,7 +393,8 @@ def materialize_index(
 # Resolve a source, then gather: the one reconstruction path
 # ----------------------------------------------------------------------
 def _payload_cache(frames) -> Callable[[int], np.ndarray]:
-    """``payload_of(t)`` over *frames*, decoding each payload once."""
+    """``payload_of(t)`` over an in-memory chain's *frames*, decoding each
+    payload once."""
     payloads: Dict[int, np.ndarray] = {}
 
     def payload_of(t: int) -> np.ndarray:
@@ -418,8 +421,9 @@ def resolve_source(source, upto: Optional[int] = None):
     its checkpoint.  A record's row is decoded from the target's
     keyframe span alone — its last keyframe and the deltas up to its own
     group; damage in any group outside that span does not block the
-    restore — and only the frames that row names are read and parsed,
-    each verified against the log.
+    restore — and only the payloads of the frames that row names are
+    read, each frame verified against the log and its header checked
+    first.
     """
     is_record = isinstance(source, (str, os.PathLike))
     if is_record:
@@ -440,7 +444,7 @@ def resolve_source(source, upto: Optional[int] = None):
     if is_record:
         index = store.load_provenance(view, ckpt=upto)
         parsed = [int(t) for t in index.referenced()]
-        frames = store.load_record_frames(view, parsed)
+        payload_of = store.load_record_frames(view, parsed).__getitem__
         frame_sizes = view.log.frame_bytes
         report = RestoreReport(
             target_ckpt=upto,
@@ -454,9 +458,9 @@ def resolve_source(source, upto: Optional[int] = None):
             used_index=True,
         )
     else:
-        frames = source
+        payload_of = _payload_cache(source)
         builder = ProvenanceBuilder()
-        builder.extend(frames[: upto + 1])
+        builder.extend(source[: upto + 1])
         index = builder.indexes[upto]
         report = RestoreReport(
             target_ckpt=upto,
@@ -464,7 +468,7 @@ def resolve_source(source, upto: Optional[int] = None):
             frames_total=count,
             frames_parsed=count,
         )
-    return index, _payload_cache(frames), report
+    return index, payload_of, report
 
 
 def restore_indexed(source, upto: Optional[int] = None, space=None):

@@ -13,7 +13,8 @@ into chunks and payload offsets, and checks them while it does; the
 provenance builder, the replay oracle, the chain verifier, the
 composition analysis and the rebase rewrite all read a diff through it.
 :func:`place_chunks` is the one scatter both the gather and the oracle
-write a checkpoint with.
+write a checkpoint with (one compiled call, ``_gather_native.c``, when the
+native object loaded), and :func:`decode_payload` the one payload decoder.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ from typing import List, Sequence, Tuple
 import numpy as np
 
 from ..errors import RestoreError, SerializationError
+from ..hashing import native as _native
 from .chunking import ChunkSpec
 from .diff import CheckpointDiff
 from .merkle import TreeLayout, layout_for
@@ -142,11 +144,18 @@ def diff_payload(diff: CheckpointDiff) -> np.ndarray:
     """*diff*'s payload as the uint8 array :class:`ChunkMap` offsets and
     provenance rows index into: a hybrid diff's payload is decompressed
     with the codec its frame names."""
-    raw = diff.payload
-    if diff.codec is not None:
+    return decode_payload(diff.payload, diff.codec)
+
+
+def decode_payload(raw, codec) -> np.ndarray:
+    """Stored payload bytes *raw* as a uint8 array: a view of them when
+    *codec* is ``None``, else decompressed with that
+    :data:`~repro.core.diff.PAYLOAD_CODECS` codec.  :func:`diff_payload`
+    and the record's payload read decode through it."""
+    if codec is not None:
         from ..compress import get_codec  # local import: compress imports core
 
-        raw = get_codec(diff.codec).decompress(raw)
+        raw = get_codec(codec).decompress(raw)
     return np.frombuffer(raw, dtype=np.uint8)
 
 
@@ -363,6 +372,48 @@ def group_by_source(keys: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarra
     return order, ordered[starts], ends
 
 
+def _range_error(size: int, group: int) -> RestoreError:
+    err = RestoreError(f"chunk source range outside its {size}-byte source")
+    err.group = group
+    return err
+
+
+def _native_ready(out: np.ndarray, spec: ChunkSpec) -> bool:
+    """Whether *out* is a buffer the compiled gather may write: writable,
+    contiguous uint8, holding the whole checkpoint."""
+    return (
+        out.dtype == np.uint8
+        and out.flags.c_contiguous
+        and out.flags.writeable
+        and out.shape[0] >= spec.data_len
+    )
+
+
+def _place_native(lib, out, spec, chunks, offs, sources, ends) -> np.ndarray:
+    """:func:`place_chunks` as one ``ga_place_chunks`` call: the sources
+    travel as one array of addresses and one of lengths."""
+    chunks = np.ascontiguousarray(chunks, dtype=np.int64)
+    offs = np.ascontiguousarray(offs, dtype=np.int64)
+    ends = np.ascontiguousarray(ends, dtype=np.int64)
+    sources = [np.ascontiguousarray(s, dtype=np.uint8) for s in sources]
+    if offs.shape != chunks.shape or ends.shape != (len(sources),):
+        raise RestoreError("place_chunks needs one offset per chunk, one end per source")
+    addr = np.array([s.ctypes.data for s in sources], dtype=np.uint64)
+    sizes = np.array([s.nbytes for s in sources], dtype=np.int64)
+    placed = np.empty(len(sources), dtype=np.int64)
+    status = lib.ga_place_chunks(
+        out.ctypes.data, spec.data_len, spec.chunk_size,
+        chunks.ctypes.data, offs.ctypes.data, chunks.shape[0],
+        addr.ctypes.data, sizes.ctypes.data,
+        ends.ctypes.data, ends.shape[0], placed.ctypes.data,
+    )
+    if status >= 0:
+        raise _range_error(int(sizes[status]), int(status))
+    if status != -1:
+        raise RestoreError("chunk id or group end outside the placement call")
+    return placed
+
+
 def place_chunks(
     out: np.ndarray,
     spec: ChunkSpec,
@@ -385,7 +436,15 @@ def place_chunks(
     source bytes are contiguous, a row gather when they are chunk-aligned,
     a byte gather otherwise.  A range outside its source raises
     :class:`RestoreError` with that group's index as ``group``.
+
+    When the native object loaded, one compiled call
+    (``_gather_native.c``) makes the same range check over the whole call
+    and then copies chunk by chunk, whatever the number of groups; this
+    NumPy body is its reference and the ``REPRO_NO_NATIVE`` path.
     """
+    lib = _native.get_lib()
+    if lib is not None and _native_ready(out, spec):
+        return _place_native(lib, out, spec, chunks, offs, sources, ends)
     cs, n = spec.chunk_size, chunks.shape[0]
     full = spec.data_len // cs
     ends = np.asarray(ends, dtype=np.int64)
@@ -400,11 +459,7 @@ def place_chunks(
     bad = (offs < 0) | (reach > np.repeat(sizes, counts))
     if bad.any():
         g = int(np.searchsorted(ends, np.argmax(bad), side="right"))
-        err = RestoreError(
-            f"chunk source range outside its {int(sizes[g])}-byte source"
-        )
-        err.group = g
-        raise err
+        raise _range_error(int(sizes[g]), g)
     if tails.size:
         for i, g in zip(
             tails.tolist(), np.searchsorted(ends, tails, side="right").tolist()

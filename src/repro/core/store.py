@@ -10,6 +10,8 @@ from __future__ import annotations
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Union
 
+import numpy as np
+
 from .. import telemetry
 from ..errors import SerializationError, StorageError
 from ..record import (
@@ -142,11 +144,12 @@ def load_record(record: Record, strict: bool = True) -> List[CheckpointDiff]:
 
 def load_record_frames(
     record: Record, indices: Sequence[int]
-) -> Dict[int, CheckpointDiff]:
-    """Load + verify only the named checkpoint frames of a record
-    (:meth:`~repro.record.RecordView.frames`): the selective read behind
-    the indexed restore path."""
-    return RecordView.of(record).frames(indices)
+) -> Dict[int, np.ndarray]:
+    """The verified payloads of only the named checkpoint frames of a
+    record, as uint8 arrays (:meth:`~repro.record.RecordView.payloads`):
+    the selective read behind the indexed restore path.  Each frame is
+    checked as :func:`load_record` checks it, but no whole diff is built."""
+    return RecordView.of(record).payloads(indices)
 
 
 def record_frame_sizes(record: Record) -> List[int]:

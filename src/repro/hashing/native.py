@@ -4,13 +4,17 @@ The reproduction's hot loops are chunk hashing, the hash-record probing of
 :class:`~repro.kokkos.unordered_map.DigestMap` and the label passes of
 :class:`~repro.core.dedup_tree.TreeDedup` between them; the paper runs all
 three as one fused GPU kernel, and the closest CPU analogue is a compiled
-C loop rather than a chain of NumPy ufunc passes.  This module compiles
-``_murmur3_native.c``, ``kokkos/_digest_map_native.c`` and
-``core/_tree_passes_native.c`` into one shared object with the system C
-compiler the first time it is needed, caches the object next to the
-Murmur3 source under a name keyed on the SHA-256 of the sources (so a
-stale object is never loaded, whatever happened to the files' mtimes), and
-exposes the entry points through :mod:`ctypes`.
+C loop rather than a chain of NumPy ufunc passes.  The read side has one
+more: the restore gather, which places every chunk of a provenance row
+from its source payload (:func:`~repro.core.serialize.place_chunks`, the
+paper's §5 collection of scattered regions from many checkpoints).  This
+module compiles ``_murmur3_native.c``, ``kokkos/_digest_map_native.c``,
+``core/_tree_passes_native.c`` and ``core/_gather_native.c`` into one
+shared object with the system C compiler the first time it is needed,
+caches the object next to the Murmur3 source under a name keyed on the
+SHA-256 of the sources (so a stale object is never loaded, whatever
+happened to the files' mtimes), and exposes the entry points through
+:mod:`ctypes`.
 
 The native path is strictly optional: if no compiler is available or
 ``REPRO_NO_NATIVE`` is set in the environment, callers get ``None`` and
@@ -37,6 +41,7 @@ _SOURCES = (
     _HERE / "_murmur3_native.c",
     _HERE.parent / "kokkos" / "_digest_map_native.c",
     _HERE.parent / "core" / "_tree_passes_native.c",
+    _HERE.parent / "core" / "_gather_native.c",
 )
 _STEM = "_murmur3_native"
 _SUFFIX = sysconfig.get_config_var("SHLIB_SUFFIX") or ".so"
@@ -137,6 +142,9 @@ def _bind(lib: ctypes.CDLL) -> None:
         ptr, ptr, ptr, i64, *table, ptr, ptr, ptr, ptr, ptr, ptr, ptr, ptr, i64, ptr, ptr,
     ]
     lib.tp_shift_pass.restype = i64
+    # The restore gather: addresses, the sources' as one uint64 array.
+    lib.ga_place_chunks.argtypes = [ptr, i64, i64, ptr, ptr, i64, ptr, ptr, ptr, i64, ptr]
+    lib.ga_place_chunks.restype = i64
 
 
 def _load() -> Optional[ctypes.CDLL]:

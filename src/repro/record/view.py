@@ -9,13 +9,22 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple
 
+import numpy as np
+
 from .. import telemetry
 from ..core import provenance as _prov
 from ..core.chunking import ChunkSpec
 from ..core.diff import CheckpointDiff
 from ..errors import IntegrityError, SerializationError, StorageError
 from . import index
-from .frames import STATUS_OK, check_frame, frame_path, load_frame
+from .frames import (
+    STATUS_OK,
+    check_frame,
+    frame_name,
+    frame_path,
+    load_frame,
+    load_payload,
+)
 from .log import LOG_ENTRY, read_header, read_log
 
 _LOG_READS = telemetry.counter(
@@ -142,29 +151,42 @@ class RecordView:
         path = frame_path(self.path, k)
         return load_frame(path, k, log.frame_bytes[k], log.frame_sha[k])
 
-    def frames(self, ids: Sequence[int]) -> Dict[int, CheckpointDiff]:
-        """Load + verify only the named checkpoint frames: a provenance row
-        names the frames its bytes live in, and only those files are read
-        and parsed, each against the log's size and digest and its
-        embedded digest."""
-        count = self.count
-        frames: Dict[int, CheckpointDiff] = {}
+    def payloads(self, ids: Sequence[int]) -> Dict[int, np.ndarray]:
+        """The payloads of only the named checkpoints, as uint8 arrays: a
+        provenance row names the frames its bytes live in, and only those
+        files are read, each checked against the log's size and digest and
+        by the frame-header checks (:func:`~repro.record.frames.load_payload`)
+        — but no whole diff is built."""
+        count, log, directory = self.count, self.log, os.fspath(self.path)
+        payloads: Dict[int, np.ndarray] = {}
         with telemetry.span(
-            "store.load_frames", path=str(self.path), frames_total=count
+            "store.load_frames", path=directory, frames_total=count
         ) as span:
             for i in ids:
                 i = int(i)
                 if not 0 <= i < count:
                     raise StorageError(f"checkpoint {i} outside record of {count}")
-                if i not in frames:
-                    frames[i] = self.frame(i)
-            span.set(frames_read=len(frames))
-        return frames
+                if i not in payloads:
+                    payloads[i] = load_payload(
+                        os.path.join(directory, frame_name(i)),
+                        i,
+                        log.frame_bytes[i],
+                        log.frame_sha[i],
+                    )
+            span.set(frames_read=len(payloads))
+        return payloads
 
     def frame_sizes(self) -> List[int]:
-        """On-disk byte size of each frame file (0 for missing files)."""
-        paths = [frame_path(self.path, i) for i in range(self.count)]
-        return [p.stat().st_size if p.exists() else 0 for p in paths]
+        """On-disk byte size of each frame file (0 for missing files): one
+        ``stat`` per frame, so a frame removed meanwhile reads as missing."""
+        directory = os.fspath(self.path)
+        sizes = []
+        for i in range(self.count):
+            try:
+                sizes.append(os.stat(os.path.join(directory, frame_name(i))).st_size)
+            except FileNotFoundError:
+                sizes.append(0)
+        return sizes
 
     def index_bytes(self) -> int:
         """Bytes of the provenance index the log seals (0 for an empty

@@ -7,10 +7,15 @@ below is the loop it replaced, kept verbatim: one ``flatnonzero`` pass
 and one single-source scatter per referenced checkpoint.  Both must
 produce the same bytes, the same per-source report and the same kernel
 ledger, on every checkpoint, every chunk range and a short tail chunk.
+
+``place_chunks`` itself is one compiled call when the native object
+loaded; the differential tests at the end hold it to its NumPy body.
 """
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from repro.core import ENGINES, ProvenanceBuilder
 from repro.core.chunking import ChunkSpec
@@ -22,7 +27,9 @@ from repro.core.provenance import (
 )
 from repro.core.serialize import diff_payload, group_by_source, place_chunks
 from repro.errors import RestoreError
+from repro.hashing import native
 from repro.kokkos import DeviceSpace
+from tests.conftest import numpy_path
 
 CS = 64
 METHODS = ("full", "basic", "list", "tree")
@@ -257,3 +264,152 @@ class TestPlaceChunks:
                 np.array([0, 1, 2]), np.array([0, CS, 1]), sources, [2, 3],
             )
         assert exc.value.group == 1
+
+
+# ----------------------------------------------------------------------
+# Differential: the compiled gather against the NumPy body it replaces
+# ----------------------------------------------------------------------
+@pytest.fixture
+def needs_native():
+    if not native.native_available():
+        pytest.skip("no C compiler / native kernel in this environment")
+
+
+#: How a group's source offsets are laid out — each NumPy branch, plus
+#: ranges that overlap one another.
+LAYOUTS = ("contiguous", "aligned", "unaligned", "overlapping")
+
+
+def _offsets(layout, m, cs, rng):
+    if layout == "contiguous":  # one slice
+        return int(rng.integers(0, 4)) * cs + np.arange(m, dtype=np.int64) * cs
+    if layout == "aligned":  # a row gather
+        return rng.permutation(3 * m)[:m].astype(np.int64) * cs
+    if layout == "unaligned":  # a byte gather
+        return rng.integers(0, 3 * m * cs, m).astype(np.int64)
+    return int(rng.integers(0, cs)) + np.arange(m, dtype=np.int64) * (cs // 3)
+
+
+def _both_paths(spec, chunks, offs, sources, ends, seed):
+    """``(out, placed or the RestoreError)`` from the native path, then
+    from the NumPy body."""
+    results = []
+    for forced in (False, True):
+        out = seed.copy()
+        try:
+            if forced:
+                with numpy_path():
+                    got = place_chunks(out, spec, chunks, offs, sources, ends)
+            else:
+                got = place_chunks(out, spec, chunks, offs, sources, ends)
+        except RestoreError as exc:
+            got = exc
+        results.append((out, got))
+    return results
+
+
+@given(
+    num_chunks=st.integers(1, 40),
+    short_tail=st.integers(0, 15),
+    groups=st.lists(
+        st.tuples(st.integers(0, 12), st.sampled_from(LAYOUTS), st.integers(0, 2)),
+        min_size=1,
+        max_size=6,
+    ),
+    tail_group=st.integers(0, 5),
+    bad_item=st.one_of(st.none(), st.integers(0, 10**6)),
+    seed=st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+def test_native_and_numpy_place_the_same_bytes(
+    num_chunks, short_tail, groups, tail_group, bad_item, seed
+):
+    """Byte-identical ``out`` and equal ``placed`` — or the same
+    :class:`RestoreError` naming the same group — for any geometry (the
+    short tail chunk in any group), any offsets and empty groups."""
+    if not native.native_available():
+        pytest.skip("no C compiler / native kernel in this environment")
+    cs = 16
+    data_len = num_chunks * cs - (short_tail if num_chunks > 1 else 0)
+    spec = ChunkSpec(data_len, cs)
+    rng = np.random.default_rng(seed)
+    sizes = [min(m, spec.num_chunks) for m, _, _ in groups]
+    while sum(sizes) > spec.num_chunks:  # every chunk placed at most once
+        sizes[int(np.argmax(sizes))] -= 1
+    chunks = rng.permutation(spec.num_chunks)[: sum(sizes)].astype(np.int64)
+    ends = np.cumsum(sizes).astype(np.int64)
+    g = tail_group % len(groups)
+    tail = np.flatnonzero(chunks == spec.num_chunks - 1)
+    if sizes[g] and tail.size:  # move the tail chunk into group g
+        i = int(ends[g]) - 1
+        chunks[[i, int(tail[0])]] = chunks[[int(tail[0]), i]]
+    offs, sources = [], []
+    for (_, layout, slack), m in zip(groups, sizes):
+        o = _offsets(layout, m, cs, rng)
+        offs.append(o)
+        size = (int(o.max()) + cs if m else 0) + slack
+        sources.append(rng.integers(0, 256, size, dtype=np.uint8))
+    offs = np.concatenate(offs)
+    if bad_item is not None and offs.size:
+        i = bad_item % offs.size
+        offs[i] = -1 if bad_item % 2 else 10**9
+    seed_out = rng.integers(0, 256, data_len, dtype=np.uint8)
+    (fast_out, fast), (ref_out, ref) = _both_paths(
+        spec, chunks, offs, sources, ends, seed_out
+    )
+    if isinstance(ref, RestoreError):
+        assert isinstance(fast, RestoreError)
+        assert (fast.group, str(fast)) == (ref.group, str(ref))
+        assert np.array_equal(fast_out, seed_out)  # checked before a byte moved
+        assert np.array_equal(ref_out, seed_out)
+    else:
+        assert not isinstance(fast, RestoreError), fast
+        assert np.array_equal(fast_out, ref_out)
+        assert fast.tolist() == ref.tolist()
+
+
+@pytest.mark.parametrize("layout", LAYOUTS)
+def test_each_numpy_branch_against_native(needs_native, layout, rng):
+    """One fixed case per branch of the NumPy body, tail chunk included."""
+    spec = ChunkSpec(CS * 50 - 9, CS)
+    chunks = rng.permutation(spec.num_chunks)[:30].astype(np.int64)
+    chunks[-1] = spec.num_chunks - 1
+    chunks = np.unique(chunks)[::-1].copy()
+    offs = _offsets(layout, chunks.shape[0], CS, rng)
+    source = rng.integers(0, 256, int(offs.max()) + CS, dtype=np.uint8)
+    empty = np.zeros(0, dtype=np.uint8)
+    ends = [0, chunks.shape[0], chunks.shape[0]]
+    seed = rng.integers(0, 256, spec.data_len, dtype=np.uint8)
+    (fast_out, fast), (ref_out, ref) = _both_paths(
+        spec, chunks, offs, [empty, source, empty], ends, seed
+    )
+    assert np.array_equal(fast_out, ref_out)
+    assert fast.tolist() == ref.tolist() == [0, chunks.shape[0] * CS - 9, 0]
+
+
+def test_out_of_range_names_the_same_group_on_both_paths(needs_native):
+    spec = ChunkSpec(CS * 8, CS)
+    sources = [np.zeros(2 * CS, dtype=np.uint8), np.zeros(0, dtype=np.uint8),
+               np.zeros(CS, dtype=np.uint8)]
+    args = (spec, np.array([0, 1, 2]), np.array([0, CS, 1]), sources, [2, 2, 3])
+    (_, fast), (_, ref) = _both_paths(*args, np.zeros(CS * 8, dtype=np.uint8))
+    assert fast.group == ref.group == 2
+    assert str(fast) == str(ref) == "chunk source range outside its 64-byte source"
+
+
+def test_a_malformed_call_never_reaches_memory_it_does_not_own(needs_native):
+    """Pointers are handed to C only for a call whose shapes agree, and
+    C refuses a chunk id or a group end outside the call."""
+    spec = ChunkSpec(CS * 8, CS)
+    out = np.zeros(CS * 8, dtype=np.uint8)
+    source = np.zeros(4 * CS, dtype=np.uint8)
+    chunks, offs = np.array([0, 1]), np.array([0, CS])
+    for args in (
+        (chunks, offs[:1], [source], [2]),  # one offset short
+        (chunks, offs, [source], [1, 2]),  # an end without a source
+        (np.array([0, 8]), offs, [source], [2]),  # chunk 8 of 8
+        (chunks, offs, [source], [3]),  # the group runs past the items
+    ):
+        with pytest.raises(RestoreError):
+            place_chunks(out, spec, *args)
+    assert not out.any()

@@ -11,6 +11,7 @@ import pytest
 from repro.core import ENGINES, RecordWriter, Restorer
 from repro.core.diff import content_digest
 from repro.core.provenance import restore_record_indexed
+from repro.core.serialize import diff_payload
 from repro.core.store import (
     STATUS_CORRUPT,
     STATUS_MISSING,
@@ -257,8 +258,16 @@ def vanish(monkeypatch):
                 raise FileNotFoundError(2, "No such file or directory", str(file))
             return real_open(file, *args, **kwargs)
 
+        real_os_open = os.open
+
+        def os_open_unless_gone(file, *args, **kwargs):
+            if os.path.basename(file) == name:
+                raise FileNotFoundError(2, "No such file or directory", str(file))
+            return real_os_open(file, *args, **kwargs)
+
         monkeypatch.setattr(builtins, "open", open_unless_gone)
         monkeypatch.setattr(io, "open", open_unless_gone)
+        monkeypatch.setattr(os, "open", os_open_unless_gone)
 
     return install
 
@@ -490,11 +499,12 @@ class TestSelectiveFrameLoading:
         from repro.core.store import load_record_frames
 
         save_record(diffs, tmp_path)
-        frames = load_record_frames(tmp_path, [1])
-        assert set(frames) == {1}
-        assert frames[1].ckpt_id == 1
+        payloads = load_record_frames(tmp_path, [1])
+        assert set(payloads) == {1}
+        assert np.array_equal(payloads[1], diff_payload(diffs[1]))
         both = load_record_frames(tmp_path, [0, 1, 0])
         assert set(both) == {0, 1}
+        assert np.array_equal(both[0], diff_payload(diffs[0]))
 
     def test_load_record_frames_out_of_range(self, diffs, tmp_path):
         from repro.core.store import load_record_frames
@@ -514,7 +524,8 @@ class TestSelectiveFrameLoading:
         with pytest.raises(IntegrityError):
             load_record_frames(tmp_path, [1])
         # The undamaged frame still loads on its own.
-        assert load_record_frames(tmp_path, [0])[0].ckpt_id == 0
+        payload = load_record_frames(tmp_path, [0])[0]
+        assert np.array_equal(payload, diff_payload(diffs[0]))
 
     def test_record_frame_sizes(self, diffs, tmp_path):
         from repro.core.store import record_frame_sizes
@@ -524,3 +535,25 @@ class TestSelectiveFrameLoading:
         assert sizes == [d.serialized_size for d in diffs]
         (path / "ckpt-00000.rdif").unlink()
         assert record_frame_sizes(tmp_path)[0] == 0
+
+    def test_record_frame_sizes_stats_each_frame_once(
+        self, diffs, tmp_path, monkeypatch
+    ):
+        """A frame removed after a first look at it is read as present or
+        missing, never as a raw FileNotFoundError: one ``stat`` per frame."""
+        from repro.core.store import record_frame_sizes
+
+        path = save_record(diffs, tmp_path)
+        real_stat, calls = os.stat, []
+
+        def stat_once(file, *args, **kwargs):
+            name = os.path.basename(file)
+            if name.startswith("ckpt-"):
+                calls.append(name)
+                if calls.count(name) > 1:  # removed after its first stat
+                    raise FileNotFoundError(2, "No such file or directory", str(file))
+            return real_stat(file, *args, **kwargs)
+
+        monkeypatch.setattr(os, "stat", stat_once)
+        assert record_frame_sizes(path) == [d.serialized_size for d in diffs]
+        assert sorted(calls) == [f"ckpt-{k:05d}.rdif" for k in range(len(diffs))]

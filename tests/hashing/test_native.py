@@ -56,6 +56,7 @@ def test_kernels_load_wherever_a_compiler_exists(compiler):
         "hb_hash_rows", "hb_hash_chunks", "hb_hash_pairs",
         "dm_probe", "dm_insert_or_lookup", "dm_reinsert_unique",
         "tp_leaf_classify", "tp_leaf_apply", "tp_first_pass", "tp_shift_pass",
+        "ga_place_chunks",
     ):
         assert hasattr(lib, symbol), symbol
 

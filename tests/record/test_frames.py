@@ -10,6 +10,7 @@ codec a hybrid frame names in its header's flags byte."""
 
 import hashlib
 import json
+import struct
 
 import numpy as np
 import pytest
@@ -28,7 +29,7 @@ from repro.core import (
 from repro.core.diff import DIGEST_BYTES, PAYLOAD_CODECS, CheckpointDiff, content_digest
 from repro.core.provenance import restore_record_indexed
 from repro.core.retention import rebase_stored_record
-from repro.core.serialize import chunk_map
+from repro.core.serialize import chunk_map, diff_payload
 from repro.core.store import (
     load_provenance,
     load_record,
@@ -370,3 +371,110 @@ class TestRawPayloadLength:
         with pytest.raises(StorageError, match="cannot append checkpoint 2"):
             writer.append(diffs[2])
         assert {f.name: f.read_bytes() for f in writer.path.iterdir()} == before
+
+
+# ----------------------------------------------------------------------
+# One list of frame checks: a whole-frame read and a payload read refuse
+# every forged frame with the same error
+# ----------------------------------------------------------------------
+def _rewrite(path, k, edit, reseal=True, log=True):
+    """Apply *edit* to frame *k*'s bytes; with *reseal*, recompute its
+    embedded digest; with *log*, forge the log's size and digest columns
+    to the new bytes, so only the checks behind the log stand."""
+    frame = path / f"ckpt-{k:05d}.rdif"
+    blob = bytearray(frame.read_bytes())
+    edit(blob)
+    blob = _reseal(blob) if reseal else bytes(blob)
+    frame.write_bytes(blob)
+    if log:
+        forge_log_entry(
+            path, k, frame_sha=content_digest(blob), frame_bytes=len(blob)
+        )
+
+
+def _poke(at, fmt, value):
+    return lambda blob: struct.pack_into(fmt, blob, at, value)
+
+
+def _grow(blob):
+    blob += b"\0"
+
+
+def _flip_embedded_digest(blob):
+    blob[44] ^= 0xFF
+
+
+def _flip_last_byte(blob):
+    blob[-1] ^= 0xFF
+
+
+#: name -> (frame, edit, reseal, forge the log, error, message).
+FORGED = {
+    "size_vs_log": (3, _grow, True, False, IntegrityError, "file size"),
+    "digest_vs_log": (3, _flip_last_byte, False, False, IntegrityError, "file digest mismatch"),
+    "embedded_digest_vs_log": (
+        3, _flip_embedded_digest, False, False, IntegrityError, "frame digest mismatch",
+    ),
+    "magic": (3, _poke(0, "<4s", b"XDIF"), True, True, SerializationError, "bad magic"),
+    "version": (3, _poke(4, "<H", 9), True, True, SerializationError, "unsupported diff version 9"),
+    "method_code": (3, _poke(6, "<B", 7), True, True, SerializationError, "unknown method code 7"),
+    "codec_code": (3, _poke(FLAGS, "<B", 200), True, True, SerializationError, "codec code 200"),
+    "codec_on_raw_method": (
+        0, _poke(FLAGS, "<B", 3), True, True, SerializationError, "code 3 on a full frame",
+    ),
+    "length": (3, _grow, True, True, SerializationError, "diff blob length"),
+    "data_len_zero": (3, _poke(12, "<Q", 0), True, True, SerializationError, "must be positive"),
+    "another_checkpoint": (
+        3, _poke(8, "<I", 2), True, True, StorageError, "holds checkpoint 2",
+    ),
+}
+
+
+class TestOneFrameCheck:
+    """A payload read (the restore's) makes every check a whole-frame
+    read makes, in the same order: the same exception class and message
+    for each forged frame."""
+
+    @staticmethod
+    def _raised(fn):
+        with pytest.raises((StorageError, SerializationError)) as exc:
+            fn()
+        return exc.value
+
+    @pytest.mark.parametrize("case", sorted(FORGED))
+    def test_whole_frame_and_payload_reads_agree(self, record, case):
+        path, _ = record
+        k, edit, reseal, log, kind, message = FORGED[case]
+        _rewrite(path, k, edit, reseal=reseal, log=log)
+        view = RecordView(path)
+        errors = [
+            self._raised(lambda: view.frame(k)),
+            self._raised(lambda: view.payloads([k])),
+            self._raised(lambda: load_record_frames(path, [k])),
+        ]
+        assert {type(e) for e in errors} == {kind}
+        assert {str(e) for e in errors} == {str(errors[0])}
+        assert message in str(errors[0])
+        if kind is IntegrityError:
+            assert {e.ckpt_id for e in errors} == {k}
+        status = verify_record(path).checkpoints[k]
+        assert status.status == "corrupt" and message in status.detail
+
+    @pytest.mark.parametrize("codec", PAYLOAD_CODECS)
+    def test_every_payload_codec_restores_through_the_payload_read(
+        self, codec, tmp_path
+    ):
+        unit, states = _hybrid(get_codec(codec))
+        diffs = unit.record.diffs
+        path = save_record(diffs, tmp_path / "rec", method="tree")
+        payloads = load_record_frames(path, range(len(diffs)))
+        for k, diff in enumerate(diffs):
+            assert np.array_equal(payloads[k], diff_payload(diff)), k
+            out, _ = restore_record_indexed(path, upto=k)
+            assert np.array_equal(out, states[k]), k
+
+    def test_a_raw_payload_is_a_view_of_the_frame(self, record):
+        path, diffs = record
+        payload = load_record_frames(path, [3])[3]
+        assert not payload.flags.owndata and not payload.flags.writeable
+        assert np.array_equal(payload, diff_payload(diffs[3]))
