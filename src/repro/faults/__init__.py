@@ -7,8 +7,11 @@ deterministic so a fault campaign is replayable bit-for-bit:
 * :mod:`~repro.faults.injectors` — primitive corruptions of stored
   ``.rdif`` files (bit flips, truncation, deletion).
 * :mod:`~repro.faults.plan` — :class:`FaultPlan`, a seedable schedule of
-  record corruptions, storage-tier outages, and process crashes, plus
-  the campaign runner used by ``benchmarks/bench_faults.py``.
+  record corruptions, storage-tier outages, and process crashes; the one
+  record-fault injector (:func:`apply_record_faults`) and the one grader
+  of a damaged record (:func:`grade_record_damage`), shared by the
+  campaign runner used by ``benchmarks/bench_faults.py`` and the
+  incident driver of :mod:`repro.replay`.
 
 The taxonomy, detection guarantees, and recovery semantics are
 documented in ``docs/FAULT_MODEL.md``.
@@ -26,6 +29,8 @@ from .plan import (
     FaultPlan,
     RecordFault,
     TierFaultSpec,
+    apply_record_faults,
+    grade_record_damage,
     run_record_campaign,
 )
 
@@ -39,5 +44,7 @@ __all__ = [
     "FaultPlan",
     "RecordFault",
     "TierFaultSpec",
+    "apply_record_faults",
+    "grade_record_damage",
     "run_record_campaign",
 ]

@@ -4,7 +4,8 @@ A :class:`FaultPlan` turns one integer seed into a deterministic set of
 faults across all three failure domains the runtime models:
 
 * **record faults** — bit flips, truncations, and deletions of stored
-  ``.rdif`` checkpoint frames;
+  ``.rdif`` checkpoint frames (:func:`apply_record_faults`), graded by
+  :func:`grade_record_damage`;
 * **tier faults** — transient and permanent drain outages of storage
   tiers (applied to :class:`~repro.runtime.storage.StorageTier`);
 * **crashes** — process failures at chosen simulated times (driven
@@ -23,7 +24,7 @@ from __future__ import annotations
 import shutil
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Union
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -42,14 +43,25 @@ _SALT_CRASH = 0xC5A5
 
 @dataclass(frozen=True)
 class RecordFault:
-    """One planned corruption of a stored checkpoint frame."""
+    """One corruption of a stored checkpoint frame: drawn (by chain
+    position and fractional offset) or pinned (the frame name and byte
+    offset of a journal's ``record_fault`` receipt).  An unknown *kind*
+    is refused here, before any injector sees it."""
 
     kind: str  # one of RECORD_FAULT_KINDS
-    ckpt_index: int
+    ckpt_index: int = 0
     #: Fractional position inside the file; resolved to a byte offset
     #: (bitflip) or a kept length (truncate) against the actual size.
     offset_frac: float = 0.0
     bit: int = 0
+    #: Exact frame file name; ``None`` resolves by ``ckpt_index``.
+    frame: Optional[str] = None
+    #: Exact byte offset / kept length; ``None`` uses ``offset_frac``.
+    offset: Optional[int] = None
+
+    def __post_init__(self) -> None:
+        if self.kind not in RECORD_FAULT_KINDS:
+            raise FaultError(f"unknown record fault kind {self.kind!r}")
 
 
 @dataclass(frozen=True)
@@ -129,19 +141,8 @@ class FaultPlan:
     def apply_record_faults(
         self, record_dir: PathLike, faults: Sequence[RecordFault]
     ) -> List[AppliedFault]:
-        """Inflict planned faults on a record directory, in order."""
-        receipts = []
-        for fault in faults:
-            files = record_files(record_dir)
-            target = files[fault.ckpt_index % len(files)]
-            size = target.stat().st_size
-            offset = min(int(fault.offset_frac * size), size - 1)
-            if fault.kind == "bitflip":
-                receipts.append(flip_bit(target, offset, fault.bit))
-            elif fault.kind == "truncate":
-                receipts.append(truncate_file(target, offset))
-            else:
-                receipts.append(delete_file(target))
+        """:func:`apply_record_faults`, keeping the receipts in :attr:`applied`."""
+        receipts = apply_record_faults(record_dir, faults)
         self.applied.extend(receipts)
         return receipts
 
@@ -222,6 +223,89 @@ class FaultPlan:
         ]
 
 
+def apply_record_faults(
+    record_dir: PathLike, faults: Sequence[RecordFault]
+) -> List[AppliedFault]:
+    """Inflict record faults on a record directory, in order.
+
+    Each fault hits its pinned frame, or else frame ``ckpt_index`` modulo
+    the frames left; at its pinned offset, or else at ``offset_frac`` of
+    the frame's size.  Application stops at the first fault that has
+    become impossible (every frame already deleted, a bit flip into an
+    emptied file): only applied faults return receipts and journal
+    ``record_fault`` events, so a replay re-applies exactly the same
+    prefix.  A pinned frame missing from the record raises
+    :class:`~repro.errors.FaultError`.
+    """
+    receipts = []
+    for fault in faults:
+        try:
+            files = record_files(record_dir)
+        except FaultError:
+            break
+        if fault.frame is None:
+            target = files[fault.ckpt_index % len(files)]
+        else:
+            matches = [f for f in files if f.name == fault.frame]
+            if not matches:
+                raise FaultError(
+                    f"record fault targets frame {fault.frame!r} which is "
+                    f"not in {record_dir}"
+                )
+            target = matches[0]
+        size = target.stat().st_size
+        offset = (
+            fault.offset
+            if fault.offset is not None
+            else min(int(fault.offset_frac * size), size - 1)
+        )
+        try:
+            if fault.kind == "bitflip":
+                receipts.append(flip_bit(target, offset, fault.bit))
+            elif fault.kind == "truncate":
+                receipts.append(truncate_file(target, offset))
+            else:  # "delete": RecordFault refuses every other kind
+                receipts.append(delete_file(target))
+        except FaultError:
+            break
+    return receipts
+
+
+def grade_record_damage(
+    record_dir: PathLike, golden_states: Sequence[np.ndarray]
+) -> Tuple[bool, str]:
+    """Grade what a (possibly damaged) record still restores.
+
+    The record is scanned (`verify_record`), salvaged
+    (`load_record(strict=False)`), and every salvaged checkpoint is
+    gathered (`gather_states`) and compared with *golden_states*, the
+    truth for each checkpoint of the chain.  Returns ``(detected,
+    label)``:
+
+    * ``recovered``     — the scan flagged the damage and the salvaged
+      prefix restored bit-identically;
+    * ``detected``      — flagged, but the salvaged prefix diverges;
+    * ``harmless``      — undetected, but every checkpoint is there and
+      restores bit-identically (provably no damage to content);
+    * ``silent_wrong``  — undetected AND a restored checkpoint diverges
+      or is missing: the failure mode this subsystem exists to eliminate.
+    """
+    from ..core.provenance import gather_states
+    from ..core.store import load_record, verify_record
+
+    detected = not verify_record(record_dir).ok
+    prefix = load_record(record_dir, strict=False)
+    prefix_ok = all(
+        np.array_equal(state, golden)
+        for state, golden in zip(gather_states(prefix), golden_states)
+    )
+    if detected:
+        return True, "recovered" if prefix_ok else "detected"
+    if len(prefix) == len(golden_states) and prefix_ok:
+        return False, "harmless"
+    return False, "silent_wrong"
+
+
 def run_record_campaign(
     record_dir: PathLike,
     golden_states: Sequence[np.ndarray],
@@ -233,23 +317,14 @@ def run_record_campaign(
     """Corrupt copies of a record *trials* times and grade the defences.
 
     For each trial a fresh copy of *record_dir* receives one seeded
-    fault; the copy is then scanned (`verify_record`), salvaged
-    (`load_record(strict=False)`), and every salvaged checkpoint is
-    gathered (`gather_states`) and compared.  Outcomes per fault kind:
-
-    * ``detected``      — the scan flagged the damage;
-    * ``recovered``     — the salvaged prefix restored bit-identically
-      against *golden_states*;
-    * ``harmless``      — undetected, but every restored checkpoint still
-      matches the goldens (provably no damage to content);
-    * ``silent_wrong``  — undetected AND a restored checkpoint diverges:
-      the failure mode this subsystem exists to eliminate.
+    fault and is graded by :func:`grade_record_damage`.  Per fault kind
+    the counters tally the labels: ``detected`` counts every trial the
+    scan flagged (``recovered`` plus ``detected`` labels), ``recovered``,
+    ``harmless`` and ``silent_wrong`` count their own label.
 
     Returns ``{kind: counters}`` plus a ``"total"`` roll-up; everything
     is plain ints/floats so the result is JSON-serialisable.
     """
-    from ..core.provenance import gather_states
-    from ..core.store import load_record, verify_record
 
     def _bucket() -> dict:
         return {
@@ -272,27 +347,14 @@ def run_record_campaign(
         if trial_dir.exists():
             shutil.rmtree(trial_dir)
         shutil.copytree(record_dir, trial_dir)
-        receipts = plan.apply_record_faults(trial_dir, faults)
-        kind = receipts[0].kind
+        plan.apply_record_faults(trial_dir, faults)
+        detected, label = grade_record_damage(trial_dir, golden_states)
 
-        scan = verify_record(trial_dir)
-        detected = not scan.ok
-        prefix = load_record(trial_dir, strict=False)
-        prefix_identical = all(
-            np.array_equal(state, golden)
-            for state, golden in zip(gather_states(prefix), golden_states)
-        )
-
-        for bucket in (results[kind], results["total"]):
+        for bucket in (results[faults[0].kind], results["total"]):
             bucket["trials"] += 1
-            if detected:
-                bucket["detected"] += 1
-                if prefix_identical:
-                    bucket["recovered"] += 1
-            elif len(prefix) == len(golden_states) and prefix_identical:
-                bucket["harmless"] += 1
-            else:
-                bucket["silent_wrong"] += 1
+            bucket["detected"] += int(detected)
+            if label != "detected":
+                bucket[label] += 1
 
     for bucket in results.values():
         n = bucket["trials"]

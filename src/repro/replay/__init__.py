@@ -12,7 +12,9 @@ This package closes the loop:
 * :mod:`~repro.replay.driver`    — the deterministic run driver shared
   by recording and replay: drive a :class:`~repro.runtime.NodeRuntime`
   through a checkpoint cadence under an :class:`IncidentSchedule` and
-  summarise the journal into a comparable :class:`RunOutcome`;
+  summarise the journal into a comparable :class:`RunOutcome`, through
+  the fault campaign's own record-fault injector and grader
+  (:mod:`repro.faults`) and ``NodeRuntime``'s one crash;
 * :mod:`~repro.replay.recorder`  — record a fresh seeded incident run
   (:func:`record_run` / :func:`make_schedule`);
 * :mod:`~repro.replay.replayer`  — :class:`JournalReplayer`: rebuild the
@@ -36,7 +38,6 @@ from .driver import (
     DriveResult,
     IncidentSchedule,
     RunOutcome,
-    ScheduledRecordFault,
     compare_outcomes,
     drive_run,
     workload_states,
@@ -59,7 +60,6 @@ __all__ = [
     "ReplayResult",
     "RunConfig",
     "RunOutcome",
-    "ScheduledRecordFault",
     "build_timeline",
     "compare_outcomes",
     "drive_run",

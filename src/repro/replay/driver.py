@@ -31,9 +31,15 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from ..errors import FaultError, ReplayError
-from ..faults.injectors import delete_file, flip_bit, record_files, truncate_file
-from ..faults.plan import CrashSpec, FaultPlan, TierFaultSpec
+from ..errors import ReplayError
+from ..faults.plan import (
+    CrashSpec,
+    FaultPlan,
+    RecordFault,
+    TierFaultSpec,
+    apply_record_faults,
+    grade_record_damage,
+)
 from ..telemetry import events
 from ..telemetry.health import evaluate_health
 from .timeline import RunConfig
@@ -48,33 +54,18 @@ SAFE_TRANSIENT_TIERS = ("ssd", "pfs")
 SAFE_PERMANENT_TIERS = ("ssd",)
 
 
-@dataclass(frozen=True)
-class ScheduledRecordFault:
-    """One stored-frame corruption to inflict after the cadence.
-
-    Recording resolves the target by chain position and fractional
-    offset (mirroring :class:`~repro.faults.RecordFault`); replay pins
-    the exact frame name and byte offset recovered from the journal's
-    ``record_fault`` receipt, so the identical damage is re-inflicted.
-    """
-
-    kind: str  # "bitflip" | "truncate" | "delete"
-    ckpt_index: int = 0
-    offset_frac: float = 0.0
-    bit: int = 0
-    #: Exact frame file name (replay); ``None`` resolves by index.
-    frame: Optional[str] = None
-    #: Exact byte offset / kept length (replay); ``None`` uses the frac.
-    offset: Optional[int] = None
-
-
 @dataclass
 class IncidentSchedule:
-    """Every fault one run will experience, on the simulated clock."""
+    """Every fault one run will experience, on the simulated clock.
+
+    Its :class:`~repro.faults.RecordFault`\\ s hit process 0's record
+    after the cadence: drawn when recorded, pinned to the frames and
+    offsets the journal's ``record_fault`` receipts name when replayed.
+    """
 
     tier_faults: List[TierFaultSpec] = field(default_factory=list)
     crashes: List[CrashSpec] = field(default_factory=list)
-    record_faults: List[ScheduledRecordFault] = field(default_factory=list)
+    record_faults: List[RecordFault] = field(default_factory=list)
 
     def summary(self) -> Dict[str, int]:
         return {
@@ -143,55 +134,6 @@ def workload_states(config: RunConfig) -> List[List[np.ndarray]]:
         [per_rank[r][step] for r in range(config.num_processes)]
         for step in range(config.steps)
     ]
-
-
-# ----------------------------------------------------------------------
-# Record-fault application (index- or name-addressed)
-# ----------------------------------------------------------------------
-def apply_scheduled_record_faults(
-    record_dir: PathLike, faults: Sequence[ScheduledRecordFault]
-) -> List[Any]:
-    """Inflict scheduled corruptions on a record directory, in order.
-
-    Application stops at the first fault that has become impossible
-    (every frame already deleted, a bit flip into an emptied file):
-    only *applied* faults emit journal receipts, so a replay re-applies
-    exactly the same prefix and the runs stay equivalent.
-    """
-    receipts = []
-    for fault in faults:
-        try:
-            files = record_files(record_dir)
-        except FaultError:
-            break
-        if fault.frame is not None:
-            matches = [f for f in files if f.name == fault.frame]
-            if not matches:
-                raise ReplayError(
-                    f"record fault targets frame {fault.frame!r} which is "
-                    f"not in {record_dir}"
-                )
-            target = matches[0]
-        else:
-            target = files[fault.ckpt_index % len(files)]
-        size = target.stat().st_size
-        offset = (
-            int(fault.offset)
-            if fault.offset is not None
-            else min(int(fault.offset_frac * size), size - 1)
-        )
-        try:
-            if fault.kind == "bitflip":
-                receipts.append(flip_bit(target, offset, fault.bit))
-            elif fault.kind == "truncate":
-                receipts.append(truncate_file(target, offset))
-            elif fault.kind == "delete":
-                receipts.append(delete_file(target))
-            else:
-                raise ReplayError(f"unknown record fault kind {fault.kind!r}")
-        except FaultError:
-            break
-    return receipts
 
 
 # ----------------------------------------------------------------------
@@ -405,7 +347,6 @@ def drive_run(
     schedule)``.
     """
     from ..core.provenance import gather_states
-    from ..core.store import load_record, verify_record
     from ..runtime.node import NodeRuntime
 
     if schedule.record_faults and workdir is None:
@@ -485,21 +426,7 @@ def drive_run(
                     snapshots[p] = []
             else:
                 # Dropped recovery: the crash happens, nobody restarts it.
-                ledger = node.persisted[p]
-                in_flight = [
-                    c.ckpt_id
-                    for c in ledger
-                    if c.produced_at <= at < c.persisted_at
-                ]
-                durable = sum(1 for c in ledger if c.persisted_at <= at)
-                events.emit(
-                    events.CRASH,
-                    sim_time=at,
-                    node=node.name,
-                    rank=p,
-                    in_flight_ckpts=in_flight,
-                    durable_ckpts=durable,
-                )
+                node.crash(p, at)
                 alive.discard(p)
             for rec in journal.records()[crash_mark:]:
                 if rec["type"] == events.CRASH:
@@ -521,81 +448,53 @@ def drive_run(
 
         # ---- record-corruption leg (process 0's stored chain) --------
         if schedule.record_faults:
-            ledger = node.persisted[0]
-            if not ledger:
+            if not node.persisted[0]:
                 record_leg = {"applied": 0, "outcome": "no_record"}
             else:
                 # The record was written append-by-append during the
                 # cadence; the fault leg corrupts it in place.
                 record_dir = node.record_path(0)
                 fault_mark = len(journal)
-                receipts = apply_scheduled_record_faults(
-                    record_dir, schedule.record_faults
-                )
+                receipts = apply_record_faults(record_dir, schedule.record_faults)
                 injected.extend(journal.records()[fault_mark:])
-                scan = verify_record(record_dir)
-                prefix = load_record(record_dir, strict=False)
-                prefix_ok = all(
-                    np.array_equal(state, golden)
-                    for state, golden in zip(
-                        gather_states(prefix), snapshots[0]
-                    )
-                )
-                detected = not scan.ok
-                if detected:
-                    outcome_kind = "recovered" if prefix_ok else "detected"
-                elif len(prefix) == len(ledger) and prefix_ok:
-                    outcome_kind = "harmless"
-                else:
-                    outcome_kind = "silent_wrong"
+                detected, outcome = grade_record_damage(record_dir, snapshots[0])
+                if outcome == "silent_wrong":
                     golden_failures.append(
                         "record-fault leg restored wrong bytes undetected"
                     )
                 record_leg = {
                     "applied": len(receipts),
                     "detected": detected,
-                    "outcome": outcome_kind,
+                    "outcome": outcome,
                 }
 
         # ---- final restore per rank: prove durable bytes -------------
         for p in range(config.num_processes):
-            ledger = node.persisted[p]
-            durable_idx = [
-                i for i, c in enumerate(ledger) if c.persisted_at <= horizon
-            ]
-            if durable_idx:
-                last = ledger[durable_idx[-1]]
-                chain = [c.diff for c in ledger[: durable_idx[-1] + 1]]
-                (state,) = gather_states(chain, start=len(chain) - 1)
-                digest = hashlib.sha256(state.tobytes()).hexdigest()
-                if last.ckpt_id < len(snapshots[p]) and not np.array_equal(
-                    state, snapshots[p][last.ckpt_id]
+            chain = node.durable_chain(p, horizon)
+            # Nothing durable restores the empty state (target -1).
+            target, state = -1, np.zeros(0, dtype=np.uint8)
+            if chain:
+                target = chain[-1].ckpt_id
+                (state,) = gather_states(
+                    [c.diff for c in chain], start=len(chain) - 1
+                )
+                if target < len(snapshots[p]) and not np.array_equal(
+                    state, snapshots[p][target]
                 ):
                     golden_failures.append(
-                        f"final restore of p{p} checkpoint {last.ckpt_id} "
+                        f"final restore of p{p} checkpoint {target} "
                         f"differs from golden workload bytes"
                     )
-                events.emit(
-                    events.RESTORE,
-                    sim_time=horizon,
-                    node=node.name,
-                    rank=p,
-                    path="final",
-                    target_ckpt=last.ckpt_id,
-                    state_bytes=int(state.nbytes),
-                    state_sha256=digest,
-                )
-            else:
-                events.emit(
-                    events.RESTORE,
-                    sim_time=horizon,
-                    node=node.name,
-                    rank=p,
-                    path="final",
-                    target_ckpt=-1,
-                    state_bytes=0,
-                    state_sha256=hashlib.sha256(b"").hexdigest(),
-                )
+            events.emit(
+                events.RESTORE,
+                sim_time=horizon,
+                node=node.name,
+                rank=p,
+                path="final",
+                target_ckpt=target,
+                state_bytes=int(state.nbytes),
+                state_sha256=hashlib.sha256(state.tobytes()).hexdigest(),
+            )
         records = journal.records()
 
     return DriveResult(

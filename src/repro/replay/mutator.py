@@ -18,13 +18,13 @@ from typing import Any, Dict, List, Tuple
 
 import numpy as np
 
-from ..faults.plan import CrashSpec, TierFaultSpec
-from .driver import (
-    SAFE_PERMANENT_TIERS,
-    SAFE_TRANSIENT_TIERS,
-    IncidentSchedule,
-    ScheduledRecordFault,
+from ..faults.plan import (
+    RECORD_FAULT_KINDS,
+    CrashSpec,
+    RecordFault,
+    TierFaultSpec,
 )
+from .driver import SAFE_PERMANENT_TIERS, SAFE_TRANSIENT_TIERS, IncidentSchedule
 from .timeline import RunConfig
 
 #: Crash-loop findings cap their evidence at 10 events; each restarting
@@ -165,10 +165,10 @@ class IncidentMutator:
         return out, {"index": int(i), "from": round(crash.at, 4), "to": round(at, 4)}
 
     def _inject_corruption(self, schedule, config):
-        kind = str(
-            ["bitflip", "truncate", "delete"][int(self._rng.integers(0, 3))]
-        )
-        fault = ScheduledRecordFault(
+        kind = RECORD_FAULT_KINDS[
+            int(self._rng.integers(0, len(RECORD_FAULT_KINDS)))
+        ]
+        fault = RecordFault(
             kind=kind,
             ckpt_index=int(self._rng.integers(0, max(1, config.steps))),
             offset_frac=float(self._rng.random()),

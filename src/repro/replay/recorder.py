@@ -18,7 +18,6 @@ from .driver import (
     SAFE_TRANSIENT_TIERS,
     DriveResult,
     IncidentSchedule,
-    ScheduledRecordFault,
     drive_run,
 )
 from .timeline import RunConfig
@@ -68,19 +67,11 @@ def make_schedule(
         if n_crashes
         else []
     )
-    record_faults = [
-        ScheduledRecordFault(
-            kind=f.kind,
-            ckpt_index=f.ckpt_index,
-            offset_frac=f.offset_frac,
-            bit=f.bit,
-        )
-        for f in (
-            plan.plan_record_faults(config.steps, n_faults=n_record_faults)
-            if n_record_faults
-            else []
-        )
-    ]
+    record_faults = (
+        plan.plan_record_faults(config.steps, n_faults=n_record_faults)
+        if n_record_faults
+        else []
+    )
     return IncidentSchedule(
         tier_faults=tier_faults, crashes=crashes, record_faults=record_faults
     )

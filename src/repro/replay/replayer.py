@@ -20,12 +20,11 @@ from .. import telemetry
 from ..errors import ReplayError
 from ..telemetry import events
 from ..telemetry.events import read_journal
-from ..faults.plan import CrashSpec, TierFaultSpec
+from ..faults.plan import CrashSpec, RecordFault, TierFaultSpec
 from .driver import (
     Divergence,
     IncidentSchedule,
     RunOutcome,
-    ScheduledRecordFault,
     compare_outcomes,
     drive_run,
 )
@@ -44,7 +43,8 @@ def schedule_from_timeline(timeline: IncidentTimeline) -> IncidentSchedule:
       recovery (``restart=False``).  A restart with no preceding crash
       means the journal is structurally inconsistent.
     * ``record_fault`` receipts become exact, name-addressed
-      :class:`ScheduledRecordFault`\\ s (same frame, byte offset, bit).
+      :class:`~repro.faults.RecordFault`\\ s pinned to the same frame,
+      byte offset and bit.
     """
     tier_faults = [
         TierFaultSpec(
@@ -82,7 +82,7 @@ def schedule_from_timeline(timeline: IncidentTimeline) -> IncidentSchedule:
         )
 
     record_faults = [
-        ScheduledRecordFault(
+        RecordFault(
             kind=str(i.record.get("kind", "bitflip")),
             frame=Path(str(i.record.get("path", ""))).name,
             offset=int(i.record.get("detail", 0)),

@@ -322,6 +322,47 @@ class NodeRuntime:
     # ------------------------------------------------------------------
     # Crash / restart simulation (the failure the system exists for)
     # ------------------------------------------------------------------
+    def durable_chain(
+        self, process: int, at_time: float
+    ) -> List[PersistedCheckpoint]:
+        """*process*'s ledger up to its newest checkpoint durable (on the
+        terminal tier) by *at_time*: the chain a restart then restores
+        (empty when nothing is durable yet)."""
+        ledger = self.persisted[process]
+        newest = max(
+            (i for i, c in enumerate(ledger) if c.persisted_at <= at_time),
+            default=-1,
+        )
+        return ledger[: newest + 1]
+
+    def crash(self, process: int, at_time: float) -> List[int]:
+        """Journal a crash of *process* at simulated time *at_time*.
+
+        Returns the ids of the checkpoints the crash loses in flight
+        (produced, not yet durable).  Only the ``crash`` event is
+        emitted: :meth:`crash_restart` restarts the process, a dropped
+        recovery leaves it dead.
+        """
+        if not 0 <= process < self.num_processes:
+            raise SimulationError(
+                f"process {process} outside node of {self.num_processes}"
+            )
+        if at_time < 0:
+            raise SimulationError(f"crash time must be non-negative, got {at_time}")
+        ledger = self.persisted[process]
+        in_flight = [
+            c.ckpt_id for c in ledger if c.produced_at <= at_time < c.persisted_at
+        ]
+        events.emit(
+            events.CRASH,
+            sim_time=at_time,
+            node=self.name,
+            rank=process,
+            in_flight_ckpts=list(in_flight),
+            durable_ckpts=sum(1 for c in ledger if c.persisted_at <= at_time),
+        )
+        return in_flight
+
     def crash_restart(
         self,
         process: int,
@@ -352,16 +393,13 @@ class NodeRuntime:
         bit-identical at every fan-out.
 
         ``scrub`` has no effect: validation is part of composing the chain.
+        A fan-out the node cannot serve is refused before the crash is
+        journalled (:meth:`crash`); the restart restores
+        :meth:`durable_chain`.
 
         Returns a :class:`CrashReport` with the restored state, the
         lost-work metric, and the restore's simulated cost.
         """
-        if not 0 <= process < self.num_processes:
-            raise SimulationError(
-                f"process {process} outside node of {self.num_processes}"
-            )
-        if at_time < 0:
-            raise SimulationError(f"crash time must be non-negative, got {at_time}")
         positive_int(fan_out, "fan_out")
         if fan_out > self.node.gpus_per_node:
             raise SimulationError(
@@ -373,28 +411,14 @@ class NodeRuntime:
             raise SimulationError(
                 f"fan-out {fan_out} exceeds the checkpoint's {num_chunks} chunks"
             )
-        ledger = self.persisted[process]
-        durable_idx = [i for i, c in enumerate(ledger) if c.persisted_at <= at_time]
-        in_flight = [
-            c.ckpt_id
-            for c in ledger
-            if c.produced_at <= at_time < c.persisted_at
-        ]
-        events.emit(
-            events.CRASH,
-            sim_time=at_time,
-            node=self.name,
-            rank=process,
-            in_flight_ckpts=list(in_flight),
-            durable_ckpts=len(durable_idx),
-        )
+        in_flight = self.crash(process, at_time)
+        chain = self.durable_chain(process, at_time)
 
         restore_seconds = 0.0
         restore_payload_bytes = 0
         restore_sources = 0
-        if durable_idx:
-            last = ledger[durable_idx[-1]]
-            chain = [c.diff for c in ledger[: durable_idx[-1] + 1]]
+        if chain:
+            last = chain[-1]
             restored_id: Optional[int] = last.ckpt_id
             lost = max(0.0, at_time - last.produced_at)
             with telemetry.span(
@@ -404,7 +428,7 @@ class NodeRuntime:
                 fan_out=fan_out,
             ) as span:
                 restored, rreport = restore_sharded(
-                    chain,
+                    [c.diff for c in chain],
                     fan_out,
                     self.node.device,
                     [self.node.pcie_contention(fan_out)] * fan_out,

@@ -1,12 +1,24 @@
-"""Tests for FaultPlan determinism and the record campaign runner."""
+"""Tests for FaultPlan determinism, the one record-fault injector, the
+one damage grader and the record campaign runner."""
+
+import shutil
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from repro.core import ENGINES, Restorer, save_record
 from repro.errors import FaultError
-from repro.faults import FaultPlan, run_record_campaign
+from repro.faults import (
+    FaultPlan,
+    RecordFault,
+    apply_record_faults,
+    grade_record_damage,
+    run_record_campaign,
+)
+from repro.faults.plan import RECORD_FAULT_KINDS
 from repro.runtime import StorageTier
+from repro.telemetry import events
 
 
 @pytest.fixture
@@ -97,6 +109,13 @@ class TestValidation:
         with pytest.raises(FaultError):
             FaultPlan(0).plan_record_faults(4, kinds=("rot13",))
 
+    def test_unknown_kind_refused_when_built(self, record):
+        """A misspelt kind used to be applied as a delete."""
+        path, _ = record
+        with pytest.raises(FaultError, match="bitflp"):
+            RecordFault(kind="bitflp", ckpt_index=1)
+        assert len(list(path.glob("ckpt-*.rdif"))) == 4
+
     def test_no_tiers_rejected(self):
         with pytest.raises(FaultError):
             FaultPlan(0).plan_tier_faults([], 10.0)
@@ -154,3 +173,125 @@ class TestCampaign:
         assert total["silent_wrong"] == 0
         assert total["detection_rate"] == 1.0
         assert total["recovery_rate"] == 1.0
+
+
+def _dir_bytes(path):
+    return {p.name: p.read_bytes() for p in sorted(Path(path).iterdir())}
+
+
+def _pinned_from_receipt(record):
+    """The pinned fault a journal's ``record_fault`` receipt replays as
+    (the rebuild ``schedule_from_timeline`` makes)."""
+    return RecordFault(
+        kind=str(record["kind"]),
+        frame=Path(str(record["path"])).name,
+        offset=int(record["detail"]),
+        bit=int(record.get("bit", 0) or 0),
+    )
+
+
+class TestOneInjector:
+    @pytest.mark.parametrize("kind", RECORD_FAULT_KINDS)
+    def test_drawn_and_pinned_faults_inflict_the_same_damage(
+        self, record, tmp_path, kind
+    ):
+        path, _ = record
+        drawn_dir = shutil.copytree(path, tmp_path / "drawn")
+        pinned_dir = shutil.copytree(path, tmp_path / "pinned")
+        (fault,) = FaultPlan(7).plan_record_faults(4, kinds=(kind,))
+        assert fault.frame is None and fault.offset is None
+        with events.journal_to() as journal:
+            drawn = apply_record_faults(drawn_dir, [fault])
+        (receipt,) = [
+            r for r in journal.records() if r["type"] == events.RECORD_FAULT
+        ]
+        pinned = apply_record_faults(pinned_dir, [_pinned_from_receipt(receipt)])
+        assert _dir_bytes(drawn_dir) == _dir_bytes(pinned_dir)
+        assert _dir_bytes(drawn_dir) != _dir_bytes(path)
+        assert [(r.kind, Path(r.path).name, r.detail) for r in drawn] == [
+            (r.kind, Path(r.path).name, r.detail) for r in pinned
+        ]
+
+    def test_stops_at_the_first_impossible_fault(self, tmp_path, rng):
+        data = rng.integers(0, 256, 64 * 8, dtype=np.uint8)
+        one = save_record([ENGINES["tree"](data.size, 64).checkpoint(data)],
+                          tmp_path / "one", method="tree")
+        # The second delete of the only frame finds no frame left: it
+        # and everything after it are not applied.
+        twice = [RecordFault("delete"), RecordFault("delete"),
+                 RecordFault("bitflip")]
+        receipts = apply_record_faults(one, twice)
+        assert [r.kind for r in receipts] == ["delete"]
+        assert list(one.glob("ckpt-*.rdif")) == []
+
+    def test_a_bit_flip_into_an_emptied_frame_stops(self, record):
+        path, _ = record
+        faults = [RecordFault("truncate", frame="ckpt-00002.rdif", offset=0),
+                  RecordFault("bitflip", frame="ckpt-00002.rdif", offset=3)]
+        receipts = apply_record_faults(path, faults)
+        assert [r.kind for r in receipts] == ["truncate"]
+        assert (path / "ckpt-00002.rdif").stat().st_size == 0
+
+    def test_missing_pinned_frame_raises(self, record):
+        path, _ = record
+        with pytest.raises(FaultError, match="ckpt-00009.rdif"):
+            apply_record_faults(path, [RecordFault("delete", frame="ckpt-00009.rdif")])
+
+
+class TestOneGrader:
+    @pytest.fixture
+    def goldens(self, record):
+        _, diffs = record
+        right = Restorer().restore_all(diffs)
+        wrong = [state.copy() for state in right]
+        wrong[0][0] ^= 0xFF
+        return right, wrong
+
+    def test_intact_record_is_harmless(self, record, goldens):
+        assert grade_record_damage(record[0], goldens[0]) == (False, "harmless")
+
+    def test_flipped_frame_is_recovered(self, record, goldens):
+        path, _ = record
+        apply_record_faults(path, [RecordFault("bitflip", ckpt_index=2,
+                                               offset_frac=0.5, bit=1)])
+        assert grade_record_damage(path, goldens[0]) == (True, "recovered")
+
+    def test_damage_with_a_diverging_prefix_is_only_detected(self, record, goldens):
+        path, _ = record
+        apply_record_faults(path, [RecordFault("delete", ckpt_index=3)])
+        assert grade_record_damage(path, goldens[1]) == (True, "detected")
+
+    def test_intact_record_against_wrong_goldens_is_silent_wrong(
+        self, record, goldens
+    ):
+        assert grade_record_damage(record[0], goldens[1]) == (
+            False,
+            "silent_wrong",
+        )
+
+    def test_campaign_buckets_tally_the_labels(self, record, tmp_path):
+        path, diffs = record
+        golden = Restorer().restore_all(diffs)
+        results = run_record_campaign(path, golden, tmp_path / "work",
+                                      trials=9, seed=2)
+        expected = {
+            kind: dict.fromkeys(
+                ("trials", "detected", "recovered", "harmless", "silent_wrong"), 0
+            )
+            for kind in (*RECORD_FAULT_KINDS, "total")
+        }
+        for trial in range(9):
+            plan = FaultPlan(2 * 1_000_003 + trial)
+            (fault,) = plan.plan_record_faults(len(golden))
+            trial_dir = shutil.copytree(path, tmp_path / f"again-{trial}")
+            plan.apply_record_faults(trial_dir, [fault])
+            detected, label = grade_record_damage(trial_dir, golden)
+            assert detected == (label in ("recovered", "detected"))
+            for bucket in (expected[fault.kind], expected["total"]):
+                bucket["trials"] += 1
+                bucket["detected"] += label in ("recovered", "detected")
+                bucket["recovered"] += label == "recovered"
+                bucket["harmless"] += label == "harmless"
+                bucket["silent_wrong"] += label == "silent_wrong"
+        for kind, bucket in expected.items():
+            assert {k: results[kind][k] for k in bucket} == bucket

@@ -298,6 +298,31 @@ class TestJournalEmission:
         assert restart["cold"] is (report.restored_ckpt_id is None)
         assert restart["lost_work_seconds"] == report.lost_work_seconds
 
+    def test_a_crash_alone_journals_one_crash_and_restarts_nothing(self, rng):
+        """A dropped recovery: the crash is journalled, the process keeps
+        its ledger and nothing restores; a later restart restores the
+        durable chain the crash saw."""
+        from repro.telemetry.events import CRASH, journal_to
+
+        runtime = NodeRuntime(SIZE, 64, num_processes=1)
+        snapshots = run_cadence(runtime, rng, steps=3)
+        ledger = list(runtime.persisted[0])
+        at = ledger[1].persisted_at
+        with journal_to(node="node0") as journal:
+            assert runtime.crash(0, at) == [
+                c.ckpt_id for c in ledger if c.produced_at <= at < c.persisted_at
+            ]
+        (crash,) = journal.records()
+        assert crash["type"] == CRASH and crash["sim_time"] == at
+        assert crash["durable_ckpts"] == 2
+        assert runtime.persisted[0] == ledger
+        assert runtime.crash_reports == []
+        assert runtime.durable_chain(0, at) == ledger[:2]
+        assert runtime.durable_chain(0, -1.0) == []
+        report = runtime.crash_restart(0, at)
+        assert report.restored_ckpt_id == 1
+        assert np.array_equal(report.restored_state, snapshots[1][0])
+
 
 class TestShardedRestart:
     """crash_restart with fan_out > 1 borrows idle sibling GPUs."""

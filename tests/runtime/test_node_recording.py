@@ -7,7 +7,8 @@ from repro.compress import get_codec
 from repro.core import IncrementalCheckpointer, Restorer
 from repro.core.provenance import restore_record_indexed
 from repro.core.store import load_record, verify_record
-from repro.replay.driver import ScheduledRecordFault, IncidentSchedule, drive_run
+from repro.faults import RecordFault
+from repro.replay.driver import IncidentSchedule, drive_run
 from repro.replay.timeline import RunConfig
 from repro.runtime import NodeRuntime
 from repro.telemetry import events
@@ -109,7 +110,7 @@ class TestDriverRecording:
         )
         schedule = IncidentSchedule(
             record_faults=[
-                ScheduledRecordFault(
+                RecordFault(
                     kind="bitflip", frame="ckpt-00001.rdif", offset=40, bit=2
                 )
             ]
