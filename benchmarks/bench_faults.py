@@ -8,9 +8,11 @@ and writes ``BENCH_faults.json`` next to the repo root (or
 * ``record``   — a seeded :class:`~repro.faults.FaultPlan` sweep over
   stored ``.rdif`` corruption (bit flips, truncation, deletion): every
   fault must be detected by ``verify_record()`` or be provably
-  harmless, and salvage-then-gather of the longest valid prefix must be
-  bit-identical to the golden states — zero silent wrong-bytes
-  restores.
+  harmless, and every checkpoint the damaged record still restores
+  (through ``restore_record_indexed``, the restore ``repro restore``
+  runs) must be bit-identical to the workload's own bytes — zero
+  silent wrong-bytes restores.  ``restorable`` counts those
+  checkpoints.
 * ``tiers``    — transient and permanent tier outages through
   :class:`~repro.runtime.AsyncFlushPipeline`: retry/backoff counts and
   route-around write-through.
@@ -33,7 +35,7 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.core import Restorer, TreeDedup, save_record
+from repro.core import TreeDedup, save_record
 from repro.faults import FaultPlan, run_record_campaign
 from repro.oranges import OrangesApp
 from repro.runtime import AsyncFlushPipeline, NodeRuntime, StorageTier
@@ -48,15 +50,17 @@ CAMPAIGN_SEED = 0
 
 
 def golden_trace():
-    """The fixed-seed ORANGES diff chain and its reconstructed states."""
+    """The fixed-seed ORANGES diff chain and a copy of each GDV snapshot
+    it checkpoints: the truth every restore is graded against."""
     app = OrangesApp(TRACE["workload"], num_vertices=TRACE["num_vertices"],
                      seed=TRACE["seed"])
     engine = app.fresh_engine()
     tree = TreeDedup(engine.buffer_nbytes, CHUNK_SIZE)
-    diffs = []
+    diffs, states = [], []
     for snap in engine.checkpoint_stream(NUM_CHECKPOINTS):
-        diffs.append(tree.checkpoint(snap.reshape(-1).view(np.uint8)))
-    states = Restorer().restore_all(diffs)
+        buf = snap.reshape(-1).view(np.uint8)
+        diffs.append(tree.checkpoint(buf))
+        states.append(buf.copy())
     return diffs, states
 
 
@@ -166,7 +170,7 @@ def health_summary(journal) -> dict:
     record corruption must be in the evidence of a finding of its rule.
     """
     from repro.telemetry import build_rollup, evaluate_health
-    from repro.telemetry.events import RECORD_FAULT, SALVAGE, TIER_OUTAGE
+    from repro.telemetry.events import RECORD_FAULT, TIER_OUTAGE
 
     rollup = build_rollup(journal)
     health = evaluate_health(rollup)
@@ -184,7 +188,7 @@ def health_summary(journal) -> dict:
         )
 
     outages = rollup.events_of(TIER_OUTAGE)
-    corruptions = rollup.events_of(RECORD_FAULT, SALVAGE)
+    corruptions = rollup.events_of(RECORD_FAULT)
     return {
         "events": len(rollup.events),
         "status": health.status,
@@ -235,7 +239,7 @@ def test_bench_faults(capsys):
     total = report["record"]["total"]
     assert total["detection_rate"] == 1.0, "undetected record corruption"
     assert total["silent_wrong"] == 0, "silent wrong-bytes restore"
-    assert total["recovery_rate"] == 1.0, "salvaged prefix diverged"
+    assert total["recovery_rate"] == 1.0, "a restored checkpoint diverged"
     assert report["tiers"]["transient"]["all_persisted"]
     assert report["tiers"]["permanent_middle"]["routed_around_ssd"]
     assert report["crashes"]["bit_identical_restores"] == report["crashes"]["crashes"]

@@ -17,7 +17,8 @@ census <root>
     report achieved vs attainable dedup (intra-record vs shared pool).
 verify <dir>
     Integrity-scan a stored record: per-checkpoint digest status, chain
-    digest, and the salvageable prefix length (see docs/FAULT_MODEL.md).
+    digest, provenance index, and how many frames are damaged (see
+    docs/FAULT_MODEL.md).
 restore <dir>
     Reconstruct a checkpoint from a stored record into a raw binary file.
 trace <out.json>
@@ -163,8 +164,6 @@ def _cmd_verify(args: argparse.Namespace) -> int:
             "index_bytes": report.index_bytes,
             "index_raw_bytes": report.index_raw_bytes,
             "index_compression_ratio": report.index_compression_ratio,
-            "valid_prefix_len": report.valid_prefix_len,
-            "first_bad": report.first_bad,
             "checkpoints": [
                 {
                     "index": c.index,
@@ -182,16 +181,27 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     if report.ok:
         print("\nintegrity: OK")
         return 0
-    salvageable = report.valid_prefix_len
+    damaged = sum(not c.loadable for c in report.checkpoints)
     total = len(report.checkpoints)
-    print(f"\nintegrity: PROBLEMS — salvageable prefix {salvageable}/{total}")
-    if args.salvage and salvageable:
-        diffs = load_record(args.record, strict=False)
-        print(f"salvage: {len(diffs)} checkpoints load cleanly")
+    print(f"\nintegrity: PROBLEMS — {damaged}/{total} frames damaged")
     return 1
 
 
 def _cmd_restore(args: argparse.Namespace) -> int:
+    from .errors import ReproError
+
+    try:
+        return _restore(args)
+    except ReproError as exc:
+        which = "newest" if args.checkpoint is None else args.checkpoint
+        print(
+            f"cannot restore {args.record} checkpoint {which}: {exc}",
+            file=sys.stderr,
+        )
+        return 2
+
+
+def _restore(args: argparse.Namespace) -> int:
     if args.ranks > 1:
         from .gpusim.cluster import polaris, thetagpu
         from .runtime.fleet_restore import restore_record_sharded
@@ -410,14 +420,14 @@ def _cmd_replay(args: argparse.Namespace) -> int:
 
     try:
         replayer = JournalReplayer(args.journal)
+        with tempfile.TemporaryDirectory(prefix="repro-replay-") as tmp:
+            workdir = Path(args.workdir) if args.workdir else Path(tmp)
+            result = replayer.replay(
+                workdir=workdir, journal_path=args.output
+            )
     except ReplayError as exc:
         print(f"cannot replay {args.journal}: {exc}", file=sys.stderr)
         return 2
-    with tempfile.TemporaryDirectory(prefix="repro-replay-") as tmp:
-        workdir = Path(args.workdir) if args.workdir else Path(tmp)
-        result = replayer.replay(
-            workdir=workdir, journal_path=args.output
-        )
     if args.json:
         print(json.dumps(result.as_dict(), indent=2, default=str))
         return 0 if result.equivalent else 1
@@ -635,10 +645,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     verify = sub.add_parser("verify", help="integrity-scan a stored record")
     verify.add_argument("record", help="record directory")
-    verify.add_argument(
-        "--salvage", action="store_true",
-        help="also report how many checkpoints load via strict=False",
-    )
     verify.add_argument(
         "--json", action="store_true", help="machine-readable output"
     )

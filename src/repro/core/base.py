@@ -18,7 +18,6 @@ from typing import Optional
 
 import numpy as np
 
-from ..errors import ChunkingError
 from ..kokkos.execution import DeviceSpace, LedgerView
 from ..utils.timing import PhaseTimer
 from .. import telemetry
@@ -126,12 +125,4 @@ class DedupEngine(ABC):
         return (
             f"<{type(self).__name__} chunk={self.spec.chunk_size}B "
             f"n={self.spec.num_chunks} ckpts={self.next_ckpt_id}>"
-        )
-
-
-def require_same_length(expected: int, got: int) -> None:
-    """Raise when a checkpoint buffer changes size mid-record."""
-    if expected != got:
-        raise ChunkingError(
-            f"checkpoint length changed mid-record: expected {expected}, got {got}"
         )

@@ -105,10 +105,6 @@ class TreeLayout:
         """Child indices ``(left, right)`` of *node*."""
         return 2 * node + 1, 2 * node + 2
 
-    def is_leaf(self, node: int) -> bool:
-        """Whether flat index *node* is a leaf."""
-        return self.leaf_of_node[node] >= 0
-
     def level_ranges(self) -> List[Tuple[int, int]]:
         """Index ranges ``[lo, hi)`` per depth, root level first.
 

@@ -13,7 +13,7 @@ from typing import Dict, List, Optional, Sequence, Union
 import numpy as np
 
 from .. import telemetry
-from ..errors import SerializationError, StorageError
+from ..errors import StorageError
 from ..record import (
     STATUS_CORRUPT,
     STATUS_MISSING,
@@ -24,16 +24,12 @@ from ..record import (
     RecordView,
     RecordWriter,
 )
-from ..telemetry import events
 from . import provenance as _prov
 from .diff import CheckpointDiff
 
 _FRAMES_REUSED = telemetry.counter(
     "store.frames_reused",
     "Frames already on disk with matching digests, skipped by save_record",
-)
-_SALVAGE_EVENTS = telemetry.counter(
-    "store.salvage_events", "Non-strict loads truncated at a damaged frame"
 )
 
 #: A record directory, or a view already opened on one.
@@ -104,40 +100,20 @@ def save_record(
     return path
 
 
-def load_record(record: Record, strict: bool = True) -> List[CheckpointDiff]:
+def load_record(record: Record) -> List[CheckpointDiff]:
     """Read a diff chain previously written by :func:`save_record`.
 
-    With ``strict=True`` (the default) any missing, corrupt, or
-    mismatched checkpoint file raises (:class:`StorageError` /
-    :class:`IntegrityError`).  With ``strict=False`` the longest valid
-    *prefix* of the chain is salvaged instead: loading stops at the first
-    bad checkpoint and whatever verified before it is returned (possibly
-    an empty list).  Diffs are chains — a checkpoint past a hole cannot
-    be reconstructed anyway, so the valid prefix is exactly the
-    recoverable part.
+    Any missing, corrupt, or mismatched checkpoint file raises
+    (:class:`StorageError` / :class:`IntegrityError`).  What a damaged
+    record still restores is answered checkpoint by checkpoint by
+    :func:`~repro.core.provenance.restore_record_indexed`, never by a
+    partial load.
     """
     view = RecordView.of(record)
-    path = str(view.path)
-    diffs: List[CheckpointDiff] = []
     with telemetry.span(
-        "store.load_record", path=path, frames=view.count, strict=strict
+        "store.load_record", path=str(view.path), frames=view.count
     ) as span:
-        for i in range(view.count):
-            try:
-                diffs.append(view.frame(i))
-            except (StorageError, SerializationError) as exc:
-                if strict:
-                    raise
-                _SALVAGE_EVENTS.inc()
-                salvage = dict(
-                    path=path,
-                    first_bad=i,
-                    valid_prefix=len(diffs),
-                    error=type(exc).__name__,
-                )
-                telemetry.instant("store.salvage", **salvage)
-                events.emit(events.SALVAGE, **salvage)
-                break
+        diffs = [view.frame(i) for i in range(view.count)]
         span.set(loaded=len(diffs))
     return diffs
 

@@ -28,7 +28,7 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from ..errors import FaultError
+from ..errors import FaultError, ReproError
 from .injectors import AppliedFault, delete_file, flip_bit, record_files, truncate_file
 
 PathLike = Union[str, Path]
@@ -273,37 +273,45 @@ def apply_record_faults(
 
 def grade_record_damage(
     record_dir: PathLike, golden_states: Sequence[np.ndarray]
-) -> Tuple[bool, str]:
+) -> Tuple[bool, str, int]:
     """Grade what a (possibly damaged) record still restores.
 
-    The record is scanned (`verify_record`), salvaged
-    (`load_record(strict=False)`), and every salvaged checkpoint is
-    gathered (`gather_states`) and compared with *golden_states*, the
-    truth for each checkpoint of the chain.  Returns ``(detected,
-    label)``:
+    The record is scanned (`verify_record`), and every checkpoint *k* of
+    *golden_states* (the truth for each checkpoint of the chain) is
+    restored the way ``repro restore`` does it (`restore_record_indexed`);
+    a :class:`~repro.errors.ReproError` marks *k* unrestorable.  The
+    checkpoints that restore are the *restorable set*: a checkpoint
+    restores iff its keyframe span and the frames its row names verify,
+    so damage to one frame spares every checkpoint whose row does not
+    name it.  Returns ``(detected, label, restorable)``, *restorable*
+    being the size of that set:
 
-    * ``recovered``     — the scan flagged the damage and the salvaged
-      prefix restored bit-identically;
-    * ``detected``      — flagged, but the salvaged prefix diverges;
-    * ``harmless``      — undetected, but every checkpoint is there and
-      restores bit-identically (provably no damage to content);
-    * ``silent_wrong``  — undetected AND a restored checkpoint diverges
-      or is missing: the failure mode this subsystem exists to eliminate.
+    * ``recovered``     — the scan flagged the damage and every restored
+      checkpoint is bit-identical;
+    * ``detected``      — flagged, but a restored checkpoint diverges;
+    * ``harmless``      — undetected, and every checkpoint restores
+      bit-identically (provably no damage to content);
+    * ``silent_wrong``  — undetected AND a checkpoint is wrong or does
+      not restore: the failure mode this subsystem exists to eliminate.
     """
-    from ..core.provenance import gather_states
-    from ..core.store import load_record, verify_record
+    from ..core.provenance import restore_record_indexed
+    from ..core.store import verify_record
 
     detected = not verify_record(record_dir).ok
-    prefix = load_record(record_dir, strict=False)
-    prefix_ok = all(
-        np.array_equal(state, golden)
-        for state, golden in zip(gather_states(prefix), golden_states)
-    )
+    restorable = 0
+    restored_ok = True
+    for k, golden in enumerate(golden_states):
+        try:
+            state, _ = restore_record_indexed(record_dir, k)
+        except ReproError:
+            continue
+        restorable += 1
+        restored_ok = restored_ok and np.array_equal(state, golden)
     if detected:
-        return True, "recovered" if prefix_ok else "detected"
-    if len(prefix) == len(golden_states) and prefix_ok:
-        return False, "harmless"
-    return False, "silent_wrong"
+        return True, "recovered" if restored_ok else "detected", restorable
+    if restorable == len(golden_states) and restored_ok:
+        return False, "harmless", restorable
+    return False, "silent_wrong", restorable
 
 
 def run_record_campaign(
@@ -320,7 +328,8 @@ def run_record_campaign(
     fault and is graded by :func:`grade_record_damage`.  Per fault kind
     the counters tally the labels: ``detected`` counts every trial the
     scan flagged (``recovered`` plus ``detected`` labels), ``recovered``,
-    ``harmless`` and ``silent_wrong`` count their own label.
+    ``harmless`` and ``silent_wrong`` count their own label, and
+    ``restorable`` sums the checkpoints each damaged copy still restored.
 
     Returns ``{kind: counters}`` plus a ``"total"`` roll-up; everything
     is plain ints/floats so the result is JSON-serialisable.
@@ -333,6 +342,7 @@ def run_record_campaign(
             "recovered": 0,
             "harmless": 0,
             "silent_wrong": 0,
+            "restorable": 0,
         }
 
     results: Dict[str, dict] = {kind: _bucket() for kind in kinds}
@@ -348,11 +358,12 @@ def run_record_campaign(
             shutil.rmtree(trial_dir)
         shutil.copytree(record_dir, trial_dir)
         plan.apply_record_faults(trial_dir, faults)
-        detected, label = grade_record_damage(trial_dir, golden_states)
+        detected, label, restorable = grade_record_damage(trial_dir, golden_states)
 
         for bucket in (results[faults[0].kind], results["total"]):
             bucket["trials"] += 1
             bucket["detected"] += int(detected)
+            bucket["restorable"] += restorable
             if label != "detected":
                 bucket[label] += 1
 

@@ -108,10 +108,6 @@ class EsuEnumerator:
         closed0 = neighbors[vertex] | {vertex}
         yield from extend((vertex,), base, closed0)
 
-    def count_rooted(self, root: int) -> int:
-        """Number of subgraphs rooted at *root* (diagnostics)."""
-        return sum(1 for _ in self.subgraphs_rooted_at(root))
-
     def subgraph_mask(self, sub: Tuple[int, ...]) -> int:
         """Adjacency bitmask of the induced subgraph on *sub*.
 

@@ -315,25 +315,11 @@ class RecordVerification:
         )
 
     @property
-    def first_bad(self) -> Optional[int]:
-        """Index of the first non-loadable checkpoint, or ``None``."""
-        for c in self.checkpoints:
-            if not c.loadable:
-                return c.index
-        return None
-
-    @property
     def index_compression_ratio(self) -> float:
         """Raw index bytes over stored (compressed row-group) bytes."""
         if self.index_bytes <= 0:
             return 0.0
         return self.index_raw_bytes / self.index_bytes
-
-    @property
-    def valid_prefix_len(self) -> int:
-        """Length of the longest loadable prefix (what salvage recovers)."""
-        first_bad = self.first_bad
-        return len(self.checkpoints) if first_bad is None else first_bad
 
     def summary(self) -> str:
         """One line per checkpoint plus the chain verdict."""

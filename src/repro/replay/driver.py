@@ -457,7 +457,9 @@ def drive_run(
                 fault_mark = len(journal)
                 receipts = apply_record_faults(record_dir, schedule.record_faults)
                 injected.extend(journal.records()[fault_mark:])
-                detected, outcome = grade_record_damage(record_dir, snapshots[0])
+                detected, outcome, restorable = grade_record_damage(
+                    record_dir, snapshots[0]
+                )
                 if outcome == "silent_wrong":
                     golden_failures.append(
                         "record-fault leg restored wrong bytes undetected"
@@ -466,6 +468,7 @@ def drive_run(
                     "applied": len(receipts),
                     "detected": detected,
                     "outcome": outcome,
+                    "restorable": restorable,
                 }
 
         # ---- final restore per rank: prove durable bytes -------------

@@ -17,7 +17,7 @@ from pathlib import Path
 from typing import Any, Dict, List, Optional, Sequence, Union
 
 from .. import telemetry
-from ..errors import ReplayError
+from ..errors import FaultError, ReplayError
 from ..telemetry import events
 from ..telemetry.events import read_journal
 from ..faults.plan import CrashSpec, RecordFault, TierFaultSpec
@@ -28,7 +28,7 @@ from .driver import (
     compare_outcomes,
     drive_run,
 )
-from .timeline import IncidentTimeline, build_timeline
+from .timeline import Incident, IncidentTimeline, build_timeline
 
 PathLike = Union[str, Path]
 
@@ -44,7 +44,8 @@ def schedule_from_timeline(timeline: IncidentTimeline) -> IncidentSchedule:
       means the journal is structurally inconsistent.
     * ``record_fault`` receipts become exact, name-addressed
       :class:`~repro.faults.RecordFault`\\ s pinned to the same frame,
-      byte offset and bit.
+      byte offset and bit; a receipt that cannot be pinned (an unknown
+      kind, a non-integer offset or bit) raises :class:`ReplayError`.
     """
     tier_faults = [
         TierFaultSpec(
@@ -82,17 +83,33 @@ def schedule_from_timeline(timeline: IncidentTimeline) -> IncidentSchedule:
         )
 
     record_faults = [
-        RecordFault(
-            kind=str(i.record.get("kind", "bitflip")),
-            frame=Path(str(i.record.get("path", ""))).name,
-            offset=int(i.record.get("detail", 0)),
-            bit=int(i.record.get("bit", 0) or 0),
-        )
-        for i in timeline.incidents_of(events.RECORD_FAULT)
+        _pinned_record_fault(i) for i in timeline.incidents_of(events.RECORD_FAULT)
     ]
     return IncidentSchedule(
         tier_faults=tier_faults, crashes=crashes, record_faults=record_faults
     )
+
+
+def _pinned_record_fault(incident: Incident) -> RecordFault:
+    """The pinned fault a ``record_fault`` receipt replays as.  A receipt
+    whose offset or bit is not an integer, or that :class:`RecordFault`
+    refuses (an unknown kind), cannot be replayed."""
+    receipt = incident.record
+    where = f"record_fault receipt at t={incident.sim_time:g}"
+    offset, bit = receipt.get("detail", 0), receipt.get("bit", 0) or 0
+    if not isinstance(offset, int) or not isinstance(bit, int):
+        raise ReplayError(
+            f"{where} pins offset {offset!r} and bit {bit!r}: not integers"
+        )
+    try:
+        return RecordFault(
+            kind=str(receipt.get("kind", "bitflip")),
+            frame=Path(str(receipt.get("path", ""))).name,
+            offset=offset,
+            bit=bit,
+        )
+    except FaultError as exc:
+        raise ReplayError(f"{where} cannot be replayed: {exc}") from exc
 
 
 @dataclass

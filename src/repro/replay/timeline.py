@@ -26,7 +26,6 @@ INCIDENT_TYPES = frozenset(
         events.CRASH,
         events.RESTART,
         events.RECORD_FAULT,
-        events.SALVAGE,
     }
 )
 

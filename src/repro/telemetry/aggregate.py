@@ -27,7 +27,6 @@ from .events import (
     RECORD_FAULT,
     RESTART,
     RESTORE,
-    SALVAGE,
     TIER_OUTAGE,
     EventJournal,
     LoadedJournal,
@@ -356,7 +355,6 @@ class RankRollup:
     restores: int = 0
     restore_payload_bytes: int = 0
     restore_state_bytes: int = 0
-    salvages: int = 0
     record_faults: int = 0
     #: This rank's ``checkpoint_committed`` and crash/restart events in
     #: merged order — the evidence the per-rank health rules attach.
@@ -462,7 +460,6 @@ class FleetRollup:
                     "route_arounds": 0,
                     "crashes": 0,
                     "lost_work_seconds": 0.0,
-                    "salvages": 0,
                     "record_faults": 0,
                     "max_backlog_seconds": 0.0,
                 },
@@ -476,7 +473,6 @@ class FleetRollup:
             node["route_arounds"] += rollup.route_arounds
             node["crashes"] += rollup.crashes
             node["lost_work_seconds"] += rollup.lost_work_seconds
-            node["salvages"] += rollup.salvages
             node["record_faults"] += rollup.record_faults
             node["max_backlog_seconds"] = max(
                 node["max_backlog_seconds"], rollup.max_backlog_seconds
@@ -510,7 +506,6 @@ class FleetRollup:
             "lost_work_seconds": self.total_lost_work_seconds,
             "restore_amplification": self.restore_amplification,
             "tier_outages": len(self.tier_outages),
-            "salvages": sum(r.salvages for r in self.ranks.values()),
             "record_faults": sum(r.record_faults for r in self.ranks.values()),
         }
 
@@ -587,8 +582,6 @@ def build_rollup(journals: Iterable) -> FleetRollup:
             rollup.restores += 1
             rollup.restore_payload_bytes += int(event.get("payload_bytes", 0))
             rollup.restore_state_bytes += int(event.get("state_bytes", 0))
-        elif kind == SALVAGE:
-            rank_of(event).salvages += 1
         elif kind == RECORD_FAULT:
             rank_of(event).record_faults += 1
 

@@ -2,7 +2,7 @@
 
 Spans and metrics (PR 4) answer *how long* and *how much*; the journal
 answers *what happened*: an append-only stream of schema-versioned JSON
-records — checkpoint committed, flush retry, tier outage, salvage,
+records — checkpoint committed, flush retry, tier outage, record fault,
 crash/restart, restore, rebase — each tagged with the node/rank that
 emitted it and both clocks (wall time and the simulated timeline).
 Journals from N ranks merge order-independently (see
@@ -58,7 +58,6 @@ CHECKPOINT_COMMITTED = "checkpoint_committed"
 FLUSH_RETRY = "flush_retry"
 FLUSH_ROUTE_AROUND = "flush_route_around"
 TIER_OUTAGE = "tier_outage"
-SALVAGE = "salvage"
 RECORD_FAULT = "record_fault"
 CRASH = "crash"
 RESTART = "restart"
@@ -76,7 +75,6 @@ EVENT_TYPES = frozenset(
         FLUSH_RETRY,
         FLUSH_ROUTE_AROUND,
         TIER_OUTAGE,
-        SALVAGE,
         RECORD_FAULT,
         CRASH,
         RESTART,
@@ -100,7 +98,6 @@ FAILURE_EVENT_TYPES = frozenset(
         FLUSH_RETRY,
         FLUSH_ROUTE_AROUND,
         TIER_OUTAGE,
-        SALVAGE,
         RECORD_FAULT,
         CRASH,
         REPLAY_DIVERGENCE,

@@ -22,7 +22,7 @@ Rule catalog (see ``docs/OBSERVABILITY.md`` §8):
   own trailing window (data drifting away from the dedup sweet spot).
 * :class:`FlushBacklogRule` — flush backlog (persisted − produced)
   growing monotonically, or the application blocking on host admission.
-* :class:`CorruptionRule` — salvage / injected-record-fault sentinels.
+* :class:`CorruptionRule` — injected-record-fault sentinels.
 * :class:`CrashLoopRule` — crashes per rank; repeated crashes or a cold
   restart (data loss) escalate to ``critical``.
 * :class:`TierOutageRule` — injected tier outages, with that tier's
@@ -58,7 +58,6 @@ from .events import (
     RECORD_FAULT,
     REPLAY_DIVERGENCE,
     RESTORE,
-    SALVAGE,
     TIER_OUTAGE,
 )
 
@@ -304,34 +303,18 @@ class FlushBacklogRule(HealthRule):
 
 
 class CorruptionRule(HealthRule):
-    """Salvage and injected-record-fault sentinels: always critical.
+    """Injected-record-fault sentinel: always critical.
 
-    A ``salvage`` event means stored bytes failed integrity checks and a
-    load fell back to the longest valid prefix; a ``record_fault`` event
-    is a fault injector's receipt.  One finding per event, so a campaign
-    can check that *every* injected corruption was flagged.
+    A ``record_fault`` event is a fault injector's receipt.  One finding
+    per event, so a campaign can check that *every* injected corruption
+    was flagged.
     """
 
     name = "corruption"
-    description = "salvaged loads and injected record faults"
+    description = "injected record faults"
 
     def evaluate(self, rollup: FleetRollup) -> List[Finding]:
         findings: List[Finding] = []
-        for event in rollup.events_of(SALVAGE):
-            findings.append(
-                Finding(
-                    rule=self.name,
-                    severity=CRITICAL,
-                    message=(
-                        f"record {event.get('path', '?')} salvaged: first bad "
-                        f"frame {event.get('first_bad')}, valid prefix "
-                        f"{event.get('valid_prefix')} ({event.get('error', '?')})"
-                    ),
-                    node=event.get("node"),
-                    rank=event.get("rank"),
-                    evidence=[event],
-                )
-            )
         for event in rollup.events_of(RECORD_FAULT):
             findings.append(
                 Finding(
@@ -790,7 +773,6 @@ RULE_COVERAGE: Dict[str, List[str]] = {
     TIER_OUTAGE: [TierOutageRule.name],
     FLUSH_RETRY: [TierOutageRule.name],
     FLUSH_ROUTE_AROUND: [TierOutageRule.name],
-    SALVAGE: [CorruptionRule.name],
     RECORD_FAULT: [CorruptionRule.name],
     CRASH: [CrashLoopRule.name],
     REPLAY_DIVERGENCE: [ReplayDivergenceRule.name],

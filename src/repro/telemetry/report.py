@@ -186,8 +186,7 @@ def _fleet_table(rollup: FleetRollup) -> str:
                                 f"{_fmt(summary['lost_work_seconds'])} s"),
         ("restore amplification", _fmt(summary["restore_amplification"])),
         ("tier outages", str(summary["tier_outages"])),
-        ("salvages / record faults", f"{summary['salvages']} / "
-                                     f"{summary['record_faults']}"),
+        ("record faults", str(summary["record_faults"])),
     ]
     cells = "".join(
         f'<tr><td class="name">{html.escape(k)}</td><td>{html.escape(v)}</td></tr>'

@@ -56,7 +56,7 @@ class SpanRecord:
 
 @dataclass
 class InstantRecord:
-    """A zero-duration event (retry fired, tier routed around, salvage)."""
+    """A zero-duration event (retry fired, tier routed around)."""
 
     name: str
     tid: int
@@ -258,13 +258,6 @@ class Tracer:
             self._spans.clear()
             self.instants.clear()
             self.epoch = time.perf_counter()
-
-    def wall_totals(self) -> Dict[str, float]:
-        """Span-name → total wall seconds, in first-completion order."""
-        out: Dict[str, float] = {}
-        for record in self.spans():
-            out[record.name] = out.get(record.name, 0.0) + record.wall_seconds
-        return out
 
 
 _TRACER = Tracer()

@@ -184,8 +184,6 @@ class TestVerifyRecord:
         report = verify_record(path)
         assert report.ok
         assert report.chain_ok is True
-        assert report.first_bad is None
-        assert report.valid_prefix_len == len(diffs)
         assert all(c.status == STATUS_OK for c in report.checkpoints)
 
     def test_bitflip_flags_one_checkpoint(self, diffs, tmp_path):
@@ -199,16 +197,13 @@ class TestVerifyRecord:
             STATUS_OK,
             STATUS_CORRUPT,
         ]
-        assert report.first_bad == 1
-        assert report.valid_prefix_len == 1
         assert report.chain_ok is False
 
     def test_missing_file_flagged(self, diffs, tmp_path):
         path = save_record(diffs, tmp_path / "rec")
         (path / "ckpt-00000.rdif").unlink()
         report = verify_record(path)
-        assert report.checkpoints[0].status == STATUS_MISSING
-        assert report.valid_prefix_len == 0
+        assert [c.status for c in report.checkpoints] == [STATUS_MISSING, STATUS_OK]
 
     def test_swapped_frames_detected(self, diffs, tmp_path):
         # Both frames self-verify; only the manifest digests catch the swap.
@@ -289,10 +284,25 @@ class TestFrameVanishesAtTheRead:
             load_record(path)
         with pytest.raises(StorageError, match=message):
             restore_record_indexed(path)
-        assert len(load_record(path, strict=False)) == 1
+        out, _ = restore_record_indexed(path, 0)
+        assert np.array_equal(out, Restorer().restore(diffs, 0))
 
 
 class TestSalvage:
+    """What a damaged record still restores is what the production
+    restore returns: each checkpoint from its own row and the frames
+    that row names, never a partial load of the chain."""
+
+    @staticmethod
+    def _restorable(path, count):
+        restored = {}
+        for k in range(count):
+            try:
+                restored[k], _ = restore_record_indexed(path, k)
+            except StorageError:
+                pass
+        return restored
+
     def test_strict_load_raises_integrity(self, diffs, tmp_path):
         path = save_record(diffs, tmp_path / "rec")
         blob = bytearray((path / "ckpt-00001.rdif").read_bytes())
@@ -308,23 +318,25 @@ class TestSalvage:
         blob = bytearray((path / "ckpt-00001.rdif").read_bytes())
         blob[-1] ^= 0x01
         (path / "ckpt-00001.rdif").write_bytes(bytes(blob))
-        prefix = load_record(path, strict=False)
-        assert len(prefix) == 1
-        assert prefix[0].to_bytes() == diffs[0].to_bytes()
+        assert list(self._restorable(path, len(diffs))) == [0]
+        with pytest.raises(IntegrityError):
+            restore_record_indexed(path, 1)
 
     def test_salvage_of_clean_record_is_complete(self, diffs, tmp_path):
         path = save_record(diffs, tmp_path / "rec")
-        assert len(load_record(path, strict=False)) == len(diffs)
+        assert list(self._restorable(path, len(diffs))) == [0, 1]
 
     def test_salvage_past_missing_file(self, diffs, tmp_path):
         path = save_record(diffs, tmp_path / "rec")
         (path / "ckpt-00001.rdif").unlink()
-        assert len(load_record(path, strict=False)) == 1
+        assert list(self._restorable(path, len(diffs))) == [0]
 
     def test_salvage_can_be_empty(self, diffs, tmp_path):
+        # Checkpoint 1 rewrote 256 of 4096 bytes: its row still names
+        # frame 0 for the rest, so losing frame 0 loses both.
         path = save_record(diffs, tmp_path / "rec")
         (path / "ckpt-00000.rdif").unlink()
-        assert load_record(path, strict=False) == []
+        assert self._restorable(path, len(diffs)) == {}
 
     def test_salvaged_prefix_restores(self, diffs, tmp_path):
         path = save_record(diffs, tmp_path / "rec")
@@ -332,9 +344,9 @@ class TestSalvage:
         blob = bytearray((path / "ckpt-00001.rdif").read_bytes())
         blob[60] ^= 0x80
         (path / "ckpt-00001.rdif").write_bytes(bytes(blob))
-        prefix = load_record(path, strict=False)
-        states = Restorer().restore_all(prefix)
-        assert np.array_equal(states[0], golden[0])
+        restored = self._restorable(path, len(diffs))
+        assert list(restored) == [0]
+        assert np.array_equal(restored[0], golden[0])
 
 
 class TestV1Compatibility:
@@ -460,6 +472,24 @@ class TestCli:
         assert "chain verified" in captured
         assert main(["restore", str(rec), "-k", "1", "-o", str(out)]) == 0
         assert out.stat().st_size == 65536
+
+    def test_restore_of_an_unrestorable_checkpoint_exits_two(
+        self, tmp_path, capsys
+    ):
+        from repro.cli import main
+
+        rec = tmp_path / "rec"
+        assert main(["demo", "--checkpoints", "6", "--save", str(rec)]) == 0
+        (rec / "ckpt-00002.rdif").unlink()
+        capsys.readouterr()
+        out = tmp_path / "out.bin"
+        assert main(["restore", str(rec), "-k", "1", "-o", str(out)]) == 0
+        assert main(["restore", str(rec), "-k", "2", "-o", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert f"cannot restore {rec} checkpoint 2: " in err
+        assert "missing checkpoint file ckpt-00002.rdif" in err
+        assert main(["restore", str(rec), "-o", str(out)]) == 2
+        assert f"cannot restore {rec} checkpoint newest: " in capsys.readouterr().err
 
     def test_demo_methods(self, capsys):
         from repro.cli import main

@@ -8,6 +8,8 @@ import numpy as np
 import pytest
 
 from repro.core import ENGINES, Restorer, save_record
+from repro.core.provenance import restore_record_indexed
+from repro.core.store import load_provenance
 from repro.errors import FaultError
 from repro.faults import (
     FaultPlan,
@@ -248,18 +250,19 @@ class TestOneGrader:
         return right, wrong
 
     def test_intact_record_is_harmless(self, record, goldens):
-        assert grade_record_damage(record[0], goldens[0]) == (False, "harmless")
+        assert grade_record_damage(record[0], goldens[0]) == (False, "harmless", 4)
 
     def test_flipped_frame_is_recovered(self, record, goldens):
         path, _ = record
         apply_record_faults(path, [RecordFault("bitflip", ckpt_index=2,
                                                offset_frac=0.5, bit=1)])
-        assert grade_record_damage(path, goldens[0]) == (True, "recovered")
+        # Every later row names frame 2: checkpoints 0 and 1 restore.
+        assert grade_record_damage(path, goldens[0]) == (True, "recovered", 2)
 
     def test_damage_with_a_diverging_prefix_is_only_detected(self, record, goldens):
         path, _ = record
         apply_record_faults(path, [RecordFault("delete", ckpt_index=3)])
-        assert grade_record_damage(path, goldens[1]) == (True, "detected")
+        assert grade_record_damage(path, goldens[1]) == (True, "detected", 3)
 
     def test_intact_record_against_wrong_goldens_is_silent_wrong(
         self, record, goldens
@@ -267,7 +270,29 @@ class TestOneGrader:
         assert grade_record_damage(record[0], goldens[1]) == (
             False,
             "silent_wrong",
+            4,
         )
+
+    def test_a_checkpoint_whose_row_skips_the_damage_still_restores(
+        self, tmp_path, rng
+    ):
+        # Every step rewrites the same two chunks, so checkpoint 3's row
+        # names frames 0 and 3 only.
+        data = rng.integers(0, 256, 64 * 48, dtype=np.uint8)
+        engine = ENGINES["tree"](data.size, 64)
+        states = [data]
+        for _ in range(3):
+            data = data.copy()
+            data[:128] = rng.integers(0, 256, 128, dtype=np.uint8)
+            states.append(data)
+        path = save_record([engine.checkpoint(s) for s in states],
+                           tmp_path / "rec", method="tree")
+        assert sorted(load_provenance(path, 3).referenced()) == [0, 3]
+        apply_record_faults(path, [RecordFault("delete", ckpt_index=2)])
+        newest, _ = restore_record_indexed(path)
+        assert np.array_equal(newest, states[3])
+        # A prefix stops at the hole and keeps checkpoints 0 and 1 only.
+        assert grade_record_damage(path, states) == (True, "recovered", 3)
 
     def test_campaign_buckets_tally_the_labels(self, record, tmp_path):
         path, diffs = record
@@ -276,7 +301,8 @@ class TestOneGrader:
                                       trials=9, seed=2)
         expected = {
             kind: dict.fromkeys(
-                ("trials", "detected", "recovered", "harmless", "silent_wrong"), 0
+                ("trials", "detected", "recovered", "harmless", "silent_wrong",
+                 "restorable"), 0
             )
             for kind in (*RECORD_FAULT_KINDS, "total")
         }
@@ -285,10 +311,11 @@ class TestOneGrader:
             (fault,) = plan.plan_record_faults(len(golden))
             trial_dir = shutil.copytree(path, tmp_path / f"again-{trial}")
             plan.apply_record_faults(trial_dir, [fault])
-            detected, label = grade_record_damage(trial_dir, golden)
+            detected, label, restorable = grade_record_damage(trial_dir, golden)
             assert detected == (label in ("recovered", "detected"))
             for bucket in (expected[fault.kind], expected["total"]):
                 bucket["trials"] += 1
+                bucket["restorable"] += restorable
                 bucket["detected"] += label in ("recovered", "detected")
                 bucket["recovered"] += label == "recovered"
                 bucket["harmless"] += label == "harmless"

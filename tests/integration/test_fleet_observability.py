@@ -14,14 +14,14 @@ import numpy as np
 import pytest
 
 from repro.cli import main
-from repro.core import IncrementalCheckpointer, Restorer, load_record, save_record
+from repro.core import IncrementalCheckpointer, save_record
+from repro.core.provenance import restore_record_indexed
 from repro.faults import flip_bit, record_files
 from repro.oranges import OrangesApp
 from repro.runtime import AsyncFlushPipeline, NodeRuntime, StorageTier
 from repro.telemetry import build_rollup, evaluate_health
 from repro.telemetry.events import (
     RECORD_FAULT,
-    SALVAGE,
     TIER_OUTAGE,
     journal_to,
     write_journal,
@@ -64,7 +64,7 @@ def _faulted_journal(tmp_path):
         for i in range(3):
             pipe.submit(f"ck{i}", 1 << 16, now=i * 0.5)
 
-        # A corrupted stored record, salvaged on load.
+        # A corrupted stored record.
         rng = np.random.default_rng(4)
         data = rng.integers(0, 256, 1 << 14, dtype=np.uint8)
         ck = IncrementalCheckpointer(data_len=1 << 14, chunk_size=128)
@@ -74,7 +74,6 @@ def _faulted_journal(tmp_path):
             data[:256] = rng.integers(0, 256, 256, dtype=np.uint8)
         record = save_record(ck.record.diffs, tmp_path / "record", method="tree")
         flip_bit(record_files(record)[-1], byte_offset=200)
-        load_record(record, strict=False)
     return journal
 
 
@@ -113,18 +112,20 @@ class TestFaultedRun:
         rollup = build_rollup(_faulted_journal(tmp_path))
         report = evaluate_health(rollup)
         corruption = report.findings_for("corruption")
-        injected = rollup.events_of(RECORD_FAULT, SALVAGE)
-        assert injected, "campaign must have injected and salvaged"
+        injected = rollup.events_of(RECORD_FAULT)
+        assert injected, "campaign must have injected a record fault"
         assert len(corruption) == len(injected)
         assert all(f.severity == "critical" for f in corruption)
         for event in injected:
             assert any(event in f.evidence for f in corruption)
 
     def test_salvaged_prefix_still_restores(self, tmp_path):
+        # Only the newest frame is damaged: the checkpoints before it
+        # restore from their own rows.
         _faulted_journal(tmp_path)
-        diffs = load_record(tmp_path / "record", strict=False)
-        states = Restorer().restore_all(diffs)
-        assert len(states) == len(diffs) >= 1
+        for k in range(2):
+            state, _ = restore_record_indexed(tmp_path / "record", k)
+            assert state.nbytes == 1 << 14
 
 
 class TestCli:

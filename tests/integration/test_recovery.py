@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from repro.core import Restorer, TreeDedup, restore_indexed
-from repro.core.store import load_record, save_record, verify_record
-from repro.errors import GraphError
+from repro.core.provenance import restore_record_indexed
+from repro.core.store import load_provenance, load_record, save_record, verify_record
+from repro.errors import GraphError, IntegrityError
 from repro.graphs import generate
 from repro.oranges import GdvEngine, OrangesApp
 from repro.runtime import NodeRuntime
@@ -92,13 +93,19 @@ class TestGoldenTraceRecovery:
 
         report = verify_record(path)
         assert not report.ok
-        assert report.first_bad == 3
+        assert [c.loadable for c in report.checkpoints] == [
+            True, True, True, False, True
+        ]
 
-        prefix = load_record(path, strict=False)
-        assert len(prefix) == 3
-        restored = Restorer().restore_all(prefix)
-        for got, want in zip(restored, states[:3]):
-            assert np.array_equal(got, want)
+        # Every checkpoint restores from its own row; the ones whose row
+        # names the damaged frame are refused, never restored wrong.
+        for k, want in enumerate(states):
+            if 3 in load_provenance(path, k).referenced():
+                with pytest.raises(IntegrityError):
+                    restore_record_indexed(path, k)
+            else:
+                got, _ = restore_record_indexed(path, k)
+                assert np.array_equal(got, want)
 
     def test_crash_restart_bit_identical(self, golden_trace):
         _, states = golden_trace

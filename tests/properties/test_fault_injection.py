@@ -32,6 +32,8 @@ from repro.core.store import (
     verify_record,
 )
 from repro.errors import IntegrityError, ReproError
+from repro.faults import RecordFault, apply_record_faults
+from repro.faults.plan import RECORD_FAULT_KINDS
 
 
 def make_chain(seed: int):
@@ -159,28 +161,75 @@ def test_any_record_byte_flip_is_detected(seed, file_pick, position, flip):
             load_record(rec)
 
 
+def workload_states(seed: int):
+    """Five states of a small buffer: rewrites that later steps overwrite
+    again (so a later row skips an earlier frame), a shifted block and
+    a rewrite of its own."""
+    rng = np.random.default_rng(seed)
+    n = 64 * 40
+    states = [rng.integers(0, 256, n, dtype=np.uint8)]
+    for step in range(1, 5):
+        state = states[-1].copy()
+        if step == 2:
+            state[20 * 64 : 24 * 64] = state[0 : 4 * 64]
+        elif step == 4:
+            state[30 * 64 : 32 * 64] = rng.integers(0, 256, 128, dtype=np.uint8)
+        else:
+            state[: 8 * 64] = rng.integers(0, 256, 8 * 64, dtype=np.uint8)
+        states.append(state)
+    return states
+
+
+_METHOD_RECORDS = {}
+
+
+def _pristine_method_record(method: str, seed: int):
+    """A saved record of :func:`workload_states` per (method, seed), its
+    states and each checkpoint's referenced frames; built once."""
+    key = (method, seed)
+    if key not in _METHOD_RECORDS:
+        states = workload_states(seed)
+        engine = ENGINES[method](states[0].size, 64)
+        root = Path(tempfile.mkdtemp(prefix="repro-prop-rec-"))
+        path = save_record(
+            [engine.checkpoint(state) for state in states], root / "rec", method
+        )
+        rows = [
+            {int(t) for t in load_provenance(path, k).referenced()}
+            for k in range(len(states))
+        ]
+        _METHOD_RECORDS[key] = path, states, rows
+    return _METHOD_RECORDS[key]
+
+
 @given(
-    seed=st.integers(0, 2),
-    file_pick=st.integers(0, 1000),
-    position=st.integers(0, 10**9),
-    flip=st.integers(1, 255),
+    method=st.sampled_from(sorted(ENGINES)),
+    seed=st.integers(0, 1),
+    kind=st.sampled_from(RECORD_FAULT_KINDS),
+    frame=st.integers(0, 4),
+    offset_frac=st.floats(0.0, 1.0, exclude_max=True),
+    bit=st.integers(0, 7),
 )
-@settings(max_examples=25, deadline=None,
+@settings(max_examples=40, deadline=None,
           suppress_health_check=[HealthCheck.too_slow])
-def test_salvage_never_restores_wrong_bytes(seed, file_pick, position, flip):
-    """The longest valid prefix a salvage returns is bit-identical to the
-    pristine chain's prefix — corruption never leaks into restored state."""
-    src = _pristine_record(seed)
-    golden = Restorer().restore_all(load_record(src))
+def test_salvage_never_restores_wrong_bytes(
+    method, seed, kind, frame, offset_frac, bit
+):
+    """What a damaged record still restores — every checkpoint the
+    production restore returns — is the workload's own bytes, and a
+    checkpoint whose row does not name the damaged frame is restored."""
+    src, states, rows = _pristine_method_record(method, seed)
     with tempfile.TemporaryDirectory() as tmp:
-        rec, index = _flip_in_copy(src, Path(tmp), file_pick, position, flip)
-        prefix = load_record(rec, strict=False)
-        assert len(prefix) == index
-        if not prefix:
-            return  # first checkpoint hit: nothing salvageable, nothing wrong
-        states = Restorer().restore_all(prefix)
-        for got, want in zip(states, golden):
-            assert np.array_equal(got, want)
+        rec = shutil.copytree(src, Path(tmp) / "rec")
+        fault = RecordFault(kind, ckpt_index=frame, offset_frac=offset_frac, bit=bit)
+        assert len(apply_record_faults(rec, [fault])) == 1
+        for k, want in enumerate(states):
+            try:
+                got, _ = restore_record_indexed(rec, k)
+            except ReproError:
+                assert frame in rows[k], f"checkpoint {k} lost to frame {frame}"
+                continue
+            assert np.array_equal(got, want), f"checkpoint {k} restored wrong"
 
 
 def test_every_single_byte_flip_detected_exhaustively():

@@ -43,6 +43,24 @@ class TestReplayCommand:
         assert rc == 2
         assert "no run_config" in capsys.readouterr().err
 
+    def test_malformed_record_fault_receipt_exits_two(self, tmp_path, capsys):
+        # The CI replay smoke's run, with its receipt's kind misspelt.
+        config = RunConfig(seed=3)
+        schedule = make_schedule(
+            config, faults_seed=0, n_transient=1, n_crashes=2, n_record_faults=1
+        )
+        path = tmp_path / "run.jsonl"
+        record_run(config, schedule, journal_path=path, workdir=tmp_path / "rec")
+        records = [json.loads(line) for line in path.read_text().splitlines()]
+        (receipt,) = [r for r in records if r["type"] == events.RECORD_FAULT]
+        receipt["kind"] = "bitflp"
+        write_journal(path, records)
+        rc = main(["replay", str(path)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert f"cannot replay {path}: record_fault receipt" in err
+        assert "unknown record fault kind 'bitflp'" in err
+
     def test_output_journal_written(self, journal_path, tmp_path, capsys):
         out = tmp_path / "replay.jsonl"
         rc = main(["replay", str(journal_path), "-o", str(out)])

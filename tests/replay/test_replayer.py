@@ -177,6 +177,25 @@ class TestScheduleFromTimeline:
             "bitflip", "ckpt-2.rdif", 17, 3,
         )
 
+    @pytest.mark.parametrize(
+        "receipt, message",
+        [
+            (dict(kind="bitflp", detail=17, bit=3), "unknown record fault kind"),
+            (dict(kind="bitflip", detail="17", bit=3), "not integers"),
+            (dict(kind="bitflip", detail=17.5, bit=3), "not integers"),
+            (dict(kind="bitflip", detail=17, bit="3"), "not integers"),
+        ],
+    )
+    def test_unpinnable_record_fault_receipt_rejected(self, receipt, message):
+        def emit(journal):
+            journal.emit(
+                events.RECORD_FAULT, sim_time=2.0,
+                path="/some/dir/ckpt-2.rdif", **receipt,
+            )
+
+        with pytest.raises(ReplayError, match=message):
+            schedule_from_timeline(self._timeline(emit))
+
     def test_result_as_dict_is_json_serialisable(self, tmp_path):
         schedule = make_schedule(SYNTH, faults_seed=1, n_transient=1)
         journal_path = tmp_path / "run.jsonl"

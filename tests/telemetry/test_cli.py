@@ -79,7 +79,6 @@ class TestJsonFlags:
         doc = json.loads(capsys.readouterr().out)
         assert rc == 0
         assert doc["ok"] is True
-        assert doc["valid_prefix_len"] == 3
         assert len(doc["checkpoints"]) == 3
         assert all(c["status"] == "ok" for c in doc["checkpoints"])
 
@@ -92,8 +91,17 @@ class TestJsonFlags:
         doc = json.loads(capsys.readouterr().out)
         assert rc == 1
         assert doc["ok"] is False
-        assert doc["first_bad"] == 1
-        assert doc["valid_prefix_len"] == 1
+        assert [c["status"] for c in doc["checkpoints"]] == [
+            "ok", "corrupt", "ok"
+        ]
+        assert "valid_prefix_len" not in doc and "first_bad" not in doc
+
+    def test_verify_text_counts_damaged_frames(self, record_dir, capsys):
+        frames = sorted(record_dir.glob("*.rdif"))
+        frames[1].unlink()
+        rc = main(["verify", str(record_dir)])
+        assert rc == 1
+        assert "integrity: PROBLEMS — 1/3 frames damaged" in capsys.readouterr().out
 
     def test_inspect_json(self, record_dir, capsys):
         rc = main(["inspect", str(record_dir), "--json"])

@@ -14,7 +14,6 @@ from repro.telemetry.events import (
     REPLAY_DIVERGENCE,
     RESTART,
     RESTORE,
-    SALVAGE,
     TIER_OUTAGE,
     EventJournal,
 )
@@ -78,7 +77,7 @@ class TestReport:
     def test_findings_sorted_most_severe_first(self):
         journal = EventJournal(node="n", rank=0)
         journal.emit(TIER_OUTAGE, sim_time=0.0, tier="ssd", kind="transient")
-        journal.emit(SALVAGE, path="r", first_bad=1, valid_prefix=1, error="X")
+        journal.emit(RECORD_FAULT, kind="bitflip", path="r", detail=1)
         report = evaluate_health(journal)
         severities = [f.severity for f in report.findings]
         assert severities == sorted(
@@ -150,13 +149,12 @@ class TestFlushBacklogRule:
 
 
 class TestCorruptionRule:
-    def test_one_critical_per_salvage_and_fault(self):
+    def test_one_critical_per_record_fault(self):
         journal = EventJournal(node="n")
-        journal.emit(SALVAGE, path="rec", first_bad=2, valid_prefix=2, error="E")
         journal.emit(RECORD_FAULT, kind="bitflip", path="f", detail=7)
         journal.emit(RECORD_FAULT, kind="truncate", path="g", detail=3)
         findings = CorruptionRule().evaluate(_rollup(journal))
-        assert len(findings) == 3
+        assert len(findings) == 2
         assert all(f.severity == CRITICAL for f in findings)
         assert all(len(f.evidence) == 1 for f in findings)
 
@@ -427,10 +425,6 @@ class TestRuleCoverage:
             )
             journal.emit(
                 FLUSH_ROUTE_AROUND, sim_time=1.5, tier="ssd", fallback="pfs",
-            )
-        elif event_type == SALVAGE:
-            journal.emit(
-                SALVAGE, sim_time=1.0, path="ckpt-3.rdif", reason="crc",
             )
         elif event_type == RECORD_FAULT:
             journal.emit(

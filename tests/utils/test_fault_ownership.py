@@ -2,7 +2,8 @@
 
 The fault campaign, the incident driver and ``NodeRuntime`` share one
 fault plane: one function inflicts record faults, one grades what a
-damaged record still restores, and one method journals a crash.
+damaged record still restores (by asking the restore ``repro restore``
+runs), and one method journals a crash.
 """
 
 import ast
@@ -46,7 +47,7 @@ def test_one_function_grades_record_damage():
     graders = sorted(
         where
         for where, calls in _calls_by_function()
-        if {"verify_record", "gather_states"} <= {name for name, _ in calls}
+        if {"verify_record", "restore_record_indexed"} <= {name for name, _ in calls}
     )
     assert graders == ["faults/plan.py:grade_record_damage"]
 
