@@ -10,11 +10,10 @@ Run:  python examples/diff_inspector.py [num_vertices]
 """
 
 import sys
-import tempfile
 from collections import Counter
 
 from repro.core import analyze_record, composition_report, restore_indexed, verify_chain
-from repro.core.store import load_record, save_record
+from repro.core.store import load_record
 from repro.oranges import OrangesApp
 from repro.utils.units import format_bytes
 
@@ -24,11 +23,9 @@ app = OrangesApp("unstructured_mesh", num_vertices=num_vertices, seed=5)
 backend = app.make_backend("tree", chunk_size=64)
 app.run({"tree": backend}, num_checkpoints=8)
 
-with tempfile.TemporaryDirectory() as tmp:
-    path = save_record(backend.record.diffs, tmp, method="tree")
-    diffs = load_record(path)
-    print(f"record persisted and reloaded from {path} "
-          f"({len(diffs)} checkpoints)\n")
+record = backend.record.writer.store  # the unit's record, here in RAM
+diffs = load_record(record)
+print(f"record reloaded from the unit's record ({len(diffs)} checkpoints)\n")
 
 print(composition_report(diffs))
 
@@ -48,7 +45,7 @@ print(f"  shift  {format_bytes(last.shift_bytes):>12s} — references only, "
 targets = Counter(last.shift_targets)
 print(f"  shifted duplicates point at checkpoints: {dict(targets)}")
 
-buffer, report = restore_indexed(diffs)
+buffer, report = restore_indexed(record)
 print(f"\nprovenance gather of the final checkpoint read "
       f"{format_bytes(report.total_payload_bytes_read)} from "
       f"{report.frames_referenced} of {report.frames_total} diffs: "

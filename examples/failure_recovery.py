@@ -15,7 +15,6 @@ import tempfile
 import numpy as np
 
 from repro.core import restore_indexed
-from repro.core.store import load_record, save_record
 from repro.oranges import GdvEngine, OrangesApp
 from repro.utils.units import format_bytes
 
@@ -31,26 +30,24 @@ n = graph.num_vertices
 print(f"running ORANGES on delaunay |V|={n}, checkpoint every "
       f"{n // NUM_CHECKPOINTS} vertices ...")
 engine = app.fresh_engine()
-backend = app.make_backend("tree", chunk_size=128)
 boundaries = np.linspace(0, n, NUM_CHECKPOINTS + 1).astype(int)[1:]
 frontiers = []
-for i, snapshot in enumerate(engine.checkpoint_stream(NUM_CHECKPOINTS)):
-    backend.checkpoint(snapshot)
-    frontiers.append(engine.next_vertex)
-    if i + 1 == FAIL_AFTER:
-        print(f"!! simulated failure after checkpoint {i} "
-              f"(frontier at vertex {engine.next_vertex})")
-        break
-
-with tempfile.TemporaryDirectory() as tmp:
-    record_dir = save_record(backend.record.diffs, tmp, method="tree")
-    print(f"durable record: {len(backend.record.diffs)} diffs, "
+with tempfile.TemporaryDirectory() as record_dir:
+    # The unit appends every checkpoint to its record directory as it goes.
+    backend = app.make_backend("tree", chunk_size=128, record_dir=record_dir)
+    for i, snapshot in enumerate(engine.checkpoint_stream(NUM_CHECKPOINTS)):
+        backend.checkpoint(snapshot)
+        frontiers.append(engine.next_vertex)
+        if i + 1 == FAIL_AFTER:
+            print(f"!! simulated failure after checkpoint {i} "
+                  f"(frontier at vertex {engine.next_vertex})")
+            break
+    print(f"durable record: {len(backend.record)} diffs, "
           f"{format_bytes(backend.record.total_stored_bytes())} "
           f"(vs {format_bytes(backend.record.total_full_bytes())} full)")
 
-    # ----- recovery ---------------------------------------------------
-    diffs = load_record(record_dir)
-    state, report = restore_indexed(diffs)
+    # ----- recovery: a fresh process reads the record -----------------
+    state, report = restore_indexed(record_dir)
     print(f"restored checkpoint {report.target_ckpt} reading "
           f"{format_bytes(report.total_payload_bytes_read)} from "
           f"{report.frames_referenced} of {report.frames_total} diffs")

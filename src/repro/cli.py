@@ -65,7 +65,8 @@ from .core import (
     composition_report,
     verify_chain,
 )
-from .core.store import load_record, record_manifest, save_record, verify_record
+from .core.store import load_record, record_manifest, verify_record
+from .errors import ReproError, StorageError
 from .record import is_record
 from .utils.rng import seeded_rng
 from .utils.units import format_bytes, format_ratio
@@ -74,9 +75,16 @@ from .utils.units import format_bytes, format_ratio
 def _cmd_demo(args: argparse.Namespace) -> int:
     rng = seeded_rng(args.seed)
     data = rng.integers(0, 256, args.size, dtype=np.uint8)
-    ckpt = IncrementalCheckpointer(
-        data_len=args.size, chunk_size=args.chunk_size, method=args.method
-    )
+    try:
+        ckpt = IncrementalCheckpointer(
+            data_len=args.size,
+            chunk_size=args.chunk_size,
+            method=args.method,
+            record_dir=args.save,
+        )
+    except StorageError as exc:  # --save names a directory holding a record
+        print(f"cannot save to {args.save}: {exc}", file=sys.stderr)
+        return 1
     for step in range(args.checkpoints):
         stats = ckpt.checkpoint(data)
         print(
@@ -89,16 +97,19 @@ def _cmd_demo(args: argparse.Namespace) -> int:
         data[at : at + 4096] = rng.integers(0, 256, 4096, dtype=np.uint8)
     print(f"\n{ckpt.record.summary()}")
     if args.save:
-        path = save_record(ckpt.record.diffs, args.save, method=args.method)
-        print(f"record saved to {path}")
+        print(f"record saved to {ckpt.record.writer.path}")
     restored = ckpt.restore(args.checkpoints - 1)
     print(f"restore({args.checkpoints - 1}) ok: {restored.nbytes} bytes")
     return 0
 
 
 def _cmd_inspect(args: argparse.Namespace) -> int:
-    manifest = record_manifest(args.record)
-    diffs = load_record(args.record)
+    try:
+        manifest = record_manifest(args.record)
+        diffs = load_record(args.record)
+    except ReproError as exc:
+        print(f"cannot inspect {args.record}: {exc}", file=sys.stderr)
+        return 1
     problems = verify_chain(diffs)
     if args.json:
         from .core.analysis import analyze_record
@@ -188,8 +199,6 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _cmd_restore(args: argparse.Namespace) -> int:
-    from .errors import ReproError
-
     try:
         return _restore(args)
     except ReproError as exc:

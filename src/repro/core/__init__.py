@@ -3,6 +3,18 @@ checkpointing by Merkle-tree de-duplication, plus the Full/Basic/List
 baselines it is evaluated against, the diff wire format, and restore.
 """
 
+# Provenance first: the record package it imports builds on its types.
+from .provenance import (
+    ProvenanceBuilder,
+    ProvenanceIndex,
+    ProvenanceTable,
+    RestoreReport,
+    gather_states,
+    materialize_index,
+    resolve_source,
+    restore_indexed,
+    restore_record_indexed,
+)
 from .analysis import (
     DiffComposition,
     analyze_diff,
@@ -34,17 +46,6 @@ from .labels import (
     label_name,
 )
 from .merkle import MerkleTree, TreeLayout
-from .provenance import (
-    ProvenanceBuilder,
-    ProvenanceIndex,
-    ProvenanceTable,
-    RestoreReport,
-    gather_states,
-    materialize_index,
-    resolve_source,
-    restore_indexed,
-    restore_record_indexed,
-)
 from .record import CheckpointRecord, CheckpointStats
 from .restore import Restorer
 from .retention import (

@@ -9,8 +9,10 @@ checkpoint record together so applications only do::
     restored = ckpt.restore(5)    # any checkpoint, any time
 
 Every :meth:`checkpoint` call runs the real de-duplication data path,
-prices the recorded kernels/transfers with the device cost model, and
-appends a :class:`~repro.core.record.CheckpointStats` to the record.
+prices the recorded kernels/transfers with the device cost model,
+appends the diff to the unit's record (``record_dir``, or RAM) and a
+:class:`~repro.core.record.CheckpointStats` to its stats; every
+:meth:`restore` reads that record.
 """
 
 from __future__ import annotations
@@ -20,13 +22,15 @@ from typing import Dict, Optional, Type
 
 import numpy as np
 
-from ..errors import ConfigurationError
+from ..errors import ConfigurationError, StorageError
 from ..gpusim.device import DeviceSpec, a100
 from ..gpusim.perfmodel import KernelCostModel
+from ..record import MemoryStore, RecordWriter
 from ..utils.validation import positive_float
 from .. import telemetry
 from .base import DedupEngine
 from .chunking import BufferLike
+from .diff import CheckpointDiff
 from .dedup_basic import BasicDedup
 from .dedup_full import FullCheckpoint
 from .dedup_list import ListDedup
@@ -65,6 +69,11 @@ class IncrementalCheckpointer:
     payload_codec:
         Optional hybrid compression of the tree payload (paper §5); each
         frame names its codec, so restores need no argument.
+    record_dir:
+        Where the unit's record lives: a directory that holds no record
+        yet, or ``None`` for a record in RAM.  Either way the unit owns
+        one :class:`~repro.record.RecordWriter`, every checkpoint is
+        appended to it and every restore reads it.
     """
 
     def __init__(
@@ -76,6 +85,7 @@ class IncrementalCheckpointer:
         pcie_contention: float = 1.0,
         fused: bool = True,
         payload_codec=None,
+        record_dir=None,
     ) -> None:
         if method not in ENGINES:
             raise ConfigurationError(
@@ -91,7 +101,18 @@ class IncrementalCheckpointer:
             raise ConfigurationError("payload_codec is only supported by 'tree'")
         self.engine: DedupEngine = ENGINES[method](data_len, chunk_size, **kwargs)
         self.cost_model = KernelCostModel(self.device, pcie_contention=pcie_contention)
-        self.record = CheckpointRecord(method)
+        writer = RecordWriter(
+            MemoryStore() if record_dir is None else record_dir, method=method
+        )
+        if writer.count:
+            raise StorageError(
+                f"{writer.path} already holds a record of {writer.count} "
+                f"checkpoints; a unit starts its own"
+            )
+        self.record = CheckpointRecord(method, writer)
+        #: The diff the last :meth:`checkpoint` appended (``None`` before
+        #: the first): what a node hands its flush hierarchy.
+        self.last_diff: Optional[CheckpointDiff] = None
 
     # ------------------------------------------------------------------
     def checkpoint(self, data: BufferLike) -> CheckpointStats:
@@ -127,6 +148,7 @@ class IncrementalCheckpointer:
             wall_seconds=wall,
         )
         self.record.append(diff, stats)
+        self.last_diff = diff
         return stats
 
     def restore(self, upto: Optional[int] = None) -> np.ndarray:

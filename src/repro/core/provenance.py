@@ -18,16 +18,18 @@ per *unique* referenced checkpoint — yielding a
 Materializing checkpoint *k* is then one batched gather per referenced
 source payload (:func:`materialize_index`) — typically a handful of
 diffs out of an arbitrarily long chain.  That gather is the only
-production reconstruction: an in-memory chain, a stored record, an
-N-rank sharded restart and a node's crash restart all first
-:func:`resolve_source` to one index row plus a ``payload_of(t)``
-callable, then gather a chunk range; the rebase and the fault graders
-walk a chain state by state through :func:`gather_states`.  A cold
-restart from disk only has to *read the payloads of the frames the index
-names* (:func:`restore_record_indexed`), because
+production reconstruction, and it always reads a record: a unit's own
+restore (its record in RAM or on disk), a cold restore, an N-rank
+sharded restart and a node's crash restart all first
+:func:`resolve_source` the record to one index row plus a
+``payload_of(t)`` callable, then gather a chunk range.  A restore only
+has to *read the payloads of the frames the index names*
+(:func:`restore_record_indexed`), because
 :class:`~repro.record.RecordWriter` persists one RPIX row-group per
 checkpoint next to the record log with the same digest discipline as the
-``.rdif`` frames.
+``.rdif`` frames.  Only the rebase's rewrite and a replayed run's final
+restore still walk an in-memory chain, state by state, through
+:func:`gather_states`.
 
 The composition relies on the engines' serialization invariant (§2.2):
 shifted-duplicate references point at content stored as a first
@@ -38,8 +40,8 @@ chain replay.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -272,28 +274,24 @@ def cell_reference_counts(table: ProvenanceTable) -> Tuple[np.ndarray, int]:
 # ----------------------------------------------------------------------
 @dataclass
 class RestoreReport:
-    """What one restore read and gathered, from a chain or a record.
-
-    A chain in memory parses every diff it holds and reads no bytes
-    (``frames_parsed == frames_total``, ``used_index`` false); a stored
-    record reads its target's index span and only the frames that row
-    names (``used_index`` true).
-    """
+    """What one restore read and gathered from a record: its target's
+    index span and only the frames that row names."""
 
     target_ckpt: int
     data_len: int
-    #: Checkpoints the chain or record holds.
+    #: Checkpoints the record holds.
     frames_total: int
-    #: Frames parsed: the whole chain, or the frames a record's row names.
+    #: Frames parsed: the frames the target's row names.
     frames_parsed: int
-    #: Total ``.rdif`` bytes the record holds on disk (0 for a chain).
+    #: Total ``.rdif`` bytes the record holds.
     record_bytes: int = 0
     #: ``.rdif`` bytes actually read, plus :attr:`index_bytes`.
     record_bytes_read: int = 0
     #: Record-log bytes + the index byte range (the target's keyframe
     #: through its own group) read for the row.
     index_bytes: int = 0
-    used_index: bool = False
+    #: Every restore reads the row from the record's index.
+    used_index: bool = True
     #: Payload bytes gathered per referenced source checkpoint.
     payload_bytes_read: Dict[int, int] = field(default_factory=dict)
 
@@ -390,99 +388,59 @@ def materialize_index(
 
 
 # ----------------------------------------------------------------------
-# Resolve a source, then gather: the one reconstruction path
+# Resolve a record, then gather: the one reconstruction path
 # ----------------------------------------------------------------------
-def _payload_cache(frames) -> Callable[[int], np.ndarray]:
-    """``payload_of(t)`` over an in-memory chain's *frames*, decoding each
-    payload once."""
-    payloads: Dict[int, np.ndarray] = {}
-
-    def payload_of(t: int) -> np.ndarray:
-        cached = payloads.get(t)
-        if cached is None:
-            cached = payloads[t] = diff_payload(frames[t])
-        return cached
-
-    return payload_of
-
-
-def resolve_source(source, upto: Optional[int] = None):
-    """Resolve ``(diff chain | record directory, upto)`` for a gather.
+def resolve_source(record, upto: Optional[int] = None):
+    """Resolve ``(record, upto)`` for a gather; *record* is a directory, a
+    byte store or a :class:`~repro.record.RecordView`.
 
     Returns ``(index, payload_of, report)``: checkpoint *upto*'s
     :class:`ProvenanceIndex` row, the ``payload_of(t)`` callable
     :func:`materialize_index` pulls source payloads through, and the
     :class:`RestoreReport` the gather fills.  Every reconstruction except
-    the :class:`~repro.core.restore.Restorer` replay oracle starts here.
+    the :class:`~repro.core.restore.Restorer` replay oracle and
+    :func:`gather_states` starts here.
 
-    A chain's row is composed on the fly by one
-    :class:`ProvenanceBuilder` pass over diffs ``0..upto`` — that pass is
-    the validation: a malformed diff raises :class:`RestoreError` naming
-    its checkpoint.  A record's row is decoded from the target's
-    keyframe span alone — its last keyframe and the deltas up to its own
-    group; damage in any group outside that span does not block the
-    restore — and only the payloads of the frames that row names are
-    read, each frame verified against the log and its header checked
-    first.
+    The row is decoded from the target's keyframe span alone — its last
+    keyframe and the deltas up to its own group; damage in any group
+    outside that span does not block the restore — and only the payloads
+    of the frames that row names are read, each frame verified against
+    the log and its header checked first.
     """
-    is_record = isinstance(source, (str, os.PathLike))
-    if is_record:
-        view = RecordView(source)
-        count = view.count
-    else:
-        count = len(source)
-        if count == 0:
-            raise RestoreError("cannot restore from an empty diff chain")
+    view = RecordView.of(record)
+    count = view.count
     if upto is None:
         upto = count - 1
     if not 0 <= upto < count:
-        raise RestoreError(
-            f"checkpoint {upto} outside "
-            f"{'record' if is_record else 'chain'} of {count}"
-        )
-
-    if is_record:
-        index = store.load_provenance(view, ckpt=upto)
-        parsed = [int(t) for t in index.referenced()]
-        payload_of = store.load_record_frames(view, parsed).__getitem__
-        frame_sizes = view.log.frame_bytes
-        report = RestoreReport(
-            target_ckpt=upto,
-            data_len=index.data_len,
-            frames_total=count,
-            frames_parsed=len(parsed),
-            record_bytes=int(sum(frame_sizes)),
-            record_bytes_read=int(sum(frame_sizes[t] for t in parsed))
-            + index.bytes_read,
-            index_bytes=index.bytes_read,
-            used_index=True,
-        )
-    else:
-        payload_of = _payload_cache(source)
-        builder = ProvenanceBuilder()
-        builder.extend(source[: upto + 1])
-        index = builder.indexes[upto]
-        report = RestoreReport(
-            target_ckpt=upto,
-            data_len=index.data_len,
-            frames_total=count,
-            frames_parsed=count,
-        )
+        raise RestoreError(f"checkpoint {upto} outside record of {count}")
+    index = store.load_provenance(view, ckpt=upto)
+    parsed = [int(t) for t in index.referenced()]
+    payload_of = store.load_record_frames(view, parsed).__getitem__
+    frame_sizes = view.log.frame_bytes
+    report = RestoreReport(
+        target_ckpt=upto,
+        data_len=index.data_len,
+        frames_total=count,
+        frames_parsed=len(parsed),
+        record_bytes=int(sum(frame_sizes)),
+        record_bytes_read=int(sum(frame_sizes[t] for t in parsed))
+        + index.bytes_read,
+        index_bytes=index.bytes_read,
+    )
     return index, payload_of, report
 
 
-def restore_indexed(source, upto: Optional[int] = None, space=None):
-    """Reconstruct checkpoint *upto* of a chain or record: resolve, gather.
+def restore_indexed(record, upto: Optional[int] = None, space=None):
+    """Reconstruct checkpoint *upto* of a record: resolve, gather.
 
-    Bit-identical to :meth:`~repro.core.restore.Restorer.restore` on
-    intact chains, but materialized as one batched gather per referenced
-    source payload instead of replaying the chain.  Returns
+    Bit-identical to :meth:`~repro.core.restore.Restorer.restore` over
+    the record's chain, but materialized as one batched gather per
+    referenced source payload instead of replaying the chain.  Returns
     ``(buffer, report)`` with the report :func:`resolve_source` built.
     """
-    index, payload_of, report = resolve_source(source, upto)
-    path = "indexed_record" if report.used_index else "indexed"
+    index, payload_of, report = resolve_source(record, upto)
     with telemetry.span(
-        f"restore.{path}",
+        "restore.indexed_record",
         space=space,
         upto=index.ckpt_id,
         chain_len=report.frames_total,
@@ -491,13 +449,12 @@ def restore_indexed(source, upto: Optional[int] = None, space=None):
         fields = {
             "sources": report.frames_referenced,
             "payload_bytes": report.total_payload_bytes_read,
+            "record_bytes_read": report.record_bytes_read,
         }
-        if report.used_index:
-            fields["record_bytes_read"] = report.record_bytes_read
         span.set(**fields)
     events.emit(
         events.RESTORE,
-        path=path,
+        path="indexed_record",
         target_ckpt=index.ckpt_id,
         chain_len=report.frames_total,
         state_bytes=int(out.nbytes),
@@ -506,13 +463,8 @@ def restore_indexed(source, upto: Optional[int] = None, space=None):
     return out, report
 
 
-def restore_record_indexed(
-    directory, upto: Optional[int] = None, space=None
-) -> Tuple[np.ndarray, RestoreReport]:
-    """Cold restart: :func:`restore_indexed` on a stored record directory,
-    parsing only the frames its provenance index names.
-    """
-    return restore_indexed(directory, upto, space)
+#: The name cold restarts (and the end-to-end benchmark) call it by.
+restore_record_indexed = restore_indexed
 
 
 def gather_states(
@@ -523,11 +475,11 @@ def gather_states(
     The chain is composed once — one :class:`ProvenanceBuilder`, one
     payload cache — and each state is gathered as soon as its row
     exists, so a caller that drops a state before taking the next holds
-    the rows, the payloads and one state, never the whole history.  The
-    rebase and the graders reconstruct through it; unlike a restore it
-    journals nothing.
+    the rows, the payloads and one state, never the whole history.  Only
+    the rebase's rewrite and a replayed run's final restore reconstruct
+    through it; unlike a restore it journals nothing.
     """
-    payload_of = _payload_cache(diffs)
+    payload_of = lru_cache(maxsize=None)(lambda t: diff_payload(diffs[t]))
     builder = ProvenanceBuilder()
     for diff in diffs:
         index = builder.append(diff)

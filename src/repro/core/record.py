@@ -1,10 +1,14 @@
-"""Checkpoint record: the lineage of diffs plus per-checkpoint statistics.
+"""Checkpoint record: one unit's stored record plus per-checkpoint
+statistics.
 
 The paper's metrics (§3.2) are defined over the *record*, not individual
 checkpoints: the de-duplication ratio is total full size over total stored
 size, and the frequency experiments aggregate over all captured
 checkpoints excluding the initial full one.  This module owns those
-aggregations so every bench computes them the same way.
+aggregations so every bench computes them the same way.  The diffs
+themselves live only in the record the unit's
+:class:`~repro.record.RecordWriter` appends to — on disk or in RAM — and
+every restore reads them back from there.
 """
 
 from __future__ import annotations
@@ -14,8 +18,8 @@ from typing import List, Optional
 
 import numpy as np
 
-from ..errors import RestoreError
 from ..gpusim.perfmodel import CostBreakdown
+from ..record import RecordWriter
 from ..utils.units import format_bytes, format_ratio
 from .diff import CheckpointDiff
 from .provenance import restore_indexed
@@ -55,24 +59,22 @@ class CheckpointStats:
 
 
 class CheckpointRecord:
-    """Ordered collection of diffs + stats for one process's record."""
+    """One process's record — its :class:`~repro.record.RecordWriter` —
+    plus the stats of every checkpoint appended to it."""
 
-    def __init__(self, method: str) -> None:
+    def __init__(self, method: str, writer: RecordWriter) -> None:
         self.method = method
-        self.diffs: List[CheckpointDiff] = []
+        self.writer = writer
         self.stats: List[CheckpointStats] = []
 
     def append(self, diff: CheckpointDiff, stats: CheckpointStats) -> None:
-        """Add one checkpoint's diff and measurements."""
-        if diff.ckpt_id != len(self.diffs):
-            raise RestoreError(
-                f"record expects checkpoint {len(self.diffs)}, got {diff.ckpt_id}"
-            )
-        self.diffs.append(diff)
+        """Append one checkpoint's diff to the record and keep its
+        measurements (the writer refuses a diff out of order)."""
+        self.writer.append(diff)
         self.stats.append(stats)
 
     def __len__(self) -> int:
-        return len(self.diffs)
+        return len(self.stats)
 
     # ------------------------------------------------------------------
     # Aggregations (paper §3.2 definitions)
@@ -111,9 +113,9 @@ class CheckpointRecord:
         return payload / seconds if seconds > 0 else float("inf")
 
     def restore(self, upto: Optional[int] = None) -> np.ndarray:
-        """Reconstruct checkpoint *upto* (default latest) by the provenance
-        gather: the row is composed on demand, then one gather per source."""
-        return restore_indexed(self.diffs, upto)[0]
+        """Reconstruct checkpoint *upto* (default latest) from the record:
+        one keyframe span of its index, then one gather per source frame."""
+        return restore_indexed(self.writer.store, upto)[0]
 
     def summary(self) -> str:
         """One-line human-readable record summary."""

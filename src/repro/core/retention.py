@@ -42,7 +42,7 @@ from ..compress import get_codec
 from ..errors import RestoreError, StorageError
 from ..telemetry import events
 from .diff import CheckpointDiff
-from .provenance import ProvenanceBuilder, gather_states, resolve_source
+from .provenance import ProvenanceBuilder, gather_states
 from .serialize import chunk_map, gather_chunk_payload
 from .store import load_record, record_manifest, save_record, verify_record
 
@@ -50,9 +50,13 @@ from .store import load_record, record_manifest, save_record, verify_record
 def payload_dependencies(
     diffs: Sequence[CheckpointDiff], upto: Optional[int] = None
 ) -> Set[int]:
-    """Checkpoint ids whose payload bytes contribute to checkpoint *upto*."""
-    index, _, _ = resolve_source(diffs, upto)
-    return {int(t) for t in index.referenced()}
+    """Checkpoint ids whose payload bytes contribute to checkpoint *upto*
+    (default latest)."""
+    if upto is None:
+        upto = len(diffs) - 1
+    if not 0 <= upto < len(diffs):
+        raise RestoreError(f"checkpoint {upto} outside chain of {len(diffs)}")
+    return required_payloads(diffs, [upto])
 
 
 def required_payloads(

@@ -16,12 +16,15 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from ..record import MemoryStore
 from .diff import CheckpointDiff
 from .provenance import restore_indexed
+from .store import save_record
 
 
 def selective_restore(
     diffs: Sequence[CheckpointDiff], upto: Optional[int] = None
 ) -> np.ndarray:
-    """Checkpoint *upto* (default latest) of an in-memory chain."""
-    return restore_indexed(diffs, upto)[0]
+    """Checkpoint *upto* (default latest) of an in-memory chain, appended
+    to a RAM record first: the one restore reads a record."""
+    return restore_indexed(save_record(list(diffs), MemoryStore()), upto)[0]

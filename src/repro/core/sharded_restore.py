@@ -12,7 +12,7 @@ byte extent.
 :class:`ShardedRestorePlan` owns that decomposition and states what each
 rank will meter.  :func:`restore_sharded` is the one restart restore
 built on it — ``NodeRuntime.crash_restart`` at any fan-out and
-``restore_record_sharded`` both call it: resolve the source, plan the
+``restore_record_sharded`` both call it on a record: resolve it, plan the
 shards, pick the window count from the plan's priced counts, gather
 each rank on its own ``DeviceSpace``, price the per-rank ledgers with
 ``KernelCostModel.price_fleet_restore`` and journal one ``restore``
@@ -259,8 +259,7 @@ class FleetRestoreReport:
     data_len: int
     frames_total: int
     frames_parsed: int
-    #: Frame bytes + index bytes the shared read actually pulled (0 for
-    #: a chain already in memory).
+    #: Frame bytes + index bytes the shared read actually pulled.
     record_bytes_read: int
     index_bytes: int
     #: Pre-execution critical-path prediction (the window picker's view).
@@ -283,7 +282,7 @@ class FleetRestoreReport:
 
 
 def restore_sharded(
-    source,
+    record,
     ranks: int,
     device: DeviceSpec,
     contention: Sequence[float],
@@ -293,15 +292,14 @@ def restore_sharded(
     path: str = "sharded",
     **identity: Any,
 ) -> Tuple[np.ndarray, FleetRestoreReport]:
-    """Reconstruct checkpoint *upto* of a chain or record across *ranks*
-    simulated GPUs: the one restart restore, for every fan-out.
+    """Reconstruct checkpoint *upto* of a record (a directory, a byte
+    store or a view) across *ranks* simulated GPUs: the one restart
+    restore, for every fan-out.
 
-    *contention* holds each rank's PCIe contention factor.  A record's
+    *contention* holds each rank's PCIe contention factor.  The record's
     referenced frames are read once fleet-wide and priced at
-    *read_bandwidth*; a chain already in memory reads nothing.  With
-    ``windows=None`` the window count is picked before execution from
-    the plan's priced counts (a restore with no read to overlap picks
-    one window).  Every restore journals one ``restore`` event with
+    *read_bandwidth*.  With ``windows=None`` the window count is picked
+    before execution from the plan's priced counts.  Every restore journals one ``restore`` event with
     *path* and the caller's *identity* (``node``, ``rank``,
     ``sim_time``).
     """
@@ -309,7 +307,7 @@ def restore_sharded(
         raise RestoreError(
             f"{len(contention)} contention factors for {ranks} ranks"
         )
-    index, payload_of, resolved = resolve_source(source, upto)
+    index, payload_of, resolved = resolve_source(record, upto)
     read_bytes = resolved.record_bytes_read
 
     model = KernelCostModel(device)

@@ -1,8 +1,8 @@
 """The stored-record entry points callers (and the end-to-end benchmark,
 which patches several of them) reach :mod:`repro.record` through.  Each
-takes a record directory or an open :class:`~repro.record.RecordView`,
-so an operation that needs several opens one view and reads and
-seal-checks the header and log once.
+takes a record — a directory, a byte store or an open
+:class:`~repro.record.RecordView` — so an operation that needs several
+opens one view and reads and seal-checks the header and log once.
 """
 
 from __future__ import annotations
@@ -19,6 +19,7 @@ from ..record import (
     STATUS_MISSING,
     STATUS_OK,
     AppendReceipt,
+    ByteStore,
     CheckpointStatus,
     RecordVerification,
     RecordView,
@@ -32,8 +33,8 @@ _FRAMES_REUSED = telemetry.counter(
     "Frames already on disk with matching digests, skipped by save_record",
 )
 
-#: A record directory, or a view already opened on one.
-Record = Union[str, Path, RecordView]
+#: A record directory, a byte store, or a view already opened on either.
+Record = Union[str, Path, ByteStore, RecordView]
 
 
 def record_manifest(record: Record) -> dict:
@@ -43,10 +44,13 @@ def record_manifest(record: Record) -> dict:
 
 def save_record(
     diffs: List[CheckpointDiff],
-    directory: Union[str, Path],
+    directory: Union[str, Path, ByteStore],
     method: str = "",
-) -> Path:
-    """Write a diff chain to *directory* (created if missing).
+) -> Union[Path, ByteStore]:
+    """Write a diff chain to *directory* (created if missing) or to a byte
+    store — ``save_record(diffs, MemoryStore())`` is a chain as a RAM
+    record — and return where it now lives: the directory's path, or the
+    store.
 
     Refuses to overwrite a directory already holding a different record
     length unless it holds a strict prefix of this chain (append-style
@@ -62,11 +66,11 @@ def save_record(
     """
     if not diffs:
         raise StorageError("cannot save an empty record")
-    path = Path(directory)
+    writer = RecordWriter(directory, method=method)
+    path = writer.path
     with telemetry.span(
         "store.save_record", frames=len(diffs), path=str(path)
     ) as span:
-        writer = RecordWriter(path, method=method)
         prefix = writer.count
         if prefix:
             if prefix > len(diffs):
@@ -97,7 +101,7 @@ def save_record(
             frames_written=len(diffs) - prefix,
             frames_reused=prefix,
         )
-    return path
+    return writer.store if writer.store is directory else path
 
 
 def load_record(record: Record) -> List[CheckpointDiff]:

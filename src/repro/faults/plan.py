@@ -34,6 +34,7 @@ from .injectors import AppliedFault, delete_file, flip_bit, record_files, trunca
 PathLike = Union[str, Path]
 
 RECORD_FAULT_KINDS = ("bitflip", "truncate", "delete")
+TIER_FAULT_KINDS = ("transient", "permanent")
 
 # Domain salts keep the per-domain RNG streams independent of call order.
 _SALT_RECORD = 0x5EC0
@@ -66,12 +67,17 @@ class RecordFault:
 
 @dataclass(frozen=True)
 class TierFaultSpec:
-    """One planned storage-tier outage on the simulated clock."""
+    """One planned storage-tier outage on the simulated clock.  An
+    unknown *kind* is refused here, before any tier sees it."""
 
     tier: str
-    kind: str  # "transient" | "permanent"
+    kind: str  # one of TIER_FAULT_KINDS
     start: float
     duration: float = 0.0
+
+    def __post_init__(self) -> None:
+        if self.kind not in TIER_FAULT_KINDS:
+            raise FaultError(f"unknown tier fault kind {self.kind!r}")
 
 
 @dataclass(frozen=True)
@@ -194,10 +200,8 @@ class FaultPlan:
                 raise FaultError(f"no tier named {spec.tier!r} to fault")
             if spec.kind == "transient":
                 tier.fail_transient(spec.start, spec.duration)
-            elif spec.kind == "permanent":
+            else:  # "permanent": TierFaultSpec refuses every other kind
                 tier.fail_permanent(spec.start)
-            else:
-                raise FaultError(f"unknown tier fault kind {spec.kind!r}")
 
     # ------------------------------------------------------------------
     # Process crashes

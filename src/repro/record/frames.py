@@ -7,7 +7,6 @@ same checks in the same order."""
 
 from __future__ import annotations
 
-import os
 from pathlib import Path
 from typing import Callable, List, Optional, Tuple
 
@@ -17,6 +16,7 @@ from .. import telemetry
 from ..core.diff import CheckpointDiff, content_digest, frame_header
 from ..core.serialize import decode_payload
 from ..errors import IntegrityError, SerializationError, StorageError
+from .bytestore import ByteStore, as_store
 
 _FRAMES_READ = telemetry.counter(
     "store.frames_read", "Checkpoint .rdif frames read and parsed"
@@ -38,49 +38,37 @@ def frame_name(k: int) -> str:
     return _PATTERN.format(k)
 
 
-def frame_path(directory: Path, k: int) -> Path:
-    """Where checkpoint *k*'s frame lives in a record directory."""
-    return directory / frame_name(k)
+def frame_names(store: ByteStore) -> List[str]:
+    """The frame files present in a record, in chain order."""
+    return [n for n in store.list() if n.startswith("ckpt-") and n.endswith(".rdif")]
 
 
 def frame_files(directory) -> List[Path]:
     """The frame files present in a record directory, in chain order."""
-    return sorted(Path(directory).glob("ckpt-*.rdif"))
+    return [Path(directory) / name for name in frame_names(as_store(directory))]
 
 
-def _read(path, size: int) -> Tuple[Optional[bytes], int]:
+def _read(store: ByteStore, name: str, size: int) -> Tuple[Optional[bytes], int]:
     """``(bytes, size)`` of a frame file; the bytes only when its size is
-    the log's (*size*) — otherwise the log's digest cannot possibly match,
-    and the frame is refused without being read."""
-    # One open: a file that vanishes after an existence check could
-    # otherwise escape as a raw FileNotFoundError.
-    fd = os.open(path, os.O_RDONLY)
-    try:
-        actual = os.fstat(fd).st_size
-        if actual != size:
-            return None, actual
-        blob = os.read(fd, size)
-        while len(blob) < size:  # one read stops short of 2 GiB
-            more = os.read(fd, size - len(blob))
-            if not more:
-                break
-            blob += more
-        return blob, actual
-    finally:
-        os.close(fd)
+    the log's (*size*) — otherwise the log's digest cannot possibly match.
+    One read of at most one byte more than the log's size tells both."""
+    blob = store.pread(name, size + 1)
+    if len(blob) == size:
+        return blob, size
+    return None, len(blob) if len(blob) < size else store.size(name)
 
 
-def _checked(parse: Callable, path, index: int, size: int, digest: bytes):
-    """``(blob, parse(blob))`` of one frame, checked in order against the
-    log's *size*, then the log's *digest* (one SHA-256 pass), then by
-    *parse* — :func:`~repro.core.diff.frame_header` or
+def _checked(parse: Callable, store: ByteStore, index: int, size: int, digest: bytes):
+    """``(blob, parse(blob))`` of checkpoint *index*'s frame, checked in
+    order against the log's *size*, then the log's *digest* (one SHA-256
+    pass), then by *parse* — :func:`~repro.core.diff.frame_header` or
     :meth:`CheckpointDiff.from_bytes`, which make the same header checks
     and compare the embedded digest to the log's — and last that it holds
     checkpoint *index*.  Raises on any damage."""
-    path = os.fspath(path)
-    name = os.path.basename(path)
+    name = frame_name(index)
+    path = f"{store.path}/{name}"
     try:
-        blob, actual_size = _read(path, size)
+        blob, actual_size = _read(store, name, size)
     except FileNotFoundError:
         raise StorageError(f"record is missing checkpoint file {name}") from None
     if blob is None:
@@ -108,34 +96,34 @@ def _checked(parse: Callable, path, index: int, size: int, digest: bytes):
     return blob, parsed
 
 
-def load_frame(path, index: int, size: int, digest: bytes) -> CheckpointDiff:
+def load_frame(store: ByteStore, index: int, size: int, digest: bytes) -> CheckpointDiff:
     """Load + fully verify one checkpoint frame against the log's *size*
     and *digest*; raises on any damage.
 
     One SHA-256 pass: the frame's content digest is compared to the log's
     before anything is parsed, and the parse compares the digest the frame
     embeds to the same value instead of hashing the frame again."""
-    return _checked(CheckpointDiff.from_bytes, path, index, size, digest)[1]
+    return _checked(CheckpointDiff.from_bytes, store, index, size, digest)[1]
 
 
-def load_payload(path, index: int, size: int, digest: bytes) -> np.ndarray:
+def load_payload(store: ByteStore, index: int, size: int, digest: bytes) -> np.ndarray:
     """Checkpoint *index*'s payload, after every check :func:`load_frame`
     makes, in the same order and with the same errors — but no
     :class:`CheckpointDiff` is built: the payload is a view of the frame's
     bytes, decompressed when its header names a codec."""
-    blob, header = _checked(frame_header, path, index, size, digest)
+    blob, header = _checked(frame_header, store, index, size, digest)
     return decode_payload(memoryview(blob)[header.payload_off :], header.codec)
 
 
 def check_frame(
-    path: Path, index: int, size: int, digest: bytes
+    store: ByteStore, index: int, size: int, digest: bytes
 ) -> Tuple[str, str, Optional[bytes]]:
     """Classify one frame against the log's *size* and *digest* without
     raising: ``(status, detail, content digest)``, the digest ``None``
     when the frame was not hashed (missing, or of the wrong size).  The
     same one pass and the same checks as :func:`load_frame`."""
     try:
-        blob, actual_size = _read(path, size)
+        blob, actual_size = _read(store, frame_name(index), size)
     except FileNotFoundError:
         return STATUS_MISSING, "file not found", None
     if blob is None:

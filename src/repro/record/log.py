@@ -5,10 +5,10 @@ from __future__ import annotations
 import hashlib
 import json
 import struct
-from pathlib import Path
 from typing import NamedTuple, Tuple
 
 from ..errors import IntegrityError, StorageError
+from .bytestore import ByteStore, as_store
 
 HEADER_FILE = "record.json"
 LOG_FILE = "record.log"
@@ -45,23 +45,27 @@ class Log(NamedTuple):
         return self.group_off[k] + self.group_len[k]
 
 
-def is_record(directory) -> bool:
-    """Whether *directory* holds a record header."""
-    return (Path(directory) / HEADER_FILE).exists()
+def is_record(record) -> bool:
+    """Whether *record* (a directory or a store) holds a record header."""
+    try:
+        as_store(record).size(HEADER_FILE)
+    except (FileNotFoundError, NotADirectoryError):
+        return False
+    return True
 
 
-def read_header(path: Path) -> dict:
+def read_header(store: ByteStore) -> dict:
     """Load and validate ``record.json``, wrapping parse errors.
 
     A malformed header is a *storage* failure, not a programming error:
     raw ``json.JSONDecodeError`` / ``KeyError`` must never escape to
     callers.
     """
-    manifest_path = path / HEADER_FILE
-    if not manifest_path.exists():
-        raise StorageError(f"{path} holds no record manifest")
+    manifest_path = f"{store.path}/{HEADER_FILE}"
     try:
-        header = json.loads(manifest_path.read_text())
+        header = json.loads(store.pread(HEADER_FILE))
+    except FileNotFoundError:
+        raise StorageError(f"{store.path} holds no record manifest") from None
     except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise StorageError(f"malformed record manifest {manifest_path}: {exc}") from exc
     if not isinstance(header, dict):
@@ -91,7 +95,7 @@ def read_header(path: Path) -> dict:
     return header
 
 
-def read_log(path: Path, header: dict):
+def read_log(store: ByteStore, header: dict):
     """The sealed entries of a record's log, and the running seal over them.
 
     The last whole entry's seal is recomputed over everything before it,
@@ -102,8 +106,11 @@ def read_log(path: Path, header: dict):
     is a SHA-256 that has consumed exactly the sealed bytes, so a writer
     continues the seal chain from it without reading the log again.
     """
-    log_path = path / header["log"]
-    raw = log_path.read_bytes() if log_path.exists() else b""
+    name = header["log"]
+    try:
+        raw = store.pread(name)
+    except FileNotFoundError:
+        raw = b""
     size = LOG_ENTRY.size
     whole = len(raw) // size
     for count in (whole, whole - 1):
@@ -124,8 +131,7 @@ def read_log(path: Path, header: dict):
             break
         sealer.update(raw[end - SEAL_BYTES : end])
     raise IntegrityError(
-        f"{log_path.name}: entry {k} of {whole} fails its seal "
-        f"(damaged record log)",
+        f"{name}: entry {k} of {whole} fails its seal (damaged record log)",
         ckpt_id=k,
-        path=str(log_path),
+        path=f"{store.path}/{name}",
     )

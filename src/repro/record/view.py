@@ -4,9 +4,7 @@ verification report it produces."""
 from __future__ import annotations
 
 import hashlib
-import os
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -17,14 +15,8 @@ from ..core.chunking import ChunkSpec
 from ..core.diff import CheckpointDiff
 from ..errors import IntegrityError, SerializationError, StorageError
 from . import index
-from .frames import (
-    STATUS_OK,
-    check_frame,
-    frame_name,
-    frame_path,
-    load_frame,
-    load_payload,
-)
+from .bytestore import as_store
+from .frames import STATUS_OK, check_frame, frame_name, load_frame, load_payload
 from .log import LOG_ENTRY, read_header, read_log
 
 _LOG_READS = telemetry.counter(
@@ -43,7 +35,7 @@ def _chain_digest(digests: Sequence[bytes]) -> str:
 
 
 class RecordView:
-    """A record directory as one operation reads it.
+    """A record — a directory or any byte store — as one operation reads it.
 
     Opening validates ``record.json`` and reads and seal-checks
     ``record.log``, once; everything after that reads only what it names
@@ -52,17 +44,20 @@ class RecordView:
     when opened: a later append is not in it.
     """
 
-    def __init__(self, directory) -> None:
-        self.path = Path(directory)
-        self.header = read_header(self.path)
+    def __init__(self, record) -> None:
+        #: The byte store the record lives in, and where that is.
+        self.store = as_store(record)
+        self.path = self.store.path
+        self.header = read_header(self.store)
         #: The sealed log, and a SHA-256 that has consumed exactly its
         #: bytes (a reopening writer continues the seal chain from it).
-        self.log, self.sealer = read_log(self.path, self.header)
+        self.log, self.sealer = read_log(self.store, self.header)
         _LOG_READS.inc()
 
     @classmethod
     def of(cls, record) -> "RecordView":
-        """*record* itself when it is a view, else a view opened on it."""
+        """*record* itself when it is a view, else a view opened on it
+        (a directory or a store)."""
         return record if isinstance(record, cls) else cls(record)
 
     @property
@@ -86,27 +81,26 @@ class RecordView:
         in one ``pread`` of that byte range; without *ckpt*, every group,
         after checking the file prologue against the header's geometry."""
         log = self.log
-        index_path = self.path / self.header["index"]
-        if not index_path.exists():
-            raise IntegrityError(
-                f"manifest names provenance index {index_path.name}, "
-                f"which is missing",
-                path=str(index_path),
-            )
+        name = self.header["index"]
         first = 0 if ckpt is None else self.keyframe_of(ckpt)
         last = log.count - 1 if ckpt is None else ckpt
         start = 0 if ckpt is None else log.group_off[first]
-        with open(index_path, "rb") as f:
-            blob = os.pread(f.fileno(), log.group_end(last) - start, start)
+        try:
+            blob = self.store.pread(name, log.group_end(last) - start, start)
+        except FileNotFoundError:
+            raise IntegrityError(
+                f"manifest names provenance index {name}, which is missing",
+                path=f"{self.path}/{name}",
+            ) from None
         if ckpt is None:
             geometry = index.decode_prologue(blob)
             held = (self.header["data_len"], self.header["chunk_size"])
             if (geometry["data_len"], geometry["chunk_size"]) != held:
                 raise IntegrityError(
-                    f"{index_path.name} indexes checkpoints of "
+                    f"{name} indexes checkpoints of "
                     f"{geometry['data_len']} bytes in {geometry['chunk_size']}-byte "
                     f"chunks, record holds {held[0]} in {held[1]}",
-                    path=str(index_path),
+                    path=f"{self.path}/{name}",
                 )
         return first, [
             blob[log.group_off[k] - start : log.group_end(k) - start]
@@ -148,8 +142,7 @@ class RecordView:
         """Load checkpoint *k*'s frame, checked against the log's size and
         digest and its own embedded digest."""
         log = self.log
-        path = frame_path(self.path, k)
-        return load_frame(path, k, log.frame_bytes[k], log.frame_sha[k])
+        return load_frame(self.store, k, log.frame_bytes[k], log.frame_sha[k])
 
     def payloads(self, ids: Sequence[int]) -> Dict[int, np.ndarray]:
         """The payloads of only the named checkpoints, as uint8 arrays: a
@@ -157,10 +150,10 @@ class RecordView:
         files are read, each checked against the log's size and digest and
         by the frame-header checks (:func:`~repro.record.frames.load_payload`)
         — but no whole diff is built."""
-        count, log, directory = self.count, self.log, os.fspath(self.path)
+        count, log = self.count, self.log
         payloads: Dict[int, np.ndarray] = {}
         with telemetry.span(
-            "store.load_frames", path=directory, frames_total=count
+            "store.load_frames", path=str(self.path), frames_total=count
         ) as span:
             for i in ids:
                 i = int(i)
@@ -168,10 +161,7 @@ class RecordView:
                     raise StorageError(f"checkpoint {i} outside record of {count}")
                 if i not in payloads:
                     payloads[i] = load_payload(
-                        os.path.join(directory, frame_name(i)),
-                        i,
-                        log.frame_bytes[i],
-                        log.frame_sha[i],
+                        self.store, i, log.frame_bytes[i], log.frame_sha[i]
                     )
             span.set(frames_read=len(payloads))
         return payloads
@@ -179,11 +169,10 @@ class RecordView:
     def frame_sizes(self) -> List[int]:
         """On-disk byte size of each frame file (0 for missing files): one
         ``stat`` per frame, so a frame removed meanwhile reads as missing."""
-        directory = os.fspath(self.path)
         sizes = []
         for i in range(self.count):
             try:
-                sizes.append(os.stat(os.path.join(directory, frame_name(i))).st_size)
+                sizes.append(self.store.size(frame_name(i)))
             except FileNotFoundError:
                 sizes.append(0)
         return sizes
@@ -228,19 +217,18 @@ class RecordView:
         ``ok`` / ``corrupt`` / ``missing`` so callers see the full extent of
         the damage, not just the first problem.
         """
-        path, log = self.path, self.log
+        log = self.log
         report = RecordVerification(
-            directory=str(path), format_version=self.header["format_version"]
+            directory=str(self.path), format_version=self.header["format_version"]
         )
 
         digests = []
         for i in range(log.count):
-            blob_path = frame_path(path, i)
             status, detail, digest = check_frame(
-                blob_path, i, log.frame_bytes[i], log.frame_sha[i]
+                self.store, i, log.frame_bytes[i], log.frame_sha[i]
             )
             report.checkpoints.append(
-                CheckpointStatus(i, blob_path.name, status, detail)
+                CheckpointStatus(i, frame_name(i), status, detail)
             )
             digests.append(digest)
         report.chain_ok = digests == list(log.frame_sha)

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import os
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional, Union
@@ -15,7 +14,8 @@ from ..core.diff import CheckpointDiff
 from ..errors import IntegrityError, RestoreError, StorageError
 from ..telemetry import events
 from . import index
-from .frames import STATUS_OK, check_frame, frame_files, frame_path
+from .bytestore import ByteStore, as_store
+from .frames import STATUS_OK, check_frame, frame_name, frame_names
 from .log import FORMAT_VERSION, HEADER_FILE, INDEX_FILE, LOG_BODY, LOG_ENTRY
 from .log import LOG_FILE, is_record
 from .view import RecordView
@@ -46,7 +46,9 @@ class AppendReceipt:
 
 
 class RecordWriter:
-    """Append-optimized handle on a record directory.
+    """Append-optimized handle on a record: a directory, or any byte
+    store (:mod:`.bytestore`) — a unit without a record directory keeps
+    its record in a :class:`~.bytestore.MemoryStore`.
 
     ``open → append(diff) × N → close``; the record is loadable after
     *every* append, and an append writes only what checkpoint N changed:
@@ -66,14 +68,15 @@ class RecordWriter:
     refused, and the record is left as it was.
     """
 
-    def __init__(self, directory: Union[str, Path], method: str = "") -> None:
-        self.path = Path(directory)
-        self.path.mkdir(parents=True, exist_ok=True)
+    def __init__(self, directory: Union[str, Path, ByteStore], method: str = "") -> None:
+        #: The byte store the record lives in, and where that is.
+        self.store = as_store(directory, create=True)
+        self.path = self.store.path
         self.method = method
         self._closed = False
         self._clear()
-        if is_record(self.path):
-            self.view = RecordView(self.path)
+        if is_record(self.store):
+            self.view = RecordView(self.store)
             self._open_existing(self.view)
 
     def _clear(self) -> None:
@@ -110,7 +113,7 @@ class RecordWriter:
         if (header["log"], header["index"]) != (LOG_FILE, INDEX_FILE):
             # Appending under other names would orphan the files it names.
             raise StorageError(
-                f"{self.path / HEADER_FILE} names record files this writer "
+                f"{self.path}/{HEADER_FILE} names record files this writer "
                 f"does not write"
             )
         self._header = header
@@ -121,21 +124,25 @@ class RecordWriter:
         # Torn-append sanity: the log entry is written last, so the one
         # frame that could disagree with it after a crash is the final
         # one.  One frame check, not a chain re-scan.
-        last = frame_path(self.path, count - 1)
-        status = check_frame(last, count - 1, log.frame_bytes[-1], log.frame_sha[-1])[0]
+        last = frame_name(count - 1)
+        status = check_frame(
+            self.store, count - 1, log.frame_bytes[-1], log.frame_sha[-1]
+        )[0]
         if status != STATUS_OK:
             raise IntegrityError(
-                f"{last.name}: frame does not match the record log "
+                f"{last}: frame does not match the record log "
                 f"(damaged or torn record; run verify_record)",
                 ckpt_id=count - 1,
-                path=str(last),
+                path=f"{self.path}/{last}",
             )
         self._count = count
-        _truncate(self.path / LOG_FILE, count * LOG_ENTRY.size)
+        # Cut what an interrupted append left past the sealed log, so the
+        # next append is a pure append.
+        self.store.truncate(LOG_FILE, count * LOG_ENTRY.size)
         self._sealer = view.sealer.copy()
         self._builder.indexes = view.rows()
         self._index_end = log.group_end(count - 1)
-        _truncate(self.path / INDEX_FILE, self._index_end)
+        self.store.truncate(INDEX_FILE, self._index_end)
         keyframe = view.keyframe_of(count - 1)
         self._keyframe_bytes = log.group_len[keyframe]
         self._delta_bytes = sum(log.group_len[keyframe + 1 :])
@@ -172,10 +179,8 @@ class RecordWriter:
         }
         if header == self._header:
             return 0
-        text = json.dumps(header, indent=2)
-        scratch = self.path / (HEADER_FILE + ".tmp")
-        scratch.write_text(text)
-        os.replace(scratch, self.path / HEADER_FILE)
+        text = json.dumps(header, indent=2).encode()
+        self.store.replace(HEADER_FILE, text)
         self._header = header
         return len(text)
 
@@ -204,8 +209,10 @@ class RecordWriter:
                     row.num_chunks, row.data_len, row.chunk_size
                 )
                 self._index_end = 0
-            with open(self.path / INDEX_FILE, "ab" if row.ckpt_id else "wb") as f:
-                f.write(prologue + record)
+            if row.ckpt_id:
+                self.store.append(INDEX_FILE, record)
+            else:
+                self.store.create(INDEX_FILE, prologue + record)
             offset = self._index_end + len(prologue)
             self._index_end = offset + len(record)
             span.set(bytes=len(prologue) + len(record), kind=kind)
@@ -229,7 +236,7 @@ class RecordWriter:
                     f"{self.path}: cannot append checkpoint {diff.ckpt_id}: {exc}"
                 ) from exc
             blob = diff.to_bytes()
-            frame_path(self.path, diff.ckpt_id).write_bytes(blob)
+            self.store.create(frame_name(diff.ckpt_id), blob)
             _FRAMES_WRITTEN.inc()
             prior = self._count
 
@@ -241,8 +248,10 @@ class RecordWriter:
             seal = self._sealer.digest()
             self._sealer.update(seal)
             # The commit point.  Checkpoint 0 starts the log afresh.
-            with open(self.path / LOG_FILE, "ab" if prior else "wb") as f:
-                f.write(body + seal)
+            if prior:
+                self.store.append(LOG_FILE, body + seal)
+            else:
+                self.store.create(LOG_FILE, body + seal)
             self._count = prior + 1
             span.set(
                 bytes=len(blob) + index_bytes + manifest_bytes,
@@ -270,15 +279,6 @@ class RecordWriter:
     def reset(self) -> None:
         """Drop the record entirely (a crashed chain restarts at 0)."""
         # The log first: from then on the record holds no checkpoint.
-        for name in (LOG_FILE, INDEX_FILE, HEADER_FILE):
-            (self.path / name).unlink(missing_ok=True)
-        for frame in frame_files(self.path):
-            frame.unlink()
+        for name in (LOG_FILE, INDEX_FILE, HEADER_FILE, *frame_names(self.store)):
+            self.store.remove(name)
         self._clear()
-
-
-def _truncate(path: Path, size: int) -> None:
-    """Cut what an interrupted append left past *size* (a partial log
-    entry, an orphan row-group), so the next append is a pure append."""
-    if path.stat().st_size > size:
-        os.truncate(path, size)

@@ -21,6 +21,7 @@ from ..errors import FaultError, ReplayError
 from ..telemetry import events
 from ..telemetry.events import read_journal
 from ..faults.plan import CrashSpec, RecordFault, TierFaultSpec
+from ..runtime.node import TIER_NAMES
 from .driver import (
     Divergence,
     IncidentSchedule,
@@ -36,7 +37,9 @@ PathLike = Union[str, Path]
 def schedule_from_timeline(timeline: IncidentTimeline) -> IncidentSchedule:
     """Reconstruct the incident schedule a recorded run experienced.
 
-    * ``tier_outage`` events become :class:`TierFaultSpec`\\ s verbatim.
+    * ``tier_outage`` events become :class:`TierFaultSpec`\\ s verbatim; a
+      receipt naming a tier the node does not have, or a kind
+      :class:`TierFaultSpec` refuses, raises :class:`ReplayError`.
     * ``crash`` events become :class:`CrashSpec`\\ s; each is paired with
       a ``restart`` event at the same ``(rank, sim_time)`` when one
       exists — a crash with no matching restart replays as a dropped
@@ -48,13 +51,7 @@ def schedule_from_timeline(timeline: IncidentTimeline) -> IncidentSchedule:
       kind, a non-integer offset or bit) raises :class:`ReplayError`.
     """
     tier_faults = [
-        TierFaultSpec(
-            tier=str(i.record.get("tier", "")),
-            kind=str(i.record.get("kind", "transient")),
-            start=i.sim_time,
-            duration=float(i.record.get("duration", 0.0) or 0.0),
-        )
-        for i in timeline.incidents_of(events.TIER_OUTAGE)
+        _tier_fault(i) for i in timeline.incidents_of(events.TIER_OUTAGE)
     ]
 
     restarts = Counter(
@@ -88,6 +85,28 @@ def schedule_from_timeline(timeline: IncidentTimeline) -> IncidentSchedule:
     return IncidentSchedule(
         tier_faults=tier_faults, crashes=crashes, record_faults=record_faults
     )
+
+
+def _tier_fault(incident: Incident) -> TierFaultSpec:
+    """The outage a ``tier_outage`` receipt replays as.  A receipt naming
+    a tier the node does not have, or that :class:`TierFaultSpec` refuses
+    (an unknown kind), cannot be replayed."""
+    receipt = incident.record
+    where = f"tier_outage receipt at t={incident.sim_time:g}"
+    tier = str(receipt.get("tier", ""))
+    if tier not in TIER_NAMES:
+        raise ReplayError(
+            f"{where} names tier {tier!r}, not one of the node's {list(TIER_NAMES)}"
+        )
+    try:
+        return TierFaultSpec(
+            tier=tier,
+            kind=str(receipt.get("kind", "transient")),
+            start=incident.sim_time,
+            duration=float(receipt.get("duration", 0.0) or 0.0),
+        )
+    except FaultError as exc:
+        raise ReplayError(f"{where} cannot be replayed: {exc}") from exc
 
 
 def _pinned_record_fault(incident: Incident) -> RecordFault:

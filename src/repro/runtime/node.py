@@ -22,7 +22,6 @@ from ..core.base import DedupEngine
 from ..core.checkpointer import IncrementalCheckpointer
 from ..core.chunking import ChunkSpec
 from ..core.diff import CheckpointDiff
-from ..core.store import RecordWriter
 from ..core.sharded_restore import restore_sharded
 from ..errors import SimulationError
 from ..gpusim.cluster import NodeSpec, thetagpu_node
@@ -33,6 +32,10 @@ from .async_flush import AsyncFlushPipeline
 from .storage import StorageTier
 
 PathLike = Union[str, Path]
+
+#: The node's storage tiers, fastest first; the last is the terminal
+#: tier a checkpoint is durable on, and the one a restart reads from.
+TIER_NAMES = ("host", "ssd", "pfs")
 
 _CRASH_RESTARTS = telemetry.counter(
     "node.crash_restarts", "Simulated process crash/restart cycles"
@@ -65,6 +68,9 @@ class PersistedCheckpoint:
     """One checkpoint of one process as the durability tracker sees it."""
 
     ckpt_id: int
+    #: Kept only for the frozen end-to-end harness (it reads each diff's
+    #: sizes off the ledger) and a replayed run's final restore, until
+    #: both read the unit's record.
     diff: CheckpointDiff
     #: Simulated time the engine finished producing the diff — work up to
     #: this moment is recoverable once the diff is durable.
@@ -108,7 +114,8 @@ class NodeRuntime:
     Each process commits through its own
     :class:`~repro.core.checkpointer.IncrementalCheckpointer`
     (:attr:`checkpointers`), the one unit that knows how a checkpoint is
-    taken and priced.
+    taken and priced, and that owns the process's record: every
+    checkpoint is appended to it, and a restart restores from it.
 
     Parameters
     ----------
@@ -126,13 +133,11 @@ class NodeRuntime:
         Node identity stamped on journal events this runtime emits.
     record_root:
         Optional directory root for durable on-disk records.  When set,
-        each process gets a :class:`~repro.core.store.RecordWriter` at
-        ``record_root/p{rank}`` and every checkpoint is appended to it
-        as it commits, right after its flush is submitted — the record
-        on disk tracks the durability ledger append-by-append instead of
-        being rewritten wholesale at the end of a run.  A crash/restart
-        resets that process's record and re-seeds it with the restart
-        checkpoint, mirroring the in-memory ledger.
+        each process's unit keeps its record at ``record_root/p{rank}``
+        (:meth:`record_path`); otherwise in RAM.  Either way the unit
+        appends every checkpoint as it commits, and a crash/restart
+        restores from that record, then resets it and re-seeds it with
+        the restart checkpoint, mirroring the ledger.
     heartbeat_interval:
         Expected simulated seconds between checkpoint rounds (the
         cadence period).  Stamped on every ``heartbeat`` journal event so
@@ -170,8 +175,9 @@ class NodeRuntime:
         self._method = method
         self._data_len = data_len
         self._chunk_size = chunk_size
+        self.record_root = Path(record_root) if record_root is not None else None
         self.checkpointers: List[IncrementalCheckpointer] = [
-            self._new_checkpointer() for _ in range(num_processes)
+            self._new_checkpointer(p) for p in range(num_processes)
         ]
         staging = (
             host_staging_bytes
@@ -180,13 +186,12 @@ class NodeRuntime:
         )
         positive_float(host_drain_bandwidth, "host_drain_bandwidth")
         positive_float(ssd_drain_bandwidth, "ssd_drain_bandwidth")
-        self.record_root = Path(record_root) if record_root is not None else None
-        self._writers: Dict[int, RecordWriter] = {}
+        host, ssd, pfs = TIER_NAMES
         self.pipeline = AsyncFlushPipeline(
             [
-                StorageTier("host", staging, host_drain_bandwidth),
-                StorageTier("ssd", max(staging * 200, 1), ssd_drain_bandwidth),
-                StorageTier("pfs", max(staging * 20_000, 1), 250.0e9),
+                StorageTier(host, staging, host_drain_bandwidth),
+                StorageTier(ssd, max(staging * 200, 1), ssd_drain_bandwidth),
+                StorageTier(pfs, max(staging * 20_000, 1), 250.0e9),
             ]
         )
         self.timelines = [NodeTimeline(process=p) for p in range(num_processes)]
@@ -197,13 +202,14 @@ class NodeRuntime:
         ]
         self.crash_reports: List[CrashReport] = []
 
-    def _new_checkpointer(self) -> IncrementalCheckpointer:
+    def _new_checkpointer(self, process: int) -> IncrementalCheckpointer:
         return IncrementalCheckpointer(
             self._data_len,
             self._chunk_size,
             method=self._method,
             device=self.node.device,
             pcie_contention=self.node.pcie_contention(self.num_processes),
+            record_dir=self.record_path(process),
         )
 
     @property
@@ -212,18 +218,6 @@ class NodeRuntime:
         return [c.engine for c in self.checkpointers]
 
     # ------------------------------------------------------------------
-    def record_writer(self, process: int) -> Optional[RecordWriter]:
-        """The per-process record writer (``None`` without a record root)."""
-        if self.record_root is None:
-            return None
-        writer = self._writers.get(process)
-        if writer is None:
-            writer = RecordWriter(
-                self.record_root / f"p{process}", method=self._method
-            )
-            self._writers[process] = writer
-        return writer
-
     def record_path(self, process: int) -> Optional[Path]:
         """Where *process*'s durable record lives (``None`` when not recording)."""
         if self.record_root is None:
@@ -255,7 +249,7 @@ class NodeRuntime:
             if p not in active:
                 continue
             device_seconds = unit.checkpoint(buffer).cost.total_seconds
-            diff = unit.record.diffs[-1]
+            diff = unit.last_diff
             timeline = self.timelines[p]
             timeline.blocking_device_seconds += device_seconds
             timeline.stored_bytes += diff.serialized_size
@@ -265,9 +259,6 @@ class NodeRuntime:
                 diff.serialized_size,
                 now=produced_at,
             )
-            writer = self.record_writer(p)
-            if writer is not None:
-                writer.append(diff)
             timeline.blocking_staging_seconds += report.blocked_seconds
             self.persisted[p].append(
                 PersistedCheckpoint(
@@ -280,8 +271,8 @@ class NodeRuntime:
             # The payload digest is only worth computing when a journal
             # is recording — replay uses it to prove bit-identical
             # durable content without shipping payloads around.  It is
-            # the frame's content digest, which the to_bytes of the
-            # append above already cached.
+            # the frame's content digest, which the unit's append
+            # already cached.
             payload_sha256 = (
                 diff.frame_digest()
                 if events.active_journal() is not None
@@ -374,12 +365,13 @@ class NodeRuntime:
 
         The process loses its in-memory state and every checkpoint still
         in flight through the hierarchy; it restarts from the latest
-        checkpoint that was *durable* (had reached the terminal tier) by
-        ``at_time``, reconstructed by the provenance gather: the durable
-        chain's provenance row is composed at crash time (one pass over
-        the diffs, which validates them), and one gather per referenced
-        diff rebuilds the state — no chain replay.  The process's
-        checkpointer is replaced with a fresh one seeded by
+        checkpoint the ledger says was *durable* (had reached the
+        terminal tier) by ``at_time``, restored from the crashed unit's
+        own record: one keyframe span of its index and the frames that
+        row names, read at the terminal tier's bandwidth.  A record that
+        cannot restore it (a frame gone or damaged) raises; nothing is
+        restored from memory.  The process's checkpointer is then
+        replaced with a fresh one over a reset record, seeded by
         re-checkpointing the restored state, so the dedup chain restarts
         consistently.
 
@@ -388,13 +380,14 @@ class NodeRuntime:
         restart, so borrowing them is free).  Every fan-out, 1 included,
         is one call of :func:`~repro.core.sharded_restore.restore_sharded`:
         each shard gathers its chunk range on its own ``DeviceSpace``, and
-        the restore cost is the fleet critical path with every rank under
-        the node's PCIe contention at that fan-out.  Output is
-        bit-identical at every fan-out.
+        the restore cost is the fleet critical path — the record read
+        overlapped with the gathers — with every rank under the node's
+        PCIe contention at that fan-out.  Output is bit-identical at
+        every fan-out.
 
-        ``scrub`` has no effect: validation is part of composing the chain.
-        A fan-out the node cannot serve is refused before the crash is
-        journalled (:meth:`crash`); the restart restores
+        ``scrub`` has no effect: every frame read is verified.  A fan-out
+        the node cannot serve is refused before the crash is journalled
+        (:meth:`crash`); the restart restores the newest checkpoint of
         :meth:`durable_chain`.
 
         Returns a :class:`CrashReport` with the restored state, the
@@ -428,11 +421,12 @@ class NodeRuntime:
                 fan_out=fan_out,
             ) as span:
                 restored, rreport = restore_sharded(
-                    [c.diff for c in chain],
+                    self.checkpointers[process].record.writer.store,
                     fan_out,
                     self.node.device,
                     [self.node.pcie_contention(fan_out)] * fan_out,
                     upto=last.ckpt_id,
+                    read_bandwidth=self.pipeline.tiers[-1].bandwidth,
                     path="sharded_node",
                     node=self.name,
                     rank=process,
@@ -452,31 +446,25 @@ class NodeRuntime:
             restored_id = None
             lost = at_time
 
-        # Replace the crashed process's checkpointer and rebuild its dedup
-        # state from the restored checkpoint.  The new unit's chain
-        # restarts at checkpoint 0, so the durability ledger restarts
-        # with it: the restart checkpoint is durable by construction
-        # (it was reconstructed from data already on the terminal tier).
-        unit = self.checkpointers[process] = self._new_checkpointer()
+        # Replace the crashed process's checkpointer over a reset record
+        # and rebuild its dedup state from the restored checkpoint.  The
+        # new unit's chain restarts at checkpoint 0, so the durability
+        # ledger restarts with it: the restart checkpoint is durable by
+        # construction (it was rebuilt from bytes already on the terminal
+        # tier), and re-seeds the record at once.
+        self.checkpointers[process].record.writer.reset()
+        unit = self.checkpointers[process] = self._new_checkpointer(process)
         self.persisted[process] = []
-        if self.record_root is not None:
-            self.record_writer(process).reset()
         if restored_id is not None:
             unit.checkpoint(restored)
-            seed_diff = unit.record.diffs[-1]
             self.persisted[process].append(
                 PersistedCheckpoint(
-                    ckpt_id=seed_diff.ckpt_id,
-                    diff=seed_diff,
+                    ckpt_id=unit.last_diff.ckpt_id,
+                    diff=unit.last_diff,
                     produced_at=at_time,
                     persisted_at=at_time,
                 )
             )
-            if self.record_root is not None:
-                # The restart checkpoint is durable by construction (it
-                # was rebuilt from bytes already on the terminal tier),
-                # so it re-seeds the on-disk record immediately.
-                self.record_writer(process).append(seed_diff)
 
         events.emit(
             events.RESTART,

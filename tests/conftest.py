@@ -8,6 +8,14 @@ import pytest
 from repro.graphs import Graph
 
 
+def ram_record(diffs):
+    """*diffs* appended to a RAM record: the form every restore reads."""
+    from repro.core.store import save_record
+    from repro.record import MemoryStore
+
+    return save_record(list(diffs), MemoryStore())
+
+
 def v1_frame(diff) -> bytes:
     """*diff* as the pre-integrity v1 ``.rdif`` frame: version 1, no digest.
     Nothing in ``src/`` writes or reads this any more; tests use it to

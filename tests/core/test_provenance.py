@@ -40,7 +40,8 @@ from repro.record.index import (
     encode_prologue,
 )
 from repro.errors import IntegrityError, ReproError, RestoreError, StorageError
-from tests.conftest import forge_log_entry, retire_index, v2_manifest
+from repro.record import MemoryStore
+from tests.conftest import forge_log_entry, ram_record, retire_index, v2_manifest
 
 N = 64 * 80
 CS = 64
@@ -69,8 +70,9 @@ class TestEquivalence:
     def test_indexed_matches_replay_every_checkpoint(self, method, rng):
         diffs, states = _chain(method, rng)
         replay = Restorer().restore_all(diffs)
+        record = ram_record(diffs)
         for k in range(len(diffs)):
-            fast, _ = restore_indexed(diffs, upto=k)
+            fast, _ = restore_indexed(record, upto=k)
             assert np.array_equal(fast, replay[k])
             assert np.array_equal(fast, states[k])
 
@@ -82,19 +84,20 @@ class TestEquivalence:
         for got, want in zip(gathered, states[2:]):
             assert np.array_equal(got, want)
 
-    def test_chain_report_reads_nothing(self, rng):
+    def test_ram_record_report_reads_the_row_and_its_frames(self, rng):
         diffs, _ = _chain("tree", rng)
-        _, report = restore_indexed(diffs, upto=1)
-        assert report.target_ckpt == 1
-        assert report.frames_total == report.frames_parsed == len(diffs)
-        assert report.record_bytes == report.record_bytes_read == 0
-        assert report.index_bytes == 0 and not report.used_index
-        assert report.frames_referenced >= 1
+        _, report = restore_indexed(ram_record(diffs), upto=1)
+        assert report.target_ckpt == 1 and report.frames_total == len(diffs)
+        assert report.frames_parsed == report.frames_referenced <= 2
+        assert report.record_bytes == sum(d.serialized_size for d in diffs)
+        frames_read = sum(diffs[t].serialized_size for t in report.payload_bytes_read)
+        assert report.record_bytes_read == frames_read + report.index_bytes
+        assert report.index_bytes > 0 and report.used_index
 
     @pytest.mark.parametrize("method", ["basic", "list", "tree"])
     def test_tail_chunk_handled(self, method, rng):
         diffs, states = _chain(method, rng, n=N + 17)
-        fast, _ = restore_indexed(diffs)
+        fast, _ = restore_indexed(ram_record(diffs))
         assert np.array_equal(fast, states[-1])
 
     def test_external_builder_matches_on_the_fly(self, rng):
@@ -103,8 +106,9 @@ class TestEquivalence:
         diffs, states = _chain("tree", rng)
         builder = ProvenanceBuilder()
         builder.extend(diffs)
+        record = ram_record(diffs)
         for k in (1, len(diffs) - 1):
-            index, payload_of, _ = resolve_source(diffs, k)
+            index, payload_of, _ = resolve_source(record, k)
             external = builder.index_for(k)
             assert np.array_equal(external.src_ckpt, index.src_ckpt)
             assert np.array_equal(external.src_off, index.src_off)
@@ -120,14 +124,16 @@ class TestEquivalence:
         buf = buf.copy()
         buf[:512] = rng.integers(0, 4, 512, dtype=np.uint8)
         diffs.append(engine.checkpoint(buf))
-        out, _ = restore_indexed(diffs)
+        out, _ = restore_indexed(ram_record(diffs))
         assert np.array_equal(out, buf)
 
     def test_scrub_catches_corrupt_chain(self, rng):
         diffs, _ = _chain("tree", rng)
         diffs[2].payload = diffs[2].payload[:-4]
-        with pytest.raises(RestoreError, match="ckpt 2"):
-            restore_indexed(diffs)
+        # The record refuses the chain when it is appended, before any
+        # restore can read it.
+        with pytest.raises(StorageError, match="cannot append checkpoint 2: ckpt 2"):
+            ram_record(diffs)
 
 
 class TestBuilderValidation:
@@ -138,13 +144,13 @@ class TestBuilderValidation:
             builder.append(diffs[1])
 
     def test_empty_chain(self):
-        with pytest.raises(RestoreError, match="empty"):
-            restore_indexed([])
+        with pytest.raises(StorageError, match="holds no record manifest"):
+            restore_indexed(MemoryStore())
 
     def test_upto_out_of_range(self, rng):
         diffs, _ = _chain("full", rng, steps=2)
-        with pytest.raises(RestoreError, match="outside chain"):
-            restore_indexed(diffs, upto=5)
+        with pytest.raises(RestoreError, match="outside record of 2"):
+            restore_indexed(ram_record(diffs), upto=5)
 
     def test_forward_reference_rejected(self, rng):
         diffs, _ = _chain("tree", rng)

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from repro.core import CheckpointRecord, IncrementalCheckpointer
-from repro.errors import ConfigurationError, RestoreError
+from repro.core.store import load_record
+from repro.errors import ConfigurationError, StorageError
 from repro.gpusim import laptop_gpu
 
 
@@ -125,8 +126,10 @@ class TestRecordAggregation:
     def test_out_of_order_append_rejected(self, stream):
         record = self.make_record(stream)
         other = self.make_record(stream)
-        with pytest.raises(RestoreError):
-            record.append(other.diffs[1], other.stats[1])
+        stray = load_record(other.writer.store)[1]
+        with pytest.raises(StorageError, match="out of order"):
+            record.append(stray, other.stats[1])
+        assert len(record) == record.writer.count == len(stream)
 
     def test_summary_mentions_method(self, stream):
         assert "tree" in self.make_record(stream).summary()

@@ -22,7 +22,7 @@ from repro.core.store import (
 )
 from repro.errors import IntegrityError, ReproError, RestoreError, StorageError
 from repro.record import RecordView
-from repro.record import writer as store  # TestCrashPoints spies on its open()
+from repro.record import bytestore  # TestCrashPoints spies on its open()
 from repro.record.index import (
     _GROUP_HEADER,
     _pack_planes,
@@ -186,12 +186,7 @@ class TestCrashPoints:
                 opened.append(Path(file).name)
             return open(file, mode, *args, **kwargs)
 
-        def write_bytes(self, data):
-            with spy(self, "wb") as f:
-                return f.write(data)
-
-        monkeypatch.setattr(store, "open", spy, raising=False)
-        monkeypatch.setattr(Path, "write_bytes", write_bytes)
+        monkeypatch.setattr(bytestore, "open", spy, raising=False)
         RecordWriter(pre, method="tree").append(diffs[-1])
         assert opened == [frame, "provenance.rpix", "record.log"]
 

@@ -7,12 +7,12 @@ from repro.core import (
     ENGINES,
     Restorer,
     gather_states,
-    restore_indexed,
     restore_record_indexed,
     save_record,
 )
 from repro.core.diff import CheckpointDiff
-from repro.errors import RestoreError
+from repro.errors import RestoreError, StorageError
+from tests.conftest import ram_record
 
 
 @pytest.fixture
@@ -153,10 +153,12 @@ class TestScrubbing:
         for restore in (
             lambda: Restorer().restore_all(chain),
             lambda: list(gather_states(chain)),
-            lambda: restore_indexed(chain),
         ):
             with pytest.raises(RestoreError, match="ckpt 2"):
                 restore()
+        # A record refuses the chain before any restore can read it.
+        with pytest.raises(StorageError, match="cannot append checkpoint 2: ckpt 2"):
+            ram_record(chain)
 
     def test_scrub_catches_forward_reference(self, rng):
         d0 = CheckpointDiff(

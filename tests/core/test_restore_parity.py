@@ -1,8 +1,9 @@
 """One reconstruction, many entry points: the parity matrix.
 
-Every production restore — in-memory gather, ``selective_restore``,
-``IncrementalCheckpointer.restore``, the cold-record gather, the N-rank
-sharded plan, with or without a hybrid payload codec — resolves a source to one provenance row and gathers it
+Every production restore — the gather over a RAM record,
+``selective_restore``, ``IncrementalCheckpointer.restore``, the
+cold-record gather, the N-rank sharded plan, with or without a hybrid
+payload codec — resolves a record to one provenance row and gathers it
 with ``materialize_index``.  This matrix pins what that buys: for all
 four methods and *every* checkpoint of the chain, each entry point
 returns exactly the bytes of the replay oracle,
@@ -22,6 +23,7 @@ from repro.core import (
     ProvenanceBuilder,
     Restorer,
     load_provenance,
+    load_record,
     restore_indexed,
     restore_record_indexed,
     save_record,
@@ -29,6 +31,7 @@ from repro.core import (
 )
 from repro.core.serialize import chunk_map
 from repro.runtime.fleet_restore import restore_record_sharded
+from tests.conftest import ram_record
 
 N = 64 * 80 + 17  # short tail chunk
 CS = 64
@@ -58,12 +61,12 @@ def _chain(method, rng, codec=None, steps=6):
 
 #: entry point -> (uses a payload codec, needs a stored record, restore fn)
 PATHS = {
-    "gather": (False, False, lambda src, k: restore_indexed(src, k)[0]),
+    "gather": (False, False, lambda src, k: restore_indexed(ram_record(src), k)[0]),
     "selective": (False, False, lambda src, k: selective_restore(src, k)),
     "record": (False, True, lambda src, k: restore_record_indexed(src, k)[0]),
     "sharded1": (False, True, lambda src, k: restore_record_sharded(src, 1, upto=k)[0]),
     "sharded3": (False, True, lambda src, k: restore_record_sharded(src, 3, upto=k)[0]),
-    "hybrid-gather": (True, False, lambda src, k: restore_indexed(src, k)[0]),
+    "hybrid-gather": (True, False, lambda src, k: restore_indexed(ram_record(src), k)[0]),
     "hybrid-selective": (True, False, lambda src, k: selective_restore(src, k)),
     "hybrid-record": (True, True, lambda src, k: restore_record_indexed(src, k)[0]),
     "hybrid-sharded3": (True, True, lambda src, k: restore_record_sharded(src, 3, upto=k)[0]),
@@ -87,8 +90,9 @@ def test_every_entry_point_equals_replay_at_every_checkpoint(method, path, rng, 
     "method, codec", [(m, None) for m in sorted(ENGINES)] + [("tree", "bitcomp")]
 )
 def test_checkpointer_restore_is_the_gather(method, codec, rng):
-    """The public in-memory restore gathers the composed row — one
-    ``restore.indexed``, no ``restore.replay`` — at every checkpoint."""
+    """The unit's own restore gathers the row its RAM record holds — one
+    ``restore.indexed_record``, no ``restore.replay`` — at every
+    checkpoint."""
     codec = get_codec(codec) if codec is not None else None
     ckpt = IncrementalCheckpointer(N, CS, method=method, payload_codec=codec)
     for buf in _states(rng):
@@ -97,9 +101,10 @@ def test_checkpointer_restore_is_the_gather(method, codec, rng):
     for k in range(ckpt.num_checkpoints):
         with telemetry.capture() as summary:
             got = ckpt.restore(k)
-        assert set(summary["spans"]) == {"restore.indexed"}
-        assert summary["spans"]["restore.indexed"]["count"] == 1
-        assert np.array_equal(got, oracle.restore(ckpt.record.diffs, k)), f"ckpt {k}"
+        assert set(summary["spans"]) == {"restore.indexed_record", "store.load_frames"}
+        assert summary["spans"]["restore.indexed_record"]["count"] == 1
+        chain = load_record(ckpt.record.writer.store)
+        assert np.array_equal(got, oracle.restore(chain, k)), f"ckpt {k}"
 
 
 @pytest.mark.parametrize("method", sorted(ENGINES))

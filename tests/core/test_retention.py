@@ -21,6 +21,7 @@ from repro.core import (
 )
 from repro.core import retention
 from repro.errors import RestoreError, StorageError
+from tests.conftest import ram_record
 
 
 @pytest.fixture
@@ -91,7 +92,7 @@ class TestRebase:
         rebased = rebase_record(diffs, 2)
         chain_out = Restorer().restore_all(rebased)
         for k in range(len(rebased)):
-            buf, _ = restore_indexed(rebased, k)
+            buf, _ = restore_indexed(ram_record(rebased), k)
             assert np.array_equal(buf, chain_out[k])
 
 

@@ -6,7 +6,8 @@ import pytest
 
 from repro.core import ENGINES, Restorer, restore_indexed, selective_restore, verify_chain
 from repro.core.diff import CheckpointDiff
-from repro.errors import RestoreError
+from repro.errors import RestoreError, StorageError
+from tests.conftest import ram_record
 
 
 @pytest.fixture
@@ -45,18 +46,18 @@ class TestPlanAccounting:
     def test_reads_exactly_data_len(self, stream):
         """Every output byte is read exactly once from some payload."""
         diffs = self.make_diffs(stream)
-        _, report = restore_indexed(diffs)
+        _, report = restore_indexed(ram_record(diffs))
         assert report.total_payload_bytes_read == stream[0].shape[0]
 
     def test_beats_naive_chain_io(self, stream):
         diffs = self.make_diffs(stream)
-        _, report = restore_indexed(diffs)
+        _, report = restore_indexed(ram_record(diffs))
         naive = sum(d.payload_bytes for d in diffs)
         assert report.total_payload_bytes_read < naive
 
     def test_restore_of_checkpoint_zero_touches_one_diff(self, stream):
         diffs = self.make_diffs(stream)
-        _, report = restore_indexed(diffs, 0)
+        _, report = restore_indexed(ram_record(diffs), 0)
         assert report.frames_referenced == 1
         assert report.payload_bytes_read == {0: stream[0].shape[0]}
 
@@ -65,18 +66,18 @@ class TestPlanAccounting:
         data = rng.integers(0, 256, n, dtype=np.uint8)
         engine = ENGINES["tree"](n, 64)
         diffs = [engine.checkpoint(data) for _ in range(4)]
-        _, report = restore_indexed(diffs)
+        _, report = restore_indexed(ram_record(diffs))
         assert report.payload_bytes_read == {0: n}
 
     def test_full_method_single_segment(self, stream):
         diffs = self.make_diffs(stream, method="full")
-        _, report = restore_indexed(diffs)
+        _, report = restore_indexed(ram_record(diffs))
         assert report.payload_bytes_read == {len(diffs) - 1: stream[0].shape[0]}
 
 
 class TestErrors:
     def test_empty_chain(self):
-        with pytest.raises(RestoreError):
+        with pytest.raises(StorageError, match="empty record"):
             selective_restore([])
 
     def test_out_of_range(self, stream):
@@ -89,7 +90,7 @@ class TestErrors:
     def test_out_of_order_chain(self, stream):
         engine = ENGINES["tree"](stream[0].shape[0], 64)
         diffs = [engine.checkpoint(c) for c in stream[:2]]
-        with pytest.raises(RestoreError):
+        with pytest.raises(StorageError, match="out of order"):
             selective_restore([diffs[1]])
 
     def test_cyclic_reference_detected(self, rng):
@@ -112,8 +113,9 @@ class TestErrors:
         assert all("another shifted duplicate" in p for p in problems)
         with pytest.raises(RestoreError, match="ckpt 1"):
             Restorer().restore([d0, d1])
-        with pytest.raises(RestoreError, match="ckpt 1"):
-            restore_indexed([d0, d1])
+        # A record refuses the chain before any restore can read it.
+        with pytest.raises(StorageError, match="cannot append checkpoint 1: ckpt 1"):
+            ram_record([d0, d1])
 
     def test_same_checkpoint_shift_from_first_occurrence_passes(self, rng):
         n = 256

@@ -24,6 +24,7 @@ from repro.core import (
 from repro.errors import RestoreError
 from repro.gpusim import KernelCostModel, a100
 from repro.kokkos.execution import DeviceSpace
+from tests.conftest import ram_record
 
 N = 64 * 80
 CS = 64
@@ -84,7 +85,7 @@ class TestBitIdentity:
     @pytest.mark.parametrize("ranks", [1, 4, 16])
     def test_matches_single_gpu(self, method, ranks, rng):
         diffs, states = _chain(method, rng)
-        single, _ = restore_indexed(diffs)
+        single, _ = restore_indexed(ram_record(diffs))
         assert np.array_equal(single, states[-1])
         plan = ShardedRestorePlan(_index_of(diffs), ranks)
         out = plan.materialize(_payload_fn(diffs))
@@ -123,7 +124,7 @@ class TestBitIdentity:
             tree.checkpoint(snap.reshape(-1).view(np.uint8))
             for snap in engine.checkpoint_stream(5)
         ]
-        single, _ = restore_indexed(diffs)
+        single, _ = restore_indexed(ram_record(diffs))
         golden = hashlib.sha256(single.tobytes()).hexdigest()
         for ranks in (1, 4, 16):
             plan = ShardedRestorePlan(_index_of(diffs), ranks)
@@ -135,7 +136,7 @@ class TestShardAccounting:
     def test_peak_buffers_bounded_by_single_gpu(self, rng):
         diffs, _ = _chain("tree", rng)
         index = _index_of(diffs)
-        _, single = restore_indexed(diffs)
+        _, single = restore_indexed(ram_record(diffs))
         single_sources = single.frames_referenced
         assert single_sources == int(index.referenced().size)
         for ranks in (1, 4, 16):
@@ -191,7 +192,7 @@ class TestValidation:
     def test_too_few_contention_factors_rejected(self, rng):
         diffs, _ = _chain("full", rng, steps=2)
         with pytest.raises(RestoreError, match="contention factors"):
-            restore_sharded(diffs, 4, a100(), [1.0, 1.0])
+            restore_sharded(ram_record(diffs), 4, a100(), [1.0, 1.0])
 
     def test_estimate_positive_and_shrinks_with_ranks(self, rng):
         diffs, _ = _chain("tree", rng)
@@ -227,8 +228,9 @@ class TestOnePricing:
 
     def test_one_rank_restart_is_the_single_gpu_gather(self, rng):
         diffs, _ = _chain("tree", rng)
+        record = ram_record(diffs)
         space = DeviceSpace(0)
-        single, _ = restore_indexed(diffs, space=space)
+        single, read = restore_indexed(record, space=space)
         plan = ShardedRestorePlan(_index_of(diffs), 1)
         rank_space = DeviceSpace(0)
         plan.materialize(_payload_fn(diffs), spaces=[rank_space])
@@ -236,9 +238,17 @@ class TestOnePricing:
         assert rank_space.ledger.transfers == space.ledger.transfers
 
         model = KernelCostModel(a100(), 2.0)
-        out, report = restore_sharded(diffs, 1, a100(), [2.0])
+        out, report = restore_sharded(
+            record, 1, a100(), [2.0], read_bandwidth=1e9, windows=1
+        )
         assert np.array_equal(out, single)
-        assert report.windows == 1
-        assert report.critical_path_seconds == (
-            model.price_restore(space.ledger, len(single)).seconds
+        assert report.record_bytes_read == read.record_bytes_read
+        assert report.critical_path_seconds == pytest.approx(
+            model.price_restore(
+                space.ledger,
+                len(single),
+                read_bytes=read.record_bytes_read,
+                read_bandwidth=1e9,
+            ).seconds,
+            rel=1e-12,
         )

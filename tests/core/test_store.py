@@ -473,6 +473,17 @@ class TestCli:
         assert main(["restore", str(rec), "-k", "1", "-o", str(out)]) == 0
         assert out.stat().st_size == 65536
 
+    def test_demo_refuses_a_directory_holding_a_record(self, tmp_path, capsys):
+        from repro.cli import main
+
+        rec = tmp_path / "rec"
+        assert main(["demo", "--checkpoints", "2", "--save", str(rec)]) == 0
+        before = {p.name: p.read_bytes() for p in rec.iterdir()}
+        capsys.readouterr()
+        assert main(["demo", "--checkpoints", "2", "--save", str(rec)]) == 1
+        assert f"cannot save to {rec}: " in capsys.readouterr().err
+        assert {p.name: p.read_bytes() for p in rec.iterdir()} == before
+
     def test_restore_of_an_unrestorable_checkpoint_exits_two(
         self, tmp_path, capsys
     ):
@@ -511,9 +522,13 @@ class TestCli:
         (path / "ckpt-00001.rdif").write_bytes(
             (path / "ckpt-00000.rdif").read_bytes()
         )
-        # ckpt file 1 now holds checkpoint id 0 → load fails loudly.
-        with pytest.raises(StorageError):
-            main(["inspect", str(path)])
+        # ckpt file 1 now holds checkpoint id 0: inspect says so and
+        # exits 1, as verify does, with no traceback.
+        capsys.readouterr()
+        assert main(["inspect", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"cannot inspect {path}: ")
+        assert "ckpt-00001.rdif" in err
 
     def test_bench_command_table1(self, capsys):
         from repro.cli import main

@@ -14,6 +14,7 @@ from repro.errors import FaultError
 from repro.faults import (
     FaultPlan,
     RecordFault,
+    TierFaultSpec,
     apply_record_faults,
     grade_record_damage,
     run_record_campaign,
@@ -117,6 +118,10 @@ class TestValidation:
         with pytest.raises(FaultError, match="bitflp"):
             RecordFault(kind="bitflp", ckpt_index=1)
         assert len(list(path.glob("ckpt-*.rdif"))) == 4
+
+    def test_unknown_tier_kind_refused_when_built(self):
+        with pytest.raises(FaultError, match="unknown tier fault kind 'transiant'"):
+            TierFaultSpec(tier="host", kind="transiant", start=1.0)
 
     def test_no_tiers_rejected(self):
         with pytest.raises(FaultError):

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from repro.cli import main
-from repro.core import IncrementalCheckpointer, save_record
+from repro.core import IncrementalCheckpointer
 from repro.core.provenance import restore_record_indexed
 from repro.faults import flip_bit, record_files
 from repro.oranges import OrangesApp
@@ -67,12 +67,12 @@ def _faulted_journal(tmp_path):
         # A corrupted stored record.
         rng = np.random.default_rng(4)
         data = rng.integers(0, 256, 1 << 14, dtype=np.uint8)
-        ck = IncrementalCheckpointer(data_len=1 << 14, chunk_size=128)
+        record = tmp_path / "record"
+        ck = IncrementalCheckpointer(data_len=1 << 14, chunk_size=128, record_dir=record)
         for _ in range(3):
             ck.checkpoint(data)
             data = data.copy()
             data[:256] = rng.integers(0, 256, 256, dtype=np.uint8)
-        record = save_record(ck.record.diffs, tmp_path / "record", method="tree")
         flip_bit(record_files(record)[-1], byte_offset=200)
     return journal
 

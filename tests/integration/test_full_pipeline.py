@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from repro.core import ENGINES, CheckpointDiff, IncrementalCheckpointer, Restorer
+from repro.core.store import load_record
 from repro.compress import CompressionCheckpointer, get_codec
 from repro.graphs import generate
 from repro.oranges import GdvEngine, OrangesApp
@@ -28,7 +29,7 @@ class TestOrangesEndToEnd:
     def test_wire_format_survives_oranges_stream(self, app):
         backend = app.make_backend("tree", chunk_size=64)
         app.run({"tree": backend}, num_checkpoints=4)
-        blobs = [d.to_bytes() for d in backend.record.diffs]
+        blobs = [d.to_bytes() for d in load_record(backend.record.writer.store)]
         parsed = [CheckpointDiff.from_bytes(b) for b in blobs]
         direct = backend.restore(3)
         reparsed = Restorer().restore(parsed, 3)

@@ -40,16 +40,16 @@ class TestResumeThroughRecord:
         from repro.core import IncrementalCheckpointer
 
         engine = GdvEngine(graph, 4)
-        ckpt = IncrementalCheckpointer(engine.buffer_nbytes, 128)
+        ckpt = IncrementalCheckpointer(
+            engine.buffer_nbytes, 128, record_dir=tmp_path / "rec"
+        )
         frontiers = []
         for snapshot in engine.checkpoint_stream(6):
             ckpt.checkpoint(snapshot)
             frontiers.append(engine.next_vertex)
             if len(frontiers) == 4:
                 break
-        save_record(ckpt.record.diffs, tmp_path / "rec")
-        diffs = load_record(tmp_path / "rec")
-        state, _ = restore_indexed(diffs)
+        state, _ = restore_indexed(tmp_path / "rec")
 
         resumed = GdvEngine(graph, 4)
         resumed.load_state(state, frontiers[-1])

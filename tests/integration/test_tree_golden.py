@@ -117,11 +117,13 @@ def test_indexed_restore_bit_identical_on_golden_trace(trace_chain):
     """The restore overhaul must not change a byte on the golden trace:
     the provenance-indexed path reproduces every captured state exactly."""
     from repro.core import Restorer, restore_indexed
+    from tests.conftest import ram_record
 
     diffs, states = trace_chain
     replay = Restorer().restore_all(diffs)
+    record = ram_record(diffs)
     for k, want in enumerate(states):
-        got, _ = restore_indexed(diffs, upto=k)
+        got, _ = restore_indexed(record, upto=k)
         assert np.array_equal(got, want)
         assert np.array_equal(got, replay[k])
 

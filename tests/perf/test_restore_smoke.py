@@ -18,7 +18,8 @@ from repro.core import restore_indexed, restore_record_indexed, save_record
 from repro.core.chunking import ChunkSpec
 from repro.core.serialize import group_by_source, place_chunks
 from repro.hashing import native
-from tests.conftest import numpy_path
+from repro.core.checkpointer import IncrementalCheckpointer
+from tests.conftest import numpy_path, ram_record
 
 pytestmark = pytest.mark.perf
 
@@ -58,9 +59,10 @@ def test_vectorized_replay_floor():
 
 def test_indexed_beats_replay_in_memory():
     diffs, final = _hot_window_chain()
-    assert np.array_equal(restore_indexed(diffs)[0], final)
+    record = ram_record(diffs)
+    assert np.array_equal(restore_indexed(record)[0], final)
     replay_s = best_of(lambda: Restorer().restore(diffs))
-    indexed_s = best_of(lambda: restore_indexed(diffs))
+    indexed_s = best_of(lambda: restore_indexed(record))
     # The fixed hot window leaves only 2 referenced checkpoints; a tie
     # here means the index is being recomputed or the gather degenerated.
     assert indexed_s < replay_s, (
@@ -78,6 +80,38 @@ def test_indexed_cold_restart_reads_subset(tmp_path):
     assert report.frames_parsed < report.frames_total
     secs = best_of(lambda: restore_record_indexed(tmp_path))
     assert secs < 1.0, f"indexed cold restart took {secs * 1e3:.0f} ms"
+
+
+def _long_chain_unit(checkpoints):
+    """The long-chain probe: 256 KiB in 128 B chunks, one random 2 KiB
+    rewrite per step; the unit keeps its record in RAM."""
+    rng = np.random.default_rng(7)
+    n = 256 * 1024
+    unit = IncrementalCheckpointer(n, 128, "tree")
+    state = rng.integers(0, 256, n, dtype=np.uint8)
+    for _ in range(checkpoints):
+        at = int(rng.integers(0, n - 2048))
+        state[at : at + 2048] = rng.integers(0, 256, 2048, dtype=np.uint8)
+        unit.checkpoint(state)
+    return unit, state
+
+
+def test_a_unit_restores_its_ram_record_as_fast_as_a_cold_one(tmp_path):
+    """A unit's own restore reads its RAM record the way a cold restore
+    reads the same record from disk: one keyframe span, the named frames.
+    Composing rows 0..k instead costs ~10x at 1,001 checkpoints."""
+    unit, final = _long_chain_unit(1001)
+    store = unit.record.writer.store
+    for name in store.list():
+        (tmp_path / name).write_bytes(store.pread(name))
+    assert np.array_equal(unit.restore(), final)
+    assert np.array_equal(restore_record_indexed(tmp_path)[0], final)
+    ram_s = best_of(unit.restore)
+    cold_s = best_of(lambda: restore_record_indexed(tmp_path))
+    assert ram_s <= 1.25 * cold_s, (
+        f"unit.restore() {ram_s * 1e3:.2f} ms vs cold "
+        f"restore_record_indexed {cold_s * 1e3:.2f} ms"
+    )
 
 
 #: Floor on NumPy ``place_chunks`` time over the compiled call's, same

@@ -34,6 +34,7 @@ from repro.core.store import (
 from repro.errors import IntegrityError, ReproError
 from repro.faults import RecordFault, apply_record_faults
 from repro.faults.plan import RECORD_FAULT_KINDS
+from tests.conftest import ram_record
 
 
 def make_chain(seed: int):
@@ -74,7 +75,7 @@ def test_bitflipped_diff_never_crashes_unsafely(seed, position, flip):
     try:
         parsed = CheckpointDiff.from_bytes(bytes(blob), verify=False)
         Restorer().restore_all([diffs[0], parsed])
-        restore_indexed([diffs[0], parsed])
+        restore_indexed(ram_record([diffs[0], parsed]))
     except ReproError:
         pass  # rejected at parse or restore time: fine
     # Or the flip landed in payload bytes and reconstruction proceeds
@@ -113,7 +114,7 @@ def test_shuffled_chain_rejected_or_detected(seed, k):
             Restorer().restore_all(list(reversed(diffs)))
     else:
         with pytest.raises(ReproError):
-            restore_indexed(list(reversed(diffs)))
+            restore_indexed(ram_record(reversed(diffs)))
 
 
 # ----------------------------------------------------------------------

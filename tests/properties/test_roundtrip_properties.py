@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from repro.core import ENGINES, Restorer, restore_indexed
 from repro.core.diff import CheckpointDiff
+from tests.conftest import ram_record
 
 _SETTINGS = dict(
     max_examples=25,
@@ -96,8 +97,9 @@ def test_indexed_restore_matches_replay(case, method):
     engine = ENGINES[method](data_len, chunk_size)
     diffs = [engine.checkpoint(c) for c in stream]
     replay = Restorer().restore_all(diffs)
+    record = ram_record(diffs)
     for k in range(len(diffs)):
-        assert np.array_equal(restore_indexed(diffs, upto=k)[0], replay[k])
+        assert np.array_equal(restore_indexed(record, upto=k)[0], replay[k])
     windowed = Restorer()
     for k in range(len(diffs)):
         assert np.array_equal(windowed.restore(diffs, upto=k), replay[k])

@@ -266,7 +266,7 @@ class TestFrameNamesItsCodec:
 
     def test_only_compressed_frames_carry_a_code(self):
         unit, _ = _hybrid(get_codec("bitcomp"))
-        blobs = [d.to_bytes() for d in unit.record.diffs]
+        blobs = [d.to_bytes() for d in load_record(unit.record.writer.store)]
         assert blobs[0][FLAGS] == 0  # checkpoint 0 is stored raw
         code = PAYLOAD_CODECS.index("bitcomp") + 1
         assert [b[FLAGS] for b in blobs[1:]] == [code] * 3
@@ -276,7 +276,7 @@ class TestFrameNamesItsCodec:
 
     def test_a_rewritten_code_is_damage(self, tmp_path):
         unit, _ = _hybrid(get_codec("bitcomp"))
-        path = save_record(unit.record.diffs, tmp_path / "rec", method="tree")
+        path = save_record(load_record(unit.record.writer.store), tmp_path / "rec", method="tree")
         frame = path / "ckpt-00001.rdif"
         blob = bytearray(frame.read_bytes())
         assert blob[FLAGS] == PAYLOAD_CODECS.index("bitcomp") + 1
@@ -290,7 +290,7 @@ class TestFrameNamesItsCodec:
 
     def test_an_unknown_code_is_refused_by_name(self):
         unit, _ = _hybrid(get_codec("deflate"))
-        blob = bytearray(unit.record.diffs[1].to_bytes())
+        blob = bytearray(load_record(unit.record.writer.store)[1].to_bytes())
         blob[FLAGS] = 200
         with pytest.raises(SerializationError, match="200"):
             CheckpointDiff.from_bytes(_reseal(blob))
@@ -322,7 +322,7 @@ class TestFrameNamesItsCodec:
     )
     def test_codec_parameters_travel_in_the_payload(self, codec, tmp_path):
         unit, states = _hybrid(codec)
-        path = save_record(unit.record.diffs, tmp_path / "rec", method="tree")
+        path = save_record(load_record(unit.record.writer.store), tmp_path / "rec", method="tree")
         replayed = Restorer().restore_all(load_record(path))
         for k, want in enumerate(states):
             out, _ = restore_record_indexed(path, upto=k)
@@ -332,8 +332,8 @@ class TestFrameNamesItsCodec:
 
     def test_every_reader_restores_a_hybrid_record(self, tmp_path):
         unit, states = _hybrid(get_codec("bitcomp"))
-        path = save_record(unit.record.diffs, tmp_path / "rec", method="tree")
-        assert verify_chain(unit.record.diffs) == []
+        path = save_record(load_record(unit.record.writer.store), tmp_path / "rec", method="tree")
+        assert verify_chain(load_record(unit.record.writer.store)) == []
         assert verify_record(path).ok
         out, _ = restore_record_sharded(path, 4)
         assert np.array_equal(out, states[-1])
@@ -344,7 +344,7 @@ class TestFrameNamesItsCodec:
 
     def test_rebase_keeps_the_frames_codec(self, tmp_path):
         unit, states = _hybrid(get_codec("bitcomp"))
-        path = save_record(unit.record.diffs, tmp_path / "rec", method="tree")
+        path = save_record(load_record(unit.record.writer.store), tmp_path / "rec", method="tree")
         rebase_stored_record(path, 1)
         rebased = load_record(path)
         assert [d.codec for d in rebased] == [None, "bitcomp", "bitcomp"]
@@ -465,7 +465,7 @@ class TestOneFrameCheck:
         self, codec, tmp_path
     ):
         unit, states = _hybrid(get_codec(codec))
-        diffs = unit.record.diffs
+        diffs = load_record(unit.record.writer.store)
         path = save_record(diffs, tmp_path / "rec", method="tree")
         payloads = load_record_frames(path, range(len(diffs)))
         for k, diff in enumerate(diffs):

@@ -88,8 +88,15 @@ class TestOneLogReadPerOperation:
                 opened.append(os.path.basename(file))
             return real_open(file, *args, **kwargs)
 
+        real_os_open = os.open
+
+        def counting_os_open(file, *args, **kwargs):
+            opened.append(os.path.basename(file))
+            return real_os_open(file, *args, **kwargs)
+
         monkeypatch.setattr(builtins, "open", counting_open)
         monkeypatch.setattr(io, "open", counting_open)
+        monkeypatch.setattr(os, "open", counting_os_open)
         writer = RecordWriter(directory, method="tree")
         assert writer.count == 6 and opened.count("record.log") == 1
 

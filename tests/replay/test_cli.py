@@ -61,6 +61,26 @@ class TestReplayCommand:
         assert f"cannot replay {path}: record_fault receipt" in err
         assert "unknown record fault kind 'bitflp'" in err
 
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("kind", "transiant", "unknown tier fault kind 'transiant'"),
+            ("tier", "tape", "names tier 'tape', not one of the node's"),
+        ],
+    )
+    def test_malformed_tier_receipt_exits_two(
+        self, journal_path, field, value, message, capsys
+    ):
+        records = [json.loads(line) for line in journal_path.read_text().splitlines()]
+        receipt = next(r for r in records if r["type"] == events.TIER_OUTAGE)
+        receipt[field] = value
+        write_journal(journal_path, records)
+        rc = main(["replay", str(journal_path)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert f"cannot replay {journal_path}: tier_outage receipt" in err
+        assert message in err and "Traceback" not in err
+
     def test_output_journal_written(self, journal_path, tmp_path, capsys):
         out = tmp_path / "replay.jsonl"
         rc = main(["replay", str(journal_path), "-o", str(out)])

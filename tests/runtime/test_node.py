@@ -5,6 +5,7 @@ import pytest
 
 from repro import telemetry
 from repro.errors import ConfigurationError, SimulationError
+from repro.record import RecordView
 from repro.runtime import NodeRuntime
 from repro.utils.rng import seeded_rng
 
@@ -106,7 +107,8 @@ class TestCommitUnit:
         for p, unit in enumerate(runtime.checkpointers):
             diffs = [c.diff for c in runtime.persisted[p]]
             assert len(diffs) == 5
-            assert all(a is b for a, b in zip(diffs, unit.record.diffs))
+            held = RecordView(unit.record.writer.store).log.frame_sha
+            assert [d.content_digest() for d in diffs] == list(held)
             assert runtime.engines[p] is unit.engine
             assert sum(s.cost.total_seconds for s in unit.record.stats) == (
                 runtime.timelines[p].blocking_device_seconds

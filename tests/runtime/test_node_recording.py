@@ -7,6 +7,7 @@ from repro.compress import get_codec
 from repro.core import IncrementalCheckpointer, Restorer
 from repro.core.provenance import restore_record_indexed
 from repro.core.store import load_record, verify_record
+from repro.errors import StorageError
 from repro.faults import RecordFault
 from repro.replay.driver import IncidentSchedule, drive_run
 from repro.replay.timeline import RunConfig
@@ -82,6 +83,7 @@ class TestNodeRecording:
             device=plain.device,
             pcie_contention=plain.cost_model.pcie_contention,
             payload_codec=get_codec("bitcomp"),
+            record_dir=runtime.record_path(0),
         )
         buf = rng.integers(0, 4, SIZE, dtype=np.uint8)
         for step in range(4):
@@ -96,11 +98,43 @@ class TestNodeRecording:
         assert report.restored_ckpt_id == 3
         assert np.array_equal(report.restored_state, buf)
 
+    def _six_checkpoints(self, runtime, rng):
+        buf = rng.integers(0, 256, 64 * 1024, dtype=np.uint8)
+        for step in range(6):
+            buf = buf.copy()
+            buf[step * 4096 : step * 4096 + 2048] = rng.integers(
+                0, 256, 2048, dtype=np.uint8
+            )
+            runtime.checkpoint_all([buf], now=float(step))
+        return buf
+
+    def test_a_restart_reads_the_record_not_memory(self, rng, tmp_path):
+        runtime = NodeRuntime(
+            64 * 1024, 128, num_processes=1, record_root=tmp_path / "records"
+        )
+        self._six_checkpoints(runtime, rng)
+        for frame in runtime.record_path(0).glob("ckpt-*.rdif"):
+            frame.unlink()
+        with pytest.raises(StorageError, match="missing checkpoint file"):
+            runtime.crash_restart(0, at_time=100.0)
+
+    def test_without_a_record_root_a_restart_reads_the_ram_record(self, rng):
+        runtime = NodeRuntime(64 * 1024, 128, num_processes=1)
+        final = self._six_checkpoints(runtime, rng)
+        with events.journal_to() as journal:
+            report = runtime.crash_restart(0, at_time=100.0)
+        assert report.restored_ckpt_id == 5
+        assert np.array_equal(report.restored_state, final)
+        (restore,) = [r for r in journal.records() if r["type"] == events.RESTORE]
+        assert restore["record_bytes_read"] > 0 and restore["read_seconds"] > 0
+        assert report.restore_seconds == restore["critical_path_seconds"]
+        # The restarted unit's record holds the seed, and nothing else.
+        assert runtime.checkpointers[0].record.writer.count == 1
+
     def test_no_record_root_means_no_records(self, rng, tmp_path):
         runtime = NodeRuntime(SIZE, 64, num_processes=1)
         runtime.checkpoint_all(_buffers(1, rng), now=0.0)
         assert runtime.record_path(0) is None
-        assert runtime.record_writer(0) is None
 
 
 class TestDriverRecording:

@@ -8,7 +8,6 @@ import pytest
 from repro import telemetry
 from repro.cli import main
 from repro.core import IncrementalCheckpointer
-from repro.core.store import save_record
 
 from .test_live_monitor import write_clean_run
 
@@ -17,13 +16,12 @@ from .test_live_monitor import write_clean_run
 def record_dir(tmp_path):
     rng = np.random.default_rng(2)
     data = rng.integers(0, 256, 1 << 14, dtype=np.uint8)
-    ck = IncrementalCheckpointer(data_len=1 << 14, chunk_size=128)
+    directory = tmp_path / "record"
+    ck = IncrementalCheckpointer(data_len=1 << 14, chunk_size=128, record_dir=directory)
     for _ in range(3):
         ck.checkpoint(data)
         data = data.copy()
         data[:256] = rng.integers(0, 256, 256, dtype=np.uint8)
-    directory = tmp_path / "record"
-    save_record(ck.record.diffs, directory, method="tree")
     return directory
 
 
@@ -140,11 +138,12 @@ class TestInspectCompositionFields:
     def test_empty_diff_consolidation_is_null(self, tmp_path, capsys):
         rng = np.random.default_rng(5)
         data = rng.integers(0, 256, 1 << 13, dtype=np.uint8)
-        ck = IncrementalCheckpointer(data_len=1 << 13, chunk_size=128)
+        directory = tmp_path / "rec"
+        ck = IncrementalCheckpointer(
+            data_len=1 << 13, chunk_size=128, record_dir=directory
+        )
         ck.checkpoint(data)
         ck.checkpoint(data)  # unchanged: empty diff
-        directory = tmp_path / "rec"
-        save_record(ck.record.diffs, directory, method="tree")
         rc = main(["inspect", str(directory), "--json"])
         doc = json.loads(capsys.readouterr().out)
         assert rc == 0
@@ -188,12 +187,13 @@ class TestCensusCommand:
         rng = np.random.default_rng(3)
         base = rng.integers(0, 256, 1 << 13, dtype=np.uint8)
         for name in names:
-            ck = IncrementalCheckpointer(data_len=1 << 13, chunk_size=128)
+            ck = IncrementalCheckpointer(
+                data_len=1 << 13, chunk_size=128, record_dir=root / name
+            )
             ck.checkpoint(base)  # shared content across the fleet
             nxt = base.copy()
             nxt[:128] = rng.integers(0, 256, 128, dtype=np.uint8)
             ck.checkpoint(nxt)
-            save_record(ck.record.diffs, root / name, method="tree")
         return root
 
     def test_census_over_directory_of_records(self, tmp_path, capsys):

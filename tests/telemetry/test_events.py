@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from repro.core import IncrementalCheckpointer
+from repro.core.store import load_record
 from repro.errors import StorageError
 from repro.telemetry import events
 from repro.telemetry.events import (
@@ -198,7 +199,8 @@ class TestGoldenBytesWithJournal:
             ck.checkpoint(data)
             data = data.copy()
             data[:512] = rng.integers(0, 256, 512, dtype=np.uint8)
-        return [hashlib.sha256(d.to_bytes()).hexdigest() for d in ck.record.diffs]
+        diffs = load_record(ck.record.writer.store)
+        return [hashlib.sha256(d.to_bytes()).hexdigest() for d in diffs]
 
     @pytest.mark.parametrize("method", ["tree", "list", "basic", "full"])
     def test_all_methods_identical_journal_on_vs_off(self, method):

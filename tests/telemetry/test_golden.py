@@ -6,6 +6,7 @@ import numpy as np
 
 from repro import telemetry
 from repro.core import IncrementalCheckpointer
+from repro.core.store import load_record
 
 
 def _tree_run_digests(seed: int = 11, steps: int = 5) -> list:
@@ -19,7 +20,7 @@ def _tree_run_digests(seed: int = 11, steps: int = 5) -> list:
         data = data.copy()
         at = int(rng.integers(0, (1 << 16) - 2048))
         data[at : at + 2048] = rng.integers(0, 256, 2048, dtype=np.uint8)
-    for diff in ck.record.diffs:
+    for diff in load_record(ck.record.writer.store):
         digests.append(hashlib.sha256(diff.to_bytes()).hexdigest())
     return digests
 
@@ -47,7 +48,7 @@ class TestGoldenBytes:
                     data[:512] = rng.integers(0, 256, 512, dtype=np.uint8)
                 return [
                     hashlib.sha256(d.to_bytes()).hexdigest()
-                    for d in ck.record.diffs
+                    for d in load_record(ck.record.writer.store)
                 ]
 
             telemetry.disable()
