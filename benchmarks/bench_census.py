@@ -117,7 +117,6 @@ def build_oranges_record(directory: Path) -> Path:
 
 def run(out_path: Path | None = None) -> dict:
     from repro import telemetry
-    from repro.core.store import load_record
 
     with telemetry.capture() as tel:
         with tempfile.TemporaryDirectory() as tmp:
@@ -136,7 +135,7 @@ def run(out_path: Path | None = None) -> dict:
                     for r in journal.records()
                     if r["type"] == events.ATTRIBUTION_SUMMARY
                 ]
-            sweep = chunk_size_sweep(load_record(tenant_paths[0]), SWEEP_SIZES)
+            sweep = chunk_size_sweep(tenant_paths[0], SWEEP_SIZES)
 
     class_sums_exact = all(
         c.first_bytes + c.shift_bytes + c.fixed_bytes + c.zero_bytes

@@ -17,10 +17,16 @@ and writes ``BENCH_faults.json`` next to the repo root (or
   :class:`~repro.runtime.AsyncFlushPipeline`: retry/backoff counts and
   route-around write-through.
 * ``crashes``  — seeded process crashes through
-  :meth:`~repro.runtime.NodeRuntime.crash_restart`: every restart's
-  state must be bit-identical to the process's last durable checkpoint
-  (its restored state after an earlier restart, zeros after a cold
-  one); reports lost work.
+  :meth:`~repro.runtime.NodeRuntime.crash_restart` of a node whose units
+  keep their records on disk: every restart's state must be
+  bit-identical to the process's last durable checkpoint (its restored
+  state after an earlier restart, zeros after a cold one); reports lost
+  work.
+* ``damaged_restart`` — the same crashes, each restart preceded by one
+  seeded frame fault (``apply_record_faults``) in the crashed process's
+  record: the restart falls back to the newest checkpoint the record
+  still restores, and every restore must equal the golden bytes of the
+  checkpoint it reports — zero silent wrong-bytes restores.
 
 Run directly (``python benchmarks/bench_faults.py``), under pytest, or
 via ``python -m repro bench faults``.
@@ -115,10 +121,15 @@ def bench_tier_faults(diffs) -> dict:
     return {"transient": transient, "permanent_middle": permanent}
 
 
-def bench_crashes(n_crashes: int = 8, seed: int = 3) -> dict:
-    """Seeded crash-restart sweep: recovery must be bit-identical."""
+def _crash_sweep(record_root: Path, damage: bool, n_crashes: int = 8,
+                 seed: int = 3):
+    """Seeded crash-restart sweep over a node recording under
+    *record_root*; with *damage*, one seeded frame fault hits the crashed
+    process's record before each restart.  Returns the crash reports,
+    how many of them restored golden bytes, and the faults applied."""
     data_len, chunk = 64 * 256, 64
-    node = NodeRuntime(data_len=data_len, chunk_size=chunk, num_processes=2)
+    node = NodeRuntime(data_len=data_len, chunk_size=chunk, num_processes=2,
+                       record_root=record_root)
     rng = np.random.default_rng(seed)
     buffers = [rng.integers(0, 256, data_len, dtype=np.uint8) for _ in range(2)]
     snapshots = []
@@ -138,15 +149,18 @@ def bench_crashes(n_crashes: int = 8, seed: int = 3) -> dict:
     # state of its chain's checkpoint i (a restart re-seeds the chain with
     # the restored checkpoint; a cold restart empties it).
     truth = [[snap[p] for snap in snapshots] for p in range(2)]
-    identical = 0
-    lost = []
+    reports, identical, applied = [], 0, 0
     for spec in crashes:
         p = spec.process
+        held = node.checkpointers[p].num_checkpoints
+        if damage and held:
+            faults = plan.plan_record_faults(held, n_faults=1)
+            applied += len(plan.apply_record_faults(node.record_path(p), faults))
         report = node.crash_restart(p, spec.at)
-        lost.append(report.lost_work_seconds)
+        reports.append(report)
         restored = report.restored_ckpt_id
         if restored is None:
-            # Cold restart: nothing was durable, the process restarts at zeros.
+            # Cold restart: the process restarts at zeros.
             identical += int(not report.restored_state.any())
             truth[p] = []
         else:
@@ -154,9 +168,37 @@ def bench_crashes(n_crashes: int = 8, seed: int = 3) -> dict:
             identical += int(
                 bool(truth[p]) and np.array_equal(report.restored_state, truth[p][0])
             )
+    return reports, identical, applied
+
+
+def bench_crashes(workdir: Path) -> dict:
+    """Seeded crash-restart sweep: recovery must be bit-identical."""
+    reports, identical, _ = _crash_sweep(workdir / "crash-records", damage=False)
+    lost = [r.lost_work_seconds for r in reports]
     return {
-        "crashes": n_crashes,
+        "crashes": len(reports),
         "bit_identical_restores": identical,
+        "mean_lost_work_seconds": round(float(np.mean(lost)), 4),
+        "max_lost_work_seconds": round(float(np.max(lost)), 4),
+    }
+
+
+def bench_damaged_restarts(workdir: Path) -> dict:
+    """The crash sweep with a damaged frame before every restart: each
+    restart restores the newest checkpoint its record still restores (or
+    none), bit-identically."""
+    reports, identical, applied = _crash_sweep(
+        workdir / "damaged-records", damage=True
+    )
+    lost = [r.lost_work_seconds for r in reports]
+    return {
+        "restarts": len(reports),
+        "faults_applied": applied,
+        "warm_restarts": sum(r.restored_ckpt_id is not None for r in reports),
+        "cold_restarts": sum(r.restored_ckpt_id is None for r in reports),
+        "skipped_ckpts": sum(len(r.skipped_ckpts) for r in reports),
+        "bit_identical_restores": identical,
+        "silent_wrong": len(reports) - identical,
         "mean_lost_work_seconds": round(float(np.mean(lost)), 4),
         "max_lost_work_seconds": round(float(np.max(lost)), 4),
     }
@@ -210,13 +252,13 @@ def run(out_path: Path | None = None) -> dict:
     with telemetry.capture() as tel, events.journal_to(node="bench") as journal:
         diffs, states = golden_trace()
         with tempfile.TemporaryDirectory(prefix="repro-faults-") as tmp:
-            record = bench_record_campaign(diffs, states, Path(tmp))
-        report = {
-            "bench": "faults",
-            "record": record,
-            "tiers": bench_tier_faults(diffs),
-            "crashes": bench_crashes(),
-        }
+            report = {
+                "bench": "faults",
+                "record": bench_record_campaign(diffs, states, Path(tmp)),
+                "tiers": bench_tier_faults(diffs),
+                "crashes": bench_crashes(Path(tmp)),
+                "damaged_restart": bench_damaged_restarts(Path(tmp)),
+            }
     report["health"] = health_summary(journal)
     report["telemetry"] = tel
     if out_path is None:
@@ -243,6 +285,9 @@ def test_bench_faults(capsys):
     assert report["tiers"]["transient"]["all_persisted"]
     assert report["tiers"]["permanent_middle"]["routed_around_ssd"]
     assert report["crashes"]["bit_identical_restores"] == report["crashes"]["crashes"]
+    damaged = report["damaged_restart"]
+    assert damaged["faults_applied"] > 0 and damaged["skipped_ckpts"] > 0
+    assert damaged["silent_wrong"] == 0, "a damaged restart restored wrong bytes"
     health = report["health"]
     assert health["status"] == "critical", "fault storm must grade critical"
     assert health["injected_tier_outages"] == 2

@@ -517,8 +517,7 @@ def _cmd_explain(args: argparse.Namespace) -> int:
     points = None
     if args.sweep:
         sizes = [int(s) for s in args.sweep.split(",") if s.strip()]
-        diffs = load_record(args.record)
-        points = chunk_size_sweep(diffs, sizes)
+        points = chunk_size_sweep(args.record, sizes)
     if args.json:
         doc = attribution.as_dict()
         if points is not None:

@@ -9,7 +9,6 @@ from .provenance import (
     ProvenanceIndex,
     ProvenanceTable,
     RestoreReport,
-    gather_states,
     materialize_index,
     resolve_source,
     restore_indexed,
@@ -48,12 +47,7 @@ from .labels import (
 from .merkle import MerkleTree, TreeLayout
 from .record import CheckpointRecord, CheckpointStats
 from .restore import Restorer
-from .retention import (
-    payload_dependencies,
-    rebase_record,
-    rebase_stored_record,
-    required_payloads,
-)
+from .retention import rebase_stored_record
 from .selective import selective_restore
 from .sharded_restore import (
     FleetRestoreReport,
@@ -127,15 +121,11 @@ __all__ = [
     "ProvenanceIndex",
     "ProvenanceTable",
     "RestoreReport",
-    "gather_states",
     "materialize_index",
     "resolve_source",
     "restore_indexed",
     "restore_record_indexed",
-    "payload_dependencies",
-    "rebase_record",
     "rebase_stored_record",
-    "required_payloads",
     "selective_restore",
     "FleetRestoreReport",
     "ShardedRestorePlan",

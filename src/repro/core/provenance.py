@@ -27,9 +27,10 @@ has to *read the payloads of the frames the index names*
 (:func:`restore_record_indexed`), because
 :class:`~repro.record.RecordWriter` persists one RPIX row-group per
 checkpoint next to the record log with the same digest discipline as the
-``.rdif`` frames.  Only the rebase's rewrite and a replayed run's final
-restore still walk an in-memory chain, state by state, through
-:func:`gather_states`.
+``.rdif`` frames.  The rebase, a replayed run's final restore, the
+attribution plane and the chunk-size sweep read a record the same way,
+one row or one state at a time; nothing composes an index from an
+in-memory chain except the record writer, as it appends.
 
 The composition relies on the engines' serialization invariant (§2.2):
 shifted-duplicate references point at content stored as a first
@@ -41,8 +42,7 @@ chain replay.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
-from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -53,7 +53,7 @@ from ..record import RecordView
 from . import store
 from .chunking import ChunkSpec
 from .diff import CheckpointDiff
-from .serialize import chunk_map, diff_payload, group_by_source, place_chunks
+from .serialize import chunk_map, group_by_source, place_chunks
 
 #: ``src_ckpt`` value for chunks never written by any diff (implicit zeros).
 ZERO_SOURCE = -1
@@ -95,9 +95,10 @@ class ProvenanceBuilder:
     """Incrementally composes :class:`ProvenanceIndex` rows over a chain.
 
     Append diffs in chain order (``append`` validates ordering and
-    geometry); ``index_for(k)`` returns checkpoint *k*'s resolved index.
-    The builder holds one int32+int64 pair per chunk per checkpoint —
-    metadata-sized, never payload-sized.
+    geometry); ``indexes[k]`` is checkpoint *k*'s resolved index.  The
+    record writer composes each row as it appends.  The builder holds one
+    int32+int64 pair per chunk per checkpoint — metadata-sized, never
+    payload-sized.
     """
 
     def __init__(self) -> None:
@@ -106,13 +107,6 @@ class ProvenanceBuilder:
     def extend(self, diffs: Sequence[CheckpointDiff]) -> None:
         for diff in diffs:
             self.append(diff)
-
-    def index_for(self, ckpt_id: int) -> ProvenanceIndex:
-        if not 0 <= ckpt_id < len(self.indexes):
-            raise RestoreError(
-                f"checkpoint {ckpt_id} outside indexed chain of {len(self.indexes)}"
-            )
-        return self.indexes[ckpt_id]
 
     # ------------------------------------------------------------------
     def append(self, diff: CheckpointDiff) -> ProvenanceIndex:
@@ -212,12 +206,6 @@ class ProvenanceTable:
             src_ckpt=np.stack([r.src_ckpt for r in rows]),
             src_off=np.stack([r.src_off for r in rows]),
         )
-
-    @classmethod
-    def from_diffs(cls, diffs: Sequence[CheckpointDiff]) -> "ProvenanceTable":
-        builder = ProvenanceBuilder()
-        builder.extend(diffs)
-        return cls.from_rows(builder.indexes)
 
     # ------------------------------------------------------------------
     @property
@@ -398,8 +386,7 @@ def resolve_source(record, upto: Optional[int] = None):
     :class:`ProvenanceIndex` row, the ``payload_of(t)`` callable
     :func:`materialize_index` pulls source payloads through, and the
     :class:`RestoreReport` the gather fills.  Every reconstruction except
-    the :class:`~repro.core.restore.Restorer` replay oracle and
-    :func:`gather_states` starts here.
+    the :class:`~repro.core.restore.Restorer` replay oracle starts here.
 
     The row is decoded from the target's keyframe span alone — its last
     keyframe and the deltas up to its own group; damage in any group
@@ -466,22 +453,3 @@ def restore_indexed(record, upto: Optional[int] = None, space=None):
 #: The name cold restarts (and the end-to-end benchmark) call it by.
 restore_record_indexed = restore_indexed
 
-
-def gather_states(
-    diffs: Sequence[CheckpointDiff], start: int = 0
-) -> Iterator[np.ndarray]:
-    """Checkpoints ``start..end`` of an in-memory chain, one at a time.
-
-    The chain is composed once — one :class:`ProvenanceBuilder`, one
-    payload cache — and each state is gathered as soon as its row
-    exists, so a caller that drops a state before taking the next holds
-    the rows, the payloads and one state, never the whole history.  Only
-    the rebase's rewrite and a replayed run's final restore reconstruct
-    through it; unlike a restore it journals nothing.
-    """
-    payload_of = lru_cache(maxsize=None)(lambda t: diff_payload(diffs[t]))
-    builder = ProvenanceBuilder()
-    for diff in diffs:
-        index = builder.append(diff)
-        if index.ckpt_id >= start:
-            yield materialize_index(index, payload_of)

@@ -1,158 +1,106 @@
-"""Checkpoint-lineage retention: dependency analysis and rebasing.
+"""Checkpoint-lineage retention: rebasing a stored record.
 
 The paper's scenarios keep *the entire checkpoint record* (§1), which
-grows without bound.  Deployments eventually truncate history; this
-module provides the two primitives that make truncation safe:
+grows without bound.  Deployments eventually truncate history:
+:func:`rebase_stored_record` rewrites a record so checkpoint *at* becomes
+a new full checkpoint 0 and every later checkpoint is remapped onto the
+new numbering.  Shifted-duplicate references into the discarded prefix
+are *materialised*: the referenced bytes are copied out of the
+checkpoint's reconstruction and stored as first-occurrence payload in the
+rewritten diff.  The rebased record restores byte-identically to the
+original for every surviving checkpoint (property-tested).
 
-* :func:`payload_dependencies` — which diffs' *payloads* are actually
-  needed to materialise a given checkpoint (metadata of every earlier
-  diff is always needed to resolve fixed pass-through, but payloads of
-  untouched diffs can live on cold storage or be dropped by a rebase);
+Which frames' *payloads* a checkpoint needs is its provenance row's
+:meth:`~repro.core.provenance.ProvenanceIndex.referenced` — metadata of
+every earlier checkpoint resolves fixed pass-through, but payloads no
+kept row names can live on cold storage or be dropped by a rebase.
 
-* :func:`rebase_record` — rewrite the chain so checkpoint *at* becomes a
-  new full checkpoint 0 and every later diff is remapped onto the new
-  numbering.  Shifted-duplicate references into the discarded prefix are
-  *materialised*: the referenced bytes are copied out of the
-  reconstruction and stored as first-occurrence payload in the rewritten
-  diff.  The rebased chain reconstructs byte-identically to the original
-  for every surviving checkpoint (property-tested).
-
-A rebase invalidates any provenance index built over the old chain:
-checkpoint ids shift, and promoting shift references into
-first-occurrence payload changes payload offsets.
-:func:`rebase_stored_record` therefore rewrites a stored record
-directory whole — frames, header, log *and* provenance index,
-re-composed by the record writer from the rewritten diffs — into a
-sibling directory, verifies it, and swaps it in by two renames, so a
-crash at any point leaves the old chain or the rebased one loadable;
-it journals a ``rebase`` event when it does.
+The rebase reads the record, never an in-memory chain: each surviving
+state is gathered from it (``resolve_source`` + ``materialize_index``)
+and each later frame is loaded to be rewritten, one checkpoint at a
+time, so a rebase holds one state and the frames its row names, never
+the history.  A rebase invalidates the old
+provenance index (ids shift, promoted references change payload
+offsets), so the new generation — frames, header, log *and* index,
+re-composed by the record writer — is written beside the record,
+verified, and swapped in by the byte store
+(:meth:`~repro.record.bytestore.DirectoryStore.swap`): a crash at any
+point leaves the old generation or the rebased one.  It journals a
+``rebase`` event when it does.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import os
-import shutil
-from pathlib import Path
-from typing import List, Optional, Sequence, Set, Union
 
 import numpy as np
 
 from ..compress import get_codec
 from ..errors import RestoreError, StorageError
+from ..record import DirectoryStore, RecordView, RecordWriter
 from ..telemetry import events
 from .diff import CheckpointDiff
-from .provenance import ProvenanceBuilder, gather_states
+from .provenance import materialize_index, resolve_source
 from .serialize import chunk_map, gather_chunk_payload
-from .store import load_record, record_manifest, save_record, verify_record
+from .store import verify_record
 
 
-def payload_dependencies(
-    diffs: Sequence[CheckpointDiff], upto: Optional[int] = None
-) -> Set[int]:
-    """Checkpoint ids whose payload bytes contribute to checkpoint *upto*
-    (default latest)."""
-    if upto is None:
-        upto = len(diffs) - 1
-    if not 0 <= upto < len(diffs):
-        raise RestoreError(f"checkpoint {upto} outside chain of {len(diffs)}")
-    return required_payloads(diffs, [upto])
+def rebase_stored_record(record, at: int):
+    """Rebase a stored record — a directory, a byte store or a
+    :class:`~repro.record.RecordView` — index included; returns where it
+    lives (the directory's path, or the store).
 
-
-def required_payloads(
-    diffs: Sequence[CheckpointDiff], keep: Sequence[int]
-) -> Set[int]:
-    """Union of payload dependencies over every checkpoint in *keep*.
-
-    One :class:`~repro.core.provenance.ProvenanceBuilder` is composed
-    over the chain and shared by every *k*, so the cost is one pass over
-    the diffs plus a ``referenced()`` per kept checkpoint.
-    """
-    builder = ProvenanceBuilder()
-    builder.extend(diffs[: max(keep, default=-1) + 1])
-    needed: Set[int] = set()
-    for k in keep:
-        needed.update(int(t) for t in builder.index_for(k).referenced())
-    return needed
-
-
-def rebase_record(diffs: Sequence[CheckpointDiff], at: int) -> List[CheckpointDiff]:
-    """Truncate history before checkpoint *at*.
-
-    Returns a new chain whose checkpoint 0 is a full image of the old
-    checkpoint *at*; old checkpoints ``at+1 .. end`` follow with their
-    ids shifted down by *at*.  Later diffs are rewritten:
+    The new chain's checkpoint 0 is a full image of the old checkpoint
+    *at*; old checkpoints ``at+1 .. end`` follow with their ids shifted
+    down by *at*, rewritten so that
 
     * shift references to checkpoints ≥ *at* are renumbered;
-    * shift references into the discarded prefix (< *at*) are converted
-      to first-occurrence regions whose bytes are copied from the full
-      reconstruction — the only way to keep them restorable once the
-      prefix is gone.
+    * shift references into the discarded prefix (< *at*) become
+      first-occurrence regions whose bytes are copied from the
+      checkpoint's reconstruction — the only way to keep them restorable
+      once the prefix is gone;
 
-    A rewritten payload is re-encoded with the codec its frame names.
-    States ``at..end`` are gathered one at a time
-    (:func:`~repro.core.provenance.gather_states`), so a rebase holds one
-    state, never the whole history.
+    and a rewritten payload is re-encoded with the codec its frame names.
+    The new generation must pass :func:`~repro.core.store.verify_record`
+    before it replaces the old one; until then the record is untouched.
     """
-    if not 0 <= at < len(diffs):
-        raise RestoreError(f"rebase point {at} outside chain of {len(diffs)}")
-    states = gather_states(diffs, start=at)
-    out: List[CheckpointDiff] = [
-        CheckpointDiff(
-            method="full",
-            ckpt_id=0,
-            data_len=diffs[at].data_len,
-            chunk_size=diffs[at].chunk_size,
-            payload=next(states).tobytes(),
-        )
-    ]
-    for old_id, state in enumerate(states, start=at + 1):
-        out.append(_rewrite_diff(diffs[old_id], at, state))
-    return out
+    view = RecordView.of(record)
+    count = view.count
+    if not 0 <= at < count:
+        raise RestoreError(f"rebase point {at} outside chain of {count}")
 
+    def build(staged) -> None:
+        writer = RecordWriter(staged, method=view.header.get("method", ""))
+        for old_id in range(at, count):
+            state = materialize_index(*resolve_source(view, old_id)[:2])
+            if old_id == at:
+                spec = view.spec
+                diff = CheckpointDiff(
+                    method="full",
+                    ckpt_id=0,
+                    data_len=spec.data_len,
+                    chunk_size=spec.chunk_size,
+                    payload=state.tobytes(),
+                )
+            else:
+                diff = _rewrite_diff(view.frame(old_id), at, state)
+            writer.append(diff)
+        verification = verify_record(staged)
+        if not verification.ok:
+            raise StorageError(
+                f"rebased record {staged.path} fails verification; "
+                f"{view.path} is untouched:\n{verification.summary()}"
+            )
 
-def rebase_stored_record(directory: Union[str, Path], at: int) -> Path:
-    """Rebase a *stored* record directory, index included.
-
-    Loads the record, rewrites the chain with :func:`rebase_record` and
-    saves it to the sibling ``<name>.rebase-new``, which must pass
-    :func:`~repro.core.store.verify_record`.  Only then is the record
-    swapped: ``<name>`` is renamed to ``<name>.rebase-old``,
-    ``.rebase-new`` to ``<name>``, and ``.rebase-old`` deleted last.  A
-    failure before the first rename leaves the old record in place; one
-    between the two renames leaves it whole in ``.rebase-old``.  The
-    directory moves as a whole, so it must hold nothing but the record.
-    Emits a ``rebase`` journal event recording that the index was
-    rewritten.
-    """
-    path = Path(directory)
-    manifest = record_manifest(path)
-    diffs = load_record(path)
-    new_diffs = rebase_record(diffs, at)
-
-    staged = path.with_name(path.name + ".rebase-new")
-    old = path.with_name(path.name + ".rebase-old")
-    for leftover in (staged, old):  # an earlier, interrupted rebase's
-        if leftover.exists():
-            shutil.rmtree(leftover)
-    save_record(new_diffs, staged, method=manifest.get("method", ""))
-    verification = verify_record(staged)
-    if not verification.ok:
-        raise StorageError(
-            f"rebased record {staged} fails verification; {path} is "
-            f"untouched:\n{verification.summary()}"
-        )
-    os.rename(path, old)
-    os.rename(staged, path)
-    shutil.rmtree(old)
+    view.store.swap(build)
     events.emit(
         events.REBASE,
-        path=str(path),
+        path=str(view.path),
         at=at,
-        old_checkpoints=len(diffs),
-        new_checkpoints=len(new_diffs),
+        old_checkpoints=count,
+        new_checkpoints=count - at,
     )
-    return path
+    return view.path if isinstance(view.store, DirectoryStore) else view.store
 
 
 def _rewrite_diff(diff: CheckpointDiff, at: int, state: np.ndarray) -> CheckpointDiff:

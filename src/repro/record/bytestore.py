@@ -1,10 +1,12 @@
 """The byte store a record lives in: the only code that touches its files.
 
 A record is a handful of named byte strings (:mod:`.log` names them), and
-the record code needs eight operations on them: :meth:`create` (a new
+the record code needs nine operations on them: :meth:`create` (a new
 file holding exactly these bytes), :meth:`append`, :meth:`pread`,
 :meth:`size`, :meth:`replace` (an atomic whole-file swap), :meth:`truncate`
-(cut what an interrupted append left), :meth:`list` and :meth:`remove`.
+(cut what an interrupted append left), :meth:`list`, :meth:`remove` and
+:meth:`swap` (replace the whole record by a new generation built beside
+it — how a rebase and a restart replace a record's history).
 :class:`DirectoryStore` keeps them as files of one directory and
 :class:`MemoryStore` in RAM; the writer and every reader run the same
 code over either, so a unit that keeps its record in memory and one that
@@ -17,8 +19,11 @@ A missing file is :class:`FileNotFoundError` from :meth:`pread` and
 from __future__ import annotations
 
 import os
+import shutil
 from pathlib import Path
-from typing import Dict, List, Optional, Union
+from typing import Callable, Dict, List, Optional, TypeVar, Union
+
+T = TypeVar("T")
 
 
 class DirectoryStore:
@@ -33,8 +38,15 @@ class DirectoryStore:
     def __init__(self, directory: Union[str, os.PathLike], create: bool = False) -> None:
         #: The directory the record's files live in.
         self.path = Path(directory)
+        if not self.path.exists() and self._sibling("old").exists():
+            # A swap was cut between its two renames: the old generation
+            # is whole beside the record, so it is the record again.
+            os.rename(self._sibling("old"), self.path)
         if create:
             self.path.mkdir(parents=True, exist_ok=True)
+
+    def _sibling(self, suffix: str) -> Path:
+        return self.path.with_name(f"{self.path.name}.{suffix}")
 
     def _at(self, name: str) -> str:
         return os.path.join(self.path, name)
@@ -89,6 +101,32 @@ class DirectoryStore:
         except FileNotFoundError:
             pass
 
+    def swap(self, build: Callable[["DirectoryStore"], T]) -> T:
+        """Replace the record by the generation *build* writes into an
+        empty directory beside it (``<name>.new``); returns what *build*
+        returns, and the store *build* wrote to names the record from then
+        on.
+
+        The directories trade places by two renames, and the old one is
+        deleted last.  A crash before the first rename leaves the old
+        generation in place (the next swap clears the partial new one);
+        one between the renames leaves it whole in ``<name>.old``, where
+        opening the store finds it and renames it back; after the second
+        rename the new generation is the record.  The directory moves as
+        a whole, so it must hold nothing but the record.
+        """
+        staged, old = self._sibling("new"), self._sibling("old")
+        for leftover in (staged, old):  # an earlier, interrupted swap's
+            if leftover.exists():
+                shutil.rmtree(leftover)
+        store = type(self)(staged, create=True)
+        result = build(store)
+        os.rename(self.path, old)
+        os.rename(staged, self.path)
+        store.path = self.path
+        shutil.rmtree(old)
+        return result
+
 
 class MemoryStore:
     """A record's files in RAM: the store of a unit that keeps no record
@@ -132,6 +170,16 @@ class MemoryStore:
 
     def remove(self, name: str) -> None:
         self._files.pop(name, None)
+
+    def swap(self, build: Callable[["MemoryStore"], T]) -> T:
+        """Replace the record by the generation *build* writes into an
+        empty store; returns what *build* returns.  The file table is
+        replaced in one assignment, so the record is the old generation
+        until the new one is whole; from then on both stores hold it."""
+        store = type(self)()
+        result = build(store)
+        self._files = store._files
+        return result
 
 
 #: Either store.

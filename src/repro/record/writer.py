@@ -15,7 +15,7 @@ from ..errors import IntegrityError, RestoreError, StorageError
 from ..telemetry import events
 from . import index
 from .bytestore import ByteStore, as_store
-from .frames import STATUS_OK, check_frame, frame_name, frame_names
+from .frames import STATUS_OK, check_frame, frame_name
 from .log import FORMAT_VERSION, HEADER_FILE, INDEX_FILE, LOG_BODY, LOG_ENTRY
 from .log import LOG_FILE, is_record
 from .view import RecordView
@@ -69,18 +69,10 @@ class RecordWriter:
     """
 
     def __init__(self, directory: Union[str, Path, ByteStore], method: str = "") -> None:
-        #: The byte store the record lives in, and where that is.
+        #: The byte store the record lives in.
         self.store = as_store(directory, create=True)
-        self.path = self.store.path
         self.method = method
         self._closed = False
-        self._clear()
-        if is_record(self.store):
-            self.view = RecordView(self.store)
-            self._open_existing(self.view)
-
-    def _clear(self) -> None:
-        """The state of a writer on an empty record."""
         #: The record as this writer opened it (``None``: there was none).
         self.view: Optional[RecordView] = None
         self._header: Optional[dict] = None  # record.json as it stands on disk
@@ -90,8 +82,16 @@ class RecordWriter:
         self._index_end = 0  # byte offset past the last committed row-group
         self._keyframe_bytes = 0  # the last keyframe group ...
         self._delta_bytes = 0  # ... and the delta groups since it
+        if is_record(self.store):
+            self.view = RecordView(self.store)
+            self._open_existing(self.view)
 
     # ------------------------------------------------------------------
+    @property
+    def path(self):
+        """Where the record lives (a swap may move the store's files)."""
+        return self.store.path
+
     @property
     def count(self) -> int:
         """Checkpoints the record currently holds."""
@@ -275,10 +275,3 @@ class RecordWriter:
             checkpoint_bytes=len(blob),
         )
         return receipt
-
-    def reset(self) -> None:
-        """Drop the record entirely (a crashed chain restarts at 0)."""
-        # The log first: from then on the record holds no checkpoint.
-        for name in (LOG_FILE, INDEX_FILE, HEADER_FILE, *frame_names(self.store)):
-            self.store.remove(name)
-        self._clear()

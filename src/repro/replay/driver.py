@@ -346,8 +346,8 @@ def drive_run(
     state — the driven run stays a pure function of ``(config,
     schedule)``.
     """
-    from ..core.provenance import gather_states
-    from ..runtime.node import NodeRuntime
+    from ..core.provenance import materialize_index, resolve_source
+    from ..runtime.node import NodeRuntime, restore_newest
 
     if schedule.record_faults and workdir is None:
         raise ReplayError("record faults need a workdir to corrupt a record in")
@@ -472,15 +472,20 @@ def drive_run(
                 }
 
         # ---- final restore per rank: prove durable bytes -------------
+        # From each rank's record, as a restart would: its newest durable
+        # checkpoint the record restores.  Nothing durable (or nothing
+        # restorable) restores the empty state (target -1).
         for p in range(config.num_processes):
-            chain = node.durable_chain(p, horizon)
-            # Nothing durable restores the empty state (target -1).
-            target, state = -1, np.zeros(0, dtype=np.uint8)
-            if chain:
-                target = chain[-1].ckpt_id
-                (state,) = gather_states(
-                    [c.diff for c in chain], start=len(chain) - 1
-                )
+            store = node.checkpointers[p].record.writer.store
+            entry, state, _ = restore_newest(
+                node.durable_chain(p, horizon),
+                lambda k: materialize_index(*resolve_source(store, k)[:2]),
+            )
+            target = -1
+            if entry is None:
+                state = np.zeros(0, dtype=np.uint8)
+            else:
+                target = entry.ckpt_id
                 if target < len(snapshots[p]) and not np.array_equal(
                     state, snapshots[p][target]
                 ):

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Union
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -23,7 +23,7 @@ from ..core.checkpointer import IncrementalCheckpointer
 from ..core.chunking import ChunkSpec
 from ..core.diff import CheckpointDiff
 from ..core.sharded_restore import restore_sharded
-from ..errors import SimulationError
+from ..errors import ReproError, SimulationError
 from ..gpusim.cluster import NodeSpec, thetagpu_node
 from ..utils.validation import positive_float, positive_int
 from .. import telemetry
@@ -68,9 +68,9 @@ class PersistedCheckpoint:
     """One checkpoint of one process as the durability tracker sees it."""
 
     ckpt_id: int
-    #: Kept only for the frozen end-to-end harness (it reads each diff's
-    #: sizes off the ledger) and a replayed run's final restore, until
-    #: both read the unit's record.
+    #: Read only by the frozen end-to-end benchmark's accounting pass (it
+    #: reads each diff's sizes off the ledger); every restore reads the
+    #: unit's record.
     diff: CheckpointDiff
     #: Simulated time the engine finished producing the diff — work up to
     #: this moment is recoverable once the diff is durable.
@@ -106,6 +106,29 @@ class CrashReport:
     restore_sources: int = 0
     #: GPUs the restore's gathers were sharded across (1 = single-GPU).
     restore_fan_out: int = 1
+    #: Durable checkpoints the record could not restore, newest first:
+    #: the restart fell back past each of them.
+    skipped_ckpts: List[int] = field(default_factory=list)
+
+
+def restore_newest(
+    chain: Sequence[PersistedCheckpoint], restore: Callable[[int], Any]
+) -> Tuple[Optional[PersistedCheckpoint], Any, List[int]]:
+    """Restore the newest checkpoint of *chain* the record can restore.
+
+    ``restore(ckpt_id)`` is tried newest first; a try that raises a
+    :class:`~repro.errors.ReproError` (a frame gone or damaged, an index
+    group that fails its digest) is skipped.  Returns ``(entry, result,
+    skipped)``: the ledger entry restored and what *restore* returned —
+    both ``None`` when no checkpoint restores — and the ids skipped.
+    """
+    skipped: List[int] = []
+    for entry in reversed(chain):
+        try:
+            return entry, restore(entry.ckpt_id), skipped
+        except ReproError:
+            skipped.append(entry.ckpt_id)
+    return None, None, skipped
 
 
 class NodeRuntime:
@@ -136,8 +159,8 @@ class NodeRuntime:
         each process's unit keeps its record at ``record_root/p{rank}``
         (:meth:`record_path`); otherwise in RAM.  Either way the unit
         appends every checkpoint as it commits, and a crash/restart
-        restores from that record, then resets it and re-seeds it with
-        the restart checkpoint, mirroring the ledger.
+        restores from that record, then replaces it by a new generation
+        seeded with the restart checkpoint, mirroring the ledger.
     heartbeat_interval:
         Expected simulated seconds between checkpoint rounds (the
         cadence period).  Stamped on every ``heartbeat`` journal event so
@@ -202,14 +225,16 @@ class NodeRuntime:
         ]
         self.crash_reports: List[CrashReport] = []
 
-    def _new_checkpointer(self, process: int) -> IncrementalCheckpointer:
+    def _new_checkpointer(self, process: int, store=None) -> IncrementalCheckpointer:
+        """A fresh unit for *process*, its record at :meth:`record_path`
+        or in *store*."""
         return IncrementalCheckpointer(
             self._data_len,
             self._chunk_size,
             method=self._method,
             device=self.node.device,
             pcie_contention=self.node.pcie_contention(self.num_processes),
-            record_dir=self.record_path(process),
+            record_dir=self.record_path(process) if store is None else store,
         )
 
     @property
@@ -364,31 +389,39 @@ class NodeRuntime:
         """Crash *process* at simulated time *at_time* and restart it.
 
         The process loses its in-memory state and every checkpoint still
-        in flight through the hierarchy; it restarts from the latest
+        in flight through the hierarchy.  It restarts from the newest
         checkpoint the ledger says was *durable* (had reached the
-        terminal tier) by ``at_time``, restored from the crashed unit's
-        own record: one keyframe span of its index and the frames that
-        row names, read at the terminal tier's bandwidth.  A record that
-        cannot restore it (a frame gone or damaged) raises; nothing is
-        restored from memory.  The process's checkpointer is then
-        replaced with a fresh one over a reset record, seeded by
-        re-checkpointing the restored state, so the dedup chain restarts
-        consistently.
+        terminal tier) by ``at_time`` that the crashed unit's own record
+        can restore: one keyframe span of its index and the frames that
+        row names, read at the terminal tier's bandwidth.  A checkpoint
+        the record cannot restore (a frame gone or damaged) is skipped
+        and the next older one tried (:func:`restore_newest`); nothing is
+        restored from memory.  When none restores — or nothing was
+        durable — the restart is cold, from zeros.  Lost work runs from
+        the restored checkpoint's production (the crash time, cold), and
+        the ``restart`` event and the report name the skipped ids.
+
+        The unit's record is then replaced by a new generation: a fresh
+        unit is built over an empty store beside the record, seeded by
+        re-checkpointing the restored state (so the dedup chain restarts
+        consistently), and only then swapped in
+        (:meth:`~repro.record.bytestore.DirectoryStore.swap`), so a crash
+        anywhere in the restart leaves the old generation or the new one.
 
         ``fan_out`` shards the restore's gathers across that many of the
         node's GPUs (the crashed process's siblings are idle during a
         restart, so borrowing them is free).  Every fan-out, 1 included,
-        is one call of :func:`~repro.core.sharded_restore.restore_sharded`:
-        each shard gathers its chunk range on its own ``DeviceSpace``, and
-        the restore cost is the fleet critical path — the record read
-        overlapped with the gathers — with every rank under the node's
-        PCIe contention at that fan-out.  Output is bit-identical at
-        every fan-out.
+        is one call of :func:`~repro.core.sharded_restore.restore_sharded`
+        per try: each shard gathers its chunk range on its own
+        ``DeviceSpace``, and the restore cost is the fleet critical path —
+        the record read overlapped with the gathers — with every rank
+        under the node's PCIe contention at that fan-out.  Output is
+        bit-identical at every fan-out, and only the try that restores
+        journals a ``restore`` event.
 
         ``scrub`` has no effect: every frame read is verified.  A fan-out
         the node cannot serve is refused before the crash is journalled
-        (:meth:`crash`); the restart restores the newest checkpoint of
-        :meth:`durable_chain`.
+        (:meth:`crash`).
 
         Returns a :class:`CrashReport` with the restored state, the
         lost-work metric, and the restore's simulated cost.
@@ -406,57 +439,67 @@ class NodeRuntime:
             )
         in_flight = self.crash(process, at_time)
         chain = self.durable_chain(process, at_time)
+        store = self.checkpointers[process].record.writer.store
+
+        def restore(ckpt_id: int):
+            return restore_sharded(
+                store,
+                fan_out,
+                self.node.device,
+                [self.node.pcie_contention(fan_out)] * fan_out,
+                upto=ckpt_id,
+                read_bandwidth=self.pipeline.tiers[-1].bandwidth,
+                path="sharded_node",
+                node=self.name,
+                rank=process,
+                sim_time=at_time,
+            )
 
         restore_seconds = 0.0
         restore_payload_bytes = 0
         restore_sources = 0
+        entry, restored_id, skipped = None, None, []
         if chain:
-            last = chain[-1]
-            restored_id: Optional[int] = last.ckpt_id
-            lost = max(0.0, at_time - last.produced_at)
             with telemetry.span(
                 "node.crash_restart",
                 process=process,
                 crash_time=at_time,
                 fan_out=fan_out,
             ) as span:
-                restored, rreport = restore_sharded(
-                    self.checkpointers[process].record.writer.store,
-                    fan_out,
-                    self.node.device,
-                    [self.node.pcie_contention(fan_out)] * fan_out,
-                    upto=last.ckpt_id,
-                    read_bandwidth=self.pipeline.tiers[-1].bandwidth,
-                    path="sharded_node",
-                    node=self.name,
-                    rank=process,
-                    sim_time=at_time,
-                )
-                restore_seconds = rreport.critical_path_seconds
-                restore_payload_bytes = rreport.total_payload_bytes_read
-                restore_sources = rreport.sources
+                entry, result, skipped = restore_newest(chain, restore)
+                if entry is not None:
+                    restored, rreport = result
+                    restored_id = entry.ckpt_id
+                    restore_seconds = rreport.critical_path_seconds
+                    restore_payload_bytes = rreport.total_payload_bytes_read
+                    restore_sources = rreport.sources
                 span.set(
-                    restored_ckpt_id=last.ckpt_id,
+                    restored_ckpt_id=restored_id,
                     payload_bytes=restore_payload_bytes,
                     sources=restore_sources,
+                    skipped=len(skipped),
                 )
-        else:
+        if entry is None:
             telemetry.instant("node.cold_restart", process=process)
             restored = np.zeros(self._data_len, dtype=np.uint8)
-            restored_id = None
             lost = at_time
+        else:
+            lost = max(0.0, at_time - entry.produced_at)
 
-        # Replace the crashed process's checkpointer over a reset record
-        # and rebuild its dedup state from the restored checkpoint.  The
-        # new unit's chain restarts at checkpoint 0, so the durability
-        # ledger restarts with it: the restart checkpoint is durable by
-        # construction (it was rebuilt from bytes already on the terminal
-        # tier), and re-seeds the record at once.
-        self.checkpointers[process].record.writer.reset()
-        unit = self.checkpointers[process] = self._new_checkpointer(process)
+        # A new generation of the record, built beside it and swapped in
+        # whole.  The new unit's chain restarts at checkpoint 0, so the
+        # durability ledger restarts with it: the restart checkpoint is
+        # durable by construction (it was rebuilt from bytes already on
+        # the terminal tier).
+        def seed(staged) -> IncrementalCheckpointer:
+            unit = self._new_checkpointer(process, staged)
+            if restored_id is not None:
+                unit.checkpoint(restored)
+            return unit
+
+        unit = self.checkpointers[process] = store.swap(seed)
         self.persisted[process] = []
         if restored_id is not None:
-            unit.checkpoint(restored)
             self.persisted[process].append(
                 PersistedCheckpoint(
                     ckpt_id=unit.last_diff.ckpt_id,
@@ -477,6 +520,7 @@ class NodeRuntime:
             restore_seconds=restore_seconds,
             restore_payload_bytes=restore_payload_bytes,
             restore_sources=restore_sources,
+            skipped_ckpts=skipped,
         )
         report = CrashReport(
             process=process,
@@ -489,6 +533,7 @@ class NodeRuntime:
             restore_payload_bytes=restore_payload_bytes,
             restore_sources=restore_sources,
             restore_fan_out=fan_out,
+            skipped_ckpts=skipped,
         )
         self.crash_reports.append(report)
         _CRASH_RESTARTS.inc()

@@ -59,7 +59,6 @@ from .metrics import (
 from .attribution import (
     ChunkCensus,
     RecordAttribution,
-    attribute_diffs,
     attribute_record,
     chunk_size_sweep,
 )
@@ -131,7 +130,6 @@ __all__ = [
     "RecordAttribution",
     "SpanRecord",
     "Tracer",
-    "attribute_diffs",
     "attribute_record",
     "build_rollup",
     "chunk_size_sweep",

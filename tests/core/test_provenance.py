@@ -18,7 +18,6 @@ from repro.core import (
     ProvenanceTable,
     RecordWriter,
     Restorer,
-    gather_states,
     load_provenance,
     load_record,
     record_manifest,
@@ -78,8 +77,16 @@ class TestEquivalence:
 
     @pytest.mark.parametrize("method", ["full", "basic", "list", "tree"])
     def test_gather_states_matches_replay(self, method, rng):
+        """States gathered from a record one at a time, as the rebase and
+        the sweep read them, match replay."""
+        from repro.core import materialize_index, resolve_source
+
         diffs, states = _chain(method, rng)
-        gathered = list(gather_states(diffs, start=2))
+        record = ram_record(diffs)
+        gathered = [
+            materialize_index(*resolve_source(record, k)[:2])
+            for k in range(2, len(diffs))
+        ]
         assert len(gathered) == len(diffs) - 2
         for got, want in zip(gathered, states[2:]):
             assert np.array_equal(got, want)
@@ -109,7 +116,7 @@ class TestEquivalence:
         record = ram_record(diffs)
         for k in (1, len(diffs) - 1):
             index, payload_of, _ = resolve_source(record, k)
-            external = builder.index_for(k)
+            external = builder.indexes[k]
             assert np.array_equal(external.src_ckpt, index.src_ckpt)
             assert np.array_equal(external.src_off, index.src_off)
             assert np.array_equal(materialize_index(external, payload_of), states[k])
@@ -199,7 +206,7 @@ def _redigest(record, ckpt_id):
 class TestTablePersistence:
     def test_round_trip(self, rng):
         diffs, _ = _chain("tree", rng)
-        table = ProvenanceTable.from_diffs(diffs)
+        table = load_provenance(ram_record(diffs))
         for deltas in ((), (1, 3, 4), range(1, len(diffs))):
             src_ckpt, src_off = _decode(_encode(table, deltas))
             assert np.array_equal(src_ckpt, table.src_ckpt)
@@ -209,7 +216,7 @@ class TestTablePersistence:
 
     def test_bit_flip_detected(self, rng):
         diffs, _ = _chain("list", rng)
-        table = ProvenanceTable.from_diffs(diffs)
+        table = load_provenance(ram_record(diffs))
         for deltas in ((), (2,)):
             groups = _encode(table, deltas)
             record, digest = groups[2]
@@ -221,7 +228,7 @@ class TestTablePersistence:
 
     def test_truncation_detected(self, rng):
         diffs, _ = _chain("basic", rng)
-        groups = _encode(ProvenanceTable.from_diffs(diffs))
+        groups = _encode(load_provenance(ram_record(diffs)))
         record, digest = groups[-1]
         for cut in (record[:-8], record[:40]):
             groups[-1] = (cut, digest)
@@ -234,7 +241,7 @@ class TestTablePersistence:
         # past the *last* group of the file are an interrupted append's
         # orphan, never read: test_orphan_index_bytes_survive_reopen.)
         diffs, _ = _chain("basic", rng)
-        groups = _encode(ProvenanceTable.from_diffs(diffs))
+        groups = _encode(load_provenance(ram_record(diffs)))
         record, digest = groups[0]
         groups[0] = (record + b"\0" * 5, digest)
         with pytest.raises(IntegrityError, match="misframed"):
@@ -243,7 +250,7 @@ class TestTablePersistence:
     def test_log_digest_must_match_too(self, rng):
         # A group that self-verifies but is not the one the log sealed.
         diffs, _ = _chain("tree", rng)
-        groups = _encode(ProvenanceTable.from_diffs(diffs))
+        groups = _encode(load_provenance(ram_record(diffs)))
         groups[1] = (groups[1][0], groups[2][1])
         with pytest.raises(IntegrityError, match="row-group 1 digest mismatch"):
             _decode(groups)
@@ -268,7 +275,7 @@ class TestTablePersistence:
         shifted.shift_ref_ckpts = np.full_like(shifted.shift_ref_ckpts, 3)
         broken = [shifted]
         with pytest.raises(ReproError):
-            ProvenanceTable.from_diffs(broken)
+            ProvenanceBuilder().extend(broken)
         directory = tmp_path / "rec"
         with pytest.raises(StorageError, match="cannot append checkpoint 0"):
             save_record(broken, directory)
@@ -281,7 +288,7 @@ class TestRpixV2:
 
     def test_v2_much_smaller_than_raw(self, rng):
         diffs, _ = _chain("tree", rng)
-        table = ProvenanceTable.from_diffs(diffs)
+        table = load_provenance(ram_record(diffs))
         assert len(_blob(table)) < table.raw_index_bytes / 4
 
     @pytest.mark.parametrize("version", [1, 2, 3])
@@ -290,7 +297,7 @@ class TestRpixV2:
         row-groups under a row-counting prologue) are not read: a blob
         claiming any of them is refused, whatever follows it."""
         diffs, _ = _chain("list", rng)
-        table = ProvenanceTable.from_diffs(diffs)
+        table = load_provenance(ram_record(diffs))
         header = struct.pack(
             "<4sHHIIQI",
             _TABLE_MAGIC,
@@ -329,7 +336,7 @@ class TestRpixV2:
         """A group is a keyframe (1) or a delta (2): a well-formed group of
         any other kind (nothing ever wrote one) is not read."""
         diffs, _ = _chain("tree", rng, steps=2)
-        table = ProvenanceTable.from_diffs(diffs)
+        table = load_provenance(ram_record(diffs))
         record, _ = encode_group(table.row(1))
         body = record[_GROUP_HEADER.size :]
         digest = hashlib.sha256(struct.pack("<II", 1, 3) + body).digest()
@@ -354,7 +361,7 @@ class TestRpixV2:
 
     def test_unknown_version_rejected(self, rng):
         diffs, _ = _chain("full", rng, steps=2)
-        blob = bytearray(_blob(ProvenanceTable.from_diffs(diffs)))
+        blob = bytearray(_blob(load_provenance(ram_record(diffs))))
         blob[4:6] = (99).to_bytes(2, "little")  # version field
         with pytest.raises(IntegrityError, match="version"):
             decode_prologue(bytes(blob))
@@ -365,7 +372,7 @@ class TestRpixV2:
 
     def test_damaged_plane_detected_even_unverified(self, rng):
         diffs, _ = _chain("tree", rng)
-        groups = _encode(ProvenanceTable.from_diffs(diffs))
+        groups = _encode(load_provenance(ram_record(diffs)))
         last = len(groups) - 1
         damaged = bytearray(groups[last][0])
         damaged[-1] ^= 0xFF  # inside the last compressed plane
@@ -377,7 +384,7 @@ class TestRpixV2:
 
     def test_truncated_plane_detected(self, rng):
         diffs, _ = _chain("tree", rng)
-        groups = _encode(ProvenanceTable.from_diffs(diffs))
+        groups = _encode(load_provenance(ram_record(diffs)))
         last = len(groups) - 1
         record = groups[last][0]
         body_len, _held, kind, stored = _GROUP_HEADER.unpack_from(record)
@@ -392,7 +399,7 @@ class TestRpixV2:
         """A delta body that hashes to its (recomputed) digest but is not
         a delta: ragged, ids unsorted or past the last chunk, no base."""
         diffs, _ = _chain("tree", rng)
-        table = ProvenanceTable.from_diffs(diffs)
+        table = load_provenance(ram_record(diffs))
         groups = _encode(table, deltas=(2,))
         record, digest = groups[2]
         body = bytearray(record[48:])

@@ -137,16 +137,24 @@ class TestByteIdentity:
         writer.append(diffs[5])
         assert _dir_bytes(tmp_path / "inc") == _dir_bytes(tmp_path / "whole")
 
-    def test_reset_restarts_the_record(self, rng, tmp_path):
+    def test_a_swap_restarts_the_record(self, rng, tmp_path):
+        """A record whose history a swap replaced is byte-identical to the
+        new chain written whole, and its writer appends on from there."""
         first = _chain("tree", 4, rng)
         writer = RecordWriter(tmp_path / "rec", method="tree")
         for diff in first:
             writer.append(diff)
-        writer.reset()
-        assert writer.count == 0
-        second = _chain("tree", 3, rng)
-        for diff in second:
-            writer.append(diff)
+        second = _chain("tree", 4, rng)
+
+        def build(staged):
+            new = RecordWriter(staged, method="tree")
+            for diff in second[:3]:
+                new.append(diff)
+            return new
+
+        writer = writer.store.swap(build)
+        assert writer.count == 3 and writer.path == tmp_path / "rec"
+        writer.append(second[3])
         save_record(second, tmp_path / "whole", method="tree")
         assert _dir_bytes(tmp_path / "rec") == _dir_bytes(tmp_path / "whole")
 
@@ -428,7 +436,7 @@ class TestRowGroupDamage:
         assert log[last].group_kind == DELTA
         builder = ProvenanceBuilder()
         builder.extend(diffs)
-        keyframe, digest = encode_group(builder.index_for(last))
+        keyframe, digest = encode_group(builder.indexes[last])
         index_path = directory / "provenance.rpix"
         index_path.write_bytes(
             index_path.read_bytes()[: log[last].group_off] + keyframe
@@ -476,9 +484,9 @@ class TestSizeRule:
         builder.extend(diffs)
         blob = (directory / "provenance.rpix").read_bytes()
         for k, entry in enumerate(log):
-            row = builder.index_for(k)
+            row = builder.indexes[k]
             if k:
-                changed = changed_chunks(builder.index_for(k - 1), row)
+                changed = changed_chunks(builder.indexes[k - 1], row)
                 assert 48 + 16 * changed.size >= log[k - 1].group_len
             body = _pack_planes(row.src_ckpt, row.src_off)
             digest = hashlib.sha256(struct.pack("<II", k, 1) + body).digest()

@@ -5,8 +5,8 @@ import pytest
 
 from repro.core import (
     ENGINES,
+    ProvenanceBuilder,
     Restorer,
-    gather_states,
     restore_record_indexed,
     save_record,
 )
@@ -125,7 +125,10 @@ class TestScrubbing:
 
     def test_clean_chain_scrubs_identically(self, tree_chain):
         plain = Restorer().restore_all(tree_chain)
-        gathered = list(gather_states(tree_chain))
+        record = ram_record(tree_chain)
+        gathered = [
+            restore_record_indexed(record, k)[0] for k in range(len(tree_chain))
+        ]
         assert len(gathered) == len(plain)
         for a, b in zip(plain, gathered):
             assert np.array_equal(a, b)
@@ -152,7 +155,7 @@ class TestScrubbing:
         chain = self._damaged(tree_chain, payload=tree_chain[2].payload[:-7])
         for restore in (
             lambda: Restorer().restore_all(chain),
-            lambda: list(gather_states(chain)),
+            lambda: ProvenanceBuilder().extend(chain),
         ):
             with pytest.raises(RestoreError, match="ckpt 2"):
                 restore()
@@ -173,7 +176,7 @@ class TestScrubbing:
         )
         for restore in (
             lambda: Restorer().restore_all([d0, d1]),
-            lambda: list(gather_states([d0, d1])),
+            lambda: ProvenanceBuilder().extend([d0, d1]),
         ):
             with pytest.raises(RestoreError, match="ckpt 1"):
                 restore()

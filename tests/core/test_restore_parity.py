@@ -116,7 +116,7 @@ def test_every_stored_row_equals_the_composed_row(method, rng, tmp_path):
     builder.extend(diffs)
     directory = save_record(diffs, tmp_path / "rec", method=method)
     for k in range(len(diffs)):
-        got, want = load_provenance(directory, ckpt=k), builder.index_for(k)
+        got, want = load_provenance(directory, ckpt=k), builder.indexes[k]
         assert (got.ckpt_id, got.data_len, got.chunk_size) == (k, N, CS)
         for name in ("src_ckpt", "src_off"):
             a, b = getattr(got, name), getattr(want, name)
@@ -163,4 +163,4 @@ def test_every_shift_names_bytes_its_checkpoint_stored(method, steps, seed):
         cmap = chunk_map(diff)
         for t in np.unique(cmap.refs).tolist():
             src = cmap.src[cmap.refs == t]
-            assert np.all(builder.index_for(t).src_ckpt[src] == t), (diff.ckpt_id, t)
+            assert np.all(builder.indexes[t].src_ckpt[src] == t), (diff.ckpt_id, t)

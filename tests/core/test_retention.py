@@ -10,17 +10,16 @@ import pytest
 from repro.core import (
     ENGINES,
     Restorer,
+    load_provenance,
     load_record,
     rebase_stored_record,
     restore_indexed,
     save_record,
-    payload_dependencies,
-    rebase_record,
-    required_payloads,
     verify_chain,
 )
 from repro.core import retention
 from repro.errors import RestoreError, StorageError
+from repro.record import bytestore
 from tests.conftest import ram_record
 
 
@@ -46,6 +45,18 @@ def chain(stream, method="tree"):
     return [engine.checkpoint(c) for c in stream]
 
 
+def rebase_record(diffs, at):
+    """*diffs* as a RAM record rebased at *at*, read back as a chain."""
+    return load_record(rebase_stored_record(ram_record(diffs), at))
+
+
+def payload_dependencies(diffs, upto):
+    """The checkpoints whose payloads checkpoint *upto* of the record of
+    *diffs* reads: what its stored provenance row references."""
+    row = load_provenance(ram_record(diffs), ckpt=upto)
+    return {int(t) for t in row.referenced()}
+
+
 class TestDependencies:
     def test_checkpoint_zero_depends_only_on_itself(self, stream):
         assert payload_dependencies(chain(stream), 0) == {0}
@@ -63,8 +74,10 @@ class TestDependencies:
             assert payload_dependencies(diffs, k) == {k}
 
     def test_required_payloads_union(self, stream):
+        """Rows read one at a time name what the stacked table's rows do."""
         diffs = chain(stream)
-        combined = required_payloads(diffs, [2, 4])
+        table = load_provenance(ram_record(diffs))
+        combined = set(np.unique(table.src_ckpt[[2, 4]]).tolist()) - {-1}
         assert combined == payload_dependencies(diffs, 2) | payload_dependencies(
             diffs, 4
         )
@@ -107,7 +120,7 @@ class TestRebaseProperties:
     def test_out_of_range_rejected(self, stream):
         diffs = chain(stream)
         with pytest.raises(RestoreError):
-            rebase_record(diffs, len(diffs))
+            rebase_stored_record(ram_record(diffs), len(diffs))
 
     def test_rebase_at_zero_replaces_only_base(self, stream):
         diffs = chain(stream, "tree")
@@ -149,10 +162,10 @@ class TestRebaseProperties:
 
 
 def test_rebase_holds_one_state_not_the_history(rng):
-    """The rebase gathers states one at a time: on a 48-checkpoint chain
-    its tracemalloc peak — one state, the provenance rows (12 B per chunk
-    per checkpoint) and the rebased chain it returns — stays under 8
-    buffers, where replaying the history holds all 48.  Its output
+    """The rebase gathers states from the record one at a time: on a
+    48-checkpoint chain its tracemalloc peak — one state, the frames its
+    row names, and the new generation it writes — stays under 8 buffers,
+    where replaying the history holds all 48.  Its output
     equals, frame for frame, the rebase built from the replay oracle's
     states."""
     import tracemalloc
@@ -172,14 +185,16 @@ def test_rebase_holds_one_state_not_the_history(rng):
         diffs.append(engine.checkpoint(cur))
 
     rebase_record(diffs[:2], 0)  # first-call imports are not the rebase's
+    record = ram_record(diffs)
     tracemalloc.start()
     try:
         tracemalloc.reset_peak()
-        rebased = rebase_record(diffs, at)
+        rebase_stored_record(record, at)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < 8 * n, f"rebase peak {peak} B for a {n} B buffer"
+    rebased = load_record(record)
 
     states = Restorer().restore_all(diffs)
     expected = [
@@ -198,24 +213,16 @@ def test_rebase_holds_one_state_not_the_history(rng):
 class TestRebaseIndex:
     """A rebase invalidates the provenance index; the rewrite renews it."""
 
-    @staticmethod
-    def _materialize(table, diffs, upto):
-        from repro.core import materialize_index
-
-        def payload_of(t):
-            return np.frombuffer(diffs[t].payload, dtype=np.uint8)
-
-        return materialize_index(table.row(upto), payload_of)
-
     def test_indexed_restore_after_rebase_bit_identical(self, stream):
-        from repro.core import ProvenanceTable, rebase_record
+        from repro.core import load_record_frames, materialize_index
 
         diffs = chain(stream)
         originals = Restorer().restore_all(diffs)
-        rebased = rebase_record(diffs, 2)
-        table = ProvenanceTable.from_diffs(rebased)
-        for new_id in range(len(rebased)):
-            state = self._materialize(table, rebased, new_id)
+        record = rebase_stored_record(ram_record(diffs), 2)
+        table = load_provenance(record)
+        payloads = load_record_frames(record, range(table.num_checkpoints))
+        for new_id in range(table.num_checkpoints):
+            state = materialize_index(table.row(new_id), payloads.__getitem__)
             assert np.array_equal(state, originals[new_id + 2])
 
     def test_rebase_stored_record_rewrites_index_on_disk(self, stream, tmp_path):
@@ -264,8 +271,9 @@ class TestRebaseIndex:
 
 
 class TestRebaseSwap:
-    """A stored rebase writes the new chain beside the old one and swaps
-    it in by two renames: a failure at any step leaves a loadable chain."""
+    """A stored rebase writes the new generation beside the record and the
+    byte store swaps it in by two renames: a failure at any step leaves a
+    loadable chain, the old one or the rebased one."""
 
     AT = 2
 
@@ -282,13 +290,9 @@ class TestRebaseSwap:
         class Crash(Exception):
             pass
 
-        real_save, real_verify = retention.save_record, retention.verify_record
+        real_verify = retention.verify_record
         real_rename, real_rmtree = os.rename, shutil.rmtree
         renames = []
-
-        def save_then_crash(*args, **kwargs):
-            real_save(*args, **kwargs)
-            raise Crash
 
         def rename(src, dst):
             renames.append(src)
@@ -297,29 +301,34 @@ class TestRebaseSwap:
             real_rename(src, dst)
 
         def rmtree(path, *args, **kwargs):
-            if fail_at == "rmtree" and str(path).endswith(".rebase-old"):
+            if fail_at == "rmtree" and str(path).endswith("rec.old"):
                 raise Crash
             real_rmtree(path, *args, **kwargs)
 
+        def crash_after_save(path):
+            raise Crash  # the new generation is written, not yet verified
+
         if fail_at == "save_record":
-            monkeypatch.setattr(retention, "save_record", save_then_crash)
+            monkeypatch.setattr(retention, "verify_record", crash_after_save)
         elif fail_at == "verify_record":
             monkeypatch.setattr(
                 retention, "verify_record",
                 lambda path: dataclasses.replace(real_verify(path), chain_ok=False),
             )
-        monkeypatch.setattr(retention.os, "rename", rename)
-        monkeypatch.setattr(retention.shutil, "rmtree", rmtree)
+        monkeypatch.setattr(bytestore.os, "rename", rename)
+        monkeypatch.setattr(bytestore.shutil, "rmtree", rmtree)
 
         with pytest.raises((Crash, StorageError)):
             rebase_stored_record(directory, self.AT)
         monkeypatch.undo()
 
-        old = directory.with_name("rec.rebase-old")
+        old = directory.with_name("rec.old")
         if fail_at == "rename-2":
-            # Between the renames: the record is gone, the old chain whole.
-            assert not directory.exists()
-            expect, loaded = states, load_record(old)
+            # Between the renames the old generation is whole beside the
+            # record; opening the store puts it back.
+            assert not directory.exists() and old.exists()
+            expect, loaded = states, load_record(directory)
+            assert not old.exists()
         elif fail_at == "rmtree":
             expect, loaded = states[self.AT :], load_record(directory)
         else:
@@ -329,8 +338,8 @@ class TestRebaseSwap:
         assert len(got) == len(expect)
         assert all(np.array_equal(a, b) for a, b in zip(got, expect))
 
-        if fail_at in ("save_record", "verify_record", "rename-1"):
-            # The interrupted attempt's leftovers do not block a retry.
+        # The interrupted attempt's leftovers do not block a retry.
+        if fail_at != "rmtree":
             rebase_stored_record(directory, self.AT)
             got = Restorer().restore_all(load_record(directory))
             assert all(np.array_equal(a, b) for a, b in zip(got, states[self.AT :]))

@@ -51,7 +51,7 @@ def _chain(method, rng, steps=6, n=N):
 def _index_of(diffs, upto=None):
     builder = ProvenanceBuilder()
     builder.extend(diffs)
-    return builder.index_for(upto if upto is not None else len(diffs) - 1)
+    return builder.indexes[upto if upto is not None else len(diffs) - 1]
 
 
 def _payload_fn(diffs):

@@ -1,23 +1,38 @@
 """The byte store seam: the writer's commit order as a sequence of store
-operations, one code path for a record in RAM and on disk, and the
-directory store's one open and one read per verified frame."""
+operations, one code path for a record in RAM and on disk, the swap that
+replaces a record's history, and the directory store's one open and one
+read per verified frame."""
 
 import os
 
 import numpy as np
+import pytest
 
-from repro.core import ENGINES, IncrementalCheckpointer
+from repro.core import ENGINES, IncrementalCheckpointer, rebase_stored_record
+from repro.core.provenance import restore_indexed
 from repro.record import DirectoryStore, MemoryStore, RecordView, RecordWriter
+from repro.record import bytestore
+from repro.runtime import NodeRuntime
 
 N, CS = 64 * 64, 64
 
 
 class RecordingStore(MemoryStore):
-    """A RAM store that logs every operation as ``(op, name)``."""
+    """A RAM store that logs every operation as ``(op, name)``; the store a
+    swap builds the new generation in logs to the same list."""
 
     def __init__(self):
         super().__init__()
         self.ops = []
+
+    def swap(self, build):
+        def logged(staged):
+            staged.ops = self.ops
+            return build(staged)
+
+        result = MemoryStore.swap(self, logged)
+        self.ops.append(("swap", ""))
+        return result
 
     def _log(op):
         def wrapped(self, name, *args, **kwargs):
@@ -50,6 +65,26 @@ def _writes(ops):
     return [(op, name) for op, name in ops if op not in ("pread", "size")]
 
 
+def _states(rng, n=6):
+    states = [rng.integers(0, 256, N, dtype=np.uint8)]
+    for k in range(1, n):
+        states.append(states[-1].copy())
+        states[-1][k * 512 : k * 512 + 256] = rng.integers(0, 256, 256, dtype=np.uint8)
+    return states
+
+
+def _node_over(store):
+    """A one-process node whose unit keeps its record in *store*."""
+    node = NodeRuntime(N, CS, num_processes=1)
+    node.checkpointers[0] = node._new_checkpointer(0, store)
+    return node
+
+
+def _checkpoint(node, states):
+    for step, state in enumerate(states):
+        node.checkpoint_all([state], now=float(step))
+
+
 class TestCommitOrder:
     def test_first_append_writes_frame_index_header_then_log(self, rng):
         store = RecordingStore()
@@ -75,20 +110,23 @@ class TestCommitOrder:
             ("append", "record.log"),
         ]
 
-    def test_reset_removes_the_log_first(self, rng):
+    def test_a_restart_writes_the_new_generation_then_swaps(self, rng):
+        """A restart writes nothing into the crashed unit's record: the
+        seed checkpoint goes into a new store, in the append order, and
+        one swap replaces the record by it."""
         store = RecordingStore()
-        writer = RecordWriter(store, method="tree")
-        for diff in _chain(rng):
-            writer.append(diff)
+        node = _node_over(store)
+        _checkpoint(node, _states(rng))
         store.ops.clear()
-        writer.reset()
-        removed = [name for op, name in store.ops if op == "remove"]
-        assert removed[0] == "record.log"
-        assert sorted(removed) == sorted(
-            ["record.log", "provenance.rpix", "record.json"]
-            + [f"ckpt-{k:05d}.rdif" for k in range(4)]
-        )
-        assert store.list() == [] and writer.count == 0
+        node.crash_restart(0, at_time=100.0)
+        assert _writes(store.ops) == [
+            ("create", "ckpt-00000.rdif"),
+            ("create", "provenance.rpix"),
+            ("replace", "record.json"),
+            ("create", "record.log"),
+            ("swap", ""),
+        ]
+        assert RecordView(store).count == 1
 
 
 class TestOneRecordTwoStores:
@@ -118,6 +156,126 @@ class TestOneRecordTwoStores:
         assert RecordView(ram.record.writer.store).manifest() == (
             RecordView(tmp_path / "rec").manifest()
         )
+
+
+class TestSwap:
+    def test_a_ram_and_a_directory_record_rebase_byte_for_byte(self, rng, tmp_path):
+        diffs = _chain(rng, 5)
+        ram, disk = MemoryStore(), DirectoryStore(tmp_path / "rec", create=True)
+        for store in (ram, disk):
+            writer = RecordWriter(store, method="tree")
+            for diff in diffs:
+                writer.append(diff)
+            rebase_stored_record(store, 2)
+        assert ram.list() == disk.list() and RecordView(ram).count == 3
+        for name in ram.list():
+            assert ram.pread(name) == (tmp_path / "rec" / name).read_bytes(), name
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["rec"]
+
+    @pytest.mark.parametrize("kind", ["memory", "directory"])
+    def test_a_crash_at_every_restart_write_leaves_one_generation(
+        self, rng, tmp_path, monkeypatch, kind
+    ):
+        """Cut a restart after each of its store writes in turn (the swap's
+        renames and deletion included): the record is then the old
+        generation, which still restores the durable checkpoint *k*, or
+        the new one, whose checkpoint 0 is checkpoint *k*'s bytes."""
+        states = _states(rng)
+        k = len(states) - 1
+        budget = _CrashBudget(monkeypatch)
+
+        def attempt(writes, path):
+            """The record a restart cut after *writes* writes leaves."""
+            store = budget.store(kind, path)
+            node = _node_over(store)
+            _checkpoint(node, states)
+            budget.count, budget.left = 0, writes
+            try:
+                node.crash_restart(0, at_time=100.0)
+            except _Crash:
+                pass
+            finally:
+                budget.left = None
+            if kind == "directory":
+                store = DirectoryStore(store.path)  # reopened after the crash
+            return RecordView(store)
+
+        attempt(None, tmp_path / "full")
+        total = budget.count  # every write of one whole restart
+        assert total >= 5
+        seen = set()
+        for writes in range(total + 1):
+            view = attempt(writes, tmp_path / f"cut{writes}")
+            if view.count == len(states):
+                seen.add("old")
+                assert np.array_equal(restore_indexed(view, k)[0], states[k])
+            else:
+                seen.add("new")
+                assert view.count == 1
+                assert np.array_equal(restore_indexed(view, 0)[0], states[k])
+        assert seen == {"old", "new"}
+
+
+class _Crash(Exception):
+    pass
+
+
+class _CrashBudget:
+    """Raises :class:`_Crash` in place of the store write after the first
+    ``left`` ones (``None``: no limit), counting every write it lets by.
+    A RAM store's writes are its operations, the file-table swap one of
+    them; a directory store's are its operations and the swap's renames
+    and deletion (a remove is its one ``os.unlink``)."""
+
+    WRITES = ("create", "append", "replace", "truncate")
+
+    def __init__(self, monkeypatch):
+        self.left = None
+        self.count = 0
+        for name in ("rename", "unlink"):
+            monkeypatch.setattr(bytestore.os, name, self._guard(getattr(os, name)))
+        monkeypatch.setattr(
+            bytestore.shutil, "rmtree", self._guard(bytestore.shutil.rmtree)
+        )
+
+    def _take(self):
+        if self.left is not None:
+            if self.left == 0:
+                raise _Crash
+            self.left -= 1
+        self.count += 1
+
+    def _guard(self, real):
+        def guarded(*args, **kwargs):
+            self._take()
+            return real(*args, **kwargs)
+
+        return guarded
+
+    def store(self, kind, path):
+        """A store of *kind* at *path* whose writes (and those of the store
+        a swap builds beside it) spend this budget."""
+        base = MemoryStore if kind == "memory" else DirectoryStore
+        ops = self.WRITES + (("remove", "swap") if kind == "memory" else ())
+        counted = type("Counted", (base,), {op: self._counted(base, op) for op in ops})
+        return counted() if kind == "memory" else counted(path, create=True)
+
+    def _counted(self, base, op):
+        budget = self
+
+        def write(store, *args, **kwargs):
+            if op != "swap":
+                budget._take()
+                return getattr(base, op)(store, *args, **kwargs)
+
+            def build_then_take(staged):  # the table is replaced after *build*
+                result = args[0](staged)
+                budget._take()
+                return result
+
+            return base.swap(store, build_then_take)
+
+        return write
 
 
 class TestDirectoryReads:

@@ -11,16 +11,15 @@ import pytest
 
 from repro.compress import get_codec
 from repro.core import ENGINES, analyze_record
-from repro.core.provenance import ProvenanceTable
-from repro.core.store import save_record
+from repro.core.store import load_provenance, save_record
 from repro.oranges import OrangesApp
 from repro.telemetry import events
+from tests.conftest import ram_record
 from repro.telemetry.attribution import (
     CLASS_FIRST,
     CLASS_FIXED,
     CLASS_SHIFT,
     ChunkCensus,
-    attribute_diffs,
     attribute_record,
     chunk_size_sweep,
     classify_chunks,
@@ -64,7 +63,7 @@ def tree_diffs(rng):
 class TestGoldenOranges:
     def test_classes_partition_logical_bytes(self, oranges_chains):
         for method, diffs in oranges_chains.items():
-            attribution = attribute_diffs(diffs, record=method, emit=False)
+            attribution = attribute_record(ram_record(diffs), method, emit=False)
             for c in attribution.checkpoints:
                 total = (
                     c.first_bytes + c.shift_bytes + c.fixed_bytes + c.zero_bytes
@@ -79,7 +78,7 @@ class TestGoldenOranges:
         diff-level *fixed* class.
         """
         for method, diffs in oranges_chains.items():
-            attribution = attribute_diffs(diffs, record=method, emit=False)
+            attribution = attribute_record(ram_record(diffs), method, emit=False)
             for comp, c in zip(analyze_record(diffs), attribution.checkpoints):
                 assert c.first_bytes == comp.first_bytes, (method, c.ckpt_id)
                 assert c.shift_bytes == comp.shift_bytes, (method, c.ckpt_id)
@@ -89,19 +88,22 @@ class TestGoldenOranges:
                 )
 
     def test_on_disk_costs_come_from_diffs(self, oranges_chains):
+        """The record's frames report each checkpoint's on-disk costs."""
         diffs = oranges_chains["tree"]
-        attribution = attribute_diffs(diffs, emit=False)
+        attribution = attribute_record(ram_record(diffs), emit=False)
         for diff, c in zip(diffs, attribution.checkpoints):
             assert c.stored_bytes == diff.serialized_size
             assert c.metadata_bytes == diff.metadata_bytes
 
     def test_method_is_the_engine_not_the_seed_frame(self, oranges_chains):
         for method, diffs in oranges_chains.items():
-            attribution = attribute_diffs(diffs, emit=False)
+            attribution = attribute_record(ram_record(diffs), emit=False)
             assert attribution.method == diffs[-1].method, method
 
     def test_summary_renders_one_row_per_checkpoint(self, oranges_chains):
-        attribution = attribute_diffs(oranges_chains["tree"], emit=False)
+        attribution = attribute_record(
+            ram_record(oranges_chains["tree"]), emit=False
+        )
         text = attribution.summary()
         # Header x2 + one row per checkpoint + aggregate footer.
         assert len(text.splitlines()) == CHECKPOINTS + 3
@@ -110,12 +112,12 @@ class TestGoldenOranges:
 
 class TestClassifyChunks:
     def test_first_checkpoint_is_all_first(self, tree_diffs):
-        table = ProvenanceTable.from_diffs(tree_diffs)
+        table = load_provenance(ram_record(tree_diffs))
         classes = classify_chunks(table, 0)
         assert (classes == CLASS_FIRST).all()
 
     def test_known_geometry(self, tree_diffs):
-        table = ProvenanceTable.from_diffs(tree_diffs)
+        table = load_provenance(ram_record(tree_diffs))
         classes = classify_chunks(table, 1)
         assert (classes[:16] == CLASS_FIRST).all()
         assert (classes[32:40] == CLASS_SHIFT).all()
@@ -132,7 +134,7 @@ class TestClassifyChunks:
         nxt[2 * 64 : 3 * 64] = fresh
         nxt[5 * 64 : 6 * 64] = fresh
         diffs.append(engine.checkpoint(nxt))
-        table = ProvenanceTable.from_diffs(diffs)
+        table = load_provenance(ram_record(diffs))
         classes = classify_chunks(table, 1)
         # The lowest chunk id owns the freshly written cell; the other
         # duplicate of the same content is a shift.
@@ -144,14 +146,14 @@ class TestClassifyChunks:
         base = rng.integers(0, 256, n, dtype=np.uint8)
         engine = ENGINES["tree"](n, CHUNK)
         diffs = [engine.checkpoint(base)]
-        attribution = attribute_diffs(diffs, emit=False)
+        attribution = attribute_record(ram_record(diffs), emit=False)
         # 8 distinct random chunks: no sharing, depth 0 everywhere.
         assert attribution.unique_cells == 8
         assert attribution.sharing_factor == 1.0
         assert attribution.max_lineage_depth == 0
 
     def test_lineage_depth_grows_down_the_chain(self, tree_diffs):
-        attribution = attribute_diffs(tree_diffs, emit=False)
+        attribution = attribute_record(ram_record(tree_diffs), emit=False)
         # Checkpoint 1's fixed chunks still resolve to checkpoint 0 cells.
         assert attribution.checkpoints[1].max_lineage_depth == 1
         assert attribution.max_lineage_depth == 1
@@ -162,13 +164,13 @@ class TestAttributeRecord:
         directory = tmp_path / "rec"
         save_record(tree_diffs, directory, method="tree")
         from_disk = attribute_record(directory, emit=False)
-        in_memory = attribute_diffs(tree_diffs, record="rec", emit=False)
+        in_memory = attribute_record(ram_record(tree_diffs), "rec", emit=False)
         assert from_disk.record == "rec"
         assert from_disk.totals == in_memory.totals
         assert from_disk.unique_cells == in_memory.unique_cells
 
     def test_as_dict_round_trips_classes(self, tree_diffs):
-        doc = attribute_diffs(tree_diffs, emit=False).as_dict()
+        doc = attribute_record(ram_record(tree_diffs), emit=False).as_dict()
         totals = doc["totals"]
         assert (
             totals["first"] + totals["shift"] + totals["fixed"] + totals["zero"]
@@ -180,7 +182,7 @@ class TestAttributeRecord:
 class TestEvents:
     def test_attribute_emits_one_record_summary(self, tree_diffs):
         with events.journal_to(None) as journal:
-            attribute_diffs(tree_diffs, record="recA")
+            attribute_record(ram_record(tree_diffs), record="recA")
         rows = [
             r
             for r in journal.records()
@@ -199,13 +201,14 @@ class TestEvents:
         )
 
     def test_emit_false_is_silent(self, tree_diffs):
+        record = ram_record(tree_diffs)
         with events.journal_to(None) as journal:
-            attribute_diffs(tree_diffs, emit=False)
+            attribute_record(record, emit=False)
         assert journal.records() == []
 
     def test_census_emits_row_per_record_plus_summary(self, tree_diffs):
         census = ChunkCensus()
-        census.add_diffs("a", tree_diffs)
+        census.add_record(ram_record(tree_diffs), "a")
         with events.journal_to(None) as journal:
             census.report()
         rows = journal.records()
@@ -226,8 +229,8 @@ class TestChunkCensus:
 
     def test_identical_records_fully_cross_duplicate(self):
         census = ChunkCensus()
-        census.add_diffs("a", self._chain(7))
-        census.add_diffs("b", self._chain(7))
+        census.add_record(ram_record(self._chain(7)), "a")
+        census.add_record(ram_record(self._chain(7)), "b")
         report = census.report(emit=False)
         for row in report.records:
             assert row["cross_duplicate_share"] == 1.0
@@ -240,8 +243,8 @@ class TestChunkCensus:
 
     def test_disjoint_records_share_nothing(self):
         census = ChunkCensus()
-        census.add_diffs("a", self._chain(7))
-        census.add_diffs("b", self._chain(8))
+        census.add_record(ram_record(self._chain(7)), "a")
+        census.add_record(ram_record(self._chain(8)), "b")
         report = census.report(emit=False)
         for row in report.records:
             assert row["cross_duplicate_share"] == 0.0
@@ -249,17 +252,17 @@ class TestChunkCensus:
 
     def test_pool_forecast_at_least_best_intra(self):
         census = ChunkCensus()
-        census.add_diffs("a", self._chain(7))
-        census.add_diffs("b", self._chain(7))
-        census.add_diffs("c", self._chain(9))
+        census.add_record(ram_record(self._chain(7)), "a")
+        census.add_record(ram_record(self._chain(7)), "b")
+        census.add_record(ram_record(self._chain(9)), "c")
         report = census.report(emit=False)
         assert report.pool_forecast_ratio >= report.best_intra_ratio
         assert report.num_records == 3
 
     def test_per_record_charges_sum_to_pool(self):
         census = ChunkCensus()
-        census.add_diffs("a", self._chain(7))
-        census.add_diffs("b", self._chain(7))
+        census.add_record(ram_record(self._chain(7)), "a")
+        census.add_record(ram_record(self._chain(7)), "b")
         report = census.report(emit=False)
         charged = sum(
             row["logical_bytes"] / row["pool_ratio"] for row in report.records
@@ -272,7 +275,7 @@ class TestChunkCensus:
         diffs = self._chain(7)
         directory = tmp_path / "rec"
         save_record(diffs, directory, method="tree")
-        memory = ChunkCensus().add_diffs("rec", diffs)
+        memory = ChunkCensus().add_record(ram_record(diffs), "rec")
         disk = ChunkCensus().add_record(directory)
         assert disk.name == "rec"
         assert disk.unique_chunks == memory.unique_chunks
@@ -280,9 +283,9 @@ class TestChunkCensus:
 
     def test_duplicate_name_rejected(self):
         census = ChunkCensus()
-        census.add_diffs("a", self._chain(7))
+        census.add_record(ram_record(self._chain(7)), "a")
         with pytest.raises(ValueError, match="already holds"):
-            census.add_diffs("a", self._chain(8))
+            census.add_record(ram_record(self._chain(8)), "a")
 
     def test_empty_census_rejected(self):
         with pytest.raises(ValueError, match="no records"):
@@ -290,8 +293,8 @@ class TestChunkCensus:
 
     def test_summary_lists_every_record(self):
         census = ChunkCensus()
-        census.add_diffs("alpha", self._chain(7))
-        census.add_diffs("beta", self._chain(8))
+        census.add_record(ram_record(self._chain(7)), "alpha")
+        census.add_record(ram_record(self._chain(8)), "beta")
         text = census.report(emit=False).summary()
         assert "alpha" in text and "beta" in text
         assert "shared-pool forecast" in text
@@ -299,7 +302,7 @@ class TestChunkCensus:
 
 class TestChunkSizeSweep:
     def test_prices_every_requested_size(self, tree_diffs):
-        points = chunk_size_sweep(tree_diffs, (32, 64, 128))
+        points = chunk_size_sweep(ram_record(tree_diffs), (32, 64, 128))
         assert [p.chunk_size for p in points] == [32, 64, 128]
         logical = 2 * tree_diffs[0].data_len
         for p in points:
@@ -310,16 +313,16 @@ class TestChunkSizeSweep:
             assert p.metadata_bytes == 2 * p.num_chunks * 12
 
     def test_finer_chunks_cost_more_metadata(self, tree_diffs):
-        fine, coarse = chunk_size_sweep(tree_diffs, (32, 256))
+        fine, coarse = chunk_size_sweep(ram_record(tree_diffs), (32, 256))
         assert fine.metadata_bytes > coarse.metadata_bytes
         assert fine.num_chunks > coarse.num_chunks
 
     def test_empty_sizes_rejected(self, tree_diffs):
         with pytest.raises(ValueError):
-            chunk_size_sweep(tree_diffs, ())
+            chunk_size_sweep(ram_record(tree_diffs), ())
 
     def test_report_has_one_row_per_point(self, tree_diffs):
-        points = chunk_size_sweep(tree_diffs, (64, 128))
+        points = chunk_size_sweep(ram_record(tree_diffs), (64, 128))
         assert len(sweep_report(points).splitlines()) == 3
 
 
@@ -350,13 +353,15 @@ class TestHybridChains:
     def test_sweep_equals_the_raw_chains(self):
         raw, hybrid = self._chains()
         sizes = (64, 128, 256)
-        assert chunk_size_sweep(hybrid, sizes) == chunk_size_sweep(raw, sizes)
+        assert chunk_size_sweep(ram_record(hybrid), sizes) == chunk_size_sweep(
+            ram_record(raw), sizes
+        )
 
     def test_census_pools_with_the_raw_chain(self, tmp_path):
         raw, hybrid = self._chains()
         census = ChunkCensus()
-        want = census.add_diffs("raw", raw)
-        census.add_diffs("hybrid", hybrid)
+        want = census.add_record(ram_record(raw), "raw")
+        census.add_record(ram_record(hybrid), "hybrid")
         census.add_record(save_record(hybrid, tmp_path / "rec", method="tree"))
         report = census.report(emit=False)
         assert report.pool_unique_chunks == want.unique_chunks

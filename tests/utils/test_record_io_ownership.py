@@ -1,8 +1,8 @@
 """Record file I/O has one owner, ``repro.record.bytestore``: no other
 module of ``repro.record``, ``repro.core`` or ``repro.runtime`` opens,
-reads, writes, stats, lists or removes a file.  Two exceptions are
-named: the fault injectors, which damage records on purpose, and the
-rebase's whole-directory swap."""
+reads, writes, stats, lists or removes a file.  One exception is named:
+the fault injectors, which damage records on purpose.  The rebase and
+the restart replace a record through the store's own swap."""
 
 import ast
 from pathlib import Path
@@ -15,7 +15,6 @@ STORE = "record/bytestore.py"
 #: ``module`` or ``module:function`` that may touch files anyway.
 EXCEPTIONS = {
     "faults/injectors.py": "damages a record on purpose",
-    "core/retention.py:rebase_stored_record": "swaps a whole record directory",
 }
 OS_IO = {
     "open", "read", "pread", "write", "pwrite", "fstat", "stat", "lstat",
