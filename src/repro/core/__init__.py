@@ -14,13 +14,7 @@ from .provenance import (
     restore_indexed,
     restore_record_indexed,
 )
-from .analysis import (
-    DiffComposition,
-    analyze_diff,
-    analyze_record,
-    composition_report,
-    verify_chain,
-)
+from .analysis import verify_chain
 from .base import DedupEngine
 from .checkpointer import ENGINES, IncrementalCheckpointer
 from .chunking import ChunkSpec, as_uint8, min_recommended_chunk_size
@@ -73,10 +67,6 @@ from .store import (
 )
 
 __all__ = [
-    "DiffComposition",
-    "analyze_diff",
-    "analyze_record",
-    "composition_report",
     "verify_chain",
     "DedupEngine",
     "ENGINES",

@@ -25,6 +25,20 @@ from typing import Callable, Dict, List, Optional, TypeVar, Union
 
 T = TypeVar("T")
 
+#: The suffixes of a swap's two sibling directories: the generation being
+#: built (``<name>.new``) and the one being replaced (``<name>.old``).
+_STAGED, _OLD = "new", "old"
+
+
+def record_of(directory: Union[str, os.PathLike]) -> Path:
+    """The record *directory* stands for: ``<name>`` for a swap's staged
+    ``<name>.new`` or replaced ``<name>.old`` generation (neither is a
+    record of its own; opening ``<name>`` renames an ``.old`` left without
+    its record back), else *directory* itself."""
+    path = Path(directory)
+    name, _, suffix = path.name.rpartition(".")
+    return path.with_name(name) if name and suffix in (_STAGED, _OLD) else path
+
 
 class DirectoryStore:
     """A record's files in one directory.
@@ -38,10 +52,10 @@ class DirectoryStore:
     def __init__(self, directory: Union[str, os.PathLike], create: bool = False) -> None:
         #: The directory the record's files live in.
         self.path = Path(directory)
-        if not self.path.exists() and self._sibling("old").exists():
+        if not self.path.exists() and self._sibling(_OLD).exists():
             # A swap was cut between its two renames: the old generation
             # is whole beside the record, so it is the record again.
-            os.rename(self._sibling("old"), self.path)
+            os.rename(self._sibling(_OLD), self.path)
         if create:
             self.path.mkdir(parents=True, exist_ok=True)
 
@@ -115,7 +129,7 @@ class DirectoryStore:
         rename the new generation is the record.  The directory moves as
         a whole, so it must hold nothing but the record.
         """
-        staged, old = self._sibling("new"), self._sibling("old")
+        staged, old = self._sibling(_STAGED), self._sibling(_OLD)
         for leftover in (staged, old):  # an earlier, interrupted swap's
             if leftover.exists():
                 shutil.rmtree(leftover)

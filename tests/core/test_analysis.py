@@ -1,16 +1,18 @@
-"""Tests for record analytics and the chain verifier."""
+"""Tests for the record report's per-checkpoint composition and the
+chain verifier."""
 
 import numpy as np
 import pytest
 
-from repro.core import (
-    ENGINES,
-    CheckpointDiff,
-    analyze_diff,
-    analyze_record,
-    composition_report,
-    verify_chain,
-)
+from repro.core import ENGINES, CheckpointDiff, verify_chain
+from repro.errors import StorageError
+from repro.telemetry.attribution import attribute_record
+from tests.conftest import ram_record
+
+
+def _report(diffs):
+    """The record report of *diffs* as a RAM record."""
+    return attribute_record(ram_record(diffs), emit=False)
 
 
 @pytest.fixture
@@ -27,33 +29,38 @@ def tree_diffs(rng):
 
 
 class TestAnalyzeDiff:
+    """Each checkpoint's composition, as the record report gives it."""
+
     def test_composition_partitions_buffer(self, tree_diffs):
-        comp = analyze_diff(tree_diffs[1])
-        assert comp.first_bytes + comp.shift_bytes + comp.fixed_bytes == comp.data_len
+        comp = _report(tree_diffs).checkpoints[1]
+        assert (
+            comp.first_bytes + comp.shift_bytes + comp.fixed_bytes + comp.zero_bytes
+            == comp.data_len
+        )
         assert comp.first_bytes == 16 * 64
         assert comp.shift_bytes == 8 * 64
 
     def test_full_checkpoint_all_first(self, tree_diffs):
-        comp = analyze_diff(tree_diffs[0])
+        comp = _report(tree_diffs).checkpoints[0]
         assert comp.first_bytes == comp.data_len
-        assert comp.fixed_bytes == 0
+        assert comp.fixed_bytes + comp.zero_bytes == 0
 
     def test_region_histograms(self, tree_diffs):
-        comp = analyze_diff(tree_diffs[1])
+        comp = _report(tree_diffs).checkpoints[1]
         # 16 contiguous aligned FIRST chunks consolidate into one region.
         assert comp.first_region_chunks == {16: 1}
         assert comp.shift_region_chunks == {8: 1}
 
     def test_shift_targets(self, tree_diffs):
-        comp = analyze_diff(tree_diffs[1])
+        comp = _report(tree_diffs).checkpoints[1]
         assert comp.shift_targets == {0: 1}
 
     def test_consolidation_factor(self, tree_diffs):
-        comp = analyze_diff(tree_diffs[1])
+        comp = _report(tree_diffs).checkpoints[1]
         assert comp.consolidation_factor == pytest.approx((16 + 8) / 2)
 
     def test_changed_fraction(self, tree_diffs):
-        comp = analyze_diff(tree_diffs[1])
+        comp = _report(tree_diffs).checkpoints[1]
         assert comp.changed_fraction == pytest.approx(24 * 64 / (128 * 64))
 
     def test_basic_and_list_methods(self, rng):
@@ -61,26 +68,32 @@ class TestAnalyzeDiff:
         base = rng.integers(0, 256, n, dtype=np.uint8)
         for method in ("basic", "list"):
             engine = ENGINES[method](n, 64)
-            engine.checkpoint(base)
+            diffs = [engine.checkpoint(base)]
             nxt = base.copy()
             nxt[:64] = 0
-            comp = analyze_diff(engine.checkpoint(nxt))
+            diffs.append(engine.checkpoint(nxt))
+            comp = _report(diffs).checkpoints[1]
             assert comp.first_bytes == 64
-            assert comp.fixed_bytes == n - 64
+            assert comp.fixed_bytes + comp.zero_bytes == n - 64
 
     def test_report_is_one_row_per_diff(self, tree_diffs):
-        report = composition_report(tree_diffs)
-        assert len(report.splitlines()) == len(tree_diffs) + 1
+        # Header x2 + one row per checkpoint + aggregate footer.
+        summary = _report(tree_diffs).summary()
+        assert len(summary.splitlines()) == len(tree_diffs) + 3
 
-    def test_analyze_record_empty(self):
-        assert analyze_record([]) == []
+    def test_analyze_record_empty(self, tree_diffs):
+        # A record whose one log entry is torn holds no checkpoint.
+        store = ram_record(tree_diffs[:1])
+        store.truncate("record.log", 7)
+        with pytest.raises(StorageError, match="holds no checkpoint"):
+            attribute_record(store, emit=False)
 
     def test_consolidation_none_on_empty_diff(self, rng):
         n = 64 * 16
         base = rng.integers(0, 256, n, dtype=np.uint8)
         engine = ENGINES["tree"](n, 64)
-        engine.checkpoint(base)
-        comp = analyze_diff(engine.checkpoint(base))  # nothing changed
+        diffs = [engine.checkpoint(base), engine.checkpoint(base)]  # nothing changed
+        comp = _report(diffs).checkpoints[1]
         assert comp.first_bytes == 0 and comp.shift_bytes == 0
         # No regions to consolidate: undefined, not infinite (JSON-safe).
         assert comp.consolidation_factor is None
@@ -90,7 +103,7 @@ class TestAnalyzeDiff:
         base = rng.integers(0, 256, n, dtype=np.uint8)
         engine = ENGINES["tree"](n, 64)
         diffs = [engine.checkpoint(base), engine.checkpoint(base)]
-        assert "—" in composition_report(diffs)
+        assert "—" in _report(diffs).summary()
 
 
 def _seeded_chain(method):
@@ -112,7 +125,7 @@ def _seeded_chain(method):
 
 _FULL = ("full", 6161, 0, 0, 0, 6237, {97: 1}, {}, {})
 
-#: (method, first_bytes, shift_bytes, fixed_bytes, metadata_bytes,
+#: (method, first_bytes, shift_bytes, fixed + zero bytes, metadata_bytes,
 #: stored_bytes, first_region_chunks, shift_region_chunks, shift_targets)
 #: per checkpoint of ``_seeded_chain(method)``.
 PINNED_COMPOSITIONS = {
@@ -142,11 +155,11 @@ PINNED_COMPOSITIONS = {
 def test_analyze_record_pinned(method):
     got = [
         (
-            c.method, c.first_bytes, c.shift_bytes, c.fixed_bytes,
+            c.method, c.first_bytes, c.shift_bytes, c.fixed_bytes + c.zero_bytes,
             c.metadata_bytes, c.stored_bytes, dict(c.first_region_chunks),
             dict(c.shift_region_chunks), dict(c.shift_targets),
         )
-        for c in analyze_record(_seeded_chain(method))
+        for c in _report(_seeded_chain(method)).checkpoints
     ]
     assert got == PINNED_COMPOSITIONS[method]
 

@@ -6,9 +6,11 @@ import numpy as np
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.core import ENGINES, Restorer, analyze_record, selective_restore, verify_chain
+from repro.core import ENGINES, Restorer, selective_restore, verify_chain
 from repro.graphs import Graph
 from repro.oranges import GdvEngine, orbit_counts_0_to_3
+from repro.telemetry.attribution import attribute_record
+from tests.conftest import ram_record
 
 _SETTINGS = dict(
     max_examples=20,
@@ -109,11 +111,12 @@ def test_engine_chains_always_verify(case):
 @settings(**_SETTINGS)
 def test_composition_partitions_every_diff(case):
     _, diffs = case
-    for comp in analyze_record(diffs):
+    for comp in attribute_record(ram_record(diffs), emit=False).checkpoints:
         assert (
-            comp.first_bytes + comp.shift_bytes + comp.fixed_bytes
+            comp.first_bytes + comp.shift_bytes + comp.fixed_bytes + comp.zero_bytes
             == comp.data_len
         )
         assert comp.first_bytes >= 0
         assert comp.shift_bytes >= 0
         assert comp.fixed_bytes >= 0
+        assert comp.zero_bytes >= 0

@@ -3,14 +3,15 @@
 The golden tests run every engine over the fixed-seed ORANGES trace and
 hold the attribution to two exact invariants: the four byte classes
 partition each checkpoint's logical bytes, and they agree byte-for-byte
-with the diff-level :func:`repro.core.analyze_record` composition.
+with the region byte sums of each diff's :func:`chunk_map`.
 """
 
 import numpy as np
 import pytest
 
 from repro.compress import get_codec
-from repro.core import ENGINES, analyze_record
+from repro.core import ENGINES
+from repro.core.serialize import chunk_map
 from repro.core.store import load_provenance, save_record
 from repro.oranges import OrangesApp
 from repro.telemetry import events
@@ -71,18 +72,21 @@ class TestGoldenOranges:
                 assert total == c.data_len, (method, c.ckpt_id)
 
     def test_agrees_with_diff_level_analysis(self, oranges_chains):
-        """RPIX-derived classes match analyze_record byte-for-byte.
+        """RPIX-derived classes match each diff's region byte sums.
 
         The index has no changed-vs-unchanged notion for untouched zero
-        chunks, so its *zero* and *fixed* classes together equal the
-        diff-level *fixed* class.
+        chunks, so its *zero* and *fixed* classes together equal the bytes
+        no region of the diff covers.
         """
         for method, diffs in oranges_chains.items():
             attribution = attribute_record(ram_record(diffs), method, emit=False)
-            for comp, c in zip(analyze_record(diffs), attribution.checkpoints):
-                assert c.first_bytes == comp.first_bytes, (method, c.ckpt_id)
-                assert c.shift_bytes == comp.shift_bytes, (method, c.ckpt_id)
-                assert c.zero_bytes + c.fixed_bytes == comp.fixed_bytes, (
+            for diff, c in zip(diffs, attribution.checkpoints):
+                cmap = chunk_map(diff)
+                first = int((cmap.first_end - cmap.first_start).sum())
+                shift = int((cmap.shift_end - cmap.shift_start).sum())
+                assert c.first_bytes == first, (method, c.ckpt_id)
+                assert c.shift_bytes == shift, (method, c.ckpt_id)
+                assert c.zero_bytes + c.fixed_bytes == diff.data_len - first - shift, (
                     method,
                     c.ckpt_id,
                 )
