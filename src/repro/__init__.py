@@ -7,8 +7,8 @@ everything it is evaluated against and on top of:
 * :mod:`repro.core` — the Tree method (Algorithm 1), the Full/Basic/List
   baselines, the diff wire format, and checkpoint restore;
 * :mod:`repro.hashing` — bit-exact MurmurHash3 x64-128 (scalar + batch);
-* :mod:`repro.kokkos` — the Kokkos-flavoured execution layer (Views,
-  fused-kernel ledger, the ``UnorderedMap`` hash record);
+* :mod:`repro.kokkos` — the Kokkos-flavoured execution layer
+  (fused-kernel ledger, the ``UnorderedMap`` hash record);
 * :mod:`repro.gpusim` — A100/PCIe/node cost model producing simulated
   throughput with the paper's shape;
 * :mod:`repro.compress` — the nvCOMP-class compression baselines;
