@@ -14,7 +14,6 @@ its own RNG stream and its node's contention factor), and merges records.
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import List, Optional, Tuple
 
@@ -92,11 +91,10 @@ def induced_partition_graph(graph: Graph, vertices: np.ndarray) -> Graph:
 def _run_rank(
     args: Tuple[Graph, str, int, int, float, int, int, str, bool, Optional[str]]
 ) -> Tuple[int, int, List[float], List[dict]]:
-    """One rank's whole pipeline (module-level so it pickles for pools).
+    """One rank's whole pipeline.
 
     Returns ``(full_bytes, stored_bytes, per-checkpoint seconds, events)``
-    — *events* are the rank's journal records (plain dicts, so they
-    survive the pickle boundary of a process pool) when capture is on.
+    — *events* are the rank's journal records when capture is on.
     """
     (
         local,
@@ -166,12 +164,6 @@ class StrongScalingDriver:
         Node/PFS topology supplying per-process PCIe contention.
     method / chunk_size:
         Checkpointing configuration for every process.
-    workers:
-        Host CPU processes to execute ranks with.  1 (default) runs ranks
-        sequentially in-process; >1 uses a process pool, so large sweeps
-        exploit the host's cores the way the real deployment exploits its
-        nodes.  Results are bit-identical either way (each rank is a pure
-        function of its partition).
     capture_events:
         When true, every rank keeps a private event journal (tagged with
         its node placement) and the merged stream lands on
@@ -186,16 +178,13 @@ class StrongScalingDriver:
         method: str = "tree",
         chunk_size: int = 128,
         max_graphlet_size: int = 4,
-        workers: int = 1,
         capture_events: bool = False,
     ) -> None:
-        positive_int(workers, "workers")
         self.graph = graph
         self.cluster = cluster if cluster is not None else thetagpu()
         self.method = method
         self.chunk_size = chunk_size
         self.max_graphlet_size = max_graphlet_size
-        self.workers = workers
         self.capture_events = capture_events
 
     def run(self, num_processes: int, num_checkpoints: int = 10) -> ScalingResult:
@@ -227,11 +216,7 @@ class StrongScalingDriver:
             )
             for rank in range(num_processes)
         ]
-        if self.workers > 1 and num_processes > 1:
-            with ProcessPoolExecutor(max_workers=self.workers) as pool:
-                outcomes = list(pool.map(_run_rank, jobs))
-        else:
-            outcomes = [_run_rank(job) for job in jobs]
+        outcomes = [_run_rank(job) for job in jobs]
 
         per_ckpt_seconds = np.zeros((num_processes, num_checkpoints))
         total_full = 0

@@ -96,15 +96,6 @@ class TestDriver:
         result = StrongScalingDriver(graph).run(2, num_checkpoints=2)
         assert 0 < result.aggregate_throughput < float("inf")
 
-    def test_parallel_workers_bit_identical(self, graph):
-        seq = StrongScalingDriver(graph, workers=1).run(4, num_checkpoints=2)
-        par = StrongScalingDriver(graph, workers=4).run(4, num_checkpoints=2)
-        assert seq.total_stored_bytes == par.total_stored_bytes
-        assert seq.per_process_stored == par.per_process_stored
-        assert seq.critical_path_seconds == pytest.approx(
-            par.critical_path_seconds, abs=0.0
-        )
-
 
 class TestEventCapture:
     def test_capture_off_by_default(self):
@@ -160,16 +151,3 @@ class TestEventCapture:
         ).run(2, num_checkpoints=3)
         report = evaluate_health(result.events)
         assert report.status == "ok"
-
-    def test_worker_pool_capture_matches_sequential(self):
-        g = generate("delaunay", 128, seed=1)
-        seq = StrongScalingDriver(
-            g, chunk_size=64, capture_events=True
-        ).run(2, num_checkpoints=3)
-        pooled = StrongScalingDriver(
-            g, chunk_size=64, capture_events=True, workers=2
-        ).run(2, num_checkpoints=3)
-        strip = lambda events: [
-            {k: v for k, v in e.items() if k != "wall_time"} for e in events
-        ]
-        assert strip(pooled.events) == strip(seq.events)
