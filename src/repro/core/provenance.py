@@ -15,9 +15,9 @@ per *unique* referenced checkpoint — yielding a
 (int32, ``-1`` = never written, i.e. implicit zeros) and ``src_off``
 (int64 byte offset into the *decompressed* payload of diff ``src_ckpt``).
 
-Materializing checkpoint *k* is then one batched gather per referenced
-source payload (:func:`materialize_index`) — typically a handful of
-diffs out of an arbitrarily long chain.  That gather is the only
+Materializing checkpoint *k* is then one grouped gather over its
+referenced source payloads (:func:`materialize_index`) — typically a
+handful of diffs out of an arbitrarily long chain.  That gather is the only
 production reconstruction, and it always reads a record: a unit's own
 restore (its record in RAM or on disk), a cold restore, an N-rank
 sharded restart and a node's crash restart all first
@@ -315,6 +315,12 @@ def materialize_index(
     :class:`RestoreReport` or a shard's report: the bytes gathered from
     each source accumulate in its ``payload_bytes_read``.
 
+    *space* meters the call as the device runs it: one fused
+    ``restore.gather`` launch over every source payload (its items the
+    written chunks, reading the gathered bytes and the index slice once,
+    writing the gathered bytes, one random access per
+    :func:`source_runs` run) and one H2D of the range's byte extent.
+
     ``[chunk_lo, chunk_hi)`` restricts the gather to a chunk range — the
     sharding primitive: each simulated GPU of a fleet restore
     materializes its own contiguous range into the shared ``out`` buffer
@@ -353,26 +359,40 @@ def materialize_index(
             f"provenance index points outside checkpoint {refs[exc.group]}'s "
             f"payload"
         ) from exc
-    items = np.diff(ends, prepend=0).tolist()
-    for t, gathered, n in zip(refs, placed.tolist(), items):
-        if report is not None:
+    if report is not None:
+        for t, gathered in zip(refs, placed.tolist()):
             report.payload_bytes_read[t] = (
                 report.payload_bytes_read.get(t, 0) + gathered
             )
-        if space is not None:
-            # One gather kernel per source payload: reads the gathered
-            # bytes plus the index row slice once, writes them into place.
-            space.launch(
-                "restore.gather",
-                items=n,
-                bytes_read=gathered + (hi - lo) * RAW_INDEX_BYTES_PER_CHUNK,
-                bytes_written=gathered,
-            )
-    if space is not None:
-        extent = min(hi * cs, index.data_len) - lo * cs
-        if extent > 0:
-            space.transfer("H2D", extent)
+    if space is not None and hi > lo:
+        gathered = int(placed.sum())
+        space.launch(
+            "restore.gather",
+            items=int(chunks.shape[0]),
+            bytes_read=gathered + (hi - lo) * RAW_INDEX_BYTES_PER_CHUNK,
+            bytes_written=gathered,
+            random_accesses=source_runs(index, lo, hi),
+        )
+        space.transfer("H2D", min(hi * cs, index.data_len) - lo * cs)
     return out
+
+
+def source_runs(index: ProvenanceIndex, chunk_lo: int, chunk_hi: int) -> int:
+    """How many source runs the chunks ``[chunk_lo, chunk_hi)`` gather.
+
+    A source run is a maximal run of written chunks that are consecutive
+    at the destination, share a source checkpoint and read consecutive
+    source offsets: one coalesced read for the fused gather, so the
+    device model charges one random access per run.
+    """
+    ckpt = index.src_ckpt[chunk_lo:chunk_hi]
+    off = index.src_off[chunk_lo:chunk_hi]
+    joined = (
+        (ckpt[1:] >= 0)
+        & (ckpt[1:] == ckpt[:-1])
+        & (np.diff(off) == index.chunk_size)
+    )
+    return int(np.count_nonzero(ckpt >= 0)) - int(np.count_nonzero(joined))
 
 
 # ----------------------------------------------------------------------

@@ -72,19 +72,7 @@ def rebase_stored_record(record, at: int):
     def build(staged) -> None:
         writer = RecordWriter(staged, method=view.header.get("method", ""))
         for old_id in range(at, count):
-            state = materialize_index(*resolve_source(view, old_id)[:2])
-            if old_id == at:
-                spec = view.spec
-                diff = CheckpointDiff(
-                    method="full",
-                    ckpt_id=0,
-                    data_len=spec.data_len,
-                    chunk_size=spec.chunk_size,
-                    payload=state.tobytes(),
-                )
-            else:
-                diff = _rewrite_diff(view.frame(old_id), at, state)
-            writer.append(diff)
+            writer.append(_rebased_diff(view, old_id, at))
         verification = verify_record(staged)
         if not verification.ok:
             raise StorageError(
@@ -101,6 +89,26 @@ def rebase_stored_record(record, at: int):
         new_checkpoints=count - at,
     )
     return view.path if isinstance(view.store, DirectoryStore) else view.store
+
+
+def _rebased_diff(view: RecordView, old_id: int, at: int) -> CheckpointDiff:
+    """Old checkpoint *old_id*'s frame on the chain rebased at *at*.
+
+    Its state is gathered from the record and dropped on return, so the
+    next checkpoint's gather never runs beside it: the rebase holds one
+    state at a time.
+    """
+    state = materialize_index(*resolve_source(view, old_id)[:2])
+    if old_id > at:
+        return _rewrite_diff(view.frame(old_id), at, state)
+    spec = view.spec
+    return CheckpointDiff(
+        method="full",
+        ckpt_id=0,
+        data_len=spec.data_len,
+        chunk_size=spec.chunk_size,
+        payload=state.tobytes(),
+    )
 
 
 def _rewrite_diff(diff: CheckpointDiff, at: int, state: np.ndarray) -> CheckpointDiff:

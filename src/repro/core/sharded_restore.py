@@ -1,7 +1,7 @@
 """Sharded restore: one checkpoint restored across N ≥ 1 simulated GPUs.
 
-The per-source batched gathers of :func:`~repro.core.provenance.
-materialize_index` are independent per chunk — chunk *c*'s bytes come
+The fused gather of :func:`~repro.core.provenance.materialize_index`
+is independent per chunk — chunk *c*'s bytes come
 from exactly one ``(src_ckpt[c], src_off[c])`` location regardless of
 what any other chunk does.  So a restart can split the chunk range of
 the target checkpoint across N simulated GPUs the same way the
@@ -46,6 +46,7 @@ from .provenance import (
     ProvenanceIndex,
     materialize_index,
     resolve_source,
+    source_runs,
 )
 
 _SHARDED_RESTORES = telemetry.counter(
@@ -84,6 +85,9 @@ class ShardSpec:
     payload_bytes: int
     #: Byte extent of the chunk range — what the shard H2D-uploads.
     state_bytes: int
+    #: Source runs the shard's chunk range gathers
+    #: (:func:`~repro.core.provenance.source_runs`).
+    runs: int
 
     @property
     def num_chunks(self) -> int:
@@ -91,20 +95,22 @@ class ShardSpec:
 
     @property
     def planned_counts(self) -> KernelCounts:
-        """What this shard's gathers meter with one window.
+        """What this shard's gather meters with one window.
 
-        One ``restore.gather`` launch per source payload, each reading
-        its gathered bytes plus the shard's index slice and writing the
-        gathered bytes (exactly what :func:`materialize_index` meters),
-        and one H2D of the shard's extent.  The window pick prices these
-        before any ledger exists.
+        One fused ``restore.gather`` launch over every source payload —
+        reading the gathered bytes plus the shard's index slice once,
+        writing the gathered bytes, one random access per source run
+        (exactly what :func:`materialize_index` meters) — and one H2D
+        of the shard's extent.  The window pick prices these before any
+        ledger exists; each window past the first adds one launch, one
+        H2D and at most one run split at its boundary.
         """
-        launches = len(self.sources)
         return KernelCounts(
-            launches=launches,
+            launches=1,
             bytes_read=self.payload_bytes
-            + launches * self.num_chunks * RAW_INDEX_BYTES_PER_CHUNK,
+            + self.num_chunks * RAW_INDEX_BYTES_PER_CHUNK,
             bytes_written=self.payload_bytes,
+            random_accesses=self.runs,
             transfer_count=1,
             transfer_bytes=self.state_bytes,
         )
@@ -169,6 +175,7 @@ class ShardedRestorePlan:
                     sources=tuple(int(t) for t in sources),
                     payload_bytes=payload,
                     state_bytes=state,
+                    runs=source_runs(index, lo, hi),
                 )
             )
         self.shards = shards
@@ -202,9 +209,9 @@ class ShardedRestorePlan:
         *spaces* supplies one ``ExecutionSpace`` per rank (``None``
         meters nothing); each (rank, window) gather runs under a
         ``restore.shard.gather`` telemetry span against that rank's
-        space, and each window's range uploads as its own H2D copy —
-        the per-window DMA setup cost is real, which is what makes the
-        window-count choice a genuine trade-off.
+        space: one fused gather launch and one H2D copy of the window's
+        range.  That per-window launch and DMA setup cost is real, which
+        is what makes the window-count choice a genuine trade-off.
         """
         positive_int(windows, "windows")
         index = self.index
@@ -323,7 +330,9 @@ def restore_sharded(
         windows, predicted = pick_window_count(
             read_seconds,
             gather_seconds,
-            per_window_overhead=device.pcie_latency,
+            # Each window past the first is one more gather launch and
+            # one more H2D copy per rank.
+            per_window_overhead=device.pcie_latency + device.kernel_launch_latency,
             candidates=WINDOW_CANDIDATES if windows is None else (windows,),
         )
         span.set(

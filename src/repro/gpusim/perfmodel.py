@@ -194,10 +194,11 @@ class KernelCostModel:
     ) -> "RestoreCost":
         """Price a restore's metered work into a :class:`RestoreCost`.
 
-        The provenance gather meters one ``restore.gather`` launch per
-        referenced source payload plus the final H2D upload of the
-        reconstructed buffer; the chain-replay oracle
-        (:class:`~repro.core.restore.Restorer`) is not metered.
+        The provenance gather meters one fused ``restore.gather`` launch
+        per gather call — every referenced source payload at once, the
+        index slice read once, one random access per source run — plus
+        the H2D upload of the reconstructed range; the chain-replay
+        oracle (:class:`~repro.core.restore.Restorer`) is not metered.
 
         *read_bytes* / *read_bandwidth* optionally charge the storage
         read feeding the gathers (PFS bandwidth for a cold fleet

@@ -3,10 +3,12 @@
 :func:`~repro.core.provenance.materialize_index` sorts a row's written
 chunks by source checkpoint once and hands every source payload to one
 grouped :func:`~repro.core.serialize.place_chunks` call.  The reference
-below is the loop it replaced, kept verbatim: one ``flatnonzero`` pass
-and one single-source scatter per referenced checkpoint.  Both must
-produce the same bytes, the same per-source report and the same kernel
-ledger, on every checkpoint, every chunk range and a short tail chunk.
+below is the loop it replaced: one ``flatnonzero`` pass and one
+single-source scatter per referenced checkpoint.  Both must produce the
+same bytes, the same per-source report and the same ``payload_of``
+order, on every checkpoint, every chunk range and a short tail chunk.
+The device ledger is one fused ``restore.gather`` launch per call, whose
+counts the test derives chunk by chunk (:func:`_fused_ledger`).
 
 ``place_chunks`` itself is one compiled call when the native object
 loaded; the differential tests at the end hold it to its NumPy body.
@@ -28,7 +30,7 @@ from repro.core.provenance import (
 from repro.core.serialize import diff_payload, group_by_source, place_chunks
 from repro.errors import RestoreError
 from repro.hashing import native
-from repro.kokkos import DeviceSpace
+from repro.kokkos import DeviceSpace, KernelRecord, TransferRecord
 from tests.conftest import numpy_path
 
 CS = 64
@@ -66,10 +68,11 @@ def _place_one(out, spec, chunks, offs, source) -> int:
 
 
 def _reference_materialize(
-    index, payload_of, out=None, space=None, report=None,
-    chunk_lo=0, chunk_hi=None, zero=True,
+    index, payload_of, out=None, report=None, chunk_lo=0, chunk_hi=None,
+    zero=True,
 ):
-    """The per-source gather loop the grouped gather replaced."""
+    """The per-source gather loop the grouped gather replaced (it meters
+    nothing: the fused ledger is :func:`_fused_ledger`'s)."""
     spec = ChunkSpec(index.data_len, index.chunk_size)
     cs = spec.chunk_size
     lo = chunk_lo
@@ -94,18 +97,40 @@ def _reference_materialize(
             report.payload_bytes_read[t] = (
                 report.payload_bytes_read.get(t, 0) + gathered
             )
-        if space is not None:
-            space.launch(
-                "restore.gather",
-                items=int(chunks.shape[0]),
-                bytes_read=gathered + (hi - lo) * RAW_INDEX_BYTES_PER_CHUNK,
-                bytes_written=gathered,
-            )
-    if space is not None:
-        extent = min(hi * cs, index.data_len) - lo * cs
-        if extent > 0:
-            space.transfer("H2D", extent)
     return out
+
+
+def _fused_ledger(index, chunk_lo=0, chunk_hi=None):
+    """``(kernels, transfers)`` one gather call over ``[chunk_lo,
+    chunk_hi)`` meters, counted one chunk at a time: a single launch
+    whose random accesses are the source runs — a written chunk starts a
+    new run unless the chunk before it read the same source at the
+    offset just before its own."""
+    cs = index.chunk_size
+    hi = index.num_chunks if chunk_hi is None else chunk_hi
+    if hi == chunk_lo:
+        return [], []
+    items = gathered = runs = 0
+    prev = None
+    for c in range(chunk_lo, hi):
+        t, off = int(index.src_ckpt[c]), int(index.src_off[c])
+        if t < 0:
+            prev = None
+            continue
+        items += 1
+        gathered += min(cs, index.data_len - c * cs)
+        if prev != (t, off - cs):
+            runs += 1
+        prev = (t, off)
+    kernel = KernelRecord(
+        name="restore.gather",
+        items=items,
+        bytes_read=gathered + (hi - chunk_lo) * RAW_INDEX_BYTES_PER_CHUNK,
+        bytes_written=gathered,
+        random_accesses=runs,
+    )
+    extent = min(hi * cs, index.data_len) - chunk_lo * cs
+    return [kernel], [TransferRecord("H2D", extent)]
 
 
 def _chain(method, rng, n, steps=8):
@@ -137,35 +162,34 @@ def _run(gather, index, payloads, **kwargs):
         calls.append(t)
         return payloads[t]
 
-    space = DeviceSpace(0)
     report = RestoreReport(
         target_ckpt=index.ckpt_id,
         data_len=index.data_len,
         frames_total=0,
         frames_parsed=0,
     )
-    out = gather(index, payload_of, space=space, report=report, **kwargs)
-    return (
-        out,
-        list(report.payload_bytes_read.items()),
-        space.ledger.kernels,
-        space.ledger.transfers,
-        calls,
-    )
+    out = gather(index, payload_of, report=report, **kwargs)
+    return out, list(report.payload_bytes_read.items()), calls
 
 
 def _assert_same(index, payloads, seed=None, **kwargs):
-    """Both gathers, into a fresh buffer or into copies of *seed*."""
-    got, want = (
-        _run(gather, index, payloads, out=None if seed is None else seed.copy(),
-             **kwargs)
-        for gather in (materialize_index, _reference_materialize)
-    )
+    """Both gathers, into a fresh buffer or into copies of *seed*, and
+    the fused gather's ledger against the one it must meter."""
+    def into():
+        return None if seed is None else seed.copy()
+
+    space = DeviceSpace(0)
+    got = _run(materialize_index, index, payloads, out=into(), space=space, **kwargs)
+    want = _run(_reference_materialize, index, payloads, out=into(), **kwargs)
     assert np.array_equal(got[0], want[0])
     assert got[1] == want[1]  # bytes per source, keys in order
-    assert got[2] == want[2]  # launches: name, items, bytes read / written
-    assert got[3] == want[3]
-    assert got[4] == want[4]  # payload_of once per source, ascending
+    assert got[2] == want[2]  # payload_of once per source, ascending
+    ranges = {k: kwargs[k] for k in ("chunk_lo", "chunk_hi") if k in kwargs}
+    kernels, transfers = _fused_ledger(index, **ranges)
+    assert space.ledger.kernels == kernels  # one launch: items, bytes, runs
+    assert space.ledger.transfers == transfers
+    if kernels:
+        assert kernels[0].bytes_written == sum(n for _, n in want[1])
 
 
 @pytest.mark.parametrize("n", [CS * 80, CS * 80 + 17], ids=["aligned", "tail"])
@@ -175,6 +199,13 @@ class TestParityWithThePerSourceLoop:
         rows, payloads = _chain(method, rng, n)
         if method != "full":  # a full diff's row only reads its own payload
             assert max(len(r.referenced()) for r in rows) > 2
+            # some row's runs split a source and join chunks
+            assert any(
+                len(r.referenced())
+                < _fused_ledger(r)[0][0].random_accesses
+                < r.num_chunks
+                for r in rows
+            )
         for row in rows:
             _assert_same(row, payloads)
 

@@ -48,6 +48,23 @@ def _chain(method, rng, steps=6, n=N):
     return diffs, states
 
 
+def _many_sources(rng, steps=30, n=64 * 400):
+    """A chain whose newest row draws on every one of its *steps*
+    checkpoints: each step rewrites three short scattered regions."""
+    engine = ENGINES["tree"](n, CS)
+    buf = rng.integers(0, 256, n, dtype=np.uint8)
+    diffs = [engine.checkpoint(buf)]
+    states = [buf.copy()]
+    for _ in range(1, steps):
+        buf = buf.copy()
+        for _ in range(3):
+            off = int(rng.integers(0, n // CS - 4)) * CS
+            buf[off : off + 3 * CS] = rng.integers(0, 256, 3 * CS, dtype=np.uint8)
+        diffs.append(engine.checkpoint(buf))
+        states.append(buf.copy())
+    return diffs, states
+
+
 def _index_of(diffs, upto=None):
     builder = ProvenanceBuilder()
     builder.extend(diffs)
@@ -225,6 +242,42 @@ class TestOnePricing:
             planned = model.price_counts(shard.planned_counts).total_seconds
             executed = model.price(space.ledger).total_seconds
             assert planned == pytest.approx(executed, rel=1e-12)
+
+    @pytest.mark.parametrize("ranks", [1, 4, 16])
+    def test_planned_runs_are_the_executed_runs(self, ranks, rng):
+        """One fused launch per rank, whose random accesses — the
+        shard's source runs — the plan states before it executes."""
+        diffs, _ = _many_sources(rng)
+        index = _index_of(diffs)
+        assert index.referenced().size >= 20
+        plan = ShardedRestorePlan(index, ranks)
+        spaces = [DeviceSpace(r) for r in range(ranks)]
+        plan.materialize(_payload_fn(diffs), spaces=spaces)
+        for shard, space in zip(plan.shards, spaces):
+            (kernel,) = space.ledger.kernels
+            assert shard.planned_counts.launches == kernel.launches == 1
+            assert shard.planned_counts.random_accesses == kernel.random_accesses
+            assert len(shard.sources) < kernel.random_accesses
+
+    @pytest.mark.parametrize("ranks", [1, 4])
+    def test_window_pick_prices_what_the_windows_meter(self, ranks, rng):
+        """With W ≥ 2 windows each (rank, window) gather is one launch and
+        one H2D; the picker's prediction is the priced executed restore
+        up to the runs a window boundary splits, at most W - 1 random
+        accesses per rank."""
+        diffs, states = _many_sources(rng)
+        record = ram_record(diffs)
+        device = a100()
+        out, report = restore_sharded(
+            record, ranks, device, [1.0] * ranks, read_bandwidth=1e9
+        )
+        assert np.array_equal(out, states[-1])
+        assert report.sources >= 20
+        assert report.windows >= 2
+        slack = (report.windows - 1) * device.random_access_cost
+        executed = report.critical_path_seconds
+        assert report.predicted_seconds <= executed + 1e-15
+        assert executed - report.predicted_seconds <= slack + 1e-15
 
     def test_one_rank_restart_is_the_single_gpu_gather(self, rng):
         diffs, _ = _chain("tree", rng)
