@@ -19,7 +19,11 @@ Reported per the ISSUE's acceptance bar:
 * ``index_bytes_per_append_ratio`` — row-group bytes per append, tail
   over head (the index append is O(rows in this checkpoint), so flat);
 * four-method byte-identity — N ``append()`` calls produce a directory
-  bit-identical to one whole-chain ``save_record``.
+  bit-identical to one whole-chain ``save_record``;
+* ``long_chain`` — a unit's heap, a writer reopened on its record (heap
+  and wall ms) at 101 and 1,001 checkpoints of 256 KiB in 128 B chunks:
+  the writer keeps one row and the first-store table, so the reopened
+  writer's heap stays under ``MAX_REOPENED_WRITER_MIB`` at 1,001.
 
 Writes ``BENCH_append.json`` next to the repo root (or
 ``$REPRO_BENCH_OUT``).  Run directly or under pytest — the pytest hook
@@ -33,10 +37,12 @@ import os
 import statistics
 import tempfile
 import time
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 
+from repro import IncrementalCheckpointer
 from repro.core import RecordWriter, save_record
 from repro.core.checkpointer import ENGINES
 from repro.telemetry import events
@@ -57,6 +63,14 @@ IDENTITY_METHODS = ("full", "basic", "list", "tree")
 IDENTITY_CHAIN_LEN = 12
 IDENTITY_BUFFER = 64 * 1024
 IDENTITY_CHUNK = 256
+
+#: The long-chain probe: one random 2 KiB rewrite per step.
+LONG_CHAIN_LENGTHS = (101, 1001)
+LONG_CHAIN_BUFFER = 256 * 1024
+LONG_CHAIN_CHUNK = 128
+LONG_CHAIN_REWRITE = 2048
+#: Ceiling on the heap of a writer reopened on the 1,001-checkpoint record.
+MAX_REOPENED_WRITER_MIB = 2.0
 
 
 def _scratch_dir() -> tempfile.TemporaryDirectory:
@@ -201,21 +215,76 @@ def bench_identity(directory: Path) -> dict:
     }
 
 
+def bench_long_chain(directory: Path) -> dict:
+    """A unit's heap and a reopened writer's heap and reopen time as the
+    chain grows (tracemalloc; the reopen time is the best of three,
+    untraced)."""
+    points = []
+    for length in LONG_CHAIN_LENGTHS:
+        target = directory / f"long-{length}"
+        rng = np.random.default_rng(7)
+        state = rng.integers(0, 256, LONG_CHAIN_BUFFER, dtype=np.uint8)
+        tracemalloc.start()
+        try:
+            unit = IncrementalCheckpointer(
+                LONG_CHAIN_BUFFER, LONG_CHAIN_CHUNK, "tree", record_dir=target
+            )
+            for step in range(length):
+                if step:
+                    lo = int(rng.integers(0, LONG_CHAIN_BUFFER - LONG_CHAIN_REWRITE))
+                    state[lo : lo + LONG_CHAIN_REWRITE] = rng.integers(
+                        0, 256, LONG_CHAIN_REWRITE, dtype=np.uint8
+                    )
+                unit.checkpoint(state)
+            unit_heap = tracemalloc.get_traced_memory()[0]
+            del unit
+            tracemalloc.stop()
+            tracemalloc.start()
+            writer = RecordWriter(target, method="tree")
+            writer_heap = tracemalloc.get_traced_memory()[0]
+            del writer
+        finally:
+            tracemalloc.stop()
+        reopen_ms = []
+        for _ in range(3):
+            t0 = time.perf_counter()
+            RecordWriter(target, method="tree")
+            reopen_ms.append((time.perf_counter() - t0) * 1e3)
+        points.append(
+            {
+                "checkpoints": length,
+                "unit_heap_mib": round(unit_heap / MB, 2),
+                "reopened_writer_heap_mib": round(writer_heap / MB, 2),
+                "reopen_ms": round(min(reopen_ms), 2),
+            }
+        )
+    return {
+        "buffer_bytes": LONG_CHAIN_BUFFER,
+        "chunk_size": LONG_CHAIN_CHUNK,
+        "rewrite_bytes": LONG_CHAIN_REWRITE,
+        "points": points,
+    }
+
+
 def run(out_path: Path | None = None) -> dict:
     from repro import telemetry
 
-    with telemetry.capture() as tel:
-        with _scratch_dir() as tmp:
-            tmp_path = Path(tmp)
+    with _scratch_dir() as tmp:
+        tmp_path = Path(tmp)
+        with telemetry.capture() as tel:
             append = bench_append_curve(tmp_path)
             whole = bench_whole_rewrite(tmp_path)
             identity = bench_identity(tmp_path)
+        # Outside the capture, which keeps every span it records: the
+        # heaps are the unit's and the writer's own.
+        long_chain = bench_long_chain(tmp_path)
     report = {
         "bench": "append",
         "max_tail_over_head": MAX_TAIL_OVER_HEAD,
         "append": append,
         "whole_rewrite": whole,
         "identity": identity,
+        "long_chain": long_chain,
         "telemetry": tel,
     }
     if out_path is None:
@@ -254,6 +323,12 @@ def test_bench_append(capsys):
     )
     # The contrast line: whole-chain rewriting grows with the chain.
     assert report["whole_rewrite"]["growth_500_over_10"] > MAX_TAIL_OVER_HEAD
+    longest = report["long_chain"]["points"][-1]
+    assert longest["reopened_writer_heap_mib"] <= MAX_REOPENED_WRITER_MIB, (
+        f"a writer reopened on {longest['checkpoints']} checkpoints holds "
+        f"{longest['reopened_writer_heap_mib']} MiB "
+        f"(ceiling {MAX_REOPENED_WRITER_MIB} MiB)"
+    )
 
 
 if __name__ == "__main__":

@@ -526,7 +526,12 @@ _BENCHES = {
 
 
 def _cmd_bench(args: argparse.Namespace) -> int:
+    """Run one bench's ``run()``.  A bench whose ``run()`` takes
+    ``num_vertices`` gets it by keyword (``--vertices``, else
+    ``REPRO_BENCH_VERTICES`` or its default); any other bench given
+    ``--vertices`` is a usage error."""
     import importlib.util
+    import inspect
 
     module_name = _BENCHES[args.name]
     bench_dir = Path(__file__).resolve().parents[2] / "benchmarks"
@@ -539,8 +544,15 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         spec = importlib.util.spec_from_file_location(module_name, path)
         module = importlib.util.module_from_spec(spec)
         spec.loader.exec_module(module)  # type: ignore[union-attr]
-        if args.vertices:
-            print(module.run(args.vertices))
+        if "num_vertices" in inspect.signature(module.run).parameters:
+            from conftest import bench_vertices  # benchmarks/conftest.py
+
+            print(module.run(num_vertices=args.vertices or bench_vertices()))
+        elif args.vertices:
+            print(
+                f"repro bench {args.name}: takes no --vertices", file=sys.stderr
+            )
+            return 2
         else:
             print(module.run())
     finally:

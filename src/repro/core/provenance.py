@@ -9,11 +9,13 @@ covered by a shifted duplicate inherits the provenance of the chunk it
 references; an untouched chunk keeps the previous checkpoint's entry.
 
 :class:`ProvenanceBuilder` composes that mapping transitively as diffs
-are appended — one vectorized pass per diff, one fancy-index composition
-per *unique* referenced checkpoint — yielding a
+are appended — one vectorized pass per diff, one sorted search for all
+of its shifted duplicates of earlier checkpoints — yielding a
 :class:`ProvenanceIndex` per checkpoint: two flat arrays ``src_ckpt``
 (int32, ``-1`` = never written, i.e. implicit zeros) and ``src_off``
 (int64 byte offset into the *decompressed* payload of diff ``src_ckpt``).
+It keeps only the newest row and a table of the chunks each checkpoint
+stored itself, so its memory follows the stored chunks, not the chain.
 
 Materializing checkpoint *k* is then one grouped gather over its
 referenced source payloads (:func:`materialize_index`) — typically a
@@ -35,14 +37,15 @@ in-memory chain except the record writer, as it appends.
 The composition relies on the engines' serialization invariant (§2.2):
 shifted-duplicate references point at content stored as a first
 occurrence, never at bytes another shifted duplicate of the same diff
-wrote.  Every restore path in the test suite asserts bit-identity against
-chain replay.
+wrote.  The builder checks it: a shift of a chunk its checkpoint did not
+store is refused.  Every restore path in the test suite asserts
+bit-identity against chain replay.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -95,58 +98,126 @@ class ProvenanceBuilder:
     """Incrementally composes :class:`ProvenanceIndex` rows over a chain.
 
     Append diffs in chain order (``append`` validates ordering and
-    geometry); ``indexes[k]`` is checkpoint *k*'s resolved index.  The
-    record writer composes each row as it appends.  The builder holds one
-    int32+int64 pair per chunk per checkpoint — metadata-sized, never
-    payload-sized.
+    geometry and returns each checkpoint's resolved row); ``last`` is the
+    newest row.  The record writer composes each row as it appends.  The
+    builder holds that one row (one int32+int64 pair per chunk) and the
+    *first-store table*: one ``(k * num_chunks + chunk, src_off)`` int64
+    pair per chunk checkpoint *k* stored itself (``row(k).src_ckpt ==
+    k``) — the only entries of older rows a later shifted duplicate can
+    name (docs/ALGORITHM.md §4).  Its keys grow with *k*, so appending
+    keeps the table sorted.  Metadata-sized and bounded by the stored
+    chunks, never by chain length × chunks.
     """
 
     def __init__(self) -> None:
-        self.indexes: List[ProvenanceIndex] = []
+        #: The newest row (``None`` before the first append).
+        self.last: Optional[ProvenanceIndex] = None
+        self._keys = np.empty(0, dtype=np.int64)
+        self._offs = np.empty(0, dtype=np.int64)
+        self._stored = 0  # table entries in use
+
+    @property
+    def count(self) -> int:
+        """Checkpoints composed so far."""
+        return 0 if self.last is None else self.last.ckpt_id + 1
 
     def extend(self, diffs: Sequence[CheckpointDiff]) -> None:
         for diff in diffs:
             self.append(diff)
 
     # ------------------------------------------------------------------
+    def _check_next(self, k: int, data_len: int, chunk_size: int) -> None:
+        """Raise unless checkpoint *k* of this geometry may come next."""
+        if k != self.count:
+            raise RestoreError(
+                f"diff chain out of order: position {self.count} holds "
+                f"checkpoint {k}"
+            )
+        prev = self.last
+        if prev is not None and (prev.data_len, prev.chunk_size) != (
+            data_len, chunk_size
+        ):
+            raise RestoreError(f"checkpoint geometry changed mid-chain at {k}")
+
+    def _resolve(self, k: int, n: int, refs, src) -> np.ndarray:
+        """Payload offsets of chunks *src* of checkpoints *refs* (< *k*),
+        one sorted search over the first-store table; a chunk its
+        checkpoint did not store itself raises :class:`RestoreError`."""
+        keys = refs * n + src
+        table = self._keys[: self._stored]
+        pos = np.searchsorted(table, keys)
+        found = pos < self._stored
+        found[found] = table[pos[found]] == keys[found]
+        if not found.all():
+            miss = int(np.flatnonzero(~found)[0])
+            t = int(refs[miss])
+            raise RestoreError(
+                f"ckpt {k}: a shifted duplicate reads chunk {int(src[miss])} "
+                f"of checkpoint {t}, which checkpoint {t} did not store"
+            )
+        return self._offs[pos]
+
+    def _commit(self, row: ProvenanceIndex) -> None:
+        """Make *row* the newest row and table the chunks it stores."""
+        k = row.ckpt_id
+        stored = np.flatnonzero(row.src_ckpt == k)
+        end = self._stored + stored.shape[0]
+        if end > self._keys.shape[0]:  # grow by doubling
+            size = max(end, 2 * self._keys.shape[0])
+            keys, offs = np.empty(size, np.int64), np.empty(size, np.int64)
+            keys[: self._stored] = self._keys[: self._stored]
+            offs[: self._stored] = self._offs[: self._stored]
+            self._keys, self._offs = keys, offs
+        self._keys[self._stored : end] = stored + k * row.num_chunks
+        self._offs[self._stored : end] = row.src_off[stored]
+        self._stored = end
+        self.last = row
+
+    def push(self, row: ProvenanceIndex) -> None:
+        """Take *row*, decoded from a record, as the next checkpoint's row
+        without composing it (a reopening writer feeds its record's rows
+        one at a time)."""
+        self._check_next(row.ckpt_id, row.data_len, row.chunk_size)
+        self._commit(row)
+
     def append(self, diff: CheckpointDiff) -> ProvenanceIndex:
         """Compose the next checkpoint's index from *diff*.
 
         Row *k* is row *k-1* with *diff*'s :func:`chunk_map` applied: its
-        first occurrences point into its own payload, its shifted
-        duplicates copy the entries of the rows they reference.  A diff
-        the map finds a problem in raises that problem as
-        :class:`RestoreError` — the composition relies on every one of
-        those checks, the §4 invariant included.
+        first occurrences point into its own payload; its shifted
+        duplicates of an earlier checkpoint *t* take the offset the
+        first-store table holds for ``(t, src)``, all in one search, and
+        those of checkpoint *k* itself copy the entry of the chunk they
+        read.  A diff the map finds a problem in, or one that shifts a
+        chunk its checkpoint did not store, raises :class:`RestoreError`
+        — the composition relies on every one of those checks, the §4
+        invariant included.
         """
-        k = len(self.indexes)
-        if diff.ckpt_id != k:
-            raise RestoreError(
-                f"diff chain out of order: position {k} holds "
-                f"checkpoint {diff.ckpt_id}"
-            )
-        prev = self.indexes[-1] if self.indexes else None
-        if prev is not None and (prev.data_len, prev.chunk_size) != (
-            diff.data_len, diff.chunk_size
-        ):
-            raise RestoreError(f"checkpoint geometry changed mid-chain at {k}")
+        k = self.count
+        self._check_next(diff.ckpt_id, diff.data_len, diff.chunk_size)
         cmap = chunk_map(diff)
         if cmap.problems:
             raise RestoreError(cmap.problems[0])
+        n = cmap.spec.num_chunks
+        prev = self.last
         if prev is None:
-            src_ckpt = np.full(cmap.spec.num_chunks, ZERO_SOURCE, dtype=np.int32)
-            src_off = np.zeros(cmap.spec.num_chunks, dtype=np.int64)
+            src_ckpt = np.full(n, ZERO_SOURCE, dtype=np.int32)
+            src_off = np.zeros(n, dtype=np.int64)
         else:
             src_ckpt, src_off = prev.src_ckpt.copy(), prev.src_off.copy()
 
         src_ckpt[cmap.first_chunks] = k
         src_off[cmap.first_chunks] = cmap.first_offs
-        for t in np.unique(cmap.refs):
-            sel = cmap.refs == t
-            ref = self.indexes[t] if t < k else None
-            dst, src = cmap.dst[sel], cmap.src[sel]
-            src_ckpt[dst] = (src_ckpt if ref is None else ref.src_ckpt)[src]
-            src_off[dst] = (src_off if ref is None else ref.src_off)[src]
+        older = cmap.refs < k
+        if older.any():
+            dst, refs = cmap.dst[older], cmap.refs[older]
+            src_off[dst] = self._resolve(k, n, refs, cmap.src[older])
+            src_ckpt[dst] = refs
+        own = ~older
+        if own.any():
+            dst, src = cmap.dst[own], cmap.src[own]
+            src_ckpt[dst] = src_ckpt[src]
+            src_off[dst] = src_off[src]
 
         index = ProvenanceIndex(
             ckpt_id=k,
@@ -155,7 +226,7 @@ class ProvenanceBuilder:
             src_ckpt=src_ckpt,
             src_off=src_off,
         )
-        self.indexes.append(index)
+        self._commit(index)
         return index
 
 

@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -76,10 +76,11 @@ class RecordView:
         return k
 
     # ------------------------------------------------------------------
-    def _groups(self, ckpt: Optional[int] = None) -> Tuple[int, List[bytes]]:
+    def _groups(self, ckpt: Optional[int] = None) -> Tuple[int, Iterator[bytes]]:
         """``(first checkpoint, group records)`` of *ckpt*'s keyframe span,
         in one ``pread`` of that byte range; without *ckpt*, every group,
-        after checking the file prologue against the header's geometry."""
+        after checking the file prologue against the header's geometry.
+        The records are cut from that one read as they are consumed."""
         log = self.log
         name = self.header["index"]
         first = 0 if ckpt is None else self.keyframe_of(ckpt)
@@ -102,27 +103,29 @@ class RecordView:
                     f"chunks, record holds {held[0]} in {held[1]}",
                     path=f"{self.path}/{name}",
                 )
-        return first, [
+        return first, (
             blob[log.group_off[k] - start : log.group_end(k) - start]
             for k in range(first, last + 1)
-        ]
+        )
 
-    def rows(self, ckpt: Optional[int] = None) -> list:
-        """Every row, in order, after checking the file prologue's geometry
-        against the header's; with *ckpt*, the rows of its keyframe span.
-        Keyframe decode + delta fold, each group checked against its own
-        digest and the log's."""
+    def fold(self, ckpt: Optional[int] = None) -> Iterator:
+        """Yield every row, in order, as the index is folded, after
+        checking the file prologue's geometry against the header's; with
+        *ckpt*, the rows of its keyframe span.  Keyframe decode + delta
+        fold, each group checked against its own digest and the log's;
+        the index bytes are read once, and only the row being folded onto
+        is held."""
         first, records = self._groups(ckpt)
         spec = self.spec
-        rows = []
+        row = None
         for k, record in enumerate(records, first):
-            rows.append(
-                index.decode_group(
-                    record, k, self.log.group_sha[k], spec, rows[-1] if rows else None
-                )
-            )
+            row = index.decode_group(record, k, self.log.group_sha[k], spec, row)
             _INDEX_GROUPS_DECODED.inc()
-        return rows
+            yield row
+
+    def rows(self, ckpt: Optional[int] = None) -> list:
+        """:meth:`fold`, collected: every row, or *ckpt*'s keyframe span."""
+        return list(self.fold(ckpt))
 
     def row(self, k: int):
         """Checkpoint *k*'s :class:`~repro.core.provenance.ProvenanceIndex`
@@ -245,7 +248,7 @@ class RecordView:
         except (StorageError, SerializationError):
             report.provenance_ok = False
             return report
-        report.index_groups = len(records)
+        report.index_groups = log.count
         report.index_bad_groups = [
             k
             for k, record in enumerate(records)

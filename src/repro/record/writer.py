@@ -60,12 +60,16 @@ class RecordWriter:
     Opening an existing record is the only O(chain) step: one
     :class:`RecordView` checks the log's seal, the last frame is checked
     against it (a torn append), whatever an interrupted append left past
-    the last sealed entry is truncated, and every index row is rebuilt
-    into the :class:`~repro.core.provenance.ProvenanceBuilder`.
-    :meth:`check` is the one compatibility check.  Every append composes
-    its row before it opens a file: a diff the builder rejects — out of
-    order, another geometry, or a chunk map no reader can restore — is
-    refused, and the record is left as it was.
+    the last sealed entry is truncated, and the index is folded one row
+    at a time into the :class:`~repro.core.provenance.ProvenanceBuilder`
+    — every group verified, but only the newest row and the builder's
+    first-store table kept, so the writer's memory follows the stored
+    chunks, not the chain length.  :meth:`check` is the one
+    compatibility check.  Every append composes its row before it opens
+    a file: a diff the builder rejects — out of order, another geometry,
+    a chunk map no reader can restore, or a shift of a chunk its
+    checkpoint did not store — is refused, and the record is left as it
+    was.
     """
 
     def __init__(self, directory: Union[str, Path, ByteStore], method: str = "") -> None:
@@ -140,7 +144,8 @@ class RecordWriter:
         # next append is a pure append.
         self.store.truncate(LOG_FILE, count * LOG_ENTRY.size)
         self._sealer = view.sealer.copy()
-        self._builder.indexes = view.rows()
+        for row in view.fold():
+            self._builder.push(row)
         self._index_end = log.group_end(count - 1)
         self.store.truncate(INDEX_FILE, self._index_end)
         keyframe = view.keyframe_of(count - 1)
@@ -184,14 +189,14 @@ class RecordWriter:
         self._header = header
         return len(text)
 
-    def _append_index(self, row):
-        """Extend the index by *row*'s row-group; returns the bytes
-        appended and the group's ``(offset, length, kind, digest)`` log
-        columns."""
+    def _append_index(self, row, prev):
+        """Extend the index by *row*'s row-group (a delta is taken against
+        *prev*, the row before it); returns the bytes appended and the
+        group's ``(offset, length, kind, digest)`` log columns."""
         with telemetry.span("store.index.append_group", ckpt=row.ckpt_id) as span:
             changed = None
-            if row.ckpt_id:
-                changed = index.changed_chunks(self._builder.indexes[-2], row)
+            if prev is not None:
+                changed = index.changed_chunks(prev, row)
                 size = index.delta_group_bytes(changed.size)
                 if self._delta_bytes + size >= self._keyframe_bytes:
                     changed = None
@@ -229,6 +234,7 @@ class RecordWriter:
             "store.append", ckpt=diff.ckpt_id, path=str(self.path)
         ) as span:
             # The row first: a diff no reader could restore writes nothing.
+            prev = self._builder.last
             try:
                 row = self._builder.append(diff)
             except RestoreError as exc:
@@ -240,7 +246,7 @@ class RecordWriter:
             _FRAMES_WRITTEN.inc()
             prior = self._count
 
-            index_bytes, group = self._append_index(row)
+            index_bytes, group = self._append_index(row, prev)
 
             manifest_bytes = self._write_header(diff) + LOG_ENTRY.size
             body = LOG_BODY.pack(len(blob), diff.content_digest(), *group)

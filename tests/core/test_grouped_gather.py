@@ -150,9 +150,9 @@ def _chain(method, rng, n, steps=8):
             buf[-CS:] = rng.integers(0, 256, CS, dtype=np.uint8)
         diffs.append(engine.checkpoint(buf))
     builder = ProvenanceBuilder()
-    builder.extend(diffs)
+    rows = [builder.append(d) for d in diffs]
     payloads = {d.ckpt_id: diff_payload(d) for d in diffs}
-    return builder.indexes, payloads
+    return rows, payloads
 
 
 def _run(gather, index, payloads, **kwargs):

@@ -112,11 +112,11 @@ class TestEquivalence:
 
         diffs, states = _chain("tree", rng)
         builder = ProvenanceBuilder()
-        builder.extend(diffs)
+        rows = [builder.append(d) for d in diffs]
         record = ram_record(diffs)
         for k in (1, len(diffs) - 1):
             index, payload_of, _ = resolve_source(record, k)
-            external = builder.indexes[k]
+            external = rows[k]
             assert np.array_equal(external.src_ckpt, index.src_ckpt)
             assert np.array_equal(external.src_off, index.src_off)
             assert np.array_equal(materialize_index(external, payload_of), states[k])

@@ -12,6 +12,7 @@ import pytest
 
 from repro import telemetry
 from repro.core import ENGINES, ProvenanceBuilder, RecordWriter, Restorer
+from repro.core.diff import CheckpointDiff
 from repro.core.provenance import restore_record_indexed
 from repro.core.store import (
     load_provenance,
@@ -321,6 +322,94 @@ class TestWriterGuards:
         assert "provenance" in manifest
         assert load_provenance(tmp_path / "rec").num_checkpoints == 2
 
+    def test_shift_of_a_chunk_its_checkpoint_did_not_store_is_refused(
+        self, rng, tmp_path
+    ):
+        """Checkpoint 2 shifts chunk 1 of checkpoint 1, which checkpoint 1
+        left FIXED: the replay oracle can copy it, but the first-store
+        table holds no such chunk, so the builder raises and the writer —
+        fresh or reopened — refuses the diff and leaves the record as it
+        was."""
+        data_len, chunk = 4 * 64, 64
+
+        def diff(method, ckpt_id, payload, **ids):
+            return CheckpointDiff(
+                method=method, ckpt_id=ckpt_id, data_len=data_len,
+                chunk_size=chunk, payload=payload,
+                **{k: np.asarray(v, dtype=np.uint32) for k, v in ids.items()},
+            )
+
+        chain = [
+            diff("full", 0, bytes(rng.integers(0, 256, data_len, dtype=np.uint8))),
+            diff("list", 1, bytes(rng.integers(0, 256, chunk, dtype=np.uint8)),
+                 first_ids=[0]),
+            diff("list", 2, b"", shift_ids=[2], shift_ref_ids=[1],
+                 shift_ref_ckpts=[1]),
+        ]
+        states = Restorer().restore_all(chain)
+        assert np.array_equal(states[2][128:192], states[0][64:128])
+        builder = ProvenanceBuilder()
+        builder.extend(chain[:2])
+        with pytest.raises(RestoreError, match="ckpt 2: .*chunk 1 of checkpoint 1"):
+            builder.append(chain[2])
+
+        fresh = RecordWriter(tmp_path / "fresh", method="list")
+        for d in chain[:2]:
+            fresh.append(d)
+        directory = save_record(chain[:2], tmp_path / "rec", method="list")
+        for writer in (fresh, RecordWriter(directory, method="list")):
+            before = _dir_bytes(writer.path)
+            with pytest.raises(
+                StorageError, match="cannot append checkpoint 2: ckpt 2"
+            ):
+                writer.append(chain[2])
+            assert writer.count == 2 and _dir_bytes(writer.path) == before
+
+
+class TestWriterMemory:
+    """The writer holds the newest row and the first-store table, not a
+    row per checkpoint: its heap follows the stored chunks, not the chain."""
+
+    def test_long_chain_heap_is_flat(self, tmp_path):
+        import tracemalloc
+
+        from repro import IncrementalCheckpointer
+
+        data_len, chunk, rewrite, chain = 64 * 1024, 128, 256, 1001
+        rng = np.random.default_rng(7)
+        state = rng.integers(0, 256, data_len, dtype=np.uint8)
+        directory = tmp_path / "rec"
+        # Collected telemetry keeps a record per span; the heap measured
+        # here is the unit's and the writer's own.
+        was_enabled = telemetry.enabled()
+        telemetry.disable()
+        tracemalloc.start()
+        try:
+            unit = IncrementalCheckpointer(data_len, chunk, "tree", record_dir=directory)
+            for k in range(chain):
+                if k:
+                    lo = int(rng.integers(0, data_len - rewrite))
+                    state[lo : lo + rewrite] = rng.integers(
+                        0, 256, rewrite, dtype=np.uint8
+                    )
+                unit.checkpoint(state)
+                if k == 100:
+                    at_100 = tracemalloc.get_traced_memory()[0]
+            growth = tracemalloc.get_traced_memory()[0] - at_100
+            del unit
+            tracemalloc.stop()
+            tracemalloc.start()
+            writer = RecordWriter(directory, method="tree")
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+            if was_enabled:
+                telemetry.enable()
+        assert writer.count == chain
+        # The rows alone would be 900 x 512 chunks x 12 B, about 5.5 MB.
+        assert growth <= 1 << 20, growth
+        assert held <= 1 << 20, held
+
 
 class TestFormatCompatibility:
     def test_v4_index_written_and_loads(self, rng, tmp_path):
@@ -407,6 +496,15 @@ class TestRowGroupDamage:
                     restore_record_indexed(directory, upto=target)
                 assert verify_record(directory).index_bad_groups == [g]
 
+    def test_reopen_verifies_every_group(self, rng, tmp_path):
+        """The reopen folds the index one row at a time but still checks
+        every group: damage in group 3 of 20 stops it by that name."""
+        diffs, _states = _sparse_chain(20, rng)
+        directory = save_record(diffs, tmp_path / "rec", method="tree")
+        self._damage_group(directory, 3)
+        with pytest.raises(IntegrityError, match="row-group 3 "):
+            RecordWriter(directory, method="tree")
+
     def test_any_flipped_log_byte_at_or_before_the_target_is_detected(
         self, rng, tmp_path
     ):
@@ -435,8 +533,8 @@ class TestRowGroupDamage:
         log = _log(directory)
         assert log[last].group_kind == DELTA
         builder = ProvenanceBuilder()
-        builder.extend(diffs)
-        keyframe, digest = encode_group(builder.indexes[last])
+        rows = [builder.append(d) for d in diffs]
+        keyframe, digest = encode_group(rows[last])
         index_path = directory / "provenance.rpix"
         index_path.write_bytes(
             index_path.read_bytes()[: log[last].group_off] + keyframe
@@ -481,12 +579,12 @@ class TestSizeRule:
         log = _log(directory)
         assert [e.group_kind for e in log] == [KEYFRAME] * 12
         builder = ProvenanceBuilder()
-        builder.extend(diffs)
+        rows = [builder.append(d) for d in diffs]
         blob = (directory / "provenance.rpix").read_bytes()
         for k, entry in enumerate(log):
-            row = builder.indexes[k]
+            row = rows[k]
             if k:
-                changed = changed_chunks(builder.indexes[k - 1], row)
+                changed = changed_chunks(rows[k - 1], row)
                 assert 48 + 16 * changed.size >= log[k - 1].group_len
             body = _pack_planes(row.src_ckpt, row.src_off)
             digest = hashlib.sha256(struct.pack("<II", k, 1) + body).digest()

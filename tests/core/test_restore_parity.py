@@ -113,10 +113,10 @@ def test_every_stored_row_equals_the_composed_row(method, rng, tmp_path):
     ckpt=k)`` decodes exactly what a fresh builder composes for *k*."""
     diffs = _chain(method, rng)
     builder = ProvenanceBuilder()
-    builder.extend(diffs)
+    rows = [builder.append(d) for d in diffs]
     directory = save_record(diffs, tmp_path / "rec", method=method)
     for k in range(len(diffs)):
-        got, want = load_provenance(directory, ckpt=k), builder.indexes[k]
+        got, want = load_provenance(directory, ckpt=k), rows[k]
         assert (got.ckpt_id, got.data_len, got.chunk_size) == (k, N, CS)
         for name in ("src_ckpt", "src_off"):
             a, b = getattr(got, name), getattr(want, name)
@@ -158,9 +158,9 @@ def test_every_shift_names_bytes_its_checkpoint_stored(method, steps, seed):
                 buf[d0 : d0 + length] = rng.integers(0, 256, length, dtype=np.uint8)
         diffs.append(engine.checkpoint(buf))
     builder = ProvenanceBuilder()
-    builder.extend(diffs)
+    rows = [builder.append(d) for d in diffs]
     for diff in diffs:
         cmap = chunk_map(diff)
         for t in np.unique(cmap.refs).tolist():
             src = cmap.src[cmap.refs == t]
-            assert np.all(builder.indexes[t].src_ckpt[src] == t), (diff.ckpt_id, t)
+            assert np.all(rows[t].src_ckpt[src] == t), (diff.ckpt_id, t)

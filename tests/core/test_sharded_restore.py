@@ -67,8 +67,8 @@ def _many_sources(rng, steps=30, n=64 * 400):
 
 def _index_of(diffs, upto=None):
     builder = ProvenanceBuilder()
-    builder.extend(diffs)
-    return builder.indexes[upto if upto is not None else len(diffs) - 1]
+    rows = [builder.append(d) for d in diffs]
+    return rows[upto if upto is not None else len(diffs) - 1]
 
 
 def _payload_fn(diffs):

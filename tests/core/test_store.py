@@ -536,6 +536,22 @@ class TestCli:
         assert main(["bench", "table1", "--vertices", "256"]) == 0
         assert "Table 1" in capsys.readouterr().out
 
+    def test_bench_vertices_default_from_env(self, capsys, monkeypatch):
+        """A bench whose ``run()`` takes ``num_vertices`` gets the scale
+        by keyword, from ``REPRO_BENCH_VERTICES`` without ``--vertices``."""
+        from repro.cli import main
+
+        monkeypatch.setenv("REPRO_BENCH_VERTICES", "256")
+        assert main(["bench", "hybrid"]) == 0
+        assert "|V|" in capsys.readouterr().out
+
+    def test_bench_without_vertices_refuses_the_flag(self, capsys):
+        from repro.cli import main
+
+        assert main(["bench", "fusion", "--vertices", "512"]) == 2
+        out = capsys.readouterr()
+        assert "takes no --vertices" in out.err and "Traceback" not in out.err
+
 
 class TestSelectiveFrameLoading:
     """The selective-read primitives behind the indexed restore path."""
