@@ -6,7 +6,8 @@ and writes ``BENCH_faults.json`` next to the repo root (or
 ``$REPRO_BENCH_OUT``):
 
 * ``record``   — a seeded :class:`~repro.faults.FaultPlan` sweep over
-  stored ``.rdif`` corruption (bit flips, truncation, deletion): every
+  corruption of one stored frame in the record's pack (a bit flip, a cut
+  inside it that loses the tail, its extent zero-filled): every
   fault must be detected by ``verify_record()`` or be provably
   harmless, and every checkpoint the damaged record still restores
   (through ``restore_record_indexed``, the restore ``repro restore``

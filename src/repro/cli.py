@@ -148,7 +148,6 @@ def _cmd_verify(args: argparse.Namespace) -> int:
             "checkpoints": [
                 {
                     "index": c.index,
-                    "filename": c.filename,
                     "status": c.status,
                     "detail": c.detail,
                 }

@@ -27,7 +27,7 @@ frame (header + metadata + payload).  ``from_bytes`` recomputes it — or,
 handed the value a caller already computed with :func:`content_digest`,
 compares the field to that — and raises
 :class:`~repro.errors.IntegrityError` on mismatch, so a bit flip anywhere
-in a stored ``.rdif`` file is detected at parse time.  The same digest is
+in a stored frame is detected at parse time.  The same digest is
 the one a record log stores per frame, so a reader hashes each frame
 byte once.  The digestless v1 frame is rejected by name ("unsupported
 diff version 1"), never loaded unverified.  See ``docs/FAULT_MODEL.md``

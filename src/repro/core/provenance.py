@@ -29,7 +29,7 @@ has to *read the payloads of the frames the index names*
 (:func:`restore_record_indexed`), because
 :class:`~repro.record.RecordWriter` persists one RPIX row-group per
 checkpoint next to the record log with the same digest discipline as the
-``.rdif`` frames.  The rebase, a replayed run's final restore, the
+frames of ``record.pack``.  The rebase, a replayed run's final restore, the
 attribution plane and the chunk-size sweep read a record the same way,
 one row or one state at a time; nothing composes an index from an
 in-memory chain except the record writer, as it appends.
@@ -342,9 +342,9 @@ class RestoreReport:
     frames_total: int
     #: Frames parsed: the frames the target's row names.
     frames_parsed: int
-    #: Total ``.rdif`` bytes the record holds.
+    #: Total frame bytes the record holds.
     record_bytes: int = 0
-    #: ``.rdif`` bytes actually read, plus :attr:`index_bytes`.
+    #: Frame bytes actually read, plus :attr:`index_bytes`.
     record_bytes_read: int = 0
     #: Record-log bytes + the index byte range (the target's keyframe
     #: through its own group) read for the row.

@@ -107,7 +107,7 @@ def save_record(
 def load_record(record: Record) -> List[CheckpointDiff]:
     """Read a diff chain previously written by :func:`save_record`.
 
-    Any missing, corrupt, or mismatched checkpoint file raises
+    Any missing, corrupt, or mismatched checkpoint frame raises
     (:class:`StorageError` / :class:`IntegrityError`).  What a damaged
     record still restores is answered checkpoint by checkpoint by
     :func:`~repro.core.provenance.restore_record_indexed`, never by a
@@ -133,7 +133,8 @@ def load_record_frames(
 
 
 def record_frame_sizes(record: Record) -> List[int]:
-    """On-disk byte size of each ``.rdif`` frame (0 for missing files)."""
+    """The bytes of each frame ``record.pack`` holds (its log size when
+    whole, 0 when the pack ends before it)."""
     return RecordView.of(record).frame_sizes()
 
 

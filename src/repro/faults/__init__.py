@@ -4,8 +4,9 @@ The paper's premise is that checkpoints let applications survive
 failures; this package supplies the failures.  Everything is seeded and
 deterministic so a fault campaign is replayable bit-for-bit:
 
-* :mod:`~repro.faults.injectors` — primitive corruptions of stored
-  ``.rdif`` files (bit flips, truncation, deletion).
+* :mod:`~repro.faults.injectors` — primitive corruptions of one
+  checkpoint's frame in a record's ``record.pack`` (a bit flip, a cut
+  inside it, its extent zero-filled).
 * :mod:`~repro.faults.plan` — :class:`FaultPlan`, a seedable schedule of
   record corruptions, storage-tier outages, and process crashes; the one
   record-fault injector (:func:`apply_record_faults`) and the one grader
@@ -19,10 +20,11 @@ documented in ``docs/FAULT_MODEL.md``.
 
 from .injectors import (
     AppliedFault,
-    delete_file,
+    FrameExtent,
+    delete_frame,
     flip_bit,
-    record_files,
-    truncate_file,
+    record_frames,
+    truncate_frame,
 )
 from .plan import (
     CrashSpec,
@@ -36,10 +38,11 @@ from .plan import (
 
 __all__ = [
     "AppliedFault",
-    "delete_file",
+    "FrameExtent",
+    "delete_frame",
     "flip_bit",
-    "record_files",
-    "truncate_file",
+    "record_frames",
+    "truncate_frame",
     "CrashSpec",
     "FaultPlan",
     "RecordFault",

@@ -3,9 +3,9 @@
 A :class:`FaultPlan` turns one integer seed into a deterministic set of
 faults across all three failure domains the runtime models:
 
-* **record faults** — bit flips, truncations, and deletions of stored
-  ``.rdif`` checkpoint frames (:func:`apply_record_faults`), graded by
-  :func:`grade_record_damage`;
+* **record faults** — bit flips, truncations, and lost extents of the
+  checkpoint frames in a record's ``record.pack``
+  (:func:`apply_record_faults`), graded by :func:`grade_record_damage`;
 * **tier faults** — transient and permanent drain outages of storage
   tiers (applied to :class:`~repro.runtime.storage.StorageTier`);
 * **crashes** — process failures at chosen simulated times (driven
@@ -29,7 +29,13 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from ..errors import FaultError, ReproError
-from .injectors import AppliedFault, delete_file, flip_bit, record_files, truncate_file
+from .injectors import (
+    AppliedFault,
+    delete_frame,
+    flip_bit,
+    record_frames,
+    truncate_frame,
+)
 
 PathLike = Union[str, Path]
 
@@ -45,19 +51,22 @@ _SALT_CRASH = 0xC5A5
 @dataclass(frozen=True)
 class RecordFault:
     """One corruption of a stored checkpoint frame: drawn (by chain
-    position and fractional offset) or pinned (the frame name and byte
+    position and fractional offset) or pinned (the checkpoint and in-frame
     offset of a journal's ``record_fault`` receipt).  An unknown *kind*
     is refused here, before any injector sees it."""
 
     kind: str  # one of RECORD_FAULT_KINDS
     ckpt_index: int = 0
-    #: Fractional position inside the file; resolved to a byte offset
-    #: (bitflip) or a kept length (truncate) against the actual size.
+    #: Fractional position inside the frame; resolved to a byte offset
+    #: (bitflip) or a kept length (truncate) against the bytes of it the
+    #: pack holds.
     offset_frac: float = 0.0
     bit: int = 0
-    #: Exact frame file name; ``None`` resolves by ``ckpt_index``.
-    frame: Optional[str] = None
-    #: Exact byte offset / kept length; ``None`` uses ``offset_frac``.
+    #: Exact checkpoint whose frame is hit; ``None`` resolves by
+    #: ``ckpt_index``.
+    ckpt: Optional[int] = None
+    #: Exact in-frame byte offset / kept length; ``None`` uses
+    #: ``offset_frac``.
     offset: Optional[int] = None
 
     def __post_init__(self) -> None:
@@ -232,44 +241,44 @@ def apply_record_faults(
 ) -> List[AppliedFault]:
     """Inflict record faults on a record directory, in order.
 
-    Each fault hits its pinned frame, or else frame ``ckpt_index`` modulo
-    the frames left; at its pinned offset, or else at ``offset_frac`` of
-    the frame's size.  Application stops at the first fault that has
-    become impossible (every frame already deleted, a bit flip into an
-    emptied file): only applied faults return receipts and journal
-    ``record_fault`` events, so a replay re-applies exactly the same
-    prefix.  A pinned frame missing from the record raises
-    :class:`~repro.errors.FaultError`.
+    Each fault hits its pinned checkpoint's frame, or else frame
+    ``ckpt_index`` modulo the frames the pack still holds bytes of; at its
+    pinned in-frame offset, or else at ``offset_frac`` of those bytes.
+    Only the frames the record log seals are targets.  Application stops
+    at the first fault that has become impossible (the pack cut before
+    every frame, or before the pinned one): only applied faults return
+    receipts and journal ``record_fault`` events, so a replay re-applies
+    exactly the same prefix.  A pinned checkpoint the record log does not
+    hold raises :class:`~repro.errors.FaultError`.
     """
     receipts = []
     for fault in faults:
         try:
-            files = record_files(record_dir)
+            frames = record_frames(record_dir)
         except FaultError:
             break
-        if fault.frame is None:
-            target = files[fault.ckpt_index % len(files)]
+        if fault.ckpt is None:
+            held = [frame for frame in frames if frame.held]
+            target = held[fault.ckpt_index % len(held)]
+        elif 0 <= fault.ckpt < len(frames):
+            target = frames[fault.ckpt]
         else:
-            matches = [f for f in files if f.name == fault.frame]
-            if not matches:
-                raise FaultError(
-                    f"record fault targets frame {fault.frame!r} which is "
-                    f"not in {record_dir}"
-                )
-            target = matches[0]
-        size = target.stat().st_size
+            raise FaultError(
+                f"record fault targets checkpoint {fault.ckpt}, which "
+                f"{record_dir} does not hold"
+            )
         offset = (
             fault.offset
             if fault.offset is not None
-            else min(int(fault.offset_frac * size), size - 1)
+            else min(int(fault.offset_frac * target.held), max(target.held - 1, 0))
         )
         try:
             if fault.kind == "bitflip":
-                receipts.append(flip_bit(target, offset, fault.bit))
+                receipts.append(flip_bit(record_dir, target.ckpt, offset, fault.bit))
             elif fault.kind == "truncate":
-                receipts.append(truncate_file(target, offset))
+                receipts.append(truncate_frame(record_dir, target.ckpt, offset))
             else:  # "delete": RecordFault refuses every other kind
-                receipts.append(delete_file(target))
+                receipts.append(delete_frame(record_dir, target.ckpt))
         except FaultError:
             break
     return receipts

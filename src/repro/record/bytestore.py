@@ -1,11 +1,12 @@
 """The byte store a record lives in: the only code that touches its files.
 
-A record is a handful of named byte strings (:mod:`.log` names them), and
-the record code needs nine operations on them: :meth:`create` (a new
-file holding exactly these bytes), :meth:`append`, :meth:`pread`,
-:meth:`size`, :meth:`replace` (an atomic whole-file swap), :meth:`truncate`
-(cut what an interrupted append left), :meth:`list`, :meth:`remove` and
-:meth:`swap` (replace the whole record by a new generation built beside
+A record is four named byte strings (:mod:`.log` names them), and the
+record code needs eight operations on them: :meth:`create` (a new file
+holding exactly these bytes; only checkpoint 0 creates), :meth:`append`
+(how every later checkpoint reaches the pack, the index and the log),
+:meth:`pread`, :meth:`size`, :meth:`replace` (an atomic whole-file
+swap), :meth:`truncate` (cut what an interrupted append left),
+:meth:`list` and :meth:`swap` (replace the whole record by a new generation built beside
 it — how a rebase and a restart replace a record's history).
 :class:`DirectoryStore` keeps them as files of one directory and
 :class:`MemoryStore` in RAM; the writer and every reader run the same
@@ -109,12 +110,6 @@ class DirectoryStore:
         except FileNotFoundError:
             return []
 
-    def remove(self, name: str) -> None:
-        try:
-            os.unlink(self._at(name))
-        except FileNotFoundError:
-            pass
-
     def swap(self, build: Callable[["DirectoryStore"], T]) -> T:
         """Replace the record by the generation *build* writes into an
         empty directory beside it (``<name>.new``); returns what *build*
@@ -181,9 +176,6 @@ class MemoryStore:
 
     def list(self) -> List[str]:
         return sorted(self._files)
-
-    def remove(self, name: str) -> None:
-        self._files.pop(name, None)
 
     def swap(self, build: Callable[["MemoryStore"], T]) -> T:
         """Replace the record by the generation *build* writes into an

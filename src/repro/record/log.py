@@ -5,6 +5,7 @@ from __future__ import annotations
 import hashlib
 import json
 import struct
+from itertools import accumulate
 from typing import NamedTuple, Tuple
 
 from ..errors import IntegrityError, StorageError
@@ -13,7 +14,9 @@ from .bytestore import ByteStore, as_store
 HEADER_FILE = "record.json"
 LOG_FILE = "record.log"
 INDEX_FILE = "provenance.rpix"
-FORMAT_VERSION = 4
+#: The frames, back to back in chain order; its name is fixed by the format.
+PACK_FILE = "record.pack"
+FORMAT_VERSION = 5
 
 #: One log entry: frame bytes, frame content digest (the SHA-256 over
 #: header ‖ body the frame embeds), index-group offset, length, kind and
@@ -34,11 +37,20 @@ class Log(NamedTuple):
     group_kind: Tuple[int, ...] = ()
     group_sha: Tuple[bytes, ...] = ()
     seal: Tuple[bytes, ...] = ()
+    #: Derived, never stored: each frame's offset in ``record.pack``, the
+    #: sum of the sizes of the frames before it.
+    frame_off: Tuple[int, ...] = ()
 
     @property
     def count(self) -> int:
         """Checkpoints the log commits."""
         return len(self.seal)
+
+    @property
+    def pack_bytes(self) -> int:
+        """Bytes of ``record.pack`` the log seals: the sum of the frame
+        sizes (what an interrupted append left past them is not a frame)."""
+        return self.frame_off[-1] + self.frame_bytes[-1] if self.seal else 0
 
     def group_end(self, k: int) -> int:
         """Index-file offset just past checkpoint *k*'s row-group."""
@@ -121,7 +133,9 @@ def read_log(store: ByteStore, header: dict):
         seal = raw[end - SEAL_BYTES : end]
         if sealer.digest() == seal:
             sealer.update(seal)
-            return Log(*zip(*LOG_ENTRY.iter_unpack(raw[:end]))), sealer
+            log = Log(*zip(*LOG_ENTRY.iter_unpack(raw[:end])))
+            offsets = tuple(accumulate(log.frame_bytes[:-1], initial=0))
+            return log._replace(frame_off=offsets), sealer
     # Damage, so time no longer matters: name the first unsealed entry.
     sealer = hashlib.sha256()
     for k in range(whole):

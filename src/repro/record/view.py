@@ -16,8 +16,8 @@ from ..core.diff import CheckpointDiff
 from ..errors import IntegrityError, SerializationError, StorageError
 from . import index
 from .bytestore import as_store
-from .frames import STATUS_OK, check_frame, frame_name, load_frame, load_payload
-from .log import LOG_ENTRY, read_header, read_log
+from .frames import STATUS_OK, check_frame, load_frame, load_payload
+from .log import LOG_ENTRY, PACK_FILE, read_header, read_log
 
 _LOG_READS = telemetry.counter(
     "store.log_reads",
@@ -144,15 +144,15 @@ class RecordView:
     def frame(self, k: int) -> CheckpointDiff:
         """Load checkpoint *k*'s frame, checked against the log's size and
         digest and its own embedded digest."""
-        log = self.log
-        return load_frame(self.store, k, log.frame_bytes[k], log.frame_sha[k])
+        return load_frame(self.store, self.log, k)
 
     def payloads(self, ids: Sequence[int]) -> Dict[int, np.ndarray]:
         """The payloads of only the named checkpoints, as uint8 arrays: a
         provenance row names the frames its bytes live in, and only those
-        files are read, each checked against the log's size and digest and
-        by the frame-header checks (:func:`~repro.record.frames.load_payload`)
-        — but no whole diff is built."""
+        are read from the pack, each checked against the log's size and
+        digest and by the frame-header checks
+        (:func:`~repro.record.frames.load_payload`) — but no whole diff is
+        built."""
         count, log = self.count, self.log
         payloads: Dict[int, np.ndarray] = {}
         with telemetry.span(
@@ -163,22 +163,23 @@ class RecordView:
                 if not 0 <= i < count:
                     raise StorageError(f"checkpoint {i} outside record of {count}")
                 if i not in payloads:
-                    payloads[i] = load_payload(
-                        self.store, i, log.frame_bytes[i], log.frame_sha[i]
-                    )
+                    payloads[i] = load_payload(self.store, log, i)
             span.set(frames_read=len(payloads))
         return payloads
 
     def frame_sizes(self) -> List[int]:
-        """On-disk byte size of each frame file (0 for missing files): one
-        ``stat`` per frame, so a frame removed meanwhile reads as missing."""
-        sizes = []
-        for i in range(self.count):
-            try:
-                sizes.append(self.store.size(frame_name(i)))
-            except FileNotFoundError:
-                sizes.append(0)
-        return sizes
+        """The bytes of each frame the pack holds (its log size when whole,
+        0 when the pack ends before it): one ``size`` of the pack, so a
+        pack cut meanwhile reads as such."""
+        log = self.log
+        try:
+            end = self.store.size(PACK_FILE)
+        except FileNotFoundError:
+            end = 0
+        return [
+            max(0, min(end - off, size))
+            for off, size in zip(log.frame_off, log.frame_bytes)
+        ]
 
     def index_bytes(self) -> int:
         """Bytes of the provenance index the log seals (0 for an empty
@@ -227,12 +228,8 @@ class RecordView:
 
         digests = []
         for i in range(log.count):
-            status, detail, digest = check_frame(
-                self.store, i, log.frame_bytes[i], log.frame_sha[i]
-            )
-            report.checkpoints.append(
-                CheckpointStatus(i, frame_name(i), status, detail)
-            )
+            status, detail, digest = check_frame(self.store, log, i)
+            report.checkpoints.append(CheckpointStatus(i, status, detail))
             digests.append(digest)
         report.chain_ok = digests == list(log.frame_sha)
 
@@ -268,7 +265,6 @@ class CheckpointStatus:
     """Verification outcome of one stored checkpoint."""
 
     index: int
-    filename: str
     status: str  # one of STATUS_OK / STATUS_CORRUPT / STATUS_MISSING
     detail: str = ""
 
@@ -315,7 +311,7 @@ class RecordVerification:
     def summary(self) -> str:
         """One line per checkpoint plus the chain verdict."""
         lines = [
-            f"{c.filename}: {c.status}" + (f" ({c.detail})" if c.detail else "")
+            f"frame {c.index}: {c.status}" + (f" ({c.detail})" if c.detail else "")
             for c in self.checkpoints
         ]
         lines.append(f"chain digest: {'ok' if self.chain_ok else 'MISMATCH'}")

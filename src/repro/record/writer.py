@@ -15,13 +15,13 @@ from ..errors import IntegrityError, RestoreError, StorageError
 from ..telemetry import events
 from . import index
 from .bytestore import ByteStore, as_store
-from .frames import STATUS_OK, check_frame, frame_name
+from .frames import STATUS_OK, check_frame
 from .log import FORMAT_VERSION, HEADER_FILE, INDEX_FILE, LOG_BODY, LOG_ENTRY
-from .log import LOG_FILE, is_record
+from .log import LOG_FILE, PACK_FILE, is_record
 from .view import RecordView
 
 _FRAMES_WRITTEN = telemetry.counter(
-    "store.frames_written", "Checkpoint .rdif frames written to disk"
+    "store.frames_written", "Checkpoint frames appended to record.pack"
 )
 
 
@@ -30,7 +30,7 @@ class AppendReceipt:
     """What one :meth:`RecordWriter.append` actually put on disk."""
 
     ckpt_id: int
-    #: Bytes of the new ``.rdif`` frame (the checkpoint itself).
+    #: Bytes of the frame appended to ``record.pack`` (the checkpoint itself).
     frame_bytes: int
     #: Bytes appended to ``provenance.rpix``: this checkpoint's keyframe or
     #: delta group (plus the prologue on checkpoint 0); nothing is rewritten.
@@ -52,16 +52,19 @@ class RecordWriter:
 
     ``open → append(diff) × N → close``; the record is loadable after
     *every* append, and an append writes only what checkpoint N changed:
-    frame, row-group, log entry, each a pure append.  The row-group is a
-    delta (16 B per chunk whose source changed) iff the deltas since the
-    last keyframe, this one included, stay smaller than that keyframe;
-    otherwise a keyframe — so a restore reads at most twice one keyframe.
+    frame (onto ``record.pack``), row-group, log entry, each a pure
+    append — checkpoint 0 creates the record's four files, and no later
+    append creates one.  The row-group is a delta (16 B per chunk whose
+    source changed) iff the deltas since the last keyframe, this one
+    included, stay smaller than that keyframe; otherwise a keyframe — so
+    a restore reads at most twice one keyframe.
 
     Opening an existing record is the only O(chain) step: one
     :class:`RecordView` checks the log's seal, the last frame is checked
-    against it (a torn append), whatever an interrupted append left past
-    the last sealed entry is truncated, and the index is folded one row
-    at a time into the :class:`~repro.core.provenance.ProvenanceBuilder`
+    against it at its pack offset (a torn append), whatever an interrupted
+    append left past the last sealed entry — of the log, the index and
+    the pack — is truncated, and the index is folded one row at a time
+    into the :class:`~repro.core.provenance.ProvenanceBuilder`
     — every group verified, but only the newest row and the builder's
     first-store table kept, so the writer's memory follows the stored
     chunks, not the chain length.  :meth:`check` is the one
@@ -128,21 +131,18 @@ class RecordWriter:
         # Torn-append sanity: the log entry is written last, so the one
         # frame that could disagree with it after a crash is the final
         # one.  One frame check, not a chain re-scan.
-        last = frame_name(count - 1)
-        status = check_frame(
-            self.store, count - 1, log.frame_bytes[-1], log.frame_sha[-1]
-        )[0]
-        if status != STATUS_OK:
+        if check_frame(self.store, log, count - 1)[0] != STATUS_OK:
             raise IntegrityError(
-                f"{last}: frame does not match the record log "
-                f"(damaged or torn record; run verify_record)",
+                f"{PACK_FILE} frame {count - 1}: frame does not match the "
+                f"record log (damaged or torn record; run verify_record)",
                 ckpt_id=count - 1,
-                path=f"{self.path}/{last}",
+                path=f"{self.path}/{PACK_FILE}",
             )
         self._count = count
         # Cut what an interrupted append left past the sealed log, so the
-        # next append is a pure append.
+        # next append is a pure append and no unsealed frame outlives it.
         self.store.truncate(LOG_FILE, count * LOG_ENTRY.size)
+        self.store.truncate(PACK_FILE, log.pack_bytes)
         self._sealer = view.sealer.copy()
         for row in view.fold():
             self._builder.push(row)
@@ -225,8 +225,9 @@ class RecordWriter:
 
     # ------------------------------------------------------------------
     def append(self, diff: CheckpointDiff) -> AppendReceipt:
-        """Append one checkpoint: compose its row, then write the frame,
-        the row-group and the log entry that commits both."""
+        """Append one checkpoint: compose its row, then append the frame
+        to the pack, the row-group to the index and the log entry that
+        commits both."""
         if self._closed:
             raise StorageError(f"record writer for {self.path} is closed")
         self.check(diff)
@@ -242,9 +243,13 @@ class RecordWriter:
                     f"{self.path}: cannot append checkpoint {diff.ckpt_id}: {exc}"
                 ) from exc
             blob = diff.to_bytes()
-            self.store.create(frame_name(diff.ckpt_id), blob)
-            _FRAMES_WRITTEN.inc()
             prior = self._count
+            # Checkpoint 0 starts the pack afresh.
+            if prior:
+                self.store.append(PACK_FILE, blob)
+            else:
+                self.store.create(PACK_FILE, blob)
+            _FRAMES_WRITTEN.inc()
 
             index_bytes, group = self._append_index(row, prev)
 

@@ -59,8 +59,9 @@ class IncidentSchedule:
     """Every fault one run will experience, on the simulated clock.
 
     Its :class:`~repro.faults.RecordFault`\\ s hit process 0's record
-    after the cadence: drawn when recorded, pinned to the frames and
-    offsets the journal's ``record_fault`` receipts name when replayed.
+    after the cadence: drawn when recorded, pinned to the checkpoints and
+    in-frame offsets the journal's ``record_fault`` receipts name when
+    replayed.
     """
 
     tier_faults: List[TierFaultSpec] = field(default_factory=list)

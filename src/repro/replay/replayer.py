@@ -45,10 +45,11 @@ def schedule_from_timeline(timeline: IncidentTimeline) -> IncidentSchedule:
       exists — a crash with no matching restart replays as a dropped
       recovery (``restart=False``).  A restart with no preceding crash
       means the journal is structurally inconsistent.
-    * ``record_fault`` receipts become exact, name-addressed
-      :class:`~repro.faults.RecordFault`\\ s pinned to the same frame,
-      byte offset and bit; a receipt that cannot be pinned (an unknown
-      kind, a non-integer offset or bit) raises :class:`ReplayError`.
+    * ``record_fault`` receipts become exact
+      :class:`~repro.faults.RecordFault`\\ s pinned to the same
+      checkpoint, in-frame byte offset and bit; a receipt that cannot be
+      pinned (an unknown kind, a non-integer checkpoint, offset or bit)
+      raises :class:`ReplayError`.
     """
     tier_faults = [
         _tier_fault(i) for i in timeline.incidents_of(events.TIER_OUTAGE)
@@ -111,19 +112,21 @@ def _tier_fault(incident: Incident) -> TierFaultSpec:
 
 def _pinned_record_fault(incident: Incident) -> RecordFault:
     """The pinned fault a ``record_fault`` receipt replays as.  A receipt
-    whose offset or bit is not an integer, or that :class:`RecordFault`
-    refuses (an unknown kind), cannot be replayed."""
+    whose checkpoint, offset or bit is not an integer, or that
+    :class:`RecordFault` refuses (an unknown kind), cannot be replayed."""
     receipt = incident.record
     where = f"record_fault receipt at t={incident.sim_time:g}"
-    offset, bit = receipt.get("detail", 0), receipt.get("bit", 0) or 0
-    if not isinstance(offset, int) or not isinstance(bit, int):
+    ckpt, offset = receipt.get("ckpt"), receipt.get("detail", 0)
+    bit = receipt.get("bit", 0) or 0
+    if not all(isinstance(v, int) for v in (ckpt, offset, bit)):
         raise ReplayError(
-            f"{where} pins offset {offset!r} and bit {bit!r}: not integers"
+            f"{where} pins checkpoint {ckpt!r}, offset {offset!r} and bit "
+            f"{bit!r}: not integers"
         )
     try:
         return RecordFault(
             kind=str(receipt.get("kind", "bitflip")),
-            frame=Path(str(receipt.get("path", ""))).name,
+            ckpt=ckpt,
             offset=offset,
             bit=bit,
         )

@@ -322,6 +322,7 @@ class CorruptionRule(HealthRule):
                     severity=CRITICAL,
                     message=(
                         f"injected {event.get('kind', '?')} fault on "
+                        f"checkpoint {event.get('ckpt', '?')}'s frame in "
                         f"{event.get('path', '?')}"
                     ),
                     node=event.get("node"),

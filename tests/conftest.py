@@ -17,7 +17,7 @@ def ram_record(diffs):
 
 
 def v1_frame(diff) -> bytes:
-    """*diff* as the pre-integrity v1 ``.rdif`` frame: version 1, no digest.
+    """*diff* as the pre-integrity v1 frame: version 1, no digest.
     Nothing in ``src/`` writes or reads this any more; tests use it to
     check it is rejected by name."""
     from repro.core.diff import _HEADER, DIGEST_BYTES
@@ -56,11 +56,42 @@ def forge_log_entry(directory, index, **columns) -> None:
     size = LOG_ENTRY.size
     bodies = [raw[at : at + LOG_BODY.size] for at in range(0, len(raw), size)]
     fields = Log(*LOG_BODY.unpack(bodies[index]))._replace(**columns)
-    bodies[index] = LOG_BODY.pack(*fields[:-1])
+    bodies[index] = LOG_BODY.pack(*fields[: len(LOG_BODY.unpack(bodies[index]))])
     out = b""
     for body in bodies:
         out += body + hashlib.sha256(out + body).digest()
     path.write_bytes(out)
+
+
+def frame_extent(directory, k):
+    """``(offset, size)`` of checkpoint *k*'s frame in ``record.pack``, as
+    the record log places it."""
+    from repro.record import RecordView
+
+    log = RecordView(directory).log
+    return log.frame_off[k], log.frame_bytes[k]
+
+
+def read_frame(directory, k) -> bytes:
+    """Checkpoint *k*'s frame bytes, read from the pack at its extent."""
+    from repro.record import PACK_FILE
+
+    offset, size = frame_extent(directory, k)
+    with open(directory / PACK_FILE, "rb") as f:
+        f.seek(offset)
+        return f.read(size)
+
+
+def write_frame(directory, k, blob) -> None:
+    """Write *blob* over checkpoint *k*'s frame in the pack, from its
+    offset on: a longer blob runs into the next frame, or grows the pack
+    when *k* is the last."""
+    from repro.record import PACK_FILE
+
+    offset, _ = frame_extent(directory, k)
+    with open(directory / PACK_FILE, "r+b") as f:
+        f.seek(offset)
+        f.write(blob)
 
 
 def retire_index(directory) -> None:

@@ -39,6 +39,7 @@ from repro.record.index import (
     encode_prologue,
 )
 from repro.errors import IntegrityError, ReproError, RestoreError, StorageError
+from repro.faults import delete_frame
 from repro.record import MemoryStore
 from tests.conftest import forge_log_entry, ram_record, retire_index, v2_manifest
 
@@ -459,7 +460,7 @@ class TestRecordRestore:
         b1 = rng.integers(0, 256, N, dtype=np.uint8)
         diffs = [engine.checkpoint(b0), engine.checkpoint(b1)]
         save_record(diffs, tmp_path)
-        (tmp_path / "ckpt-00000.rdif").unlink()
+        delete_frame(tmp_path, 0)
         out, report = restore_record_indexed(tmp_path)
         assert np.array_equal(out, b1)
         assert report.frames_parsed == 1

@@ -161,9 +161,10 @@ class TestByteIdentity:
 
 
 class TestCrashPoints:
-    """An append is frame → row-group → log entry, each a pure append, and
-    only the whole sealed entry commits: a crash anywhere leaves exactly
-    the pre-append or the post-append record, never a third state."""
+    """An append is frame → row-group → log entry, each a pure append onto
+    a file checkpoint 0 created, and only the whole sealed entry commits: a
+    crash anywhere leaves exactly the pre-append or the post-append
+    record, never a third state."""
 
     N = 6
 
@@ -179,13 +180,14 @@ class TestCrashPoints:
     ):
         diffs, pre, full = runs
         before, after = _dir_bytes(pre), _dir_bytes(full)
-        frame = f"ckpt-{self.N - 1:05d}.rdif"
-        assert sorted(after) == sorted([*before, frame])
+        assert sorted(after) == sorted(before)
         for name, blob in before.items():
             assert after[name].startswith(blob), name
         grown = {n for n in before if len(after[n]) > len(before[n])}
-        assert grown == {"provenance.rpix", "record.log"}
+        assert grown == {"provenance.rpix", "record.log", "record.pack"}
         assert len(after["record.log"]) - len(before["record.log"]) == 120
+        frame = len(after["record.pack"]) - len(before["record.pack"])
+        assert frame == diffs[-1].serialized_size
 
         # The order the three files are opened for writing in.
         opened = []
@@ -197,21 +199,21 @@ class TestCrashPoints:
 
         monkeypatch.setattr(bytestore, "open", spy, raising=False)
         RecordWriter(pre, method="tree").append(diffs[-1])
-        assert opened == [frame, "provenance.rpix", "record.log"]
+        assert opened == ["record.pack", "provenance.rpix", "record.log"]
 
     def test_every_crash_point_is_pre_or_post_append(self, runs, tmp_path):
         diffs, pre, full = runs
         states = Restorer().restore_all(diffs)
         before, after = _dir_bytes(pre), _dir_bytes(full)
-        frame = f"ckpt-{self.N - 1:05d}.rdif"
+        frame = after["record.pack"][len(before["record.pack"]) :]
         group = after["provenance.rpix"][len(before["provenance.rpix"]) :]
         entry = after["record.log"][len(before["record.log"]) :]
 
         def snapshots():
             """(what was being written, bytes of it on disk, files)."""
             files = dict(before)
-            for cut in (0, len(after[frame]) // 2, len(after[frame])):
-                files[frame] = after[frame][:cut]
+            for cut in (0, len(frame) // 2, len(frame)):
+                files["record.pack"] = before["record.pack"] + frame[:cut]
                 yield "frame", cut, dict(files)
             for cut in np.linspace(1, len(group), 8).astype(int):
                 files["provenance.rpix"] = before["provenance.rpix"] + group[:cut]
@@ -298,8 +300,8 @@ class TestWriterGuards:
     def test_torn_last_frame_detected_on_reopen(self, rng, tmp_path):
         diffs = _chain("tree", 3, rng)
         save_record(diffs, tmp_path / "rec", method="tree")
-        frame = tmp_path / "rec" / "ckpt-00002.rdif"
-        frame.write_bytes(frame.read_bytes()[:-7])
+        pack = tmp_path / "rec" / "record.pack"
+        pack.write_bytes(pack.read_bytes()[:-7])
         with pytest.raises(IntegrityError):
             RecordWriter(tmp_path / "rec", method="tree")
 
@@ -618,55 +620,57 @@ class TestSizeRule:
 
 
 GOLDEN_N = 64 * 96 + 23  # short tail chunk
-#: SHA-256 of every file ``save_record(_golden_chain(method))`` writes.
-#: The ``ckpt-*.rdif`` digests are as pinned at commit a61ebd3 (PR 17):
-#: frames have not changed since.  ``provenance.rpix`` was captured once,
-#: with RPIX v4; ``record.json`` (static header) and ``record.log`` with
-#: record format 4 (the log's frame column holds each frame's content
-#: digest).  The reader may change; these bytes may not.
+#: SHA-256 of every file ``save_record(_golden_chain(method))`` writes but
+#: the pack, and of every frame in it.  The frame digests are the ones
+#: pinned when each frame was a file of its own: frames have not changed
+#: since.  ``provenance.rpix`` was captured once, with RPIX v4;
+#: ``record.log`` with record format 4 (the log's frame column holds each
+#: frame's content digest), and format 5 left it as it was.
+#: ``record.json`` is the format-4 header with ``format_version`` 5.  The
+#: reader may change; these bytes may not.
 GOLDEN_SHA256 = {
     "basic": {
-        "ckpt-00000.rdif": "da62fa683faa6ae68d48e9a2baa18cdec2de9e5ba270f9ad0493af2900bc27e9",
-        "ckpt-00001.rdif": "6a86db49d4720f2fbbbd197b842b73ec5961b12985efc04c073727f827aa665a",
-        "ckpt-00002.rdif": "57c5679d3e961c472847fc8f25f8311e560efe084618e9877547d68a55da41c0",
-        "ckpt-00003.rdif": "657b2f301ad98040c54978e1c67a362b33fec2f93e609916ab024914d07b48bb",
-        "ckpt-00004.rdif": "364318b72e0a3a35485e4ba20ebaac2fbda3d6727d6b157ab80b355ba4aff63d",
-        "ckpt-00005.rdif": "18a4365d35676bbb9bede44cb99bc8fd1eb59360f85ec130acd5ebb1b3e8c966",
+        "frame 0": "da62fa683faa6ae68d48e9a2baa18cdec2de9e5ba270f9ad0493af2900bc27e9",
+        "frame 1": "6a86db49d4720f2fbbbd197b842b73ec5961b12985efc04c073727f827aa665a",
+        "frame 2": "57c5679d3e961c472847fc8f25f8311e560efe084618e9877547d68a55da41c0",
+        "frame 3": "657b2f301ad98040c54978e1c67a362b33fec2f93e609916ab024914d07b48bb",
+        "frame 4": "364318b72e0a3a35485e4ba20ebaac2fbda3d6727d6b157ab80b355ba4aff63d",
+        "frame 5": "18a4365d35676bbb9bede44cb99bc8fd1eb59360f85ec130acd5ebb1b3e8c966",
         "provenance.rpix": "593d2275ec710539f77f2d81c471934676557d1d7d14b86946d5f5204383c136",
-        "record.json": "82de3654ed20ab63e737889f819ab1c6f3e5a71c2692b35f0f2f4cf4aaacbe06",
+        "record.json": "c9aa8cd6cc73c4755ab8143ee842433ec4be7831483c3653822c7f828d5b9a38",
         "record.log": "603eb2ed368082dc9f0c9e5924dfac7f939e50eddc970e56e4e10c194bad6286",
     },
     "full": {
-        "ckpt-00000.rdif": "da62fa683faa6ae68d48e9a2baa18cdec2de9e5ba270f9ad0493af2900bc27e9",
-        "ckpt-00001.rdif": "8832e2bc4f23ab18f59ac8cdfda1310c2f744cc654e61c546983a54df9a58974",
-        "ckpt-00002.rdif": "babc840f0b53e903599a2cc1517c2250a24d5b9b65c4c3ca894400876a3bede5",
-        "ckpt-00003.rdif": "2e3ee1465e506d291ab97e73af1a99bdd629b5104bd9176a2de41d58b9dedfc7",
-        "ckpt-00004.rdif": "66b433c1764e83c93af44c109918ed091f12d5b5e42e0843283d825a63f791bd",
-        "ckpt-00005.rdif": "6ec38f6d609e4bdcf8bb4e43469b42fe73b2748013eac1c7d65b51750ff9e96d",
+        "frame 0": "da62fa683faa6ae68d48e9a2baa18cdec2de9e5ba270f9ad0493af2900bc27e9",
+        "frame 1": "8832e2bc4f23ab18f59ac8cdfda1310c2f744cc654e61c546983a54df9a58974",
+        "frame 2": "babc840f0b53e903599a2cc1517c2250a24d5b9b65c4c3ca894400876a3bede5",
+        "frame 3": "2e3ee1465e506d291ab97e73af1a99bdd629b5104bd9176a2de41d58b9dedfc7",
+        "frame 4": "66b433c1764e83c93af44c109918ed091f12d5b5e42e0843283d825a63f791bd",
+        "frame 5": "6ec38f6d609e4bdcf8bb4e43469b42fe73b2748013eac1c7d65b51750ff9e96d",
         "provenance.rpix": "34a753681b57893bbbbdef1f05f61971185b00eb366758fe6d71669ba624d7e1",
-        "record.json": "d839f98a98ea20adaf9771e5674f3fbb3a5a0b09a5790186f9529cdd90b85212",
+        "record.json": "cfeec63d6e389f16c3513e6cf0ef94172b4b30fc4f1f72425d87ef9201285a10",
         "record.log": "38e29f6d249bef051ceaea889d0e392dfb56454121c4918e65246ee0485aae66",
     },
     "list": {
-        "ckpt-00000.rdif": "da62fa683faa6ae68d48e9a2baa18cdec2de9e5ba270f9ad0493af2900bc27e9",
-        "ckpt-00001.rdif": "f2b0f0f4e8af4d02ba3cb112b96c30c0202b781fc01ecbf749c9d001a4b5eabc",
-        "ckpt-00002.rdif": "5d53e4561ccff2e99e08d3dd82f1da73eaa3d4ce264211b29ce677a5c46817f9",
-        "ckpt-00003.rdif": "7b13fc500a6382fb829691c6550a54509cdfc00182bc5727cec0fa31d9c08be9",
-        "ckpt-00004.rdif": "7eab97cf9565166b9028500178f50ffef5a84fd747c8ea7159c9e52d60319bc7",
-        "ckpt-00005.rdif": "8fb0fa7233488abeb203ae600365cdaf398012317e9d426cffa21cea40b8eb49",
+        "frame 0": "da62fa683faa6ae68d48e9a2baa18cdec2de9e5ba270f9ad0493af2900bc27e9",
+        "frame 1": "f2b0f0f4e8af4d02ba3cb112b96c30c0202b781fc01ecbf749c9d001a4b5eabc",
+        "frame 2": "5d53e4561ccff2e99e08d3dd82f1da73eaa3d4ce264211b29ce677a5c46817f9",
+        "frame 3": "7b13fc500a6382fb829691c6550a54509cdfc00182bc5727cec0fa31d9c08be9",
+        "frame 4": "7eab97cf9565166b9028500178f50ffef5a84fd747c8ea7159c9e52d60319bc7",
+        "frame 5": "8fb0fa7233488abeb203ae600365cdaf398012317e9d426cffa21cea40b8eb49",
         "provenance.rpix": "96bf00d836f04c0e2da7e5ddffceb668c3f99c95871764244d085c90a05c4ed9",
-        "record.json": "0cd438109716073fdc06ff67620f2986d183babf6b80aa4a96eaba1f246cb908",
+        "record.json": "a3f806b36ae094257cee252f37d0d54f8362b017a49ed2b48c4738a6b1fb550c",
         "record.log": "9a317831f4522b5e015ce3415885094049ecc54a6cdd82675d882bf471190579",
     },
     "tree": {
-        "ckpt-00000.rdif": "da62fa683faa6ae68d48e9a2baa18cdec2de9e5ba270f9ad0493af2900bc27e9",
-        "ckpt-00001.rdif": "64c3605f830c6fcee16f5267bb95fc478755dd0f46d918048c9b5917a65c50dd",
-        "ckpt-00002.rdif": "fc0198d3cdfd5a13bca61fb55d814c2748d44518a381cadf50772e99e3cf8f4b",
-        "ckpt-00003.rdif": "b0efba47423e4845aa65e33809d64e3bda1814dac97e83fe17d459970793d6a4",
-        "ckpt-00004.rdif": "9030ccb087bace84c6cdcdd007166921c8883003f6d854a381d3613c3bfdf4c9",
-        "ckpt-00005.rdif": "b46c742248ad2ec31bb762b14e6d35cb56a13a1315f08635f0a82fa25c05c2fd",
+        "frame 0": "da62fa683faa6ae68d48e9a2baa18cdec2de9e5ba270f9ad0493af2900bc27e9",
+        "frame 1": "64c3605f830c6fcee16f5267bb95fc478755dd0f46d918048c9b5917a65c50dd",
+        "frame 2": "fc0198d3cdfd5a13bca61fb55d814c2748d44518a381cadf50772e99e3cf8f4b",
+        "frame 3": "b0efba47423e4845aa65e33809d64e3bda1814dac97e83fe17d459970793d6a4",
+        "frame 4": "9030ccb087bace84c6cdcdd007166921c8883003f6d854a381d3613c3bfdf4c9",
+        "frame 5": "b46c742248ad2ec31bb762b14e6d35cb56a13a1315f08635f0a82fa25c05c2fd",
         "provenance.rpix": "d17bf061dc54f434a3ecc58cb6d78b4c49f2d4cb683396912e0185cc2e4d204d",
-        "record.json": "cef48fc8a0d9244dbf7fb1d304c02a94bc1c3ef5a44643dc619c16b14c8f6bef",
+        "record.json": "654274b18946d15a3caac2849ac6203f1450f3769fcc9b39792f3621eb482e97",
         "record.log": "7f0178cedefa5c4396a436b2f5e7427deb7e91117bf2a9b64236fb7ce119f63e",
     },
 }
@@ -702,10 +706,17 @@ def _golden_chain(method):
 
 
 def _dir_sha256(path):
-    return {
-        name: hashlib.sha256(blob).hexdigest()
-        for name, blob in _dir_bytes(path).items()
-    }
+    """SHA-256 of each record file but the pack, and of each frame of the
+    pack (``frame k``), which holds nothing else."""
+    files = _dir_bytes(path)
+    assert sorted(files) == ["provenance.rpix", "record.json", "record.log", "record.pack"]
+    pack = files.pop("record.pack")
+    digests = {name: hashlib.sha256(blob).hexdigest() for name, blob in files.items()}
+    log = RecordView(path).log
+    assert len(pack) == log.pack_bytes
+    for k, (offset, size) in enumerate(zip(log.frame_off, log.frame_bytes)):
+        digests[f"frame {k}"] = hashlib.sha256(pack[offset : offset + size]).hexdigest()
+    return digests
 
 
 @pytest.mark.parametrize("method", sorted(GOLDEN_SHA256))

@@ -12,7 +12,7 @@ from repro.core import (
 )
 from repro.core.diff import CheckpointDiff
 from repro.errors import RestoreError, StorageError
-from tests.conftest import ram_record
+from tests.conftest import ram_record, read_frame, write_frame
 
 
 @pytest.fixture
@@ -187,10 +187,9 @@ class TestScrubbing:
         from repro.errors import SerializationError, StorageError
 
         path = save_record(tree_chain, tmp_path / "rec")
-        frame = path / "ckpt-00002.rdif"
-        blob = bytearray(frame.read_bytes())
+        blob = bytearray(read_frame(path, 2))
         blob[len(blob) // 2] ^= 0x10
-        frame.write_bytes(bytes(blob))
+        write_frame(path, 2, bytes(blob))
         with pytest.raises((SerializationError, StorageError)):
             restore_record_indexed(path, upto=2)
 

@@ -225,7 +225,7 @@ def test_malformed_diff_is_refused_by_every_reader(row, tmp_path):
         save_record(chain, directory)
     assert record_manifest(directory)["num_checkpoints"] == 1
     assert sorted(p.name for p in directory.iterdir()) == [
-        "ckpt-00000.rdif", "provenance.rpix", "record.json", "record.log",
+        "provenance.rpix", "record.json", "record.log", "record.pack",
     ]
 
 

@@ -22,8 +22,9 @@ from repro.core.store import (
     verify_record,
 )
 from repro.errors import IntegrityError, SerializationError, StorageError
+from repro.faults import delete_frame, truncate_frame
 from repro.record.log import FORMAT_VERSION
-from tests.conftest import forge_log_entry, v1_frame, v2_manifest
+from tests.conftest import forge_log_entry, read_frame, v1_frame, v2_manifest, write_frame
 
 
 @pytest.fixture
@@ -81,7 +82,7 @@ class TestSaveLoad:
 
     def test_load_missing_blob(self, diffs, tmp_path):
         path = save_record(diffs, tmp_path / "rec")
-        (path / "ckpt-00001.rdif").unlink()
+        truncate_frame(path, 1, 0)
         with pytest.raises(StorageError):
             load_record(path)
 
@@ -188,9 +189,9 @@ class TestVerifyRecord:
 
     def test_bitflip_flags_one_checkpoint(self, diffs, tmp_path):
         path = save_record(diffs, tmp_path / "rec")
-        blob = bytearray((path / "ckpt-00001.rdif").read_bytes())
+        blob = bytearray(read_frame(path, 1))
         blob[len(blob) // 2] ^= 0x10
-        (path / "ckpt-00001.rdif").write_bytes(bytes(blob))
+        write_frame(path, 1, bytes(blob))
         report = verify_record(path)
         assert not report.ok
         assert [c.status for c in report.checkpoints] == [
@@ -200,17 +201,18 @@ class TestVerifyRecord:
         assert report.chain_ok is False
 
     def test_missing_file_flagged(self, diffs, tmp_path):
+        # A frame is missing when the pack ends before it: a cut pack
+        # loses a tail, and every frame before the cut still verifies.
         path = save_record(diffs, tmp_path / "rec")
-        (path / "ckpt-00000.rdif").unlink()
+        truncate_frame(path, 1, 0)
         report = verify_record(path)
-        assert [c.status for c in report.checkpoints] == [STATUS_MISSING, STATUS_OK]
+        assert [c.status for c in report.checkpoints] == [STATUS_OK, STATUS_MISSING]
 
     def test_swapped_frames_detected(self, diffs, tmp_path):
-        # Both frames self-verify; only the manifest digests catch the swap.
+        # Frame 0's bytes where frame 1 belongs: the log's digest of frame
+        # 1 catches it.
         path = save_record(diffs, tmp_path / "rec")
-        (path / "ckpt-00001.rdif").write_bytes(
-            (path / "ckpt-00000.rdif").read_bytes()
-        )
+        write_frame(path, 1, read_frame(path, 0))
         report = verify_record(path)
         assert report.checkpoints[1].status == STATUS_CORRUPT
 
@@ -220,7 +222,7 @@ class TestVerifyRecord:
         # never a third "unverified but loadable" state.
         path = save_record(diffs, tmp_path / "rec")
         blob = v1_frame(diffs[1])
-        (path / "ckpt-00001.rdif").write_bytes(blob)
+        write_frame(path, 1, blob)
         forge_log_entry(
             path, 1, frame_sha=content_digest(blob), frame_bytes=len(blob)
         )
@@ -234,15 +236,15 @@ class TestVerifyRecord:
 
     def test_summary_mentions_statuses(self, diffs, tmp_path):
         path = save_record(diffs, tmp_path / "rec")
-        (path / "ckpt-00001.rdif").unlink()
+        truncate_frame(path, 1, 0)
         text = verify_record(path).summary()
-        assert "ckpt-00001.rdif: missing" in text
+        assert "frame 1: missing" in text
 
 
 @pytest.fixture
 def vanish(monkeypatch):
     """``vanish(name)``: from now on, opening the file *name* raises
-    :class:`FileNotFoundError` although it is still on disk — a frame
+    :class:`FileNotFoundError` although it is still on disk — a pack
     removed between any existence or size check and its read."""
 
     def install(name):
@@ -268,24 +270,26 @@ def vanish(monkeypatch):
 
 
 class TestFrameVanishesAtTheRead:
+    # Every frame lives in the one pack, so a vanished pack takes every
+    # frame with it.
     def test_verify_record_reports_it_missing(self, diffs, tmp_path, vanish):
         path = save_record(diffs, tmp_path / "rec")
-        vanish("ckpt-00001.rdif")
+        vanish("record.pack")
         report = verify_record(path)
-        assert [c.status for c in report.checkpoints] == [STATUS_OK, STATUS_MISSING]
-        assert report.checkpoints[1].detail == "file not found"
+        assert [c.status for c in report.checkpoints] == [STATUS_MISSING] * 2
+        assert report.checkpoints[1].detail == "record.pack ends before its frame"
         assert not report.ok and report.chain_ok is False
 
     def test_load_raises_storage_error(self, diffs, tmp_path, vanish):
         path = save_record(diffs, tmp_path / "rec")
-        vanish("ckpt-00001.rdif")
-        message = "record is missing checkpoint file ckpt-00001.rdif"
+        vanish("record.pack")
+        message = "record is missing checkpoint frame 0"
         with pytest.raises(StorageError, match=message):
             load_record(path)
         with pytest.raises(StorageError, match=message):
             restore_record_indexed(path)
-        out, _ = restore_record_indexed(path, 0)
-        assert np.array_equal(out, Restorer().restore(diffs, 0))
+        with pytest.raises(StorageError, match=message):
+            restore_record_indexed(path, 0)
 
 
 class TestSalvage:
@@ -305,19 +309,19 @@ class TestSalvage:
 
     def test_strict_load_raises_integrity(self, diffs, tmp_path):
         path = save_record(diffs, tmp_path / "rec")
-        blob = bytearray((path / "ckpt-00001.rdif").read_bytes())
+        blob = bytearray(read_frame(path, 1))
         blob[-1] ^= 0x01
-        (path / "ckpt-00001.rdif").write_bytes(bytes(blob))
+        write_frame(path, 1, bytes(blob))
         with pytest.raises(IntegrityError) as exc:
             load_record(path)
         assert exc.value.ckpt_id == 1
-        assert "ckpt-00001" in exc.value.path
+        assert exc.value.path.endswith("record.pack")
 
     def test_salvage_returns_valid_prefix(self, diffs, tmp_path):
         path = save_record(diffs, tmp_path / "rec")
-        blob = bytearray((path / "ckpt-00001.rdif").read_bytes())
+        blob = bytearray(read_frame(path, 1))
         blob[-1] ^= 0x01
-        (path / "ckpt-00001.rdif").write_bytes(bytes(blob))
+        write_frame(path, 1, bytes(blob))
         assert list(self._restorable(path, len(diffs))) == [0]
         with pytest.raises(IntegrityError):
             restore_record_indexed(path, 1)
@@ -328,22 +332,22 @@ class TestSalvage:
 
     def test_salvage_past_missing_file(self, diffs, tmp_path):
         path = save_record(diffs, tmp_path / "rec")
-        (path / "ckpt-00001.rdif").unlink()
+        truncate_frame(path, 1, 0)
         assert list(self._restorable(path, len(diffs))) == [0]
 
     def test_salvage_can_be_empty(self, diffs, tmp_path):
         # Checkpoint 1 rewrote 256 of 4096 bytes: its row still names
-        # frame 0 for the rest, so losing frame 0 loses both.
+        # frame 0 for the rest, so losing frame 0's extent loses both.
         path = save_record(diffs, tmp_path / "rec")
-        (path / "ckpt-00000.rdif").unlink()
+        delete_frame(path, 0)
         assert self._restorable(path, len(diffs)) == {}
 
     def test_salvaged_prefix_restores(self, diffs, tmp_path):
         path = save_record(diffs, tmp_path / "rec")
         golden = Restorer().restore_all(diffs)
-        blob = bytearray((path / "ckpt-00001.rdif").read_bytes())
+        blob = bytearray(read_frame(path, 1))
         blob[60] ^= 0x80
-        (path / "ckpt-00001.rdif").write_bytes(bytes(blob))
+        write_frame(path, 1, bytes(blob))
         restored = self._restorable(path, len(diffs))
         assert list(restored) == [0]
         assert np.array_equal(restored[0], golden[0])
@@ -450,11 +454,13 @@ class TestRecordLog:
         path, chain = record
         forge_log_entry(path, 2, frame_sha=bytes.fromhex(chain[1].frame_digest()))
         assert verify_record(path).checkpoints[2].status == STATUS_CORRUPT
-        with pytest.raises(IntegrityError, match="file digest mismatch"):
+        with pytest.raises(IntegrityError, match="digest mismatch against the record log"):
             load_record(path)
-        forge_log_entry(path, 2, frame_bytes=chain[2].serialized_size + 1)
-        status = verify_record(path).checkpoints[2]
-        assert status.status == STATUS_CORRUPT and "file size" in status.detail
+        # A size one byte over: inside the pack only the last frame can
+        # run past its end (an earlier one would take the next one's byte).
+        forge_log_entry(path, 3, frame_bytes=chain[3].serialized_size + 1)
+        status = verify_record(path).checkpoints[3]
+        assert status.status == STATUS_CORRUPT and "pack holds" in status.detail
 
 
 class TestCli:
@@ -491,14 +497,14 @@ class TestCli:
 
         rec = tmp_path / "rec"
         assert main(["demo", "--checkpoints", "6", "--save", str(rec)]) == 0
-        (rec / "ckpt-00002.rdif").unlink()
+        delete_frame(rec, 2)
         capsys.readouterr()
         out = tmp_path / "out.bin"
         assert main(["restore", str(rec), "-k", "1", "-o", str(out)]) == 0
         assert main(["restore", str(rec), "-k", "2", "-o", str(out)]) == 2
         err = capsys.readouterr().err
         assert f"cannot restore {rec} checkpoint 2: " in err
-        assert "missing checkpoint file ckpt-00002.rdif" in err
+        assert "record.pack frame 2: digest mismatch" in err
         assert main(["restore", str(rec), "-o", str(out)]) == 2
         assert f"cannot restore {rec} checkpoint newest: " in capsys.readouterr().err
 
@@ -515,20 +521,14 @@ class TestCli:
         from repro.cli import main
 
         path = save_record(diffs, tmp_path / "rec")
-        blob = bytearray((path / "ckpt-00001.rdif").read_bytes())
-        # Truncate the payload: still parseable lengths? Corrupt the
-        # payload length consistency by rewriting with a wrong region —
-        # simplest: swap the two files.
-        (path / "ckpt-00001.rdif").write_bytes(
-            (path / "ckpt-00000.rdif").read_bytes()
-        )
-        # ckpt file 1 now holds checkpoint id 0: inspect says so and
-        # exits 1, as verify does, with no traceback.
+        # Frame 0's bytes where frame 1 belongs: inspect names the frame
+        # and exits 1, as verify does, with no traceback.
+        write_frame(path, 1, read_frame(path, 0))
         capsys.readouterr()
         assert main(["inspect", str(path)]) == 1
         err = capsys.readouterr().err
         assert err.startswith(f"cannot inspect {path}: ")
-        assert "ckpt-00001.rdif" in err
+        assert "record.pack frame 1" in err
 
     def test_bench_command_table1(self, capsys):
         from repro.cli import main
@@ -578,10 +578,9 @@ class TestSelectiveFrameLoading:
         from repro.core.store import load_record_frames
 
         path = save_record(diffs, tmp_path)
-        target = path / "ckpt-00001.rdif"
-        blob = bytearray(target.read_bytes())
+        blob = bytearray(read_frame(path, 1))
         blob[-1] ^= 0xFF
-        target.write_bytes(bytes(blob))
+        write_frame(path, 1, bytes(blob))
         with pytest.raises(IntegrityError):
             load_record_frames(tmp_path, [1])
         # The undamaged frame still loads on its own.
@@ -594,14 +593,15 @@ class TestSelectiveFrameLoading:
         path = save_record(diffs, tmp_path)
         sizes = record_frame_sizes(tmp_path)
         assert sizes == [d.serialized_size for d in diffs]
-        (path / "ckpt-00000.rdif").unlink()
+        truncate_frame(path, 0, 0)
         assert record_frame_sizes(tmp_path)[0] == 0
 
     def test_record_frame_sizes_stats_each_frame_once(
         self, diffs, tmp_path, monkeypatch
     ):
-        """A frame removed after a first look at it is read as present or
-        missing, never as a raw FileNotFoundError: one ``stat`` per frame."""
+        """A pack removed after a first look at it is read as present or
+        missing, never as a raw FileNotFoundError: one ``stat`` of the pack
+        for every frame."""
         from repro.core.store import record_frame_sizes
 
         path = save_record(diffs, tmp_path)
@@ -609,7 +609,7 @@ class TestSelectiveFrameLoading:
 
         def stat_once(file, *args, **kwargs):
             name = os.path.basename(file)
-            if name.startswith("ckpt-"):
+            if name == "record.pack":
                 calls.append(name)
                 if calls.count(name) > 1:  # removed after its first stat
                     raise FileNotFoundError(2, "No such file or directory", str(file))
@@ -617,4 +617,4 @@ class TestSelectiveFrameLoading:
 
         monkeypatch.setattr(os, "stat", stat_once)
         assert record_frame_sizes(path) == [d.serialized_size for d in diffs]
-        assert sorted(calls) == [f"ckpt-{k:05d}.rdif" for k in range(len(diffs))]
+        assert calls == ["record.pack"]

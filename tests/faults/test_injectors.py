@@ -1,89 +1,136 @@
-"""Tests for the primitive file-level fault injectors."""
+"""Tests for the primitive fault injectors: each damages one checkpoint's
+frame in a record's ``record.pack``, addressed by checkpoint and an
+offset inside the frame."""
 
+import numpy as np
 import pytest
 
+from repro.core import ENGINES
+from repro.core.store import save_record, verify_record
 from repro.errors import FaultError
-from repro.faults import delete_file, flip_bit, record_files, truncate_file
+from repro.faults import delete_frame, flip_bit, record_frames, truncate_frame
+from repro.record import PACK_FILE
+from tests.conftest import frame_extent, read_frame
+
+N, CS = 64 * 64, 64
 
 
 @pytest.fixture
 def target(tmp_path):
-    path = tmp_path / "ckpt-00000.rdif"
-    path.write_bytes(bytes(range(256)))
-    return path
+    """A three-checkpoint record; its frame 1 is the usual target."""
+    rng = np.random.default_rng(5)
+    engine = ENGINES["tree"](N, CS)
+    state = rng.integers(0, 256, N, dtype=np.uint8)
+    diffs = [engine.checkpoint(state)]
+    for k in (1, 2):
+        state = state.copy()
+        state[k * 512 : k * 512 + 256] = rng.integers(0, 256, 256, dtype=np.uint8)
+        diffs.append(engine.checkpoint(state))
+    return save_record(diffs, tmp_path / "rec", method="tree")
 
 
 class TestFlipBit:
     def test_flips_exactly_one_bit(self, target):
-        receipt = flip_bit(target, 10, bit=3)
-        data = target.read_bytes()
-        assert data[10] == 10 ^ (1 << 3)
-        assert data[:10] == bytes(range(10))
-        assert data[11:] == bytes(range(11, 256))
+        before = (target / PACK_FILE).read_bytes()
+        original = read_frame(target, 1)
+        receipt = flip_bit(target, 1, 10, bit=3)
+        data = read_frame(target, 1)
+        assert data[10] == original[10] ^ (1 << 3)
+        assert data[:10] == original[:10]
+        assert data[11:] == original[11:]
+        offset, size = frame_extent(target, 1)
+        after = (target / PACK_FILE).read_bytes()
+        assert after[:offset] == before[:offset]
+        assert after[offset + size :] == before[offset + size :]
         assert receipt.kind == "bitflip"
         assert receipt.detail == 10
+        assert receipt.ckpt == 1
 
     def test_double_flip_restores(self, target):
-        original = target.read_bytes()
-        flip_bit(target, 42, bit=7)
-        flip_bit(target, 42, bit=7)
-        assert target.read_bytes() == original
+        original = (target / PACK_FILE).read_bytes()
+        flip_bit(target, 1, 42, bit=7)
+        flip_bit(target, 1, 42, bit=7)
+        assert (target / PACK_FILE).read_bytes() == original
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(FaultError):
-            flip_bit(tmp_path / "nope", 0)
+            flip_bit(tmp_path / "nope", 0, 0)
 
     def test_offset_out_of_range(self, target):
+        _, size = frame_extent(target, 1)
         with pytest.raises(FaultError):
-            flip_bit(target, 256)
+            flip_bit(target, 1, size)
 
     def test_bad_bit(self, target):
         with pytest.raises(FaultError):
-            flip_bit(target, 0, bit=8)
+            flip_bit(target, 1, 0, bit=8)
 
-    def test_empty_file(self, tmp_path):
-        empty = tmp_path / "empty"
-        empty.write_bytes(b"")
+    def test_empty_file(self, target):
+        """A frame the pack holds no byte of cannot take a flip."""
+        truncate_frame(target, 1, 0)
         with pytest.raises(FaultError):
-            flip_bit(empty, 0)
+            flip_bit(target, 1, 0)
 
 
 class TestTruncate:
     def test_shortens_file(self, target):
-        truncate_file(target, 100)
-        assert target.read_bytes() == bytes(range(100))
+        """The cut is a torn tail: frame 1 keeps 100 bytes, frame 2 goes."""
+        offset, _ = frame_extent(target, 1)
+        original = read_frame(target, 1)
+        receipt = truncate_frame(target, 1, 100)
+        assert (target / PACK_FILE).stat().st_size == offset + 100
+        assert read_frame(target, 1) == original[:100]
+        assert (receipt.ckpt, receipt.detail) == (1, 100)
+        statuses = [c.status for c in verify_record(target).checkpoints]
+        assert statuses == ["ok", "corrupt", "missing"]
 
     def test_truncate_to_zero(self, target):
-        truncate_file(target, 0)
-        assert target.read_bytes() == b""
+        offset, _ = frame_extent(target, 1)
+        truncate_frame(target, 1, 0)
+        assert (target / PACK_FILE).stat().st_size == offset
+        assert [f.held for f in record_frames(target)][1:] == [0, 0]
 
     def test_must_shorten(self, target):
+        _, size = frame_extent(target, 1)
         with pytest.raises(FaultError):
-            truncate_file(target, 256)
+            truncate_frame(target, 1, size)
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(FaultError):
-            truncate_file(tmp_path / "nope", 0)
+            truncate_frame(tmp_path / "nope", 0, 0)
 
 
 class TestDelete:
     def test_removes_file(self, target):
-        receipt = delete_file(target)
-        assert not target.exists()
-        assert receipt.detail == 256
+        """A lost extent: frame 1's bytes read as zeros, its neighbours
+        are untouched, and the frame is corrupt."""
+        _, size = frame_extent(target, 1)
+        neighbours = read_frame(target, 0), read_frame(target, 2)
+        receipt = delete_frame(target, 1)
+        assert read_frame(target, 1) == bytes(size)
+        assert (read_frame(target, 0), read_frame(target, 2)) == neighbours
+        assert receipt.detail == size
+        statuses = [c.status for c in verify_record(target).checkpoints]
+        assert statuses == ["ok", "corrupt", "ok"]
 
-    def test_missing_file(self, tmp_path):
+    def test_missing_file(self, tmp_path, target):
         with pytest.raises(FaultError):
-            delete_file(tmp_path / "nope")
+            delete_frame(tmp_path / "nope", 0)
+        with pytest.raises(FaultError):
+            delete_frame(target, 3)  # not a checkpoint of the record
 
 
 class TestRecordFiles:
-    def test_sorted_chain_order(self, tmp_path):
-        for i in (2, 0, 1):
-            (tmp_path / f"ckpt-{i:05d}.rdif").write_bytes(b"x")
-        names = [p.name for p in record_files(tmp_path)]
-        assert names == ["ckpt-00000.rdif", "ckpt-00001.rdif", "ckpt-00002.rdif"]
+    def test_sorted_chain_order(self, target):
+        frames = record_frames(target)
+        assert [f.ckpt for f in frames] == [0, 1, 2]
+        offsets = [f.offset for f in frames]
+        assert offsets == sorted(offsets) and offsets[0] == 0
+        assert [f.held for f in frames] == [frame_extent(target, k)[1] for k in range(3)]
 
-    def test_empty_dir(self, tmp_path):
+    def test_empty_dir(self, tmp_path, target):
         with pytest.raises(FaultError):
-            record_files(tmp_path)
+            record_frames(tmp_path / "nope")
+        truncate_frame(target, 0, 0)
+        with pytest.raises(FaultError):
+            record_frames(target)

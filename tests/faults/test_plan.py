@@ -9,7 +9,7 @@ import pytest
 
 from repro.core import ENGINES, Restorer, save_record
 from repro.core.provenance import restore_record_indexed
-from repro.core.store import load_provenance
+from repro.core.store import load_provenance, verify_record
 from repro.errors import FaultError
 from repro.faults import (
     FaultPlan,
@@ -17,11 +17,14 @@ from repro.faults import (
     TierFaultSpec,
     apply_record_faults,
     grade_record_damage,
+    record_frames,
     run_record_campaign,
 )
 from repro.faults.plan import RECORD_FAULT_KINDS
+from repro.record import RecordView, RecordWriter
 from repro.runtime import StorageTier
 from repro.telemetry import events
+from tests.conftest import read_frame
 
 
 @pytest.fixture
@@ -117,7 +120,7 @@ class TestValidation:
         path, _ = record
         with pytest.raises(FaultError, match="bitflp"):
             RecordFault(kind="bitflp", ckpt_index=1)
-        assert len(list(path.glob("ckpt-*.rdif"))) == 4
+        assert len([f for f in record_frames(path) if f.held]) == 4
 
     def test_unknown_tier_kind_refused_when_built(self):
         with pytest.raises(FaultError, match="unknown tier fault kind 'transiant'"):
@@ -137,14 +140,12 @@ class TestValidation:
 class TestApply:
     def test_bitflip_changes_one_file(self, record):
         path, _ = record
-        before = {
-            p.name: p.read_bytes() for p in sorted(path.glob("ckpt-*.rdif"))
-        }
+        before = {k: read_frame(path, k) for k in range(4)}
         plan = FaultPlan(3)
         receipts = plan.apply_record_faults(
             path, plan.plan_record_faults(4, kinds=("bitflip",))
         )
-        after = {p.name: p.read_bytes() for p in sorted(path.glob("ckpt-*.rdif"))}
+        after = {k: read_frame(path, k) for k in range(4)}
         changed = [n for n in before if before[n] != after[n]]
         assert len(changed) == 1
         assert receipts[0].kind == "bitflip"
@@ -154,7 +155,8 @@ class TestApply:
         path, _ = record
         plan = FaultPlan(3)
         plan.apply_record_faults(path, plan.plan_record_faults(4, kinds=("delete",)))
-        assert len(list(path.glob("ckpt-*.rdif"))) == 3
+        # A lost extent reads as zeros.
+        assert len([k for k in range(4) if any(read_frame(path, k))]) == 3
 
     def test_apply_tier_faults(self):
         tier = StorageTier("ssd", 100, 1.0)
@@ -191,7 +193,7 @@ def _pinned_from_receipt(record):
     (the rebuild ``schedule_from_timeline`` makes)."""
     return RecordFault(
         kind=str(record["kind"]),
-        frame=Path(str(record["path"])).name,
+        ckpt=int(record["ckpt"]),
         offset=int(record["detail"]),
         bit=int(record.get("bit", 0) or 0),
     )
@@ -206,7 +208,7 @@ class TestOneInjector:
         drawn_dir = shutil.copytree(path, tmp_path / "drawn")
         pinned_dir = shutil.copytree(path, tmp_path / "pinned")
         (fault,) = FaultPlan(7).plan_record_faults(4, kinds=(kind,))
-        assert fault.frame is None and fault.offset is None
+        assert fault.ckpt is None and fault.offset is None
         with events.journal_to() as journal:
             drawn = apply_record_faults(drawn_dir, [fault])
         (receipt,) = [
@@ -215,34 +217,61 @@ class TestOneInjector:
         pinned = apply_record_faults(pinned_dir, [_pinned_from_receipt(receipt)])
         assert _dir_bytes(drawn_dir) == _dir_bytes(pinned_dir)
         assert _dir_bytes(drawn_dir) != _dir_bytes(path)
-        assert [(r.kind, Path(r.path).name, r.detail) for r in drawn] == [
-            (r.kind, Path(r.path).name, r.detail) for r in pinned
+        assert [(r.kind, Path(r.path).name, r.ckpt, r.detail) for r in drawn] == [
+            (r.kind, Path(r.path).name, r.ckpt, r.detail) for r in pinned
         ]
 
     def test_stops_at_the_first_impossible_fault(self, tmp_path, rng):
         data = rng.integers(0, 256, 64 * 8, dtype=np.uint8)
         one = save_record([ENGINES["tree"](data.size, 64).checkpoint(data)],
                           tmp_path / "one", method="tree")
-        # The second delete of the only frame finds no frame left: it
-        # and everything after it are not applied.
-        twice = [RecordFault("delete"), RecordFault("delete"),
+        # A cut at the start of the only frame leaves no frame in the
+        # pack: the faults after it are not applied.
+        twice = [RecordFault("truncate"), RecordFault("delete"),
                  RecordFault("bitflip")]
         receipts = apply_record_faults(one, twice)
-        assert [r.kind for r in receipts] == ["delete"]
-        assert list(one.glob("ckpt-*.rdif")) == []
+        assert [r.kind for r in receipts] == ["truncate"]
+        assert (one / "record.pack").stat().st_size == 0
 
     def test_a_bit_flip_into_an_emptied_frame_stops(self, record):
         path, _ = record
-        faults = [RecordFault("truncate", frame="ckpt-00002.rdif", offset=0),
-                  RecordFault("bitflip", frame="ckpt-00002.rdif", offset=3)]
+        faults = [RecordFault("truncate", ckpt=2, offset=0),
+                  RecordFault("bitflip", ckpt=2, offset=3)]
         receipts = apply_record_faults(path, faults)
         assert [r.kind for r in receipts] == ["truncate"]
-        assert (path / "ckpt-00002.rdif").stat().st_size == 0
+        assert record_frames(path)[2].held == 0
 
     def test_missing_pinned_frame_raises(self, record):
         path, _ = record
-        with pytest.raises(FaultError, match="ckpt-00009.rdif"):
-            apply_record_faults(path, [RecordFault("delete", frame="ckpt-00009.rdif")])
+        with pytest.raises(FaultError, match="checkpoint 9"):
+            apply_record_faults(path, [RecordFault("delete", ckpt=9)])
+
+
+class TestTornAppendTail:
+    """A torn append can leave a frame in the pack with no log entry.
+    It is no checkpoint: no fault can land on it (where it would be graded
+    ``harmless``), and the next writer cuts it."""
+
+    def test_bytes_past_the_sealed_sum_are_no_target_and_cut_at_reopen(
+        self, record, tmp_path
+    ):
+        path, diffs = record
+        pack = path / "record.pack"
+        sealed = pack.read_bytes()
+        orphan = diffs[3].to_bytes()  # a frame whose log entry never landed
+        pack.write_bytes(sealed + orphan)
+        assert verify_record(path).ok and RecordView(path).count == 4
+        assert sum(frame.held for frame in record_frames(path)) == len(sealed)
+        for seed in range(24):
+            trial = shutil.copytree(path, tmp_path / f"trial-{seed}")
+            faults = FaultPlan(seed).plan_record_faults(5, n_faults=2)
+            receipts = apply_record_faults(trial, faults)
+            assert receipts and all(r.ckpt < 4 for r in receipts), seed
+            after = (trial / "record.pack").read_bytes()
+            if len(after) > len(sealed):  # no cut: the orphan is untouched
+                assert after[len(sealed) :] == orphan, seed
+        assert RecordWriter(path, method="tree").count == 4
+        assert pack.read_bytes() == sealed
 
 
 class TestOneGrader:

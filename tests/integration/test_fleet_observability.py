@@ -16,7 +16,7 @@ import pytest
 from repro.cli import main
 from repro.core import IncrementalCheckpointer
 from repro.core.provenance import restore_record_indexed
-from repro.faults import flip_bit, record_files
+from repro.faults import flip_bit
 from repro.oranges import OrangesApp
 from repro.runtime import AsyncFlushPipeline, NodeRuntime, StorageTier
 from repro.telemetry import build_rollup, evaluate_health
@@ -73,7 +73,7 @@ def _faulted_journal(tmp_path):
             ck.checkpoint(data)
             data = data.copy()
             data[:256] = rng.integers(0, 256, 256, dtype=np.uint8)
-        flip_bit(record_files(record)[-1], byte_offset=200)
+        flip_bit(record, 2, byte_offset=200)
     return journal
 
 

@@ -10,6 +10,7 @@ from repro.errors import GraphError, IntegrityError
 from repro.graphs import generate
 from repro.oranges import GdvEngine, OrangesApp
 from repro.runtime import NodeRuntime
+from tests.conftest import read_frame, write_frame
 
 
 @pytest.fixture(scope="module")
@@ -87,9 +88,9 @@ class TestGoldenTraceRecovery:
     def test_corruption_detected_then_salvaged(self, golden_trace, tmp_path):
         diffs, states = golden_trace
         path = save_record(diffs, tmp_path / "rec", method="tree")
-        blob = bytearray((path / "ckpt-00003.rdif").read_bytes())
+        blob = bytearray(read_frame(path, 3))
         blob[len(blob) // 2] ^= 0x20
-        (path / "ckpt-00003.rdif").write_bytes(bytes(blob))
+        write_frame(path, 3, bytes(blob))
 
         report = verify_record(path)
         assert not report.ok

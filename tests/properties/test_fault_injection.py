@@ -9,7 +9,7 @@ With the v2 frame format the guarantee is stronger and is pinned down
 here as a property: the frame is a packed little-endian header plus a
 SHA-256 digest over header and body, with **no padding bytes anywhere**,
 so the "provably harmless" set of single-byte flips is empty — *every*
-single-byte corruption of a stored ``.rdif`` file must be detected by
+single-byte corruption of a stored frame must be detected by
 ``verify_record()`` and by a strict ``load_record()``.
 """
 
@@ -34,7 +34,8 @@ from repro.core.store import (
 from repro.errors import IntegrityError, ReproError
 from repro.faults import RecordFault, apply_record_faults
 from repro.faults.plan import RECORD_FAULT_KINDS
-from tests.conftest import ram_record
+from repro.record import RecordView
+from tests.conftest import ram_record, read_frame, write_frame
 
 
 def make_chain(seed: int):
@@ -119,7 +120,7 @@ def test_shuffled_chain_rejected_or_detected(seed, k):
 
 # ----------------------------------------------------------------------
 # Record-level properties (satellite of the integrity work): any single
-# byte flipped in any stored .rdif file is detected.
+# byte flipped in any stored frame is detected.
 # ----------------------------------------------------------------------
 
 _RECORD_CACHE = {}
@@ -136,12 +137,11 @@ def _pristine_record(seed: int) -> Path:
 def _flip_in_copy(src: Path, workdir: Path, file_pick: int, position: int, flip: int):
     rec = workdir / "rec"
     shutil.copytree(src, rec)
-    files = sorted(rec.glob("ckpt-*.rdif"))
-    target = files[file_pick % len(files)]
-    blob = bytearray(target.read_bytes())
+    k = file_pick % RecordView(rec).count
+    blob = bytearray(read_frame(rec, k))
     blob[position % len(blob)] ^= flip
-    target.write_bytes(bytes(blob))
-    return rec, files.index(target)
+    write_frame(rec, k, bytes(blob))
+    return rec, k
 
 
 @given(
@@ -218,8 +218,11 @@ def test_salvage_never_restores_wrong_bytes(
 ):
     """What a damaged record still restores — every checkpoint the
     production restore returns — is the workload's own bytes, and a
-    checkpoint whose row does not name the damaged frame is restored."""
+    checkpoint whose row names no damaged frame is restored.  A cut
+    inside frame *f* of the pack damages every frame from *f* on."""
     src, states, rows = _pristine_method_record(method, seed)
+    frame %= len(states)
+    damaged = set(range(frame, len(states))) if kind == "truncate" else {frame}
     with tempfile.TemporaryDirectory() as tmp:
         rec = shutil.copytree(src, Path(tmp) / "rec")
         fault = RecordFault(kind, ckpt_index=frame, offset_frac=offset_frac, bit=bit)
@@ -228,33 +231,33 @@ def test_salvage_never_restores_wrong_bytes(
             try:
                 got, _ = restore_record_indexed(rec, k)
             except ReproError:
-                assert frame in rows[k], f"checkpoint {k} lost to frame {frame}"
+                assert damaged & rows[k], f"checkpoint {k} lost to frame {frame}"
                 continue
             assert np.array_equal(got, want), f"checkpoint {k} restored wrong"
 
 
 def test_every_single_byte_flip_detected_exhaustively():
     """Deterministic complement of the property: flip one bit at EVERY
-    byte offset of every file of a small record — all must be caught, by
+    byte offset of every frame of a small record — all must be caught, by
     the scan and by every reader: a strict ``load_record`` and the
     indexed restore of a checkpoint whose row references the frame both
     refuse it with :class:`IntegrityError`."""
     record = make_chain(0)
     with tempfile.TemporaryDirectory() as tmp:
         src = save_record(record, Path(tmp) / "rec")
-        for k, target in enumerate(sorted(src.glob("ckpt-*.rdif"))):
+        for k in range(RecordView(src).count):
             # Checkpoint k's own row names frame k (it stores bytes).
             assert k in load_provenance(src, k).referenced()
-            pristine = target.read_bytes()
+            pristine = read_frame(src, k)
             for offset in range(len(pristine)):
                 blob = bytearray(pristine)
                 blob[offset] ^= 0x01
-                target.write_bytes(bytes(blob))
-                where = f"flip at {target.name}:{offset}"
+                write_frame(src, k, bytes(blob))
+                where = f"flip at frame {k}:{offset}"
                 assert not verify_record(src).ok, f"{where} went undetected"
                 with pytest.raises(IntegrityError):
                     load_record(src)
                 with pytest.raises(IntegrityError):
                     restore_record_indexed(src, upto=k)
-            target.write_bytes(pristine)
+            write_frame(src, k, pristine)
         assert verify_record(src).ok

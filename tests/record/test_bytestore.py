@@ -1,14 +1,15 @@
 """The byte store seam: the writer's commit order as a sequence of store
-operations, one code path for a record in RAM and on disk, the swap that
-replaces a record's history, and the directory store's one open and one
-read per verified frame."""
+operations, four files at any chain length, a cut after any store write
+that leaves every sealed checkpoint restorable, one code path for a
+record in RAM and on disk, the swap that replaces a record's history, and
+the directory store's one open and one read per verified frame."""
 
 import os
 
 import numpy as np
 import pytest
 
-from repro.core import ENGINES, IncrementalCheckpointer, rebase_stored_record
+from repro.core import ENGINES, IncrementalCheckpointer, Restorer, rebase_stored_record
 from repro.core.provenance import restore_indexed
 from repro.record import DirectoryStore, MemoryStore, RecordView, RecordWriter
 from repro.record import bytestore
@@ -47,7 +48,6 @@ class RecordingStore(MemoryStore):
     size = _log("size")
     replace = _log("replace")
     truncate = _log("truncate")
-    remove = _log("remove")
 
 
 def _chain(rng, n=4):
@@ -56,7 +56,8 @@ def _chain(rng, n=4):
     diffs = [engine.checkpoint(state)]
     for k in range(1, n):
         state = state.copy()
-        state[k * 256 : k * 256 + 128] = rng.integers(0, 256, 128, dtype=np.uint8)
+        lo = k * 256 % (N - 128)
+        state[lo : lo + 128] = rng.integers(0, 256, 128, dtype=np.uint8)
         diffs.append(engine.checkpoint(state))
     return diffs
 
@@ -85,12 +86,16 @@ def _checkpoint(node, states):
         node.checkpoint_all([state], now=float(step))
 
 
+#: The record's files: the same four at any chain length.
+FOUR_FILES = ["provenance.rpix", "record.json", "record.log", "record.pack"]
+
+
 class TestCommitOrder:
     def test_first_append_writes_frame_index_header_then_log(self, rng):
         store = RecordingStore()
         RecordWriter(store, method="tree").append(_chain(rng, 1)[0])
         assert _writes(store.ops) == [
-            ("create", "ckpt-00000.rdif"),
+            ("create", "record.pack"),
             ("create", "provenance.rpix"),
             ("replace", "record.json"),
             ("create", "record.log"),
@@ -105,10 +110,36 @@ class TestCommitOrder:
         store.ops.clear()
         writer.append(diffs[-1])
         assert _writes(store.ops) == [
-            ("create", "ckpt-00003.rdif"),
+            ("append", "record.pack"),
             ("append", "provenance.rpix"),
             ("append", "record.log"),
         ]
+
+    def test_no_append_after_checkpoint_zero_creates_a_file(self, rng):
+        diffs = _chain(rng, 12)
+        store = RecordingStore()
+        writer = RecordWriter(store, method="tree")
+        writer.append(diffs[0])
+        for diff in diffs[1:]:
+            store.ops.clear()
+            writer.append(diff)
+            assert _writes(store.ops) == [
+                ("append", "record.pack"),
+                ("append", "provenance.rpix"),
+                ("append", "record.log"),
+            ], diff.ckpt_id
+        assert store.list() == FOUR_FILES
+
+    def test_two_hundred_appends_leave_four_files(self, rng, tmp_path):
+        diffs = _chain(rng, 200)
+        writer = RecordWriter(tmp_path / "rec", method="tree")
+        for diff in diffs:
+            writer.append(diff)
+            assert sorted(p.name for p in (tmp_path / "rec").iterdir()) == FOUR_FILES
+        view = RecordView(tmp_path / "rec")
+        assert view.count == 200
+        assert (tmp_path / "rec" / "record.pack").stat().st_size == view.log.pack_bytes
+        assert view.frame_sizes() == [d.serialized_size for d in diffs]
 
     def test_a_restart_writes_the_new_generation_then_swaps(self, rng):
         """A restart writes nothing into the crashed unit's record: the
@@ -120,7 +151,7 @@ class TestCommitOrder:
         store.ops.clear()
         node.crash_restart(0, at_time=100.0)
         assert _writes(store.ops) == [
-            ("create", "ckpt-00000.rdif"),
+            ("create", "record.pack"),
             ("create", "provenance.rpix"),
             ("replace", "record.json"),
             ("create", "record.log"),
@@ -216,6 +247,51 @@ class TestSwap:
         assert seen == {"old", "new"}
 
 
+class TestCutAppends:
+    @pytest.mark.parametrize("kind", ["memory", "directory"])
+    def test_a_cut_after_every_store_write_keeps_every_sealed_checkpoint(
+        self, rng, tmp_path, monkeypatch, kind
+    ):
+        """Cut a chain of appends after each of its store writes in turn:
+        the record then holds the checkpoints whose log entries were
+        written, each restores bit-identically, and the next writer
+        appends the rest into the same bytes as an uncut run."""
+        diffs = _chain(rng, 5)
+        states = Restorer().restore_all(diffs)
+        budget = _CrashBudget(monkeypatch)
+
+        def attempt(writes, path):
+            store = budget.store(kind, path)
+            budget.count, budget.left = 0, writes
+            try:
+                writer = RecordWriter(store, method="tree")
+                for diff in diffs:
+                    writer.append(diff)
+            except _Crash:
+                pass
+            finally:
+                budget.left = None
+            return DirectoryStore(path) if kind == "directory" else store
+
+        whole = attempt(None, tmp_path / "whole")
+        total = budget.count
+        assert total == 4 + 3 * (len(diffs) - 1)
+        for writes in range(total + 1):
+            store = attempt(writes, tmp_path / f"cut{writes}")
+            # Checkpoint 0 is four writes, every later append three.
+            sealed = 0 if writes < 4 else 1 + (writes - 4) // 3
+            writer = RecordWriter(store, method="tree")
+            assert writer.count == sealed, writes
+            for k in range(sealed):
+                view = RecordView(store)
+                assert np.array_equal(restore_indexed(view, k)[0], states[k]), (writes, k)
+            for diff in diffs[sealed:]:
+                writer.append(diff)
+            assert store.list() == whole.list() == FOUR_FILES
+            for name in FOUR_FILES:
+                assert store.pread(name) == whole.pread(name), (writes, name)
+
+
 class _Crash(Exception):
     pass
 
@@ -256,7 +332,7 @@ class _CrashBudget:
         """A store of *kind* at *path* whose writes (and those of the store
         a swap builds beside it) spend this budget."""
         base = MemoryStore if kind == "memory" else DirectoryStore
-        ops = self.WRITES + (("remove", "swap") if kind == "memory" else ())
+        ops = self.WRITES + (("swap",) if kind == "memory" else ())
         counted = type("Counted", (base,), {op: self._counted(base, op) for op in ops})
         return counted() if kind == "memory" else counted(path, create=True)
 

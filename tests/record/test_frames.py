@@ -1,12 +1,12 @@
 """Frame reads: one SHA-256 pass per frame, and every check still made.
 
 The record log stores each frame's content digest — the SHA-256 over
-header ‖ body that the frame embeds (record format 4) — so a reader
+header ‖ body that the frame embeds (record format 4 on) — so a reader
 hashes a frame once and compares that one value to the log's column and
 to the embedded field.  These tests pin the single pass on every path
 that touches a frame, the log's size column on the restore path, the
-refusal of the retired format 3 by every entry point, and the payload
-codec a hybrid frame names in its header's flags byte."""
+refusal of the retired formats 3 and 4 by every entry point, and the
+payload codec a hybrid frame names in its header's flags byte."""
 
 import hashlib
 import json
@@ -44,9 +44,9 @@ from repro.errors import (
     SerializationError,
     StorageError,
 )
-from repro.record import RecordView
+from repro.record import PACK_FILE, RecordView
 from repro.runtime import restore_record_sharded
-from tests.conftest import forge_log_entry
+from tests.conftest import forge_log_entry, frame_extent, read_frame, write_frame
 
 N, CS = 64 * 64, 64
 
@@ -181,32 +181,38 @@ class TestLogFrameSize:
         size = diffs[3].serialized_size
         forge_log_entry(path, 3, frame_bytes=size + 1)
         assert 3 in load_provenance(path, 3).referenced()
-        detail = f"file size {size} != record log {size + 1}"
+        detail = f"pack holds {size} of its {size + 1} bytes"
         assert detail in verify_record(path).checkpoints[3].detail
         for reader in (restore_record_indexed, load_record):
-            with pytest.raises(IntegrityError, match=f"ckpt-00003.rdif: {detail}"):
+            with pytest.raises(IntegrityError, match=f"record.pack frame 3: {detail}"):
                 reader(path)
         with pytest.raises(IntegrityError, match="does not match the record log"):
             RecordWriter(path, method="tree")
 
-    def test_an_oversized_frame_is_refused_unread(self, record):
+    def test_bytes_past_the_last_frame_are_never_read(self, record):
+        """Inside a pack no frame is oversized: what lies past the frames
+        the log seals (a torn append) is read by no reader, and the next
+        writer cuts it."""
         path, diffs = record
-        frame = path / "ckpt-00003.rdif"
-        frame.write_bytes(frame.read_bytes() + bytes(1 << 20))
-        with pytest.raises(IntegrityError, match="ckpt-00003.rdif: file size"):
-            restore_record_indexed(path, upto=3)
+        pack = path / PACK_FILE
+        sealed = pack.read_bytes()
+        pack.write_bytes(sealed + bytes(1 << 20))
+        out, _ = restore_record_indexed(path, upto=3)
+        assert np.array_equal(out, Restorer().restore(diffs))
+        assert verify_record(path).ok
         with telemetry.capture():
             read = telemetry.counter("store.frame_bytes_read")
-            with pytest.raises(IntegrityError, match="file size"):
-                load_record_frames(path, [3])
-            assert read.value == 0
+            load_record_frames(path, [3])
+            assert read.value == diffs[3].serialized_size
+        assert RecordWriter(path, method="tree").count == len(diffs)
+        assert pack.read_bytes() == sealed
 
 
-def _retire_to_format_3(directory):
-    """Relabel *directory*'s header as the retired record format 3."""
+def _retire_to_format(directory, version=3):
+    """Relabel *directory*'s header as the retired record format *version*."""
     header_path = directory / "record.json"
     header = json.loads(header_path.read_text())
-    header["format_version"] = 3
+    header["format_version"] = version
     header_path.write_text(json.dumps(header, indent=2))
 
 
@@ -227,9 +233,22 @@ class TestFormat3Retired:
     def test_rejected_by_name(self, record, entry):
         path, _ = record
         assert verify_record(path).ok
-        _retire_to_format_3(path)
+        _retire_to_format(path, 3)
         with pytest.raises(StorageError, match="unsupported record format 3"):
             self.ENTRY_POINTS[entry](path)
+
+
+class TestFormat4Retired:
+    """A format-4 record keeps one frame file per checkpoint beside its
+    log: there is no dual reader, so every entry point refuses it by
+    name."""
+
+    @pytest.mark.parametrize("entry", sorted(TestFormat3Retired.ENTRY_POINTS))
+    def test_rejected_by_name(self, record, entry):
+        path, _ = record
+        _retire_to_format(path, 4)
+        with pytest.raises(StorageError, match="unsupported record format 4"):
+            TestFormat3Retired.ENTRY_POINTS[entry](path)
 
 
 FLAGS = 7  # the header's flags byte: the payload codec code
@@ -277,11 +296,10 @@ class TestFrameNamesItsCodec:
     def test_a_rewritten_code_is_damage(self, tmp_path):
         unit, _ = _hybrid(get_codec("bitcomp"))
         path = save_record(load_record(unit.record.writer.store), tmp_path / "rec", method="tree")
-        frame = path / "ckpt-00001.rdif"
-        blob = bytearray(frame.read_bytes())
+        blob = bytearray(read_frame(path, 1))
         assert blob[FLAGS] == PAYLOAD_CODECS.index("bitcomp") + 1
         blob[FLAGS] = PAYLOAD_CODECS.index("deflate") + 1  # not resealed
-        frame.write_bytes(bytes(blob))
+        write_frame(path, 1, bytes(blob))
         report = verify_record(path)
         assert not report.ok
         assert report.checkpoints[1].status == "corrupt"
@@ -378,14 +396,16 @@ class TestRawPayloadLength:
 # every forged frame with the same error
 # ----------------------------------------------------------------------
 def _rewrite(path, k, edit, reseal=True, log=True):
-    """Apply *edit* to frame *k*'s bytes; with *reseal*, recompute its
-    embedded digest; with *log*, forge the log's size and digest columns
-    to the new bytes, so only the checks behind the log stand."""
-    frame = path / f"ckpt-{k:05d}.rdif"
-    blob = bytearray(frame.read_bytes())
+    """Apply *edit* to frame *k*'s bytes and splice them into the pack in
+    its place; with *reseal*, recompute its embedded digest; with *log*,
+    forge the log's size and digest columns to the new bytes, so only the
+    checks behind the log stand."""
+    offset, size = frame_extent(path, k)
+    pack = (path / PACK_FILE).read_bytes()
+    blob = bytearray(pack[offset : offset + size])
     edit(blob)
     blob = _reseal(blob) if reseal else bytes(blob)
-    frame.write_bytes(blob)
+    (path / PACK_FILE).write_bytes(pack[:offset] + blob + pack[offset + size :])
     if log:
         forge_log_entry(
             path, k, frame_sha=content_digest(blob), frame_bytes=len(blob)
@@ -400,6 +420,10 @@ def _grow(blob):
     blob += b"\0"
 
 
+def _shrink(blob):
+    del blob[-1]
+
+
 def _flip_embedded_digest(blob):
     blob[44] ^= 0xFF
 
@@ -410,8 +434,11 @@ def _flip_last_byte(blob):
 
 #: name -> (frame, edit, reseal, forge the log, error, message).
 FORGED = {
-    "size_vs_log": (3, _grow, True, False, IntegrityError, "file size"),
-    "digest_vs_log": (3, _flip_last_byte, False, False, IntegrityError, "file digest mismatch"),
+    "size_vs_log": (3, _shrink, True, False, IntegrityError, "pack holds"),
+    "digest_vs_log": (
+        3, _flip_last_byte, False, False, IntegrityError,
+        "digest mismatch against the record log",
+    ),
     "embedded_digest_vs_log": (
         3, _flip_embedded_digest, False, False, IntegrityError, "frame digest mismatch",
     ),

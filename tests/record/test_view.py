@@ -179,7 +179,7 @@ class TestWriterRefusesAnIncompatibleDiff:
         with pytest.raises(StorageError, match="ckpt 1"):
             save_record([diffs[0], bad], directory, method="tree")
         assert _files(directory).keys() == {
-            "ckpt-00000.rdif", "provenance.rpix", "record.json", "record.log"
+            "provenance.rpix", "record.json", "record.log", "record.pack"
         }
 
     def test_pinned_method(self, rng, tmp_path):

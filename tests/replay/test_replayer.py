@@ -168,29 +168,30 @@ class TestScheduleFromTimeline:
         def emit(journal):
             journal.emit(
                 events.RECORD_FAULT, sim_time=2.0, kind="bitflip",
-                path="/some/dir/ckpt-2.rdif", detail=17, bit=3,
+                path="/some/dir/record.pack", ckpt=2, detail=17, bit=3,
             )
 
         schedule = schedule_from_timeline(self._timeline(emit))
         (fault,) = schedule.record_faults
-        assert (fault.kind, fault.frame, fault.offset, fault.bit) == (
-            "bitflip", "ckpt-2.rdif", 17, 3,
+        assert (fault.kind, fault.ckpt, fault.offset, fault.bit) == (
+            "bitflip", 2, 17, 3,
         )
 
     @pytest.mark.parametrize(
         "receipt, message",
         [
-            (dict(kind="bitflp", detail=17, bit=3), "unknown record fault kind"),
-            (dict(kind="bitflip", detail="17", bit=3), "not integers"),
-            (dict(kind="bitflip", detail=17.5, bit=3), "not integers"),
-            (dict(kind="bitflip", detail=17, bit="3"), "not integers"),
+            (dict(kind="bitflp", ckpt=2, detail=17, bit=3), "unknown record fault kind"),
+            (dict(kind="bitflip", ckpt=2, detail="17", bit=3), "not integers"),
+            (dict(kind="bitflip", ckpt=2, detail=17.5, bit=3), "not integers"),
+            (dict(kind="bitflip", ckpt=2, detail=17, bit="3"), "not integers"),
+            (dict(kind="bitflip", detail=17, bit=3), "not integers"),
         ],
     )
     def test_unpinnable_record_fault_receipt_rejected(self, receipt, message):
         def emit(journal):
             journal.emit(
                 events.RECORD_FAULT, sim_time=2.0,
-                path="/some/dir/ckpt-2.rdif", **receipt,
+                path="/some/dir/record.pack", **receipt,
             )
 
         with pytest.raises(ReplayError, match=message):

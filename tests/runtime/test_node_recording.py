@@ -7,7 +7,7 @@ from repro.compress import get_codec
 from repro.core import IncrementalCheckpointer, Restorer
 from repro.core.provenance import restore_record_indexed
 from repro.core.store import load_record, verify_record
-from repro.faults import RecordFault
+from repro.faults import RecordFault, delete_frame, truncate_frame
 from repro.replay.driver import IncidentSchedule, drive_run
 from repro.replay.timeline import RunConfig
 from repro.runtime import NodeRuntime
@@ -112,15 +112,15 @@ class TestNodeRecording:
         return states
 
     def test_a_restart_reads_the_record_not_memory(self, rng, tmp_path):
-        """With every frame gone the record restores no checkpoint: the
-        restart is cold, loses all six, and replaces the crashed unit."""
+        """With the pack cut before frame 0 the record restores no
+        checkpoint: the restart is cold, loses all six, and replaces the
+        crashed unit."""
         runtime = NodeRuntime(
             64 * 1024, 128, num_processes=1, record_root=tmp_path / "records"
         )
         self._six_checkpoints(runtime, rng)
         crashed = runtime.checkpointers[0]
-        for frame in runtime.record_path(0).glob("ckpt-*.rdif"):
-            frame.unlink()
+        truncate_frame(runtime.record_path(0), 0, 0)
         with events.journal_to() as journal:
             report = runtime.crash_restart(0, at_time=100.0)
         assert report.restored_ckpt_id is None
@@ -141,15 +141,15 @@ class TestNodeRecording:
     def test_a_restart_falls_back_past_a_checkpoint_the_record_cannot_restore(
         self, tmp_path
     ):
-        """With only frame 2 gone, rows 2..5 name it and rows 0 and 1 do
-        not: the restart restores checkpoint 1, and loses the work since
-        checkpoint 1 was produced."""
+        """With only frame 2's extent lost, rows 2..5 name it and rows 0
+        and 1 do not: the restart restores checkpoint 1, and loses the work
+        since checkpoint 1 was produced."""
         runtime = NodeRuntime(
             64 * 1024, 128, num_processes=1, record_root=tmp_path / "records"
         )
         states = self._six_checkpoints(runtime, np.random.default_rng(7))
         produced = runtime.persisted[0][1].produced_at
-        (runtime.record_path(0) / "ckpt-00002.rdif").unlink()
+        delete_frame(runtime.record_path(0), 2)
         with events.journal_to() as journal:
             report = runtime.crash_restart(0, at_time=100.0)
         assert report.restored_ckpt_id == 1
@@ -193,9 +193,7 @@ class TestDriverRecording:
         )
         schedule = IncidentSchedule(
             record_faults=[
-                RecordFault(
-                    kind="bitflip", frame="ckpt-00001.rdif", offset=40, bit=2
-                )
+                RecordFault(kind="bitflip", ckpt=1, offset=40, bit=2)
             ]
         )
         drive = drive_run(config, schedule, workdir=tmp_path)
@@ -213,7 +211,7 @@ class TestDriverRecording:
         bytes — and journals exactly one ``final`` restore per rank."""
         config = RunConfig(steps=4, num_processes=2, data_len=SIZE, chunk_size=64)
         schedule = IncidentSchedule(
-            record_faults=[RecordFault(kind="delete", frame="ckpt-00003.rdif")]
+            record_faults=[RecordFault(kind="delete", ckpt=3)]
         )
         drive = drive_run(config, schedule, workdir=tmp_path)
         assert drive.golden_ok, drive.golden_failures

@@ -9,7 +9,9 @@ import pytest
 from repro import telemetry
 from repro.cli import main
 from repro.core import IncrementalCheckpointer
+from repro.faults import delete_frame, truncate_frame
 from repro.runtime import NodeRuntime
+from tests.conftest import read_frame, write_frame
 
 from .test_live_monitor import write_clean_run
 
@@ -83,10 +85,9 @@ class TestJsonFlags:
         assert all(c["status"] == "ok" for c in doc["checkpoints"])
 
     def test_verify_json_detects_corruption(self, record_dir, capsys):
-        frames = sorted(record_dir.glob("*.rdif"))
-        blob = bytearray(frames[1].read_bytes())
+        blob = bytearray(read_frame(record_dir, 1))
         blob[len(blob) // 2] ^= 0xFF
-        frames[1].write_bytes(bytes(blob))
+        write_frame(record_dir, 1, bytes(blob))
         rc = main(["verify", str(record_dir), "--json"])
         doc = json.loads(capsys.readouterr().out)
         assert rc == 1
@@ -97,8 +98,7 @@ class TestJsonFlags:
         assert "valid_prefix_len" not in doc and "first_bad" not in doc
 
     def test_verify_text_counts_damaged_frames(self, record_dir, capsys):
-        frames = sorted(record_dir.glob("*.rdif"))
-        frames[1].unlink()
+        delete_frame(record_dir, 1)
         rc = main(["verify", str(record_dir)])
         assert rc == 1
         assert "integrity: PROBLEMS — 1/3 frames damaged" in capsys.readouterr().out
@@ -206,11 +206,11 @@ class TestExplainCommand:
 
     @pytest.mark.parametrize("sweep", [[], ["--sweep", "64,128"]])
     def test_missing_frame_exits_one(self, record_dir, capsys, sweep):
-        (record_dir / "ckpt-00001.rdif").unlink()
+        truncate_frame(record_dir, 1, 0)
         assert main(["inspect", str(record_dir), *sweep]) == 1
         captured = capsys.readouterr()
         assert captured.err.startswith(f"cannot inspect {record_dir}: ")
-        assert "ckpt-00001.rdif" in captured.err
+        assert "missing checkpoint frame 1" in captured.err
         assert captured.out == ""
 
 
@@ -262,12 +262,12 @@ class TestCensusCommand:
 
     def test_census_of_a_damaged_record_exits_one(self, tmp_path, capsys):
         root = self._fleet(tmp_path)
-        (root / "b" / "ckpt-00001.rdif").unlink()
+        truncate_frame(root / "b", 1, 0)
         rc = main(["census", str(root), "--json"])
         captured = capsys.readouterr()
         assert rc == 1
         assert captured.err.startswith(f"cannot census {root}: b: ")
-        assert "ckpt-00001.rdif" in captured.err
+        assert "missing checkpoint frame 1" in captured.err
         assert captured.out == ""
 
     @pytest.mark.parametrize(

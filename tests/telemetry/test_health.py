@@ -429,7 +429,7 @@ class TestRuleCoverage:
         elif event_type == RECORD_FAULT:
             journal.emit(
                 RECORD_FAULT, sim_time=1.0, kind="bitflip",
-                path="ckpt-3.rdif", detail=17, bit=2,
+                path="record.pack", ckpt=3, detail=17, bit=2,
             )
         elif event_type == CRASH:
             journal.emit(CRASH, sim_time=1.0, in_flight_ckpts=0)

@@ -8,7 +8,7 @@ from pathlib import Path
 import repro
 
 SRC = Path(repro.__file__).resolve().parent
-FORMAT_NAMES = ("record.json", "record.log", "provenance.rpix", "ckpt-")
+FORMAT_NAMES = ("record.json", "record.log", "provenance.rpix", "record.pack")
 
 
 def _modules_outside_record():
