@@ -187,17 +187,11 @@ def frame_header(
             f"checkpoint {ckpt_id}: data_len {data_len} / chunk_size "
             f"{chunk_size} must be positive"
         )
+    # Positional: a restore builds one header per frame it reads, and
+    # keywords double the cost of the tuple.
     return FrameHeader(
-        method=method,
-        codec=codec,
-        ckpt_id=ckpt_id,
-        data_len=data_len,
-        chunk_size=chunk_size,
-        n_first=n_first,
-        n_shift=n_shift,
-        bitmap_bytes=bitmap_bytes,
-        payload_off=payload_off,
-        digest=stored_digest,
+        method, codec, ckpt_id, data_len, chunk_size,
+        n_first, n_shift, bitmap_bytes, payload_off, stored_digest,
     )
 
 
@@ -398,7 +392,7 @@ class CheckpointDiff:
             bitmap = np.frombuffer(
                 blob, dtype=np.uint8, count=head.bitmap_bytes, offset=off
             ).copy()
-        payload = blob[head.payload_off :]
+        payload = bytes(blob[head.payload_off :])  # *blob* may be a view
         checked = head.digest is not None
         return cls(
             method=head.method,

@@ -117,7 +117,7 @@ def load_record(record: Record) -> List[CheckpointDiff]:
     with telemetry.span(
         "store.load_record", path=str(view.path), frames=view.count
     ) as span:
-        diffs = [view.frame(i) for i in range(view.count)]
+        diffs = list(view.frames())
         span.set(loaded=len(diffs))
     return diffs
 

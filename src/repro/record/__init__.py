@@ -17,9 +17,12 @@ frame included, are rejected by name.  Layout and write order: ``DESIGN.md``
 §5a; fault semantics: ``docs/FAULT_MODEL.md`` §2.2.
 
 :mod:`.bytestore` is the only code that touches the files (create,
-append, ``pread``, size, replace, truncate, list, swap);
+append, ``read`` of several extents of one file — ``pread`` is its
+one-extent form — size, replace, truncate, list, swap);
 :mod:`.log` owns the header, the log and its seal; :mod:`.index` the RPIX
-v4 codec; :mod:`.frames` the frames of the pack; :mod:`.view`
+v4 codec; :mod:`.frames` the frames of the pack and their one reader
+(one open of the pack, one read per run of adjacent frames, each frame
+checked on a zero-copy slice of that read); :mod:`.view`
 :class:`RecordView`, the one reading of a record an operation opens;
 :mod:`.writer` :class:`RecordWriter`, the one writer.
 """

@@ -4,7 +4,8 @@ A record is four named byte strings (:mod:`.log` names them), and the
 record code needs eight operations on them: :meth:`create` (a new file
 holding exactly these bytes; only checkpoint 0 creates), :meth:`append`
 (how every later checkpoint reaches the pack, the index and the log),
-:meth:`pread`, :meth:`size`, :meth:`replace` (an atomic whole-file
+:meth:`read` (several extents of one file, in order; :meth:`pread` is
+its one-extent form), :meth:`size`, :meth:`replace` (an atomic whole-file
 swap), :meth:`truncate` (cut what an interrupted append left),
 :meth:`list` and :meth:`swap` (replace the whole record by a new generation built beside
 it — how a rebase and a restart replace a record's history).
@@ -13,8 +14,9 @@ it — how a rebase and a restart replace a record's history).
 code over either, so a unit that keeps its record in memory and one that
 keeps it on disk commit and restore the same bytes the same way.
 
-A missing file is :class:`FileNotFoundError` from :meth:`pread` and
-:meth:`size`, in both stores.
+A missing file is :class:`FileNotFoundError` from :meth:`read` (when
+its first extent is asked for), :meth:`pread` and :meth:`size`, in both
+stores.
 """
 
 from __future__ import annotations
@@ -22,9 +24,15 @@ from __future__ import annotations
 import os
 import shutil
 from pathlib import Path
-from typing import Callable, Dict, List, Optional, TypeVar, Union
+from typing import (
+    Callable, Dict, Iterable, Iterator, List, Optional, Tuple, TypeVar, Union,
+)
 
 T = TypeVar("T")
+
+#: ``(offset, size)`` of a byte range of one file; ``size`` ``None`` runs
+#: to the file's end.
+Extent = Tuple[int, Optional[int]]
 
 #: The suffixes of a swap's two sibling directories: the generation being
 #: built (``<name>.new``) and the one being replaced (``<name>.old``).
@@ -44,10 +52,11 @@ def record_of(directory: Union[str, os.PathLike]) -> Path:
 class DirectoryStore:
     """A record's files in one directory.
 
-    :meth:`pread` is one ``open``, one ``fstat`` of the open descriptor
-    and one read straight into the returned bytes (the read loops only
-    past the 2 GiB a single ``read`` returns), so a verified frame costs
-    one open and one read.
+    :meth:`read` is one ``open`` and one ``fstat`` of the open descriptor
+    per call, then one read per extent straight into the bytes it yields
+    (the read loops only past the 2 GiB a single ``read`` returns): a
+    restore reads every run of adjacent frames its row names through one
+    open of the pack, one read per run.
     """
 
     def __init__(self, directory: Union[str, os.PathLike], create: bool = False) -> None:
@@ -74,22 +83,26 @@ class DirectoryStore:
         with open(self._at(name), "ab") as f:
             f.write(data)
 
-    def pread(self, name: str, size: Optional[int] = None, offset: int = 0) -> bytes:
-        """Up to *size* bytes of *name* from *offset* (to its end when
-        *size* is ``None``); fewer when the file ends first."""
+    def read(self, name: str, extents: Iterable[Extent]) -> Iterator[bytes]:
+        """Yield up to *size* bytes of *name* from *offset* for each
+        ``(offset, size)`` of *extents*, in order (to the file's end when
+        *size* is ``None``); fewer when the file ends first.  The file is
+        opened when the first extent is asked for and closed when the last
+        has been yielded (or the iterator is closed); nothing is kept of an
+        extent once it is yielded."""
         fd = os.open(self._at(name), os.O_RDONLY)
         try:
-            left = max(os.fstat(fd).st_size - offset, 0)
-            want = left if size is None else min(size, left)
-            blob = os.pread(fd, want, offset)
-            while len(blob) < want:  # one read stops short of 2 GiB
-                more = os.pread(fd, want - len(blob), offset + len(blob))
-                if not more:
-                    break
-                blob += more
-            return blob
+            end = os.fstat(fd).st_size
+            for offset, size in extents:
+                left = max(end - offset, 0)
+                yield _pread(fd, left if size is None else min(size, left), offset)
         finally:
             os.close(fd)
+
+    def pread(self, name: str, size: Optional[int] = None, offset: int = 0) -> bytes:
+        """:meth:`read` of one extent."""
+        (blob,) = self.read(name, [(offset, size)])
+        return blob
 
     def size(self, name: str) -> int:
         return os.stat(self._at(name)).st_size
@@ -137,6 +150,17 @@ class DirectoryStore:
         return result
 
 
+def _pread(fd: int, want: int, offset: int) -> bytes:
+    """*want* bytes of *fd* from *offset*, fewer when the file ends first."""
+    blob = os.pread(fd, want, offset)
+    while len(blob) < want:  # one read stops short of 2 GiB
+        more = os.pread(fd, want - len(blob), offset + len(blob))
+        if not more:
+            break
+        blob += more
+    return blob
+
+
 class MemoryStore:
     """A record's files in RAM: the store of a unit that keeps no record
     on disk.  Reads return copies, so a reader never holds a view of a
@@ -160,10 +184,16 @@ class MemoryStore:
     def append(self, name: str, data: bytes) -> None:
         self._files.setdefault(name, bytearray()).extend(data)
 
+    def read(self, name: str, extents: Iterable[Extent]) -> Iterator[bytes]:
+        data = self._file(name)
+        for offset, size in extents:
+            # No view of the file outlives a yield: an append may grow it.
+            yield _copy(data, offset, size)
+
     def pread(self, name: str, size: Optional[int] = None, offset: int = 0) -> bytes:
-        data = memoryview(self._file(name))
-        end = len(data) if size is None else offset + size
-        return bytes(data[offset:end])
+        """:meth:`read` of one extent."""
+        (blob,) = self.read(name, [(offset, size)])
+        return blob
 
     def size(self, name: str) -> int:
         return len(self._file(name))
@@ -186,6 +216,11 @@ class MemoryStore:
         result = build(store)
         self._files = store._files
         return result
+
+
+def _copy(data: bytearray, offset: int, size: Optional[int]) -> bytes:
+    with memoryview(data) as view:
+        return bytes(view[offset : len(view) if size is None else offset + size])
 
 
 #: Either store.

@@ -62,7 +62,7 @@ def _pack_planes(src_ckpt: np.ndarray, src_off: np.ndarray) -> bytes:
     return b"".join(_PLANE_LEN.pack(len(p)) + p for p in parts)
 
 
-def _unpack_planes(buf: bytes, n_chunks: int) -> Tuple[np.ndarray, np.ndarray]:
+def _unpack_planes(buf, n_chunks: int) -> Tuple[np.ndarray, np.ndarray]:
     """Decode the three planes back into one row's ``(src_ckpt, src_off)``.
 
     Consumes all of *buf* — trailing bytes are damage.
@@ -147,8 +147,10 @@ def delta_group_bytes(num_changed: int) -> int:
     return _GROUP_HEADER.size + _DELTA_ENTRY_BYTES * num_changed
 
 
-def _group_digest(ckpt_id: int, kind: int, body: bytes) -> bytes:
-    return hashlib.sha256(struct.pack("<II", ckpt_id, kind) + body).digest()
+def _group_digest(ckpt_id: int, kind: int, body) -> bytes:
+    h = hashlib.sha256(struct.pack("<II", ckpt_id, kind))
+    h.update(body)
+    return h.digest()
 
 
 def encode_group(row, changed: Optional[np.ndarray] = None) -> Tuple[bytes, bytes]:
@@ -174,7 +176,7 @@ def encode_group(row, changed: Optional[np.ndarray] = None) -> Tuple[bytes, byte
     return _GROUP_HEADER.pack(len(body), row.ckpt_id, kind, digest) + body, digest
 
 
-def _open_group(record: bytes, ckpt_id: int, digest: bytes) -> Tuple[int, bytes]:
+def _open_group(record, ckpt_id: int, digest: bytes) -> Tuple[int, memoryview]:
     """Frame and authenticate one group record: ``(kind, body)``.
 
     The record must be checkpoint *ckpt_id*'s whole group, and its bytes
@@ -187,7 +189,7 @@ def _open_group(record: bytes, ckpt_id: int, digest: bytes) -> Tuple[int, bytes]
             f"({len(record)} bytes)"
         )
     body_len, held_id, kind, stored = _GROUP_HEADER.unpack_from(record, 0)
-    body = record[_GROUP_HEADER.size:]
+    body = memoryview(record)[_GROUP_HEADER.size:]
     if kind not in (KEYFRAME, DELTA):
         raise IntegrityError(
             f"unsupported provenance index row-group kind {kind} at "
@@ -206,7 +208,7 @@ def _open_group(record: bytes, ckpt_id: int, digest: bytes) -> Tuple[int, bytes]
     return kind, body
 
 
-def group_intact(record: bytes, ckpt_id: int, digest: bytes) -> bool:
+def group_intact(record, ckpt_id: int, digest: bytes) -> bool:
     """Whether a group record is whole and matches both of its digests."""
     try:
         _open_group(record, ckpt_id, digest)
@@ -215,8 +217,9 @@ def group_intact(record: bytes, ckpt_id: int, digest: bytes) -> bool:
     return True
 
 
-def _apply_delta(body: bytes, prev) -> Tuple[np.ndarray, np.ndarray]:
-    """Row *k* from row *k-1* and a delta body; *prev* is not modified."""
+def _apply_delta(body, prev, in_place: bool) -> Tuple[np.ndarray, np.ndarray]:
+    """Row *k* from row *k-1* and a delta body: *prev*'s arrays, changed
+    in place, when *in_place* is set; else copies, *prev* untouched."""
     if prev is None:
         raise IntegrityError("delta row-group has no row before it")
     n, rest = divmod(len(body), _DELTA_ENTRY_BYTES)
@@ -227,32 +230,38 @@ def _apply_delta(body: bytes, prev) -> Tuple[np.ndarray, np.ndarray]:
         raise IntegrityError(
             f"delta chunk ids are not ascending inside {prev.num_chunks} chunks"
         )
-    src_ckpt, src_off = prev.src_ckpt.copy(), prev.src_off.copy()
+    src_ckpt, src_off = prev.src_ckpt, prev.src_off
+    if not in_place:
+        src_ckpt, src_off = src_ckpt.copy(), src_off.copy()
     src_ckpt[ids] = np.frombuffer(body, dtype="<i4", count=n, offset=4 * n)
     src_off[ids] = np.frombuffer(body, dtype="<i8", count=n, offset=8 * n)
     return src_ckpt, src_off
 
 
 def decode_group(
-    record: bytes,
+    record,
     ckpt_id: int,
     digest: bytes,
     spec: ChunkSpec,
     prev=None,
+    in_place: bool = False,
 ):
-    """Verify and decode checkpoint *ckpt_id*'s group record into its
+    """Verify and decode checkpoint *ckpt_id*'s group record (bytes or a
+    view of them) into its
     :class:`~repro.core.provenance.ProvenanceIndex` row.
 
     *digest* is the record log's copy of the group digest, *spec* the
-    record's geometry; a delta folds onto *prev*, row ``ckpt_id - 1``.
-    Nothing outside *record* is hashed or decoded.
+    record's geometry; a delta folds onto *prev*, row ``ckpt_id - 1`` —
+    into *prev*'s own arrays when *in_place* is set (a fold that keeps
+    only its last row), else into copies.  Nothing outside *record* is
+    hashed or decoded.
     """
     kind, body = _open_group(record, ckpt_id, digest)
     try:
         if kind == KEYFRAME:
             src_ckpt, src_off = _unpack_planes(body, spec.num_chunks)
         else:
-            src_ckpt, src_off = _apply_delta(body, prev)
+            src_ckpt, src_off = _apply_delta(body, prev, in_place)
     except IntegrityError as exc:
         raise IntegrityError(
             f"provenance index row-group {ckpt_id} is damaged: {exc}"

@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -16,7 +16,9 @@ from ..core.diff import CheckpointDiff
 from ..errors import IntegrityError, SerializationError, StorageError
 from . import index
 from .bytestore import as_store
-from .frames import STATUS_OK, check_frame, load_frame, load_payload
+from .frames import (
+    STATUS_OK, check_frame, load_frame, load_payload, read_frames, runs_of,
+)
 from .log import LOG_ENTRY, PACK_FILE, read_header, read_log
 
 _LOG_READS = telemetry.counter(
@@ -76,11 +78,13 @@ class RecordView:
         return k
 
     # ------------------------------------------------------------------
-    def _groups(self, ckpt: Optional[int] = None) -> Tuple[int, Iterator[bytes]]:
+    def _groups(
+        self, ckpt: Optional[int] = None
+    ) -> Tuple[int, Iterator[memoryview]]:
         """``(first checkpoint, group records)`` of *ckpt*'s keyframe span,
         in one ``pread`` of that byte range; without *ckpt*, every group,
         after checking the file prologue against the header's geometry.
-        The records are cut from that one read as they are consumed."""
+        The records are zero-copy slices of that one read."""
         log = self.log
         name = self.header["index"]
         first = 0 if ckpt is None else self.keyframe_of(ckpt)
@@ -103,67 +107,102 @@ class RecordView:
                     f"chunks, record holds {held[0]} in {held[1]}",
                     path=f"{self.path}/{name}",
                 )
+        blob = memoryview(blob)
         return first, (
             blob[log.group_off[k] - start : log.group_end(k) - start]
             for k in range(first, last + 1)
         )
 
-    def fold(self, ckpt: Optional[int] = None) -> Iterator:
+    def fold(self, ckpt: Optional[int] = None, in_place: bool = False) -> Iterator:
         """Yield every row, in order, as the index is folded, after
         checking the file prologue's geometry against the header's; with
         *ckpt*, the rows of its keyframe span.  Keyframe decode + delta
         fold, each group checked against its own digest and the log's;
         the index bytes are read once, and only the row being folded onto
-        is held."""
+        is held.  *in_place* folds each delta into the row before it
+        instead of a copy, so only the last row yielded is whole."""
         first, records = self._groups(ckpt)
-        spec = self.spec
+        spec, sha = self.spec, self.log.group_sha
         row = None
         for k, record in enumerate(records, first):
-            row = index.decode_group(record, k, self.log.group_sha[k], spec, row)
+            row = index.decode_group(record, k, sha[k], spec, row, in_place)
             _INDEX_GROUPS_DECODED.inc()
             yield row
 
-    def rows(self, ckpt: Optional[int] = None) -> list:
-        """:meth:`fold`, collected: every row, or *ckpt*'s keyframe span."""
-        return list(self.fold(ckpt))
+    def rows(self) -> list:
+        """:meth:`fold`, collected: every row."""
+        return list(self.fold())
 
     def row(self, k: int):
         """Checkpoint *k*'s :class:`~repro.core.provenance.ProvenanceIndex`
         row: one ``pread`` of its keyframe span, the keyframe decoded and
-        the deltas folded onto it — at most two keyframes' bytes at any
-        chain length, and damage in any group *outside* that span never
-        blocks it.  ``bytes_read`` counts the log and that span."""
+        the deltas folded into it in place — at most two keyframes' bytes
+        at any chain length, and damage in any group *outside* that span
+        never blocks it.  ``bytes_read`` counts the log and that span."""
         if not 0 <= k < self.count:
             raise StorageError(f"checkpoint {k} outside record index of {self.count}")
-        row = self.rows(k)[-1]
+        for row in self.fold(k, in_place=True):
+            pass
         span = self.log.group_end(k) - self.log.group_off[self.keyframe_of(k)]
         row.bytes_read = self.count * LOG_ENTRY.size + span
         return row
 
     # ------------------------------------------------------------------
+    def _checkpoints(self, ids: Iterable[int]) -> List[int]:
+        count = self.count
+        ids = [int(i) for i in ids]
+        for i in ids:
+            if not 0 <= i < count:
+                raise StorageError(f"checkpoint {i} outside record of {count}")
+        return ids
+
+    def _each(self, ids: Optional[Iterable[int]], take) -> Iterator:
+        """``take(blob, k)`` for each frame *k* of *ids* (every frame
+        without), in order: one open of the pack and one read per frame,
+        so a scan holds one frame's bytes at a time."""
+        ids = range(self.count) if ids is None else self._checkpoints(ids)
+        return read_frames(self.store, self.log, [(k, k) for k in ids], take)
+
+    def frames(self, ids: Optional[Iterable[int]] = None) -> Iterator[CheckpointDiff]:
+        """Checkpoint frames (every frame without *ids*), in order, each
+        loaded and checked as :meth:`frame` loads it."""
+        log, path = self.log, self.path
+        return self._each(ids, lambda blob, k: load_frame(blob, log, k, path))
+
     def frame(self, k: int) -> CheckpointDiff:
         """Load checkpoint *k*'s frame, checked against the log's size and
         digest and its own embedded digest."""
-        return load_frame(self.store, self.log, k)
+        (diff,) = self.frames([k])
+        return diff
 
-    def payloads(self, ids: Sequence[int]) -> Dict[int, np.ndarray]:
+    def checks(
+        self, ids: Optional[Iterable[int]] = None
+    ) -> Iterator[Tuple[str, str, Optional[bytes]]]:
+        """:func:`~repro.record.frames.check_frame` of each frame (every
+        frame without *ids*), in order: status, detail, content digest."""
+        log = self.log
+        return self._each(ids, lambda blob, k: check_frame(blob, log, k))
+
+    def payloads(self, ids: Iterable[int]) -> Dict[int, np.ndarray]:
         """The payloads of only the named checkpoints, as uint8 arrays: a
         provenance row names the frames its bytes live in, and only those
-        are read from the pack, each checked against the log's size and
-        digest and by the frame-header checks
-        (:func:`~repro.record.frames.load_payload`) — but no whole diff is
-        built."""
-        count, log = self.count, self.log
-        payloads: Dict[int, np.ndarray] = {}
+        are read from the pack — one open, one read per run of adjacent
+        checkpoints, no byte of any other frame — each checked against the
+        log's size and digest and by the frame-header checks
+        (:func:`~repro.record.frames.load_payload`) on its slice of that
+        read, and no whole diff is built: a raw payload is a view of its
+        run's bytes."""
+        count, log, path = self.count, self.log, self.path
+        runs = runs_of(self._checkpoints(ids))
         with telemetry.span(
-            "store.load_frames", path=str(self.path), frames_total=count
+            "store.load_frames", path=str(path), frames_total=count
         ) as span:
-            for i in ids:
-                i = int(i)
-                if not 0 <= i < count:
-                    raise StorageError(f"checkpoint {i} outside record of {count}")
-                if i not in payloads:
-                    payloads[i] = load_payload(self.store, log, i)
+            payloads = dict(
+                read_frames(
+                    self.store, log, runs,
+                    lambda blob, k: (k, load_payload(blob, log, k, path)),
+                )
+            )
             span.set(frames_read=len(payloads))
         return payloads
 
@@ -227,8 +266,7 @@ class RecordView:
         )
 
         digests = []
-        for i in range(log.count):
-            status, detail, digest = check_frame(self.store, log, i)
+        for i, (status, detail, digest) in enumerate(self.checks()):
             report.checkpoints.append(CheckpointStatus(i, status, detail))
             digests.append(digest)
         report.chain_ok = digests == list(log.frame_sha)

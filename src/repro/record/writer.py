@@ -15,7 +15,7 @@ from ..errors import IntegrityError, RestoreError, StorageError
 from ..telemetry import events
 from . import index
 from .bytestore import ByteStore, as_store
-from .frames import STATUS_OK, check_frame
+from .frames import STATUS_OK
 from .log import FORMAT_VERSION, HEADER_FILE, INDEX_FILE, LOG_BODY, LOG_ENTRY
 from .log import LOG_FILE, PACK_FILE, is_record
 from .view import RecordView
@@ -131,7 +131,8 @@ class RecordWriter:
         # Torn-append sanity: the log entry is written last, so the one
         # frame that could disagree with it after a crash is the final
         # one.  One frame check, not a chain re-scan.
-        if check_frame(self.store, log, count - 1)[0] != STATUS_OK:
+        ((status, _, _),) = view.checks([count - 1])
+        if status != STATUS_OK:
             raise IntegrityError(
                 f"{PACK_FILE} frame {count - 1}: frame does not match the "
                 f"record log (damaged or torn record; run verify_record)",

@@ -349,8 +349,7 @@ def attribute_record(
     depth_histogram: Counter = Counter()
     problems: List[str] = []
     payloads: List[np.ndarray] = []
-    for k in range(table.num_checkpoints):
-        frame = view.frame(k)
+    for k, frame in enumerate(view.frames()):
         cmap = chunk_map(frame)
         if (frame.data_len, frame.chunk_size) != geometry:
             problems.append(f"ckpt {k}: geometry changed mid-chain")

@@ -2,7 +2,8 @@
 operations, four files at any chain length, a cut after any store write
 that leaves every sealed checkpoint restorable, one code path for a
 record in RAM and on disk, the swap that replaces a record's history, and
-the directory store's one open and one read per verified frame."""
+the directory store's one open per payload read and one read per run of
+adjacent frames."""
 
 import os
 
@@ -11,6 +12,7 @@ import pytest
 
 from repro.core import ENGINES, IncrementalCheckpointer, Restorer, rebase_stored_record
 from repro.core.provenance import restore_indexed
+from repro.core.serialize import diff_payload
 from repro.record import DirectoryStore, MemoryStore, RecordView, RecordWriter
 from repro.record import bytestore
 from repro.runtime import NodeRuntime
@@ -355,9 +357,11 @@ class _CrashBudget:
 
 
 class TestDirectoryReads:
-    def test_a_verified_frame_is_one_open_and_one_read(
-        self, rng, tmp_path, monkeypatch
-    ):
+    """A payload read opens the pack once and reads each run of adjacent
+    frames in one ``pread``."""
+
+    @staticmethod
+    def _calls(rng, tmp_path, monkeypatch, ids):
         diffs = _chain(rng)
         writer = RecordWriter(tmp_path / "rec", method="tree")
         for diff in diffs:
@@ -372,9 +376,23 @@ class TestDirectoryReads:
                 return _real(*args, **kwargs)
 
             monkeypatch.setattr(os, name, spy)
-        payloads = view.payloads([1, 3])
-        assert sorted(payloads) == [1, 3]
-        assert calls == ["open", "pread", "open", "pread"]
+        payloads = view.payloads(ids)
+        monkeypatch.undo()
+        assert sorted(payloads) == sorted(ids)
+        for k in ids:
+            assert np.array_equal(payloads[k], diff_payload(diffs[k])), k
+        return calls
+
+    def test_a_verified_frame_is_one_open_and_one_read(
+        self, rng, tmp_path, monkeypatch
+    ):
+        # Frames 1 and 3 are two runs: one open, then one read per run.
+        calls = self._calls(rng, tmp_path, monkeypatch, [1, 3])
+        assert calls == ["open", "pread", "pread"]
+
+    def test_adjacent_frames_are_one_read(self, rng, tmp_path, monkeypatch):
+        calls = self._calls(rng, tmp_path, monkeypatch, [2, 1])
+        assert calls == ["open", "pread"]
 
     def test_a_missing_file_is_file_not_found_in_both_stores(self, tmp_path):
         for store in (MemoryStore(), DirectoryStore(tmp_path)):
